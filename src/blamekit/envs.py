@@ -189,11 +189,7 @@ def build_graph(spec: GraphSpec) -> tuple[Mmdp, JointPolicy]:
     reward = np.zeros((num_states, num_actions))
     transition = np.zeros((num_states, num_actions, num_states))
     end = _graph_state(GRAPH_COLUMNS + 1, 0)
-    probe = Mmdp(num_states, GRAPH_AGENTS, (2,) * GRAPH_AGENTS, reward,
-                 np.zeros_like(transition), spec.discount,
-                 np.eye(num_states)[0], frozenset({end}))
-    for ja in range(num_actions):
-        actions = probe.decode_joint(ja)
+    for ja, actions in enumerate(np.ndindex((2,) * GRAPH_AGENTS)):
         bits = sum(a << i for i, a in enumerate(actions))
         scored = 1.0 if _constraint_met(spec, actions) else -1.0
         for column in range(GRAPH_COLUMNS + 1):

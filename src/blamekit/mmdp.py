@@ -56,11 +56,7 @@ class Mmdp:
         return idx
 
     def decode_joint(self, idx: int) -> tuple[int, ...]:
-        actions = []
-        for k in reversed(self.action_counts):
-            actions.append(idx % k)
-            idx //= k
-        return tuple(reversed(actions))
+        return tuple(int(a) for a in np.unravel_index(idx, self.action_counts))
 
     def content_key(self) -> bytes:
         """Stable content hash, used to memoize planning results."""
@@ -149,6 +145,16 @@ class JointPolicy:
         return problems
 
 
+def joint_index_grid(action_counts) -> np.ndarray:
+    """Every joint-action index laid out with one axis per agent, agent 0
+    most significant: grid[a_0, ..., a_n-1] == encode_joint((a_0, ..., a_n-1)).
+
+    Transposing and reshaping the grid regroups joint actions by any agent
+    order; np.unravel_index(idx, action_counts) gives the per-agent digits.
+    """
+    return np.arange(math.prod(action_counts), dtype=np.int64).reshape(tuple(action_counts))
+
+
 def as_joint_table(m: Mmdp, behavior) -> np.ndarray:
     """Coerce a JointPolicy or an explicit (S, A) table to a dense joint table.
 
@@ -232,23 +238,10 @@ def _solve_linear(p_pi: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarra
     return np.linalg.solve(np.eye(n) - gamma * p_pi, r_pi)
 
 
-def _solve_richardson(p_pi: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarray:
-    v = np.zeros_like(r_pi)
-    cap = 10 * math.ceil(math.log(1e-12) / math.log(gamma)) if gamma > 0 else 1
-    for _ in range(max(cap, 1)):
-        nxt = r_pi + gamma * (p_pi @ v)
-        if np.abs(nxt - v).max() <= 1e-12:
-            return nxt
-        v = nxt
-    return v
-
-
 def policy_values(m: Mmdp, behavior) -> np.ndarray:
-    """State values V_pi, from a direct linear solve (small models) or iteration."""
+    """State values V_pi, from a direct dense linear solve."""
     p_pi, r_pi = policy_transition_reward(m, behavior)
-    if m.num_states <= 2000:
-        return _solve_linear(p_pi, r_pi, m.discount)
-    return _solve_richardson(p_pi, r_pi, m.discount)
+    return _solve_linear(p_pi, r_pi, m.discount)
 
 
 def evaluate_return(m: Mmdp, behavior) -> float:
@@ -278,6 +271,27 @@ def save_model(m: Mmdp, path) -> None:
         json.dump(doc, fh)
 
 
+def _entries(doc, name: str, limits: tuple[int, ...]):
+    """Parse a table field whose rows are [index, ..., value].
+
+    Returns (index columns, value column); every index must be an integer in
+    [0, limit) for its column's limit.
+    """
+    rows = np.asarray(doc.get(name, []), dtype=float)
+    width = len(limits) + 1
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} entries must have {width} fields each")
+    for col, (limit, what) in enumerate(zip(limits, ("state", "joint action", "next state"))):
+        bad = np.flatnonzero((rows[:, col] < 0) | (rows[:, col] >= limit)
+                             | (rows[:, col] != np.floor(rows[:, col])))
+        if bad.size:
+            raise ValueError(f"{name} entry {bad[0]}: {what} index {rows[bad[0], col]:g} "
+                             f"is not an integer in [0, {limit})")
+    return tuple(rows[:, :-1].T.astype(np.int64)), rows[:, -1]
+
+
 def load_model(path) -> Mmdp:
     """Parse the JSON model format.
 
@@ -298,14 +312,14 @@ def load_model(path) -> Mmdp:
     if len(action_counts) != num_agents:
         raise ValueError("action_counts length does not match num_agents")
     A = int(np.prod(action_counts))
+    (s, a), r = _entries(doc, "rewards", (num_states, A))
     reward = np.zeros((num_states, A))
-    for s, a, r in doc.get("rewards", []):
-        reward[int(s), int(a)] = float(r)
+    reward[s, a] = r
+    (s, a, t), p = _entries(doc, "transitions", (num_states, A, num_states))
     transition = np.zeros((num_states, A, num_states))
+    np.add.at(transition, (s, a, t), p)  # in file order, like repeated +=
     seen = np.zeros((num_states, A), dtype=bool)
-    for s, a, t, p in doc.get("transitions", []):
-        transition[int(s), int(a), int(t)] += float(p)
-        seen[int(s), int(a)] = True
+    seen[s, a] = True
     missing = np.argwhere(~seen)
     if missing.size:
         s, a = missing[0]

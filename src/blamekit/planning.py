@@ -7,13 +7,14 @@ such set function is realizable by a one-step model (`mmdp_from_game`).
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
-                   evaluate_return, _solve_linear, _solve_richardson)
+                   evaluate_return, joint_index_grid, _solve_linear)
 
 MAX_AGENTS = 12
 _MONOTONE_TOL = 1e-9
@@ -107,23 +108,11 @@ def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     pairs (both in sorted-agent lexicographic order) to joint-action indices."""
     agents = sorted(coalition)
     others = [i for i in range(m.num_agents) if i not in set(agents)]
-    a_c = int(np.prod([m.action_counts[i] for i in agents])) if agents else 1
-    a_d = int(np.prod([m.action_counts[i] for i in others])) if others else 1
-    idx = np.zeros((a_c, a_d), dtype=np.int64)
-    order = agents + others
-    dims = [m.action_counts[i] for i in order]
-    for flat in range(a_c * a_d):
-        ci, di = divmod(flat, a_d)
-        rest, parts = flat, []
-        for k in reversed(dims):
-            parts.append(rest % k)
-            rest //= k
-        parts.reverse()
-        actions = [0] * m.num_agents
-        for agent, a in zip(order, parts):
-            actions[agent] = a
-        idx[ci, di] = m.encode_joint(actions)
-    return idx
+    a_c = math.prod(m.action_counts[i] for i in agents)
+    grid = joint_index_grid(m.action_counts).transpose(agents + others)
+    # C order, like a freshly filled array: gathers through idx inherit its
+    # layout, and that layout fixes the summation order downstream
+    return np.ascontiguousarray(grid.reshape(a_c, -1))
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,23 +139,26 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
     """Howard policy iteration with lowest-index tie-breaking.
 
     Returns (state values, deterministic per-state action indices). Exact up
-    to the linear solver; terminates when the greedy policy is stable.
+    to the linear solver; raises RuntimeError if the greedy policy is still
+    improving after max_iters evaluations.
     """
-    num_states, num_actions = r.shape
-    solve = _solve_linear if num_states <= 2000 else _solve_richardson
-    v = np.zeros(num_states)
+    rows = np.arange(r.shape[0])
     pol = np.argmax(r, axis=1)
     for _ in range(max_iters):
-        rows = np.arange(num_states)
-        p_pol = p[rows, pol]
-        v = solve(p_pol, r[rows, pol], gamma)
+        v = _solve_linear(p[rows, pol], r[rows, pol], gamma)
         q = r + gamma * np.einsum("sat,t->sa", p, v)
         new_pol = np.argmax(q, axis=1)
         improving = q[rows, new_pol] > q[rows, pol] + 1e-13
         if not improving.any():
             return v, pol
         pol = np.where(improving, new_pol, pol)
-    return v, pol
+    raise RuntimeError(f"policy iteration did not converge in {max_iters} iterations")
+
+
+def _coalition_values(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray]:
+    """State values and joint-action policy of the coalition's best response."""
+    r_c, p_c, _ = induced_mdp(m, behavior, coalition)
+    return solve_mdp(r_c, p_c, m.discount)
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -175,19 +167,11 @@ def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
     for i in agents:
         if not 0 <= i < m.num_agents:
             raise ValueError(f"agent index {i} out of range")
-    r_c, p_c, _ = induced_mdp(m, behavior, coalition)
-    v, pol = solve_mdp(r_c, p_c, m.discount)
-    policy = {}
-    if agents:
-        dims = [m.action_counts[i] for i in agents]
-        per_agent = np.zeros((len(agents), m.num_states), dtype=np.int64)
-        rest = pol.copy()
-        for pos in range(len(agents) - 1, -1, -1):
-            per_agent[pos] = rest % dims[pos]
-            rest //= dims[pos]
-        for pos, i in enumerate(agents):
-            policy[i] = AgentPolicy.deterministic(m.num_states, m.action_counts[i],
-                                                  per_agent[pos])
+    v, pol = _coalition_values(m, behavior, agents)
+    dims = [m.action_counts[i] for i in agents]
+    per_agent = np.unravel_index(pol, dims) if agents else ()
+    policy = {i: AgentPolicy.deterministic(m.num_states, m.action_counts[i], actions)
+              for i, actions in zip(agents, per_agent)}
     return BestResponse(frozenset(agents), policy,
                         float(m.initial_dist @ v), v)
 
@@ -220,8 +204,8 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     j_b = evaluate_return(m, table)
     values = np.zeros(1 << m.num_agents)
     for mask in range(1, 1 << m.num_agents):
-        agents = mask_agents(mask, m.num_agents)
-        values[mask] = best_response(m, table, agents).value - j_b
+        v, _ = _coalition_values(m, table, mask_agents(mask, m.num_agents))
+        values[mask] = float(m.initial_dist @ v) - j_b
     game = CharacteristicGame(m.num_agents, values)
     with _GAME_LOCK:
         _GAME_CACHE[key] = game
@@ -244,12 +228,9 @@ def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
     n = f.num_agents
     num_actions = 1 << n
     reward = np.zeros((2, num_actions))
-    m = Mmdp(2, n, (2,) * n, reward, np.zeros((2, num_actions, 2)),
-             0.99, np.array([1.0, 0.0]), frozenset({1}))
-    for ja in range(num_actions):
-        actions = m.decode_joint(ja)
-        mask = coalition_mask(i for i, a in enumerate(actions) if a == 1)
-        reward[0, ja] = f.values[mask]
+    # reversing the axes puts agent i on bit i, so position `mask` holds the
+    # joint action where exactly the agents in `mask` play 1
+    reward[0, joint_index_grid((2,) * n).T.ravel()] = f.values
     transition = np.zeros((2, num_actions, 2))
     transition[0, :, 1] = 1.0
     transition[1, :, 1] = 1.0

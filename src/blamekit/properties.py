@@ -271,10 +271,7 @@ def impossibility_fixture():
     reward = np.zeros((2, num_actions))
     transition = np.zeros((2, num_actions, 2))
     transition[:, :, 1] = 1.0
-    probe = Mmdp(2, 2, (3, 3), reward, transition, 0.99,
-                 np.array([1.0, 0.0]), frozenset({1}))
-    for ja in range(num_actions):
-        a1, a2 = probe.decode_joint(ja)
+    for ja, (a1, a2) in enumerate(np.ndindex(3, 3)):
         if a1 == 0 and a2 == 0:
             r = 0.0
         elif (a1, a2) in ((0, 2), (2, 0), (2, 2)):

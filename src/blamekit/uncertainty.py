@@ -187,18 +187,9 @@ class _CoalitionProblem:
         self.num_c, self.num_d = self.idx.shape
         self.uncertain = [j for j in self.others if uset.agent_radius(j) > 0]
         # per-complement-agent action of each complement column
-        cols = {}
         dims = [m.action_counts[j] for j in self.others]
-        for d in range(self.num_d):
-            rest = d
-            parts = []
-            for kdim in reversed(dims):
-                parts.append(rest % kdim)
-                rest //= kdim
-            parts.reverse()
-            for j, a in zip(self.others, parts):
-                cols.setdefault(j, np.zeros(self.num_d, dtype=np.int64))[d] = a
-        self.cols = cols
+        digits = np.unravel_index(np.arange(self.num_d), dims) if dims else ()
+        self.cols = cols = dict(zip(self.others, digits))
 
         def product_table(agent_subset):
             table = np.ones((m.num_states, self.num_d))

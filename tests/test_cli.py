@@ -144,6 +144,45 @@ def test_invalid_model_exits_3(two_agent_inputs, tmp_path, capsys):
     assert "invalid instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, column, value", [
+    ("transitions", 0, -1),  # state
+    ("transitions", 0, 2),
+    ("transitions", 1, -1),  # joint action
+    ("transitions", 1, 4),
+    ("transitions", 2, -1),  # next state
+    ("transitions", 2, 2),
+    ("rewards", 0, -1),
+    ("rewards", 1, 4),
+])
+def test_model_index_out_of_range_exits_2(two_agent_inputs, tmp_path, capsys,
+                                           field, column, value):
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc[field][0][column] = value
+    path = tmp_path / "bad_index.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert "index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("action_counts", 5), ("rewards", {})])
+def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
+                                           field, value):
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / "bad_type.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_perm_sweep_rows():
     rows = run_perm_sweep()
     alphas = sorted({r["alpha_prime"] for r in rows})

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamekit.mmdp import AgentPolicy, JointPolicy, evaluate_return
 from blamekit.planning import (
@@ -19,6 +21,7 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
+from blamekit.uncertainty import UncertaintySet, _CoalitionProblem
 from helpers import random_factorized, random_mmdp
 
 
@@ -97,6 +100,20 @@ def test_solve_mdp_two_state_chain():
     assert v[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_solve_mdp_raises_when_not_converged():
+    """Greedy on reward leaves state 0 (1 > 0.5); staying wins only after a
+    second improvement round, so one round must not return silently."""
+    r = np.array([[0.5, 1.0], [0.0, 0.0]])
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = 1.0
+    p[0, 1, 1] = 1.0
+    p[1, :, 1] = 1.0
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_mdp(r, p, gamma=0.9, max_iters=1)
+    _, pol = solve_mdp(r, p, gamma=0.9, max_iters=2)
+    assert pol[0] == 0
+
+
 def test_coalition_action_index_layout():
     m = random_mmdp(np.random.default_rng(21), action_counts=(2, 3))
     idx = coalition_action_index(m, (0,))
@@ -114,6 +131,56 @@ def test_coalition_action_index_layout():
     np.testing.assert_array_equal(full[:, 0], np.arange(6))
     empty = coalition_action_index(m, ())
     assert empty.shape == (1, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_mixed_radix_layouts_match_brute_force(action_counts):
+    """For every coalition, coalition_action_index agrees with encode_joint of
+    each (coalition tuple, complement tuple) pair, and the robust recursion's
+    per-agent complement columns agree with digit-by-digit decoding."""
+    m = random_mmdp(np.random.default_rng(0), num_states=2,
+                    action_counts=tuple(action_counts))
+    n = m.num_agents
+    center = JointPolicy(tuple(AgentPolicy.uniform(2, k) for k in action_counts))
+    uset = UncertaintySet(center, 0.0)
+
+    def tuples(group):
+        return list(itertools.product(*(range(m.action_counts[i]) for i in group)))
+
+    for mask in range(1 << n):
+        agents = list(mask_agents(mask, n))
+        others = [i for i in range(n) if i not in agents]
+        expect = np.zeros((len(tuples(agents)), len(tuples(others))), dtype=np.int64)
+        for ci, c in enumerate(tuples(agents)):
+            for di, d in enumerate(tuples(others)):
+                actions = [0] * n
+                for i, a in zip(agents + others, c + d):
+                    actions[i] = a
+                expect[ci, di] = m.encode_joint(actions)
+        idx = coalition_action_index(m, agents)
+        assert idx.dtype == np.int64 and idx.flags.c_contiguous
+        np.testing.assert_array_equal(idx, expect)
+
+        cols = _CoalitionProblem(m, uset, mask, "max", None).cols
+        assert sorted(cols) == others
+        for pos, j in enumerate(others):
+            np.testing.assert_array_equal(cols[j], [d[pos] for d in tuples(others)])
+
+
+def test_best_response_compose_plays_the_solved_joint_action():
+    for seed in range(4):
+        rng = np.random.default_rng(500 + seed)
+        m = random_mmdp(rng, num_states=4, action_counts=(2, 3, 2), gamma=0.9)
+        behavior = random_factorized(rng, m)
+        for mask in range(1, 1 << m.num_agents):
+            coalition = mask_agents(mask, m.num_agents)
+            r_c, p_c, idx = induced_mdp(m, behavior, coalition)
+            _, pol = solve_mdp(r_c, p_c, m.discount)
+            table = best_response(m, behavior, coalition).compose(behavior).joint_table(m)
+            # probability of each coalition joint action, per state
+            marginal = table[np.arange(m.num_states)[:, None, None], idx].sum(axis=2)
+            np.testing.assert_allclose(marginal, np.eye(idx.shape[0])[pol], atol=1e-12)
 
 
 def test_induced_mdp_marginalizes_complement():
@@ -174,6 +241,13 @@ def test_mmdp_from_game_reproduces_the_set_function():
         model, behavior = mmdp_from_game(f)
         back = characteristic_game(model, behavior)
         assert np.abs(back.values - f.values).max() <= 1e-12
+
+
+def test_mmdp_from_game_round_trip_is_exact_at_ten_agents():
+    for seed in range(2):
+        f = random_monotone_game(10, seed)
+        back = characteristic_game(*mmdp_from_game(f))
+        assert (back.values == f.values).all()
 
 
 def test_mmdp_from_game_rejects_invalid_input():
