@@ -13,7 +13,8 @@ from math import factorial
 import numpy as np
 
 from .lp import LinearProgram, solve, solve_lexicographic
-from .planning import CharacteristicGame, characteristic_game
+from .planning import (CharacteristicGame, characteristic_game,
+                       marginal_masks, membership)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -48,26 +49,44 @@ class Pivotality:
         return ",".join("1" if f else "0" for f in self.flags)
 
 
-def _subset_masks_without(n: int, i: int):
-    """All masks over n agents that exclude bit i."""
-    others = [j for j in range(n) if j != i]
-    for sub in range(1 << (n - 1)):
-        mask = 0
-        for pos, j in enumerate(others):
-            if sub >> pos & 1:
-                mask |= 1 << j
-        yield mask
+def sequential_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right from 0.0, as a Python loop adds them.
+    cumsum is sequential; sum and @ reorder the additions and change last
+    bits. Adding 0.0 turns an all-(-0.0) row into 0.0, as the loop does."""
+    return np.cumsum(terms, axis=1)[:, -1:].ravel() + 0.0
 
 
-def _weighted_marginals(game: CharacteristicGame, weights: np.ndarray,
-                        method: str) -> BlameAssignment:
-    n = game.num_agents
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
-    blames = np.zeros(n)
-    for i in range(n):
-        for mask in _subset_masks_without(n, i):
-            marginal = game.values[mask | 1 << i] - game.values[mask]
-            blames[i] += weights[sizes[mask]] * marginal
+def marginals(values_with: np.ndarray, values_without: np.ndarray,
+              n: int) -> np.ndarray:
+    """(n, 2^(n-1)) table: row i holds values_with[S + i] - values_without[S]
+    for the coalitions S without agent i, mask ascending."""
+    without, with_ = marginal_masks(n)
+    return values_with[with_] - values_without[without]
+
+
+def weighted_marginals(values_with: np.ndarray, values_without: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """Per agent i, the sum over coalitions S without i (mask ascending) of
+    weights[|S|] * (values_with[S + i] - values_without[S])."""
+    n = weights.size
+    sizes = membership(n).sum(axis=1)[marginal_masks(n)[0]]
+    return sequential_sums(weights[sizes]
+                           * marginals(values_with, values_without, n))
+
+
+def shapley_weights(n: int) -> np.ndarray:
+    """Weight of a marginal to a coalition of each size 0..n-1."""
+    return np.array([factorial(s) * factorial(n - s - 1) / factorial(n)
+                     for s in range(n)])
+
+
+def banzhaf_weights(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / (1 << (n - 1)))
+
+
+def _marginal_method(game: CharacteristicGame, weights: np.ndarray,
+                     method: str) -> BlameAssignment:
+    blames = weighted_marginals(game.values, game.values, weights)
     if (blames < -_CLAMP_TOL).any():
         raise ValueError(f"{method} produced blame below -{_CLAMP_TOL}; "
                          "the input game is not monotone")
@@ -76,18 +95,12 @@ def _weighted_marginals(game: CharacteristicGame, weights: np.ndarray,
 
 def shapley(game: CharacteristicGame) -> BlameAssignment:
     """Shapley value of the inefficiency game."""
-    n = game.num_agents
-    n_fact = factorial(n)
-    weights = np.array([factorial(s) * factorial(n - s - 1) / n_fact
-                        for s in range(n)])
-    return _weighted_marginals(game, weights, "SV")
+    return _marginal_method(game, shapley_weights(game.num_agents), "SV")
 
 
 def banzhaf(game: CharacteristicGame) -> BlameAssignment:
     """Banzhaf index: uniform weight 1/2^(n-1) on every marginal."""
-    n = game.num_agents
-    weights = np.full(n, 1.0 / (1 << (n - 1)))
-    return _weighted_marginals(game, weights, "BI")
+    return _marginal_method(game, banzhaf_weights(game.num_agents), "BI")
 
 
 def marginal_contribution(game: CharacteristicGame) -> BlameAssignment:
@@ -106,10 +119,8 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     agent's blame over the optimal face.
     """
     n = game.num_agents
-    rows = []
-    for mask in range(1, 1 << n):
-        rows.append([1.0 if mask >> i & 1 else 0.0 for i in range(n)])
-    lp = LinearProgram(np.ones(n), np.array(rows), game.values[1:])
+    rows = membership(n)[1:].astype(float)
+    lp = LinearProgram(np.ones(n), rows, game.values[1:])
     if tiebreak is None:
         sol = solve(lp)
     else:
@@ -126,25 +137,19 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
 def pivotality(game: CharacteristicGame) -> Pivotality:
     """An agent is pivotal when it has any strictly positive marginal,
     detected as a Shapley value above tolerance."""
-    sv = shapley(game)
-    return Pivotality(tuple(bool(b > PIVOTAL_TOL) for b in sv.blames))
+    return Pivotality(tuple((shapley(game).blames > PIVOTAL_TOL).tolist()))
 
 
 def average_participation(game: CharacteristicGame) -> BlameAssignment:
     """Splits each coalition's inefficiency equally among its pivotal
     members, averaged over all coalitions."""
     n = game.num_agents
-    pivotal = pivotality(game).flags
+    pivotal = np.array(pivotality(game).flags, dtype=bool)
+    without, with_ = marginal_masks(n)
+    sharers = membership(n)[:, pivotal].sum(axis=1) + 1
     w = 1.0 / ((1 << n) - 1)
-    blames = np.zeros(n)
-    for i in range(n):
-        if not pivotal[i]:
-            continue
-        for mask in _subset_masks_without(n, i):
-            others_pivotal = sum(1 for j in range(n)
-                                 if mask >> j & 1 and pivotal[j])
-            blames[i] += w * game.values[mask | 1 << i] / (others_pivotal + 1)
-    return BlameAssignment("AP", blames)
+    terms = w * game.values[with_] / sharers[without]
+    return BlameAssignment("AP", np.where(pivotal, sequential_sums(terms), 0.0))
 
 
 METHODS = {

@@ -1,9 +1,13 @@
-"""Dense two-phase simplex for the small linear programs used here.
+"""Two-phase simplex in dictionary form for the linear programs used here.
 
 Problems are stated as: maximize c @ x subject to A @ x <= b, x >= 0.
-Equality constraints should be passed as two opposing inequalities. Sizes
-stay tiny (tens of variables and rows), so a dense tableau with Bland's
-rule is plenty and guarantees termination.
+Equality constraints should be passed as two opposing inequalities.
+Variables are numbered structural, then one slack per row, then one
+artificial per row with a negative bound. Only the nonbasic columns and the
+right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), so MER's
+2^n - 1 rows over n agents take 2^n x (n + 1) floats. A pivot is one rank-1
+update doing a full tableau's arithmetic on those columns; Bland's rule
+guarantees termination.
 """
 from __future__ import annotations
 
@@ -39,100 +43,94 @@ class LpSolution:
     objective_value: float | None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
+def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+           row: int, pos: int) -> None:
+    """Swap basis[row] with nonbasic[pos]. Column `pos` is reused for the
+    leaving variable, whose column was the unit vector e_row."""
+    col = tableau[:, pos].copy()
+    tableau[:, pos] = 0.0
+    tableau[row, pos] = 1.0
+    tableau[row] /= col[row]
+    col[row] = 0.0
+    # rows with a zero entry in the entering column are left untouched
+    np.subtract(tableau, np.outer(col, tableau[row]), out=tableau,
+                where=(col != 0)[:, None])
+    basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, num_cols: int) -> str:
-    """Bland's rule on the given tableau; last row is the objective."""
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                 limit: int) -> str:
+    """Bland's rule on the given tableau; last row is the objective. Only
+    variables numbered below `limit` may enter."""
     while True:
-        obj = tableau[-1, :num_cols]
-        entering = -1
-        for j in range(num_cols):
-            if obj[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        entering = ((tableau[-1, :-1] < -PIVOT_TOL)
+                    & (nonbasic < limit)).nonzero()[0]
+        if entering.size == 0:
             return "optimal"
-        ratios = np.full(tableau.shape[0] - 1, np.inf)
-        col = tableau[:-1, entering]
-        positive = col > PIVOT_TOL
-        ratios[positive] = tableau[:-1, -1][positive] / col[positive]
-        if not positive.any():
+        pos = entering[nonbasic[entering].argmin()]
+        col = tableau[:-1, pos]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        best = ratios.min()
-        # Bland: among minimal ratios, leave the smallest basis variable.
-        leaving = min((basis[r], r) for r in range(len(ratios))
-                      if ratios[r] <= best + PIVOT_TOL)[1]
-        _pivot(tableau, basis, leaving, entering)
+        ratios = tableau[rows, -1] / col[rows]
+        tied = rows[ratios <= ratios.min() + PIVOT_TOL]
+        _pivot(tableau, basis, nonbasic, tied[basis[tied].argmin()], pos)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     c = lp.objective
-    a = lp.constraint_matrix.copy()
-    b = lp.constraint_bounds.copy()
+    a = lp.constraint_matrix
+    b = lp.constraint_bounds
     num_rows, num_vars = a.shape
+    first_art = num_vars + num_rows
 
-    # Make every bound nonnegative so slacks/artificials start feasible.
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.abs(b)
-    # Rows that were flipped become >= rows: slack coefficient -1, so they
-    # need an artificial; original <= rows start basic on their slack.
-    num_cols = num_vars + num_rows + int(flip.sum())
-    tableau = np.zeros((num_rows + 1, num_cols + 1))
+    # Flip rows with negative bounds into >= rows: their slack (coefficient
+    # -1) starts nonbasic and an artificial basic; other rows start on their
+    # slack.
+    flipped = (b < 0).nonzero()[0]
+    tableau = np.zeros((num_rows + 1, num_vars + flipped.size + 1))
     tableau[:num_rows, :num_vars] = a
-    tableau[:num_rows, -1] = b
-    basis = np.zeros(num_rows, dtype=np.int64)
-    art_cols = []
-    next_art = num_vars + num_rows
-    for r in range(num_rows):
-        slack = num_vars + r
-        tableau[r, slack] = -1.0 if flip[r] else 1.0
-        if flip[r]:
-            tableau[r, next_art] = 1.0
-            basis[r] = next_art
-            art_cols.append(next_art)
-            next_art += 1
-        else:
-            basis[r] = slack
+    tableau[flipped, :num_vars] *= -1.0
+    tableau[flipped, num_vars + np.arange(flipped.size)] = -1.0
+    tableau[:num_rows, -1] = np.abs(b)
+    nonbasic = np.concatenate([np.arange(num_vars), num_vars + flipped])
+    basis = np.arange(num_vars, first_art)
+    basis[flipped] = first_art + np.arange(flipped.size)
 
-    if art_cols:
+    if flipped.size:
         # Phase 1: minimize artificial sum.
-        for col in art_cols:
-            tableau[-1, col] = 1.0
-        for r in range(num_rows):
-            if basis[r] in art_cols:
-                tableau[-1] -= tableau[r]
-        status = _run_simplex(tableau, basis, num_cols)
+        for r in flipped:
+            tableau[-1] -= tableau[r]
+        status = _run_simplex(tableau, basis, nonbasic, first_art + flipped.size)
         if status != "optimal" or tableau[-1, -1] < -1e-8:
             return LpSolution("infeasible", None, None)
         # Drive any artificial still basic (at zero) out of the basis.
-        for r in range(num_rows):
-            if basis[r] in art_cols:
-                cand = next((j for j in range(num_vars + num_rows)
-                             if abs(tableau[r, j]) > PIVOT_TOL), None)
-                if cand is not None:
-                    _pivot(tableau, basis, r, cand)
-        tableau[:, art_cols] = 0.0
+        for r in (basis >= first_art).nonzero()[0]:
+            cand = ((nonbasic < first_art)
+                    & (np.abs(tableau[r, :-1]) > PIVOT_TOL)).nonzero()[0]
+            if cand.size:
+                _pivot(tableau, basis, nonbasic, r,
+                       cand[nonbasic[cand].argmin()])
+        # Artificials never re-enter: drop the nonbasic ones, and the limit
+        # below bars one that leaves the basis in phase 2.
+        keep = nonbasic < first_art
+        tableau = tableau[:, np.append(keep, True)]
+        nonbasic = nonbasic[keep]
 
-    # Phase 2 objective (maximize c @ x as minimize -c @ x).
-    tableau[-1, :] = 0.0
-    tableau[-1, :num_vars] = -c
-    for r in range(num_rows):
-        if tableau[-1, basis[r]] != 0:
-            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    status = _run_simplex(tableau, basis, num_vars + num_rows)
-    if status == "unbounded":
+    # Phase 2 objective (maximize c @ x as minimize -c @ x), priced out
+    # row by row over the rows whose basic variable is structural.
+    tableau[-1] = 0.0
+    structural = nonbasic < num_vars
+    tableau[-1, :-1][structural] = -c[nonbasic[structural]]
+    for r in (basis < num_vars).nonzero()[0]:
+        coef = -c[basis[r]]
+        if coef != 0:
+            tableau[-1] -= coef * tableau[r]
+    if _run_simplex(tableau, basis, nonbasic, first_art) == "unbounded":
         return LpSolution("unbounded", None, None)
     x = np.zeros(num_vars)
-    for r in range(num_rows):
-        if basis[r] < num_vars:
-            x[basis[r]] = tableau[r, -1]
+    rows = (basis < num_vars).nonzero()[0]
+    x[basis[rows]] = tableau[rows, -1]
     return LpSolution("optimal", x, float(c @ x))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,28 @@ def coalition_mask(coalition) -> int:
 
 def mask_agents(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def membership(n: int) -> np.ndarray:
+    """(2^n, n) read-only bool table: row `mask` flags the coalition's agents."""
+    table = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 1
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def marginal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, 2^(n-1)) tables `without` and `with_`: row i of
+    `without` lists, ascending, every coalition mask that excludes agent i,
+    and `with_` holds the same coalitions with agent i added."""
+    sub = np.arange((1 << n) >> 1)
+    low = (1 << np.arange(n))[:, None] - 1
+    without = (sub & low) | (sub & ~low) << 1
+    with_ = without | low + 1
+    for table in (without, with_):
+        table.setflags(write=False)
+    return without, with_
 
 
 @dataclass(frozen=True)
@@ -58,14 +81,13 @@ class CharacteristicGame:
             return [f"values table has length {self.values.shape}, expected {1 << self.num_agents}"]
         if abs(self.values[0]) > tol:
             problems.append(f"empty-coalition value is {self.values[0]:.3g}, not 0")
-        for mask in range(1, 1 << self.num_agents):
-            for i in range(self.num_agents):
-                if mask >> i & 1:
-                    sub = mask & ~(1 << i)
-                    if self.values[mask] < self.values[sub] - tol:
-                        problems.append(
-                            f"not monotone: value[{mask:b}]={self.values[mask]:.6g} "
-                            f"< value[{sub:b}]={self.values[sub]:.6g}")
+        n = self.num_agents
+        subs = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
+        drops = membership(n) & (self.values[:, None] < self.values[subs] - tol)
+        for mask, sub in zip(np.nonzero(drops)[0].tolist(), subs[drops].tolist()):
+            problems.append(
+                f"not monotone: value[{mask:b}]={self.values[mask]:.6g} "
+                f"< value[{sub:b}]={self.values[sub]:.6g}")
         return problems
 
     def serialize(self) -> str:

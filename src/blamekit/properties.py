@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import BlameAssignment, blame, pivotality
+from .attribution import (BlameAssignment, blame, marginals, pivotality,
+                          sequential_sums)
 from .mmdp import Mmdp, evaluate_return
-from .planning import CharacteristicGame, mask_agents
+from .planning import (CharacteristicGame, marginal_masks, mask_agents,
+                       membership)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -70,12 +72,12 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
     """No coalition may be blamed beyond its own inefficiency."""
     blames = _blames(beta)
     n = game.num_agents
-    worst_gap, worst_mask = 0.0, -1
-    for mask in range(1, 1 << n):
-        coalition_total = sum(blames[i] for i in range(n) if mask >> i & 1)
-        gap = coalition_total - game.values[mask]
-        if gap > worst_gap:
-            worst_gap, worst_mask = gap, mask
+    totals = sequential_sums(np.where(membership(n)[1:], blames, 0.0))
+    # Position 0 is a zero gap standing for "no coalition over its cap";
+    # argmax takes the first of equal gaps, as an ascending scan would.
+    gaps = np.concatenate([[0.0], totals - game.values[1:]])
+    worst = int(np.argmax(gaps))
+    worst_gap, worst_mask = gaps[worst], worst if worst else -1
     if worst_gap <= epsilon + SLACK:
         return PropertyVerdict("R_R", epsilon, True)
     return PropertyVerdict(
@@ -94,14 +96,20 @@ def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -
                            f"total {total:.6g} differs from average {target:.6g}")
 
 
+def _masks_without_pair(n: int, i: int, j: int) -> np.ndarray:
+    """Ascending masks that exclude both agents i and j."""
+    without = marginal_masks(n)[0][i]
+    return without[(without >> j & 1) == 0]
+
+
 def _symmetric_pair(game: CharacteristicGame, i: int, j: int) -> bool:
-    n = game.num_agents
-    for mask in range(1 << n):
-        if mask >> i & 1 or mask >> j & 1:
-            continue
-        if abs(game.values[mask | 1 << i] - game.values[mask | 1 << j]) > PREMISE_TOL:
-            return False
-    return True
+    values = game.values
+    # the empty coalition alone settles most pairs
+    if abs(values[1 << i] - values[1 << j]) > PREMISE_TOL:
+        return False
+    masks = _masks_without_pair(game.num_agents, i, j)
+    gaps = np.abs(values[masks | 1 << i] - values[masks | 1 << j])
+    return not (gaps > PREMISE_TOL).any()
 
 
 def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
@@ -109,9 +117,8 @@ def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
     n = game.num_agents
     for i in range(n):
         for j in range(i + 1, n):
-            if not _symmetric_pair(game, i, j):
-                continue
-            if abs(blames[i] - blames[j]) > epsilon + SLACK:
+            if (abs(blames[i] - blames[j]) > epsilon + SLACK
+                    and _symmetric_pair(game, i, j)):
                 return PropertyVerdict(
                     "R_S", epsilon, False,
                     f"interchangeable agents {i + 1} and {j + 1} get "
@@ -119,20 +126,12 @@ def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
     return PropertyVerdict("R_S", epsilon, True)
 
 
-def _never_marginal(game: CharacteristicGame, i: int) -> bool:
-    n = game.num_agents
-    for mask in range(1 << n):
-        if mask >> i & 1:
-            continue
-        if game.values[mask | 1 << i] - game.values[mask] > PREMISE_TOL:
-            return False
-    return True
-
-
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     blames = _blames(beta)
-    for i in range(game.num_agents):
-        if _never_marginal(game, i) and blames[i] > epsilon + SLACK:
+    n = game.num_agents
+    marginal = (marginals(game.values, game.values, n) > PREMISE_TOL).any(axis=1)
+    for i in range(n):
+        if not marginal[i] and blames[i] > epsilon + SLACK:
             return PropertyVerdict(
                 "R_I", epsilon, False,
                 f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
@@ -152,12 +151,11 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
     _check_same_agents(game1, game2)
     b1, b2 = _blames(beta1), _blames(beta2)
     n = game1.num_agents
+    dominating = (marginals(game1.values, game1.values, n)
+                  >= marginals(game2.values, game2.values, n)
+                  - PREMISE_TOL).all(axis=1)
     for i in range(n):
-        dominates = all(
-            (game1.values[mask | 1 << i] - game1.values[mask])
-            >= (game2.values[mask | 1 << i] - game2.values[mask]) - PREMISE_TOL
-            for mask in range(1 << n) if not mask >> i & 1)
-        if dominates and b1[i] < b2[i] - epsilon - SLACK:
+        if dominating[i] and b1[i] < b2[i] - epsilon - SLACK:
             return PropertyVerdict(
                 "R_CM", epsilon, False,
                 f"agent {i + 1} dominates marginally but blame fell "
@@ -215,11 +213,11 @@ def check_cpart(game1: CharacteristicGame, beta1,
         return PropertyVerdict("R_cParM", epsilon, True)
     b1, b2 = _blames(beta1), _blames(beta2)
     n = game1.num_agents
+    with_ = marginal_masks(n)[1]
+    dominating = (game1.values[with_]
+                  >= game2.values[with_] - PREMISE_TOL).all(axis=1)
     for j in range(n):
-        dominates = all(
-            game1.values[mask | 1 << j] >= game2.values[mask | 1 << j] - PREMISE_TOL
-            for mask in range(1 << n) if not mask >> j & 1)
-        if dominates and b1[j] < b2[j] - epsilon - SLACK:
+        if dominating[j] and b1[j] < b2[j] - epsilon - SLACK:
             return PropertyVerdict(
                 "R_cParM", epsilon, False,
                 f"agent {j + 1} participates in dominating coalitions but "
@@ -239,16 +237,14 @@ def check_rcpart(game1: CharacteristicGame, beta1,
         return PropertyVerdict("R_RcParM", epsilon, True)
     b1, b2 = _blames(beta1), _blames(beta2)
     n = game1.num_agents
+    gain = game1.values - game2.values
     for j in range(n):
         for k in range(n):
             if j == k or piv1[j] != piv1[k]:
                 continue
-            premise = all(
-                (game1.values[mask | 1 << j] - game2.values[mask | 1 << j])
-                >= (game1.values[mask | 1 << k] - game2.values[mask | 1 << k])
-                - PREMISE_TOL
-                for mask in range(1 << n)
-                if not mask >> j & 1 and not mask >> k & 1)
+            masks = _masks_without_pair(n, j, k)
+            premise = (gain[masks | 1 << j]
+                       >= gain[masks | 1 << k] - PREMISE_TOL).all()
             if premise and (b1[j] - b2[j]) < (b1[k] - b2[k]) - epsilon - SLACK:
                 return PropertyVerdict(
                     "R_RcParM", epsilon, False,
@@ -295,14 +291,8 @@ def random_monotone_game(n: int, seed: int) -> CharacteristicGame:
     premises occur often."""
     rng = np.random.default_rng(seed)
     values = np.zeros(1 << n)
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
-        if mask == 0:
-            continue
+    for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
         floor = max(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
-        if rng.random() < 0.3:
-            increment = 0.0
-        else:
-            increment = float(rng.uniform(0.0, 1.0))
+        increment = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
         values[mask] = floor + increment
     return CharacteristicGame(n, values)

@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
-from .attribution import PIVOTAL_TOL, BlameAssignment, mer, shapley
+from .attribution import (PIVOTAL_TOL, BlameAssignment, banzhaf_weights, mer,
+                          sequential_sums, shapley, shapley_weights,
+                          weighted_marginals)
 from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
-                       coalition_mask, mask_agents, solve_mdp)
+                       coalition_mask, marginal_masks, mask_agents,
+                       membership, solve_mdp)
 
 RESIDUAL_TOL = 1e-12
 RESIDUAL_FLOOR = 1e-10
@@ -544,18 +546,14 @@ def sv_valid(m: Mmdp, uset: UncertaintySet,
 
 
 def _sandwich_gaps(bounds: RobustBounds, weights: np.ndarray) -> np.ndarray:
-    """Per-agent weighted sums of [min(S + {i}) - max(S)] gaps."""
-    n = bounds.m.num_agents
-    blames = np.zeros(n)
-    for i in range(n):
-        for mask in range(1 << n):
-            if mask >> i & 1:
-                continue
-            size = bin(mask).count("1")
-            gap = (bounds._bound(mask | 1 << i, "min")
-                   - bounds._bound(mask, "max"))
-            blames[i] += weights[size] * gap
-    return blames
+    """Per-agent weighted sums of [min(S + {i}) - max(S)] gaps, clamped at 0."""
+    full = (1 << bounds.m.num_agents) - 1
+    # Only the bounds a gap reads are solved: the empty coalition's lower
+    # bound and the grand coalition's upper bound never are (NaN here).
+    lower = [np.nan] + [bounds._bound(mask, "min") for mask in range(1, full + 1)]
+    upper = [bounds._bound(mask, "max") for mask in range(full)] + [np.nan]
+    return np.maximum(weighted_marginals(np.array(lower), np.array(upper),
+                                         weights), 0.0)
 
 
 def sv_blackstone(m: Mmdp, uset: UncertaintySet,
@@ -564,20 +562,14 @@ def sv_blackstone(m: Mmdp, uset: UncertaintySet,
     for the agent's coalition and the optimistic value without it, so no
     agent can be blamed beyond its true Shapley share."""
     bounds = robust_bounds(m, uset, exact)
-    n = m.num_agents
-    n_fact = factorial(n)
-    weights = np.array([factorial(s) * factorial(n - s - 1) / n_fact
-                        for s in range(n)])
-    blames = np.maximum(_sandwich_gaps(bounds, weights), 0.0)
+    blames = _sandwich_gaps(bounds, shapley_weights(m.num_agents))
     return BlameAssignment("SV_BC", blames)
 
 
 def bi_blackstone(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> BlameAssignment:
     bounds = robust_bounds(m, uset, exact)
-    n = m.num_agents
-    weights = np.full(n, 1.0 / (1 << (n - 1)))
-    blames = np.maximum(_sandwich_gaps(bounds, weights), 0.0)
+    blames = _sandwich_gaps(bounds, banzhaf_weights(m.num_agents))
     return BlameAssignment("BI_BC", blames)
 
 
@@ -593,10 +585,8 @@ def mc_blackstone(m: Mmdp, uset: UncertaintySet,
 def _pessimistic_game(bounds: RobustBounds) -> CharacteristicGame:
     n = bounds.m.num_agents
     base = bounds.max_value(())
-    values = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        values[mask] = max(0.0, bounds._bound(mask, "min") - base)
-    return CharacteristicGame(n, values)
+    return CharacteristicGame(n, [0.0] + [max(0.0, bounds._bound(mask, "min") - base)
+                                          for mask in range(1, 1 << n)])
 
 
 def mer_blackstone(m: Mmdp, uset: UncertaintySet, tiebreak: int | None = None,
@@ -617,19 +607,12 @@ def ap_blackstone(m: Mmdp, uset: UncertaintySet,
     bounds = robust_bounds(m, uset, exact)
     n = m.num_agents
     pivotal = sv_blackstone(m, uset, exact).blames > PIVOTAL_TOL
-    base = bounds.max_value(())
+    # sv_blackstone has solved every lower bound the gaps read
+    gaps = _pessimistic_game(bounds).values
+    without, with_ = marginal_masks(n)
     w = 1.0 / ((1 << n) - 1)
-    blames = np.zeros(n)
-    for i in range(n):
-        if not pivotal[i]:
-            continue
-        for mask in range(1 << n):
-            if mask >> i & 1:
-                continue
-            size = bin(mask).count("1")
-            gap = max(0.0, bounds._bound(mask | 1 << i, "min") - base)
-            blames[i] += w * gap / (size + 1)
-    return BlameAssignment("AP_BC", blames)
+    terms = w * gaps[with_] / (membership(n).sum(axis=1)[without] + 1)
+    return BlameAssignment("AP_BC", np.where(pivotal, sequential_sums(terms), 0.0))
 
 
 def l1_distance(a, b) -> float:

@@ -1,4 +1,7 @@
-"""Small model and policy generators shared by the test modules."""
+"""Small model and policy generators and per-mask loop oracles shared by the
+test modules."""
+from math import factorial
+
 import numpy as np
 
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
@@ -20,3 +23,63 @@ def random_factorized(rng, m):
     for k in m.action_counts:
         agents.append(AgentPolicy(rng.dirichlet(np.ones(k), size=m.num_states)))
     return JointPolicy(tuple(agents))
+
+
+# Plain per-mask loops: the reference the array forms of the attribution
+# methods and the rationality check must match bit for bit.
+
+def _masks_without(n, i):
+    """Every mask over n agents that excludes bit i, ascending."""
+    return [mask for mask in range(1 << n) if not mask >> i & 1]
+
+
+def weighted_marginals_loop(values, n, weights):
+    blames = np.zeros(n)
+    for i in range(n):
+        for mask in _masks_without(n, i):
+            size = bin(mask).count("1")
+            blames[i] += weights[size] * (values[mask | 1 << i] - values[mask])
+    return blames
+
+
+def shapley_loop(game):
+    n = game.num_agents
+    weights = [factorial(s) * factorial(n - s - 1) / factorial(n)
+               for s in range(n)]
+    return weighted_marginals_loop(game.values, n, weights)
+
+
+def banzhaf_loop(game):
+    n = game.num_agents
+    return weighted_marginals_loop(game.values, n, [1.0 / (1 << (n - 1))] * n)
+
+
+def pivotality_loop(game):
+    return tuple(bool(b > 1e-9) for b in shapley_loop(game))
+
+
+def average_participation_loop(game):
+    n = game.num_agents
+    pivotal = pivotality_loop(game)
+    w = 1.0 / ((1 << n) - 1)
+    blames = np.zeros(n)
+    for i in range(n):
+        if not pivotal[i]:
+            continue
+        for mask in _masks_without(n, i):
+            sharers = 1 + sum(1 for j in range(n) if mask >> j & 1 and pivotal[j])
+            blames[i] += w * game.values[mask | 1 << i] / sharers
+    return blames
+
+
+def rationality_loop(game, blames):
+    """(worst gap, its mask) over all coalitions; (0.0, -1) when no
+    coalition is blamed beyond its inefficiency."""
+    n = game.num_agents
+    worst_gap, worst_mask = 0.0, -1
+    for mask in range(1, 1 << n):
+        total = sum(blames[i] for i in range(n) if mask >> i & 1)
+        gap = total - game.values[mask]
+        if gap > worst_gap:
+            worst_gap, worst_mask = gap, mask
+    return worst_gap, worst_mask

@@ -18,8 +18,11 @@ from blamekit.attribution import (
     pivotality,
     shapley,
 )
-from blamekit.planning import CharacteristicGame, coalition_mask, mmdp_from_game
-from blamekit.properties import random_monotone_game
+from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
+                               mmdp_from_game)
+from blamekit.properties import check_rationality, random_monotone_game
+from helpers import (average_participation_loop, banzhaf_loop, pivotality_loop,
+                     rationality_loop, shapley_loop)
 
 
 def game_from_values(values):
@@ -163,6 +166,51 @@ def test_mer_respects_every_coalition_cap(n, seed):
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         assert beta[members].sum() <= game.values[mask] + 1e-8
+
+
+def test_mer_solves_twelve_agents_within_every_cap():
+    game = random_monotone_game(12, 0)
+    beta = mer(game).blames
+    assert beta.shape == (12,) and beta.sum() > 0.0
+    caps = membership(12)[1:].astype(float) @ beta
+    assert (caps <= game.values[1:] + 1e-8).all()
+
+
+def test_mer_totals_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for n in range(1, 11):
+        for seed in range(2):
+            game = random_monotone_game(n, seed=1100 + 10 * n + seed)
+            rows = membership(n)[1:].astype(float)
+            res = linprog(-np.ones(n), A_ub=rows, b_ub=game.values[1:],
+                          bounds=(0, None), method="highs")
+            assert res.status == 0
+            assert mer(game).total == pytest.approx(-res.fun, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([1e-6, 1.0, 1e3]), st.floats(0.0, 2.0))
+def test_array_methods_equal_per_mask_loops(n, seed, scale, stretch):
+    """The array kernel adds the same terms in the same order as the plain
+    loops, so every number is equal, not just close."""
+    game = CharacteristicGame(n, scale * random_monotone_game(n, seed).values)
+    sv = shapley(game).blames
+    assert np.array_equal(sv, np.maximum(shapley_loop(game), 0.0))
+    assert np.array_equal(banzhaf(game).blames,
+                          np.maximum(banzhaf_loop(game), 0.0))
+    assert pivotality(game).flags == pivotality_loop(game)
+    assert np.array_equal(average_participation(game).blames,
+                          average_participation_loop(game))
+    # stretched SV over-blames some coalitions, so the witness is exercised
+    for beta in (sv, stretch * sv, sv[::-1]):
+        verdict = check_rationality(game, beta)
+        gap, mask = rationality_loop(game, beta)
+        assert verdict.holds == (gap <= 1e-12)
+        if not verdict.holds:
+            members = " ".join(str(i + 1) for i in range(n) if mask >> i & 1)
+            assert verdict.witness == (f"coalition {{{members}}} blamed "
+                                       f"{gap:.6g} beyond its inefficiency")
 
 
 def test_mer_tiebreak_selects_extreme_optima():

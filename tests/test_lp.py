@@ -149,3 +149,27 @@ def test_lp_shape_validation():
         LinearProgram([1.0, 2.0], [[1.0]], [1.0])
     sol = LpSolution("optimal", np.zeros(1), 0.0)
     assert sol.status == "optimal"
+
+
+def test_agrees_with_highs_on_random_programs():
+    """Status and optimum against scipy's HiGHS on small integer programs,
+    which are often infeasible, unbounded or degenerate."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    rng = np.random.default_rng(2107)
+    seen = set()
+    for trial in range(400):
+        num_vars = int(rng.integers(1, 6))
+        num_rows = int(rng.integers(1, 8))
+        a = rng.integers(-3, 4, size=(num_rows, num_vars)).astype(float)
+        b = rng.integers(-3, 6, size=num_rows).astype(float)
+        c = rng.integers(-2, 3, size=num_vars).astype(float)
+        got = solve(LinearProgram(c, a, b))
+        res = linprog(-c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+        assert got.status == statuses[res.status], trial
+        seen.add(got.status)
+        if got.status == "optimal":
+            assert got.objective_value == pytest.approx(-res.fun, abs=1e-9)
+            assert (a @ got.point <= b + 1e-9).all()
+            assert (got.point >= -1e-9).all()
+    assert seen == {"optimal", "infeasible", "unbounded"}

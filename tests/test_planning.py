@@ -271,6 +271,22 @@ def test_game_validate_reports_problems():
     assert len(short.validate()) == 1
 
 
+def test_game_validate_lists_drops_by_mask_then_agent():
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        values = rng.normal(size=1 << n)
+        values[0] = 0.5
+        expected = ["empty-coalition value is 0.5, not 0"]
+        for mask in range(1, 1 << n):
+            for i in mask_agents(mask, n):
+                sub = mask & ~(1 << i)
+                if values[mask] < values[sub] - 0.1:
+                    expected.append(
+                        f"not monotone: value[{mask:b}]={values[mask]:.6g} "
+                        f"< value[{sub:b}]={values[sub]:.6g}")
+        assert CharacteristicGame(n, values).validate(tol=0.1) == expected
+
+
 def test_game_serialize_roundtrip():
     game = CharacteristicGame(2, np.array([0.0, 1.0 / 3.0, 0.2, 0.7]))
     text = game.serialize()
