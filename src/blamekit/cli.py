@@ -3,15 +3,14 @@ experiments, and property checking.
 
 Exit codes: 0 success, 1 failed property expectations, 2 unparseable input,
 3 violated invariants, 4 I/O failure. Output is deterministic for identical
-flags: worker results are buffered and written in task order, floats carry
-12 significant digits.
+flags: experiment tasks run one after another in task order, in the calling
+thread, and floats carry 12 significant digits.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,6 +58,8 @@ def _load_inputs(model_path: str, behavior_path: str):
         raise CliError(4, f"cannot read input: {err}") from err
     except (ValueError, KeyError, TypeError) as err:
         raise CliError(2, f"cannot parse input: {err}") from err
+    except MemoryError as err:
+        raise CliError(2, f"model too large to load: {err}") from err
     problems = validate_mmdp(model)
     problems += behavior.validate(model)
     if model.num_agents > MAX_AGENTS:
@@ -236,10 +237,8 @@ def run_robustness(env: str, num_seeds: int = 10,
                         "l1_to_truth": distance, "consistent": consistent})
         return out
 
-    tasks = [(eps, seed) for eps in eps_levels for seed in range(num_seeds)]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        buckets = list(pool.map(lambda t: one_task(*t), tasks))
-    return [row for bucket in buckets for row in bucket]
+    return [row for eps in eps_levels for seed in range(num_seeds)
+            for row in one_task(eps, seed)]
 
 
 def summarize_robustness(rows: list[dict]) -> list[dict]:

@@ -8,7 +8,7 @@ such set function is realizable by a one-step model (`mmdp_from_game`).
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +39,31 @@ def membership(n: int) -> np.ndarray:
     table = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 1
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def immediate_subsets(n: int) -> np.ndarray:
+    """(2^n, n) read-only table: entry [mask, i] is `mask` with bit i
+    cleared (`mask` itself where agent i is not a member)."""
+    table = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
+    table.setflags(write=False)
+    return table
+
+
+def lattice_floors(values: np.ndarray,
+                   n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk the subset lattice from singletons up, one coalition size at a
+    time. Yields each layer's masks (ascending) with the first maximum of
+    `values` over each mask's immediate subsets (as a scan keeps it: equal
+    floors may differ in the sign of zero), read when the layer is reached,
+    so the caller may fill a layer before the next one is read."""
+    member = membership(n)
+    sizes = member.sum(axis=1)
+    subs = immediate_subsets(n)
+    for size in range(1, n + 1):
+        layer = np.flatnonzero(sizes == size)
+        below = np.where(member[layer], values[subs[layer]], -np.inf)
+        yield layer, below[np.arange(layer.size), below.argmax(axis=1)]
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
@@ -82,7 +107,7 @@ class CharacteristicGame:
         if abs(self.values[0]) > tol:
             problems.append(f"empty-coalition value is {self.values[0]:.3g}, not 0")
         n = self.num_agents
-        subs = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
+        subs = immediate_subsets(n)
         drops = membership(n) & (self.values[:, None] < self.values[subs] - tol)
         for mask, sub in zip(np.nonzero(drops)[0].tolist(), subs[drops].tolist()):
             problems.append(
@@ -206,7 +231,6 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
-_GAME_LOCK = threading.Lock()
 
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
@@ -219,8 +243,7 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
     key = m.content_key() + table.tobytes()
-    with _GAME_LOCK:
-        hit = _GAME_CACHE.get(key)
+    hit = _GAME_CACHE.get(key)
     if hit is not None:
         return hit
     j_b = evaluate_return(m, table)
@@ -229,8 +252,7 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         v, _ = _coalition_values(m, table, mask_agents(mask, m.num_agents))
         values[mask] = float(m.initial_dist @ v) - j_b
     game = CharacteristicGame(m.num_agents, values)
-    with _GAME_LOCK:
-        _GAME_CACHE[key] = game
+    _GAME_CACHE[key] = game
     return game
 
 

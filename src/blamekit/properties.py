@@ -15,8 +15,8 @@ import numpy as np
 from .attribution import (BlameAssignment, blame, marginals, pivotality,
                           sequential_sums)
 from .mmdp import Mmdp, evaluate_return
-from .planning import (CharacteristicGame, marginal_masks, mask_agents,
-                       membership)
+from .planning import (CharacteristicGame, lattice_floors, marginal_masks,
+                       mask_agents, membership)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -290,9 +290,11 @@ def random_monotone_game(n: int, seed: int) -> CharacteristicGame:
     increments are exactly zero so that non-pivotal agents and equality
     premises occur often."""
     rng = np.random.default_rng(seed)
+    # In (size, mask) order, one draw decides a zero increment (below 0.3);
+    # otherwise the next draw is the increment: at most two per coalition.
+    draws = iter(rng.random(2 * ((1 << n) - 1)).tolist())
     values = np.zeros(1 << n)
-    for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
-        floor = max(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
-        increment = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
-        values[mask] = floor + increment
+    for layer, floor in lattice_floors(values, n):
+        values[layer] = floor + [0.0 if next(draws) < 0.3 else next(draws)
+                                 for _ in layer]
     return CharacteristicGame(n, values)

@@ -20,7 +20,6 @@ forces the relaxed box, exact=True raises where no exact path exists.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,8 @@ from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
-                       coalition_mask, marginal_masks, mask_agents,
-                       membership, solve_mdp)
+                       coalition_mask, lattice_floors, marginal_masks,
+                       mask_agents, membership, solve_mdp)
 
 RESIDUAL_TOL = 1e-12
 RESIDUAL_FLOOR = 1e-10
@@ -281,35 +280,15 @@ class _CoalitionProblem:
         return best_val, self._expand(best_q, s)
 
     def _ball_min(self, folded: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+        # variables: q, then one slack d_j >= |q_j - p_j| per action
         p = self.ball_rows[s]
         k = p.size
-        num_rows = folded.shape[0]
-        a = np.zeros((num_rows + 2 * k + 3, 2 * k + 2))
-        bounds = np.zeros(num_rows + 2 * k + 3)
-        a[:num_rows, :k] = folded
-        a[:num_rows, 2 * k] = -1.0
-        a[:num_rows, 2 * k + 1] = 1.0
         eye = np.eye(k)
-        r = num_rows
-        a[r:r + k, :k] = eye
-        a[r:r + k, k:2 * k] = -eye
-        bounds[r:r + k] = p
-        a[r + k:r + 2 * k, :k] = -eye
-        a[r + k:r + 2 * k, k:2 * k] = -eye
-        bounds[r + k:r + 2 * k] = -p
-        a[r + 2 * k, k:2 * k] = 1.0
-        bounds[r + 2 * k] = 2.0 * self.ball_eps
-        a[r + 2 * k + 1, :k] = 1.0
-        bounds[r + 2 * k + 1] = 1.0
-        a[r + 2 * k + 2, :k] = -1.0
-        bounds[r + 2 * k + 2] = -1.0
-        c = np.zeros(2 * k + 2)
-        c[2 * k] = -1.0
-        c[2 * k + 1] = 1.0
-        sol = solve(LinearProgram(c, a, bounds))
-        if sol.status != "optimal":
-            raise RuntimeError(f"adversary ball LP came back {sol.status}")
-        return -sol.objective_value, self._expand(sol.point[:k], s)
+        feasible = np.block([[eye, -eye], [-eye, -eye],
+                             [np.zeros(k), np.ones(k)]])
+        bounds = np.concatenate([p, -p, [2.0 * self.ball_eps]])
+        value, q = _adversary_min(folded, feasible, bounds, "ball")
+        return value, self._expand(q, s)
 
     def _corner_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         base = self.certain_table[s]
@@ -341,31 +320,36 @@ class _CoalitionProblem:
         return best_val, best_q
 
     def _box_min(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        lo, hi = self.box_lower[s], self.box_upper[s]
-        k = self.num_d
-        num_rows = b.shape[0]
-        a = np.zeros((num_rows + 2 * k + 2, k + 2))
-        bounds = np.zeros(num_rows + 2 * k + 2)
-        a[:num_rows, :k] = b
-        a[:num_rows, k] = -1.0
-        a[:num_rows, k + 1] = 1.0
-        eye = np.eye(k)
-        r = num_rows
-        a[r:r + k, :k] = eye
-        bounds[r:r + k] = hi
-        a[r + k:r + 2 * k, :k] = -eye
-        bounds[r + k:r + 2 * k] = -lo
-        a[r + 2 * k, :k] = 1.0
-        bounds[r + 2 * k] = 1.0
-        a[r + 2 * k + 1, :k] = -1.0
-        bounds[r + 2 * k + 1] = -1.0
-        c = np.zeros(k + 2)
-        c[k] = -1.0
-        c[k + 1] = 1.0
-        sol = solve(LinearProgram(c, a, bounds))
-        if sol.status != "optimal":
-            raise RuntimeError(f"adversary box LP came back {sol.status}")
-        return -sol.objective_value, sol.point[:k]
+        eye = np.eye(self.num_d)
+        bounds = np.concatenate([self.box_upper[s], -self.box_lower[s]])
+        return _adversary_min(b, np.vstack([eye, -eye]), bounds, "box")
+
+
+def _adversary_min(payoff: np.ndarray, feasible: np.ndarray,
+                   feasible_bounds: np.ndarray,
+                   kind: str) -> tuple[float, np.ndarray]:
+    """min over q of max_c payoff[c] . q, as the epigraph LP
+    min t+ - t- s.t. payoff @ q <= t+ - t-, feasible @ x <= feasible_bounds,
+    sum q == 1, where x starts with the k entries of q and the columns of
+    `feasible` beyond k are auxiliary variables. Rows: payoff, feasible set,
+    then the two sum-to-one rows. Returns (the minimum, q)."""
+    num_rows, k = payoff.shape
+    width = feasible.shape[1]
+    a = np.zeros((num_rows + feasible.shape[0] + 2, width + 2))
+    a[:num_rows, :k] = payoff
+    a[:num_rows, width] = -1.0
+    a[:num_rows, width + 1] = 1.0
+    a[num_rows:-2, :width] = feasible
+    a[-2, :k] = 1.0
+    a[-1, :k] = -1.0
+    bounds = np.concatenate([np.zeros(num_rows), feasible_bounds, [1.0, -1.0]])
+    c = np.zeros(width + 2)
+    c[width] = -1.0
+    c[width + 1] = 1.0
+    sol = solve(LinearProgram(c, a, bounds))
+    if sol.status != "optimal":
+        raise RuntimeError(f"adversary {kind} LP came back {sol.status}")
+    return -sol.objective_value, sol.point[:k]
 
 
 def _ball_row_max(b: np.ndarray, p: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
@@ -386,7 +370,7 @@ def _ball_row_max(b: np.ndarray, p: np.ndarray, eps: float) -> tuple[float, np.n
 
 class RobustBounds:
     """Lower and upper bounds on every coalition's best-response value over
-    an uncertainty set, memoized per coalition. Thread-safe."""
+    an uncertainty set, memoized per coalition."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, exact: bool | None = None):
         problems = uset.validate()
@@ -397,7 +381,6 @@ class RobustBounds:
         self.m = m
         self.uset = uset
         self.exact = exact
-        self._lock = threading.Lock()
         self._values: dict[tuple[int, str], float] = {}
         self._max_table: np.ndarray | None = None
         self._topo = _topological_order(m)
@@ -418,15 +401,12 @@ class RobustBounds:
 
     def _bound(self, mask: int, mode: str) -> float:
         key = (mask, mode)
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-        value, table = self._solve(mask, mode)
-        with self._lock:
+        if key not in self._values:
+            value, table = self._solve(mask, mode)
             self._values[key] = value
             if key == (0, "max"):
                 self._max_table = table
-        return value
+        return self._values[key]
 
     def _solve(self, mask: int, mode: str) -> tuple[float, np.ndarray | None]:
         m = self.m
@@ -488,19 +468,14 @@ class RobustBounds:
 
 
 _BOUNDS_CACHE: dict[bytes, RobustBounds] = {}
-_BOUNDS_LOCK = threading.Lock()
 
 
 def robust_bounds(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> RobustBounds:
     key = m.content_key() + uset.content_key() + str(exact).encode()
-    with _BOUNDS_LOCK:
-        hit = _BOUNDS_CACHE.get(key)
-        if hit is not None:
-            return hit
-    bounds = RobustBounds(m, uset, exact)
-    with _BOUNDS_LOCK:
-        return _BOUNDS_CACHE.setdefault(key, bounds)
+    if key not in _BOUNDS_CACHE:
+        _BOUNDS_CACHE[key] = RobustBounds(m, uset, exact)
+    return _BOUNDS_CACHE[key]
 
 
 def robust_min_value(m: Mmdp, uset: UncertaintySet, coalition,
@@ -520,10 +495,8 @@ def robust_max_value(m: Mmdp, uset: UncertaintySet, coalition,
 def _monotone_closure(values: np.ndarray, n: int) -> np.ndarray:
     closed = values.copy()
     closed[0] = 0.0
-    for mask in sorted(range(1, 1 << n), key=lambda x: bin(x).count("1")):
-        floor = max(closed[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
-        if closed[mask] < floor:
-            closed[mask] = floor
+    for layer, floor in lattice_floors(closed, n):
+        closed[layer] = np.where(closed[layer] < floor, floor, closed[layer])
     return closed
 
 

@@ -83,3 +83,29 @@ def rationality_loop(game, blames):
         if gap > worst_gap:
             worst_gap, worst_mask = gap, mask
     return worst_gap, worst_mask
+
+
+# Plain lattice loops: the reference `properties.random_monotone_game` and
+# `uncertainty._monotone_closure` must match byte for byte.
+
+def random_monotone_game_loop(n, seed):
+    """One coalition at a time in (size, mask) order: the floor is the first
+    maximum over immediate subsets, then one draw decides a zero increment
+    and, when it is not, a second draw is the increment."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(1 << n)
+    for mask in sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m)):
+        floor = max(values[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
+        increment = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
+        values[mask] = floor + increment
+    return values
+
+
+def monotone_closure_loop(values, n):
+    closed = values.copy()
+    closed[0] = 0.0
+    for mask in sorted(range(1, 1 << n), key=lambda x: bin(x).count("1")):
+        floor = max(closed[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
+        if closed[mask] < floor:
+            closed[mask] = floor
+    return closed

@@ -1,10 +1,11 @@
 """Command line behavior: output formats, exit codes, determinism."""
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from blamekit.cli import main, run_coordination, run_perm_sweep
+from blamekit.cli import main, run_coordination, run_perm_sweep, run_robustness
 from blamekit.mmdp import save_model, save_policy
 from blamekit.planning import CharacteristicGame, mmdp_from_game
 
@@ -183,6 +184,22 @@ def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "cannot parse" in capsys.readouterr().err
 
 
+def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
+    """A declared 100000-state model asks for a 160 GB transition tensor.
+    Where the allocation is refused the MemoryError is reported; where it
+    is lazy the missing transition rows are. Both are bad input."""
+    _, behavior_path = two_agent_inputs
+    doc = {"num_states": 100000, "num_agents": 1, "action_counts": [2],
+           "gamma": 0.9, "initial_dist": [1.0], "terminals": [],
+           "rewards": [], "transitions": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_perm_sweep_rows():
     rows = run_perm_sweep()
     alphas = sorted({r["alpha_prime"] for r in rows})
@@ -247,6 +264,16 @@ def test_robustness_experiment_is_deterministic(tmp_path):
     assert summary_lines[0] == ("method,eps_max,total_mean,total_std,"
                                 "l1_mean,l1_std,consistent_all")
     assert len(summary_lines) == 1 + 7
+
+
+def test_robustness_runs_in_the_calling_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_robustness started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rows = run_robustness("graph", 1, eps_levels=(0.01,))
+    assert [row["method"] for row in rows] == [
+        "SV", "SV_V", "SV_BC", "BI_BC", "MC_BC", "MER_BC", "AP_BC"]
 
 
 def test_bad_eps_list_exits_2(tmp_path, capsys):

@@ -20,6 +20,7 @@ from blamekit.properties import (
     impossibility_fixture,
     random_monotone_game,
 )
+from helpers import random_monotone_game_loop
 
 
 def game_of(values):
@@ -246,3 +247,11 @@ def test_random_monotone_game_shape_and_determinism():
     zeros = sum((random_monotone_game(3, seed=s).values == 0.0).sum()
                 for s in range(20))
     assert zeros > 20
+
+
+def test_random_monotone_game_matches_the_lattice_loop():
+    """Byte for byte, so the draws are used in the loop's order."""
+    for n in range(13):
+        for seed in range(12 if n <= 10 else 2):
+            assert (random_monotone_game(n, seed).values.tobytes()
+                    == random_monotone_game_loop(n, seed).tobytes())

@@ -1,6 +1,8 @@
 """Robust value bounds and the never-over-blaming attribution variants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamekit.attribution import (
     average_participation,
@@ -10,6 +12,7 @@ from blamekit.attribution import (
     pivotality,
     shapley,
 )
+from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
 from blamekit.planning import best_response, characteristic_game, mmdp_from_game
 from blamekit.properties import random_monotone_game
@@ -29,7 +32,7 @@ from blamekit.uncertainty import (
     sv_blackstone,
     sv_valid,
 )
-from helpers import random_factorized, random_mmdp
+from helpers import monotone_closure_loop, random_factorized, random_mmdp
 
 
 def bandit_model(reward_row, action_counts, gamma=0.99):
@@ -307,6 +310,20 @@ def test_monotone_closure():
     assert _monotone_closure(offset, 2)[0] == 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0])
+                         | st.floats(-2.0, 2.0),
+                         min_size=1 << n, max_size=1 << n))))
+def test_monotone_closure_matches_the_lattice_loop(case):
+    """Byte for byte: equal floors that differ in the sign of zero must
+    resolve to the first one, as the loop's `max` does."""
+    n, values = case
+    values = np.array(values)
+    assert (_monotone_closure(values, n).tobytes()
+            == monotone_closure_loop(values, n).tobytes())
+
+
 def one_step_setup(n, seed, eps):
     f = random_monotone_game(n, seed=seed)
     model, behavior = mmdp_from_game(f)
@@ -398,3 +415,25 @@ def test_l1_distance():
     assert l1_distance(wrapped, wrapped) == 0.0
     with pytest.raises(ValueError):
         l1_distance(a, np.array([1.0, 2.0, 3.0]))
+
+
+# Two adversary LPs on the robustness experiments' own uncertainty sets that
+# the simplex reports infeasible, though both are feasible (HiGHS solves
+# them): phase 1 stops "unbounded" after Bland's rule accepts a 2.4e-06
+# pivot. The fix belongs to the scale-aware pivot tolerance of ROADMAP 4a
+# and must flip these.
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP 4a: adversary ball LP reported infeasible")
+def test_gridworld_ball_lp_at_eps_005_seed_701906793():
+    model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+    uset = sample_center(behavior, 0.05, 701906793, frozenset({0}))
+    sv_blackstone(model, uset)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP 4a: adversary box LP reported infeasible")
+def test_graph_box_lp_at_eps_001_seed_388372268():
+    model, behavior = build_graph(GraphSpec("robustness"))
+    uset = sample_center(behavior, 0.01, 388372268)
+    sv_blackstone(model, uset, exact=False)
