@@ -56,7 +56,7 @@ def _load_inputs(model_path: str, behavior_path: str):
         behavior = load_policy(behavior_path)
     except OSError as err:
         raise CliError(4, f"cannot read input: {err}") from err
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise CliError(2, f"cannot parse input: {err}") from err
     except MemoryError as err:
         raise CliError(2, f"model too large to load: {err}") from err

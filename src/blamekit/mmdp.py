@@ -44,7 +44,7 @@ class Mmdp:
 
     @property
     def num_joint_actions(self) -> int:
-        return int(np.prod(self.action_counts))
+        return math.prod(self.action_counts)
 
     def encode_joint(self, actions) -> int:
         """Mixed-radix joint-action index, agent 0 most significant."""
@@ -234,8 +234,10 @@ def policy_transition_reward(m: Mmdp, behavior) -> tuple[np.ndarray, np.ndarray]
 
 
 def _solve_linear(p_pi: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarray:
-    n = p_pi.shape[0]
-    return np.linalg.solve(np.eye(n) - gamma * p_pi, r_pi)
+    """V = (I - gamma P)^-1 r for one chain (P (S, S), r (S,)) or a stack
+    of them (P (K, S, S), r (K, S))."""
+    n = p_pi.shape[-1]
+    return np.linalg.solve(np.eye(n) - gamma * p_pi, r_pi[..., None])[..., 0]
 
 
 def policy_values(m: Mmdp, behavior) -> np.ndarray:
@@ -339,5 +341,9 @@ def load_policy(path) -> JointPolicy:
         doc = json.load(fh)
     if "agents" not in doc:
         raise ValueError("policy file missing 'agents' field")
-    return JointPolicy(tuple(AgentPolicy(np.asarray(rows, dtype=float))
-                             for rows in doc["agents"]))
+    agents = tuple(AgentPolicy(np.asarray(rows, dtype=float))
+                   for rows in doc["agents"])
+    for i, ap in enumerate(agents):
+        if ap.probs.ndim != 2:
+            raise ValueError(f"agent {i}: policy must be a table of rows")
+    return JointPolicy(agents)

@@ -4,10 +4,15 @@ The inefficiency game maps every coalition S to the return gain it could
 secure by jointly best-responding while everyone outside S keeps the behavior
 policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`).
+
+`characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks:
+coalitions with the same number of joint actions share index shapes, so a
+chunk of them takes one gather of each table and one stacked policy
+iteration. `induced_mdp` and `best_response` run the same kernel on one
+coalition, and give the same bits as its chunked run.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,16 +155,71 @@ class BestResponse:
         return out
 
 
+def _action_support(action_counts) -> np.ndarray:
+    """(A,) bitmask per joint action of the agents whose digit is nonzero
+    (agent i on bit i)."""
+    grid = joint_index_grid(action_counts).ravel()
+    digits = np.unravel_index(grid, action_counts) if action_counts else ()
+    support = np.zeros(grid.size, dtype=np.int64)
+    for i, digit in enumerate(digits):
+        support |= (digit != 0).astype(np.int64) << i
+    return support
+
+
+def _index_stack(support: np.ndarray, masks) -> np.ndarray:
+    """(K, A_C, A_D) stack of coalition_action_index for the coalitions in
+    `masks`, which must all have the same joint-action count A_C.
+
+    The index is separable, idx[k, c, d] = idx[k, c, 0] + idx[k, 0, d]: row
+    c = 0 lists, ascending, the joint actions in which only complement
+    agents move, and column d = 0 those in which only coalition agents move.
+    """
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    inside = np.nonzero((support & ~masks) == 0)[1].reshape(masks.shape[0], -1)
+    outside = np.nonzero((support & masks) == 0)[1].reshape(masks.shape[0], -1)
+    return inside[:, :, None] + outside[:, None, :]
+
+
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     """Index array of shape (A_C, A_D) mapping coalition/complement action
     pairs (both in sorted-agent lexicographic order) to joint-action indices."""
-    agents = sorted(coalition)
-    others = [i for i in range(m.num_agents) if i not in set(agents)]
-    a_c = math.prod(m.action_counts[i] for i in agents)
-    grid = joint_index_grid(m.action_counts).transpose(agents + others)
-    # C order, like a freshly filled array: gathers through idx inherit its
-    # layout, and that layout fixes the summation order downstream
-    return np.ascontiguousarray(grid.reshape(a_c, -1))
+    return _index_stack(_action_support(m.action_counts),
+                        [coalition_mask(coalition)])[0]
+
+
+def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reward (..., S, A_C, A_D) and transition (..., S, A_C, A_D, S) of the
+    joint actions that an index (stack) `idx` of shape (..., A_C, A_D)
+    names, gathered with flat takes into fresh C-order arrays (their layout
+    fixes the summation order of `marginalize`)."""
+    flat = _flat_index(m, idx)
+    return (np.take(m.reward, flat),
+            np.take(m.transition.reshape(-1, m.num_states), flat, axis=0))
+
+
+def _flat_index(m: Mmdp, idx: np.ndarray) -> np.ndarray:
+    """Positions of (state, idx entry) in a flattened (S, A) table."""
+    offsets = np.arange(m.num_states) * m.num_joint_actions
+    return idx[..., None, :, :] + offsets[:, None, None]
+
+
+def marginalize(q: np.ndarray, reward_c: np.ndarray,
+                transition_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reward (..., S, A_C) and transition (..., S, A_C, S) of the coalition
+    when the complement plays the conditional q (..., S, A_D); the tables
+    come from `coalition_tables`."""
+    return (np.einsum("...sd,...scd->...sc", q, reward_c),
+            np.einsum("...sd,...scdt->...sct", q, transition_c))
+
+
+def _induced(m: Mmdp, table: np.ndarray,
+             idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`induced_mdp`'s reward and transition for an index (stack)."""
+    q = np.take(table, _flat_index(m, idx)).sum(axis=-2)  # (..., S, A_D)
+    totals = q.sum(axis=-1)
+    # guard against all-zero rows (cannot happen for valid behaviors)
+    q = q / np.where(totals > 0, totals, 1.0)[..., None]
+    return marginalize(q, *coalition_tables(m, idx))
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,42 +230,33 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
     idx = coalition_action_index(m, coalition)
-    table = as_joint_table(m, behavior)
-    q = table[np.arange(m.num_states)[:, None, None], idx].sum(axis=1)  # (S, A_D)
-    totals = q.sum(axis=1)
-    # guard against all-zero rows (cannot happen for valid behaviors)
-    q = q / np.where(totals > 0, totals, 1.0)[:, None]
-    r_c = np.einsum("sd,scd->sc", q, m.reward[np.arange(m.num_states)[:, None, None], idx])
-    p_c = np.einsum("sd,scdt->sct", q,
-                    m.transition[np.arange(m.num_states)[:, None, None], idx])
-    return r_c, p_c, idx
+    return (*_induced(m, as_joint_table(m, behavior), idx), idx)
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
               max_iters: int = 1000) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration with lowest-index tie-breaking.
 
-    Returns (state values, deterministic per-state action indices). Exact up
-    to the linear solver; raises RuntimeError if the greedy policy is still
-    improving after max_iters evaluations.
+    r has shape (S, A) and p (S, A, S), or both carry one leading batch axis
+    (K, ...) to solve K MDPs in lockstep. Returns (state values, deterministic
+    per-state action indices), stacked like the input. Exact up to the linear
+    solver; raises RuntimeError if the greedy policy of any member is still
+    improving after max_iters evaluations. A member that has converged keeps
+    its policy, so it returns what it would have returned alone.
     """
-    rows = np.arange(r.shape[0])
-    pol = np.argmax(r, axis=1)
+    # open-mesh indices over the (member and) state axes: x[(*rows, pol)]
+    # reads the entry of each row's chosen action
+    rows = np.ix_(*(np.arange(size) for size in r.shape[:-1]))
+    pol = np.argmax(r, axis=-1)
     for _ in range(max_iters):
-        v = _solve_linear(p[rows, pol], r[rows, pol], gamma)
-        q = r + gamma * np.einsum("sat,t->sa", p, v)
-        new_pol = np.argmax(q, axis=1)
-        improving = q[rows, new_pol] > q[rows, pol] + 1e-13
+        v = _solve_linear(p[(*rows, pol)], r[(*rows, pol)], gamma)
+        q = r + gamma * np.einsum("...sat,...t->...sa", p, v)
+        new_pol = np.argmax(q, axis=-1)
+        improving = q[(*rows, new_pol)] > q[(*rows, pol)] + 1e-13
         if not improving.any():
             return v, pol
         pol = np.where(improving, new_pol, pol)
     raise RuntimeError(f"policy iteration did not converge in {max_iters} iterations")
-
-
-def _coalition_values(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray]:
-    """State values and joint-action policy of the coalition's best response."""
-    r_c, p_c, _ = induced_mdp(m, behavior, coalition)
-    return solve_mdp(r_c, p_c, m.discount)
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -214,7 +265,8 @@ def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
     for i in agents:
         if not 0 <= i < m.num_agents:
             raise ValueError(f"agent index {i} out of range")
-    v, pol = _coalition_values(m, behavior, agents)
+    r_c, p_c, _ = induced_mdp(m, behavior, agents)
+    v, pol = solve_mdp(r_c, p_c, m.discount)
     dims = [m.action_counts[i] for i in agents]
     per_agent = np.unravel_index(pol, dims) if agents else ()
     policy = {i: AgentPolicy.deterministic(m.num_states, m.action_counts[i], actions)
@@ -232,6 +284,24 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 
+# Most elements a sweep chunk's stacked transition gather, K * S * A * S,
+# may hold; models whose one coalition exceeds it go one coalition a chunk.
+_GATHER_BUDGET = 1 << 15
+
+
+def _coalition_chunks(m: Mmdp) -> Iterator[np.ndarray]:
+    """Every nonempty coalition mask, grouped by joint-action count A_C and
+    cut into chunks whose transition gathers stay within _GATHER_BUDGET."""
+    n = m.num_agents
+    sizes = np.where(membership(n), m.action_counts, 1).prod(axis=1)
+    order = np.argsort(sizes[1:], kind="stable") + 1
+    starts = np.flatnonzero(np.diff(sizes[order])) + 1
+    per_chunk = max(1, _GATHER_BUDGET
+                    // (m.num_states ** 2 * m.num_joint_actions))
+    for group in np.split(order, starts):
+        for first in range(0, group.size, per_chunk):
+            yield group[first:first + per_chunk]
+
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     """Marginal inefficiency of every coalition against `behavior`.
@@ -248,9 +318,16 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         return hit
     j_b = evaluate_return(m, table)
     values = np.zeros(1 << m.num_agents)
-    for mask in range(1, 1 << m.num_agents):
-        v, _ = _coalition_values(m, table, mask_agents(mask, m.num_agents))
-        values[mask] = float(m.initial_dist @ v) - j_b
+    support = _action_support(m.action_counts)
+    for chunk in _coalition_chunks(m):
+        idx = _index_stack(support, chunk)
+        # a lone coalition goes unstacked: a batch axis of one only adds
+        # overhead to every round of policy iteration
+        v, _ = solve_mdp(*_induced(m, table, idx[0] if chunk.size == 1 else idx),
+                         m.discount)
+        # a stacked (1, S) @ (S,) product per member is the same dot product
+        # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
+        values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b
     game = CharacteristicGame(m.num_agents, values)
     _GAME_CACHE[key] = game
     return game

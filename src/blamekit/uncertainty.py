@@ -31,8 +31,9 @@ from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
-                       coalition_mask, lattice_floors, marginal_masks,
-                       mask_agents, membership, solve_mdp)
+                       coalition_mask, coalition_tables, lattice_floors,
+                       marginal_masks, marginalize, mask_agents, membership,
+                       solve_mdp)
 
 RESIDUAL_TOL = 1e-12
 RESIDUAL_FLOOR = 1e-10
@@ -441,6 +442,7 @@ class RobustBounds:
     def _iterate(self, problem: _CoalitionProblem):
         m = self.m
         v = best_response(m, self.uset.center, problem.coalition).state_values
+        tables = coalition_tables(m, problem.idx)
         q = None
         for sweep in range(MAX_SWEEPS):
             backed = self._backed_up(problem, v)
@@ -452,18 +454,15 @@ class RobustBounds:
             if residual <= RESIDUAL_TOL or (sweep >= 1000
                                             and residual <= RESIDUAL_FLOOR):
                 return v, q
-            v = self._evaluate(problem, q)
+            v = self._evaluate(tables, q)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
 
-    def _evaluate(self, problem: _CoalitionProblem, q: np.ndarray) -> np.ndarray:
+    def _evaluate(self, tables: tuple[np.ndarray, np.ndarray],
+                  q: np.ndarray) -> np.ndarray:
         """Exact value of the coalition's best response against a fixed
-        complement conditional."""
-        m = self.m
-        rows = np.arange(m.num_states)[:, None, None]
-        r = np.einsum("sd,scd->sc", q, m.reward[rows, problem.idx])
-        p = np.einsum("sd,scdt->sct", q, m.transition[rows, problem.idx])
-        v, _ = solve_mdp(r, p, m.discount)
+        complement conditional; `tables` come from `coalition_tables`."""
+        v, _ = solve_mdp(*marginalize(q, *tables), self.m.discount)
         return v
 
 

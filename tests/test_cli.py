@@ -1,13 +1,21 @@
 """Command line behavior: output formats, exit codes, determinism."""
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamekit.cli import main, run_coordination, run_perm_sweep, run_robustness
 from blamekit.mmdp import save_model, save_policy
 from blamekit.planning import CharacteristicGame, mmdp_from_game
+from helpers import random_factorized, random_mmdp
 
 
 @pytest.fixture()
@@ -169,7 +177,8 @@ def test_model_index_out_of_range_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "index" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("action_counts", 5), ("rewards", {})])
+@pytest.mark.parametrize("field, value", [("action_counts", 5), ("rewards", {}),
+                                          ("num_states", float("inf"))])
 def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
                                            field, value):
     model_path, behavior_path = two_agent_inputs
@@ -182,6 +191,16 @@ def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
                  "--behavior", behavior_path])
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
+                                                  capsys):
+    model_path, _ = two_agent_inputs
+    path = tmp_path / "flat_policy.json"
+    path.write_text(json.dumps({"agents": [0.5, [[1.0, 0.0], [1.0, 0.0]]]}))
+    code = main(["attribute", "--model", model_path, "--behavior", str(path)])
+    assert code == 2
+    assert "agent 0" in capsys.readouterr().err
 
 
 def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
@@ -198,6 +217,83 @@ def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
                  "--behavior", behavior_path])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Values a fuzzed field may take: wrong JSON types, the NaN and Infinity
+# literals Python's json reads, zero, negative and fractional counts, and a
+# count too large to allocate (no size in between, so nothing big is built).
+_FUZZ_VALUES = [None, True, "x", [], {}, [0], [[0.5]], 0, -1, 0.5, 1e300,
+                float("nan"), float("inf"), float("-inf")]
+
+
+def _json_paths(node, path=()):
+    """Every position in a parsed JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for pos, child in enumerate(node):
+            yield from _json_paths(child, path + (pos,))
+
+
+def _mutate(doc, path, kind, value):
+    """Replace, drop or (for lists) duplicate-and-ragged the node at path."""
+    if not path:
+        return value if kind == "replace" else doc
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if kind == "replace":
+        parent[last] = value
+    elif kind == "drop":
+        del parent[last]
+    elif isinstance(parent[last], list):
+        parent[last] = parent[last] + parent[last][-1:] + [value]
+    return doc
+
+
+_MUTATION = st.tuples(st.sampled_from(["model", "behavior"]),
+                      st.integers(0, 10**6),
+                      st.sampled_from(["replace", "drop", "ragged"]),
+                      st.sampled_from(_FUZZ_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stochastic=st.booleans(),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_inputs_exit_cleanly(stochastic, mutations):
+    """Malformed model and policy files map to exit 2 or 3, never to an
+    uncaught exception; a mutation that leaves a valid instance exits 0."""
+    rng = np.random.default_rng(0)
+    if stochastic:
+        model = random_mmdp(rng, num_states=2, action_counts=(2, 1))
+        behavior = random_factorized(rng, model)
+    else:
+        model, behavior = mmdp_from_game(
+            CharacteristicGame(2, np.array([0.0, 1.0, 2.0, 3.0])))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"model": os.path.join(tmp, "model.json"),
+                 "behavior": os.path.join(tmp, "behavior.json")}
+        save_model(model, paths["model"])
+        save_policy(behavior, paths["behavior"])
+        docs = {}
+        for name, path in paths.items():
+            with open(path) as fh:
+                docs[name] = json.load(fh)
+        for target, pick, kind, value in mutations:
+            where = list(_json_paths(docs[target]))
+            docs[target] = _mutate(docs[target], where[pick % len(where)],
+                                   kind, copy.deepcopy(value))
+        for name, path in paths.items():
+            with open(path, "w") as fh:
+                json.dump(docs[name], fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["attribute", "--model", paths["model"],
+                         "--behavior", paths["behavior"]])
+    assert code in (0, 2, 3)
 
 
 def test_perm_sweep_rows():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamekit import planning
 from blamekit.mmdp import AgentPolicy, JointPolicy, evaluate_return
 from blamekit.planning import (
     MAX_AGENTS,
@@ -113,6 +114,34 @@ def test_solve_mdp_raises_when_not_converged():
     _, pol = solve_mdp(r, p, gamma=0.9, max_iters=2)
     assert pol[0] == 0
 
+    # Stacked behind a member whose greedy policy is already optimal (staying
+    # pays 1 > 0.5 at once), the slow member alone must still make it raise.
+    stable = np.array([[1.0, 0.5], [0.0, 0.0]])
+    r_stack, p_stack = np.stack([stable, r]), np.stack([p, p])
+    _, pol = solve_mdp(stable, p, gamma=0.9, max_iters=1)
+    assert pol[0] == 0
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_mdp(r_stack, p_stack, gamma=0.9, max_iters=1)
+    _, pol = solve_mdp(r_stack, p_stack, gamma=0.9, max_iters=2)
+    assert pol[:, 0].tolist() == [0, 0]
+
+
+def test_solve_mdp_solves_a_stack_row_for_row():
+    """A stacked solve returns, bit for bit, what each member's own solve
+    returns, however many rounds each member needs."""
+    for seed in range(5):
+        rng = np.random.default_rng(600 + seed)
+        k, num_states, num_actions = 7, 1 + seed, 3
+        r = rng.uniform(-1.0, 1.0, size=(k, num_states, num_actions))
+        r[0] = np.round(r[0])  # ties: lowest index wins
+        p = rng.dirichlet(np.ones(num_states), size=(k, num_states, num_actions))
+        v, pol = solve_mdp(r, p, 0.9)
+        assert v.shape == (k, num_states) and pol.shape == (k, num_states)
+        for member in range(k):
+            v_k, pol_k = solve_mdp(r[member], p[member], 0.9)
+            assert v[member].tobytes() == v_k.tobytes()
+            assert pol[member].tolist() == pol_k.tolist()
+
 
 def test_coalition_action_index_layout():
     m = random_mmdp(np.random.default_rng(21), action_counts=(2, 3))
@@ -214,6 +243,44 @@ def test_characteristic_game_monotone_and_grounded():
             assert game.value(coalition) == pytest.approx(direct, abs=1e-9)
         assert game.total == pytest.approx(
             optimal_joint(m).value - j_b, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       num_states=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_characteristic_game_is_every_best_response_gain(action_counts,
+                                                         num_states, seed):
+    """Exact equality with one best response per coalition. One-action
+    agents put coalitions of different sizes into the same joint-action
+    count group of the batched sweep; the behavior is a non-factorized
+    joint table."""
+    rng = np.random.default_rng(seed)
+    m = random_mmdp(rng, num_states, tuple(action_counts), gamma=0.9)
+    table = rng.dirichlet(np.ones(m.num_joint_actions), size=num_states)
+    values = characteristic_game(m, table).values
+    j_b = evaluate_return(m, table)
+    for mask in range(1, 1 << m.num_agents):
+        br = best_response(m, table, mask_agents(mask, m.num_agents))
+        assert values[mask] == br.value - j_b
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40])
+def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
+                                                                 budget):
+    """One coalition per chunk, or each joint-action count group in one
+    chunk, gives the same bits as the default chunking."""
+    cases = []
+    for seed, counts in enumerate([(2, 1, 3, 1), (1, 2, 2, 2, 1), (3, 3, 1)]):
+        rng = np.random.default_rng(700 + seed)
+        m = random_mmdp(rng, num_states=2 + seed, action_counts=counts)
+        table = rng.dirichlet(np.ones(m.num_joint_actions), size=m.num_states)
+        cases.append((m, table, characteristic_game(m, table).values))
+    m, behavior = mmdp_from_game(random_monotone_game(7, 0))
+    cases.append((m, behavior, characteristic_game(m, behavior).values))
+    monkeypatch.setattr(planning, "_GATHER_BUDGET", budget)
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    for m, behavior, expected in cases:
+        assert characteristic_game(m, behavior).values.tobytes() == expected.tobytes()
 
 
 def test_characteristic_game_is_memoized():
