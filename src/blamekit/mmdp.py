@@ -7,7 +7,6 @@ so reward and transition tables are plain 2-D / 3-D arrays.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,7 +91,9 @@ class AgentPolicy:
         return AgentPolicy(np.full((num_states, num_actions), 1.0 / num_actions))
 
     def validate(self) -> list[str]:
-        problems = []
+        problems = _non_finite(probs=self.probs)
+        if problems:
+            return problems
         if (self.probs < -ROW_TOL).any():
             problems.append("negative action probability")
         bad = np.flatnonzero(np.abs(self.probs.sum(axis=1) - 1.0) > ROW_TOL)
@@ -181,6 +182,8 @@ def validate_mmdp(m: Mmdp) -> list[str]:
                         f"expected {(m.num_states, A, m.num_states)}")
     if not 0.0 <= m.discount < 1.0:
         problems.append(f"discount {m.discount} outside [0, 1)")
+    problems += _non_finite(reward=m.reward, transition=m.transition,
+                            initial_dist=m.initial_dist)
     if problems:
         return problems
 
@@ -213,16 +216,13 @@ def validate_mmdp(m: Mmdp) -> list[str]:
     return problems
 
 
-def joint_action_iter(m: Mmdp, coalition) -> list[tuple[int, ...]]:
-    """All action tuples of the coalition (sorted agent order), lexicographic.
-
-    The empty coalition yields the single empty tuple.
-    """
-    agents = sorted(coalition)
-    for i in agents:
-        if not 0 <= i < m.num_agents:
-            raise ValueError(f"agent index {i} out of range")
-    return list(itertools.product(*(range(m.action_counts[i]) for i in agents)))
+def _non_finite(**arrays) -> list[str]:
+    """One problem naming the first NaN or infinite entry, or none."""
+    for name, values in arrays.items():
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            return [f"{name}{bad[0].tolist() or ''} is {values[tuple(bad[0])]}, not finite"]
+    return []
 
 
 def policy_transition_reward(m: Mmdp, behavior) -> tuple[np.ndarray, np.ndarray]:
@@ -285,6 +285,8 @@ def _entries(doc, name: str, limits: tuple[int, ...]):
         rows = rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"{name} entries must have {width} fields each")
+    if problems := _non_finite(**{name: rows}):
+        raise ValueError(problems[0])
     for col, (limit, what) in enumerate(zip(limits, ("state", "joint action", "next state"))):
         bad = np.flatnonzero((rows[:, col] < 0) | (rows[:, col] >= limit)
                              | (rows[:, col] != np.floor(rows[:, col])))
@@ -313,6 +315,8 @@ def load_model(path) -> Mmdp:
         raise ValueError(f"model file missing field {exc}") from exc
     if len(action_counts) != num_agents:
         raise ValueError("action_counts length does not match num_agents")
+    if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):
+        raise ValueError(problems[0])
     A = int(np.prod(action_counts))
     (s, a), r = _entries(doc, "rewards", (num_states, A))
     reward = np.zeros((num_states, A))
@@ -346,4 +350,6 @@ def load_policy(path) -> JointPolicy:
     for i, ap in enumerate(agents):
         if ap.probs.ndim != 2:
             raise ValueError(f"agent {i}: policy must be a table of rows")
+        if problems := _non_finite(**{f"agent {i}: probs": ap.probs}):
+            raise ValueError(problems[0])
     return JointPolicy(agents)

@@ -5,11 +5,11 @@ secure by jointly best-responding while everyone outside S keeps the behavior
 policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`).
 
-`characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks:
-coalitions with the same number of joint actions share index shapes, so a
-chunk of them takes one gather of each table and one stacked policy
-iteration. `induced_mdp` and `best_response` run the same kernel on one
-coalition, and give the same bits as its chunked run.
+`characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
+equal joint-action count (one index shape): a chunk takes one gather of each
+table (of reward and transition only where the behavior plays, so extraction
+cost scales with its played joint actions) and one stacked policy iteration.
+`induced_mdp` and `best_response` run the kernel on one coalition, bit for bit.
 """
 from __future__ import annotations
 
@@ -192,7 +192,10 @@ def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     joint actions that an index (stack) `idx` of shape (..., A_C, A_D)
     names, gathered with flat takes into fresh C-order arrays (their layout
     fixes the summation order of `marginalize`)."""
-    flat = _flat_index(m, idx)
+    return _gather(m, _flat_index(m, idx))
+
+
+def _gather(m: Mmdp, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.take(m.reward, flat),
             np.take(m.transition.reshape(-1, m.num_states), flat, axis=0))
 
@@ -214,12 +217,18 @@ def marginalize(q: np.ndarray, reward_c: np.ndarray,
 
 def _induced(m: Mmdp, table: np.ndarray,
              idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`induced_mdp`'s reward and transition for an index (stack)."""
+    """`induced_mdp`'s reward and transition for an index (stack), gathered
+    only at the complement actions q plays (q != 0, ascending, zero-padded to
+    the widest row), so the tables are (..., S, A_C, W[, S]) with W <= A_D."""
     q = np.take(table, _flat_index(m, idx)).sum(axis=-2)  # (..., S, A_D)
     totals = q.sum(axis=-1)
     # guard against all-zero rows (cannot happen for valid behaviors)
     q = q / np.where(totals > 0, totals, 1.0)[..., None]
-    return marginalize(q, *coalition_tables(m, idx))
+    keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
+    # idx is separable: idx[..., c, d] == idx[..., c, 0] + idx[..., 0, d]
+    outside = np.take_along_axis(idx[..., None, 0, :], keep, -1)
+    flat = _flat_index(m, idx[..., :1]) + outside[..., None, :]
+    return marginalize(np.take_along_axis(q, keep, -1), *_gather(m, flat))
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

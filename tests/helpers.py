@@ -4,6 +4,7 @@ from math import factorial
 
 import numpy as np
 
+from blamekit import planning
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 
 
@@ -109,3 +110,21 @@ def monotone_closure_loop(values, n):
         if closed[mask] < floor:
             closed[mask] = floor
     return closed
+
+
+# The full-width contraction over every complement action: the reference
+# `planning._induced`, which gathers only the actions the behavior plays,
+# must match.
+
+def complement_conditional(m, table, idx):
+    """The behavior's normalized complement conditional q (..., S, A_D)."""
+    q = np.take(table, planning._flat_index(m, idx)).sum(axis=-2)
+    totals = q.sum(axis=-1)
+    return q / np.where(totals > 0, totals, 1.0)[..., None]
+
+
+def induced_full(m, table, idx):
+    """Reward (..., S, A_C) and transition (..., S, A_C, S) marginalized over
+    all A_D complement actions, zero-probability ones included."""
+    return planning.marginalize(complement_conditional(m, table, idx),
+                                *planning.coalition_tables(m, idx))

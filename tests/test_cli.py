@@ -193,6 +193,34 @@ def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attribute", "check"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("target, path, name", [
+    ("model", ("rewards", 0, -1), "rewards[0, 2]"),
+    ("model", ("transitions", 0, -1), "transitions[0, 3]"),
+    ("model", ("initial_dist", 0), "initial_dist[0]"),
+    ("model", ("gamma",), "gamma"),
+    ("behavior", ("agents", 1, 0, 0), "agent 1: probs[0, 0]")])
+def test_non_finite_input_exits_2(two_agent_inputs, tmp_path, capsys,
+                                  command, value, target, path, name):
+    """NaN and Infinity literals (which Python's json reads) are refused at
+    load time, naming the first bad entry, before any solver sees them."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    paths[target] = str(tmp_path / "edited.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main([command, "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    assert f"{name} is {value}, not finite" in capsys.readouterr().err
+
+
 def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
                                                   capsys):
     model_path, _ = two_agent_inputs

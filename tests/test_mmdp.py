@@ -10,7 +10,6 @@ from blamekit.mmdp import (
     Mmdp,
     as_joint_table,
     evaluate_return,
-    joint_action_iter,
     load_model,
     load_policy,
     policy_transition_reward,
@@ -84,6 +83,35 @@ def test_validate_flags_broken_transition_rows():
     bad = Mmdp(m.num_states, m.num_agents, m.action_counts,
                m.reward, t, m.discount, m.initial_dist)
     assert any("negative" in p for p in validate_mmdp(bad))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_names_the_first_non_finite_entry(value):
+    """NaN fails every tolerance comparison, so each table is scanned for
+    NaN and Infinity before any arithmetic on it; the discount's range
+    check already refuses both."""
+    m = random_mmdp(np.random.default_rng(6), num_states=3)
+    fields = {"reward": m.reward, "transition": m.transition,
+              "initial_dist": m.initial_dist}
+    for name, where in [("reward", (2, 1)), ("transition", (1, 4, 2)),
+                        ("initial_dist", (1,))]:
+        tables = {key: values.copy() for key, values in fields.items()}
+        tables[name][where] = value
+        tables[name].reshape(-1)[-1] = value  # a later one is not named
+        bad = Mmdp(m.num_states, m.num_agents, m.action_counts,
+                   tables["reward"], tables["transition"], m.discount,
+                   tables["initial_dist"])
+        assert validate_mmdp(bad) == [
+            f"{name}{list(where)} is {value}, not finite"]
+    bad = Mmdp(m.num_states, m.num_agents, m.action_counts,
+               m.reward, m.transition, value, m.initial_dist)
+    assert validate_mmdp(bad) == [f"discount {value} outside [0, 1)"]
+
+    probs = np.full((2, 3), 1 / 3)
+    probs[1, 2] = value
+    probs[1, 0] = -value
+    assert AgentPolicy(probs).validate() == [
+        f"probs[1, 0] is {-value}, not finite"]
 
 
 def test_validate_flags_bad_terminal_states():
@@ -225,15 +253,6 @@ def test_joint_policy_replace_and_validate():
     assert any("shape" in p for p in wrong_shape.validate(m))
     with pytest.raises(ValueError):
         wrong_shape.joint_table(m)
-
-
-def test_joint_action_iter():
-    m = random_mmdp(np.random.default_rng(11), action_counts=(2, 3))
-    assert joint_action_iter(m, frozenset()) == [()]
-    assert joint_action_iter(m, {1}) == [(0,), (1,), (2,)]
-    assert len(joint_action_iter(m, {0, 1})) == 6
-    with pytest.raises(ValueError):
-        joint_action_iter(m, {2})
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -23,7 +23,8 @@ from blamekit.planning import (
 )
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import UncertaintySet, _CoalitionProblem
-from helpers import random_factorized, random_mmdp
+from helpers import (complement_conditional, induced_full, random_factorized,
+                     random_mmdp)
 
 
 def brute_force_best_value(m, behavior, coalition):
@@ -262,6 +263,63 @@ def test_characteristic_game_is_every_best_response_gain(action_counts,
     for mask in range(1, 1 << m.num_agents):
         br = best_response(m, table, mask_agents(mask, m.num_agents))
         assert values[mask] == br.value - j_b
+
+
+def _behavior_table(rng, m, kind):
+    """A joint behavior table that is deterministic, partially or fully
+    supported, or explicit with -0.0 and -1e-17 entries where it plays
+    nothing."""
+    S = m.num_states
+    rows = []
+    for k in m.action_counts:
+        if kind == "deterministic":
+            probs = np.eye(k)[rng.integers(0, k, S)]
+        else:
+            probs = rng.dirichlet(np.ones(k), size=S)
+            if kind != "full":
+                probs *= rng.random((S, k)) < 0.5
+                probs[np.arange(S), rng.integers(0, k, S)] += 0.5
+        rows.append(AgentPolicy(probs / probs.sum(axis=1, keepdims=True)))
+    table = JointPolicy(tuple(rows)).joint_table(m)
+    if kind == "explicit":
+        zeros = table == 0
+        table[zeros & (rng.random(table.shape) < 0.5)] = -0.0
+        table[zeros & (rng.random(table.shape) < 0.3)] = -1e-17
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       num_states=st.integers(1, 4),
+       kind=st.sampled_from(["deterministic", "partial", "full", "explicit"]))
+def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
+                                                         num_states, kind):
+    """Gathering only the played complement actions changes nothing when
+    every (member, state) plays at most two of them or all of them (the
+    dropped terms are exact zeros), and otherwise moves a sum by rounding
+    only (einsum may group three or more terms differently), for stacked
+    chunks and lone coalitions alike."""
+    rng = np.random.default_rng(seed)
+    m = random_mmdp(rng, num_states, tuple(action_counts))
+    table = _behavior_table(rng, m, kind)
+    support = planning._action_support(m.action_counts)
+    for chunk in planning._coalition_chunks(m):
+        stack = planning._index_stack(support, chunk)
+        for idx in [stack] + list(stack):
+            q = complement_conditional(m, table, idx)
+            played = np.count_nonzero(q, axis=-1)
+            exact = ((played <= 2) | (played == q.shape[-1])).all()
+            # a sum's rounding scales with the sum of its absolute terms
+            bounds = planning.marginalize(
+                np.abs(q), *map(np.abs, planning.coalition_tables(m, idx)))
+            for fast, full, bound in zip(planning._induced(m, table, idx),
+                                         induced_full(m, table, idx), bounds):
+                assert fast.shape == full.shape and fast.dtype == full.dtype
+                if exact:
+                    assert fast.tobytes() == full.tobytes()
+                else:
+                    assert (np.abs(fast - full) <= 1e-14 * bound).all()
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
