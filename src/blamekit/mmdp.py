@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_TOL = 1e-12
+MAX_STATES = 2000  # dense (S, A, S) transitions and S x S solves
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,8 @@ def load_model(path) -> Mmdp:
         raise ValueError(f"model file missing field {exc}") from exc
     if len(action_counts) != num_agents:
         raise ValueError("action_counts length does not match num_agents")
+    if num_states > MAX_STATES:
+        raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):
         raise ValueError(problems[0])
     A = int(np.prod(action_counts))

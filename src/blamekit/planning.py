@@ -6,16 +6,17 @@ policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`).
 
 `characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
-equal joint-action count (one index shape): a chunk takes one gather of each
-table (of reward and transition only where the behavior plays, so extraction
-cost scales with its played joint actions) and one stacked policy iteration.
-`induced_mdp` and `best_response` run the kernel on one coalition, bit for bit.
+equal joint-action count: a chunk scatters the behavior's nonzero entries
+into its complement conditionals, gathers reward and transition only where
+they play, and runs one stacked policy iteration. `induced_mdp` and
+`best_response` run the same kernel on one coalition, bit for bit.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -155,36 +156,35 @@ class BestResponse:
         return out
 
 
-def _action_support(action_counts) -> np.ndarray:
-    """(A,) bitmask per joint action of the agents whose digit is nonzero
-    (agent i on bit i)."""
-    grid = joint_index_grid(action_counts).ravel()
-    digits = np.unravel_index(grid, action_counts) if action_counts else ()
-    support = np.zeros(grid.size, dtype=np.int64)
-    for i, digit in enumerate(digits):
-        support |= (digit != 0).astype(np.int64) << i
-    return support
-
-
-def _index_stack(support: np.ndarray, masks) -> np.ndarray:
-    """(K, A_C, A_D) stack of coalition_action_index for the coalitions in
-    `masks`, which must all have the same joint-action count A_C.
-
-    The index is separable, idx[k, c, d] = idx[k, c, 0] + idx[k, 0, d]: row
-    c = 0 lists, ascending, the joint actions in which only complement
-    agents move, and column d = 0 those in which only coalition agents move.
-    """
-    masks = np.asarray(masks, dtype=np.int64)[:, None]
-    inside = np.nonzero((support & ~masks) == 0)[1].reshape(masks.shape[0], -1)
-    outside = np.nonzero((support & masks) == 0)[1].reshape(masks.shape[0], -1)
-    return inside[:, :, None] + outside[:, None, :]
+def _subgrids(action_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, offsets, weights): values[offsets[M]:offsets[M + 1]] lists,
+    ascending, the joint actions in which only mask M's agents move, each at
+    its digits dotted with weights[M]. Step i fills masks 2^i to 2^(i+1) - 1
+    in place, adding agent i as the least significant digit."""
+    n = len(action_counts)
+    values = np.zeros(math.prod(k + 1 for k in action_counts), dtype=np.int64)
+    offsets = np.zeros((1 << n) + 1, dtype=np.int64)
+    offsets[1] = end = 1
+    weights = np.zeros((1 << n, n), dtype=np.int64)
+    for i, k in enumerate(action_counts):
+        low, stride = 1 << i, math.prod(action_counts[i + 1:])
+        np.add(values[:end, None], np.arange(0, k * stride, stride),
+               values[end:end * (k + 1)].reshape(end, k))
+        offsets[low:2 * low + 1] = offsets[:low + 1] * k + end
+        np.multiply(weights[:low], k, weights[low:2 * low])
+        weights[low:2 * low, i] = 1
+        end *= k + 1
+    return values, offsets, weights
 
 
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     """Index array of shape (A_C, A_D) mapping coalition/complement action
     pairs (both in sorted-agent lexicographic order) to joint-action indices."""
-    return _index_stack(_action_support(m.action_counts),
-                        [coalition_mask(coalition)])[0]
+    mask = coalition_mask(coalition)
+    order = sorted(range(m.num_agents), key=lambda i: not mask >> i & 1)
+    grid = joint_index_grid(m.action_counts).transpose(order)
+    num_c = math.prod(grid.shape[:mask.bit_count()])
+    return np.ascontiguousarray(grid.reshape(num_c, -1))
 
 
 def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,19 +215,38 @@ def marginalize(q: np.ndarray, reward_c: np.ndarray,
             np.einsum("...sd,...scdt->...sct", q, transition_c))
 
 
-def _induced(m: Mmdp, table: np.ndarray,
-             idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`induced_mdp`'s reward and transition for an index (stack), gathered
+def _played(m: Mmdp, table: np.ndarray, grid):
+    """(state, per-agent digits (n, P), probability) of the P nonzero
+    entries of a behavior table, in (state, joint action) order."""
+    states, actions = np.nonzero(table)
+    radix = np.array(m.action_counts, dtype=np.int64)[:, None]
+    # the grand coalition's digit weights are the agents' place values
+    return states, actions // grid[2][-1, :, None] % radix, table[states, actions]
+
+
+def _induced(m: Mmdp, played, masks, grid) -> tuple[np.ndarray, np.ndarray]:
+    """`induced_mdp` for one mask or a stack of masks with equal A_C, gathered
     only at the complement actions q plays (q != 0, ascending, zero-padded to
-    the widest row), so the tables are (..., S, A_C, W[, S]) with W <= A_D."""
-    q = np.take(table, _flat_index(m, idx)).sum(axis=-2)  # (..., S, A_D)
+    the widest row): the tables are (..., S, A_C, W[, S]) with W <= A_D."""
+    states, digits, probs = played
+    values, offsets, weights = grid
+    num_c = offsets[masks.flat[0] + 1] - offsets[masks.flat[0]]
+    num_d = m.num_joint_actions // num_c
+    others = (offsets.size - 2) ^ masks
+    # q (..., S, A_D): bincount adds each (P, ...) bin's played terms in
+    # joint-action order, as the sum over the coalition's actions, less zeros
+    member = np.arange(masks.size).reshape(masks.shape)
+    column = states.reshape(-1, *[1] * masks.ndim)
+    bins = (member * m.num_states + column) * num_d + digits.T @ weights[others].T
+    q = np.bincount(bins.ravel(), np.repeat(probs, masks.size),
+                    masks.size * m.num_states * num_d).reshape(*masks.shape, -1, num_d)
     totals = q.sum(axis=-1)
     # guard against all-zero rows (cannot happen for valid behaviors)
     q = q / np.where(totals > 0, totals, 1.0)[..., None]
     keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
-    # idx is separable: idx[..., c, d] == idx[..., c, 0] + idx[..., 0, d]
-    outside = np.take_along_axis(idx[..., None, 0, :], keep, -1)
-    flat = _flat_index(m, idx[..., :1]) + outside[..., None, :]
+    inside = values[offsets[masks][..., None, None] + np.arange(num_c)[:, None]]
+    outside = values[offsets[others][..., None, None] + keep]
+    flat = _flat_index(m, inside) + outside[..., None, :]
     return marginalize(np.take_along_axis(q, keep, -1), *_gather(m, flat))
 
 
@@ -238,8 +257,10 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     conditional (for factorized behaviors this is the product of the
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
-    idx = coalition_action_index(m, coalition)
-    return (*_induced(m, as_joint_table(m, behavior), idx), idx)
+    grid = _subgrids(m.action_counts)
+    played = _played(m, as_joint_table(m, behavior), grid)
+    return (*_induced(m, played, np.int64(coalition_mask(coalition)), grid),
+            coalition_action_index(m, coalition))
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
@@ -298,11 +319,11 @@ _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp) -> Iterator[np.ndarray]:
-    """Every nonempty coalition mask, grouped by joint-action count A_C and
-    cut into chunks whose transition gathers stay within _GATHER_BUDGET."""
-    n = m.num_agents
-    sizes = np.where(membership(n), m.action_counts, 1).prod(axis=1)
+def _coalition_chunks(m: Mmdp, offsets: np.ndarray) -> Iterator[np.ndarray]:
+    """Every nonempty coalition mask, grouped by joint-action count A_C (its
+    `_subgrids` row length) and cut into chunks whose transition gathers
+    stay within _GATHER_BUDGET."""
+    sizes = np.diff(offsets)
     order = np.argsort(sizes[1:], kind="stable") + 1
     starts = np.flatnonzero(np.diff(sizes[order])) + 1
     per_chunk = max(1, _GATHER_BUDGET
@@ -327,13 +348,13 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         return hit
     j_b = evaluate_return(m, table)
     values = np.zeros(1 << m.num_agents)
-    support = _action_support(m.action_counts)
-    for chunk in _coalition_chunks(m):
-        idx = _index_stack(support, chunk)
+    grid = _subgrids(m.action_counts)
+    played = _played(m, table, grid)
+    for chunk in _coalition_chunks(m, grid[1]):
         # a lone coalition goes unstacked: a batch axis of one only adds
         # overhead to every round of policy iteration
-        v, _ = solve_mdp(*_induced(m, table, idx[0] if chunk.size == 1 else idx),
-                         m.discount)
+        masks = chunk[0] if chunk.size == 1 else chunk
+        v, _ = solve_mdp(*_induced(m, played, masks, grid), m.discount)
         # a stacked (1, S) @ (S,) product per member is the same dot product
         # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
         values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b

@@ -112,12 +112,19 @@ def monotone_closure_loop(values, n):
     return closed
 
 
-# The full-width contraction over every complement action: the reference
-# `planning._induced`, which gathers only the actions the behavior plays,
-# must match.
+# The full-width contraction over every complement action, and the kernel
+# as it was before q was scattered from the played entries: the references
+# `planning._induced` must match.
+
+def index_stack(m, masks):
+    """(K, A_C, A_D) stack of coalition_action_index for masks of equal A_C."""
+    return np.stack([planning.coalition_action_index(
+        m, planning.mask_agents(int(mask), m.num_agents)) for mask in masks])
+
 
 def complement_conditional(m, table, idx):
-    """The behavior's normalized complement conditional q (..., S, A_D)."""
+    """The behavior's normalized complement conditional q (..., S, A_D),
+    gathered and summed over every coalition action of the index (stack)."""
     q = np.take(table, planning._flat_index(m, idx)).sum(axis=-2)
     totals = q.sum(axis=-1)
     return q / np.where(totals > 0, totals, 1.0)[..., None]
@@ -128,3 +135,14 @@ def induced_full(m, table, idx):
     all A_D complement actions, zero-probability ones included."""
     return planning.marginalize(complement_conditional(m, table, idx),
                                 *planning.coalition_tables(m, idx))
+
+
+def induced_gathered(m, table, idx):
+    """The gathered q compressed to each row's played complement actions
+    (ascending, zero-padded to the widest row), then marginalized."""
+    q = complement_conditional(m, table, idx)
+    keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
+    outside = np.take_along_axis(idx[..., None, 0, :], keep, -1)
+    flat = planning._flat_index(m, idx[..., :1]) + outside[..., None, :]
+    return planning.marginalize(np.take_along_axis(q, keep, -1),
+                                *planning._gather(m, flat))

@@ -232,9 +232,8 @@ def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
 
 
 def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
-    """A declared 100000-state model asks for a 160 GB transition tensor.
-    Where the allocation is refused the MemoryError is reported; where it
-    is lazy the missing transition rows are. Both are bad input."""
+    """A declared 100000-state model would ask for a 160 GB transition
+    tensor; it is bad input."""
     _, behavior_path = two_agent_inputs
     doc = {"num_states": 100000, "num_agents": 1, "action_counts": [2],
            "gamma": 0.9, "initial_dist": [1.0], "terminals": [],
@@ -245,6 +244,27 @@ def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
                  "--behavior", behavior_path])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_states, message", [
+    (2001, "model has 2001 states, more than 2000"),
+    (10**12, "model has 1000000000000 states, more than 2000"),
+    # at the cap the loader goes on to the (here missing) transition rows
+    (2000, "transition row omitted")])
+def test_state_count_cap_exits_2(two_agent_inputs, tmp_path, capsys,
+                                 num_states, message):
+    """The loader refuses a model of more than 2000 states before it
+    allocates the dense (S, A, S) transition tensor."""
+    _, behavior_path = two_agent_inputs
+    doc = {"num_states": num_states, "num_agents": 1, "action_counts": [2],
+           "gamma": 0.9, "initial_dist": [1.0], "terminals": [],
+           "rewards": [], "transitions": []}
+    path = tmp_path / "many_states.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # Values a fuzzed field may take: wrong JSON types, the NaN and Infinity

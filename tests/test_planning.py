@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blamekit import planning
@@ -23,8 +23,8 @@ from blamekit.planning import (
 )
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import UncertaintySet, _CoalitionProblem
-from helpers import (complement_conditional, induced_full, random_factorized,
-                     random_mmdp)
+from helpers import (complement_conditional, index_stack, induced_full,
+                     induced_gathered, random_factorized, random_mmdp)
 
 
 def brute_force_best_value(m, behavior, coalition):
@@ -303,23 +303,77 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
     rng = np.random.default_rng(seed)
     m = random_mmdp(rng, num_states, tuple(action_counts))
     table = _behavior_table(rng, m, kind)
-    support = planning._action_support(m.action_counts)
-    for chunk in planning._coalition_chunks(m):
-        stack = planning._index_stack(support, chunk)
-        for idx in [stack] + list(stack):
-            q = complement_conditional(m, table, idx)
-            played = np.count_nonzero(q, axis=-1)
-            exact = ((played <= 2) | (played == q.shape[-1])).all()
-            # a sum's rounding scales with the sum of its absolute terms
-            bounds = planning.marginalize(
-                np.abs(q), *map(np.abs, planning.coalition_tables(m, idx)))
-            for fast, full, bound in zip(planning._induced(m, table, idx),
-                                         induced_full(m, table, idx), bounds):
-                assert fast.shape == full.shape and fast.dtype == full.dtype
-                if exact:
-                    assert fast.tobytes() == full.tobytes()
-                else:
-                    assert (np.abs(fast - full) <= 1e-14 * bound).all()
+    for idx, masks, fast_tables in _kernel_cases(m, table):
+        q = complement_conditional(m, table, idx)
+        played = np.count_nonzero(q, axis=-1)
+        exact = ((played <= 2) | (played == q.shape[-1])).all()
+        # a sum's rounding scales with the sum of its absolute terms
+        bounds = planning.marginalize(
+            np.abs(q), *map(np.abs, planning.coalition_tables(m, idx)))
+        for fast, full, bound in zip(fast_tables, induced_full(m, table, idx),
+                                     bounds):
+            assert fast.shape == full.shape and fast.dtype == full.dtype
+            if exact:
+                assert fast.tobytes() == full.tobytes()
+            else:
+                assert (np.abs(fast - full) <= 1e-14 * bound).all()
+
+
+def _kernel_cases(m, table):
+    """(index (stack), masks, planning._induced's tables) for every sweep
+    chunk, stacked, and for each of its coalitions alone."""
+    grid = planning._subgrids(m.action_counts)
+    played = planning._played(m, table, grid)
+    for chunk in planning._coalition_chunks(m, grid[1]):
+        stack = index_stack(m, chunk)
+        for idx, masks in [(stack, chunk)] + list(zip(stack, chunk)):
+            yield idx, masks, planning._induced(m, played, masks, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       num_states=st.integers(1, 4),
+       kind=st.sampled_from(["deterministic", "partial", "full", "explicit"]))
+def test_scattered_conditional_is_the_gathered_kernel_bit_for_bit(
+        seed, action_counts, num_states, kind):
+    """Scattering q from the behavior's nonzero entries adds the same terms
+    in the same order as gathering and summing it over the full index, so
+    the kernel's tables equal the gathered kernel's byte for byte, stacked
+    and alone, and so does induced_mdp's."""
+    rng = np.random.default_rng(seed)
+    m = random_mmdp(rng, num_states, tuple(action_counts))
+    table = _behavior_table(rng, m, kind)
+    for idx, masks, fast_tables in _kernel_cases(m, table):
+        slow_tables = induced_gathered(m, table, idx)
+        cases = [zip(fast_tables, slow_tables)]
+        if masks.ndim == 0:
+            coalition = mask_agents(int(masks), m.num_agents)
+            cases.append(zip(induced_mdp(m, table, coalition), (*slow_tables, idx)))
+        for fast, slow in itertools.chain(*cases):
+            assert fast.shape == slow.shape and fast.dtype == slow.dtype
+            assert fast.tobytes() == slow.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+@example([2, 1, 3, 1])
+@example([1, 1])
+def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
+    """Row M of the sub-grid table is every joint action whose digits off M
+    are zero, ascending, and weights[M] gives each one's place in the row."""
+    values, offsets, weights = planning._subgrids(action_counts)
+    n = len(action_counts)
+    digits = np.array(list(itertools.product(*map(range, action_counts))))
+    assert values.dtype == np.int64
+    assert values.size == offsets[-1] == np.prod([k + 1 for k in action_counts])
+    for mask in range(1 << n):
+        off = [i for i in range(n) if not mask >> i & 1]
+        expected = np.flatnonzero((digits[:, off] == 0).all(axis=1))
+        row = values[offsets[mask]:offsets[mask + 1]]
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(digits[row] @ weights[mask],
+                                      np.arange(row.size))
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
@@ -373,6 +427,13 @@ def test_mmdp_from_game_round_trip_is_exact_at_ten_agents():
         f = random_monotone_game(10, seed)
         back = characteristic_game(*mmdp_from_game(f))
         assert (back.values == f.values).all()
+
+
+def test_mmdp_from_game_round_trip_at_the_agent_cap():
+    for seed in range(2):
+        f = random_monotone_game(MAX_AGENTS, seed)
+        back = characteristic_game(*mmdp_from_game(f))
+        assert np.abs(back.values - f.values).max() <= 1e-12
 
 
 def test_mmdp_from_game_rejects_invalid_input():
