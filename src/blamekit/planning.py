@@ -8,8 +8,11 @@ such set function is realizable by a one-step model (`mmdp_from_game`).
 `characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
 equal joint-action count: a chunk scatters the behavior's nonzero entries
 into its complement conditionals, gathers reward and transition only where
-they play, and runs one stacked policy iteration. `induced_mdp` and
-`best_response` run the same kernel on one coalition, bit for bit.
+they play, and runs one stacked policy iteration. Chunks are sized by those
+conditionals and gathers, so a behavior that plays few joint actions per
+state gets few, wide chunks. `induced_mdp` and `best_response` run the same
+kernel on one coalition, bit for bit, with its rows read from
+`coalition_action_index` rather than the sweep's table of every coalition.
 """
 from __future__ import annotations
 
@@ -215,38 +218,54 @@ def marginalize(q: np.ndarray, reward_c: np.ndarray,
             np.einsum("...sd,...scdt->...sct", q, transition_c))
 
 
-def _played(m: Mmdp, table: np.ndarray, grid):
+def _played(m: Mmdp, table: np.ndarray):
     """(state, per-agent digits (n, P), probability) of the P nonzero
     entries of a behavior table, in (state, joint action) order."""
     states, actions = np.nonzero(table)
-    radix = np.array(m.action_counts, dtype=np.int64)[:, None]
-    # the grand coalition's digit weights are the agents' place values
-    return states, actions // grid[2][-1, :, None] % radix, table[states, actions]
+    return (states, np.array(np.unravel_index(actions, m.action_counts)),
+            table[states, actions])
 
 
 def _induced(m: Mmdp, played, masks, grid) -> tuple[np.ndarray, np.ndarray]:
-    """`induced_mdp` for one mask or a stack of masks with equal A_C, gathered
-    only at the complement actions q plays (q != 0, ascending, zero-padded to
-    the widest row): the tables are (..., S, A_C, W[, S]) with W <= A_D."""
-    states, digits, probs = played
+    """`_induced_rows` for one mask or a stack of masks with equal A_C, their
+    rows read from the sub-grid table."""
     values, offsets, weights = grid
-    num_c = offsets[masks.flat[0] + 1] - offsets[masks.flat[0]]
-    num_d = m.num_joint_actions // num_c
     others = (offsets.size - 2) ^ masks
+
+    def rows(of):
+        first = of.flat[0]
+        return values[offsets[of][..., None]
+                      + np.arange(offsets[first + 1] - offsets[first])]
+
+    return _induced_rows(m, played, rows(masks), rows(others), weights[others])
+
+
+def _induced_rows(m: Mmdp, played, inside, outside,
+                  weights) -> tuple[np.ndarray, np.ndarray]:
+    """`induced_mdp` for one coalition (or a stack with equal A_C) given its
+    own joint actions `inside` (..., A_C) and its complement's `outside`
+    (..., A_D), both ascending, and the complement's digit weights (..., n):
+    a joint action's place in `outside` is its digits dotted with them.
+    Gathered only at the complement actions q plays (q != 0, ascending,
+    zero-padded to the widest row): the tables are (..., S, A_C, W[, S])
+    with W <= A_D."""
+    states, digits, probs = played
+    num_d = outside.shape[-1]
+    size = outside.size // num_d
     # q (..., S, A_D): bincount adds each (P, ...) bin's played terms in
     # joint-action order, as the sum over the coalition's actions, less zeros
-    member = np.arange(masks.size).reshape(masks.shape)
-    column = states.reshape(-1, *[1] * masks.ndim)
-    bins = (member * m.num_states + column) * num_d + digits.T @ weights[others].T
-    q = np.bincount(bins.ravel(), np.repeat(probs, masks.size),
-                    masks.size * m.num_states * num_d).reshape(*masks.shape, -1, num_d)
+    member = np.arange(size).reshape(outside.shape[:-1])
+    column = states.reshape(-1, *[1] * member.ndim)
+    bins = (member * m.num_states + column) * num_d + digits.T @ weights.T
+    q = np.bincount(bins.ravel(), np.repeat(probs, size),
+                    size * m.num_states * num_d).reshape(*member.shape, -1, num_d)
     totals = q.sum(axis=-1)
     # guard against all-zero rows (cannot happen for valid behaviors)
     q = q / np.where(totals > 0, totals, 1.0)[..., None]
     keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
-    inside = values[offsets[masks][..., None, None] + np.arange(num_c)[:, None]]
-    outside = values[offsets[others][..., None, None] + keep]
-    flat = _flat_index(m, inside) + outside[..., None, :]
+    # each member's kept complement actions, read from its row of `outside`
+    kept = outside.reshape(-1)[(member * num_d)[..., None, None] + keep]
+    flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
     return marginalize(np.take_along_axis(q, keep, -1), *_gather(m, flat))
 
 
@@ -257,10 +276,16 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     conditional (for factorized behaviors this is the product of the
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
-    grid = _subgrids(m.action_counts)
-    played = _played(m, as_joint_table(m, behavior), grid)
-    return (*_induced(m, played, np.int64(coalition_mask(coalition)), grid),
-            coalition_action_index(m, coalition))
+    mask = coalition_mask(coalition)
+    idx = coalition_action_index(m, coalition)
+    # the complement's digit weights are its agents' place values in idx[0]
+    weights = np.zeros(m.num_agents, dtype=np.int64)
+    place = 1
+    for i in reversed(range(m.num_agents)):
+        if not mask >> i & 1:
+            weights[i], place = place, place * m.action_counts[i]
+    played = _played(m, as_joint_table(m, behavior))
+    return (*_induced_rows(m, played, idx[:, 0], idx[0], weights), idx)
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
@@ -274,15 +299,18 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
     improving after max_iters evaluations. A member that has converged keeps
     its policy, so it returns what it would have returned alone.
     """
-    # open-mesh indices over the (member and) state axes: x[(*rows, pol)]
-    # reads the entry of each row's chosen action
-    rows = np.ix_(*(np.arange(size) for size in r.shape[:-1]))
+    # flat position of each (member and) state row's first action:
+    # x.reshape(-1)[base + pol] reads the entry of each row's chosen action
+    base = np.arange(0, r.size, r.shape[-1]).reshape(r.shape[:-1])
+    r_flat, p_rows = r.reshape(-1), p.reshape(-1, p.shape[-1])
     pol = np.argmax(r, axis=-1)
     for _ in range(max_iters):
-        v = _solve_linear(p[(*rows, pol)], r[(*rows, pol)], gamma)
+        chosen = base + pol
+        v = _solve_linear(p_rows[chosen], r_flat[chosen], gamma)
         q = r + gamma * np.einsum("...sat,...t->...sa", p, v)
         new_pol = np.argmax(q, axis=-1)
-        improving = q[(*rows, new_pol)] > q[(*rows, pol)] + 1e-13
+        q_flat = q.reshape(-1)
+        improving = q_flat[base + new_pol] > q_flat[chosen] + 1e-13
         if not improving.any():
             return v, pol
         pol = np.where(improving, new_pol, pol)
@@ -314,21 +342,27 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 
-# Most elements a sweep chunk's stacked transition gather, K * S * A * S,
-# may hold; models whose one coalition exceeds it go one coalition a chunk.
+# Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
+# (q, and the transitions gathered at the W played complement actions), may
+# hold; a coalition that alone exceeds it goes in a chunk of its own.
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, offsets: np.ndarray) -> Iterator[np.ndarray]:
+def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarray]:
     """Every nonempty coalition mask, grouped by joint-action count A_C (its
-    `_subgrids` row length) and cut into chunks whose transition gathers
-    stay within _GATHER_BUDGET."""
+    `_subgrids` row length) and cut into chunks whose q and transition
+    gathers stay within _GATHER_BUDGET. A row of q plays at most
+    W = min(A_D, P) complement actions, P being the most joint actions the
+    behavior plays in one state: each is the projection of one of them."""
     sizes = np.diff(offsets)
     order = np.argsort(sizes[1:], kind="stable") + 1
     starts = np.flatnonzero(np.diff(sizes[order])) + 1
-    per_chunk = max(1, _GATHER_BUDGET
-                    // (m.num_states ** 2 * m.num_joint_actions))
+    most = int(np.bincount(played[0], minlength=m.num_states).max())
     for group in np.split(order, starts):
+        num_c = int(sizes[group[0]])
+        num_d = m.num_joint_actions // num_c
+        per_coalition = m.num_states * (num_d + num_c * min(num_d, most) * m.num_states)
+        per_chunk = max(1, _GATHER_BUDGET // per_coalition)
         for first in range(0, group.size, per_chunk):
             yield group[first:first + per_chunk]
 
@@ -349,8 +383,8 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     j_b = evaluate_return(m, table)
     values = np.zeros(1 << m.num_agents)
     grid = _subgrids(m.action_counts)
-    played = _played(m, table, grid)
-    for chunk in _coalition_chunks(m, grid[1]):
+    played = _played(m, table)
+    for chunk in _coalition_chunks(m, grid[1], played):
         # a lone coalition goes unstacked: a batch axis of one only adds
         # overhead to every round of policy iteration
         masks = chunk[0] if chunk.size == 1 else chunk

@@ -1,5 +1,7 @@
 """Coalition best responses, the inefficiency game, and its realizability."""
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blamekit import planning
-from blamekit.mmdp import AgentPolicy, JointPolicy, evaluate_return
+from blamekit.mmdp import AgentPolicy, JointPolicy, as_joint_table, evaluate_return
 from blamekit.planning import (
     MAX_AGENTS,
     CharacteristicGame,
@@ -323,8 +325,8 @@ def _kernel_cases(m, table):
     """(index (stack), masks, planning._induced's tables) for every sweep
     chunk, stacked, and for each of its coalitions alone."""
     grid = planning._subgrids(m.action_counts)
-    played = planning._played(m, table, grid)
-    for chunk in planning._coalition_chunks(m, grid[1]):
+    played = planning._played(m, table)
+    for chunk in planning._coalition_chunks(m, grid[1], played):
         stack = index_stack(m, chunk)
         for idx, masks in [(stack, chunk)] + list(zip(stack, chunk)):
             yield idx, masks, planning._induced(m, played, masks, grid)
@@ -393,6 +395,62 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     for m, behavior, expected in cases:
         assert characteristic_game(m, behavior).values.tobytes() == expected.tobytes()
+
+
+def _sweep_chunks(m, table):
+    grid = planning._subgrids(m.action_counts)
+    return list(planning._coalition_chunks(m, grid[1], planning._played(m, table)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
+    """A mmdp_from_game behavior plays one joint action per state, so each
+    coalition gathers S * A_C * S transition entries after its S * A_D
+    conditional: every joint-action count group is one chunk where the
+    budget holds it, and otherwise the fewest chunks it allows."""
+    m, behavior = mmdp_from_game(random_monotone_game(n, 0))
+    chunks = _sweep_chunks(m, as_joint_table(m, behavior))
+    S = m.num_states
+    # binary agents: a coalition of k has A_C = 2^k and A_D = 2^(n - k)
+    sizes = planning.membership(n).sum(axis=1)
+    groups = {}
+    for chunk in chunks:
+        groups.setdefault(int(sizes[chunk[0]]), []).append(chunk)
+    assert sorted(groups) == list(range(1, n + 1))
+    for k, group in groups.items():
+        members = np.concatenate(group)
+        assert (sizes[members] == k).all() and members.size == math.comb(n, k)
+        cost = S * ((1 << n - k) + (1 << k) * S)
+        assert len(group) == -(-members.size // (planning._GATHER_BUDGET // cost))
+    if n < 12:
+        assert len(chunks) == n
+    else:
+        assert len(chunks) == 106
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       num_states=st.integers(1, 6),
+       kind=st.sampled_from(["deterministic", "partial", "full"]),
+       budget=st.integers(1, planning._GATHER_BUDGET))
+def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts,
+                                                    num_states, kind, budget):
+    """Every nonempty coalition lands in one chunk of equal A_C, and a chunk
+    of K > 1 holds K * S * (A_D + A_C * W * S) elements at most, W being
+    the width its complement conditional is padded to."""
+    rng = np.random.default_rng(seed)
+    m = random_mmdp(rng, num_states, tuple(action_counts))
+    table = _behavior_table(rng, m, kind)
+    with mock.patch.object(planning, "_GATHER_BUDGET", budget):
+        chunks = _sweep_chunks(m, table)
+    assert sorted(np.concatenate(chunks)) == list(range(1, 1 << m.num_agents))
+    for chunk in chunks:
+        idx = index_stack(m, chunk)
+        width = np.count_nonzero(complement_conditional(m, table, idx), -1).max()
+        _, num_c, num_d = idx.shape
+        if chunk.size > 1:
+            assert chunk.size * num_states * (num_d + num_c * width * num_states) <= budget
 
 
 def test_characteristic_game_is_memoized():

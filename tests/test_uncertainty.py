@@ -13,6 +13,7 @@ from blamekit.attribution import (
     shapley,
 )
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from blamekit.lp import LinearProgram, solve
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
 from blamekit.planning import best_response, characteristic_game, mmdp_from_game
 from blamekit.properties import random_monotone_game
@@ -437,3 +438,60 @@ def test_graph_box_lp_at_eps_001_seed_388372268():
     model, behavior = build_graph(GraphSpec("robustness"))
     uset = sample_center(behavior, 0.01, 388372268)
     sv_blackstone(model, uset, exact=False)
+
+
+# The two LPs above as the adversary step hands them to the simplex, recorded
+# from those runs: (objective, constraint matrix, bounds), then the optimum
+# HiGHS reports. Once the adversary path routes around the simplex (ROADMAP
+# item 2), only these keep the simplex defect in view.
+_BALL_LP = (
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+    [[0.8860867316499788, 0.9360872021687551, 0.9367337400868917,
+      0.8944186008265872, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+     [0.886087202168755, 0.886087202168755, 0.886087202168755,
+      0.886087202168755, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+     [1.0, 0.0, 0.0, 0.0, -1.0, -0.0, -0.0, -0.0, 0.0, 0.0],
+     [0.0, 1.0, 0.0, 0.0, -0.0, -1.0, -0.0, -0.0, 0.0, 0.0],
+     [0.0, 0.0, 1.0, 0.0, -0.0, -0.0, -1.0, -0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0, -0.0, -0.0, -0.0, -1.0, 0.0, 0.0],
+     [-1.0, -0.0, -0.0, -0.0, -1.0, -0.0, -0.0, -0.0, 0.0, 0.0],
+     [-0.0, -1.0, -0.0, -0.0, -0.0, -1.0, -0.0, -0.0, 0.0, 0.0],
+     [-0.0, -0.0, -1.0, -0.0, -0.0, -0.0, -1.0, -0.0, 0.0, 0.0],
+     [-0.0, -0.0, -0.0, -1.0, -0.0, -0.0, -0.0, -1.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+     [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+     [-1.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+    [0.0, 0.0, 0.003069098216965299, 0.9779479616859152, 0.005711576165367702,
+     0.013271363931751795, -0.003069098216965299, -0.9779479616859152,
+     -0.005711576165367702, -0.013271363931751795, 0.1, 1.0, -1.0],
+    -0.9328807231149606)
+
+_BOX_LP = (
+    [0.0, 0.0, -1.0, 1.0],
+    [[0.7283341150660547, 0.7098409624330528, -1.0, 1.0],
+     [0.7439877838160072, 2.7429165018299155, -1.0, 1.0],
+     [0.7096990784161561, 2.7108697445984618, -1.0, 1.0],
+     [2.7152255802504714, 0.7237119057024941, -1.0, 1.0],
+     [0.7203410877125529, 2.7131900278411907, -1.0, 1.0],
+     [2.7155768449367947, 0.7233545344032075, -1.0, 1.0],
+     [2.732099309437059, 0.7073335528932552, -1.0, 1.0],
+     [0.7084498267655872, 0.7370649540349019, -1.0, 1.0],
+     [1.0, 0.0, 0.0, 0.0],
+     [0.0, 1.0, 0.0, 0.0],
+     [-1.0, -0.0, 0.0, 0.0],
+     [-0.0, -1.0, 0.0, 0.0],
+     [1.0, 1.0, 0.0, 0.0],
+     [-1.0, -1.0, 0.0, 0.0]],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5192119278899094,
+     0.5007880721100906, -0.4992119278899094, -0.48078807211009056, 1.0, -1.0],
+    -1.7316604931399924)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 1: the simplex reports this feasible LP infeasible")
+@pytest.mark.parametrize("recorded", [_BALL_LP, _BOX_LP], ids=["ball", "box"])
+def test_recorded_adversary_lp_solves_to_the_highs_optimum(recorded):
+    objective, matrix, bounds, optimum = recorded
+    sol = solve(LinearProgram(objective, matrix, bounds))
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(optimum, rel=1e-9)
