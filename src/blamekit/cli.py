@@ -124,6 +124,8 @@ def cmd_check(args) -> int:
     name = names[0]
     tiebreak = _tiebreak_index(args.tiebreak, model.num_agents)
     eps = args.eps_value
+    if not (np.isfinite(eps) and eps >= 0):
+        raise CliError(2, f"bad eps {eps!r}: expected a finite value >= 0")
     try:
         game = characteristic_game(model, behavior)
         beta = (METHODS[name](game, tiebreak) if name == "MER"
@@ -334,8 +336,9 @@ def _parse_eps_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as err:
         raise CliError(2, f"bad eps list {text!r}") from err
-    if not values or any(v < 0 for v in values):
-        raise CliError(2, f"bad eps list {text!r}")
+    # a half-L1 radius of 1 already covers the whole simplex
+    if not values or not all(0.0 <= v <= 1.0 for v in values):
+        raise CliError(2, f"bad eps list {text!r}: expected values in [0, 1]")
     return values
 
 

@@ -125,13 +125,10 @@ class JointPolicy:
         """Dense (num_states, num_joint_actions) table of product probabilities."""
         if len(self.agents) != m.num_agents:
             raise ValueError("policy has wrong number of agents for this model")
-        table = np.ones((m.num_states, 1))
         for ap, k in zip(self.agents, m.action_counts):
             if ap.probs.shape != (m.num_states, k):
                 raise ValueError("agent policy shape does not match model")
-            table = table[:, :, None] * ap.probs[:, None, :]
-            table = table.reshape(m.num_states, -1)
-        return table
+        return product_table(m.num_states, [ap.probs for ap in self.agents])
 
     def validate(self, m: Mmdp | None = None) -> list[str]:
         problems = []
@@ -145,6 +142,17 @@ class JointPolicy:
                     if ap.probs.shape != (m.num_states, k):
                         problems.append(f"agent {i}: policy shape {ap.probs.shape} vs model")
         return problems
+
+
+def product_table(num_states: int, rows) -> np.ndarray:
+    """(num_states, prod k_i) table of products of per-agent (num_states, k_i)
+    rows, first agent the most significant digit: the column of digits
+    (a_0, ..., a_n-1) holds 1.0 * rows[0][:, a_0] * ... * rows[n-1][:, a_n-1],
+    multiplied left to right."""
+    table = np.ones((num_states, 1))
+    for row in rows:
+        table = (table[:, :, None] * row[:, None, :]).reshape(num_states, -1)
+    return table
 
 
 def joint_index_grid(action_counts) -> np.ndarray:

@@ -385,10 +385,7 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     grid = _subgrids(m.action_counts)
     played = _played(m, table)
     for chunk in _coalition_chunks(m, grid[1], played):
-        # a lone coalition goes unstacked: a batch axis of one only adds
-        # overhead to every round of policy iteration
-        masks = chunk[0] if chunk.size == 1 else chunk
-        v, _ = solve_mdp(*_induced(m, played, masks, grid), m.discount)
+        v, _ = solve_mdp(*_induced(m, played, chunk, grid), m.discount)
         # a stacked (1, S) @ (S,) product per member is the same dot product
         # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
         values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b

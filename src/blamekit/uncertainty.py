@@ -17,6 +17,11 @@ Chooser feasible sets, from tightest to loosest:
     endpoints. Always available; bounds stay one-sided, just looser.
 The default picks the tightest applicable set per subproblem; exact=False
 forces the relaxed box, exact=True raises where no exact path exists.
+
+Every chooser table over complement joint actions is an
+`mmdp.product_table` of per-agent rows. An acyclic model takes one backward
+pass in topological order; a cyclic one alternates chooser sweeps with
+exact evaluation of the chosen conditional until the values settle.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .attribution import (PIVOTAL_TOL, BlameAssignment, banzhaf_weights, mer,
                           sequential_sums, shapley, shapley_weights,
                           weighted_marginals)
 from .lp import LinearProgram, solve
-from .mmdp import AgentPolicy, JointPolicy, Mmdp
+from .mmdp import AgentPolicy, JointPolicy, Mmdp, product_table
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
                        coalition_mask, coalition_tables, lattice_floors,
@@ -69,7 +74,9 @@ class UncertaintySet:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.radius < 0:
+        if not np.isfinite(self.radius):
+            problems.append(f"radius {self.radius} is not finite")
+        elif self.radius < 0:
             problems.append(f"radius {self.radius} is negative")
         problems.extend(self.center.validate())
         if self.truth is not None and not self.contains(self.truth):
@@ -114,6 +121,8 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                   uncertain_agents: frozenset[int] | None = None) -> UncertaintySet:
     """Draw an estimated behavior whose ball of radius eps_max contains the
     truth (guaranteed by the ball's symmetry). Deterministic per seed."""
+    if not np.isfinite(eps_max):
+        raise ValueError("eps_max must be finite")
     if eps_max < 0:
         raise ValueError("eps_max must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -129,55 +138,31 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                           uncertain_agents)
 
 
-@dataclass(frozen=True)
-class RelaxedBox:
-    """Per-state bounds on a joint conditional over some agents' actions:
-    each entry is the product of clipped per-agent interval endpoints."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @staticmethod
-    def for_agents(m: Mmdp, uset: UncertaintySet, agents) -> "RelaxedBox":
-        agents = sorted(agents)
-        lower = np.ones((m.num_states, 1))
-        upper = np.ones((m.num_states, 1))
-        for i in agents:
-            probs = uset.center.agents[i].probs
-            r = uset.agent_radius(i)
-            lo = np.maximum(probs - r, 0.0)
-            hi = np.minimum(probs + r, 1.0)
-            lower = (lower[:, :, None] * lo[:, None, :]).reshape(m.num_states, -1)
-            upper = (upper[:, :, None] * hi[:, None, :]).reshape(m.num_states, -1)
-        return RelaxedBox(lower, upper)
-
-
-def _topological_order(m: Mmdp) -> list[int] | None:
-    """States ordered so transitions only point forward, or None if the
-    model has a cycle beyond terminal self-loops."""
+def _topological_order(m: Mmdp) -> np.ndarray | None:
+    """States ordered so transitions only point back to earlier states
+    (sinks first), or None if the model has a cycle beyond terminal
+    self-loops. Peels every state whose successors are all peeled at once,
+    then drops the peeled columns from the remaining out-degrees."""
     reach = m.transition.max(axis=1) > _EDGE_TOL
-    succ = [set(np.flatnonzero(reach[s])) - {s} for s in range(m.num_states)]
-    for s in range(m.num_states):
-        if s not in m.terminal_states and reach[s, s]:
-            return None
-    indeg = np.zeros(m.num_states, dtype=np.int64)
-    for s in range(m.num_states):
-        for t in succ[s]:
-            indeg[t] += 1
-    queue = [s for s in range(m.num_states) if indeg[s] == 0]
-    order = []
-    while queue:
-        s = queue.pop()
-        order.append(s)
-        for t in succ[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    return order if len(order) == m.num_states else None
+    loops = np.flatnonzero(np.diagonal(reach))
+    if not m.terminal_states.issuperset(loops.tolist()):
+        return None
+    np.fill_diagonal(reach, False)
+    out_degree = reach.sum(axis=1)
+    peeled = [np.flatnonzero(out_degree == 0)]
+    while peeled[-1].size:
+        out_degree -= reach[:, peeled[-1]].sum(axis=1)
+        out_degree[peeled[-1]] = -1
+        peeled.append(np.flatnonzero(out_degree == 0))
+    order = np.concatenate(peeled)
+    return order if order.size == m.num_states else None
 
 
 class _CoalitionProblem:
-    """Precomputation for one (coalition, mode) robust recursion."""
+    """Precomputation for one (coalition, mode) robust recursion: the
+    coalition's reward and transition tables, gathered once, and the
+    chooser's (S, A_D) complement tables, each a `product_table` of
+    per-agent rows."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
                  exact: bool | None):
@@ -187,19 +172,17 @@ class _CoalitionProblem:
         self.others = [j for j in range(m.num_agents) if j not in members]
         self.idx = coalition_action_index(m, self.coalition)
         self.num_c, self.num_d = self.idx.shape
+        self.reward, self.transition = coalition_tables(m, self.idx)
         self.uncertain = [j for j in self.others if uset.agent_radius(j) > 0]
         # per-complement-agent action of each complement column
         dims = [m.action_counts[j] for j in self.others]
         digits = np.unravel_index(np.arange(self.num_d), dims) if dims else ()
-        self.cols = cols = dict(zip(self.others, digits))
+        self.cols = dict(zip(self.others, digits))
 
-        def product_table(agent_subset):
-            table = np.ones((m.num_states, self.num_d))
-            for j in agent_subset:
-                table *= uset.center.agents[j].probs[:, cols[j]]
-            return table
-
-        self.center_table = product_table(self.others)
+        num_states = m.num_states
+        probs = [uset.center.agents[j].probs for j in self.others]
+        radii = [uset.agent_radius(j) for j in self.others]
+        self.center_table = product_table(num_states, probs)
         if not self.uncertain:
             self.path = "fixed"
         elif exact is False:
@@ -216,32 +199,32 @@ class _CoalitionProblem:
         else:
             self.path = "box"
 
+        # multiplying by a ones row is exact: an uncertain agent drops out
+        ones = [np.ones_like(p) for p in probs]
+        lows = [np.maximum(p - r, 0.0) for p, r in zip(probs, radii)]
+        highs = [np.minimum(p + r, 1.0) for p, r in zip(probs, radii)]
+        if self.path in ("ball", "corner"):
+            self.certain_table = product_table(num_states, [
+                one if r > 0 else p for p, one, r in zip(probs, ones, radii)])
         if self.path == "ball":
-            u = self.uncertain[0]
-            self.ball_agent = u
-            self.ball_rows = uset.center.agents[u].probs
-            self.ball_eps = uset.agent_radius(u)
-            self.ball_col = cols[u]
-            self.certain_table = product_table(j for j in self.others if j != u)
+            u = self.others.index(self.uncertain[0])
+            self.ball_rows = probs[u]
+            self.ball_eps = radii[u]
+            self.ball_col = digits[u]
         elif self.path == "corner":
-            self.certain_table = product_table(
-                j for j in self.others if j not in self.uncertain)
-            self.corner_factors = []
-            for j in self.uncertain:
-                probs = uset.center.agents[j].probs
-                r = uset.agent_radius(j)
-                lo0 = np.maximum(probs[:, 0] - r, 0.0)
-                hi0 = np.minimum(probs[:, 0] + r, 1.0)
-                ends = np.stack([np.stack([lo0, 1.0 - lo0], axis=1),
-                                 np.stack([hi0, 1.0 - hi0], axis=1)], axis=1)
-                # ends[s, end, action] gathered per complement column
-                self.corner_factors.append(ends[:, :, cols[j]])
+            # corner_factors[j][end]: uncertain agent j's low (end 0) or
+            # high (end 1) interval end on action 0, per complement column
+            self.corner_factors = [
+                [product_table(num_states, ones[:pos] + [
+                    np.stack([ends[pos][:, 0], 1.0 - ends[pos][:, 0]], axis=1)]
+                    + ones[pos + 1:]) for ends in (lows, highs)]
+                for pos, r in enumerate(radii) if r > 0]
             self.corner_combos = [
                 tuple(combo >> b & 1 for b in range(len(self.uncertain)))
                 for combo in range(1 << len(self.uncertain))]
         elif self.path == "box":
-            box = RelaxedBox.for_agents(m, uset, self.others)
-            self.box_lower, self.box_upper = box.lower, box.upper
+            self.box_lower = product_table(num_states, lows)
+            self.box_upper = product_table(num_states, highs)
 
     def solve_state(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         """Chooser value and complement conditional for one state; b has
@@ -297,7 +280,7 @@ class _CoalitionProblem:
         for combo in self.corner_combos:
             q = base.copy()
             for factor, end in zip(self.corner_factors, combo):
-                q *= factor[s, end]
+                q *= factor[end][s]
             val = float((b @ q).max())
             if val > best_val:
                 best_val, best_q = val, q
@@ -422,30 +405,22 @@ class RobustBounds:
         table = q if mask == 0 else None
         return float(m.initial_dist @ v), table
 
-    def _backed_up(self, problem: _CoalitionProblem, v: np.ndarray) -> np.ndarray:
-        m = self.m
-        q_future = m.reward + m.discount * (m.transition @ v)
-        return q_future[np.arange(m.num_states)[:, None, None], problem.idx]
-
     def _backward_pass(self, problem: _CoalitionProblem):
         m = self.m
         v = np.zeros(m.num_states)
         q = problem.center_table.copy()
-        for s in reversed(self._topo):
+        for s in self._topo:
             if s in m.terminal_states:
                 continue
-            b = (m.reward[s, problem.idx]
-                 + m.discount * (m.transition[s, problem.idx] @ v))
+            b = problem.reward[s] + m.discount * (problem.transition[s] @ v)
             v[s], q[s] = problem.solve_state(b, s)
         return v, q
 
     def _iterate(self, problem: _CoalitionProblem):
         m = self.m
         v = best_response(m, self.uset.center, problem.coalition).state_values
-        tables = coalition_tables(m, problem.idx)
-        q = None
         for sweep in range(MAX_SWEEPS):
-            backed = self._backed_up(problem, v)
+            backed = problem.reward + m.discount * (problem.transition @ v)
             values = np.zeros(m.num_states)
             q = problem.center_table.copy()
             for s in self._nonterminal:
@@ -454,16 +429,11 @@ class RobustBounds:
             if residual <= RESIDUAL_TOL or (sweep >= 1000
                                             and residual <= RESIDUAL_FLOOR):
                 return v, q
-            v = self._evaluate(tables, q)
+            # the coalition's exact best response against q
+            v, _ = solve_mdp(*marginalize(q, problem.reward, problem.transition),
+                             m.discount)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
-
-    def _evaluate(self, tables: tuple[np.ndarray, np.ndarray],
-                  q: np.ndarray) -> np.ndarray:
-        """Exact value of the coalition's best response against a fixed
-        complement conditional; `tables` come from `coalition_tables`."""
-        v, _ = solve_mdp(*marginalize(q, *tables), self.m.discount)
-        return v
 
 
 _BOUNDS_CACHE: dict[bytes, RobustBounds] = {}

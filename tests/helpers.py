@@ -146,3 +146,80 @@ def induced_gathered(m, table, idx):
     flat = planning._flat_index(m, idx[..., :1]) + outside[..., None, :]
     return planning.marginalize(np.take_along_axis(q, keep, -1),
                                 *planning._gather(m, flat))
+
+
+# The per-agent product tables and the state order as `uncertainty` built
+# them before `mmdp.product_table` and the peeled order: the references
+# `_CoalitionProblem` and `_topological_order` must match byte for byte.
+
+def complement_columns(m, others):
+    """Each complement agent's action in every complement joint action."""
+    dims = [m.action_counts[j] for j in others]
+    num_d = int(np.prod(dims))
+    digits = np.unravel_index(np.arange(num_d), dims) if dims else ()
+    return num_d, dict(zip(others, digits))
+
+
+def complement_product_loop(m, uset, others, subset):
+    """(S, A_D) product of `subset`'s center rows over the complement
+    `others`' joint actions: a ones table scaled in place per agent."""
+    num_d, cols = complement_columns(m, others)
+    table = np.ones((m.num_states, num_d))
+    for j in subset:
+        table *= uset.center.agents[j].probs[:, cols[j]]
+    return table
+
+
+def relaxed_box_loop(m, uset, agents):
+    """(lower, upper): each joint entry over `agents`' actions is the
+    product of the clipped per-agent interval endpoints."""
+    lower = np.ones((m.num_states, 1))
+    upper = np.ones((m.num_states, 1))
+    for i in sorted(agents):
+        probs = uset.center.agents[i].probs
+        r = uset.agent_radius(i)
+        lo = np.maximum(probs - r, 0.0)
+        hi = np.minimum(probs + r, 1.0)
+        lower = (lower[:, :, None] * lo[:, None, :]).reshape(m.num_states, -1)
+        upper = (upper[:, :, None] * hi[:, None, :]).reshape(m.num_states, -1)
+    return lower, upper
+
+
+def corner_factors_loop(m, uset, others, uncertain):
+    """Per uncertain agent, (S, 2, A_D): its low and high interval ends
+    (on action 0) gathered per complement column."""
+    _, cols = complement_columns(m, others)
+    factors = []
+    for j in uncertain:
+        probs = uset.center.agents[j].probs
+        r = uset.agent_radius(j)
+        lo0 = np.maximum(probs[:, 0] - r, 0.0)
+        hi0 = np.minimum(probs[:, 0] + r, 1.0)
+        ends = np.stack([np.stack([lo0, 1.0 - lo0], axis=1),
+                         np.stack([hi0, 1.0 - hi0], axis=1)], axis=1)
+        factors.append(ends[:, :, cols[j]])
+    return factors
+
+
+def kahn_order(m, edge_tol):
+    """States ordered so transitions only point forward (sources first), or
+    None if the model has a cycle beyond terminal self-loops."""
+    reach = m.transition.max(axis=1) > edge_tol
+    succ = [set(np.flatnonzero(reach[s])) - {s} for s in range(m.num_states)]
+    for s in range(m.num_states):
+        if s not in m.terminal_states and reach[s, s]:
+            return None
+    indeg = np.zeros(m.num_states, dtype=np.int64)
+    for s in range(m.num_states):
+        for t in succ[s]:
+            indeg[t] += 1
+    queue = [s for s in range(m.num_states) if indeg[s] == 0]
+    order = []
+    while queue:
+        s = queue.pop()
+        order.append(s)
+        for t in succ[s]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                queue.append(t)
+    return order if len(order) == m.num_states else None

@@ -428,6 +428,25 @@ def test_bad_eps_list_exits_2(tmp_path, capsys):
     code = main(["experiment", "robustness-grid", "--eps", "-0.2",
                  "--out", str(tmp_path)])
     assert code == 2
+    # a radius past 1 covers nothing more of the simplex, and the sampler
+    # cannot draw within a non-finite one
+    for text in ("inf", "nan", "1e308", "-inf", "0.1,nan", "1.5"):
+        code = main(["experiment", "robustness-grid", "--seeds", "1",
+                     f"--eps={text}", "--out", str(tmp_path)])
+        assert code == 2, text
+        assert "bad eps list" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_check_bad_eps_exits_2(two_agent_inputs, capsys):
+    model_path, behavior_path = two_agent_inputs
+    for text in ("nan", "inf", "-1"):
+        code = main(["check", "--model", model_path, "--behavior",
+                     behavior_path, "--methods", "SV", "--eps", text])
+        assert code == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad eps" in captured.err
 
 
 def test_exact_uncertainty_unavailable_on_the_graph(tmp_path, capsys):

@@ -14,13 +14,16 @@ from blamekit.attribution import (
 )
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.lp import LinearProgram, solve
-from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
+from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, evaluate_return,
+                           product_table)
 from blamekit.planning import best_response, characteristic_game, mmdp_from_game
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import (
-    RelaxedBox,
+    _EDGE_TOL,
     UncertaintySet,
+    _CoalitionProblem,
     _monotone_closure,
+    _topological_order,
     ap_blackstone,
     bi_blackstone,
     l1_distance,
@@ -33,7 +36,9 @@ from blamekit.uncertainty import (
     sv_blackstone,
     sv_valid,
 )
-from helpers import monotone_closure_loop, random_factorized, random_mmdp
+from helpers import (complement_columns, complement_product_loop,
+                     corner_factors_loop, kahn_order, monotone_closure_loop,
+                     random_factorized, random_mmdp, relaxed_box_loop)
 
 
 def bandit_model(reward_row, action_counts, gamma=0.99):
@@ -86,6 +91,9 @@ def test_sample_center_zero_radius_and_agent_filter():
     assert partial.agent_radius(1) == 0.2
     with pytest.raises(ValueError):
         sample_center(truth, -0.1, seed=0)
+    for radius in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            sample_center(truth, radius, seed=0)
 
 
 def test_uncertainty_set_validate_and_contains():
@@ -97,6 +105,9 @@ def test_uncertainty_set_validate_and_contains():
     assert not uset.contains(outside)
     assert uset.validate() == []
     assert UncertaintySet(center, -0.5).validate() != []
+    for radius in (np.inf, -np.inf, np.nan):
+        assert any("not finite" in p
+                   for p in UncertaintySet(center, radius).validate())
     stray = UncertaintySet(center, 0.1, truth=outside)
     assert any("outside" in p for p in stray.validate())
 
@@ -291,14 +302,125 @@ def test_relaxed_box_entries_are_clipped_products():
     m = bandit_model(np.zeros(6), (2, 3))
     center = bandit_center([(0.9, 0.1), (0.5, 0.3, 0.2)])
     uset = UncertaintySet(center, 0.2)
-    box = RelaxedBox.for_agents(m, uset, [0, 1])
-    assert box.lower.shape == (2, 6)
+    # the empty coalition's box spans every agent's actions
+    box = _CoalitionProblem(m, uset, 0, "min", False)
+    assert box.path == "box"
+    assert box.box_lower.shape == (2, 6)
     # joint action (0, 1): agent 0 takes 0, agent 1 takes 1
-    assert box.lower[0, 1] == pytest.approx(0.7 * 0.1, abs=1e-12)
-    assert box.upper[0, 1] == pytest.approx(1.0 * 0.5, abs=1e-12)
-    assert box.lower[0, 2] == pytest.approx(0.7 * 0.0, abs=1e-12)
-    assert box.upper[0, 2] == pytest.approx(1.0 * 0.4, abs=1e-12)
-    assert (box.lower <= box.upper + 1e-12).all()
+    assert box.box_lower[0, 1] == pytest.approx(0.7 * 0.1, abs=1e-12)
+    assert box.box_upper[0, 1] == pytest.approx(1.0 * 0.5, abs=1e-12)
+    assert box.box_lower[0, 2] == pytest.approx(0.7 * 0.0, abs=1e-12)
+    assert box.box_upper[0, 2] == pytest.approx(1.0 * 0.4, abs=1e-12)
+    assert (box.box_lower <= box.box_upper + 1e-12).all()
+
+
+def _same_bytes(table, reference):
+    reference = np.ascontiguousarray(reference)
+    assert table.shape == reference.shape
+    assert table.tobytes() == reference.tobytes()
+
+
+# signed zeros and exact zeros included: a product must keep the sign the
+# loops give it
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 0.1, 0.7, 1.0 / 3.0])
+
+
+@st.composite
+def product_cases(draw):
+    # binary agents weighted up: the corner path needs two of them
+    counts = tuple(draw(st.lists(st.just(2) | st.integers(1, 4),
+                                 min_size=1, max_size=4)))
+    num_states = draw(st.integers(1, 3))
+    agents = tuple(
+        AgentPolicy(np.array(draw(st.lists(_ENTRIES, min_size=num_states * k,
+                                           max_size=num_states * k)),
+                             dtype=float).reshape(num_states, k))
+        for k in counts)
+    num_joint = int(np.prod(counts))
+    m = Mmdp(num_states, len(counts), counts,
+             np.zeros((num_states, num_joint)),
+             np.zeros((num_states, num_joint, num_states)), 0.9,
+             np.full(num_states, 1.0 / num_states))
+    radius = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    uncertain = draw(st.none() | st.frozensets(st.integers(0, len(counts) - 1)))
+    return m, UncertaintySet(JointPolicy(agents), radius,
+                             uncertain_agents=uncertain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_cases())
+def test_product_tables_match_the_loops(case):
+    m, uset = case
+    every = list(range(m.num_agents))
+    whole = complement_product_loop(m, uset, every, every)
+    _same_bytes(product_table(m.num_states,
+                              [ap.probs for ap in uset.center.agents]), whole)
+    _same_bytes(uset.center.joint_table(m), whole)
+    for mask in range(1 << m.num_agents):
+        for mode in ("min", "max"):
+            for exact in (None, False, True):
+                try:
+                    problem = _CoalitionProblem(m, uset, mask, mode, exact)
+                except ValueError:
+                    assert exact is True
+                    continue
+                others = problem.others
+                certain = [j for j in others if j not in problem.uncertain]
+                _same_bytes(problem.center_table,
+                            complement_product_loop(m, uset, others, others))
+                if problem.path in ("ball", "corner"):
+                    _same_bytes(problem.certain_table,
+                                complement_product_loop(m, uset, others, certain))
+                if problem.path == "ball":
+                    _, cols = complement_columns(m, others)
+                    np.testing.assert_array_equal(
+                        problem.ball_col, cols[problem.uncertain[0]])
+                elif problem.path == "corner":
+                    expected = corner_factors_loop(m, uset, others,
+                                                   problem.uncertain)
+                    assert len(problem.corner_factors) == len(expected)
+                    for factor, ends in zip(problem.corner_factors, expected):
+                        for end in (0, 1):
+                            _same_bytes(factor[end], ends[:, end])
+                elif problem.path == "box":
+                    lower, upper = relaxed_box_loop(m, uset, others)
+                    _same_bytes(problem.box_lower, lower)
+                    _same_bytes(problem.box_upper, upper)
+
+
+@st.composite
+def state_graphs(draw):
+    """Transition supports over up to 7 states: random digraphs, or DAGs
+    under a random ranking (self-loops kept), with sub-tolerance entries
+    and random terminal sets."""
+    num_states = draw(st.integers(1, 7))
+    size = num_states * 2 * num_states
+    entries = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-16, 0.3, 1.0]),
+                            min_size=size, max_size=size))
+    transition = np.array(entries).reshape(num_states, 2, num_states)
+    if draw(st.booleans()):
+        rank = np.array(draw(st.permutations(range(num_states))))
+        downhill = rank[None, :] <= rank[:, None]
+        transition = transition * downhill[:, None, :]
+    terminal = draw(st.frozensets(st.integers(0, num_states - 1)))
+    return Mmdp(num_states, 1, (2,), np.zeros((num_states, 2)), transition,
+                0.9, np.full(num_states, 1.0 / num_states), terminal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_graphs())
+def test_peeled_order_matches_kahn(m):
+    order = _topological_order(m)
+    assert (order is None) == (kahn_order(m, _EDGE_TOL) is None)
+    if order is None:
+        return
+    assert sorted(order.tolist()) == list(range(m.num_states))
+    position = np.empty(m.num_states, dtype=np.int64)
+    position[order] = np.arange(m.num_states)
+    reach = m.transition.max(axis=1) > _EDGE_TOL
+    for s, t in zip(*np.nonzero(reach)):
+        if s != t:
+            assert position[t] < position[s]
 
 
 def test_monotone_closure():
