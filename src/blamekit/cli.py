@@ -269,15 +269,6 @@ def _blame_cells(blames) -> list[str]:
     return [_fmt(b) for b in blames]
 
 
-def _write_rows(path: str, header: str, lines: list[str]) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(line + "\n" for line in lines)
-    except OSError as err:
-        raise CliError(4, f"cannot write {path}: {err}") from err
-
-
 def cmd_experiment(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -290,16 +281,16 @@ def cmd_experiment(args) -> int:
         lines = [",".join([_fmt(r["alpha_prime"]), r["method"]]
                           + _blame_cells(r["blames"]) + [_fmt(r["total"])])
                  for r in rows]
-        _write_rows(os.path.join(args.out, "perm.csv"),
-                    "alpha_prime,method,beta_1,beta_2,total", lines)
+        _emit(["alpha_prime,method,beta_1,beta_2,total", *lines],
+              os.path.join(args.out, "perm.csv"))
         return 0
     if args.name == "coordination":
         rows = run_coordination()
         lines = [",".join([str(r["m"]), r["method"]]
                           + _blame_cells(r["blames"]) + [_fmt(r["total"])])
                  for r in rows]
-        _write_rows(os.path.join(args.out, "coordination.csv"),
-                    "m,method,beta_1,beta_2,beta_3,beta_4,total", lines)
+        _emit(["m,method,beta_1,beta_2,beta_3,beta_4,total", *lines],
+              os.path.join(args.out, "coordination.csv"))
         return 0
     if args.name in ("robustness-grid", "robustness-graph"):
         env = "gridworld" if args.name == "robustness-grid" else "graph"
@@ -315,18 +306,16 @@ def cmd_experiment(args) -> int:
                              str(r["consistent"]).lower()])
                  for r in rows]
         stem = args.name.replace("-", "_")
-        _write_rows(os.path.join(args.out, f"{stem}.csv"),
-                    f"method,eps_max,seed,{beta_cols},total,l1_to_truth,consistent",
-                    lines)
+        _emit([f"method,eps_max,seed,{beta_cols},total,l1_to_truth,consistent",
+               *lines], os.path.join(args.out, f"{stem}.csv"))
         summary = summarize_robustness(rows)
         sum_lines = [",".join([r["method"], _fmt(r["eps_max"]),
                                _fmt(r["total_mean"]), _fmt(r["total_std"]),
                                _fmt(r["l1_mean"]), _fmt(r["l1_std"]),
                                str(r["consistent_all"]).lower()])
                      for r in summary]
-        _write_rows(os.path.join(args.out, f"{stem}_summary.csv"),
-                    "method,eps_max,total_mean,total_std,l1_mean,l1_std,consistent_all",
-                    sum_lines)
+        _emit(["method,eps_max,total_mean,total_std,l1_mean,l1_std,consistent_all",
+               *sum_lines], os.path.join(args.out, f"{stem}_summary.csv"))
         return 0
     raise CliError(2, f"unknown experiment {args.name!r}")
 

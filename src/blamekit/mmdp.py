@@ -182,7 +182,10 @@ def as_joint_table(m: Mmdp, behavior) -> np.ndarray:
 
 def validate_mmdp(m: Mmdp) -> list[str]:
     """Return a list of violated invariants (empty iff the model is valid)."""
-    problems = []
+    # an agent without actions leaves every per-state table empty
+    problems = _idle_agents(m.action_counts)
+    if problems:
+        return problems
     A = m.num_joint_actions
     if m.reward.shape != (m.num_states, A):
         problems.append(f"reward table shape {m.reward.shape}, expected {(m.num_states, A)}")
@@ -223,6 +226,11 @@ def validate_mmdp(m: Mmdp) -> list[str]:
         if np.abs(m.transition[s] - expect[None, :]).max() > 1e-10:
             problems.append(f"terminal state {s} does not self-loop with probability 1")
     return problems
+
+
+def _idle_agents(action_counts) -> list[str]:
+    return [f"agent {i} has {k} actions, fewer than 1"
+            for i, k in enumerate(action_counts) if k < 1]
 
 
 def _non_finite(**arrays) -> list[str]:
@@ -324,6 +332,8 @@ def load_model(path) -> Mmdp:
         raise ValueError(f"model file missing field {exc}") from exc
     if len(action_counts) != num_agents:
         raise ValueError("action_counts length does not match num_agents")
+    if problems := _idle_agents(action_counts):
+        raise ValueError(problems[0])
     if num_states > MAX_STATES:
         raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):

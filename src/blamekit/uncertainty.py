@@ -159,37 +159,24 @@ def _topological_order(m: Mmdp) -> np.ndarray | None:
 
 
 class _CoalitionProblem:
-    """Precomputation for one (coalition, mode) robust recursion: the
-    coalition's reward and transition tables, gathered once, and the
-    chooser's (S, A_D) complement tables, each a `product_table` of
-    per-agent rows."""
+    """Precomputation for one (coalition, mode) robust recursion with an
+    uncertain complement agent: the coalition's reward and transition
+    tables, gathered once, the (S, A_D) complement tables its chooser
+    reads, each a `product_table` of per-agent rows, and `solve_state`,
+    the one chooser its path and mode select."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
                  exact: bool | None):
-        self.mode = mode
         self.coalition = mask_agents(mask, m.num_agents)
-        members = set(self.coalition)
-        self.others = [j for j in range(m.num_agents) if j not in members]
-        self.idx = coalition_action_index(m, self.coalition)
-        self.num_c, self.num_d = self.idx.shape
-        self.reward, self.transition = coalition_tables(m, self.idx)
-        self.uncertain = [j for j in self.others if uset.agent_radius(j) > 0]
-        # per-complement-agent action of each complement column
-        dims = [m.action_counts[j] for j in self.others]
-        digits = np.unravel_index(np.arange(self.num_d), dims) if dims else ()
-        self.cols = dict(zip(self.others, digits))
-
-        num_states = m.num_states
-        probs = [uset.center.agents[j].probs for j in self.others]
-        radii = [uset.agent_radius(j) for j in self.others]
-        self.center_table = product_table(num_states, probs)
-        if not self.uncertain:
-            self.path = "fixed"
-        elif exact is False:
+        others = [j for j in range(m.num_agents) if not mask >> j & 1]
+        uncertain = [j for j in others if uset.agent_radius(j) > 0]
+        idx = coalition_action_index(m, self.coalition)
+        self.reward, self.transition = coalition_tables(m, idx)
+        if exact is False:
             self.path = "box"
-        elif len(self.uncertain) == 1:
+        elif len(uncertain) == 1:
             self.path = "ball"
-        elif mode == "max" and all(m.action_counts[j] == 2 for j in self.uncertain):
+        elif mode == "max" and all(m.action_counts[j] == 2 for j in uncertain):
             self.path = "corner"
         elif exact is True:
             raise ValueError(
@@ -199,88 +186,85 @@ class _CoalitionProblem:
         else:
             self.path = "box"
 
+        num_states = m.num_states
+        probs = [uset.center.agents[j].probs for j in others]
+        radii = [uset.agent_radius(j) for j in others]
+        self.center_table = product_table(num_states, probs)
         # multiplying by a ones row is exact: an uncertain agent drops out
         ones = [np.ones_like(p) for p in probs]
         lows = [np.maximum(p - r, 0.0) for p, r in zip(probs, radii)]
         highs = [np.minimum(p + r, 1.0) for p, r in zip(probs, radii)]
         if self.path in ("ball", "corner"):
-            self.certain_table = product_table(num_states, [
+            certain_table = product_table(num_states, [
                 one if r > 0 else p for p, one, r in zip(probs, ones, radii)])
         if self.path == "ball":
-            u = self.others.index(self.uncertain[0])
+            u = others.index(uncertain[0])
+            self.certain_table = certain_table
             self.ball_rows = probs[u]
             self.ball_eps = radii[u]
-            self.ball_col = digits[u]
+            dims = [m.action_counts[j] for j in others]
+            self.ball_col = np.unravel_index(np.arange(idx.shape[1]), dims)[u]
+            if mode == "min":
+                # LP variables: q, then one slack d_j >= |q_j - p_j| per action
+                k = self.ball_rows.shape[1]
+                eye = np.eye(k)
+                self.feasible = np.block([[eye, -eye], [-eye, -eye],
+                                          [np.zeros(k), np.ones(k)]])
         elif self.path == "corner":
-            # corner_factors[j][end]: uncertain agent j's low (end 0) or
-            # high (end 1) interval end on action 0, per complement column
-            self.corner_factors = [
+            # one table per vertex of the uncertain agents' segments: bit b
+            # of the vertex picks the low (0) or high (1) interval end, on
+            # action 0, of the b-th uncertain agent
+            factors = [
                 [product_table(num_states, ones[:pos] + [
                     np.stack([ends[pos][:, 0], 1.0 - ends[pos][:, 0]], axis=1)]
                     + ones[pos + 1:]) for ends in (lows, highs)]
                 for pos, r in enumerate(radii) if r > 0]
-            self.corner_combos = [
-                tuple(combo >> b & 1 for b in range(len(self.uncertain)))
-                for combo in range(1 << len(self.uncertain))]
-        elif self.path == "box":
+            self.corner_tables = []
+            for vertex in range(1 << len(factors)):
+                table = certain_table.copy()
+                for b, ends in enumerate(factors):
+                    table *= ends[vertex >> b & 1]
+                self.corner_tables.append(table)
+        else:
             self.box_lower = product_table(num_states, lows)
             self.box_upper = product_table(num_states, highs)
-
-    def solve_state(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        """Chooser value and complement conditional for one state; b has
-        shape (num coalition actions, num complement actions)."""
-        if self.path == "fixed":
-            q = self.center_table[s]
-            return float((b @ q).max()), q
-        if self.path == "ball":
-            folded = self._fold(b, s)
-            if self.mode == "max":
-                return self._ball_max(folded, s)
-            return self._ball_min(folded, s)
-        if self.path == "corner":
-            return self._corner_max(b, s)
-        if self.mode == "max":
-            return self._box_max(b, s)
-        return self._box_min(b, s)
+            if mode == "min":
+                eye = np.eye(idx.shape[1])
+                self.feasible = np.vstack([eye, -eye])
+        # _ball_max, _ball_min, _corner_max, _box_max or _box_min: a state's
+        # backup b (coalition x complement actions) to the chosen value and q
+        self.solve_state = getattr(self, f"_{self.path}_{mode}")
 
     def _fold(self, b: np.ndarray, s: int) -> np.ndarray:
         """Marginalize certain complement agents, leaving the ball agent."""
         k = self.ball_rows.shape[1]
         weighted = b * self.certain_table[s]
-        folded = np.zeros((self.num_c, k))
+        folded = np.zeros((b.shape[0], k))
         np.add.at(folded.T, self.ball_col, weighted.T)
         return folded
 
     def _expand(self, q_ball: np.ndarray, s: int) -> np.ndarray:
         return self.certain_table[s] * q_ball[self.ball_col]
 
-    def _ball_max(self, folded: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+    def _ball_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         p = self.ball_rows[s]
         best_val, best_q = -np.inf, None
-        for row in folded:
+        for row in self._fold(b, s):
             val, q = _ball_row_max(row, p, self.ball_eps)
             if val > best_val:
                 best_val, best_q = val, q
         return best_val, self._expand(best_q, s)
 
-    def _ball_min(self, folded: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        # variables: q, then one slack d_j >= |q_j - p_j| per action
+    def _ball_min(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         p = self.ball_rows[s]
-        k = p.size
-        eye = np.eye(k)
-        feasible = np.block([[eye, -eye], [-eye, -eye],
-                             [np.zeros(k), np.ones(k)]])
         bounds = np.concatenate([p, -p, [2.0 * self.ball_eps]])
-        value, q = _adversary_min(folded, feasible, bounds, "ball")
+        value, q = _adversary_min(self._fold(b, s), self.feasible, bounds, "ball")
         return value, self._expand(q, s)
 
     def _corner_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        base = self.certain_table[s]
         best_val, best_q = -np.inf, None
-        for combo in self.corner_combos:
-            q = base.copy()
-            for factor, end in zip(self.corner_factors, combo):
-                q *= factor[end][s]
+        for table in self.corner_tables:
+            q = table[s]
             val = float((b @ q).max())
             if val > best_val:
                 best_val, best_q = val, q
@@ -304,9 +288,8 @@ class _CoalitionProblem:
         return best_val, best_q
 
     def _box_min(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        eye = np.eye(self.num_d)
         bounds = np.concatenate([self.box_upper[s], -self.box_lower[s]])
-        return _adversary_min(b, np.vstack([eye, -eye]), bounds, "box")
+        return _adversary_min(b, self.feasible, bounds, "box")
 
 
 def _adversary_min(payoff: np.ndarray, feasible: np.ndarray,
@@ -357,16 +340,14 @@ class RobustBounds:
     an uncertainty set, memoized per coalition."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, exact: bool | None = None):
-        problems = uset.validate()
+        problems = uset.validate() or uset.center.validate(m)
         if problems:
             raise ValueError("invalid uncertainty set: " + "; ".join(problems))
-        if len(uset.center.agents) != m.num_agents:
-            raise ValueError("uncertainty set does not match the model")
         self.m = m
         self.uset = uset
         self.exact = exact
-        self._values: dict[tuple[int, str], float] = {}
-        self._max_table: np.ndarray | None = None
+        # (value, joint behavior table attaining it; only the empty coalition's)
+        self._values: dict[tuple[int, str], tuple[float, np.ndarray | None]] = {}
         self._topo = _topological_order(m)
         self._nonterminal = np.array(
             [s for s in range(m.num_states) if s not in m.terminal_states])
@@ -381,29 +362,27 @@ class RobustBounds:
         """A joint behavior table attaining max_value(()) over the chooser
         set; its exact evaluation equals that bound."""
         self._bound(0, "max")
-        return self._max_table
+        return self._values[0, "max"][1]
 
     def _bound(self, mask: int, mode: str) -> float:
         key = (mask, mode)
         if key not in self._values:
-            value, table = self._solve(mask, mode)
-            self._values[key] = value
-            if key == (0, "max"):
-                self._max_table = table
-        return self._values[key]
+            self._values[key] = self._solve(mask, mode)
+        return self._values[key][0]
 
     def _solve(self, mask: int, mode: str) -> tuple[float, np.ndarray | None]:
-        m = self.m
-        problem = _CoalitionProblem(m, self.uset, mask, mode, self.exact)
-        if problem.path == "fixed":
-            br = best_response(m, self.uset.center, problem.coalition)
-            return br.value, problem.center_table if mask == 0 else None
+        m, uset = self.m, self.uset
+        if all(mask >> j & 1 or uset.agent_radius(j) == 0
+               for j in range(m.num_agents)):
+            # every complement agent is certain: the center is the only behavior
+            br = best_response(m, uset.center, mask_agents(mask, m.num_agents))
+            return br.value, uset.center.joint_table(m) if mask == 0 else None
+        problem = _CoalitionProblem(m, uset, mask, mode, self.exact)
         if self._topo is not None:
             v, q = self._backward_pass(problem)
         else:
             v, q = self._iterate(problem)
-        table = q if mask == 0 else None
-        return float(m.initial_dist @ v), table
+        return float(m.initial_dist @ v), q if mask == 0 else None
 
     def _backward_pass(self, problem: _CoalitionProblem):
         m = self.m

@@ -267,6 +267,25 @@ def test_state_count_cap_exits_2(two_agent_inputs, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts, message", [
+    ([0, 2], "agent 0 has 0 actions, fewer than 1"),
+    ([2, -1], "agent 1 has -1 actions, fewer than 1")])
+def test_agent_without_actions_exits_2(two_agent_inputs, tmp_path, capsys,
+                                       counts, message):
+    """An agent with no actions empties every per-state table; the loader
+    refuses it before validation reduces over an empty terminal row."""
+    _, behavior_path = two_agent_inputs
+    doc = {"num_states": 2, "num_agents": 2, "action_counts": counts,
+           "gamma": 0.9, "initial_dist": [1.0, 0.0], "terminals": [1],
+           "rewards": [], "transitions": []}
+    path = tmp_path / "idle_agent.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 # Values a fuzzed field may take: wrong JSON types, the NaN and Infinity
 # literals Python's json reads, zero, negative and fractional counts, and a
 # count too large to allocate (no size in between, so nothing big is built).
@@ -375,6 +394,11 @@ def test_perm_experiment_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "perm.csv").read_text().splitlines()
     assert lines[0] == "alpha_prime,method,beta_1,beta_2,total"
     assert len(lines) == 1 + 11 * 5
+    blocked = tmp_path / "blocked"
+    (blocked / "perm.csv").mkdir(parents=True)
+    code = main(["experiment", "perm", "--out", str(blocked)])
+    assert code == 4
+    assert f"cannot write {blocked / 'perm.csv'}" in capsys.readouterr().err
 
 
 def test_coordination_experiment_writes_csv(tmp_path):

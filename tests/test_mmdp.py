@@ -141,6 +141,14 @@ def test_validate_flags_bad_terminal_states():
     assert any("out of range" in p for p in validate_mmdp(bad))
 
 
+def test_validate_flags_agents_without_actions():
+    """Reported before any reduction: with no actions the terminal reward
+    row is empty, and its max has no identity."""
+    bad = Mmdp(2, 2, (0, 2), np.zeros((2, 0)), np.zeros((2, 0, 2)), 0.9,
+               np.array([1.0, 0.0]), terminal_states=frozenset({1}))
+    assert validate_mmdp(bad) == ["agent 0 has 0 actions, fewer than 1"]
+
+
 def test_self_loop_value_is_geometric_series():
     m = single_state_model(gamma=0.9, reward=1.0)
     pi = JointPolicy((AgentPolicy.deterministic(1, 1, 0),))

@@ -24,9 +24,9 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
-from blamekit.uncertainty import UncertaintySet, _CoalitionProblem
-from helpers import (complement_conditional, index_stack, induced_full,
-                     induced_gathered, random_factorized, random_mmdp)
+from helpers import (complement_columns, complement_conditional, index_stack,
+                     induced_full, induced_gathered, random_factorized,
+                     random_mmdp)
 
 
 def brute_force_best_value(m, behavior, coalition):
@@ -169,13 +169,12 @@ def test_coalition_action_index_layout():
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
 def test_mixed_radix_layouts_match_brute_force(action_counts):
     """For every coalition, coalition_action_index agrees with encode_joint of
-    each (coalition tuple, complement tuple) pair, and the robust recursion's
-    per-agent complement columns agree with digit-by-digit decoding."""
+    each (coalition tuple, complement tuple) pair, and the per-agent
+    complement columns (the oracle for the robust ball chooser's columns)
+    agree with digit-by-digit decoding."""
     m = random_mmdp(np.random.default_rng(0), num_states=2,
                     action_counts=tuple(action_counts))
     n = m.num_agents
-    center = JointPolicy(tuple(AgentPolicy.uniform(2, k) for k in action_counts))
-    uset = UncertaintySet(center, 0.0)
 
     def tuples(group):
         return list(itertools.product(*(range(m.action_counts[i]) for i in group)))
@@ -194,8 +193,8 @@ def test_mixed_radix_layouts_match_brute_force(action_counts):
         assert idx.dtype == np.int64 and idx.flags.c_contiguous
         np.testing.assert_array_equal(idx, expect)
 
-        cols = _CoalitionProblem(m, uset, mask, "max", None).cols
-        assert sorted(cols) == others
+        num_d, cols = complement_columns(m, others)
+        assert num_d == len(tuples(others)) and sorted(cols) == others
         for pos, j in enumerate(others):
             np.testing.assert_array_equal(cols[j], [d[pos] for d in tuples(others)])
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamekit import uncertainty
 from blamekit.attribution import (
     average_participation,
     banzhaf,
@@ -16,10 +17,12 @@ from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.lp import LinearProgram, solve
 from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, evaluate_return,
                            product_table)
-from blamekit.planning import best_response, characteristic_game, mmdp_from_game
+from blamekit.planning import (best_response, characteristic_game, mask_agents,
+                               mmdp_from_game)
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import (
     _EDGE_TOL,
+    RobustBounds,
     UncertaintySet,
     _CoalitionProblem,
     _monotone_closure,
@@ -357,6 +360,11 @@ def test_product_tables_match_the_loops(case):
                               [ap.probs for ap in uset.center.agents]), whole)
     _same_bytes(uset.center.joint_table(m), whole)
     for mask in range(1 << m.num_agents):
+        others = [j for j in every if not mask >> j & 1]
+        uncertain = [j for j in others if uset.agent_radius(j) > 0]
+        if not uncertain:
+            continue  # a certain complement builds no problem
+        certain = [j for j in others if j not in uncertain]
         for mode in ("min", "max"):
             for exact in (None, False, True):
                 try:
@@ -364,28 +372,59 @@ def test_product_tables_match_the_loops(case):
                 except ValueError:
                     assert exact is True
                     continue
-                others = problem.others
-                certain = [j for j in others if j not in problem.uncertain]
+                assert problem.solve_state.__name__ == f"_{problem.path}_{mode}"
                 _same_bytes(problem.center_table,
                             complement_product_loop(m, uset, others, others))
-                if problem.path in ("ball", "corner"):
+                if problem.path == "ball":
                     _same_bytes(problem.certain_table,
                                 complement_product_loop(m, uset, others, certain))
-                if problem.path == "ball":
                     _, cols = complement_columns(m, others)
-                    np.testing.assert_array_equal(
-                        problem.ball_col, cols[problem.uncertain[0]])
+                    np.testing.assert_array_equal(problem.ball_col,
+                                                  cols[uncertain[0]])
                 elif problem.path == "corner":
-                    expected = corner_factors_loop(m, uset, others,
-                                                   problem.uncertain)
-                    assert len(problem.corner_factors) == len(expected)
-                    for factor, ends in zip(problem.corner_factors, expected):
-                        for end in (0, 1):
-                            _same_bytes(factor[end], ends[:, end])
+                    # each vertex's ends multiplied into the certain agents'
+                    # product one uncertain agent at a time, bit b for the
+                    # b-th uncertain agent
+                    base = complement_product_loop(m, uset, others, certain)
+                    factors = corner_factors_loop(m, uset, others, uncertain)
+                    assert len(problem.corner_tables) == 1 << len(uncertain)
+                    for vertex, table in enumerate(problem.corner_tables):
+                        expected = base.copy()
+                        for b, ends in enumerate(factors):
+                            expected *= ends[:, vertex >> b & 1]
+                        _same_bytes(table, expected)
                 elif problem.path == "box":
                     lower, upper = relaxed_box_loop(m, uset, others)
                     _same_bytes(problem.box_lower, lower)
                     _same_bytes(problem.box_upper, upper)
+
+
+def test_certain_complements_build_no_problem(monkeypatch):
+    """A coalition with no uncertain agent outside it takes best_response's
+    value against the center, and the empty coalition's max policy is the
+    center's joint table, without building a _CoalitionProblem."""
+    rng = np.random.default_rng(41)
+    m = random_mmdp(rng, num_states=3, action_counts=(2, 3, 2), gamma=0.8)
+    center = random_factorized(rng, m)
+
+    def refuse(*args):
+        raise AssertionError("a certain complement built a problem")
+
+    monkeypatch.setattr(uncertainty, "_CoalitionProblem", refuse)
+    cases = [(UncertaintySet(center, 0.0), range(8)),
+             (UncertaintySet(center, 0.2, uncertain_agents=frozenset()), range(8)),
+             # the masks that hold agent 1, the only uncertain agent
+             (UncertaintySet(center, 0.2, uncertain_agents=frozenset({1})),
+              (2, 3, 6, 7))]
+    for uset, masks in cases:
+        bounds = RobustBounds(m, uset)
+        for mask in masks:
+            coalition = mask_agents(mask, m.num_agents)
+            expected = best_response(m, center, coalition).value
+            assert bounds.min_value(coalition) == expected
+            assert bounds.max_value(coalition) == expected
+        if 0 in masks:
+            _same_bytes(bounds.max_policy(), center.joint_table(m))
 
 
 @st.composite
@@ -526,6 +565,10 @@ def test_robust_bounds_rejects_bad_inputs():
     short = JointPolicy((center.agents[0],))
     with pytest.raises(ValueError, match="does not match"):
         robust_bounds(m, UncertaintySet(short, 0.1))
+    extra_state = JointPolicy(tuple(AgentPolicy.uniform(3, 2) for _ in range(2)))
+    with pytest.raises(ValueError, match=r"invalid uncertainty set: agent 0: "
+                                         r"policy shape \(3, 2\) vs model"):
+        robust_bounds(m, UncertaintySet(extra_state, 0.1))
 
 
 def test_l1_distance():
