@@ -55,9 +55,6 @@ class Mmdp:
             idx = idx * k + int(a)
         return idx
 
-    def decode_joint(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.unravel_index(idx, self.action_counts))
-
     def content_key(self) -> bytes:
         """Stable content hash, used to memoize planning results."""
         h = hashlib.sha256()

@@ -124,23 +124,6 @@ class CharacteristicGame:
                 f"< value[{sub:b}]={self.values[sub]:.6g}")
         return problems
 
-    def serialize(self) -> str:
-        lines = [f"{mask},{float(self.values[mask])!r}"
-                 for mask in range(1 << self.num_agents)]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def deserialize(text: str) -> "CharacteristicGame":
-        values = {}
-        for line in text.strip().splitlines():
-            mask_str, val_str = line.split(",")
-            values[int(mask_str)] = float(val_str)
-        size = len(values)
-        n = size.bit_length() - 1
-        if 1 << n != size or set(values) != set(range(size)):
-            raise ValueError("expected one bitmask,value row per coalition")
-        return CharacteristicGame(n, np.array([values[m] for m in range(size)]))
-
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -150,13 +133,6 @@ class BestResponse:
     policy: dict[int, AgentPolicy]
     value: float
     state_values: np.ndarray
-
-    def compose(self, behavior: JointPolicy) -> JointPolicy:
-        """Joint policy where coalition members deviate and the rest keep behavior."""
-        out = behavior
-        for i, ap in self.policy.items():
-            out = out.replace(i, ap)
-        return out
 
 
 def _subgrids(action_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

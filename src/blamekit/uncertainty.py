@@ -20,8 +20,9 @@ forces the relaxed box, exact=True raises where no exact path exists.
 
 Every chooser table over complement joint actions is an
 `mmdp.product_table` of per-agent rows. An acyclic model takes one backward
-pass in topological order; a cyclic one alternates chooser sweeps with
-exact evaluation of the chosen conditional until the values settle.
+pass, one chooser call per topological level; a cyclic one alternates
+sweeps, one chooser call over every nonterminal state, with exact
+evaluation of the chosen conditional until the values settle.
 """
 from __future__ import annotations
 
@@ -79,8 +80,14 @@ class UncertaintySet:
         elif self.radius < 0:
             problems.append(f"radius {self.radius} is negative")
         problems.extend(self.center.validate())
-        if self.truth is not None and not self.contains(self.truth):
-            problems.append("declared truth lies outside the set")
+        if self.truth is not None:
+            truth, center = ([ap.probs.shape for ap in p.agents]
+                             for p in (self.truth, self.center))
+            if truth != center:
+                problems.append(f"declared truth has policy shapes {truth}, "
+                                f"the center {center}")
+            elif not self.contains(self.truth):
+                problems.append("declared truth lies outside the set")
         return problems
 
     def content_key(self) -> bytes:
@@ -138,32 +145,46 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                           uncertain_agents)
 
 
-def _topological_order(m: Mmdp) -> np.ndarray | None:
-    """States ordered so transitions only point back to earlier states
-    (sinks first), or None if the model has a cycle beyond terminal
-    self-loops. Peels every state whose successors are all peeled at once,
-    then drops the peeled columns from the remaining out-degrees."""
+def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
+    """States peeled into levels whose transitions only point into earlier
+    levels (sinks first), or None if the model has a cycle beyond terminal
+    self-loops. Each level is every state whose successors are all peeled;
+    its columns then drop from the remaining out-degrees."""
     reach = m.transition.max(axis=1) > _EDGE_TOL
     loops = np.flatnonzero(np.diagonal(reach))
     if not m.terminal_states.issuperset(loops.tolist()):
         return None
     np.fill_diagonal(reach, False)
     out_degree = reach.sum(axis=1)
-    peeled = [np.flatnonzero(out_degree == 0)]
-    while peeled[-1].size:
-        out_degree -= reach[:, peeled[-1]].sum(axis=1)
-        out_degree[peeled[-1]] = -1
-        peeled.append(np.flatnonzero(out_degree == 0))
-    order = np.concatenate(peeled)
-    return order if order.size == m.num_states else None
+    levels = [np.flatnonzero(out_degree == 0)]
+    while levels[-1].size:
+        out_degree -= reach[:, levels[-1]].sum(axis=1)
+        out_degree[levels[-1]] = -1
+        levels.append(np.flatnonzero(out_degree == 0))
+    return levels[:-1] if sum(map(len, levels)) == m.num_states else None
+
+
+def _best_row(values: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the first row of greatest value, and its q."""
+    best = values.argmax(axis=1)
+    states = np.arange(values.shape[0])
+    return values[states, best], q[states, best]
+
+
+def _best_dot(rows: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_best_row by rows . q, each the unit-stride BLAS dot that a loop over
+    contiguous rows takes (a strided one rounds otherwise)."""
+    rows, q = np.ascontiguousarray(rows), np.ascontiguousarray(q)
+    return _best_row((q[..., None, :] @ rows[..., :, None])[..., 0, 0], q)
 
 
 class _CoalitionProblem:
     """Precomputation for one (coalition, mode) robust recursion with an
     uncertain complement agent: the coalition's reward and transition
-    tables, gathered once, the (S, A_D) complement tables its chooser
-    reads, each a `product_table` of per-agent rows, and `solve_state`,
-    the one chooser its path and mode select."""
+    tables, gathered once, the per-state complement tables its chooser
+    reads, built from `product_table`s of per-agent rows, and `choose`, the
+    one chooser its path and mode select. A chooser maps the backups b
+    (K, A_C, A_D) of K states to their values (K,) and q (K, A_D)."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
                  exact: bool | None):
@@ -210,129 +231,118 @@ class _CoalitionProblem:
                 eye = np.eye(k)
                 self.feasible = np.block([[eye, -eye], [-eye, -eye],
                                           [np.zeros(k), np.ones(k)]])
+                self.bounds = np.hstack([probs[u], -probs[u], np.full(
+                    (num_states, 1), 2.0 * self.ball_eps)])
         elif self.path == "corner":
-            # one table per vertex of the uncertain agents' segments: bit b
-            # of the vertex picks the low (0) or high (1) interval end, on
-            # action 0, of the b-th uncertain agent
-            factors = [
+            # (S, 2^u, A_D), one table per vertex of the uncertain agents'
+            # segments: bit b of the vertex picks the low (0) or high (1)
+            # interval end, on action 0, of the b-th uncertain agent
+            factors = [np.stack(
                 [product_table(num_states, ones[:pos] + [
                     np.stack([ends[pos][:, 0], 1.0 - ends[pos][:, 0]], axis=1)]
-                    + ones[pos + 1:]) for ends in (lows, highs)]
+                    + ones[pos + 1:]) for ends in (lows, highs)], axis=1)
                 for pos, r in enumerate(radii) if r > 0]
-            self.corner_tables = []
-            for vertex in range(1 << len(factors)):
-                table = certain_table.copy()
-                for b, ends in enumerate(factors):
-                    table *= ends[vertex >> b & 1]
-                self.corner_tables.append(table)
+            vertex = np.arange(1 << len(factors))
+            self.corner_tables = np.repeat(certain_table[:, None], vertex.size, 1)
+            for b, ends in enumerate(factors):
+                self.corner_tables *= ends[:, vertex >> b & 1]
         else:
             self.box_lower = product_table(num_states, lows)
             self.box_upper = product_table(num_states, highs)
             if mode == "min":
                 eye = np.eye(idx.shape[1])
                 self.feasible = np.vstack([eye, -eye])
-        # _ball_max, _ball_min, _corner_max, _box_max or _box_min: a state's
-        # backup b (coalition x complement actions) to the chosen value and q
-        self.solve_state = getattr(self, f"_{self.path}_{mode}")
+                self.bounds = np.hstack([self.box_upper, -self.box_lower])
+        # _ball_max, _ball_min, _corner_max, _box_max or _box_min
+        self.choose = getattr(self, f"_{self.path}_{mode}")
 
-    def _fold(self, b: np.ndarray, s: int) -> np.ndarray:
-        """Marginalize certain complement agents, leaving the ball agent."""
+    def _fold(self, b: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """(K, A_C, k): the certain complement agents marginalized out, each
+        ball action's columns added one at a time in ascending order."""
         k = self.ball_rows.shape[1]
-        weighted = b * self.certain_table[s]
-        folded = np.zeros((b.shape[0], k))
-        np.add.at(folded.T, self.ball_col, weighted.T)
-        return folded
+        weighted = b * self.certain_table[states][:, None]
+        columns = weighted[..., np.argsort(self.ball_col, kind="stable")]
+        columns = columns.reshape(*b.shape[:2], k, b.shape[2] // k)
+        # + 0.0 gives a sum of zeros the sign a sum from +0.0 gives it
+        return np.cumsum(columns, axis=3)[..., -1] + 0.0
 
-    def _expand(self, q_ball: np.ndarray, s: int) -> np.ndarray:
-        return self.certain_table[s] * q_ball[self.ball_col]
+    def _ball_max(self, b: np.ndarray, states: np.ndarray):
+        """Per folded row, shift up to eps of mass onto its first maximum from
+        the coordinates below it, lowest first; keep each state's best row."""
+        rows = self._fold(b, states)
+        p = self.ball_rows[states][:, None]
+        order = np.argsort(rows, axis=-1, kind="stable")
+        target = rows.argmax(axis=-1)[..., None]
+        p_sorted = np.take_along_axis(p, order, -1)
+        below = np.take_along_axis(rows, order, -1) < rows.max(-1, keepdims=True)
+        budget = np.cumsum(np.concatenate([np.full(target.shape, self.ball_eps),
+                                           np.where(below, -p_sorted, 0.0)],
+                                          axis=-1), axis=-1)[..., :-1]
+        taking = below & (budget > 0)
+        # -0.0 adds nothing to any sum, a signed zero included
+        take = np.where(taking, np.minimum(budget, p_sorted), -0.0)
+        q = np.take_along_axis(np.where(taking, p_sorted - take, p_sorted),
+                               order.argsort(axis=-1), -1)
+        gained = np.cumsum(np.concatenate(
+            [np.take_along_axis(p, target, -1), take], axis=-1), axis=-1)
+        np.put_along_axis(q, target, gained[..., -1:], axis=-1)
+        values, q = _best_dot(rows, q)
+        return values, self.certain_table[states] * q[:, self.ball_col]
 
-    def _ball_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        p = self.ball_rows[s]
-        best_val, best_q = -np.inf, None
-        for row in self._fold(b, s):
-            val, q = _ball_row_max(row, p, self.ball_eps)
-            if val > best_val:
-                best_val, best_q = val, q
-        return best_val, self._expand(best_q, s)
+    def _ball_min(self, b: np.ndarray, states: np.ndarray):
+        values, q = _adversary_min(self._fold(b, states), self.feasible,
+                                   self.bounds[states], "ball")
+        return values, self.certain_table[states] * q[:, self.ball_col]
 
-    def _ball_min(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        p = self.ball_rows[s]
-        bounds = np.concatenate([p, -p, [2.0 * self.ball_eps]])
-        value, q = _adversary_min(self._fold(b, s), self.feasible, bounds, "ball")
-        return value, self._expand(q, s)
+    def _corner_max(self, b: np.ndarray, states: np.ndarray):
+        """Per state, the first vertex table whose best row is greatest."""
+        tables = self.corner_tables[states]
+        return _best_row((b[:, None] @ tables[..., None])[..., 0].max(axis=-1),
+                         tables)
 
-    def _corner_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        best_val, best_q = -np.inf, None
-        for table in self.corner_tables:
-            q = table[s]
-            val = float((b @ q).max())
-            if val > best_val:
-                best_val, best_q = val, q
-        return best_val, best_q
+    def _box_max(self, b: np.ndarray, states: np.ndarray):
+        """Per row, raise lower ends to upper ones, highest payoff first,
+        until the mass runs out; keep each state's best row."""
+        lo = self.box_lower[states][:, None]
+        order = np.argsort(-b, axis=-1, kind="stable")
+        lo_sorted = np.take_along_axis(lo, order, -1)
+        cap = np.take_along_axis(self.box_upper[states][:, None] - lo, order, -1)
+        mass = np.repeat(1.0 - lo.sum(axis=-1, keepdims=True), b.shape[1], 1)
+        left = np.cumsum(np.concatenate([mass, -cap], axis=-1), axis=-1)[..., :-1]
+        q = np.take_along_axis(np.where(left > 1e-15, lo_sorted + np.minimum(
+            left, cap), lo_sorted), order.argsort(axis=-1), -1)
+        return _best_dot(b, q)
 
-    def _box_max(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        lo, hi = self.box_lower[s], self.box_upper[s]
-        best_val, best_q = -np.inf, None
-        for row in b:
-            q = lo.copy()
-            remaining = 1.0 - lo.sum()
-            for d in np.argsort(-row, kind="stable"):
-                if remaining <= 1e-15:
-                    break
-                add = min(remaining, hi[d] - lo[d])
-                q[d] += add
-                remaining -= add
-            val = float(row @ q)
-            if val > best_val:
-                best_val, best_q = val, q
-        return best_val, best_q
-
-    def _box_min(self, b: np.ndarray, s: int) -> tuple[float, np.ndarray]:
-        bounds = np.concatenate([self.box_upper[s], -self.box_lower[s]])
-        return _adversary_min(b, self.feasible, bounds, "box")
+    def _box_min(self, b: np.ndarray, states: np.ndarray):
+        return _adversary_min(b, self.feasible, self.bounds[states], "box")
 
 
-def _adversary_min(payoff: np.ndarray, feasible: np.ndarray,
+def _adversary_min(payoffs: np.ndarray, feasible: np.ndarray,
                    feasible_bounds: np.ndarray,
-                   kind: str) -> tuple[float, np.ndarray]:
-    """min over q of max_c payoff[c] . q, as the epigraph LP
-    min t+ - t- s.t. payoff @ q <= t+ - t-, feasible @ x <= feasible_bounds,
+                   kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, min over q of max_c payoffs[c] . q, as the epigraph LP
+    min t+ - t- s.t. payoffs @ q <= t+ - t-, feasible @ x <= feasible_bounds,
     sum q == 1, where x starts with the k entries of q and the columns of
     `feasible` beyond k are auxiliary variables. Rows: payoff, feasible set,
-    then the two sum-to-one rows. Returns (the minimum, q)."""
-    num_rows, k = payoff.shape
+    then the two sum-to-one rows. Solves one LP per stacked state and
+    returns the minima (K,) and q (K, k)."""
+    num_states, num_rows, k = payoffs.shape
     width = feasible.shape[1]
     a = np.zeros((num_rows + feasible.shape[0] + 2, width + 2))
-    a[:num_rows, :k] = payoff
-    a[:num_rows, width] = -1.0
-    a[:num_rows, width + 1] = 1.0
+    a[:num_rows, width:] = -1.0, 1.0
     a[num_rows:-2, :width] = feasible
-    a[-2, :k] = 1.0
-    a[-1, :k] = -1.0
-    bounds = np.concatenate([np.zeros(num_rows), feasible_bounds, [1.0, -1.0]])
+    a[-2:, :k] = [[1.0], [-1.0]]
     c = np.zeros(width + 2)
-    c[width] = -1.0
-    c[width + 1] = 1.0
-    sol = solve(LinearProgram(c, a, bounds))
-    if sol.status != "optimal":
-        raise RuntimeError(f"adversary {kind} LP came back {sol.status}")
-    return -sol.objective_value, sol.point[:k]
-
-
-def _ball_row_max(b: np.ndarray, p: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
-    """Maximize q . b over the half-L1 ball of radius eps around p on the
-    simplex: shift mass from the lowest-valued coordinates to the best one."""
-    target = int(np.argmax(b))
-    q = p.copy()
-    budget = eps
-    for j in np.argsort(b, kind="stable"):
-        if j == target or budget <= 0 or b[target] - b[j] <= 0:
-            continue
-        take = min(budget, q[j])
-        q[j] -= take
-        q[target] += take
-        budget -= take
-    return float(q @ b), q
+    c[width:] = -1.0, 1.0
+    values, q = np.empty(num_states), np.empty((num_states, k))
+    for i, bounds in enumerate(feasible_bounds):
+        a[:num_rows, :k] = payoffs[i]
+        sol = solve(LinearProgram(c, a, np.concatenate(
+            [np.zeros(num_rows), bounds, [1.0, -1.0]])))
+        if sol.status != "optimal":
+            raise RuntimeError(f"adversary {kind} LP came back {sol.status}")
+        values[i], q[i] = -sol.objective_value, sol.point[:k]
+    return values, q
 
 
 class RobustBounds:
@@ -348,9 +358,12 @@ class RobustBounds:
         self.exact = exact
         # (value, joint behavior table attaining it; only the empty coalition's)
         self._values: dict[tuple[int, str], tuple[float, np.ndarray | None]] = {}
-        self._topo = _topological_order(m)
-        self._nonterminal = np.array(
-            [s for s in range(m.num_states) if s not in m.terminal_states])
+        terminal = np.isin(np.arange(m.num_states), list(m.terminal_states))
+        self._nonterminal = np.flatnonzero(~terminal)
+        levels = _topological_levels(m)
+        # one chooser call per level, on its nonterminal states
+        self._levels = None if levels is None else [
+            kept for level in levels if (kept := level[~terminal[level]]).size]
 
     def min_value(self, coalition) -> float:
         return self._bound(coalition_mask(coalition), "min")
@@ -378,32 +391,30 @@ class RobustBounds:
             br = best_response(m, uset.center, mask_agents(mask, m.num_agents))
             return br.value, uset.center.joint_table(m) if mask == 0 else None
         problem = _CoalitionProblem(m, uset, mask, mode, self.exact)
-        if self._topo is not None:
-            v, q = self._backward_pass(problem)
-        else:
+        if self._levels is None:
             v, q = self._iterate(problem)
+        else:
+            v = np.zeros(m.num_states)
+            q = self._backward_pass(problem, self._levels, v, v)
         return float(m.initial_dist @ v), q if mask == 0 else None
 
-    def _backward_pass(self, problem: _CoalitionProblem):
-        m = self.m
-        v = np.zeros(m.num_states)
+    def _backward_pass(self, problem: _CoalitionProblem, levels, v, out):
+        """Back up each level of states against v, one chooser call each, into
+        out (v itself in the acyclic pass, so a level reads the ones before
+        it). Returns q, the center's where no state was backed up."""
         q = problem.center_table.copy()
-        for s in self._topo:
-            if s in m.terminal_states:
-                continue
-            b = problem.reward[s] + m.discount * (problem.transition[s] @ v)
-            v[s], q[s] = problem.solve_state(b, s)
-        return v, q
+        for states in levels:
+            b = problem.reward[states] + self.m.discount * (
+                problem.transition[states] @ v)
+            out[states], q[states] = problem.choose(b, states)
+        return q
 
     def _iterate(self, problem: _CoalitionProblem):
         m = self.m
         v = best_response(m, self.uset.center, problem.coalition).state_values
         for sweep in range(MAX_SWEEPS):
-            backed = problem.reward + m.discount * (problem.transition @ v)
             values = np.zeros(m.num_states)
-            q = problem.center_table.copy()
-            for s in self._nonterminal:
-                values[s], q[s] = problem.solve_state(backed[s], s)
+            q = self._backward_pass(problem, [self._nonterminal], v, values)
             residual = float(np.abs(values - v).max())
             if residual <= RESIDUAL_TOL or (sweep >= 1000
                                             and residual <= RESIDUAL_FLOOR):

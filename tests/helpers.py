@@ -26,6 +26,14 @@ def random_factorized(rng, m):
     return JointPolicy(tuple(agents))
 
 
+def compose(br, behavior):
+    """The joint policy in which br's coalition deviates and the rest keep
+    behavior."""
+    for i, ap in br.policy.items():
+        behavior = behavior.replace(i, ap)
+    return behavior
+
+
 # Plain per-mask loops: the reference the array forms of the attribution
 # methods and the rationality check must match bit for bit.
 
@@ -149,8 +157,8 @@ def induced_gathered(m, table, idx):
 
 
 # The per-agent product tables and the state order as `uncertainty` built
-# them before `mmdp.product_table` and the peeled order: the references
-# `_CoalitionProblem` and `_topological_order` must match byte for byte.
+# them before `mmdp.product_table` and the peeled levels: the references
+# `_CoalitionProblem` and `_topological_levels` must match.
 
 def complement_columns(m, others):
     """Each complement agent's action in every complement joint action."""
@@ -223,3 +231,71 @@ def kahn_order(m, edge_tol):
             if indeg[t] == 0:
                 queue.append(t)
     return order if len(order) == m.num_states else None
+
+
+# The robust choosers as per-state, per-row loops, the way `uncertainty`
+# ran them before they took stacks of states: the references the array
+# choosers of `_CoalitionProblem` must match byte for byte.
+
+def fold_loop(b, certain_row, ball_col, k):
+    """(A_C, k): the complement columns of one state's backup b (A_C, A_D),
+    weighted by the certain agents' product, added per ball action in
+    ascending column order."""
+    folded = np.zeros((b.shape[0], k))
+    np.add.at(folded.T, ball_col, (b * certain_row).T)
+    return folded
+
+
+def ball_row_max_loop(b, p, eps):
+    """Maximize q . b over the half-L1 ball of radius eps around p on the
+    simplex: shift mass from the lowest-valued coordinates to the best one."""
+    target = int(np.argmax(b))
+    q = p.copy()
+    budget = eps
+    for j in np.argsort(b, kind="stable"):
+        if j == target or budget <= 0 or b[target] - b[j] <= 0:
+            continue
+        take = min(budget, q[j])
+        q[j] -= take
+        q[target] += take
+        budget -= take
+    return float(q @ b), q
+
+
+def ball_max_loop(b, p, eps, certain_row, ball_col):
+    best_val, best_q = -np.inf, None
+    for row in fold_loop(b, certain_row, ball_col, p.size):
+        val, q = ball_row_max_loop(row, p, eps)
+        if val > best_val:
+            best_val, best_q = val, q
+    return best_val, certain_row * best_q[ball_col]
+
+
+def corner_max_loop(b, vertex_rows):
+    """The first vertex row q (of one state) whose best row of b @ q is
+    greatest."""
+    best_val, best_q = -np.inf, None
+    for q in vertex_rows:
+        val = float((b @ q).max())
+        if val > best_val:
+            best_val, best_q = val, q
+    return best_val, best_q
+
+
+def box_max_loop(b, lo, hi):
+    """Per row, the greedy that raises lo toward hi in descending payoff
+    order until the mass runs out; the first best row wins."""
+    best_val, best_q = -np.inf, None
+    for row in b:
+        q = lo.copy()
+        remaining = 1.0 - lo.sum()
+        for d in np.argsort(-row, kind="stable"):
+            if remaining <= 1e-15:
+                break
+            add = min(remaining, hi[d] - lo[d])
+            q[d] += add
+            remaining -= add
+        val = float(row @ q)
+        if val > best_val:
+            best_val, best_q = val, q
+    return best_val, best_q

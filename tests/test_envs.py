@@ -176,7 +176,8 @@ def test_graph_model_is_valid_and_layered():
     assert model.terminal_states == frozenset({65})
     # every transition moves one column forward
     for ja in range(16):
-        bits = sum(a << i for i, a in enumerate(model.decode_joint(ja)))
+        bits = sum(int(a) << i for i, a in enumerate(
+            np.unravel_index(ja, model.action_counts)))
         assert model.transition[0, ja, _graph_state(1, bits)] == 1.0
         assert model.transition[_graph_state(4, 3), ja, 65] == 1.0
         assert model.reward[_graph_state(4, 3), ja] == 0.0
@@ -186,7 +187,7 @@ def test_graph_rewards_score_the_constraint():
     spec = GraphSpec("coordination", threshold_index=2)
     model, _ = build_graph(spec)
     for ja in range(16):
-        actions = model.decode_joint(ja)
+        actions = np.unravel_index(ja, model.action_counts)
         weighted = sum(w * a for w, a in zip(GRAPH_WEIGHTS, actions))
         expect = 1.0 if weighted >= GRAPH_THRESHOLDS[1] else -1.0
         assert model.reward[0, ja] == expect

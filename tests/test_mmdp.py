@@ -33,7 +33,7 @@ def test_encode_decode_matches_lexicographic_enumeration():
     tuples = list(itertools.product(range(3), range(2), range(4)))
     for idx, joint in enumerate(tuples):
         assert m.encode_joint(joint) == idx
-        assert m.decode_joint(idx) == joint
+        assert np.unravel_index(idx, m.action_counts) == joint
 
 
 def test_encode_rejects_out_of_range_action():
@@ -198,7 +198,7 @@ def test_joint_table_is_product_of_agent_probabilities():
     table = pi.joint_table(m)
     for s in range(m.num_states):
         for idx in range(m.num_joint_actions):
-            joint = m.decode_joint(idx)
+            joint = np.unravel_index(idx, m.action_counts)
             expected = 1.0
             for i, a in enumerate(joint):
                 expected *= pi.agents[i].probs[s, a]

@@ -24,9 +24,9 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
-from helpers import (complement_columns, complement_conditional, index_stack,
-                     induced_full, induced_gathered, random_factorized,
-                     random_mmdp)
+from helpers import (complement_columns, complement_conditional, compose,
+                     index_stack, induced_full, induced_gathered,
+                     random_factorized, random_mmdp)
 
 
 def brute_force_best_value(m, behavior, coalition):
@@ -77,7 +77,7 @@ def test_best_response_compose_only_touches_coalition():
     m = random_mmdp(rng, num_states=3, action_counts=(2, 3), gamma=0.9)
     behavior = random_factorized(rng, m)
     br = best_response(m, behavior, (1,))
-    composed = br.compose(behavior)
+    composed = compose(br, behavior)
     assert composed.agents[0] is behavior.agents[0]
     assert composed.agents[1] is br.policy[1]
     assert evaluate_return(m, composed) == pytest.approx(br.value, abs=1e-9)
@@ -208,7 +208,8 @@ def test_best_response_compose_plays_the_solved_joint_action():
             coalition = mask_agents(mask, m.num_agents)
             r_c, p_c, idx = induced_mdp(m, behavior, coalition)
             _, pol = solve_mdp(r_c, p_c, m.discount)
-            table = best_response(m, behavior, coalition).compose(behavior).joint_table(m)
+            table = compose(best_response(m, behavior, coalition),
+                            behavior).joint_table(m)
             # probability of each coalition joint action, per state
             marginal = table[np.arange(m.num_states)[:, None, None], idx].sum(axis=2)
             np.testing.assert_allclose(marginal, np.eye(idx.shape[0])[pol], atol=1e-12)
@@ -529,14 +530,3 @@ def test_game_validate_lists_drops_by_mask_then_agent():
                         f"< value[{sub:b}]={values[sub]:.6g}")
         assert CharacteristicGame(n, values).validate(tol=0.1) == expected
 
-
-def test_game_serialize_roundtrip():
-    game = CharacteristicGame(2, np.array([0.0, 1.0 / 3.0, 0.2, 0.7]))
-    text = game.serialize()
-    back = CharacteristicGame.deserialize(text)
-    assert back.num_agents == 2
-    np.testing.assert_array_equal(back.values, game.values)
-    with pytest.raises(ValueError):
-        CharacteristicGame.deserialize("0,0.0\n1,1.0\n2,2.0\n")
-    with pytest.raises(ValueError):
-        CharacteristicGame.deserialize("0,0.0\n1,1.0\n1,2.0\n3,3.0\n")

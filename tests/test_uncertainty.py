@@ -26,7 +26,7 @@ from blamekit.uncertainty import (
     UncertaintySet,
     _CoalitionProblem,
     _monotone_closure,
-    _topological_order,
+    _topological_levels,
     ap_blackstone,
     bi_blackstone,
     l1_distance,
@@ -39,9 +39,11 @@ from blamekit.uncertainty import (
     sv_blackstone,
     sv_valid,
 )
-from helpers import (complement_columns, complement_product_loop,
-                     corner_factors_loop, kahn_order, monotone_closure_loop,
-                     random_factorized, random_mmdp, relaxed_box_loop)
+from helpers import (ball_max_loop, box_max_loop, complement_columns,
+                     complement_product_loop, corner_factors_loop,
+                     corner_max_loop, fold_loop, kahn_order,
+                     monotone_closure_loop, random_factorized, random_mmdp,
+                     relaxed_box_loop)
 
 
 def bandit_model(reward_row, action_counts, gamma=0.99):
@@ -113,6 +115,16 @@ def test_uncertainty_set_validate_and_contains():
                    for p in UncertaintySet(center, radius).validate())
     stray = UncertaintySet(center, 0.1, truth=outside)
     assert any("outside" in p for p in stray.validate())
+    # a truth of another shape is reported, not broadcast or zipped short
+    pair = bandit_center([(0.5, 0.5), (0.4, 0.6)])
+    taller = JointPolicy(tuple(AgentPolicy(np.full((3, 2), 0.5))
+                               for _ in range(2)))
+    assert UncertaintySet(pair, 0.1, truth=taller).validate() == [
+        "declared truth has policy shapes [(3, 2), (3, 2)], "
+        "the center [(2, 2), (2, 2)]"]
+    assert UncertaintySet(pair, 0.1, truth=inside).validate() == [
+        "declared truth has policy shapes [(2, 2)], "
+        "the center [(2, 2), (2, 2)]"]
 
 
 def test_content_key_separates_sets():
@@ -372,7 +384,7 @@ def test_product_tables_match_the_loops(case):
                 except ValueError:
                     assert exact is True
                     continue
-                assert problem.solve_state.__name__ == f"_{problem.path}_{mode}"
+                assert problem.choose.__name__ == f"_{problem.path}_{mode}"
                 _same_bytes(problem.center_table,
                             complement_product_loop(m, uset, others, others))
                 if problem.path == "ball":
@@ -387,16 +399,92 @@ def test_product_tables_match_the_loops(case):
                     # b-th uncertain agent
                     base = complement_product_loop(m, uset, others, certain)
                     factors = corner_factors_loop(m, uset, others, uncertain)
-                    assert len(problem.corner_tables) == 1 << len(uncertain)
-                    for vertex, table in enumerate(problem.corner_tables):
+                    assert problem.corner_tables.shape[1] == 1 << len(uncertain)
+                    for vertex in range(1 << len(uncertain)):
                         expected = base.copy()
                         for b, ends in enumerate(factors):
                             expected *= ends[:, vertex >> b & 1]
-                        _same_bytes(table, expected)
+                        _same_bytes(problem.corner_tables[:, vertex], expected)
                 elif problem.path == "box":
                     lower, upper = relaxed_box_loop(m, uset, others)
                     _same_bytes(problem.box_lower, lower)
                     _same_bytes(problem.box_upper, upper)
+
+
+# (action counts, coalition mask): (A_C, A_D) = (2, 4), (4, 4) and (8, 2);
+# ball agents with 1 and 4 actions; and a ball agent beside 16 certain
+# joint actions, past the 8 terms where numpy's sum stops adding in order
+_CHOOSER_SHAPES = [((2, 2, 2), 0b1), ((2, 2, 2, 2), 0b11),
+                   ((2, 2, 2, 2), 0b111), ((2, 1, 3), 0b1), ((2, 4, 4), 0b1),
+                   ((2, 2, 4, 4), 0b1)]
+
+
+@st.composite
+def chooser_cases(draw):
+    """A max problem on one path, and a stack of states with backups on a
+    0.1 grid, so that ties are common, signed zeros included."""
+    counts, mask = draw(st.sampled_from(_CHOOSER_SHAPES))
+    others = [j for j in range(len(counts)) if not mask >> j & 1]
+    paths = ["ball", "box"]
+    if len(others) > 1 and all(counts[j] == 2 for j in others):
+        paths.append("corner")
+    path = draw(st.sampled_from(paths))
+    uncertain = others[:1] if path == "ball" else others
+    rng = np.random.default_rng(
+        draw(st.randoms(use_true_random=True)).getrandbits(64))
+    num_states = draw(st.integers(1, 3))
+    # small integer weights: ties and zero probabilities of either sign
+    agents = []
+    for k in counts:
+        w = rng.integers(0, 8, size=(num_states, k)) + 0.0
+        w[w.sum(axis=1) == 0] = 1.0
+        w[(w == 0) & (rng.random(w.shape) < 0.5)] = -0.0
+        agents.append(AgentPolicy(w / w.sum(axis=1, keepdims=True)))
+    num_joint = int(np.prod(counts))
+    m = Mmdp(num_states, len(counts), counts, np.zeros((num_states, num_joint)),
+             np.zeros((num_states, num_joint, num_states)), 0.9,
+             np.full(num_states, 1.0 / num_states))
+    uset = UncertaintySet(JointPolicy(tuple(agents)),
+                          draw(st.sampled_from([0.05, 0.3, 1.0])),
+                          uncertain_agents=frozenset(uncertain))
+    problem = _CoalitionProblem(m, uset, mask, "max",
+                                False if path == "box" else None)
+    assert problem.path == path
+    size = draw(st.integers(1, 4))
+    states = rng.integers(0, num_states, size=size)
+    num_rows = draw(st.integers(1, 4) | st.just(problem.reward.shape[1]))
+    shape = (size, num_rows, problem.center_table.shape[1])
+    b = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
+    b[rng.random(shape) < 0.2] = -0.0
+    return m, others, uncertain, problem, b, states
+
+
+@settings(max_examples=300, deadline=None)
+@given(chooser_cases())
+def test_array_choosers_match_the_loops(case):
+    """Each max chooser on a stack of states returns, byte for byte, the
+    values and q of the per-state, per-row loops it replaced."""
+    m, others, uncertain, problem, b, states = case
+    values, q = problem.choose(b, states)
+    assert values.shape == states.shape
+    assert q.shape == (states.size, b.shape[2])
+    for i, s in enumerate(states):
+        if problem.path == "ball":
+            _, cols = complement_columns(m, others)
+            col = cols[uncertain[0]]
+            k = m.action_counts[uncertain[0]]
+            _same_bytes(problem._fold(b, states)[i],
+                        fold_loop(b[i], problem.certain_table[s], col, k))
+            expected = ball_max_loop(b[i], problem.ball_rows[s],
+                                     problem.ball_eps,
+                                     problem.certain_table[s], col)
+        elif problem.path == "corner":
+            expected = corner_max_loop(b[i], problem.corner_tables[s])
+        else:
+            expected = box_max_loop(b[i], problem.box_lower[s],
+                                    problem.box_upper[s])
+        assert values[i].tobytes() == np.float64(expected[0]).tobytes()
+        _same_bytes(q[i], expected[1])
 
 
 def test_certain_complements_build_no_problem(monkeypatch):
@@ -449,17 +537,19 @@ def state_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(state_graphs())
 def test_peeled_order_matches_kahn(m):
-    order = _topological_order(m)
-    assert (order is None) == (kahn_order(m, _EDGE_TOL) is None)
-    if order is None:
+    levels = _topological_levels(m)
+    assert (levels is None) == (kahn_order(m, _EDGE_TOL) is None)
+    if levels is None:
         return
+    order = np.concatenate(levels)
     assert sorted(order.tolist()) == list(range(m.num_states))
-    position = np.empty(m.num_states, dtype=np.int64)
-    position[order] = np.arange(m.num_states)
+    level = np.empty(m.num_states, dtype=np.int64)
+    for depth, states in enumerate(levels):
+        level[states] = depth
     reach = m.transition.max(axis=1) > _EDGE_TOL
     for s, t in zip(*np.nonzero(reach)):
         if s != t:
-            assert position[t] < position[s]
+            assert level[t] < level[s]
 
 
 def test_monotone_closure():
