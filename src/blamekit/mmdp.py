@@ -46,15 +46,6 @@ class Mmdp:
     def num_joint_actions(self) -> int:
         return math.prod(self.action_counts)
 
-    def encode_joint(self, actions) -> int:
-        """Mixed-radix joint-action index, agent 0 most significant."""
-        idx = 0
-        for k, a in zip(self.action_counts, actions):
-            if not 0 <= a < k:
-                raise ValueError(f"action {a} out of range for agent with {k} actions")
-            idx = idx * k + int(a)
-        return idx
-
     def content_key(self) -> bytes:
         """Stable content hash, used to memoize planning results."""
         h = hashlib.sha256()
@@ -150,16 +141,6 @@ def product_table(num_states: int, rows) -> np.ndarray:
     for row in rows:
         table = (table[:, :, None] * row[:, None, :]).reshape(num_states, -1)
     return table
-
-
-def joint_index_grid(action_counts) -> np.ndarray:
-    """Every joint-action index laid out with one axis per agent, agent 0
-    most significant: grid[a_0, ..., a_n-1] == encode_joint((a_0, ..., a_n-1)).
-
-    Transposing and reshaping the grid regroups joint actions by any agent
-    order; np.unravel_index(idx, action_counts) gives the per-agent digits.
-    """
-    return np.arange(math.prod(action_counts), dtype=np.int64).reshape(tuple(action_counts))
 
 
 def as_joint_table(m: Mmdp, behavior) -> np.ndarray:
@@ -310,6 +291,12 @@ def _entries(doc, name: str, limits: tuple[int, ...]):
     return tuple(rows[:, :-1].T.astype(np.int64)), rows[:, -1]
 
 
+def _integer(name: str, value) -> int:
+    if not float(value).is_integer():  # fractional, infinite or NaN
+        raise ValueError(f"{name} value {value!r} is not an integer")
+    return int(value)
+
+
 def load_model(path) -> Mmdp:
     """Parse the JSON model format.
 
@@ -319,12 +306,12 @@ def load_model(path) -> Mmdp:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        num_states = int(doc["num_states"])
-        num_agents = int(doc["num_agents"])
-        action_counts = tuple(int(k) for k in doc["action_counts"])
+        num_states = _integer("num_states", doc["num_states"])
+        num_agents = _integer("num_agents", doc["num_agents"])
+        action_counts = tuple(_integer("action_counts", k) for k in doc["action_counts"])
         gamma = float(doc["gamma"])
         initial = np.asarray(doc["initial_dist"], dtype=float)
-        terminals = frozenset(int(s) for s in doc.get("terminals", []))
+        terminals = frozenset(_integer("terminals", s) for s in doc.get("terminals", []))
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from exc
     if len(action_counts) != num_agents:

@@ -11,8 +11,8 @@ into its complement conditionals, gathers reward and transition only where
 they play, and runs one stacked policy iteration. Chunks are sized by those
 conditionals and gathers, so a behavior that plays few joint actions per
 state gets few, wide chunks. `induced_mdp` and `best_response` run the same
-kernel on one coalition, bit for bit, with its rows read from
-`coalition_action_index` rather than the sweep's table of every coalition.
+kernel on one coalition, bit for bit, and `coalition_action_index` is built
+from the same table: `_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
-                   evaluate_return, joint_index_grid, _solve_linear)
+                   evaluate_return, _solve_linear)
 
 MAX_AGENTS = 12
 _MONOTONE_TOL = 1e-9
@@ -135,11 +135,12 @@ class BestResponse:
     state_values: np.ndarray
 
 
-def _subgrids(action_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, offsets, weights): values[offsets[M]:offsets[M + 1]] lists,
-    ascending, the joint actions in which only mask M's agents move, each at
-    its digits dotted with weights[M]. Step i fills masks 2^i to 2^(i+1) - 1
-    in place, adding agent i as the least significant digit."""
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (values, offsets, weights): values[offsets[M]:offsets[M + 1]]
+    lists, ascending, the joint actions in which only mask M's agents move,
+    each at its digits dotted with weights[M]. Step i fills masks 2^i to
+    2^(i+1) - 1 in place, adding agent i as the least significant digit."""
     n = len(action_counts)
     values = np.zeros(math.prod(k + 1 for k in action_counts), dtype=np.int64)
     offsets = np.zeros((1 << n) + 1, dtype=np.int64)
@@ -153,17 +154,26 @@ def _subgrids(action_counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.multiply(weights[:low], k, weights[low:2 * low])
         weights[low:2 * low, i] = 1
         end *= k + 1
+    for table in (values, offsets, weights):
+        table.setflags(write=False)
     return values, offsets, weights
+
+
+def _rows(grid, masks) -> np.ndarray:
+    """`_subgrids` rows (..., A_C) of one mask or a stack with equal A_C."""
+    values, offsets, _ = grid
+    first = masks.flat[0]
+    return values[offsets[masks][..., None]
+                  + np.arange(offsets[first + 1] - offsets[first])]
 
 
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     """Index array of shape (A_C, A_D) mapping coalition/complement action
-    pairs (both in sorted-agent lexicographic order) to joint-action indices."""
-    mask = coalition_mask(coalition)
-    order = sorted(range(m.num_agents), key=lambda i: not mask >> i & 1)
-    grid = joint_index_grid(m.action_counts).transpose(order)
-    num_c = math.prod(grid.shape[:mask.bit_count()])
-    return np.ascontiguousarray(grid.reshape(num_c, -1))
+    pairs (both in sorted-agent lexicographic order) to joint-action indices:
+    a joint index is the sum of its coalition's and its complement's parts."""
+    grid = _subgrids(m.action_counts)
+    mask = np.int64(coalition_mask(coalition))
+    return _rows(grid, mask)[:, None] + _rows(grid, (grid[1].size - 2) ^ mask)
 
 
 def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,36 +213,21 @@ def _played(m: Mmdp, table: np.ndarray):
 
 
 def _induced(m: Mmdp, played, masks, grid) -> tuple[np.ndarray, np.ndarray]:
-    """`_induced_rows` for one mask or a stack of masks with equal A_C, their
-    rows read from the sub-grid table."""
-    values, offsets, weights = grid
-    others = (offsets.size - 2) ^ masks
-
-    def rows(of):
-        first = of.flat[0]
-        return values[offsets[of][..., None]
-                      + np.arange(offsets[first + 1] - offsets[first])]
-
-    return _induced_rows(m, played, rows(masks), rows(others), weights[others])
-
-
-def _induced_rows(m: Mmdp, played, inside, outside,
-                  weights) -> tuple[np.ndarray, np.ndarray]:
-    """`induced_mdp` for one coalition (or a stack with equal A_C) given its
-    own joint actions `inside` (..., A_C) and its complement's `outside`
-    (..., A_D), both ascending, and the complement's digit weights (..., n):
-    a joint action's place in `outside` is its digits dotted with them.
-    Gathered only at the complement actions q plays (q != 0, ascending,
-    zero-padded to the widest row): the tables are (..., S, A_C, W[, S])
-    with W <= A_D."""
+    """`induced_mdp` for one mask or a stack of masks with equal A_C, read
+    from the `_subgrids` table `grid`. Gathered only at the complement
+    actions q plays (q != 0, ascending, zero-padded to the widest row): the
+    tables are (..., S, A_C, W[, S]) with W <= A_D."""
     states, digits, probs = played
+    others = (grid[1].size - 2) ^ masks
+    inside, outside = _rows(grid, masks), _rows(grid, others)
     num_d = outside.shape[-1]
     size = outside.size // num_d
-    # q (..., S, A_D): bincount adds each (P, ...) bin's played terms in
-    # joint-action order, as the sum over the coalition's actions, less zeros
+    # q (..., S, A_D), each complement action at its digits dotted with the
+    # weights: bincount adds each (P, ...) bin's played terms in joint-action
+    # order, as the sum over the coalition's actions, less zeros
     member = np.arange(size).reshape(outside.shape[:-1])
     column = states.reshape(-1, *[1] * member.ndim)
-    bins = (member * m.num_states + column) * num_d + digits.T @ weights.T
+    bins = (member * m.num_states + column) * num_d + digits.T @ grid[2][others].T
     q = np.bincount(bins.ravel(), np.repeat(probs, size),
                     size * m.num_states * num_d).reshape(*member.shape, -1, num_d)
     totals = q.sum(axis=-1)
@@ -252,16 +247,10 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     conditional (for factorized behaviors this is the product of the
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
-    mask = coalition_mask(coalition)
-    idx = coalition_action_index(m, coalition)
-    # the complement's digit weights are its agents' place values in idx[0]
-    weights = np.zeros(m.num_agents, dtype=np.int64)
-    place = 1
-    for i in reversed(range(m.num_agents)):
-        if not mask >> i & 1:
-            weights[i], place = place, place * m.action_counts[i]
+    mask = np.int64(coalition_mask(coalition))
     played = _played(m, as_joint_table(m, behavior))
-    return (*_induced_rows(m, played, idx[:, 0], idx[0], weights), idx)
+    return (*_induced(m, played, mask, _subgrids(m.action_counts)),
+            coalition_action_index(m, coalition))
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
@@ -299,12 +288,12 @@ def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
     for i in agents:
         if not 0 <= i < m.num_agents:
             raise ValueError(f"agent index {i} out of range")
-    r_c, p_c, _ = induced_mdp(m, behavior, agents)
+    r_c, p_c, idx = induced_mdp(m, behavior, agents)
     v, pol = solve_mdp(r_c, p_c, m.discount)
-    dims = [m.action_counts[i] for i in agents]
-    per_agent = np.unravel_index(pol, dims) if agents else ()
-    policy = {i: AgentPolicy.deterministic(m.num_states, m.action_counts[i], actions)
-              for i, actions in zip(agents, per_agent)}
+    # each state's chosen joint action with the complement's digits at 0
+    digits = np.unravel_index(idx[pol, 0], m.action_counts)
+    policy = {i: AgentPolicy.deterministic(m.num_states, m.action_counts[i], digits[i])
+              for i in agents}
     return BestResponse(frozenset(agents), policy,
                         float(m.initial_dist @ v), v)
 
@@ -386,9 +375,9 @@ def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
     n = f.num_agents
     num_actions = 1 << n
     reward = np.zeros((2, num_actions))
-    # reversing the axes puts agent i on bit i, so position `mask` holds the
-    # joint action where exactly the agents in `mask` play 1
-    reward[0, joint_index_grid((2,) * n).T.ravel()] = f.values
+    # coalition `mask`'s value goes to the joint action where exactly its
+    # agents play 1 (agent 0 the most significant binary digit)
+    reward[0, membership(n) @ (1 << np.arange(n - 1, -1, -1))] = f.values
     transition = np.zeros((2, num_actions, 2))
     transition[0, :, 1] = 1.0
     transition[1, :, 1] = 1.0

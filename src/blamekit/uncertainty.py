@@ -80,6 +80,9 @@ class UncertaintySet:
         elif self.radius < 0:
             problems.append(f"radius {self.radius} is negative")
         problems.extend(self.center.validate())
+        n = self.center.num_agents
+        if stray := sorted(set(self.uncertain_agents or ()) - set(range(n))):
+            problems.append(f"uncertain agents {stray} not among the center's {n} agents")
         if self.truth is not None:
             truth, center = ([ap.probs.shape for ap in p.agents]
                              for p in (self.truth, self.center))
@@ -223,8 +226,8 @@ class _CoalitionProblem:
             self.certain_table = certain_table
             self.ball_rows = probs[u]
             self.ball_eps = radii[u]
-            dims = [m.action_counts[j] for j in others]
-            self.ball_col = np.unravel_index(np.arange(idx.shape[1]), dims)[u]
+            # idx[0] lists the complement's joint actions: the ball agent's digits
+            self.ball_col = np.unravel_index(idx[0], m.action_counts)[uncertain[0]]
             if mode == "min":
                 # LP variables: q, then one slack d_j >= |q_j - p_j| per action
                 k = self.ball_rows.shape[1]
@@ -350,9 +353,7 @@ class RobustBounds:
     an uncertainty set, memoized per coalition."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, exact: bool | None = None):
-        problems = uset.validate() or uset.center.validate(m)
-        if problems:
-            raise ValueError("invalid uncertainty set: " + "; ".join(problems))
+        _check_set(m, uset)
         self.m = m
         self.uset = uset
         self.exact = exact
@@ -426,11 +427,19 @@ class RobustBounds:
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
 
 
+def _check_set(m: Mmdp, uset: UncertaintySet) -> None:
+    problems = uset.validate() or uset.center.validate(m)
+    if problems:
+        raise ValueError("invalid uncertainty set: " + "; ".join(problems))
+
+
 _BOUNDS_CACHE: dict[bytes, RobustBounds] = {}
 
 
 def robust_bounds(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> RobustBounds:
+    # checked before the lookup: the key holds neither truth nor policy shapes
+    _check_set(m, uset)
     key = m.content_key() + uset.content_key() + str(exact).encode()
     if key not in _BOUNDS_CACHE:
         _BOUNDS_CACHE[key] = RobustBounds(m, uset, exact)

@@ -193,6 +193,41 @@ def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_states", 2.9), ("num_agents", 2.5), ("action_counts", [2, 1.7]),
+    ("terminals", [1.5])])
+def test_fractional_count_exits_2(two_agent_inputs, tmp_path, capsys,
+                                  field, value):
+    """A count or state index of 2.9 is refused, naming its field, rather
+    than cut down to 2."""
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert f"{field} value" in capsys.readouterr().err
+
+
+def test_integral_floats_load_as_counts(two_agent_inputs, tmp_path, capsys):
+    model_path, behavior_path = two_agent_inputs
+    assert main(["attribute", "--model", model_path,
+                 "--behavior", behavior_path]) == 0
+    expected = capsys.readouterr().out
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc.update(num_states=2.0, num_agents=2.0, action_counts=[2.0, 2.0],
+               terminals=[1.0])
+    path = tmp_path / "float_counts.json"
+    path.write_text(json.dumps(doc))
+    assert main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("command", ["attribute", "check"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("target, path, name", [

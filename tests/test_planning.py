@@ -152,12 +152,12 @@ def test_coalition_action_index_layout():
     assert idx.shape == (2, 3)
     for c in range(2):
         for d in range(3):
-            assert idx[c, d] == m.encode_joint((c, d))
+            assert idx[c, d] == np.ravel_multi_index((c, d), m.action_counts)
     idx = coalition_action_index(m, (1,))
     assert idx.shape == (3, 2)
     for c in range(3):
         for d in range(2):
-            assert idx[c, d] == m.encode_joint((d, c))
+            assert idx[c, d] == np.ravel_multi_index((d, c), m.action_counts)
     full = coalition_action_index(m, (0, 1))
     assert full.shape == (6, 1)
     np.testing.assert_array_equal(full[:, 0], np.arange(6))
@@ -168,10 +168,10 @@ def test_coalition_action_index_layout():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
 def test_mixed_radix_layouts_match_brute_force(action_counts):
-    """For every coalition, coalition_action_index agrees with encode_joint of
-    each (coalition tuple, complement tuple) pair, and the per-agent
-    complement columns (the oracle for the robust ball chooser's columns)
-    agree with digit-by-digit decoding."""
+    """For every coalition, coalition_action_index agrees with
+    np.ravel_multi_index of each (coalition tuple, complement tuple) pair, and
+    the per-agent complement columns (the oracle for the robust ball
+    chooser's columns) agree with digit-by-digit decoding."""
     m = random_mmdp(np.random.default_rng(0), num_states=2,
                     action_counts=tuple(action_counts))
     n = m.num_agents
@@ -188,7 +188,7 @@ def test_mixed_radix_layouts_match_brute_force(action_counts):
                 actions = [0] * n
                 for i, a in zip(agents + others, c + d):
                     actions[i] = a
-                expect[ci, di] = m.encode_joint(actions)
+                expect[ci, di] = np.ravel_multi_index(actions, m.action_counts)
         idx = coalition_action_index(m, agents)
         assert idx.dtype == np.int64 and idx.flags.c_contiguous
         np.testing.assert_array_equal(idx, expect)
@@ -223,11 +223,10 @@ def test_induced_mdp_marginalizes_complement():
     q = behavior.agents[1].probs  # complement conditional
     for s in range(3):
         for a0 in range(2):
-            expect_r = sum(q[s, a1] * m.reward[s, m.encode_joint((a0, a1))]
-                           for a1 in range(3))
+            joint = [np.ravel_multi_index((a0, a1), m.action_counts) for a1 in range(3)]
+            expect_r = sum(q[s, a1] * m.reward[s, joint[a1]] for a1 in range(3))
             assert r_c[s, a0] == pytest.approx(expect_r, abs=1e-12)
-            expect_p = sum(q[s, a1] * m.transition[s, m.encode_joint((a0, a1))]
-                           for a1 in range(3))
+            expect_p = sum(q[s, a1] * m.transition[s, joint[a1]] for a1 in range(3))
             np.testing.assert_allclose(p_c[s, a0], expect_p, atol=1e-12)
 
 
@@ -364,7 +363,7 @@ def test_scattered_conditional_is_the_gathered_kernel_bit_for_bit(
 def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
     """Row M of the sub-grid table is every joint action whose digits off M
     are zero, ascending, and weights[M] gives each one's place in the row."""
-    values, offsets, weights = planning._subgrids(action_counts)
+    values, offsets, weights = planning._subgrids(tuple(action_counts))
     n = len(action_counts)
     digits = np.array(list(itertools.product(*map(range, action_counts))))
     assert values.dtype == np.int64
@@ -376,6 +375,17 @@ def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
         np.testing.assert_array_equal(row, expected)
         np.testing.assert_array_equal(digits[row] @ weights[mask],
                                       np.arange(row.size))
+
+
+def test_subgrids_are_cached_and_read_only():
+    """One table per action-count tuple, shared by the sweep, induced_mdp and
+    coalition_action_index, which none of them may write."""
+    tables = planning._subgrids((2, 3, 1))
+    assert all(a is b for a, b in zip(planning._subgrids((2, 3, 1)), tables))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])

@@ -661,6 +661,38 @@ def test_robust_bounds_rejects_bad_inputs():
         robust_bounds(m, UncertaintySet(extra_state, 0.1))
 
 
+@pytest.mark.parametrize("agents", [{7}, {-1}, {0, 4}])
+def test_uncertain_agents_the_center_lacks_are_reported(agents):
+    """An index outside the center's agents would leave every agent certain
+    and collapse the robust bounds to the point value."""
+    m, center = build_graph(GraphSpec("robustness"))
+    uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset(agents))
+    stray = sorted(i for i in agents if not 0 <= i < 4)
+    assert uset.validate() == [
+        f"uncertain agents {stray} not among the center's 4 agents"]
+    with pytest.raises(ValueError, match="not among the center's 4 agents"):
+        RobustBounds(m, uset, False)
+
+
+def test_robust_bounds_checks_a_set_whose_key_is_cached(monkeypatch):
+    """The cache key leaves out the declared truth and the policy shapes, so
+    a set is checked before the lookup, whatever was solved before."""
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    m = bandit_model(np.zeros(4), (2, 2))
+    center = bandit_center([(0.5, 0.5), (0.5, 0.5)])
+    good = UncertaintySet(center, 0.1)
+    robust_bounds(m, good, False)
+    far = bandit_center([(1.0, 0.0), (0.5, 0.5)])
+    with pytest.raises(ValueError, match="invalid uncertainty set: "
+                                         "declared truth lies outside the set"):
+        robust_bounds(m, UncertaintySet(center, 0.1, truth=far), False)
+    # the same bytes in rows of another width: a key hit before the check
+    wide = JointPolicy(tuple(AgentPolicy(ap.probs.reshape(1, 4) / 2)
+                             for ap in center.agents))
+    with pytest.raises(ValueError, match="invalid uncertainty set"):
+        robust_bounds(m, UncertaintySet(wide, 0.1), False)
+
+
 def test_l1_distance():
     a = np.array([1.0, 2.0])
     b = np.array([0.5, 2.5])
