@@ -35,18 +35,10 @@ class BlameAssignment:
     def total(self) -> float:
         return float(self.blames.sum())
 
-    def csv_row(self) -> str:
-        cells = [self.method] + [f"{b:.12g}" for b in self.blames]
-        cells.append(f"{self.total:.12g}")
-        return ",".join(cells)
-
 
 @dataclass(frozen=True)
 class Pivotality:
     flags: tuple[bool, ...]
-
-    def csv_row(self) -> str:
-        return ",".join("1" if f else "0" for f in self.flags)
 
 
 def sequential_sums(terms: np.ndarray) -> np.ndarray:

@@ -46,8 +46,15 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _csv(*cells) -> str:
+    """One CSV line; numbers other than ints carry 12 significant digits."""
+    return ",".join(("true" if c else "false") if isinstance(c, (bool, np.bool_))
+                    else str(c) if isinstance(c, (str, int))
+                    else f"{float(c):.12g}" for c in cells)
+
+
+def _betas(n: int) -> list[str]:
+    return [f"beta_{i + 1}" for i in range(n)]
 
 
 def _load_inputs(model_path: str, behavior_path: str):
@@ -110,9 +117,9 @@ def cmd_attribute(args) -> int:
                    else METHODS[name](game) for name in methods]
     except (ValueError, RuntimeError) as err:
         raise CliError(3, f"attribution failed: {err}") from err
-    header = ("method," + ",".join(f"beta_{i + 1}" for i in range(model.num_agents))
-              + ",total")
-    _emit([header] + [res.csv_row() for res in results], args.out)
+    _emit([_csv("method", *_betas(model.num_agents), "total")]
+          + [_csv(res.method, *res.blames, res.total) for res in results],
+          args.out)
     return 0
 
 
@@ -130,16 +137,14 @@ def cmd_check(args) -> int:
         game = characteristic_game(model, behavior)
         beta = (METHODS[name](game, tiebreak) if name == "MER"
                 else METHODS[name](game))
-        verdicts = [check_validity(game, beta, eps),
-                    check_efficiency(game, beta, eps),
-                    check_rationality(game, beta, eps),
-                    check_avg_efficiency(game, beta, eps),
-                    check_symmetry(game, beta, eps),
-                    check_invariance(game, beta, eps)]
+        verdicts = [check(game, beta, eps) for check in (
+            check_validity, check_efficiency, check_rationality,
+            check_avg_efficiency, check_symmetry, check_invariance)]
     except (ValueError, RuntimeError) as err:
         raise CliError(3, f"check failed: {err}") from err
     _emit(["property,epsilon,holds,witness"]
-          + [v.csv_row() for v in verdicts], args.out)
+          + [_csv(v.property, v.epsilon, v.holds, v.witness or "")
+             for v in verdicts], args.out)
     expected = set(EXPECTED_HOLD[name])
     ok = all(v.holds for v in verdicts if v.property in expected)
     return 0 if ok else 1
@@ -245,17 +250,11 @@ def run_robustness(env: str, num_seeds: int = 10,
 
 def summarize_robustness(rows: list[dict]) -> list[dict]:
     """Mean and standard deviation over seeds per (method, eps_max)."""
-    keys = []
     grouped: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["method"], row["eps_max"])
-        if key not in grouped:
-            grouped[key] = []
-            keys.append(key)
-        grouped[key].append(row)
+        grouped.setdefault((row["method"], row["eps_max"]), []).append(row)
     summary = []
-    for method, eps in keys:
-        group = grouped[(method, eps)]
+    for (method, eps), group in grouped.items():
         totals = np.array([r["total"] for r in group])
         dists = np.array([r["l1_to_truth"] for r in group])
         summary.append({"method": method, "eps_max": eps,
@@ -265,32 +264,20 @@ def summarize_robustness(rows: list[dict]) -> list[dict]:
     return summary
 
 
-def _blame_cells(blames) -> list[str]:
-    return [_fmt(b) for b in blames]
-
-
 def cmd_experiment(args) -> int:
+    eps = None if args.eps_raw is None else tuple(_parse_eps_list(args.eps_raw))
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as err:
         raise CliError(4, f"cannot create {args.out}: {err}") from err
     exact = True if args.exact_uncertainty else (False if args.relaxed else None)
-    eps = tuple(args.eps_values) if args.eps_values else None
-    if args.name == "perm":
-        rows = run_perm_sweep()
-        lines = [",".join([_fmt(r["alpha_prime"]), r["method"]]
-                          + _blame_cells(r["blames"]) + [_fmt(r["total"])])
-                 for r in rows]
-        _emit(["alpha_prime,method,beta_1,beta_2,total", *lines],
-              os.path.join(args.out, "perm.csv"))
-        return 0
-    if args.name == "coordination":
-        rows = run_coordination()
-        lines = [",".join([str(r["m"]), r["method"]]
-                          + _blame_cells(r["blames"]) + [_fmt(r["total"])])
-                 for r in rows]
-        _emit(["m,method,beta_1,beta_2,beta_3,beta_4,total", *lines],
-              os.path.join(args.out, "coordination.csv"))
+    if args.name in ("perm", "coordination"):
+        key, rows = (("alpha_prime", run_perm_sweep()) if args.name == "perm"
+                     else ("m", run_coordination()))
+        _emit([_csv(key, "method", *_betas(rows[0]["blames"].size), "total")]
+              + [_csv(r[key], r["method"], *r["blames"], r["total"])
+                 for r in rows],
+              os.path.join(args.out, f"{args.name}.csv"))
         return 0
     if args.name in ("robustness-grid", "robustness-graph"):
         env = "gridworld" if args.name == "robustness-grid" else "graph"
@@ -298,24 +285,17 @@ def cmd_experiment(args) -> int:
             rows = run_robustness(env, args.seeds, eps, exact)
         except (ValueError, RuntimeError) as err:
             raise CliError(3, f"experiment failed: {err}") from err
-        num_agents = rows[0]["blames"].size
-        beta_cols = ",".join(f"beta_{i + 1}" for i in range(num_agents))
-        lines = [",".join([r["method"], _fmt(r["eps_max"]), str(r["seed"])]
-                          + _blame_cells(r["blames"])
-                          + [_fmt(r["total"]), _fmt(r["l1_to_truth"]),
-                             str(r["consistent"]).lower()])
-                 for r in rows]
         stem = args.name.replace("-", "_")
-        _emit([f"method,eps_max,seed,{beta_cols},total,l1_to_truth,consistent",
-               *lines], os.path.join(args.out, f"{stem}.csv"))
+        _emit([_csv("method", "eps_max", "seed", *_betas(rows[0]["blames"].size),
+                    "total", "l1_to_truth", "consistent")]
+              + [_csv(r["method"], r["eps_max"], r["seed"], *r["blames"],
+                      r["total"], r["l1_to_truth"], r["consistent"])
+                 for r in rows],
+              os.path.join(args.out, f"{stem}.csv"))
         summary = summarize_robustness(rows)
-        sum_lines = [",".join([r["method"], _fmt(r["eps_max"]),
-                               _fmt(r["total_mean"]), _fmt(r["total_std"]),
-                               _fmt(r["l1_mean"]), _fmt(r["l1_std"]),
-                               str(r["consistent_all"]).lower()])
-                     for r in summary]
-        _emit(["method,eps_max,total_mean,total_std,l1_mean,l1_std,consistent_all",
-               *sum_lines], os.path.join(args.out, f"{stem}_summary.csv"))
+        # the summary's keys are its column names
+        _emit([_csv(*summary[0])] + [_csv(*r.values()) for r in summary],
+              os.path.join(args.out, f"{stem}_summary.csv"))
         return 0
     raise CliError(2, f"unknown experiment {args.name!r}")
 
@@ -377,10 +357,6 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seeds", 1) < 1:
         parser.error("--seeds must be positive")
     try:
-        if getattr(args, "eps_raw", None) is not None:
-            args.eps_values = _parse_eps_list(args.eps_raw)
-        else:
-            args.eps_values = None
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -291,8 +291,15 @@ def _entries(doc, name: str, limits: tuple[int, ...]):
     return tuple(rows[:, :-1].T.astype(np.int64)), rows[:, -1]
 
 
+def _number(name: str, value) -> float:
+    # JSON true loads as a Python bool, which is an int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} value {value!r} is not a number")
+    return float(value)
+
+
 def _integer(name: str, value) -> int:
-    if not float(value).is_integer():  # fractional, infinite or NaN
+    if not _number(name, value).is_integer():  # fractional, infinite or NaN
         raise ValueError(f"{name} value {value!r} is not an integer")
     return int(value)
 
@@ -309,7 +316,7 @@ def load_model(path) -> Mmdp:
         num_states = _integer("num_states", doc["num_states"])
         num_agents = _integer("num_agents", doc["num_agents"])
         action_counts = tuple(_integer("action_counts", k) for k in doc["action_counts"])
-        gamma = float(doc["gamma"])
+        gamma = _number("gamma", doc["gamma"])
         initial = np.asarray(doc["initial_dist"], dtype=float)
         terminals = frozenset(_integer("terminals", s) for s in doc.get("terminals", []))
     except KeyError as exc:

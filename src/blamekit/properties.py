@@ -35,10 +35,6 @@ class PropertyVerdict:
         if not self.holds and self.witness is None:
             raise ValueError("failing verdict needs a witness")
 
-    def csv_row(self) -> str:
-        witness = self.witness or ""
-        return f"{self.property},{self.epsilon:.12g},{str(self.holds).lower()},{witness}"
-
 
 def _coalition_label(mask: int, n: int) -> str:
     agents = mask_agents(mask, n)

@@ -379,6 +379,8 @@ class RobustBounds:
         return self._values[0, "max"][1]
 
     def _bound(self, mask: int, mode: str) -> float:
+        if mask >> self.m.num_agents:  # name the highest agent the model lacks
+            raise ValueError(f"agent index {mask.bit_length() - 1} out of range")
         key = (mask, mode)
         if key not in self._values:
             self._values[key] = self._solve(mask, mode)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from blamekit.attribution import (
     BlameAssignment,
-    Pivotality,
     average_participation,
     banzhaf,
     blame,
@@ -18,6 +17,7 @@ from blamekit.attribution import (
     pivotality,
     shapley,
 )
+from blamekit.cli import _csv
 from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
                                mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
@@ -236,7 +236,6 @@ def test_pivotality_matches_marginal_scan():
         game = random_monotone_game(n, seed=800 + seed)
         assert pivotality(game).flags == pivotal_scan_oracle(game)
     assert pivotality(LOPSIDED).flags == (True, False)
-    assert Pivotality((True, False)).csv_row() == "1,0"
 
 
 def test_average_participation_matches_oracle():
@@ -272,8 +271,8 @@ def test_blame_assignment_clamps_and_rejects():
 
 
 def test_csv_row_format():
-    row = BlameAssignment("BI", np.array([0.5, 1.25])).csv_row()
-    assert row == "BI,0.5,1.25,1.75"
+    res = BlameAssignment("BI", np.array([0.5, 1.25]))
+    assert _csv(res.method, *res.blames, res.total) == "BI,0.5,1.25,1.75"
 
 
 def test_blame_wrapper_composes_game_and_method():

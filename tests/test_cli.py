@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit.cli import main, run_coordination, run_perm_sweep, run_robustness
+from blamekit.cli import (_csv, main, run_coordination, run_perm_sweep,
+                          run_robustness)
 from blamekit.mmdp import save_model, save_policy
 from blamekit.planning import CharacteristicGame, mmdp_from_game
 from helpers import random_factorized, random_mmdp
@@ -210,6 +211,27 @@ def test_fractional_count_exits_2(two_agent_inputs, tmp_path, capsys,
                  "--behavior", behavior_path])
     assert code == 2
     assert f"{field} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, refused", [
+    ("num_agents", True, True), ("action_counts", ["2", 2], "2"),
+    ("num_states", "2", "2"), ("terminals", [True], True),
+    ("gamma", "0.99", "0.99")])
+def test_non_number_field_exits_2(two_agent_inputs, tmp_path, capsys,
+                                  field, value, refused):
+    """A JSON boolean or string is refused where a number belongs, naming
+    its field, rather than read as one (true would be agent count 1)."""
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / "non_number.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    assert f"{field} value {refused!r} is not a number" \
+        in capsys.readouterr().err
 
 
 def test_integral_floats_load_as_counts(two_agent_inputs, tmp_path, capsys):
@@ -421,6 +443,14 @@ def test_coordination_rows_match_threshold_structure():
     for m in (1, 2, 3, 4):
         assert by[(m, "SV")]["total"] == pytest.approx(
             by[(m, "SV")]["delta"], abs=1e-6)
+
+
+def test_csv_cells_keep_the_written_text():
+    """numpy booleans as true/false, an int (a seed) via str even past 12
+    digits, and -0.0 as -0, as the experiment files have always had them."""
+    assert _csv(np.True_, np.False_, True) == "true,false,true"
+    assert _csv(3, 10**13) == "3,10000000000000"
+    assert _csv(-0.0, np.float64(1 / 3)) == "-0,0.333333333333"
 
 
 def test_perm_experiment_writes_csv(tmp_path, capsys):

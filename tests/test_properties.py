@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from blamekit.attribution import METHODS, mer, pivotality, shapley
+from blamekit.cli import _csv
 from blamekit.planning import CharacteristicGame, characteristic_game
 from blamekit.properties import (
     PropertyVerdict,
@@ -33,9 +34,11 @@ LOPSIDED = game_of([0.0, 1.1, 0.0, 1.1])
 
 def test_verdict_consistency_is_enforced():
     ok = PropertyVerdict("R_V", 0.0, True)
-    assert ok.csv_row() == "R_V,0,true,"
+    assert _csv(ok.property, ok.epsilon, ok.holds, ok.witness or "") \
+        == "R_V,0,true,"
     bad = PropertyVerdict("R_E", 0.5, False, "total 3 differs from 2")
-    assert bad.csv_row() == "R_E,0.5,false,total 3 differs from 2"
+    assert _csv(bad.property, bad.epsilon, bad.holds, bad.witness or "") \
+        == "R_E,0.5,false,total 3 differs from 2"
     with pytest.raises(ValueError):
         PropertyVerdict("R_V", 0.0, True, "spurious witness")
     with pytest.raises(ValueError):

@@ -674,6 +674,22 @@ def test_uncertain_agents_the_center_lacks_are_reported(agents):
         RobustBounds(m, uset, False)
 
 
+@pytest.mark.parametrize("coalition, stray", [((5,), 5), ([2], 2),
+                                              ((0, 3, 7), 7)])
+def test_bounds_refuse_agents_the_model_lacks(coalition, stray):
+    """A stray index is refused, not dropped: (5,) would otherwise get the
+    empty coalition's bound."""
+    m, b = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+    uset = sample_center(b, 0.05, 0, frozenset({0}))
+    bounds = RobustBounds(m, uset)
+    for bound in (bounds.min_value, bounds.max_value,
+                  lambda c: robust_min_value(m, uset, c),
+                  lambda c: robust_max_value(m, uset, c)):
+        with pytest.raises(ValueError,
+                           match=f"agent index {stray} out of range"):
+            bound(coalition)
+
+
 def test_robust_bounds_checks_a_set_whose_key_is_cached(monkeypatch):
     """The cache key leaves out the declared truth and the policy shapes, so
     a set is checked before the lookup, whatever was solved before."""
