@@ -17,8 +17,8 @@ from .planning import best_response, solve_mdp
 
 CELL_REWARDS = {".": -0.01, "S": -0.01, "F": -0.02, "H": -0.5, "G": 1.0}
 GRID_SIZE = 8
-# moves: left, right, up, down
-_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))
+# row and column offsets of the moves left, right, up and down
+_MOVES = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
 
 
 def default_map() -> str:
@@ -59,79 +59,58 @@ class GridworldSpec:
         return problems
 
 
-def _destination(cell: int, move: int) -> int:
-    row, col = divmod(cell, GRID_SIZE)
-    dr, dc = _MOVES[move]
-    nr, nc = row + dr, col + dc
-    if 0 <= nr < GRID_SIZE and 0 <= nc < GRID_SIZE:
-        return nr * GRID_SIZE + nc
-    return cell
-
-
-def _single_agent_plan(rows: list[str], rewards: dict[str, float],
-                       discount: float) -> np.ndarray:
-    """Optimal per-cell move of the lone actor under the given cell costs."""
-    num = GRID_SIZE * GRID_SIZE
-    r = np.zeros((num, 4))
-    p = np.zeros((num, 4, num))
-    for s in range(num):
-        cell = rows[s // GRID_SIZE][s % GRID_SIZE]
-        for a in range(4):
-            if cell == "G":
-                p[s, a, s] = 1.0
-                continue
-            dest = _destination(s, a)
-            r[s, a] = rewards[rows[dest // GRID_SIZE][dest % GRID_SIZE]]
-            p[s, a, dest] = 1.0
-    _, policy = solve_mdp(r, p, discount)
-    return policy
+def _single_actor(cells: np.ndarray, rewards) -> tuple[np.ndarray, np.ndarray]:
+    """The lone actor's reward (K, S, 4), one table per cell-reward dict in
+    `rewards`, and its transition (S, 4, S): a move earns its destination
+    cell's reward, a move off the map stays put, and the goal absorbs every
+    move at reward 0."""
+    states = np.arange(cells.size)[:, None]
+    # clipping the one coordinate a move changes keeps an off-map move in place
+    row, col = np.clip(np.stack(np.divmod(states, GRID_SIZE)) + _MOVES[:, None],
+                       0, GRID_SIZE - 1)
+    goal = (cells == "G")[:, None]
+    dest = np.where(goal, states, row * GRID_SIZE + col)
+    cell_rewards = np.array([[table[c] for c in cells] for table in rewards])
+    return np.where(goal, 0.0, cell_rewards[:, dest]), np.eye(cells.size)[dest]
 
 
 def build_gridworld(spec: GridworldSpec) -> tuple[Mmdp, JointPolicy]:
     """The joint model plus the behavior (agent 1 at alpha, agent 2 trained
-    as a best response against agent 1 at alpha_prime)."""
+    as a best response against agent 1 at alpha_prime). Joint action
+    a1 * 2 + a2 is the lone actor's move a1 when a2 = 0; when a2 = 1 the
+    single-actor optimal move executes instead, at the intervention cost."""
     problems = spec.validate()
     if problems:
         raise ValueError("invalid gridworld spec: " + "; ".join(problems))
     rows = parse_map(spec.map_text if spec.map_text is not None else default_map())
-    num = GRID_SIZE * GRID_SIZE
+    cells = np.array(list("".join(rows)))
+    states = np.arange(cells.size)
+    goal = cells == "G"
     blind_rewards = dict(CELL_REWARDS, F=CELL_REWARDS["."], H=CELL_REWARDS["."])
-    opt = _single_agent_plan(rows, CELL_REWARDS, spec.discount)
-    blind = _single_agent_plan(rows, blind_rewards, spec.discount)
+    (reward, blind_reward), transition = _single_actor(
+        cells, (CELL_REWARDS, blind_rewards))
+    _, opt = solve_mdp(reward, transition, spec.discount)
+    _, blind = solve_mdp(blind_reward, transition, spec.discount)
 
-    reward = np.zeros((num, 8))
-    transition = np.zeros((num, 8, num))
-    terminals = frozenset(s for s in range(num)
-                          if rows[s // GRID_SIZE][s % GRID_SIZE] == "G")
-    for s in range(num):
-        for a1 in range(4):
-            for a2 in range(2):
-                ja = a1 * 2 + a2
-                if s in terminals:
-                    transition[s, ja, s] = 1.0
-                    continue
-                executed = opt[s] if a2 == 1 else a1
-                dest = _destination(s, int(executed))
-                reward[s, ja] = CELL_REWARDS[rows[dest // GRID_SIZE][dest % GRID_SIZE]]
-                if a2 == 1:
-                    reward[s, ja] += spec.intervention_cost
-                transition[s, ja, dest] = 1.0
-    starts = [s for s in range(num) if rows[s // GRID_SIZE][s % GRID_SIZE] == "S"]
-    initial = np.zeros(num)
-    initial[starts] = 1.0 / len(starts)
-    model = Mmdp(num, 2, (4, 2), reward, transition, spec.discount,
-                 initial, terminals)
+    joint_reward = np.repeat(reward, 2, axis=1)
+    joint_reward[:, 1::2] = np.where(
+        goal, 0.0, reward[states, opt] + spec.intervention_cost)[:, None]
+    joint_transition = np.repeat(transition, 2, axis=1)
+    joint_transition[:, 1::2] = transition[states, opt][:, None]
+    start = cells == "S"
+    model = Mmdp(cells.size, 2, (4, 2), joint_reward, joint_transition,
+                 spec.discount, start / start.sum(),
+                 frozenset(np.flatnonzero(goal).tolist()))
 
     def pilot_policy(alpha: float) -> AgentPolicy:
-        table = np.zeros((num, 4))
+        table = np.zeros((cells.size, 4))
         opt_weight = alpha + (1.0 - alpha) * spec.personal_mix
-        for s in range(num):
-            table[s, opt[s]] += opt_weight
-            table[s, blind[s]] += 1.0 - opt_weight
+        table[states, opt] += opt_weight
+        table[states, blind] += 1.0 - opt_weight
         return AgentPolicy(table)
 
     trainee = JointPolicy((pilot_policy(spec.alpha_prime),
-                           AgentPolicy.uniform(num, 2)))
+                           AgentPolicy.uniform(cells.size, 2)))
     overseer = best_response(model, trainee, (1,)).policy[1]
     behavior = JointPolicy((pilot_policy(spec.alpha), overseer))
     return model, behavior

@@ -274,7 +274,7 @@ def _entries(doc, name: str, limits: tuple[int, ...]):
     Returns (index columns, value column); every index must be an integer in
     [0, limit) for its column's limit.
     """
-    rows = np.asarray(doc.get(name, []), dtype=float)
+    rows = _numbers(name, doc.get(name, []))
     width = len(limits) + 1
     if rows.size == 0:
         rows = rows.reshape(0, width)
@@ -298,6 +298,14 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+def _numbers(name: str, value) -> np.ndarray:
+    """Nested JSON numbers as a float array; `_number` checks each type's first entry."""
+    table = np.asarray(value, dtype=object)
+    for entry in {type(x): x for x in table.ravel()[::-1]}.values():
+        _number(name, entry)
+    return table.astype(float)
+
+
 def _integer(name: str, value) -> int:
     if not _number(name, value).is_integer():  # fractional, infinite or NaN
         raise ValueError(f"{name} value {value!r} is not an integer")
@@ -317,7 +325,7 @@ def load_model(path) -> Mmdp:
         num_agents = _integer("num_agents", doc["num_agents"])
         action_counts = tuple(_integer("action_counts", k) for k in doc["action_counts"])
         gamma = _number("gamma", doc["gamma"])
-        initial = np.asarray(doc["initial_dist"], dtype=float)
+        initial = _numbers("initial_dist", doc["initial_dist"])
         terminals = frozenset(_integer("terminals", s) for s in doc.get("terminals", []))
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from exc
@@ -357,8 +365,8 @@ def load_policy(path) -> JointPolicy:
         doc = json.load(fh)
     if "agents" not in doc:
         raise ValueError("policy file missing 'agents' field")
-    agents = tuple(AgentPolicy(np.asarray(rows, dtype=float))
-                   for rows in doc["agents"])
+    agents = tuple(AgentPolicy(_numbers(f"agent {i}: probs", rows))
+                   for i, rows in enumerate(doc["agents"]))
     for i, ap in enumerate(agents):
         if ap.probs.ndim != 2:
             raise ValueError(f"agent {i}: policy must be a table of rows")

@@ -30,12 +30,12 @@ MAX_AGENTS = 12
 _MONOTONE_TOL = 1e-9
 
 
-def coalition_mask(coalition) -> int:
-    """Bitmask with agent i on bit i (agent 0 is bit 0)."""
-    mask = 0
-    for i in coalition:
-        mask |= 1 << int(i)
-    return mask
+def coalition_mask(coalition, n: int) -> int:
+    """Bitmask with agent i on bit i; refuses (naming the largest) i outside [0, n)."""
+    agents = {int(i) for i in coalition}
+    if stray := [i for i in agents if not 0 <= i < n]:
+        raise ValueError(f"agent index {max(stray)} out of range")
+    return sum(1 << i for i in agents)
 
 
 def mask_agents(mask: int, n: int) -> tuple[int, ...]:
@@ -100,9 +100,11 @@ class CharacteristicGame:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def value(self, coalition) -> float:
-        if isinstance(coalition, (int, np.integer)):
-            return float(self.values[int(coalition)])
-        return float(self.values[coalition_mask(coalition)])
+        if not isinstance(coalition, (int, np.integer)):
+            coalition = coalition_mask(coalition, self.num_agents)
+        elif not 0 <= coalition < 1 << self.num_agents:
+            raise ValueError(f"coalition mask {coalition} out of range")
+        return float(self.values[int(coalition)])
 
     @property
     def total(self) -> float:
@@ -172,7 +174,7 @@ def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     pairs (both in sorted-agent lexicographic order) to joint-action indices:
     a joint index is the sum of its coalition's and its complement's parts."""
     grid = _subgrids(m.action_counts)
-    mask = np.int64(coalition_mask(coalition))
+    mask = np.int64(coalition_mask(coalition, m.num_agents))
     return _rows(grid, mask)[:, None] + _rows(grid, (grid[1].size - 2) ^ mask)
 
 
@@ -247,7 +249,7 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     conditional (for factorized behaviors this is the product of the
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
-    mask = np.int64(coalition_mask(coalition))
+    mask = np.int64(coalition_mask(coalition, m.num_agents))
     played = _played(m, as_joint_table(m, behavior))
     return (*_induced(m, played, mask, _subgrids(m.action_counts)),
             coalition_action_index(m, coalition))
@@ -285,9 +287,6 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
     """Optimal deterministic deviation of `coalition` against `behavior`."""
     agents = sorted(coalition)
-    for i in agents:
-        if not 0 <= i < m.num_agents:
-            raise ValueError(f"agent index {i} out of range")
     r_c, p_c, idx = induced_mdp(m, behavior, agents)
     v, pol = solve_mdp(r_c, p_c, m.discount)
     # each state's chosen joint action with the complement's digits at 0

@@ -367,10 +367,10 @@ class RobustBounds:
             kept for level in levels if (kept := level[~terminal[level]]).size]
 
     def min_value(self, coalition) -> float:
-        return self._bound(coalition_mask(coalition), "min")
+        return self._bound(coalition_mask(coalition, self.m.num_agents), "min")
 
     def max_value(self, coalition) -> float:
-        return self._bound(coalition_mask(coalition), "max")
+        return self._bound(coalition_mask(coalition, self.m.num_agents), "max")
 
     def max_policy(self) -> np.ndarray:
         """A joint behavior table attaining max_value(()) over the chooser
@@ -379,8 +379,6 @@ class RobustBounds:
         return self._values[0, "max"][1]
 
     def _bound(self, mask: int, mode: str) -> float:
-        if mask >> self.m.num_agents:  # name the highest agent the model lacks
-            raise ValueError(f"agent index {mask.bit_length() - 1} out of range")
         key = (mask, mode)
         if key not in self._values:
             self._values[key] = self._solve(mask, mode)

@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 
-from blamekit import planning
+from blamekit import envs, planning
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 
 
@@ -299,3 +299,84 @@ def box_max_loop(b, lo, hi):
         if val > best_val:
             best_val, best_q = val, q
     return best_val, best_q
+
+
+# The gridworld as it was built one (state, move, override) at a time: the
+# reference `envs.build_gridworld` must match bit for bit.
+
+_GRID_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))  # left, right, up, down
+
+
+def destination(cell, move):
+    """Where a move from a cell lands; off the map it stays put."""
+    row, col = divmod(cell, envs.GRID_SIZE)
+    dr, dc = _GRID_MOVES[move]
+    nr, nc = row + dr, col + dc
+    if 0 <= nr < envs.GRID_SIZE and 0 <= nc < envs.GRID_SIZE:
+        return nr * envs.GRID_SIZE + nc
+    return cell
+
+
+def single_agent_plan_loop(rows, rewards, discount):
+    """Optimal per-cell move of the lone actor under the given cell costs."""
+    num = envs.GRID_SIZE * envs.GRID_SIZE
+    r = np.zeros((num, 4))
+    p = np.zeros((num, 4, num))
+    for s in range(num):
+        cell = rows[s // envs.GRID_SIZE][s % envs.GRID_SIZE]
+        for a in range(4):
+            if cell == "G":
+                p[s, a, s] = 1.0
+                continue
+            dest = destination(s, a)
+            r[s, a] = rewards[rows[dest // envs.GRID_SIZE][dest % envs.GRID_SIZE]]
+            p[s, a, dest] = 1.0
+    _, policy = planning.solve_mdp(r, p, discount)
+    return policy
+
+
+def gridworld_loop(spec):
+    """`build_gridworld`'s (model, behavior), filled entry by entry."""
+    size = envs.GRID_SIZE
+    rows = envs.parse_map(spec.map_text if spec.map_text is not None
+                          else envs.default_map())
+    num = size * size
+    blind_rewards = dict(envs.CELL_REWARDS, F=envs.CELL_REWARDS["."],
+                         H=envs.CELL_REWARDS["."])
+    opt = single_agent_plan_loop(rows, envs.CELL_REWARDS, spec.discount)
+    blind = single_agent_plan_loop(rows, blind_rewards, spec.discount)
+
+    reward = np.zeros((num, 8))
+    transition = np.zeros((num, 8, num))
+    terminals = frozenset(s for s in range(num) if rows[s // size][s % size] == "G")
+    for s in range(num):
+        for a1 in range(4):
+            for a2 in range(2):
+                ja = a1 * 2 + a2
+                if s in terminals:
+                    transition[s, ja, s] = 1.0
+                    continue
+                executed = opt[s] if a2 == 1 else a1
+                dest = destination(s, int(executed))
+                reward[s, ja] = envs.CELL_REWARDS[rows[dest // size][dest % size]]
+                if a2 == 1:
+                    reward[s, ja] += spec.intervention_cost
+                transition[s, ja, dest] = 1.0
+    starts = [s for s in range(num) if rows[s // size][s % size] == "S"]
+    initial = np.zeros(num)
+    initial[starts] = 1.0 / len(starts)
+    model = Mmdp(num, 2, (4, 2), reward, transition, spec.discount,
+                 initial, terminals)
+
+    def pilot_policy(alpha):
+        table = np.zeros((num, 4))
+        opt_weight = alpha + (1.0 - alpha) * spec.personal_mix
+        for s in range(num):
+            table[s, opt[s]] += opt_weight
+            table[s, blind[s]] += 1.0 - opt_weight
+        return AgentPolicy(table)
+
+    trainee = JointPolicy((pilot_policy(spec.alpha_prime),
+                           AgentPolicy.uniform(num, 2)))
+    overseer = planning.best_response(model, trainee, (1,)).policy[1]
+    return model, JointPolicy((pilot_policy(spec.alpha), overseer))

@@ -54,7 +54,7 @@ def banzhaf_oracle(game):
         others = [j for j in range(n) if j != i]
         for r in range(n):
             for subset in itertools.combinations(others, r):
-                mask = coalition_mask(subset)
+                mask = coalition_mask(subset, n)
                 out[i] += game.values[mask | 1 << i] - game.values[mask]
     return out / 2 ** (n - 1)
 
@@ -68,7 +68,7 @@ def pivotal_scan_oracle(game, tol=1e-7):
         found = False
         for r in range(n):
             for subset in itertools.combinations(others, r):
-                mask = coalition_mask(subset)
+                mask = coalition_mask(subset, n)
                 if game.values[mask | 1 << i] - game.values[mask] > tol:
                     found = True
         flags.append(found)
@@ -86,7 +86,7 @@ def participation_oracle(game):
         others = [j for j in range(n) if j != i]
         for r in range(n):
             for subset in itertools.combinations(others, r):
-                mask = coalition_mask(subset)
+                mask = coalition_mask(subset, n)
                 sharers = 1 + sum(pivotal[j] for j in subset)
                 out[i] += w * game.values[mask | 1 << i] / sharers
     return out

@@ -234,6 +234,33 @@ def test_non_number_field_exits_2(two_agent_inputs, tmp_path, capsys,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, path, value, name", [
+    ("model", ("rewards", 0, -1), "2.0", "rewards"),
+    ("model", ("transitions", 0, -1), True, "transitions"),
+    ("model", ("initial_dist",), [True, 0], "initial_dist"),
+    ("behavior", ("agents", 1, 0), [True, False], "agent 1: probs")])
+def test_non_number_table_entry_exits_2(two_agent_inputs, tmp_path, capsys,
+                                        target, path, value, name):
+    """A table or policy entry is held to the scalar fields' rule: a JSON
+    boolean or string that numpy would read as the same number is refused,
+    naming its field."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    paths[target] = str(tmp_path / "edited.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main(["attribute", "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    refused = value[0] if isinstance(value, list) else value
+    assert f"{name} value {refused!r} is not a number" in capsys.readouterr().err
+
+
 def test_integral_floats_load_as_counts(two_agent_inputs, tmp_path, capsys):
     model_path, behavior_path = two_agent_inputs
     assert main(["attribute", "--model", model_path,

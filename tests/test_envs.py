@@ -16,9 +16,7 @@ from blamekit.envs import (
     GRID_SIZE,
     GraphSpec,
     GridworldSpec,
-    _destination,
     _graph_state,
-    _single_agent_plan,
     build_graph,
     build_gridworld,
     default_map,
@@ -26,6 +24,7 @@ from blamekit.envs import (
 )
 from blamekit.mmdp import evaluate_return, validate_mmdp
 from blamekit.planning import characteristic_game
+from helpers import destination, gridworld_loop, single_agent_plan_loop
 
 GAMMA = 0.99
 # four rewarded steps of +-1 separate the all-win policy from the all-lose one
@@ -55,13 +54,44 @@ def test_parse_map_rejects_malformed_input():
 
 
 def test_destination_bounces_off_the_border():
-    assert _destination(0, 2) == 0           # up from the top-left corner
-    assert _destination(0, 0) == 0           # left
-    assert _destination(0, 1) == 1           # right works
-    assert _destination(0, 3) == GRID_SIZE   # down works
+    assert destination(0, 2) == 0           # up from the top-left corner
+    assert destination(0, 0) == 0           # left
+    assert destination(0, 1) == 1           # right works
+    assert destination(0, 3) == GRID_SIZE   # down works
     last = GRID_SIZE * GRID_SIZE - 1
-    assert _destination(last, 3) == last
-    assert _destination(last, 1) == last
+    assert destination(last, 3) == last
+    assert destination(last, 1) == last
+
+
+# the packaged map with the goal moved to the left border and a second start
+_TWO_STARTS = """\
+S...H...
+HHH.H...
+....H...
+.HHHH...
+G...H...
+HHH.H...
+....H...
+.......S"""
+
+
+@pytest.mark.parametrize("map_text", [None, _TWO_STARTS])
+@pytest.mark.parametrize("alpha_prime", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.4, 1.0])
+def test_gridworld_matches_the_loop_reference(alpha, alpha_prime, map_text):
+    """The array build equals the (state, move, override) loop bit for bit:
+    reward, transition, initial distribution, terminals and both agents'
+    policy tables."""
+    spec = GridworldSpec(alpha=alpha, alpha_prime=alpha_prime, map_text=map_text)
+    model, behavior = build_gridworld(spec)
+    ref_model, ref_behavior = gridworld_loop(spec)
+    for got, want in [(model.reward, ref_model.reward),
+                      (model.transition, ref_model.transition),
+                      (model.initial_dist, ref_model.initial_dist),
+                      *zip((a.probs for a in behavior.agents),
+                           (a.probs for a in ref_behavior.agents))]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert model.terminal_states == ref_model.terminal_states
 
 
 def test_gridworld_model_is_valid():
@@ -82,7 +112,7 @@ def test_gridworld_action_semantics():
     spec = GridworldSpec(alpha=0.5, alpha_prime=0.5)
     model, _ = build_gridworld(spec)
     rows = parse_map(default_map())
-    opt = _single_agent_plan(rows, CELL_REWARDS, spec.discount)
+    opt = single_agent_plan_loop(rows, CELL_REWARDS, spec.discount)
 
     def cell(s):
         return rows[s // GRID_SIZE][s % GRID_SIZE]
@@ -93,13 +123,13 @@ def test_gridworld_action_semantics():
             continue
         for a1 in range(4):
             plain = a1 * 2
-            dest = _destination(s, a1)
+            dest = destination(s, a1)
             assert model.reward[s, plain] == pytest.approx(
                 CELL_REWARDS[cell(dest)], abs=1e-12)
             assert model.transition[s, plain, dest] == 1.0
 
             forced = a1 * 2 + 1
-            forced_dest = _destination(s, int(opt[s]))
+            forced_dest = destination(s, int(opt[s]))
             assert model.reward[s, forced] == pytest.approx(
                 CELL_REWARDS[cell(forced_dest)] + spec.intervention_cost,
                 abs=1e-12)
@@ -110,9 +140,9 @@ def test_gridworld_action_semantics():
 
 def test_pilot_mixture_hits_both_plans():
     rows = parse_map(default_map())
-    opt = _single_agent_plan(rows, CELL_REWARDS, 0.99)
+    opt = single_agent_plan_loop(rows, CELL_REWARDS, 0.99)
     blind_costs = dict(CELL_REWARDS, F=CELL_REWARDS["."], H=CELL_REWARDS["."])
-    blind = _single_agent_plan(rows, blind_costs, 0.99)
+    blind = single_agent_plan_loop(rows, blind_costs, 0.99)
 
     model, sharp = build_gridworld(GridworldSpec(alpha=1.0, alpha_prime=1.0))
     pilot = sharp.agents[0].probs

@@ -1,6 +1,7 @@
 """Coalition best responses, the inefficiency game, and its realizability."""
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -52,12 +53,41 @@ def brute_force_best_value(m, behavior, coalition):
 
 
 def test_coalition_mask_roundtrip():
-    assert coalition_mask([0, 2]) == 0b101
-    assert coalition_mask(()) == 0
+    assert coalition_mask([0, 2], 3) == 0b101
+    assert coalition_mask((), 0) == 0
     assert mask_agents(0b101, 3) == (0, 2)
     assert mask_agents(0, 4) == ()
     for mask in range(16):
-        assert coalition_mask(mask_agents(mask, 4)) == mask
+        assert coalition_mask(mask_agents(mask, 4), 4) == mask
+
+
+_GAME = CharacteristicGame(2, [0.0, 1.0, 2.0, 3.0])
+_MODEL, _BEHAVIOR = mmdp_from_game(_GAME)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _GAME.value((-1,)), "agent index -1 out of range",
+                 id="value-negative"),
+    pytest.param(lambda: _GAME.value((5,)), "agent index 5 out of range",
+                 id="value-beyond"),
+    pytest.param(lambda: _GAME.value((0, 1, 2)), "agent index 2 out of range",
+                 id="value-one-beyond"),
+    pytest.param(lambda: _GAME.value(-1), "coalition mask -1 out of range",
+                 id="value-negative-mask"),
+    pytest.param(lambda: _GAME.value(4), "coalition mask 4 out of range",
+                 id="value-mask-beyond"),
+    pytest.param(lambda: coalition_action_index(_MODEL, (3,)),
+                 "agent index 3 out of range", id="action-index"),
+    pytest.param(lambda: induced_mdp(_MODEL, _BEHAVIOR, (-1,)),
+                 "agent index -1 out of range", id="induced-mdp"),
+    pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, (-1, 5)),
+                 "agent index 5 out of range", id="best-response-largest")])
+def test_stray_agent_indices_are_refused(call, message):
+    """Every coalition entry point goes through `coalition_mask`'s gate: an
+    index outside [0, n) raises, naming the largest, instead of a shift or
+    index error, and a mask outside [0, 2^n) is not read as another one."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_best_response_matches_exhaustive_search():

@@ -675,7 +675,8 @@ def test_uncertain_agents_the_center_lacks_are_reported(agents):
 
 
 @pytest.mark.parametrize("coalition, stray", [((5,), 5), ([2], 2),
-                                              ((0, 3, 7), 7)])
+                                              ((0, 3, 7), 7), ((-1,), -1),
+                                              ((-1, 0, 5), 5)])
 def test_bounds_refuse_agents_the_model_lacks(coalition, stray):
     """A stray index is refused, not dropped: (5,) would otherwise get the
     empty coalition's bound."""
