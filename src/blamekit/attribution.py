@@ -2,8 +2,8 @@
 
 All five methods consume a CharacteristicGame rather than a model and
 behavior pair, so the planning cost is paid once and test generators can
-inject synthetic games directly. `blame` is the convenience wrapper that
-composes the game first.
+inject synthetic games directly. `apply` runs a method by name, and `blame`
+is the convenience wrapper that composes the game first.
 """
 from __future__ import annotations
 
@@ -76,29 +76,20 @@ def banzhaf_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / (1 << (n - 1)))
 
 
-def _marginal_method(game: CharacteristicGame, weights: np.ndarray,
-                     method: str) -> BlameAssignment:
-    blames = weighted_marginals(game.values, game.values, weights)
-    if (blames < -_CLAMP_TOL).any():
-        raise ValueError(f"{method} produced blame below -{_CLAMP_TOL}; "
-                         "the input game is not monotone")
-    return BlameAssignment(method, blames)
-
-
 def shapley(game: CharacteristicGame) -> BlameAssignment:
     """Shapley value of the inefficiency game."""
-    return _marginal_method(game, shapley_weights(game.num_agents), "SV")
+    return BlameAssignment("SV", weighted_marginals(
+        game.values, game.values, shapley_weights(game.num_agents)))
 
 
 def banzhaf(game: CharacteristicGame) -> BlameAssignment:
     """Banzhaf index: uniform weight 1/2^(n-1) on every marginal."""
-    return _marginal_method(game, banzhaf_weights(game.num_agents), "BI")
+    return BlameAssignment("BI", weighted_marginals(
+        game.values, game.values, banzhaf_weights(game.num_agents)))
 
 
 def marginal_contribution(game: CharacteristicGame) -> BlameAssignment:
-    n = game.num_agents
-    blames = np.array([game.value([i]) for i in range(n)])
-    return BlameAssignment("MC", blames)
+    return BlameAssignment("MC", game.values[1 << np.arange(game.num_agents)])
 
 
 def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignment:
@@ -132,16 +123,23 @@ def pivotality(game: CharacteristicGame) -> Pivotality:
     return Pivotality(tuple((shapley(game).blames > PIVOTAL_TOL).tolist()))
 
 
+def participation(values: np.ndarray, sharers: np.ndarray,
+                  pivotal: np.ndarray) -> np.ndarray:
+    """Per pivotal agent i, the sum over coalitions S without i of
+    values[S + i] / sharers[S], divided by 2^n - 1; 0 for other agents."""
+    n = pivotal.size
+    without, with_ = marginal_masks(n)
+    w = 1.0 / ((1 << n) - 1)
+    terms = w * values[with_] / sharers[without]
+    return np.where(pivotal, sequential_sums(terms), 0.0)
+
+
 def average_participation(game: CharacteristicGame) -> BlameAssignment:
     """Splits each coalition's inefficiency equally among its pivotal
     members, averaged over all coalitions."""
-    n = game.num_agents
     pivotal = np.array(pivotality(game).flags, dtype=bool)
-    without, with_ = marginal_masks(n)
-    sharers = membership(n)[:, pivotal].sum(axis=1) + 1
-    w = 1.0 / ((1 << n) - 1)
-    terms = w * game.values[with_] / sharers[without]
-    return BlameAssignment("AP", np.where(pivotal, sequential_sums(terms), 0.0))
+    sharers = membership(game.num_agents)[:, pivotal].sum(axis=1) + 1
+    return BlameAssignment("AP", participation(game.values, sharers, pivotal))
 
 
 METHODS = {
@@ -153,14 +151,24 @@ METHODS = {
 }
 
 
-def blame(m, behavior, method: str, tiebreak: int | None = None) -> BlameAssignment:
-    """Compose the inefficiency game and apply one attribution method."""
+def apply(method: str, game: CharacteristicGame,
+          tiebreak: int | None = None) -> BlameAssignment:
+    """Apply one attribution method by name; only MER reads `tiebreak`."""
     try:
         fn = METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; "
                          f"choose from {sorted(METHODS)}") from None
-    game = characteristic_game(m, behavior)
-    if method == "MER":
-        return fn(game, tiebreak)
-    return fn(game)
+    return fn(game, tiebreak) if method == "MER" else fn(game)
+
+
+def blame(m, behavior, method: str, tiebreak: int | None = None) -> BlameAssignment:
+    """Compose the inefficiency game and apply one attribution method."""
+    return apply(method, characteristic_game(m, behavior), tiebreak)
+
+
+def as_blames(beta) -> np.ndarray:
+    """The blame vector of a BlameAssignment, or an array-like as floats."""
+    if isinstance(beta, BlameAssignment):
+        return beta.blames
+    return np.asarray(beta, dtype=float)

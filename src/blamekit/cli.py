@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .attribution import (METHODS, average_participation, banzhaf,
+from .attribution import (METHODS, apply, average_participation, banzhaf,
                           marginal_contribution, mer, shapley)
 from .envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from .mmdp import load_model, load_policy, validate_mmdp
@@ -113,8 +113,7 @@ def cmd_attribute(args) -> int:
     tiebreak = _tiebreak_index(args.tiebreak, model.num_agents)
     try:
         game = characteristic_game(model, behavior)
-        results = [METHODS[name](game, tiebreak) if name == "MER"
-                   else METHODS[name](game) for name in methods]
+        results = [apply(name, game, tiebreak) for name in methods]
     except (ValueError, RuntimeError) as err:
         raise CliError(3, f"attribution failed: {err}") from err
     _emit([_csv("method", *_betas(model.num_agents), "total")]
@@ -135,8 +134,7 @@ def cmd_check(args) -> int:
         raise CliError(2, f"bad eps {eps!r}: expected a finite value >= 0")
     try:
         game = characteristic_game(model, behavior)
-        beta = (METHODS[name](game, tiebreak) if name == "MER"
-                else METHODS[name](game))
+        beta = apply(name, game, tiebreak)
         verdicts = [check(game, beta, eps) for check in (
             check_validity, check_efficiency, check_rationality,
             check_avg_efficiency, check_symmetry, check_invariance)]
@@ -159,7 +157,7 @@ def run_perm_sweep(alpha: float = 0.4,
             GridworldSpec(alpha=alpha, alpha_prime=alpha_prime))
         game = characteristic_game(model, behavior)
         for name in METHODS:
-            res = METHODS[name](game, 1) if name == "MER" else METHODS[name](game)
+            res = apply(name, game, 1)
             rows.append({"alpha_prime": alpha_prime, "method": name,
                          "blames": res.blames, "total": res.total})
     return rows
@@ -173,7 +171,7 @@ def run_coordination(levels: tuple[int, ...] = (1, 2, 3, 4)) -> list[dict]:
             GraphSpec("coordination", threshold_index=level))
         game = characteristic_game(model, behavior)
         for name in METHODS:
-            res = METHODS[name](game)
+            res = apply(name, game)
             rows.append({"m": level, "method": name, "blames": res.blames,
                          "total": res.total, "delta": game.total})
     return rows

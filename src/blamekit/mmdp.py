@@ -207,8 +207,9 @@ def validate_mmdp(m: Mmdp) -> list[str]:
 
 
 def _idle_agents(action_counts) -> list[str]:
-    return [f"agent {i} has {k} actions, fewer than 1"
-            for i, k in enumerate(action_counts) if k < 1]
+    return ([f"agent {i} has {k} actions, fewer than 1"
+             for i, k in enumerate(action_counts) if k < 1]
+            if action_counts else ["num_agents is 0, fewer than 1"])
 
 
 def _non_finite(**arrays) -> list[str]:
@@ -252,8 +253,8 @@ def evaluate_return(m: Mmdp, behavior) -> float:
 def save_model(m: Mmdp, path) -> None:
     rewards = [[int(s), int(a), float(m.reward[s, a])]
                for s, a in zip(*np.nonzero(m.reward))]
-    transitions = [[int(s), int(a), int(t), float(p)]
-                   for (s, a, t), p in np.ndenumerate(m.transition) if p != 0.0]
+    transitions = [[int(s), int(a), int(t), float(m.transition[s, a, t])]
+                   for s, a, t in zip(*np.nonzero(m.transition))]
     doc = {
         "num_states": m.num_states,
         "num_agents": m.num_agents,

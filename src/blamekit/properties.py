@@ -8,15 +8,16 @@ columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import (BlameAssignment, blame, marginals, pivotality,
+from .attribution import (as_blames, blame, marginals, pivotality,
                           sequential_sums)
-from .mmdp import Mmdp, evaluate_return
-from .planning import (CharacteristicGame, lattice_floors, marginal_masks,
-                       mask_agents, membership)
+from .mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
+from .planning import (CharacteristicGame, characteristic_game,
+                       lattice_floors, marginal_masks, mask_agents,
+                       membership)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -24,16 +25,14 @@ SLACK = 1e-12
 
 @dataclass(frozen=True)
 class PropertyVerdict:
+    """A verdict holds exactly when it has no witness."""
     property: str
     epsilon: float
-    holds: bool
-    witness: str | None = None
+    witness: str | None = field(default=None, kw_only=True)
 
-    def __post_init__(self):
-        if self.holds and self.witness is not None:
-            raise ValueError("witness given for a passing verdict")
-        if not self.holds and self.witness is None:
-            raise ValueError("failing verdict needs a witness")
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def _coalition_label(mask: int, n: int) -> str:
@@ -41,32 +40,26 @@ def _coalition_label(mask: int, n: int) -> str:
     return "{" + " ".join(str(i + 1) for i in agents) + "}"
 
 
-def _blames(beta) -> np.ndarray:
-    if isinstance(beta, BlameAssignment):
-        return beta.blames
-    return np.asarray(beta, dtype=float)
-
-
 def check_validity(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must not exceed the grand-coalition inefficiency."""
-    total = float(_blames(beta).sum())
+    total = float(as_blames(beta).sum())
     if total <= game.total + epsilon + SLACK:
-        return PropertyVerdict("R_V", epsilon, True)
-    return PropertyVerdict("R_V", epsilon, False,
-                           f"total {total:.6g} exceeds {game.total:.6g}")
+        return PropertyVerdict("R_V", epsilon)
+    return PropertyVerdict("R_V", epsilon,
+                           witness=f"total {total:.6g} exceeds {game.total:.6g}")
 
 
 def check_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    total = float(_blames(beta).sum())
+    total = float(as_blames(beta).sum())
     if abs(total - game.total) <= epsilon + SLACK:
-        return PropertyVerdict("R_E", epsilon, True)
-    return PropertyVerdict("R_E", epsilon, False,
-                           f"total {total:.6g} differs from {game.total:.6g}")
+        return PropertyVerdict("R_E", epsilon)
+    return PropertyVerdict("R_E", epsilon,
+                           witness=f"total {total:.6g} differs from {game.total:.6g}")
 
 
 def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """No coalition may be blamed beyond its own inefficiency."""
-    blames = _blames(beta)
+    blames = as_blames(beta)
     n = game.num_agents
     totals = sequential_sums(np.where(membership(n)[1:], blames, 0.0))
     # Position 0 is a zero gap standing for "no coalition over its cap";
@@ -75,21 +68,21 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
     worst = int(np.argmax(gaps))
     worst_gap, worst_mask = gaps[worst], worst if worst else -1
     if worst_gap <= epsilon + SLACK:
-        return PropertyVerdict("R_R", epsilon, True)
+        return PropertyVerdict("R_R", epsilon)
     return PropertyVerdict(
-        "R_R", epsilon, False,
-        f"coalition {_coalition_label(worst_mask, n)} blamed "
-        f"{worst_gap:.6g} beyond its inefficiency")
+        "R_R", epsilon,
+        witness=f"coalition {_coalition_label(worst_mask, n)} blamed "
+                f"{worst_gap:.6g} beyond its inefficiency")
 
 
 def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must equal the mean marginal inefficiency over coalitions."""
-    total = float(_blames(beta).sum())
+    total = float(as_blames(beta).sum())
     target = float(game.values.sum()) / ((1 << game.num_agents) - 1)
     if abs(total - target) <= epsilon + SLACK:
-        return PropertyVerdict("R_AE", epsilon, True)
-    return PropertyVerdict("R_AE", epsilon, False,
-                           f"total {total:.6g} differs from average {target:.6g}")
+        return PropertyVerdict("R_AE", epsilon)
+    return PropertyVerdict("R_AE", epsilon,
+                           witness=f"total {total:.6g} differs from average {target:.6g}")
 
 
 def _masks_without_pair(n: int, i: int, j: int) -> np.ndarray:
@@ -109,29 +102,29 @@ def _symmetric_pair(game: CharacteristicGame, i: int, j: int) -> bool:
 
 
 def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    blames = _blames(beta)
+    blames = as_blames(beta)
     n = game.num_agents
     for i in range(n):
         for j in range(i + 1, n):
             if (abs(blames[i] - blames[j]) > epsilon + SLACK
                     and _symmetric_pair(game, i, j)):
                 return PropertyVerdict(
-                    "R_S", epsilon, False,
-                    f"interchangeable agents {i + 1} and {j + 1} get "
-                    f"{blames[i]:.6g} vs {blames[j]:.6g}")
-    return PropertyVerdict("R_S", epsilon, True)
+                    "R_S", epsilon,
+                    witness=f"interchangeable agents {i + 1} and {j + 1} get "
+                            f"{blames[i]:.6g} vs {blames[j]:.6g}")
+    return PropertyVerdict("R_S", epsilon)
 
 
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    blames = _blames(beta)
+    blames = as_blames(beta)
     n = game.num_agents
     marginal = (marginals(game.values, game.values, n) > PREMISE_TOL).any(axis=1)
     for i in range(n):
         if not marginal[i] and blames[i] > epsilon + SLACK:
             return PropertyVerdict(
-                "R_I", epsilon, False,
-                f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
-    return PropertyVerdict("R_I", epsilon, True)
+                "R_I", epsilon,
+                witness=f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
+    return PropertyVerdict("R_I", epsilon)
 
 
 def _check_same_agents(game1: CharacteristicGame, game2: CharacteristicGame) -> None:
@@ -145,7 +138,7 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
     """Agents whose marginals dominate across every coalition must not be
     blamed less in the dominating instance."""
     _check_same_agents(game1, game2)
-    b1, b2 = _blames(beta1), _blames(beta2)
+    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
     dominating = (marginals(game1.values, game1.values, n)
                   >= marginals(game2.values, game2.values, n)
@@ -153,10 +146,10 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
     for i in range(n):
         if dominating[i] and b1[i] < b2[i] - epsilon - SLACK:
             return PropertyVerdict(
-                "R_CM", epsilon, False,
-                f"agent {i + 1} dominates marginally but blame fell "
-                f"{b1[i]:.6g} < {b2[i]:.6g}")
-    return PropertyVerdict("R_CM", epsilon, True)
+                "R_CM", epsilon,
+                witness=f"agent {i + 1} dominates marginally but blame fell "
+                        f"{b1[i]:.6g} < {b2[i]:.6g}")
+    return PropertyVerdict("R_CM", epsilon)
 
 
 def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
@@ -169,15 +162,15 @@ def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_pri
     j1 = evaluate_return(m, joint1)
     j2 = evaluate_return(m, joint2)
     if j1 > j2 + PREMISE_TOL:
-        return PropertyVerdict("R_PerM", epsilon, True)
+        return PropertyVerdict("R_PerM", epsilon)
     b1 = blame(m, joint1, method, tiebreak).blames[agent]
     b2 = blame(m, joint2, method, tiebreak).blames[agent]
     if b1 >= b2 - epsilon - SLACK:
-        return PropertyVerdict("R_PerM", epsilon, True)
+        return PropertyVerdict("R_PerM", epsilon)
     return PropertyVerdict(
-        "R_PerM", epsilon, False,
-        f"agent {agent + 1} performs worse (J {j1:.6g} vs {j2:.6g}) "
-        f"yet gets less blame ({b1:.6g} < {b2:.6g})")
+        "R_PerM", epsilon,
+        witness=f"agent {agent + 1} performs worse (J {j1:.6g} vs {j2:.6g}) "
+                f"yet gets less blame ({b1:.6g} < {b2:.6g})")
 
 
 def check_cperf(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
@@ -185,18 +178,15 @@ def check_cperf(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
                 tiebreak: int | None = None) -> PropertyVerdict:
     """Performance monotonicity restricted to deviations that leave every
     agent's pivotality unchanged."""
-    from .planning import characteristic_game
     joint1 = behavior.replace(agent, pi_i)
     joint2 = behavior.replace(agent, pi_i_prime)
     g1 = characteristic_game(m, joint1)
     g2 = characteristic_game(m, joint2)
     if pivotality(g1).flags != pivotality(g2).flags:
-        return PropertyVerdict("R_cPerM", epsilon, True)
+        return PropertyVerdict("R_cPerM", epsilon)
     inner = check_performance_monotonicity(m, behavior, agent, pi_i, pi_i_prime,
                                            method, epsilon, tiebreak)
-    if inner.holds:
-        return PropertyVerdict("R_cPerM", epsilon, True)
-    return PropertyVerdict("R_cPerM", epsilon, False, inner.witness)
+    return PropertyVerdict("R_cPerM", epsilon, witness=inner.witness)
 
 
 def check_cpart(game1: CharacteristicGame, beta1,
@@ -206,8 +196,8 @@ def check_cpart(game1: CharacteristicGame, beta1,
     at least as inefficient must not be blamed less."""
     _check_same_agents(game1, game2)
     if pivotality(game1).flags != pivotality(game2).flags:
-        return PropertyVerdict("R_cParM", epsilon, True)
-    b1, b2 = _blames(beta1), _blames(beta2)
+        return PropertyVerdict("R_cParM", epsilon)
+    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
     with_ = marginal_masks(n)[1]
     dominating = (game1.values[with_]
@@ -215,10 +205,10 @@ def check_cpart(game1: CharacteristicGame, beta1,
     for j in range(n):
         if dominating[j] and b1[j] < b2[j] - epsilon - SLACK:
             return PropertyVerdict(
-                "R_cParM", epsilon, False,
-                f"agent {j + 1} participates in dominating coalitions but "
-                f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
-    return PropertyVerdict("R_cParM", epsilon, True)
+                "R_cParM", epsilon,
+                witness=f"agent {j + 1} participates in dominating coalitions but "
+                        f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
+    return PropertyVerdict("R_cParM", epsilon)
 
 
 def check_rcpart(game1: CharacteristicGame, beta1,
@@ -230,8 +220,8 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     _check_same_agents(game1, game2)
     piv1 = pivotality(game1).flags
     if piv1 != pivotality(game2).flags:
-        return PropertyVerdict("R_RcParM", epsilon, True)
-    b1, b2 = _blames(beta1), _blames(beta2)
+        return PropertyVerdict("R_RcParM", epsilon)
+    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
     gain = game1.values - game2.values
     for j in range(n):
@@ -243,11 +233,11 @@ def check_rcpart(game1: CharacteristicGame, beta1,
                        >= gain[masks | 1 << k] - PREMISE_TOL).all()
             if premise and (b1[j] - b2[j]) < (b1[k] - b2[k]) - epsilon - SLACK:
                 return PropertyVerdict(
-                    "R_RcParM", epsilon, False,
-                    f"agent {j + 1} gains inefficiency faster than agent "
-                    f"{k + 1} but blame moved {b1[j] - b2[j]:.6g} vs "
-                    f"{b1[k] - b2[k]:.6g}")
-    return PropertyVerdict("R_RcParM", epsilon, True)
+                    "R_RcParM", epsilon,
+                    witness=f"agent {j + 1} gains inefficiency faster than agent "
+                            f"{k + 1} but blame moved {b1[j] - b2[j]:.6g} vs "
+                            f"{b1[k] - b2[k]:.6g}")
+    return PropertyVerdict("R_RcParM", epsilon)
 
 
 def impossibility_fixture():
@@ -258,7 +248,6 @@ def impossibility_fixture():
     agent 1's two deviations whose induced games are {0, 2, 2, 2} and
     {0, 1.1, 0, 1.1}.
     """
-    from .mmdp import AgentPolicy, JointPolicy
     num_actions = 9
     reward = np.zeros((2, num_actions))
     transition = np.zeros((2, num_actions, 2))

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import (PIVOTAL_TOL, BlameAssignment, banzhaf_weights, mer,
-                          sequential_sums, shapley, shapley_weights,
-                          weighted_marginals)
+from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
+                          banzhaf_weights, mer, participation, shapley,
+                          shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, product_table
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
                        coalition_mask, coalition_tables, lattice_floors,
-                       marginal_masks, marginalize, mask_agents, membership,
+                       marginalize, mask_agents, membership,
                        solve_mdp)
 
 RESIDUAL_TOL = 1e-12
@@ -478,9 +478,7 @@ def sv_valid(m: Mmdp, uset: UncertaintySet,
     coalition values can dip non-monotone; they are lifted to their monotone
     closure, which keeps the grand total and hence validity.
     """
-    bounds = robust_bounds(m, uset, exact)
-    table = bounds.max_policy()
-    game = characteristic_game(m, table)
+    game = characteristic_game(m, robust_bounds(m, uset, exact).max_policy())
     values = _monotone_closure(game.values, m.num_agents)
     blames = shapley(CharacteristicGame(m.num_agents, values)).blames
     return BlameAssignment("SV_V", blames)
@@ -545,21 +543,16 @@ def ap_blackstone(m: Mmdp, uset: UncertaintySet,
     subset size plus one rather than the pivotal count; the certain-case
     formula weighs pivotal members only, and the two agree whenever every
     agent is pivotal."""
-    bounds = robust_bounds(m, uset, exact)
-    n = m.num_agents
     pivotal = sv_blackstone(m, uset, exact).blames > PIVOTAL_TOL
     # sv_blackstone has solved every lower bound the gaps read
-    gaps = _pessimistic_game(bounds).values
-    without, with_ = marginal_masks(n)
-    w = 1.0 / ((1 << n) - 1)
-    terms = w * gaps[with_] / (membership(n).sum(axis=1)[without] + 1)
-    return BlameAssignment("AP_BC", np.where(pivotal, sequential_sums(terms), 0.0))
+    gaps = _pessimistic_game(robust_bounds(m, uset, exact)).values
+    sizes = membership(m.num_agents).sum(axis=1)
+    return BlameAssignment("AP_BC", participation(gaps, sizes + 1, pivotal))
 
 
 def l1_distance(a, b) -> float:
     """Sum of absolute per-agent blame differences."""
-    left = a.blames if isinstance(a, BlameAssignment) else np.asarray(a, dtype=float)
-    right = b.blames if isinstance(b, BlameAssignment) else np.asarray(b, dtype=float)
+    left, right = as_blames(a), as_blames(b)
     if left.shape != right.shape:
         raise ValueError("blame vectors differ in length")
     return float(np.abs(left - right).sum())

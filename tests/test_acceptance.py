@@ -12,6 +12,7 @@ import pytest
 
 from blamekit.attribution import (
     METHODS,
+    apply,
     average_participation,
     banzhaf,
     marginal_contribution,
@@ -59,7 +60,7 @@ from blamekit.uncertainty import (
 
 
 def method_blame(name, game):
-    return METHODS[name](game, 0) if name == "MER" else METHODS[name](game)
+    return apply(name, game, 0)
 
 
 def test_criterion_1_fixture_exactness():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blamekit.attribution import (
     BlameAssignment,
+    apply,
     average_participation,
     banzhaf,
     blame,
@@ -268,6 +269,38 @@ def test_blame_assignment_clamps_and_rejects():
     assert tiny.total == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(ValueError, match="negative blame"):
         BlameAssignment("SV", np.array([1.0, -0.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
+def test_apply_equals_the_direct_call(n, seed):
+    """The dispatcher hands a tiebreak to MER alone and changes no bit."""
+    game = random_monotone_game(n, seed)
+    for tiebreak in (None, seed % n):
+        for name, fn in [("SV", shapley), ("BI", banzhaf),
+                         ("MC", marginal_contribution),
+                         ("AP", average_participation)]:
+            got = apply(name, game, tiebreak)
+            assert got.method == name
+            assert got.blames.tobytes() == fn(game).blames.tobytes()
+        got = apply("MER", game, tiebreak)
+        assert got.method == "MER"
+        assert got.blames.tobytes() == mer(game, tiebreak).blames.tobytes()
+
+
+def test_apply_refuses_unknown_methods():
+    with pytest.raises(ValueError, match="unknown method 'EQ'; choose from"):
+        apply("EQ", SYMMETRIC)
+    with pytest.raises(ValueError, match="unknown method 'sv'"):
+        apply("sv", SYMMETRIC, 0)
+
+
+@pytest.mark.parametrize("fn, name", [(shapley, "SV"), (banzhaf, "BI")])
+def test_marginal_methods_refuse_a_non_monotone_game(fn, name):
+    # agent 0 joining {1} drops the value from 1 to 0, so its blame is -1/2
+    game = game_from_values([0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=f"{name}: negative blame -0.5"):
+        fn(game)
 
 
 def test_csv_row_format():

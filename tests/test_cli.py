@@ -370,6 +370,25 @@ def test_agent_without_actions_exits_2(two_agent_inputs, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attribute", "check"])
+def test_model_without_agents_exits_2(tmp_path, capsys, command):
+    """A model with no agents has no blame to split. Its tables are
+    complete, so only the agent check refuses it (exit 2), before a method
+    indexes an empty blame vector."""
+    doc = {"num_states": 2, "num_agents": 0, "action_counts": [],
+           "gamma": 0.9, "initial_dist": [1.0, 0.0], "terminals": [1],
+           "rewards": [[0, 0, 1.0]],
+           "transitions": [[0, 0, 1, 1.0], [1, 0, 1, 1.0]]}
+    model_path = tmp_path / "no_agents.json"
+    model_path.write_text(json.dumps(doc))
+    behavior_path = tmp_path / "no_agents_behavior.json"
+    behavior_path.write_text(json.dumps({"agents": []}))
+    code = main([command, "--model", str(model_path),
+                 "--behavior", str(behavior_path)])
+    assert code == 2
+    assert "num_agents is 0, fewer than 1" in capsys.readouterr().err
+
+
 # Values a fuzzed field may take: wrong JSON types, the NaN and Infinity
 # literals Python's json reads, zero, negative and fractional counts, and a
 # count too large to allocate (no size in between, so nothing big is built).

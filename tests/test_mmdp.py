@@ -141,6 +141,13 @@ def test_validate_flags_agents_without_actions():
     assert validate_mmdp(bad) == ["agent 0 has 0 actions, fewer than 1"]
 
 
+def test_validate_flags_a_model_without_agents():
+    """One joint action and well-formed tables, but no agent to blame."""
+    bad = Mmdp(1, 0, (), np.zeros((1, 1)), np.ones((1, 1, 1)), 0.9,
+               np.array([1.0]))
+    assert validate_mmdp(bad) == ["num_agents is 0, fewer than 1"]
+
+
 def test_self_loop_value_is_geometric_series():
     m = single_state_model(gamma=0.9, reward=1.0)
     pi = JointPolicy((AgentPolicy.deterministic(1, 1, 0),))

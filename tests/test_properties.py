@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from blamekit.attribution import METHODS, mer, pivotality, shapley
+from blamekit.attribution import apply, mer, pivotality, shapley
 from blamekit.cli import _csv
 from blamekit.planning import CharacteristicGame, characteristic_game
 from blamekit.properties import (
@@ -33,16 +33,20 @@ LOPSIDED = game_of([0.0, 1.1, 0.0, 1.1])
 
 
 def test_verdict_consistency_is_enforced():
-    ok = PropertyVerdict("R_V", 0.0, True)
+    """A verdict holds exactly when it has no witness."""
+    ok = PropertyVerdict("R_V", 0.0)
+    assert ok.holds and ok.witness is None
     assert _csv(ok.property, ok.epsilon, ok.holds, ok.witness or "") \
         == "R_V,0,true,"
-    bad = PropertyVerdict("R_E", 0.5, False, "total 3 differs from 2")
+    bad = PropertyVerdict("R_E", 0.5, witness="total 3 differs from 2")
+    assert not bad.holds
     assert _csv(bad.property, bad.epsilon, bad.holds, bad.witness or "") \
         == "R_E,0.5,false,total 3 differs from 2"
-    with pytest.raises(ValueError):
-        PropertyVerdict("R_V", 0.0, True, "spurious witness")
-    with pytest.raises(ValueError):
-        PropertyVerdict("R_V", 0.0, False)
+    # a positional third argument would be read as a witness
+    with pytest.raises(TypeError):
+        PropertyVerdict("R_V", 0.0, True)
+    with pytest.raises(AttributeError):
+        ok.holds = False
 
 
 def test_validity_checker():
@@ -217,8 +221,7 @@ def test_methods_satisfy_their_guaranteed_properties():
         n = 2 + seed % 4
         game = random_monotone_game(n, seed=1000 + seed)
         for method, props in EXPECTED_HOLD.items():
-            fn = METHODS[method]
-            beta = fn(game, 0) if method == "MER" else fn(game)
+            beta = apply(method, game, 0)
             for prop in props:
                 verdict = CHECKERS[prop](game, beta)
                 assert verdict.holds, (

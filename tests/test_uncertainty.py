@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blamekit import uncertainty
 from blamekit.attribution import (
+    PIVOTAL_TOL,
     average_participation,
     banzhaf,
     marginal_contribution,
@@ -645,6 +646,25 @@ def test_mer_blackstone_tiebreak_is_forwarded():
     b = mer_blackstone(model, uset, tiebreak=1)
     assert a.total == pytest.approx(b.total, abs=1e-8)
     assert a.blames[0] >= b.blames[0] - 1e-9
+
+
+def test_ap_blackstone_matches_a_per_mask_loop():
+    """The shared participation kernel adds the same terms in the same
+    order as a loop over the pessimistic game, so the blames are equal."""
+    f, model, behavior, uset = one_step_setup(3, seed=61, eps=0.1)
+    n = model.num_agents
+    got = ap_blackstone(model, uset).blames
+    pivotal = sv_blackstone(model, uset).blames > PIVOTAL_TOL
+    gaps = uncertainty._pessimistic_game(robust_bounds(model, uset)).values
+    w = 1.0 / ((1 << n) - 1)
+    expected = np.zeros(n)
+    for i in range(n):
+        for mask in range(1 << n):
+            if pivotal[i] and not mask >> i & 1:
+                size = bin(mask).count("1")
+                expected[i] += w * gaps[mask | 1 << i] / (size + 1)
+    assert got.any()
+    assert np.array_equal(got, expected)
 
 
 def test_robust_bounds_rejects_bad_inputs():
