@@ -14,7 +14,8 @@ import numpy as np
 
 from .lp import LinearProgram, solve, solve_lexicographic
 from .planning import (CharacteristicGame, characteristic_game,
-                       marginal_masks, membership)
+                       coalition_sizes, coalition_sums, marginal_masks,
+                       membership)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -61,7 +62,7 @@ def weighted_marginals(values_with: np.ndarray, values_without: np.ndarray,
     """Per agent i, the sum over coalitions S without i (mask ascending) of
     weights[|S|] * (values_with[S + i] - values_without[S])."""
     n = weights.size
-    sizes = membership(n).sum(axis=1)[marginal_masks(n)[0]]
+    sizes = coalition_sizes(n)[marginal_masks(n)[0]]
     return sequential_sums(weights[sizes]
                            * marginals(values_with, values_without, n))
 
@@ -138,7 +139,7 @@ def average_participation(game: CharacteristicGame) -> BlameAssignment:
     """Splits each coalition's inefficiency equally among its pivotal
     members, averaged over all coalitions."""
     pivotal = np.array(pivotality(game).flags, dtype=bool)
-    sharers = membership(game.num_agents)[:, pivotal].sum(axis=1) + 1
+    sharers = coalition_sums(pivotal.astype(np.int64)) + 1
     return BlameAssignment("AP", participation(game.values, sharers, pivotal))
 
 
@@ -167,8 +168,11 @@ def blame(m, behavior, method: str, tiebreak: int | None = None) -> BlameAssignm
     return apply(method, characteristic_game(m, behavior), tiebreak)
 
 
-def as_blames(beta) -> np.ndarray:
-    """The blame vector of a BlameAssignment, or an array-like as floats."""
-    if isinstance(beta, BlameAssignment):
-        return beta.blames
-    return np.asarray(beta, dtype=float)
+def as_blames(beta, n: int | None = None) -> np.ndarray:
+    """The blame vector of a BlameAssignment, or an array-like as floats;
+    refuses one that is not a vector of n blames when n is given."""
+    blames = (beta.blames if isinstance(beta, BlameAssignment)
+              else np.asarray(beta, dtype=float))
+    if n is not None and blames.shape != (n,):
+        raise ValueError(f"blame vector has shape {blames.shape}, expected ({n},)")
+    return blames

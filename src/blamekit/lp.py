@@ -44,17 +44,16 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-           row: int, pos: int) -> None:
-    """Swap basis[row] with nonbasic[pos]. Column `pos` is reused for the
-    leaving variable, whose column was the unit vector e_row."""
-    col = tableau[:, pos].copy()
+           row: int, pos: int, col: np.ndarray) -> None:
+    """Swap basis[row] with nonbasic[pos]; `col` is a copy of column `pos`,
+    which is reused for the leaving variable (its column was e_row)."""
     tableau[:, pos] = 0.0
     tableau[row, pos] = 1.0
     tableau[row] /= col[row]
     col[row] = 0.0
-    # rows with a zero entry in the entering column are left untouched
-    np.subtract(tableau, np.outer(col, tableau[row]), out=tableau,
-                where=(col != 0)[:, None])
+    # A row with a zero in the entering column subtracts 0 * p: its values
+    # stay, only a -0.0 may turn +0.0, a sign no tolerance test reads.
+    tableau -= col[:, None] * tableau[row]
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
@@ -68,13 +67,13 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         if entering.size == 0:
             return "optimal"
         pos = entering[nonbasic[entering].argmin()]
-        col = tableau[:-1, pos]
-        rows = (col > PIVOT_TOL).nonzero()[0]
+        col = tableau[:, pos].copy()
+        rows = (col[:-1] > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = tableau[rows, -1] / col[rows]
         tied = rows[ratios <= ratios.min() + PIVOT_TOL]
-        _pivot(tableau, basis, nonbasic, tied[basis[tied].argmin()], pos)
+        _pivot(tableau, basis, nonbasic, tied[basis[tied].argmin()], pos, col)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -109,8 +108,8 @@ def solve(lp: LinearProgram) -> LpSolution:
             cand = ((nonbasic < first_art)
                     & (np.abs(tableau[r, :-1]) > PIVOT_TOL)).nonzero()[0]
             if cand.size:
-                _pivot(tableau, basis, nonbasic, r,
-                       cand[nonbasic[cand].argmin()])
+                pos = cand[nonbasic[cand].argmin()]
+                _pivot(tableau, basis, nonbasic, r, pos, tableau[:, pos].copy())
         # Artificials never re-enter: drop the nonbasic ones, and the limit
         # below bars one that leaves the basis in phase 2.
         keep = nonbasic < first_art

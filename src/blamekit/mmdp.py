@@ -161,7 +161,7 @@ def as_joint_table(m: Mmdp, behavior) -> np.ndarray:
 def validate_mmdp(m: Mmdp) -> list[str]:
     """Return a list of violated invariants (empty iff the model is valid)."""
     # an agent without actions leaves every per-state table empty
-    problems = _idle_agents(m.action_counts)
+    problems = _agent_problems(m.num_agents, m.action_counts)
     if problems:
         return problems
     A = m.num_joint_actions
@@ -206,7 +206,10 @@ def validate_mmdp(m: Mmdp) -> list[str]:
     return problems
 
 
-def _idle_agents(action_counts) -> list[str]:
+def _agent_problems(num_agents: int, action_counts) -> list[str]:
+    if num_agents != len(action_counts):
+        return [f"num_agents is {num_agents}, but action_counts lists "
+                f"{len(action_counts)} agents"]
     return ([f"agent {i} has {k} actions, fewer than 1"
              for i, k in enumerate(action_counts) if k < 1]
             if action_counts else ["num_agents is 0, fewer than 1"])
@@ -330,9 +333,7 @@ def load_model(path) -> Mmdp:
         terminals = frozenset(_integer("terminals", s) for s in doc.get("terminals", []))
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from exc
-    if len(action_counts) != num_agents:
-        raise ValueError("action_counts length does not match num_agents")
-    if problems := _idle_agents(action_counts):
+    if problems := _agent_problems(num_agents, action_counts):
         raise ValueError(problems[0])
     if num_states > MAX_STATES:
         raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")

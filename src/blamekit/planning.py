@@ -50,6 +50,25 @@ def membership(n: int) -> np.ndarray:
     return table
 
 
+def coalition_sums(x: np.ndarray) -> np.ndarray:
+    """(2^n,) table: entry `mask` is the sum of x over the coalition's
+    agents, added in ascending agent order from 0.0 as a Python loop adds
+    them (so bit for bit a `cumsum` over the members; never -0.0). Step i
+    fills masks 2^i to 2^(i+1) - 1 in place from masks 0 to 2^i - 1."""
+    sums = np.zeros(1 << x.size, dtype=x.dtype)
+    for i, term in enumerate(x):
+        np.add(sums[:1 << i], term, out=sums[1 << i:2 << i])
+    return sums
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def coalition_sizes(n: int) -> np.ndarray:
+    """(2^n,) read-only table of coalition sizes, indexed by mask."""
+    sizes = coalition_sums(np.ones(n, dtype=np.int64))
+    sizes.setflags(write=False)
+    return sizes
+
+
 @lru_cache(maxsize=MAX_AGENTS + 1)
 def immediate_subsets(n: int) -> np.ndarray:
     """(2^n, n) read-only table: entry [mask, i] is `mask` with bit i
@@ -67,7 +86,7 @@ def lattice_floors(values: np.ndarray,
     floors may differ in the sign of zero), read when the layer is reached,
     so the caller may fill a layer before the next one is read."""
     member = membership(n)
-    sizes = member.sum(axis=1)
+    sizes = coalition_sizes(n)
     subs = immediate_subsets(n)
     for size in range(1, n + 1):
         layer = np.flatnonzero(sizes == size)

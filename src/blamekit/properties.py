@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import (as_blames, blame, marginals, pivotality,
-                          sequential_sums)
+from .attribution import as_blames, blame, marginals, pivotality
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
 from .planning import (CharacteristicGame, characteristic_game,
-                       lattice_floors, marginal_masks, mask_agents,
-                       membership)
+                       coalition_sums, lattice_floors, marginal_masks,
+                       mask_agents)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -42,7 +41,7 @@ def _coalition_label(mask: int, n: int) -> str:
 
 def check_validity(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must not exceed the grand-coalition inefficiency."""
-    total = float(as_blames(beta).sum())
+    total = float(as_blames(beta, game.num_agents).sum())
     if total <= game.total + epsilon + SLACK:
         return PropertyVerdict("R_V", epsilon)
     return PropertyVerdict("R_V", epsilon,
@@ -50,7 +49,7 @@ def check_validity(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
 
 
 def check_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    total = float(as_blames(beta).sum())
+    total = float(as_blames(beta, game.num_agents).sum())
     if abs(total - game.total) <= epsilon + SLACK:
         return PropertyVerdict("R_E", epsilon)
     return PropertyVerdict("R_E", epsilon,
@@ -59,12 +58,11 @@ def check_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Pr
 
 def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """No coalition may be blamed beyond its own inefficiency."""
-    blames = as_blames(beta)
     n = game.num_agents
-    totals = sequential_sums(np.where(membership(n)[1:], blames, 0.0))
     # Position 0 is a zero gap standing for "no coalition over its cap";
     # argmax takes the first of equal gaps, as an ascending scan would.
-    gaps = np.concatenate([[0.0], totals - game.values[1:]])
+    gaps = coalition_sums(as_blames(beta, n)) - game.values
+    gaps[0] = 0.0
     worst = int(np.argmax(gaps))
     worst_gap, worst_mask = gaps[worst], worst if worst else -1
     if worst_gap <= epsilon + SLACK:
@@ -77,7 +75,7 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
 
 def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must equal the mean marginal inefficiency over coalitions."""
-    total = float(as_blames(beta).sum())
+    total = float(as_blames(beta, game.num_agents).sum())
     target = float(game.values.sum()) / ((1 << game.num_agents) - 1)
     if abs(total - target) <= epsilon + SLACK:
         return PropertyVerdict("R_AE", epsilon)
@@ -93,31 +91,31 @@ def _masks_without_pair(n: int, i: int, j: int) -> np.ndarray:
 
 def _symmetric_pair(game: CharacteristicGame, i: int, j: int) -> bool:
     values = game.values
-    # the empty coalition alone settles most pairs
-    if abs(values[1 << i] - values[1 << j]) > PREMISE_TOL:
-        return False
     masks = _masks_without_pair(game.num_agents, i, j)
     gaps = np.abs(values[masks | 1 << i] - values[masks | 1 << j])
     return not (gaps > PREMISE_TOL).any()
 
 
 def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    blames = as_blames(beta)
     n = game.num_agents
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (abs(blames[i] - blames[j]) > epsilon + SLACK
-                    and _symmetric_pair(game, i, j)):
-                return PropertyVerdict(
-                    "R_S", epsilon,
-                    witness=f"interchangeable agents {i + 1} and {j + 1} get "
-                            f"{blames[i]:.6g} vs {blames[j]:.6g}")
+    blames = as_blames(beta, n)
+    # pairs (i < j) blamed apart whose marginals to the empty coalition
+    # agree: that premise alone settles most pairs
+    singles = game.values[1 << np.arange(n)]
+    screened = np.triu((np.abs(blames[:, None] - blames) > epsilon + SLACK)
+                       & ~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1)
+    for i, j in zip(*np.nonzero(screened)):
+        if _symmetric_pair(game, i, j):
+            return PropertyVerdict(
+                "R_S", epsilon,
+                witness=f"interchangeable agents {i + 1} and {j + 1} get "
+                        f"{blames[i]:.6g} vs {blames[j]:.6g}")
     return PropertyVerdict("R_S", epsilon)
 
 
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    blames = as_blames(beta)
     n = game.num_agents
+    blames = as_blames(beta, n)
     marginal = (marginals(game.values, game.values, n) > PREMISE_TOL).any(axis=1)
     for i in range(n):
         if not marginal[i] and blames[i] > epsilon + SLACK:
@@ -127,9 +125,12 @@ def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Pr
     return PropertyVerdict("R_I", epsilon)
 
 
-def _check_same_agents(game1: CharacteristicGame, game2: CharacteristicGame) -> None:
+def _blame_pair(game1: CharacteristicGame, beta1, game2: CharacteristicGame,
+                beta2) -> tuple[np.ndarray, np.ndarray]:
     if game1.num_agents != game2.num_agents:
         raise ValueError("games must share an agent set")
+    return (as_blames(beta1, game1.num_agents),
+            as_blames(beta2, game1.num_agents))
 
 
 def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
@@ -137,9 +138,8 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
                                     epsilon: float = 0.0) -> PropertyVerdict:
     """Agents whose marginals dominate across every coalition must not be
     blamed less in the dominating instance."""
-    _check_same_agents(game1, game2)
-    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
     dominating = (marginals(game1.values, game1.values, n)
                   >= marginals(game2.values, game2.values, n)
                   - PREMISE_TOL).all(axis=1)
@@ -194,10 +194,9 @@ def check_cpart(game1: CharacteristicGame, beta1,
                 epsilon: float = 0.0) -> PropertyVerdict:
     """Across equal-pivotality instances, an agent whose coalitions are all
     at least as inefficient must not be blamed less."""
-    _check_same_agents(game1, game2)
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
     if pivotality(game1).flags != pivotality(game2).flags:
         return PropertyVerdict("R_cParM", epsilon)
-    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
     with_ = marginal_masks(n)[1]
     dominating = (game1.values[with_]
@@ -217,11 +216,10 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     """Across equal-pivotality instances, blame increments are ordered like
     the coalition inefficiency increments, compared between agents of the
     same pivotality."""
-    _check_same_agents(game1, game2)
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
     piv1 = pivotality(game1).flags
     if piv1 != pivotality(game2).flags:
         return PropertyVerdict("R_RcParM", epsilon)
-    b1, b2 = as_blames(beta1), as_blames(beta2)
     n = game1.num_agents
     gain = game1.values - game2.values
     for j in range(n):

@@ -37,9 +37,8 @@ from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, product_table
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
-                       coalition_mask, coalition_tables, lattice_floors,
-                       marginalize, mask_agents, membership,
-                       solve_mdp)
+                       coalition_mask, coalition_sizes, coalition_tables,
+                       lattice_floors, marginalize, mask_agents, solve_mdp)
 
 RESIDUAL_TOL = 1e-12
 RESIDUAL_FLOOR = 1e-10
@@ -546,7 +545,7 @@ def ap_blackstone(m: Mmdp, uset: UncertaintySet,
     pivotal = sv_blackstone(m, uset, exact).blames > PIVOTAL_TOL
     # sv_blackstone has solved every lower bound the gaps read
     gaps = _pessimistic_game(robust_bounds(m, uset, exact)).values
-    sizes = membership(m.num_agents).sum(axis=1)
+    sizes = coalition_sizes(m.num_agents)
     return BlameAssignment("AP_BC", participation(gaps, sizes + 1, pivotal))
 
 

@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 
-from blamekit import envs, planning
+from blamekit import attribution, envs, planning, properties
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 
 
@@ -92,6 +92,58 @@ def rationality_loop(game, blames):
         if gap > worst_gap:
             worst_gap, worst_mask = gap, mask
     return worst_gap, worst_mask
+
+
+# The forms that the unmasked pivot, the coalition-sum kernel and the
+# screened symmetry check replaced: the references they must match bit for
+# bit.
+
+def masked_pivot(tableau, basis, nonbasic, row, pos, col):
+    """`lp._pivot` leaving the rows with a zero in the entering column
+    untouched."""
+    tableau[:, pos] = 0.0
+    tableau[row, pos] = 1.0
+    tableau[row] /= col[row]
+    col[row] = 0.0
+    np.subtract(tableau, np.outer(col, tableau[row]), out=tableau,
+                where=(col != 0)[:, None])
+    basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
+
+
+def check_rationality_where(game, beta, epsilon=0.0):
+    """`properties.check_rationality` with member totals summed by `cumsum`
+    over a (2^n - 1, n) `np.where` table."""
+    blames = attribution.as_blames(beta)
+    n = game.num_agents
+    totals = attribution.sequential_sums(
+        np.where(planning.membership(n)[1:], blames, 0.0))
+    gaps = np.concatenate([[0.0], totals - game.values[1:]])
+    worst = int(np.argmax(gaps))
+    if gaps[worst] <= epsilon + properties.SLACK:
+        return properties.PropertyVerdict("R_R", epsilon)
+    members = " ".join(str(i + 1) for i in range(n) if worst >> i & 1)
+    return properties.PropertyVerdict(
+        "R_R", epsilon, witness=f"coalition {{{members}}} blamed "
+                                f"{gaps[worst]:.6g} beyond its inefficiency")
+
+
+def check_symmetry_pairwise(game, beta, epsilon=0.0):
+    """`properties.check_symmetry` as one loop over the pairs i < j, each
+    compared on every coalition without both."""
+    blames = attribution.as_blames(beta)
+    n, values = game.num_agents, game.values
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not abs(blames[i] - blames[j]) > epsilon + properties.SLACK:
+                continue
+            if not any(abs(values[mask | 1 << i] - values[mask | 1 << j])
+                       > properties.PREMISE_TOL
+                       for mask in range(1 << n) if not mask & (1 << i | 1 << j)):
+                return properties.PropertyVerdict(
+                    "R_S", epsilon,
+                    witness=f"interchangeable agents {i + 1} and {j + 1} get "
+                            f"{blames[i]:.6g} vs {blames[j]:.6g}")
+    return properties.PropertyVerdict("R_S", epsilon)
 
 
 # Plain lattice loops: the reference `properties.random_monotone_game` and

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamekit import lp
 from blamekit.attribution import (
     BlameAssignment,
     apply,
@@ -22,8 +23,8 @@ from blamekit.cli import _csv
 from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
                                mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
-from helpers import (average_participation_loop, banzhaf_loop, pivotality_loop,
-                     rationality_loop, shapley_loop)
+from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
+                     pivotality_loop, rationality_loop, shapley_loop)
 
 
 def game_from_values(values):
@@ -212,6 +213,22 @@ def test_array_methods_equal_per_mask_loops(n, seed, scale, stretch):
             members = " ".join(str(i + 1) for i in range(n) if mask >> i & 1)
             assert verdict.witness == (f"coalition {{{members}}} blamed "
                                        f"{gap:.6g} beyond its inefficiency")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mer_is_bit_identical_under_the_masked_pivot(n, monkeypatch):
+    """The unmasked pivot may turn a -0.0 into +0.0 and nothing else, and
+    BlameAssignment's clamp at 0 normalizes that sign: every blame vector,
+    with and without a tiebreak, is the same bytes."""
+    games = [random_monotone_game(n, seed) for seed in range(3)]
+
+    def blames():
+        return [mer(game, tiebreak).blames.tobytes() for game in games
+                for tiebreak in (None, 0, n - 1)]
+
+    got = blames()
+    monkeypatch.setattr(lp, "_pivot", masked_pivot)
+    assert got == blames()
 
 
 def test_mer_tiebreak_selects_extreme_optima():

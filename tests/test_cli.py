@@ -353,11 +353,13 @@ def test_state_count_cap_exits_2(two_agent_inputs, tmp_path, capsys,
 
 @pytest.mark.parametrize("counts, message", [
     ([0, 2], "agent 0 has 0 actions, fewer than 1"),
-    ([2, -1], "agent 1 has -1 actions, fewer than 1")])
+    ([2, -1], "agent 1 has -1 actions, fewer than 1"),
+    ([2, 2, 2], "num_agents is 2, but action_counts lists 3 agents")])
 def test_agent_without_actions_exits_2(two_agent_inputs, tmp_path, capsys,
                                        counts, message):
     """An agent with no actions empties every per-state table; the loader
-    refuses it before validation reduces over an empty terminal row."""
+    refuses it before validation reduces over an empty terminal row. It
+    refuses action counts for more agents than num_agents the same way."""
     _, behavior_path = two_agent_inputs
     doc = {"num_states": 2, "num_agents": 2, "action_counts": counts,
            "gamma": 0.9, "initial_dist": [1.0, 0.0], "terminals": [1],

@@ -4,7 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from blamekit import lp as lp_module
 from blamekit.lp import LinearProgram, LpSolution, solve, solve_lexicographic
+from helpers import masked_pivot
 
 
 def vertex_enumeration_optimum(c, a, b):
@@ -38,6 +40,31 @@ def random_bounded_lp(rng, num_vars, num_rows):
     b = np.concatenate([b, np.full(num_vars, 5.0)])
     c = rng.uniform(-1.0, 1.0, size=num_vars)
     return LinearProgram(c, a, b)
+
+
+def random_integer_lp(rng):
+    """Small integer program, often infeasible, unbounded or degenerate."""
+    num_vars = int(rng.integers(1, 6))
+    num_rows = int(rng.integers(1, 8))
+    a = rng.integers(-3, 4, size=(num_rows, num_vars)).astype(float)
+    b = rng.integers(-3, 6, size=num_rows).astype(float)
+    c = rng.integers(-2, 3, size=num_vars).astype(float)
+    return LinearProgram(c, a, b)
+
+
+def near_tie_box_lp(rng, noisy):
+    """An adversary-style program over a distribution q in a box around p:
+    `sum q = 1` as twin opposing rows, payoffs rounded to 0.1 (plus 1e-9
+    noise when `noisy`) so optima tie or nearly tie."""
+    d = int(rng.choice([2, 4, 8]))
+    payoff = np.round(rng.uniform(-1.0, 1.0, d), 1)
+    if noisy:
+        payoff += rng.normal(0.0, 1e-9, d)
+    p = rng.dirichlet(np.ones(d))
+    a = np.vstack([np.ones(d), -np.ones(d), np.eye(d), -np.eye(d)])
+    b = np.concatenate([[1.0, -1.0], np.minimum(p + 0.1, 1.0),
+                        -np.maximum(p - 0.1, 0.0)])
+    return LinearProgram(-payoff, a, b)
 
 
 def test_matches_vertex_enumeration_on_random_problems():
@@ -159,12 +186,9 @@ def test_agrees_with_highs_on_random_programs():
     rng = np.random.default_rng(2107)
     seen = set()
     for trial in range(400):
-        num_vars = int(rng.integers(1, 6))
-        num_rows = int(rng.integers(1, 8))
-        a = rng.integers(-3, 4, size=(num_rows, num_vars)).astype(float)
-        b = rng.integers(-3, 6, size=num_rows).astype(float)
-        c = rng.integers(-2, 3, size=num_vars).astype(float)
-        got = solve(LinearProgram(c, a, b))
+        lp = random_integer_lp(rng)
+        a, b, c = lp.constraint_matrix, lp.constraint_bounds, lp.objective
+        got = solve(lp)
         res = linprog(-c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
         assert got.status == statuses[res.status], trial
         seen.add(got.status)
@@ -173,3 +197,31 @@ def test_agrees_with_highs_on_random_programs():
             assert (a @ got.point <= b + 1e-9).all()
             assert (got.point >= -1e-9).all()
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
+    """A row with a zero in the entering column subtracts 0 * p, which keeps
+    every value: statuses and objectives agree bit for bit, and points by
+    value (a -0.0 may come back +0.0)."""
+    rng = np.random.default_rng(3101)
+    programs = ([random_bounded_lp(rng, int(rng.integers(2, 6)),
+                                   int(rng.integers(1, 7))) for _ in range(150)]
+                + [random_integer_lp(rng) for _ in range(150)]
+                + [near_tie_box_lp(rng, k % 2) for k in range(150)])
+
+    def solve_both(lp):
+        return (solve(lp), solve_lexicographic(lp, np.ones(lp.objective.size)))
+
+    got = [solve_both(lp) for lp in programs]
+    monkeypatch.setattr(lp_module, "_pivot", masked_pivot)
+    want = [solve_both(lp) for lp in programs]
+    statuses = set()
+    for pair_got, pair_want in zip(got, want):
+        for x, y in zip(pair_got, pair_want):
+            assert x.status == y.status
+            statuses.add(x.status)
+            if x.status == "optimal":
+                assert (np.float64(x.objective_value).tobytes()
+                        == np.float64(y.objective_value).tobytes())
+                assert np.array_equal(x.point, y.point)
+    assert statuses == {"optimal", "infeasible", "unbounded"}

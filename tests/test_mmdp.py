@@ -18,6 +18,8 @@ from blamekit.mmdp import (
     save_policy,
     validate_mmdp,
 )
+from blamekit.planning import mmdp_from_game
+from blamekit.properties import random_monotone_game
 from helpers import random_factorized, random_mmdp
 
 
@@ -139,6 +141,15 @@ def test_validate_flags_agents_without_actions():
     bad = Mmdp(2, 2, (0, 2), np.zeros((2, 0)), np.zeros((2, 0, 2)), 0.9,
                np.array([1.0, 0.0]), terminal_states=frozenset({1}))
     assert validate_mmdp(bad) == ["agent 0 has 0 actions, fewer than 1"]
+
+
+def test_validate_flags_an_agent_count_the_action_counts_contradict():
+    """A valid two-agent model relabelled as three agents."""
+    m, _ = mmdp_from_game(random_monotone_game(2, 0))
+    assert validate_mmdp(m) == []
+    bad = Mmdp(m.num_states, 3, m.action_counts, m.reward, m.transition,
+               m.discount, m.initial_dist, m.terminal_states)
+    assert validate_mmdp(bad) == ["num_agents is 3, but action_counts lists 2 agents"]
 
 
 def test_validate_flags_a_model_without_agents():

@@ -407,6 +407,35 @@ def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
                                       np.arange(row.size))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0),
+                       st.floats(-1e300, 1e300)), max_size=8),
+    st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=8)))
+def test_coalition_sums_add_members_left_to_right(terms):
+    """Bit for bit the sums a Python loop forms over each mask's members in
+    ascending order, starting from 0 (0.0 for floats, so never -0.0)."""
+    x = np.array(terms)
+    expected = []
+    for mask in range(1 << len(terms)):
+        total = 0.0 if x.dtype == float else 0
+        for i, term in enumerate(terms):
+            if mask >> i & 1:
+                total += term
+        expected.append(total)
+    sums = planning.coalition_sums(x)
+    assert sums.dtype == x.dtype
+    assert sums.tobytes() == np.array(expected, dtype=x.dtype).tobytes()
+
+
+def test_coalition_sizes_are_cached_read_only_popcounts():
+    for n in range(MAX_AGENTS + 1):
+        sizes = planning.coalition_sizes(n)
+        assert sizes is planning.coalition_sizes(n)
+        assert not sizes.flags.writeable
+        assert sizes.tolist() == [bin(mask).count("1") for mask in range(1 << n)]
+
+
 def test_subgrids_are_cached_and_read_only():
     """One table per action-count tuple, shared by the sweep, induced_mdp and
     coalition_action_index, which none of them may write."""

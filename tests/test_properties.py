@@ -1,10 +1,13 @@
 """The axiom checkers: verdicts, premises, witnesses, and slack handling."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blamekit.attribution import apply, mer, pivotality, shapley
 from blamekit.cli import _csv
-from blamekit.planning import CharacteristicGame, characteristic_game
+from blamekit.planning import (CharacteristicGame, characteristic_game,
+                               coalition_sizes)
 from blamekit.properties import (
     PropertyVerdict,
     check_avg_efficiency,
@@ -21,7 +24,8 @@ from blamekit.properties import (
     impossibility_fixture,
     random_monotone_game,
 )
-from helpers import random_monotone_game_loop
+from helpers import (check_rationality_where, check_symmetry_pairwise,
+                     random_monotone_game_loop)
 
 
 def game_of(values):
@@ -261,3 +265,63 @@ def test_random_monotone_game_matches_the_lattice_loop():
         for seed in range(12 if n <= 10 else 2):
             assert (random_monotone_game(n, seed).values.tobytes()
                     == random_monotone_game_loop(n, seed).tobytes())
+
+
+@pytest.mark.parametrize("length", [1, 3, 5])
+@pytest.mark.parametrize("checker", [*CHECKERS.values(), check_contribution_monotonicity,
+                                     check_cpart, check_rcpart],
+                         ids=lambda checker: checker.__name__)
+def test_checkers_refuse_a_blame_vector_of_the_wrong_length(checker, length):
+    """Every checker refuses, by name and before any verdict, a vector that
+    would otherwise broadcast, index out of range or be graded on its
+    total alone."""
+    game = random_monotone_game(4, 0)
+    wrong, right = np.ones(length), shapley(game)
+    message = rf"blame vector has shape \({length},\), expected \(4,\)"
+    if checker in CHECKERS.values():
+        calls = [(game, wrong)]
+    else:
+        calls = [(game, wrong, game, right), (game, right, game, wrong)]
+    for args in calls:
+        with pytest.raises(ValueError, match=message):
+            checker(*args)
+
+
+def _mirrored(values, n):
+    """values made symmetric in each pair of agents (k, n - 1 - k): their
+    maximum with the table whose agents trade places, pair by pair. The
+    pairs nest, so the first witness depends on the order pairs are tried;
+    monotone stays monotone."""
+    masks = np.arange(1 << n)
+    for k in range(n // 2):
+        i, j = k, n - 1 - k
+        swap = (masks & ~(1 << i | 1 << j)
+                | (masks >> i & 1) << j | (masks >> j & 1) << i)
+        values = np.maximum(values, values[swap])
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 31 - 1),
+       kind=st.sampled_from(["random", "mirrored", "by size"]),
+       epsilon=st.sampled_from([0.0, 1e-12, 0.3]), data=st.data())
+def test_array_checkers_equal_their_loop_forms(n, seed, kind, epsilon, data):
+    """check_rationality's kernel totals and check_symmetry's screened pairs
+    give the verdicts and witnesses of the where + cumsum totals and the
+    plain pairwise loop, on games with many interchangeable pairs and
+    blames with ties, signed zeros and gaps on both sides of epsilon."""
+    values = random_monotone_game(n, seed).values
+    if kind == "mirrored":
+        values = _mirrored(values, n)
+    elif kind == "by size":
+        # every pair interchangeable: the value grows with the size alone
+        steps = np.concatenate([[0.0], np.cumsum(values[1 << np.arange(n)])])
+        values = steps[coalition_sizes(n)]
+    game = CharacteristicGame(n, values)
+    beta = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0, 2.5]),
+        min_size=n, max_size=n)))
+    assert check_rationality(game, beta, epsilon) == check_rationality_where(
+        game, beta, epsilon)
+    assert check_symmetry(game, beta, epsilon) == check_symmetry_pairwise(
+        game, beta, epsilon)
