@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
-# Report which experiment CSV files differ between the working tree and a
-# base commit. Run from the repository root:
+# Report which experiment CSV files and CLI outputs differ between the
+# working tree and a base commit. Run from the repository root:
 #
 #     .github/scripts/diff_experiments.sh BASE_REF [WORK_DIR]
 #
-# The base is checked out with `git worktree add` under WORK_DIR (a fresh
-# temporary directory by default); each tree runs the four experiments from
-# its own src/ through PYTHONPATH, the robust ones at --seeds 1 --eps 0.05.
+# The base's src/ is unpacked with `git archive` under WORK_DIR (a fresh
+# temporary directory by default); each tree runs from its own src/ through
+# PYTHONPATH:
+#   - the four experiments, the robust ones at --seeds 1 --eps 0.05;
+#   - the one-step model of random_monotone_game(4, 0), saved by the tree's
+#     own mmdp_from_game, then `attribute --tiebreak 1` and `check` under
+#     each of the five methods on it (each output ends with its exit code).
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
-set -u
+set -uo pipefail
 base=$1
 work=${2:-$(mktemp -d)}
-mkdir -p "$work"
+mkdir -p "$work/base"
 
 run_experiments() {  # SRC_DIR OUT_DIR
     for args in "perm" "coordination" \
@@ -24,19 +28,43 @@ run_experiments() {  # SRC_DIR OUT_DIR
     done
 }
 
-if ! git worktree add --detach "$work/base" "$base" > /dev/null 2>&1; then
-    echo "::warning::could not check out $base; experiment CSVs not compared"
+run_one_step() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - "$2" <<'EOF' \
+        || echo "::warning::saving the one-step model failed on $1"
+import sys
+from blamekit.mmdp import save_model, save_policy
+from blamekit.planning import mmdp_from_game
+from blamekit.properties import random_monotone_game
+model, behavior = mmdp_from_game(random_monotone_game(4, 0))
+save_model(model, f"{sys.argv[1]}/model.json")
+save_policy(behavior, f"{sys.argv[1]}/behavior.json")
+EOF
+    files=(--model "$2/model.json" --behavior "$2/behavior.json")
+    PYTHONPATH="$1" python -m blamekit.cli attribute "${files[@]}" \
+        --tiebreak 1 > "$2/attribute.csv" 2>&1
+    echo "exit $?" >> "$2/attribute.csv"
+    for method in MER MC SV BI AP; do
+        PYTHONPATH="$1" python -m blamekit.cli check "${files[@]}" \
+            --methods "$method" > "$2/check_$method.csv" 2>&1
+        echo "exit $?" >> "$2/check_$method.csv"
+    done
+}
+
+if ! git archive "$base" src 2> /dev/null | tar -x -C "$work/base" 2> /dev/null; then
+    echo "::warning::could not unpack $base; outputs not compared"
     exit 0
 fi
+mkdir -p "$work/head" "$work/base-out"
 run_experiments "$PWD/src" "$work/head"
+run_one_step "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
+run_one_step "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0
 while IFS= read -r line; do
-    echo "::warning::experiment CSV moved against $base: $line"
+    echo "::warning::output moved against $base: $line"
     moved=$((moved + 1))
 done < <(cd "$work" && diff -rq base-out head)
-echo "$moved experiment CSV file(s) differ from $base"
+echo "$moved experiment or CLI output file(s) differ from $base"
 (cd "$work" && diff -r base-out head)
-git worktree remove --force "$work/base" > /dev/null 2>&1
 exit 0

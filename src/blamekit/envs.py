@@ -1,4 +1,4 @@
-"""The two benchmark environments.
+"""The two benchmark environments, both built from tables.
 
 Gridworld: one actor on an 8x8 map, steered by agent 1 (moves) while agent 2
 can intervene and replace the move with the single-agent optimal one at a
@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
-from .planning import best_response, solve_mdp
+from .planning import best_response, coalition_sizes, solve_mdp
 
 CELL_REWARDS = {".": -0.01, "S": -0.01, "F": -0.02, "H": -0.5, "G": 1.0}
 GRID_SIZE = 8
@@ -139,83 +139,47 @@ class GraphSpec:
         return problems
 
 
-def _graph_state(column: int, bits: int) -> int:
-    # 0 = start; columns 1..4 hold one state per level-bit pattern; 65 = end
-    if column == 0:
-        return 0
-    if column == GRAPH_COLUMNS + 1:
-        return 1 + GRAPH_COLUMNS * 16
-    return 1 + (column - 1) * 16 + bits
-
-
-def _constraint_met(spec: GraphSpec, actions: tuple[int, ...]) -> bool:
-    if spec.variant == "robustness":
-        return sum(actions) == 2
-    weighted = sum(w * a for w, a in zip(GRAPH_WEIGHTS, actions))
-    return weighted >= GRAPH_THRESHOLDS[spec.threshold_index - 1]
-
-
 def build_graph(spec: GraphSpec) -> tuple[Mmdp, JointPolicy]:
     """Layered two-level graph: a state is the column plus every agent's
     current level, levels being the previous joint action. Actions at the
     first four steps score +1/-1 against the formation constraint; the step
-    off the last column scores 0."""
+    off the last column scores 0. State 0 is the start, 1 + 16 (column - 1)
+    + levels holds columns 1..4 (agent i's level on bit i) and 65 the end.
+    The robustness behavior is uniform at the start, the last column and
+    the end; elsewhere agent i, with probability 1 - 0.2 i, keeps its level
+    when the levels are balanced and heads for the emptier one otherwise."""
     problems = spec.validate()
     if problems:
         raise ValueError("invalid graph spec: " + "; ".join(problems))
     num_states = 2 + GRAPH_COLUMNS * 16
-    num_actions = 1 << GRAPH_AGENTS
-    reward = np.zeros((num_states, num_actions))
-    transition = np.zeros((num_states, num_actions, num_states))
-    end = _graph_state(GRAPH_COLUMNS + 1, 0)
-    for ja, actions in enumerate(np.ndindex((2,) * GRAPH_AGENTS)):
-        bits = sum(a << i for i, a in enumerate(actions))
-        scored = 1.0 if _constraint_met(spec, actions) else -1.0
-        for column in range(GRAPH_COLUMNS + 1):
-            if column == 0:
-                reward[0, ja] = scored
-                transition[0, ja, _graph_state(1, bits)] = 1.0
-                continue
-            for prev in range(16):
-                s = _graph_state(column, prev)
-                if column == GRAPH_COLUMNS:
-                    reward[s, ja] = 0.0
-                    transition[s, ja, end] = 1.0
-                else:
-                    reward[s, ja] = scored
-                    transition[s, ja, _graph_state(column + 1, bits)] = 1.0
-    transition[end, :, end] = 1.0
-    initial = np.zeros(num_states)
-    initial[0] = 1.0
+    end = num_states - 1
+    # each joint action's digits (agent 0 the most significant) and levels
+    digits = np.array(np.unravel_index(np.arange(1 << GRAPH_AGENTS),
+                                       (2,) * GRAPH_AGENTS))
+    levels = (1 << np.arange(GRAPH_AGENTS)) @ digits
+    if spec.variant == "robustness":
+        met = digits.sum(axis=0) == 2
+    else:
+        met = (np.array(GRAPH_WEIGHTS) @ digits
+               >= GRAPH_THRESHOLDS[spec.threshold_index - 1])
+    column = (np.arange(num_states)[:, None] + 15) // 16
+    scoring = column < GRAPH_COLUMNS
+    reward = np.where(scoring, np.where(met, 1.0, -1.0), 0.0)
+    transition = np.eye(num_states)[np.where(scoring, 1 + column * 16 + levels, end)]
     model = Mmdp(num_states, GRAPH_AGENTS, (2,) * GRAPH_AGENTS, reward,
-                 transition, spec.discount, initial, frozenset({end}))
+                 transition, spec.discount, np.eye(num_states)[0],
+                 frozenset({end}))
     if spec.variant == "coordination":
-        behavior = JointPolicy(tuple(
+        return model, JointPolicy(tuple(
             AgentPolicy.deterministic(num_states, 2, 0)
             for _ in range(GRAPH_AGENTS)))
-    else:
-        behavior = JointPolicy(tuple(
-            AgentPolicy(_persistence_rows(i, num_states))
-            for i in range(GRAPH_AGENTS)))
-    return model, behavior
-
-
-def _persistence_rows(agent: int, num_states: int) -> np.ndarray:
-    """Robustness behavior: uniform at the start, the last column and the
-    end; elsewhere keep the previous action when the levels are balanced,
-    otherwise head for the emptier level, each with probability p_i."""
-    p_keep = 1.0 - agent * 0.2
-    rows = np.full((num_states, 2), 0.5)
-    for column in range(1, GRAPH_COLUMNS):
-        for bits in range(16):
-            s = _graph_state(column, bits)
-            ones = bin(bits).count("1")
-            if ones == 2:
-                favored = bits >> agent & 1
-            elif ones < 2:
-                favored = 1
-            else:
-                favored = 0
-            rows[s, favored] = p_keep
-            rows[s, 1 - favored] = 1.0 - p_keep
-    return rows
+    ones = coalition_sizes(GRAPH_AGENTS)  # per level pattern
+    sticky = (column >= 1) & (column < GRAPH_COLUMNS)
+    pattern = (np.arange(num_states) - 1) % 16
+    agents = []
+    for i in range(GRAPH_AGENTS):
+        p_keep = 1.0 - i * 0.2
+        favored = np.where(ones == 2, np.arange(16) >> i & 1, ones < 2)
+        rows = np.where(favored[:, None] == (0, 1), p_keep, 1.0 - p_keep)
+        agents.append(AgentPolicy(np.where(sticky, rows[pattern], 0.5)))
+    return model, JointPolicy(tuple(agents))

@@ -3,7 +3,8 @@
 The inefficiency game maps every coalition S to the return gain it could
 secure by jointly best-responding while everyone outside S keeps the behavior
 policy. It is always monotone with value 0 at the empty coalition, and any
-such set function is realizable by a one-step model (`mmdp_from_game`).
+such set function is realizable by a one-step model (`mmdp_from_game`, on
+the `one_step_model` layout that the impossibility fixture also uses).
 
 `characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
 equal joint-action count: a chunk scatters the behavior's nonzero entries
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
-                   evaluate_return, _solve_linear)
+                   evaluate_return, _non_finite, _solve_linear)
 
 MAX_AGENTS = 12
 _MONOTONE_TOL = 1e-9
@@ -116,7 +117,10 @@ class CharacteristicGame:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if problems := _non_finite(values=values):
+            raise ValueError(f"invalid game: {problems[0]}")
+        object.__setattr__(self, "values", values)
 
     def value(self, coalition) -> float:
         if not isinstance(coalition, (int, np.integer)):
@@ -377,12 +381,25 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     return game
 
 
-def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
-    """Realize a monotone set function with f(empty) = 0 as a one-step model.
+def one_step_model(action_counts: tuple[int, ...],
+                   reward_row) -> tuple[Mmdp, JointPolicy]:
+    """The one-step layout: from the initial state every joint action earns
+    its `reward_row` entry and moves to the terminal state 1; discount 0.99,
+    and the behavior plays action 0 everywhere."""
+    num_actions = len(reward_row)
+    reward = np.vstack([reward_row, np.zeros(num_actions)])
+    transition = np.zeros((2, num_actions, 2))
+    transition[:, :, 1] = 1.0
+    model = Mmdp(2, len(action_counts), action_counts, reward, transition,
+                 0.99, np.array([1.0, 0.0]), frozenset({1}))
+    return model, JointPolicy(tuple(AgentPolicy.deterministic(2, k, 0)
+                                    for k in action_counts))
 
-    Two states (initial, terminal), binary actions; the reward of a joint
-    action equals f(S) where S is the set of agents playing 1, and the
-    behavior policy is all-zeros. characteristic_game of the result
+
+def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
+    """Realize a monotone set function with f(empty) = 0 as a one-step model
+    with binary actions: the reward of a joint action equals f(S) where S is
+    the set of agents playing 1. characteristic_game of the result
     reproduces f exactly: with the complement pinned to 0, a coalition's
     reachable values are f(T) for T inside the coalition, and monotonicity
     makes f(S) the maximum.
@@ -391,15 +408,7 @@ def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
     if problems:
         raise ValueError("set function not realizable: " + "; ".join(problems))
     n = f.num_agents
-    num_actions = 1 << n
-    reward = np.zeros((2, num_actions))
-    # coalition `mask`'s value goes to the joint action where exactly its
-    # agents play 1 (agent 0 the most significant binary digit)
-    reward[0, membership(n) @ (1 << np.arange(n - 1, -1, -1))] = f.values
-    transition = np.zeros((2, num_actions, 2))
-    transition[0, :, 1] = 1.0
-    transition[1, :, 1] = 1.0
-    model = Mmdp(2, n, (2,) * n, reward, transition, 0.99,
-                 np.array([1.0, 0.0]), frozenset({1}))
-    behavior = JointPolicy(tuple(AgentPolicy.deterministic(2, 2, 0) for _ in range(n)))
-    return model, behavior
+    # joint action j earns f at mask j with its n bits reversed, the agents
+    # playing 1 (agent 0 is the most significant binary digit of j)
+    return one_step_model((2,) * n, f.values[
+        membership(n) @ (1 << np.arange(n - 1, -1, -1))])

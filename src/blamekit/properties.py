@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attribution import as_blames, blame, marginals, pivotality
-from .mmdp import AgentPolicy, JointPolicy, Mmdp, evaluate_return
+from .mmdp import AgentPolicy, Mmdp, evaluate_return
 from .planning import (CharacteristicGame, characteristic_game,
                        coalition_sums, lattice_floors, marginal_masks,
-                       mask_agents)
+                       mask_agents, one_step_model)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -246,22 +246,10 @@ def impossibility_fixture():
     agent 1's two deviations whose induced games are {0, 2, 2, 2} and
     {0, 1.1, 0, 1.1}.
     """
-    num_actions = 9
-    reward = np.zeros((2, num_actions))
-    transition = np.zeros((2, num_actions, 2))
-    transition[:, :, 1] = 1.0
-    for ja, (a1, a2) in enumerate(np.ndindex(3, 3)):
-        if a1 == 0 and a2 == 0:
-            r = 0.0
-        elif (a1, a2) in ((0, 2), (2, 0), (2, 2)):
-            r = 2.0
-        else:
-            r = 0.9
-        reward[0, ja] = r
-    model = Mmdp(2, 2, (3, 3), reward, transition, 0.99,
-                 np.array([1.0, 0.0]), frozenset({1}))
-    behavior = JointPolicy((AgentPolicy.deterministic(2, 3, 0),
-                            AgentPolicy.deterministic(2, 3, 0)))
+    # joint action 3 a1 + a2 earns 0 at (0, 0), 2 at (0, 2), (2, 0) and
+    # (2, 2), and 0.9 elsewhere
+    model, behavior = one_step_model(
+        (3, 3), [0.0, 0.9, 2.0, 0.9, 0.9, 0.9, 2.0, 0.9, 2.0])
     pi_1 = AgentPolicy.deterministic(2, 3, 0)
     pi_1_prime = AgentPolicy.deterministic(2, 3, 1)
     return model, behavior, pi_1, pi_1_prime

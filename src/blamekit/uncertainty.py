@@ -202,10 +202,13 @@ class _CoalitionProblem:
         elif mode == "max" and all(m.action_counts[j] == 2 for j in uncertain):
             self.path = "corner"
         elif exact is True:
-            raise ValueError(
-                f"no exact chooser for coalition {self.coalition} in {mode} "
-                "mode; several uncertain complement agents with non-binary "
-                "actions require the relaxed box")
+            wide = [j for j in uncertain if m.action_counts[j] != 2]
+            reason = (f"{len(uncertain)} uncertain complement agents, and the "
+                      "exact min takes one" if mode == "min" else
+                      f"uncertain complement agent {wide[0]} is not binary, "
+                      "and the exact max over several needs binary ones")
+            raise ValueError(f"no exact chooser for coalition {self.coalition}"
+                             f" in {mode} mode: {reason}; use the relaxed box")
         else:
             self.path = "box"
 

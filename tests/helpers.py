@@ -432,3 +432,139 @@ def gridworld_loop(spec):
                            AgentPolicy.uniform(num, 2)))
     overseer = planning.best_response(model, trainee, (1,)).policy[1]
     return model, JointPolicy((pilot_policy(spec.alpha), overseer))
+
+
+# The layered graph as it was built one (joint action, column, levels) at a
+# time: the reference `envs.build_graph` must match bit for bit.
+
+def _graph_state(column, bits):
+    # 0 = start; columns 1..4 hold one state per level-bit pattern; 65 = end
+    if column == 0:
+        return 0
+    if column == envs.GRAPH_COLUMNS + 1:
+        return 1 + envs.GRAPH_COLUMNS * 16
+    return 1 + (column - 1) * 16 + bits
+
+
+def _constraint_met(spec, actions):
+    if spec.variant == "robustness":
+        return sum(actions) == 2
+    weighted = sum(w * a for w, a in zip(envs.GRAPH_WEIGHTS, actions))
+    return weighted >= envs.GRAPH_THRESHOLDS[spec.threshold_index - 1]
+
+
+def graph_loop(spec):
+    """`build_graph`'s (model, behavior), filled entry by entry."""
+    problems = spec.validate()
+    if problems:
+        raise ValueError("invalid graph spec: " + "; ".join(problems))
+    num_states = 2 + envs.GRAPH_COLUMNS * 16
+    num_actions = 1 << envs.GRAPH_AGENTS
+    reward = np.zeros((num_states, num_actions))
+    transition = np.zeros((num_states, num_actions, num_states))
+    end = _graph_state(envs.GRAPH_COLUMNS + 1, 0)
+    for ja, actions in enumerate(np.ndindex((2,) * envs.GRAPH_AGENTS)):
+        bits = sum(a << i for i, a in enumerate(actions))
+        scored = 1.0 if _constraint_met(spec, actions) else -1.0
+        for column in range(envs.GRAPH_COLUMNS + 1):
+            if column == 0:
+                reward[0, ja] = scored
+                transition[0, ja, _graph_state(1, bits)] = 1.0
+                continue
+            for prev in range(16):
+                s = _graph_state(column, prev)
+                if column == envs.GRAPH_COLUMNS:
+                    reward[s, ja] = 0.0
+                    transition[s, ja, end] = 1.0
+                else:
+                    reward[s, ja] = scored
+                    transition[s, ja, _graph_state(column + 1, bits)] = 1.0
+    transition[end, :, end] = 1.0
+    initial = np.zeros(num_states)
+    initial[0] = 1.0
+    model = Mmdp(num_states, envs.GRAPH_AGENTS, (2,) * envs.GRAPH_AGENTS,
+                 reward, transition, spec.discount, initial, frozenset({end}))
+    if spec.variant == "coordination":
+        behavior = JointPolicy(tuple(
+            AgentPolicy.deterministic(num_states, 2, 0)
+            for _ in range(envs.GRAPH_AGENTS)))
+    else:
+        behavior = JointPolicy(tuple(
+            AgentPolicy(_persistence_rows(i, num_states))
+            for i in range(envs.GRAPH_AGENTS)))
+    return model, behavior
+
+
+def _persistence_rows(agent, num_states):
+    """Robustness behavior: uniform at the start, the last column and the
+    end; elsewhere keep the previous action when the levels are balanced,
+    otherwise head for the emptier level, each with probability p_i."""
+    p_keep = 1.0 - agent * 0.2
+    rows = np.full((num_states, 2), 0.5)
+    for column in range(1, envs.GRAPH_COLUMNS):
+        for bits in range(16):
+            s = _graph_state(column, bits)
+            ones = bin(bits).count("1")
+            if ones == 2:
+                favored = bits >> agent & 1
+            elif ones < 2:
+                favored = 1
+            else:
+                favored = 0
+            rows[s, favored] = p_keep
+            rows[s, 1 - favored] = 1.0 - p_keep
+    return rows
+
+
+# The two one-step models as they were written out before they shared
+# `planning.one_step_model`: the references must match bit for bit.
+
+def mmdp_from_game_scatter(f):
+    """`mmdp_from_game`'s (model, behavior), the reward scattered by mask."""
+    n = f.num_agents
+    num_actions = 1 << n
+    reward = np.zeros((2, num_actions))
+    reward[0, planning.membership(n) @ (1 << np.arange(n - 1, -1, -1))] = f.values
+    transition = np.zeros((2, num_actions, 2))
+    transition[0, :, 1] = 1.0
+    transition[1, :, 1] = 1.0
+    model = Mmdp(2, n, (2,) * n, reward, transition, 0.99,
+                 np.array([1.0, 0.0]), frozenset({1}))
+    behavior = JointPolicy(tuple(AgentPolicy.deterministic(2, 2, 0)
+                                 for _ in range(n)))
+    return model, behavior
+
+
+def impossibility_fixture_loop():
+    """`impossibility_fixture`'s (model, behavior), filled entry by entry."""
+    num_actions = 9
+    reward = np.zeros((2, num_actions))
+    transition = np.zeros((2, num_actions, 2))
+    transition[:, :, 1] = 1.0
+    for ja, (a1, a2) in enumerate(np.ndindex(3, 3)):
+        if a1 == 0 and a2 == 0:
+            r = 0.0
+        elif (a1, a2) in ((0, 2), (2, 0), (2, 2)):
+            r = 2.0
+        else:
+            r = 0.9
+        reward[0, ja] = r
+    model = Mmdp(2, 2, (3, 3), reward, transition, 0.99,
+                 np.array([1.0, 0.0]), frozenset({1}))
+    behavior = JointPolicy((AgentPolicy.deterministic(2, 3, 0),
+                            AgentPolicy.deterministic(2, 3, 0)))
+    return model, behavior
+
+
+def assert_same_model(model, behavior, ref_model, ref_behavior):
+    """Every table of two (model, behavior) pairs is equal bit for bit."""
+    assert model.action_counts == ref_model.action_counts
+    assert model.discount == ref_model.discount
+    for got, want in [(model.reward, ref_model.reward),
+                      (model.transition, ref_model.transition),
+                      (model.initial_dist, ref_model.initial_dist),
+                      *zip((a.probs for a in behavior.agents),
+                           (a.probs for a in ref_behavior.agents))]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(behavior.agents) == len(ref_behavior.agents)
+    assert model.terminal_states == ref_model.terminal_states

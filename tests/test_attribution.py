@@ -1,5 +1,6 @@
 """The five attribution methods against independent combinatorial oracles."""
 import itertools
+import re
 from math import factorial
 
 import numpy as np
@@ -310,6 +311,23 @@ def test_apply_refuses_unknown_methods():
         apply("EQ", SYMMETRIC)
     with pytest.raises(ValueError, match="unknown method 'sv'"):
         apply("sv", SYMMETRIC, 0)
+
+
+@pytest.mark.parametrize("values, first", [
+    ([0.0, np.nan, 1.0, 2.0], "values[1] is nan"),
+    ([0.0, np.inf, 1.0, np.inf], "values[1] is inf"),
+    ([0.0, 1.0, -np.inf, 2.0], "values[2] is -inf")])
+def test_non_finite_games_are_refused(values, first):
+    """Construction names the first nan or infinite value, so neither
+    `apply` nor `mer` is handed one: on such a game the marginal methods
+    returned nan blames and MER died in numpy's bare argmin."""
+    message = re.escape(f"invalid game: {first}, not finite")
+    with pytest.raises(ValueError, match=message):
+        CharacteristicGame(2, values)
+    with pytest.raises(ValueError, match=message):
+        apply("SV", CharacteristicGame(2, np.array(values)))
+    with pytest.raises(ValueError, match=message):
+        mer(CharacteristicGame(2, values), 0)
 
 
 @pytest.mark.parametrize("fn, name", [(shapley, "SV"), (banzhaf, "BI")])

@@ -592,7 +592,11 @@ def test_exact_uncertainty_unavailable_on_the_graph(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "experiment failed" in err
-    assert "no exact chooser" in err
+    # the graph's agents are all binary: what fails is the exact min over
+    # three uncertain complement agents
+    assert "no exact chooser for coalition (0,) in min mode" in err
+    assert "3 uncertain complement agents, and the exact min takes one" in err
+    assert "binary" not in err
 
 
 def test_argparse_level_failures_exit_2(tmp_path):

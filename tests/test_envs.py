@@ -16,7 +16,6 @@ from blamekit.envs import (
     GRID_SIZE,
     GraphSpec,
     GridworldSpec,
-    _graph_state,
     build_graph,
     build_gridworld,
     default_map,
@@ -24,7 +23,8 @@ from blamekit.envs import (
 )
 from blamekit.mmdp import evaluate_return, validate_mmdp
 from blamekit.planning import characteristic_game
-from helpers import destination, gridworld_loop, single_agent_plan_loop
+from helpers import (_graph_state, assert_same_model, destination, graph_loop,
+                     gridworld_loop, single_agent_plan_loop)
 
 GAMMA = 0.99
 # four rewarded steps of +-1 separate the all-win policy from the all-lose one
@@ -83,15 +83,7 @@ def test_gridworld_matches_the_loop_reference(alpha, alpha_prime, map_text):
     reward, transition, initial distribution, terminals and both agents'
     policy tables."""
     spec = GridworldSpec(alpha=alpha, alpha_prime=alpha_prime, map_text=map_text)
-    model, behavior = build_gridworld(spec)
-    ref_model, ref_behavior = gridworld_loop(spec)
-    for got, want in [(model.reward, ref_model.reward),
-                      (model.transition, ref_model.transition),
-                      (model.initial_dist, ref_model.initial_dist),
-                      *zip((a.probs for a in behavior.agents),
-                           (a.probs for a in ref_behavior.agents))]:
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert model.terminal_states == ref_model.terminal_states
+    assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
 
 
 def test_gridworld_model_is_valid():
@@ -187,6 +179,16 @@ def test_gridworld_frozen_inefficiency_game():
         game.values, [0.0, 0.04532447606, 0.0, 0.1778969789], atol=1e-9)
     np.testing.assert_allclose(shapley(game).blames,
                                [0.111610727465, 0.0662862514042], atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [
+    *(GraphSpec("coordination", threshold_index=t) for t in range(1, 5)),
+    *(GraphSpec("robustness", discount=d) for d in (0.99, 0.3, 0.0))])
+def test_graph_matches_the_loop_reference(spec):
+    """The array build equals the (joint action, column, levels) loop bit
+    for bit: reward, transition, initial distribution, terminals and every
+    agent's behavior table."""
+    assert_same_model(*build_graph(spec), *graph_loop(spec))
 
 
 def test_graph_state_indexing():

@@ -25,8 +25,9 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
-from helpers import (complement_columns, complement_conditional, compose,
-                     index_stack, induced_full, induced_gathered,
+from helpers import (assert_same_model, complement_columns,
+                     complement_conditional, compose, index_stack,
+                     induced_full, induced_gathered, mmdp_from_game_scatter,
                      random_factorized, random_mmdp)
 
 
@@ -547,6 +548,14 @@ def test_mmdp_from_game_reproduces_the_set_function():
         model, behavior = mmdp_from_game(f)
         back = characteristic_game(model, behavior)
         assert np.abs(back.values - f.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, MAX_AGENTS + 1))
+def test_mmdp_from_game_matches_the_scatter_reference(n):
+    """The one-step layout, read by reversed mask, equals the reward
+    scattered by mask bit for bit, and so does every other table."""
+    f = random_monotone_game(n, n)
+    assert_same_model(*mmdp_from_game(f), *mmdp_from_game_scatter(f))
 
 
 def test_mmdp_from_game_round_trip_is_exact_at_ten_agents():

@@ -24,7 +24,8 @@ from blamekit.properties import (
     impossibility_fixture,
     random_monotone_game,
 )
-from helpers import (check_rationality_where, check_symmetry_pairwise,
+from helpers import (assert_same_model, check_rationality_where,
+                     check_symmetry_pairwise, impossibility_fixture_loop,
                      random_monotone_game_loop)
 
 
@@ -154,6 +155,11 @@ def test_performance_monotonicity_is_vacuous_when_first_policy_wins():
     # swap the order: now the first deviation performs strictly better
     v = check_performance_monotonicity(model, behavior, 0, pi_1_prime, pi_1, "SV")
     assert v.holds
+
+
+def test_fixture_matches_the_loop_reference():
+    model, behavior, _, _ = impossibility_fixture()
+    assert_same_model(model, behavior, *impossibility_fixture_loop())
 
 
 def test_fixture_games_are_the_documented_ones():

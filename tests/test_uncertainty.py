@@ -26,6 +26,7 @@ from blamekit.uncertainty import (
     RobustBounds,
     UncertaintySet,
     _CoalitionProblem,
+    _adversary_min,
     _monotone_closure,
     _topological_levels,
     ap_blackstone,
@@ -227,10 +228,29 @@ def test_exact_minimization_unavailable_with_two_uncertain_complements():
     m = bandit_model(np.arange(8.0), (2, 2, 2))
     center = bandit_center([(1.0, 0.0), (0.5, 0.5), (0.5, 0.5)])
     uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset({1, 2}))
-    with pytest.raises(ValueError, match="no exact chooser"):
+    with pytest.raises(ValueError) as info:
         robust_min_value(m, uset, (0,), exact=True)
+    # every agent is binary: the min refusal names the count, not an arity
+    assert str(info.value) == (
+        "no exact chooser for coalition (0,) in min mode: 2 uncertain "
+        "complement agents, and the exact min takes one; use the relaxed box")
     # the relaxed box happily covers the same query
     assert np.isfinite(robust_min_value(m, uset, (0,), exact=False))
+    # the segment corners still give the exact max
+    assert np.isfinite(robust_max_value(m, uset, (0,), exact=True))
+
+
+def test_exact_maximization_unavailable_with_a_non_binary_complement():
+    m = bandit_model(np.arange(12.0), (2, 2, 3))
+    center = bandit_center([(1.0, 0.0), (0.5, 0.5), (0.2, 0.3, 0.5)])
+    uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset({1, 2}))
+    with pytest.raises(ValueError) as info:
+        robust_max_value(m, uset, (0,), exact=True)
+    assert str(info.value) == (
+        "no exact chooser for coalition (0,) in max mode: uncertain "
+        "complement agent 2 is not binary, and the exact max over several "
+        "needs binary ones; use the relaxed box")
+    assert np.isfinite(robust_max_value(m, uset, (0,), exact=False))
 
 
 def test_relaxed_box_is_looser_than_the_ball():
@@ -819,3 +839,98 @@ def test_recorded_adversary_lp_solves_to_the_highs_optimum(recorded):
     sol = solve(LinearProgram(objective, matrix, bounds))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(optimum, rel=1e-9)
+
+
+# LP-level fuzz of the adversary's min step against HiGHS, on the min
+# subproblems of the robustness experiments' own models: the gridworld's
+# ball at (coalition actions C, complement actions D) = (2, 4) and the
+# graph's relaxed boxes. Each LP takes a random nonterminal state's feasible
+# set and near-tie payoffs: rounded to 0.1, every second one with N(0, 1e-9)
+# noise added. The misses are what the simplex gets wrong today, by index:
+# a value off HiGHS's, a q outside the set, or an "infeasible" verdict.
+# (On the 100 (8, 2) LPs, HiGHS agrees to within 5e-10 with the primal closed
+# form of ROADMAP 2: the lines' maximum, minimized over the interval's ends
+# and crossings.) A fix and a new miss both change a set; ROADMAP 2 must
+# empty them.
+_FUZZ_LPS = 100
+_FUZZ_CASES = {
+    "ball-2x4": ("gridworld", 0b10, None, {
+        9: "infeasible", 29: "wrong", 41: "wrong", 89: "wrong"}),
+    "box-2x8": ("graph", 0b0001, False, {
+        15: "wrong", 77: "wrong", 99: "wrong"}),
+    "box-4x4": ("graph", 0b0011, False, {
+        11: "wrong", 15: "outside", 17: "wrong", 31: "wrong",
+        39: "infeasible", 47: "infeasible", 75: "outside", 77: "wrong",
+        99: "infeasible"}),
+    "box-8x2": ("graph", 0b0111, False, {
+        11: "wrong", 15: "wrong", 17: "wrong", 31: "infeasible",
+        39: "infeasible", 69: "wrong", 77: "infeasible", 79: "wrong",
+        87: "wrong", 99: "wrong"}),
+}
+
+
+def _highs_adversary_min(linprog, payoffs, feasible, bounds):
+    """min t s.t. payoffs @ q <= t, feasible @ x <= bounds, sum q == 1,
+    x = (q, auxiliaries) >= 0, solved by HiGHS."""
+    num_c, k = payoffs.shape
+    width = feasible.shape[1]
+    a_ub = np.block([
+        [payoffs, np.zeros((num_c, width - k)), -np.ones((num_c, 1))],
+        [feasible, np.zeros((feasible.shape[0], 1))]])
+    res = linprog(np.r_[np.zeros(width), 1.0], A_ub=a_ub,
+                  b_ub=np.r_[np.zeros(num_c), bounds],
+                  A_eq=np.r_[np.ones(k), np.zeros(width - k + 1)][None],
+                  b_eq=[1.0], bounds=[(0, None)] * width + [(None, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _in_adversary_set(problem, s, q, tol=1e-9):
+    if problem.path == "ball":
+        inside = (0.5 * np.abs(q - problem.ball_rows[s]).sum()
+                  <= problem.ball_eps + tol)
+    else:
+        inside = ((problem.box_lower[s] - tol <= q)
+                  & (q <= problem.box_upper[s] + tol)).all()
+    return bool(inside and (q >= -tol).all() and abs(q.sum() - 1.0) <= tol)
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
+def test_adversary_min_matches_highs_on_near_ties(case):
+    """Each value must lie within 1e-9 of HiGHS's, relative to the larger of
+    the value and the payoff scale (a value may be 0), and q in the set."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    env, mask, exact, pinned = _FUZZ_CASES[case]
+    if env == "gridworld":
+        model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+        uset = sample_center(behavior, 0.05, 0, frozenset({0}))
+    else:
+        model, behavior = build_graph(GraphSpec("robustness"))
+        uset = sample_center(behavior, 0.05, 0)
+    problem = _CoalitionProblem(model, uset, mask, "min", exact)
+    assert problem.path == case[:case.index("-")]
+    num_c = problem.reward.shape[1]
+    k = (problem.ball_rows if problem.path == "ball" else problem.box_lower).shape[1]
+    assert f"{num_c}x{k}" == case[case.index("-") + 1:]
+    states = np.setdiff1d(np.arange(model.num_states), list(model.terminal_states))
+    rng = np.random.default_rng(0)
+    misses = {}
+    for i in range(_FUZZ_LPS):
+        s = rng.choice(states)
+        payoffs = np.round(rng.uniform(-1.0, 1.0, (num_c, k)), 1)
+        if i % 2:
+            payoffs = payoffs + rng.normal(0.0, 1e-9, payoffs.shape)
+        want = _highs_adversary_min(linprog, payoffs, problem.feasible,
+                                    problem.bounds[s])
+        try:
+            value, q = _adversary_min(payoffs[None], problem.feasible,
+                                      problem.bounds[s][None], problem.path)
+        except RuntimeError:
+            misses[i] = "infeasible"
+            continue
+        if abs(value[0] - want) > 1e-9 * max(abs(want), np.abs(payoffs).max()):
+            misses[i] = "wrong"
+        elif not _in_adversary_set(problem, s, q[0]):
+            misses[i] = "outside"
+    assert misses == pinned
