@@ -48,15 +48,19 @@ class Mmdp:
 
     def content_key(self) -> bytes:
         """Stable content hash, used to memoize planning results."""
-        h = hashlib.sha256()
-        h.update(np.int64([self.num_states, self.num_agents]).tobytes())
-        h.update(np.int64(self.action_counts).tobytes())
-        h.update(np.float64(self.discount).tobytes())
-        h.update(self.reward.tobytes())
-        h.update(self.transition.tobytes())
-        h.update(self.initial_dist.tobytes())
-        h.update(np.int64(sorted(self.terminal_states)).tobytes())
-        return h.digest()
+        return content_digest(
+            np.int64([self.num_states, self.num_agents]),
+            np.int64(self.action_counts), np.float64(self.discount),
+            self.reward, self.transition, self.initial_dist,
+            np.int64(sorted(self.terminal_states)))
+
+
+def content_digest(*arrays) -> bytes:
+    """sha256 of the arrays' raw bytes, in order: the one content key."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(array.tobytes())
+    return h.digest()
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ Chooser feasible sets, from tightest to loosest:
 The default picks the tightest applicable set per subproblem; exact=False
 forces the relaxed box, exact=True raises where no exact path exists.
 
-Every chooser table over complement joint actions is an
-`mmdp.product_table` of per-agent rows. An acyclic model takes one backward
-pass, one chooser call per topological level; a cyclic one alternates
-sweeps, one chooser call over every nonterminal state, with exact
-evaluation of the chosen conditional until the values settle.
+Every chooser table over complement joint actions is a product of per-agent
+rows read at the complement's digits. An acyclic model takes one backward
+pass, one chooser call per topological level; a cyclic one alternates sweeps,
+one chooser call over every nonterminal state, with exact evaluation of the
+chosen conditional until the values settle relative to their scale.
 """
 from __future__ import annotations
 
@@ -34,15 +34,14 @@ from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
                           banzhaf_weights, mer, participation, shapley,
                           shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
-from .mmdp import AgentPolicy, JointPolicy, Mmdp, product_table
+from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
                        coalition_mask, coalition_sizes, coalition_tables,
                        lattice_floors, marginalize, mask_agents, solve_mdp)
 
 RESIDUAL_TOL = 1e-12
-RESIDUAL_FLOOR = 1e-10
-MAX_SWEEPS = 50000
+MAX_SWEEPS = 1000
 _EDGE_TOL = 1e-15
 
 
@@ -93,15 +92,11 @@ class UncertaintySet:
         return problems
 
     def content_key(self) -> bytes:
-        import hashlib
-        h = hashlib.sha256()
-        for ap in self.center.agents:
-            h.update(ap.probs.tobytes())
-        h.update(np.float64(self.radius).tobytes())
         agents = (sorted(self.uncertain_agents)
                   if self.uncertain_agents is not None else [-1])
-        h.update(np.array(agents, dtype=np.int64).tobytes())
-        return h.digest()
+        return content_digest(*(ap.probs for ap in self.center.agents),
+                              np.float64(self.radius),
+                              np.array(agents, dtype=np.int64))
 
 
 def _sample_ball_row(rng: np.random.Generator, p: np.ndarray, eps: float) -> np.ndarray:
@@ -184,9 +179,9 @@ class _CoalitionProblem:
     """Precomputation for one (coalition, mode) robust recursion with an
     uncertain complement agent: the coalition's reward and transition
     tables, gathered once, the per-state complement tables its chooser
-    reads, built from `product_table`s of per-agent rows, and `choose`, the
-    one chooser its path and mode select. A chooser maps the backups b
-    (K, A_C, A_D) of K states to their values (K,) and q (K, A_D)."""
+    reads, products of per-agent rows at the complement's digits, and
+    `choose`, the one chooser its path and mode select. A chooser maps the
+    backups b (K, A_C, A_D) of K states to their values (K,) and q (K, A_D)."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
                  exact: bool | None):
@@ -195,6 +190,8 @@ class _CoalitionProblem:
         uncertain = [j for j in others if uset.agent_radius(j) > 0]
         idx = coalition_action_index(m, self.coalition)
         self.reward, self.transition = coalition_tables(m, idx)
+        # idx[0] lists the complement's joint actions: each agent's digits
+        digits = np.unravel_index(idx[0], m.action_counts)
         if exact is False:
             self.path = "box"
         elif len(uncertain) == 1:
@@ -216,20 +213,18 @@ class _CoalitionProblem:
         probs = [uset.center.agents[j].probs for j in others]
         radii = [uset.agent_radius(j) for j in others]
         self.center_table = product_table(num_states, probs)
-        # multiplying by a ones row is exact: an uncertain agent drops out
-        ones = [np.ones_like(p) for p in probs]
         lows = [np.maximum(p - r, 0.0) for p, r in zip(probs, radii)]
         highs = [np.minimum(p + r, 1.0) for p, r in zip(probs, radii)]
         if self.path in ("ball", "corner"):
+            # multiplying by a ones row is exact: an uncertain agent drops out
             certain_table = product_table(num_states, [
-                one if r > 0 else p for p, one, r in zip(probs, ones, radii)])
+                np.ones_like(p) if r > 0 else p for p, r in zip(probs, radii)])
         if self.path == "ball":
             u = others.index(uncertain[0])
             self.certain_table = certain_table
             self.ball_rows = probs[u]
             self.ball_eps = radii[u]
-            # idx[0] lists the complement's joint actions: the ball agent's digits
-            self.ball_col = np.unravel_index(idx[0], m.action_counts)[uncertain[0]]
+            self.ball_col = digits[uncertain[0]]
             if mode == "min":
                 # LP variables: q, then one slack d_j >= |q_j - p_j| per action
                 k = self.ball_rows.shape[1]
@@ -241,16 +236,16 @@ class _CoalitionProblem:
         elif self.path == "corner":
             # (S, 2^u, A_D), one table per vertex of the uncertain agents'
             # segments: bit b of the vertex picks the low (0) or high (1)
-            # interval end, on action 0, of the b-th uncertain agent
-            factors = [np.stack(
-                [product_table(num_states, ones[:pos] + [
-                    np.stack([ends[pos][:, 0], 1.0 - ends[pos][:, 0]], axis=1)]
-                    + ones[pos + 1:]) for ends in (lows, highs)], axis=1)
-                for pos, r in enumerate(radii) if r > 0]
+            # interval end, on action 0, of the b-th uncertain agent; its
+            # factor (S, 2, A_D) is that end where the agent plays 0, else 1 - end
+            ends = [np.stack([lo[:, 0], hi[:, 0]], axis=1)[..., None]
+                    for lo, hi, r in zip(lows, highs, radii) if r > 0]
+            factors = [np.where(digits[j] == 0, end, 1.0 - end)
+                       for j, end in zip(uncertain, ends)]
             vertex = np.arange(1 << len(factors))
             self.corner_tables = np.repeat(certain_table[:, None], vertex.size, 1)
-            for b, ends in enumerate(factors):
-                self.corner_tables *= ends[:, vertex >> b & 1]
+            for b, factor in enumerate(factors):
+                self.corner_tables *= factor[:, vertex >> b & 1]
         else:
             self.box_lower = product_table(num_states, lows)
             self.box_upper = product_table(num_states, highs)
@@ -415,12 +410,11 @@ class RobustBounds:
     def _iterate(self, problem: _CoalitionProblem):
         m = self.m
         v = best_response(m, self.uset.center, problem.coalition).state_values
-        for sweep in range(MAX_SWEEPS):
+        for _ in range(MAX_SWEEPS):
             values = np.zeros(m.num_states)
             q = self._backward_pass(problem, [self._nonterminal], v, values)
-            residual = float(np.abs(values - v).max())
-            if residual <= RESIDUAL_TOL or (sweep >= 1000
-                                            and residual <= RESIDUAL_FLOOR):
+            # relative past |v| = 1, so the stop holds at every reward scale
+            if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
                 return v, q
             # the coalition's exact best response against q
             v, _ = solve_mdp(*marginalize(q, problem.reward, problem.transition),
@@ -514,20 +508,23 @@ def bi_blackstone(m: Mmdp, uset: UncertaintySet,
     return BlameAssignment("BI_BC", blames)
 
 
+def _worst_gaps(bounds: RobustBounds, masks) -> list[float]:
+    """Per mask S, the worst-case inefficiency lower(S) - upper(()), clamped
+    at 0; only the lower bounds of `masks` are solved."""
+    base = bounds.max_value(())
+    return [max(0.0, bounds._bound(mask, "min") - base) for mask in masks]
+
+
 def mc_blackstone(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> BlameAssignment:
     bounds = robust_bounds(m, uset, exact)
-    base = bounds.max_value(())
-    blames = np.array([max(0.0, bounds.min_value((i,)) - base)
-                       for i in range(m.num_agents)])
-    return BlameAssignment("MC_BC", blames)
+    singletons = [1 << i for i in range(m.num_agents)]
+    return BlameAssignment("MC_BC", _worst_gaps(bounds, singletons))
 
 
 def _pessimistic_game(bounds: RobustBounds) -> CharacteristicGame:
     n = bounds.m.num_agents
-    base = bounds.max_value(())
-    return CharacteristicGame(n, [0.0] + [max(0.0, bounds._bound(mask, "min") - base)
-                                          for mask in range(1, 1 << n)])
+    return CharacteristicGame(n, [0.0] + _worst_gaps(bounds, range(1, 1 << n)))
 
 
 def mer_blackstone(m: Mmdp, uset: UncertaintySet, tiebreak: int | None = None,

@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 
-from blamekit import attribution, envs, planning, properties
+from blamekit import attribution, envs, planning, properties, uncertainty
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 
 
@@ -16,6 +16,20 @@ def random_mmdp(rng, num_states=4, action_counts=(2, 3), gamma=0.9):
     initial = rng.dirichlet(np.ones(num_states))
     return Mmdp(num_states, len(action_counts), tuple(action_counts),
                 reward, transition, gamma, initial)
+
+
+def random_acyclic_mmdp(rng, num_states=3, action_counts=(2, 3), gamma=0.9):
+    """random_mmdp whose transitions only point to later states, into a
+    last state that absorbs with zero reward; it starts in state 0."""
+    m = random_mmdp(rng, num_states, action_counts, gamma)
+    reward, transition = m.reward.copy(), np.zeros_like(m.transition)
+    for s in range(num_states - 1):
+        transition[s, :, s + 1:] = rng.dirichlet(np.ones(num_states - s - 1),
+                                                  size=m.num_joint_actions)
+    transition[-1, :, -1] = 1.0
+    reward[-1] = 0.0
+    return Mmdp(num_states, m.num_agents, m.action_counts, reward, transition,
+                gamma, np.eye(num_states)[0], frozenset({num_states - 1}))
 
 
 def random_factorized(rng, m):
@@ -351,6 +365,136 @@ def box_max_loop(b, lo, hi):
         if val > best_val:
             best_val, best_q = val, q
     return best_val, best_q
+
+
+def highs_adversary_min(linprog, payoffs, feasible, bounds):
+    """min t s.t. payoffs @ q <= t, feasible @ x <= bounds, sum q == 1,
+    x = (q, auxiliaries) >= 0, solved by HiGHS: the optimum and its q."""
+    num_c, k = payoffs.shape
+    width = feasible.shape[1]
+    a_ub = np.block([
+        [payoffs, np.zeros((num_c, width - k)), -np.ones((num_c, 1))],
+        [feasible, np.zeros((feasible.shape[0], 1))]])
+    res = linprog(np.r_[np.zeros(width), 1.0], A_ub=a_ub,
+                  b_ub=np.r_[np.zeros(num_c), bounds],
+                  A_eq=np.r_[np.ones(k), np.zeros(width - k + 1)][None],
+                  b_eq=[1.0], bounds=[(0, None)] * width + [(None, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun, res.x[:k]
+
+
+# The robust recursion replayed one state at a time from the loops above,
+# with HiGHS as the min adversary (Iyengar, Robust Dynamic Programming, 2005):
+# the oracle every `RobustBounds` value must match.
+
+def _digits_code(digits, agents, counts):
+    """Mixed-radix code of `agents`' digits, the first agent most significant."""
+    code = 0
+    for i in agents:
+        code = code * counts[i] + int(digits[i])
+    return code
+
+
+def robust_chooser(m, uset, mask, mode, exact):
+    """The tables and the chooser of one robust problem: the reward (S, A_C,
+    A_D) and transition (S, A_C, A_D, S) per (coalition, complement) joint
+    action, the center's complement conditional (S, A_D), and choose(b, s)
+    -> (value, q) for one state's backups b (A_C, A_D). Raises ValueError
+    where `exact=True` finds no exact set."""
+    from scipy.optimize import linprog
+
+    counts = m.action_counts
+    coalition = [i for i in range(m.num_agents) if mask >> i & 1]
+    others = [j for j in range(m.num_agents) if not mask >> j & 1]
+    uncertain = [j for j in others if uset.agent_radius(j) > 0]
+    num_c = int(np.prod([counts[i] for i in coalition]))
+    num_d, cols = complement_columns(m, others)
+    reward = np.zeros((m.num_states, num_c, num_d))
+    transition = np.zeros((m.num_states, num_c, num_d, m.num_states))
+    for a in range(m.num_joint_actions):
+        digits = np.unravel_index(a, counts)
+        c, d = (_digits_code(digits, agents, counts) for agents in (coalition, others))
+        reward[:, c, d] = m.reward[:, a]
+        transition[:, c, d] = m.transition[:, a]
+    center = complement_product_loop(m, uset, others, others)
+    certain = complement_product_loop(
+        m, uset, others, [j for j in others if j not in uncertain])
+    lower, upper = relaxed_box_loop(m, uset, others)
+
+    def box_min(b, s):
+        eye = np.eye(num_d)
+        return highs_adversary_min(linprog, b, np.vstack([eye, -eye]),
+                                   np.r_[upper[s], -lower[s]])
+
+    def ball_min(b, s):
+        p, eps = uset.center.agents[u].probs[s], uset.agent_radius(u)
+        k, eye = p.size, np.eye(p.size)
+        feasible = np.block([[eye, -eye], [-eye, -eye], [np.zeros(k), np.ones(k)]])
+        value, q = highs_adversary_min(linprog, fold_loop(b, certain[s], cols[u], k),
+                                       feasible, np.r_[p, -p, 2.0 * eps])
+        return value, certain[s] * q[cols[u]]
+
+    def corner_max(b, s):
+        factors = corner_factors_loop(m, uset, others, uncertain)
+        rows = []
+        for vertex in range(1 << len(uncertain)):
+            row = certain[s].copy()
+            for bit, ends in enumerate(factors):
+                row *= ends[s, vertex >> bit & 1]
+            rows.append(row)
+        return corner_max_loop(b, rows)
+
+    if not uncertain:
+        return reward, transition, center, lambda b, s: (
+            float((b @ center[s]).max()), center[s])
+    if exact is False:
+        path = "box"
+    elif len(uncertain) == 1:
+        path, u = "ball", uncertain[0]
+    elif mode == "max" and all(counts[j] == 2 for j in uncertain):
+        path = "corner"
+    elif exact is True:
+        raise ValueError("no exact chooser")
+    else:
+        path = "box"
+    choose = {("box", "min"): box_min,
+              ("box", "max"): lambda b, s: box_max_loop(b, lower[s], upper[s]),
+              ("ball", "min"): ball_min,
+              ("ball", "max"): lambda b, s: ball_max_loop(
+                  b, uset.center.agents[u].probs[s], uset.agent_radius(u),
+                  certain[s], cols[u]),
+              ("corner", "max"): corner_max}[path, mode]
+    return reward, transition, center, choose
+
+
+def robust_replay(m, uset, mask, mode, exact, tol=uncertainty.RESIDUAL_TOL,
+                  max_sweeps=1000):
+    """The robust `mode` bound of coalition `mask`, state by state. An
+    acyclic model backs states up in reverse Kahn order; a cyclic one starts
+    from the best response against the center and sweeps, evaluating each
+    sweep's chosen q exactly, until a sweep moves no value by more than
+    tol * max(1, max |v|)."""
+    reward, transition, q, choose = robust_chooser(m, uset, mask, mode, exact)
+    v = np.zeros(m.num_states)
+    nonterminal = [s for s in range(m.num_states) if s not in m.terminal_states]
+    order = kahn_order(m, uncertainty._EDGE_TOL)
+    if order is not None:
+        for s in reversed(order):
+            if s in nonterminal:
+                v[s] = choose(reward[s] + m.discount * transition[s] @ v, s)[0]
+        return float(m.initial_dist @ v)
+    for _ in range(max_sweeps):
+        # the coalition's exact best response against q
+        v = planning.solve_mdp(np.einsum("sd,scd->sc", q, reward),
+                               np.einsum("sd,scdt->sct", q, transition),
+                               m.discount)[0]
+        values, q = np.zeros(m.num_states), q.copy()
+        for s in nonterminal:
+            values[s], q[s] = choose(reward[s] + m.discount * transition[s] @ v, s)
+        if np.abs(values - v).max() <= tol * max(1.0, np.abs(v).max()):
+            return float(m.initial_dist @ v)
+    raise RuntimeError(f"replay did not converge within {max_sweeps} sweeps")
 
 
 # The gridworld as it was built one (state, move, override) at a time: the
