@@ -225,14 +225,6 @@ class _CoalitionProblem:
             self.ball_rows = probs[u]
             self.ball_eps = radii[u]
             self.ball_col = digits[uncertain[0]]
-            if mode == "min":
-                # LP variables: q, then one slack d_j >= |q_j - p_j| per action
-                k = self.ball_rows.shape[1]
-                eye = np.eye(k)
-                self.feasible = np.block([[eye, -eye], [-eye, -eye],
-                                          [np.zeros(k), np.ones(k)]])
-                self.bounds = np.hstack([probs[u], -probs[u], np.full(
-                    (num_states, 1), 2.0 * self.ball_eps)])
         elif self.path == "corner":
             # (S, 2^u, A_D), one table per vertex of the uncertain agents'
             # segments: bit b of the vertex picks the low (0) or high (1)
@@ -249,10 +241,6 @@ class _CoalitionProblem:
         else:
             self.box_lower = product_table(num_states, lows)
             self.box_upper = product_table(num_states, highs)
-            if mode == "min":
-                eye = np.eye(idx.shape[1])
-                self.feasible = np.vstack([eye, -eye])
-                self.bounds = np.hstack([self.box_upper, -self.box_lower])
         # _ball_max, _ball_min, _corner_max, _box_max or _box_min
         self.choose = getattr(self, f"_{self.path}_{mode}")
 
@@ -290,8 +278,13 @@ class _CoalitionProblem:
         return values, self.certain_table[states] * q[:, self.ball_col]
 
     def _ball_min(self, b: np.ndarray, states: np.ndarray):
-        values, q = _adversary_min(self._fold(b, states), self.feasible,
-                                   self.bounds[states], "ball")
+        """q = p - w + u with w <= p, sum w <= eps and sum u <= sum w."""
+        p = self.ball_rows[states]
+        eye, ones = np.eye(p.shape[1]), np.ones(p.shape[1])
+        rows = np.block([[eye, 0.0 * eye], [ones, 0.0 * ones], [-ones, ones]])
+        room = np.c_[p, np.full(len(p), self.ball_eps), np.zeros(len(p))]
+        values, q = _shifted_min(self._fold(b, states), p, p,
+                                 np.hstack([-eye, eye]), rows, room)
         return values, self.certain_table[states] * q[:, self.ball_col]
 
     def _corner_max(self, b: np.ndarray, states: np.ndarray):
@@ -305,44 +298,50 @@ class _CoalitionProblem:
         until the mass runs out; keep each state's best row."""
         lo = self.box_lower[states][:, None]
         order = np.argsort(-b, axis=-1, kind="stable")
-        lo_sorted = np.take_along_axis(lo, order, -1)
-        cap = np.take_along_axis(self.box_upper[states][:, None] - lo, order, -1)
+        room = np.take_along_axis(self.box_upper[states][:, None] - lo, order, -1)
         mass = np.repeat(1.0 - lo.sum(axis=-1, keepdims=True), b.shape[1], 1)
-        left = np.cumsum(np.concatenate([mass, -cap], axis=-1), axis=-1)[..., :-1]
-        q = np.take_along_axis(np.where(left > 1e-15, lo_sorted + np.minimum(
-            left, cap), lo_sorted), order.argsort(axis=-1), -1)
-        return _best_dot(b, q)
+        return _best_dot(b, lo + np.take_along_axis(
+            _pour(room, mass), order.argsort(axis=-1), -1))
 
     def _box_min(self, b: np.ndarray, states: np.ndarray):
-        return _adversary_min(b, self.feasible, self.bounds[states], "box")
+        """q = lo + r with r <= hi - lo and sum r <= 1 - sum lo."""
+        lo, hi = self.box_lower[states], self.box_upper[states]
+        eye = np.eye(lo.shape[1])
+        # rounding may put the lower ends' sum a hair above 1
+        mass = np.maximum(1.0 - lo.sum(axis=1, keepdims=True), 0.0)
+        return _shifted_min(b, lo, hi, eye, np.vstack([eye, np.ones(len(eye))]),
+                            np.hstack([hi - lo, mass]))
 
 
-def _adversary_min(payoffs: np.ndarray, feasible: np.ndarray,
-                   feasible_bounds: np.ndarray,
-                   kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, min over q of max_c payoffs[c] . q, as the epigraph LP
-    min t+ - t- s.t. payoffs @ q <= t+ - t-, feasible @ x <= feasible_bounds,
-    sum q == 1, where x starts with the k entries of q and the columns of
-    `feasible` beyond k are auxiliary variables. Rows: payoff, feasible set,
-    then the two sum-to-one rows. Solves one LP per stacked state and
-    returns the minima (K,) and q (K, k)."""
-    num_states, num_rows, k = payoffs.shape
-    width = feasible.shape[1]
-    a = np.zeros((num_rows + feasible.shape[0] + 2, width + 2))
-    a[:num_rows, width:] = -1.0, 1.0
-    a[num_rows:-2, :width] = feasible
-    a[-2:, :k] = [[1.0], [-1.0]]
-    c = np.zeros(width + 2)
-    c[width:] = -1.0, 1.0
-    values, q = np.empty(num_states), np.empty((num_states, k))
-    for i, bounds in enumerate(feasible_bounds):
-        a[:num_rows, :k] = payoffs[i]
-        sol = solve(LinearProgram(c, a, np.concatenate(
-            [np.zeros(num_rows), bounds, [1.0, -1.0]])))
+def _pour(room: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Per row, `mass` (..., 1) poured into `room` along the last axis, each
+    entry filled before the next takes any: what each entry takes."""
+    left = np.cumsum(np.concatenate([mass, -room], axis=-1), axis=-1)[..., :-1]
+    return np.where(left > 1e-15, np.minimum(left, room), 0.0)
+
+
+def _shifted_min(payoffs: np.ndarray, base: np.ndarray, cap: np.ndarray,
+                 moves: np.ndarray, rows: np.ndarray, room: np.ndarray):
+    """Per state, min over q = base + moves @ z (z >= 0, rows @ z <= room,
+    sum q <= 1) of max_c payoffs[c] . q, as top - s* for the LP max s s.t.
+    (payoffs - top) @ q + s <= 0, top the largest payoff. Shifted payoffs are
+    <= 0, so added mass never raises the max (sum q <= 1 loses nothing) and
+    every LP bound is >= 0 (the LP starts feasible). Returns the minima (K,)
+    and q (K, k), its missing mass poured in under `cap`."""
+    num_rows, width = payoffs.shape[1], moves.shape[1]
+    a = np.block([[np.zeros((num_rows, width)), np.ones((num_rows, 1))],
+                  [rows, np.zeros((len(rows), 1))]])
+    c = np.r_[np.zeros(width), 1.0]
+    values, z = payoffs.max(axis=(1, 2)), np.empty((len(payoffs), width))
+    for i, lines in enumerate(payoffs - values[:, None, None]):
+        a[:num_rows, :width] = lines @ moves
+        sol = solve(LinearProgram(c, a, np.r_[-(lines @ base[i]), room[i]]))
         if sol.status != "optimal":
-            raise RuntimeError(f"adversary {kind} LP came back {sol.status}")
-        values[i], q[i] = -sol.objective_value, sol.point[:k]
-    return values, q
+            raise RuntimeError(f"adversary LP came back {sol.status}")
+        values[i], z[i] = values[i] - sol.objective_value, sol.point[:width]
+    q = base + z @ moves.T
+    return values, q + _pour(np.maximum(cap - q, 0.0),
+                              1.0 - q.sum(axis=1, keepdims=True))
 
 
 class RobustBounds:

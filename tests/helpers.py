@@ -367,21 +367,38 @@ def box_max_loop(b, lo, hi):
     return best_val, best_q
 
 
-def highs_adversary_min(linprog, payoffs, feasible, bounds):
-    """min t s.t. payoffs @ q <= t, feasible @ x <= bounds, sum q == 1,
-    x = (q, auxiliaries) >= 0, solved by HiGHS: the optimum and its q."""
+def _highs_epigraph(linprog, payoffs, set_matrix, set_bounds, bounds):
+    """min t s.t. payoffs @ q <= t, set_matrix @ x <= set_bounds, sum q == 1,
+    x = (q, auxiliaries) within `bounds`, solved by HiGHS: the optimum and
+    its q."""
     num_c, k = payoffs.shape
-    width = feasible.shape[1]
+    width = len(bounds)
     a_ub = np.block([
         [payoffs, np.zeros((num_c, width - k)), -np.ones((num_c, 1))],
-        [feasible, np.zeros((feasible.shape[0], 1))]])
+        [set_matrix, np.zeros((len(set_matrix), 1))]])
     res = linprog(np.r_[np.zeros(width), 1.0], A_ub=a_ub,
-                  b_ub=np.r_[np.zeros(num_c), bounds],
+                  b_ub=np.r_[np.zeros(num_c), set_bounds],
                   A_eq=np.r_[np.ones(k), np.zeros(width - k + 1)][None],
-                  b_eq=[1.0], bounds=[(0, None)] * width + [(None, None)],
+                  b_eq=[1.0], bounds=list(bounds) + [(None, None)],
                   method="highs")
     assert res.status == 0, res.message
     return res.fun, res.x[:k]
+
+
+def highs_box_min(linprog, payoffs, lo, hi):
+    """min over q in [lo, hi] with sum q == 1 of max_c payoffs[c] . q."""
+    return _highs_epigraph(linprog, payoffs, np.zeros((0, len(lo))), [],
+                           list(zip(lo, hi)))
+
+
+def highs_ball_min(linprog, payoffs, p, eps):
+    """min over q on the simplex with 0.5 * L1(q, p) <= eps of max_c
+    payoffs[c] . q, through one slack d_j >= |q_j - p_j| per action."""
+    k, eye = len(p), np.eye(len(p))
+    return _highs_epigraph(
+        linprog, payoffs, np.block([[eye, -eye], [-eye, -eye],
+                                    [np.zeros(k), np.ones(k)]]),
+        np.r_[p, -p, 2.0 * eps], [(0, None)] * (2 * k))
 
 
 # The robust recursion replayed one state at a time from the loops above,
@@ -423,16 +440,12 @@ def robust_chooser(m, uset, mask, mode, exact):
     lower, upper = relaxed_box_loop(m, uset, others)
 
     def box_min(b, s):
-        eye = np.eye(num_d)
-        return highs_adversary_min(linprog, b, np.vstack([eye, -eye]),
-                                   np.r_[upper[s], -lower[s]])
+        return highs_box_min(linprog, b, lower[s], upper[s])
 
     def ball_min(b, s):
         p, eps = uset.center.agents[u].probs[s], uset.agent_radius(u)
-        k, eye = p.size, np.eye(p.size)
-        feasible = np.block([[eye, -eye], [-eye, -eye], [np.zeros(k), np.ones(k)]])
-        value, q = highs_adversary_min(linprog, fold_loop(b, certain[s], cols[u], k),
-                                       feasible, np.r_[p, -p, 2.0 * eps])
+        value, q = highs_ball_min(linprog, fold_loop(b, certain[s], cols[u], p.size),
+                                  p, eps)
         return value, certain[s] * q[cols[u]]
 
     def corner_max(b, s):

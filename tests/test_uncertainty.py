@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit import uncertainty
+from blamekit import cli, uncertainty
 from blamekit.attribution import (
     PIVOTAL_TOL,
     average_participation,
@@ -29,7 +29,6 @@ from blamekit.uncertainty import (
     RobustBounds,
     UncertaintySet,
     _CoalitionProblem,
-    _adversary_min,
     _monotone_closure,
     _topological_levels,
     ap_blackstone,
@@ -46,7 +45,7 @@ from blamekit.uncertainty import (
 )
 from helpers import (ball_max_loop, box_max_loop, complement_columns,
                      complement_product_loop, corner_factors_loop,
-                     corner_max_loop, fold_loop, highs_adversary_min,
+                     corner_max_loop, fold_loop, highs_ball_min, highs_box_min,
                      kahn_order, monotone_closure_loop, random_acyclic_mmdp,
                      random_factorized, random_mmdp, relaxed_box_loop,
                      robust_replay)
@@ -767,31 +766,51 @@ def test_l1_distance():
 
 
 # Two adversary LPs on the robustness experiments' own uncertainty sets that
-# the simplex reports infeasible, though both are feasible (HiGHS solves
-# them): phase 1 stops "unbounded" after Bland's rule accepts a 2.4e-06
-# pivot. The fix belongs to the scale-aware pivot tolerance of ROADMAP 4a
-# and must flip these.
+# the simplex once reported infeasible, though both are feasible (HiGHS
+# solves them): phase 1 stopped "unbounded" after Bland's rule accepted a
+# 2.4e-06 pivot. The adversary LP now starts feasible, so no phase 1 runs.
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="ROADMAP 4a: adversary ball LP reported infeasible")
 def test_gridworld_ball_lp_at_eps_005_seed_701906793():
     model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     uset = sample_center(behavior, 0.05, 701906793, frozenset({0}))
     sv_blackstone(model, uset)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="ROADMAP 4a: adversary box LP reported infeasible")
 def test_graph_box_lp_at_eps_001_seed_388372268():
     model, behavior = build_graph(GraphSpec("robustness"))
     uset = sample_center(behavior, 0.01, 388372268)
     sv_blackstone(model, uset, exact=False)
 
 
-# The two LPs above as the adversary step hands them to the simplex, recorded
-# from those runs: (objective, constraint matrix, bounds), then the optimum
-# HiGHS reports. Once the adversary path routes around the simplex (ROADMAP
-# item 2), only these keep the simplex defect in view.
+@pytest.mark.parametrize("env, trap", [("gridworld", (0.05, 701906793)),
+                                       ("graph", (0.01, 388372268))],
+                         ids=["gridworld", "graph"])
+def test_every_adversary_lp_starts_feasible(env, trap, monkeypatch):
+    """Every LP the min adversary hands the simplex has bounds >= 0, so its
+    slack basis is feasible and phase 1 never runs. Checked over every bound
+    of the robustness experiment's sets at seed 0 and each eps level, and of
+    the set above that once sent phase 1 astray."""
+    model, behavior, uncertain, eps_levels, _, exact = cli._robustness_setup(env)
+    lowest = []
+
+    def recording(lp):
+        lowest.append(lp.constraint_bounds.min())
+        return solve(lp)
+
+    monkeypatch.setattr(uncertainty, "solve", recording)
+    for eps, seed in [(eps, 0) for eps in eps_levels] + [trap]:
+        bounds = RobustBounds(model, sample_center(behavior, eps, seed, uncertain),
+                              exact)
+        for mask in range(1, 1 << model.num_agents):
+            bounds.min_value(mask_agents(mask, model.num_agents))
+    assert lowest and min(lowest) >= 0.0
+
+
+# The two LPs above as the adversary step used to hand them to the simplex,
+# with sum q == 1 as two opposing rows and t as t+ - t-, recorded from those
+# runs: (objective, constraint matrix, bounds), then the optimum HiGHS
+# reports. The adversary no longer states its LPs this way; these keep the
+# simplex's phase 1 defect, which MER's tiebreak can still meet, in view.
 _BALL_LP = (
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
     [[0.8860867316499788, 0.9360872021687551, 0.9367337400868917,
@@ -836,7 +855,7 @@ _BOX_LP = (
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP 1: the simplex reports this feasible LP infeasible")
+                   reason="ROADMAP 4: the simplex reports this feasible LP infeasible")
 @pytest.mark.parametrize("recorded", [_BALL_LP, _BOX_LP], ids=["ball", "box"])
 def test_recorded_adversary_lp_solves_to_the_highs_optimum(recorded):
     objective, matrix, bounds, optimum = recorded
@@ -850,26 +869,14 @@ def test_recorded_adversary_lp_solves_to_the_highs_optimum(recorded):
 # ball at (coalition actions C, complement actions D) = (2, 4) and the
 # graph's relaxed boxes. Each LP takes a random nonterminal state's feasible
 # set and near-tie payoffs: rounded to 0.1, every second one with N(0, 1e-9)
-# noise added. The misses are what the simplex gets wrong today, by index:
-# a value off HiGHS's, a q outside the set, or an "infeasible" verdict.
-# (On the 100 (8, 2) LPs, HiGHS agrees to within 5e-10 with the primal closed
-# form of ROADMAP 2: the lines' maximum, minimized over the interval's ends
-# and crossings.) A fix and a new miss both change a set; ROADMAP 2 must
-# empty them.
+# noise added. A miss, by index, is a value off HiGHS's, a q outside the set
+# or a raised "came back" error; none misses, and a new miss is pinned here.
 _FUZZ_LPS = 100
 _FUZZ_CASES = {
-    "ball-2x4": ("gridworld", 0b10, None, {
-        9: "infeasible", 29: "wrong", 41: "wrong", 89: "wrong"}),
-    "box-2x8": ("graph", 0b0001, False, {
-        15: "wrong", 77: "wrong", 99: "wrong"}),
-    "box-4x4": ("graph", 0b0011, False, {
-        11: "wrong", 15: "outside", 17: "wrong", 31: "wrong",
-        39: "infeasible", 47: "infeasible", 75: "outside", 77: "wrong",
-        99: "infeasible"}),
-    "box-8x2": ("graph", 0b0111, False, {
-        11: "wrong", 15: "wrong", 17: "wrong", 31: "infeasible",
-        39: "infeasible", 69: "wrong", 77: "infeasible", 79: "wrong",
-        87: "wrong", 99: "wrong"}),
+    "ball-2x4": ("gridworld", 0b10, None, {}),
+    "box-2x8": ("graph", 0b0001, False, {}),
+    "box-4x4": ("graph", 0b0011, False, {}),
+    "box-8x2": ("graph", 0b0111, False, {}),
 }
 
 
@@ -883,12 +890,9 @@ def _in_adversary_set(problem, s, q, tol=1e-9):
     return bool(inside and (q >= -tol).all() and abs(q.sum() - 1.0) <= tol)
 
 
-@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
-def test_adversary_min_matches_highs_on_near_ties(case):
-    """Each value must lie within 1e-9 of HiGHS's, relative to the larger of
-    the value and the payoff scale (a value may be 0), and q in the set."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    env, mask, exact, pinned = _FUZZ_CASES[case]
+def _fuzz_problem(case):
+    """The min problem of a fuzz case, its (C, D) and nonterminal states."""
+    env, mask, exact, _ = _FUZZ_CASES[case]
     if env == "gridworld":
         model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
         uset = sample_center(behavior, 0.05, 0, frozenset({0}))
@@ -901,6 +905,16 @@ def test_adversary_min_matches_highs_on_near_ties(case):
     k = (problem.ball_rows if problem.path == "ball" else problem.box_lower).shape[1]
     assert f"{num_c}x{k}" == case[case.index("-") + 1:]
     states = np.setdiff1d(np.arange(model.num_states), list(model.terminal_states))
+    return problem, (num_c, k), states
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
+def test_adversary_min_matches_highs_on_near_ties(case):
+    """Each value must lie within 1e-9 of HiGHS's, relative to the larger of
+    the value and the payoff scale (a value may be 0), and q in the set."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    problem, (num_c, k), states = _fuzz_problem(case)
+    pinned = _FUZZ_CASES[case][3]
     rng = np.random.default_rng(0)
     misses = {}
     for i in range(_FUZZ_LPS):
@@ -908,19 +922,35 @@ def test_adversary_min_matches_highs_on_near_ties(case):
         payoffs = np.round(rng.uniform(-1.0, 1.0, (num_c, k)), 1)
         if i % 2:
             payoffs = payoffs + rng.normal(0.0, 1e-9, payoffs.shape)
-        want, _ = highs_adversary_min(linprog, payoffs, problem.feasible,
-                                      problem.bounds[s])
+        if problem.path == "ball":
+            want, _ = highs_ball_min(linprog, payoffs, problem.ball_rows[s],
+                                     problem.ball_eps)
+        else:
+            want, _ = highs_box_min(linprog, payoffs, problem.box_lower[s],
+                                    problem.box_upper[s])
         try:
-            value, q = _adversary_min(payoffs[None], problem.feasible,
-                                      problem.bounds[s][None], problem.path)
+            # no certain complement agent here, so the ball's fold is the
+            # identity and the chooser hands payoffs to the LP as they are
+            value, q = problem.choose(payoffs[None], np.array([s]))
         except RuntimeError:
-            misses[i] = "infeasible"
+            misses[i] = "raised"
             continue
         if abs(value[0] - want) > 1e-9 * max(abs(want), np.abs(payoffs).max()):
             misses[i] = "wrong"
         elif not _in_adversary_set(problem, s, q[0]):
             misses[i] = "outside"
     assert misses == pinned
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
+def test_a_flat_payoff_table_still_gets_a_member_of_the_set(case):
+    """Equal payoffs leave the LP at its start, z = 0 and s* = 0, so its q is
+    the set's base, whose mass falls short of 1 in a box; the poured q of
+    every nonterminal state, stacked, must be a member all the same."""
+    problem, (num_c, k), states = _fuzz_problem(case)
+    values, q = problem.choose(np.full((len(states), num_c, k), 0.3), states)
+    assert (values == 0.3).all()
+    assert all(_in_adversary_set(problem, s, row) for s, row in zip(states, q))
 
 
 def robustness_gridworld(scale=1.0):
@@ -931,7 +961,7 @@ def robustness_gridworld(scale=1.0):
     return dataclasses.replace(model, reward=model.reward * scale), uset
 
 
-@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e9])
+@pytest.mark.parametrize("scale", [1e-3, 1e2, 1e4, 1e6, 1e9])
 def test_the_sweep_settles_at_every_reward_scale(scale):
     """The sweep stops on a residual relative to the values, so rewards
     times c give c times each bound."""
@@ -943,6 +973,21 @@ def test_the_sweep_settles_at_every_reward_scale(scale):
             scale * unscaled.min_value(coalition), rel=1e-9)
         assert scaled.max_value(coalition) == pytest.approx(
             scale * unscaled.max_value(coalition), rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6, 1e9])
+def test_the_relaxed_box_scales_with_the_rewards(scale):
+    """The robustness experiment's graph at eps 0.05, seed 0, under the
+    relaxed box: rewards times c give c times every bound."""
+    model, behavior = build_graph(GraphSpec("robustness"))
+    uset = sample_center(behavior, 0.05, 0)
+    unscaled = robust_bounds(model, uset, False)
+    scaled = RobustBounds(dataclasses.replace(model, reward=model.reward * scale),
+                          uset, False)
+    for mask in range(1 << model.num_agents):
+        for mode in ("min", "max"):
+            assert scaled._bound(mask, mode) == pytest.approx(
+                scale * unscaled._bound(mask, mode), rel=1e-9), (mask, mode)
 
 
 def test_the_sweep_cap_raises_instead_of_returning_unsettled_values(monkeypatch):
