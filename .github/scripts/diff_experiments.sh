@@ -10,7 +10,11 @@
 #   - the four experiments, the robust ones at --seeds 1 --eps 0.05;
 #   - the one-step model of random_monotone_game(4, 0), saved by the tree's
 #     own mmdp_from_game, then `attribute --tiebreak 1` and `check` under
-#     each of the five methods on it (each output ends with its exit code).
+#     each of the five methods on it (each output ends with its exit code);
+#   - the pair and model checkers (CM, PerM, cPerM, cParM, RcParM) under each
+#     method at epsilon 0 and 0.3, on the impossibility fixture's two
+#     deviations and on fixed random_monotone_game pairs, one with an agent's
+#     coalitions lifted and one unrelated, each pair both ways round.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -50,6 +54,48 @@ EOF
     done
 }
 
+run_pair_checks() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/pair_checks.csv" 2>&1 <<'EOF'
+import numpy as np
+from blamekit.attribution import apply
+from blamekit.planning import CharacteristicGame, characteristic_game
+from blamekit.properties import (
+    check_contribution_monotonicity, check_cperf, check_cpart,
+    check_performance_monotonicity, check_rcpart, impossibility_fixture,
+    random_monotone_game)
+model, behavior, pi_1, pi_1_prime = impossibility_fixture()
+deviations = [(pi_1, pi_1_prime), (pi_1_prime, pi_1)]
+pairs = [("fixture", *(characteristic_game(model, behavior.replace(0, pi))
+                       for pi in deviations[0]))]
+# fixed pairs on which some method fails CM, cParM or RcParM: each
+# verdict's witness names a violator
+for n, seed in ((4, 3), (4, 7)):
+    game = random_monotone_game(n, seed)
+    lifted = game.values + np.where(np.arange(1 << n) >> seed % n & 1, 0.25, 0.0)
+    pairs.append((f"uplifted {n} {seed}", CharacteristicGame(n, lifted), game))
+for n, seed in ((3, 4), (3, 8)):
+    pairs.append((f"unrelated {n} {seed}", random_monotone_game(n, seed),
+                  random_monotone_game(n, seed + 10)))
+for method in ("MER", "MC", "SV", "BI", "AP"):
+    tiebreak = 0 if method == "MER" else None
+    for eps in (0.0, 0.3):
+        verdicts = [(f"fixture {i}", checker(model, behavior, 0, *deviations[i],
+                                             method, eps, tiebreak))
+                    for i in (0, 1)
+                    for checker in (check_performance_monotonicity, check_cperf)]
+        for label, g1, g2 in pairs:
+            for name, (a, b) in (("", (g1, g2)), (" swapped", (g2, g1))):
+                beta_a, beta_b = apply(method, a, tiebreak), apply(method, b, tiebreak)
+                verdicts += [(label + name, checker(a, beta_a, b, beta_b, eps))
+                             for checker in (check_contribution_monotonicity,
+                                             check_cpart, check_rcpart)]
+        for label, v in verdicts:
+            print(f"{method},{label},{v.property},{v.epsilon},{v.holds},"
+                  f"{v.witness or ''}")
+EOF
+    echo "exit $?" >> "$2/pair_checks.csv"
+}
+
 if ! git archive "$base" src 2> /dev/null | tar -x -C "$work/base" 2> /dev/null; then
     echo "::warning::could not unpack $base; outputs not compared"
     exit 0
@@ -57,8 +103,10 @@ fi
 mkdir -p "$work/head" "$work/base-out"
 run_experiments "$PWD/src" "$work/head"
 run_one_step "$PWD/src" "$work/head"
+run_pair_checks "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
+run_pair_checks "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0
 while IFS= read -r line; do

@@ -1,7 +1,7 @@
 """Two-phase simplex in dictionary form for the linear programs used here.
 
 Problems are stated as: maximize c @ x subject to A @ x <= b, x >= 0.
-Equality constraints should be passed as two opposing inequalities.
+No caller states an equality: its two opposing rows trip the simplex.
 Variables are numbered structural, then one slack per row, then one
 artificial per row with a negative bound. Only the nonbasic columns and the
 right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), so MER's
@@ -135,13 +135,14 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray) -> LpSolution:
     """Optimize lp, then break ties by maximizing `tiebreak` over its optimal
-    face. The returned objective_value is still the primary one."""
+    face, one added row objective >= opt - 1e-9 (no feasible point exceeds
+    opt). The returned objective_value is still the primary one."""
     first = solve(lp)
     if first.status != "optimal":
         return first
     opt = first.objective_value
-    a2 = np.vstack([lp.constraint_matrix, lp.objective, -lp.objective])
-    b2 = np.concatenate([lp.constraint_bounds, [opt + 1e-9], [-opt + 1e-9]])
+    a2 = np.vstack([lp.constraint_matrix, -lp.objective])
+    b2 = np.append(lp.constraint_bounds, -opt + 1e-9)
     second = solve(LinearProgram(np.asarray(tiebreak, dtype=float), a2, b2))
     if second.status != "optimal":
         return first

@@ -25,18 +25,21 @@ import math
 import numpy as np
 
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
-                   evaluate_return, _non_finite, _solve_linear)
+                   content_digest, evaluate_return, _non_finite, _solve_linear)
 
 MAX_AGENTS = 12
 _MONOTONE_TOL = 1e-9
 
 
 def coalition_mask(coalition, n: int) -> int:
-    """Bitmask with agent i on bit i; refuses (naming the largest) i outside [0, n)."""
-    agents = {int(i) for i in coalition}
+    """Bitmask with agent i on bit i; refuses an i that is not a Python or
+    numpy integer (a bool is not) and (naming the largest) i outside [0, n)."""
+    agents = list(coalition)
+    if odd := [i for i in agents if not np.issubdtype(type(i), np.integer)]:
+        raise ValueError(f"agent index {odd[0]!r} is not an integer")
     if stray := [i for i in agents if not 0 <= i < n]:
         raise ValueError(f"agent index {max(stray)} out of range")
-    return sum(1 << i for i in agents)
+    return sum(1 << i for i in {int(i) for i in agents})
 
 
 def mask_agents(mask: int, n: int) -> tuple[int, ...]:
@@ -363,7 +366,7 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     if m.num_agents > MAX_AGENTS:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
-    key = m.content_key() + table.tobytes()
+    key = m.content_key() + content_digest(table)
     hit = _GAME_CACHE.get(key)
     if hit is not None:
         return hit

@@ -15,8 +15,8 @@ import numpy as np
 from .attribution import as_blames, blame, marginals, pivotality
 from .mmdp import AgentPolicy, Mmdp, evaluate_return
 from .planning import (CharacteristicGame, characteristic_game,
-                       coalition_sums, lattice_floors, marginal_masks,
-                       mask_agents, one_step_model)
+                       coalition_mask, coalition_sums, lattice_floors,
+                       marginal_masks, mask_agents, one_step_model)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -83,17 +83,24 @@ def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -
                            witness=f"total {total:.6g} differs from average {target:.6g}")
 
 
-def _masks_without_pair(n: int, i: int, j: int) -> np.ndarray:
-    """Ascending masks that exclude both agents i and j."""
+def _first(prop: str, epsilon: float, failing: np.ndarray, witness) -> PropertyVerdict:
+    """The verdict naming, through `witness(index)`, the first entry flagged
+    in `failing`: agents, or pairs in (i, j) row order, as a scan meets them."""
+    hits = np.flatnonzero(failing)
+    if hits.size == 0:
+        return PropertyVerdict(prop, epsilon)
+    return PropertyVerdict(prop, epsilon, witness=witness(hits[0]))
+
+
+def _pair_tables(values: np.ndarray, n: int,
+                 pairs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, 2^(n-2)) tables values[S | 1 << i] and values[S | 1 << j], over
+    the coalitions S, ascending, that contain neither agent of each pair
+    (i, j), i != j."""
+    i, j = pairs
     without = marginal_masks(n)[0][i]
-    return without[(without >> j & 1) == 0]
-
-
-def _symmetric_pair(game: CharacteristicGame, i: int, j: int) -> bool:
-    values = game.values
-    masks = _masks_without_pair(game.num_agents, i, j)
-    gaps = np.abs(values[masks | 1 << i] - values[masks | 1 << j])
-    return not (gaps > PREMISE_TOL).any()
+    masks = without[(without >> j[:, None] & 1) == 0].reshape(i.size, (1 << n) >> 2)
+    return values[masks | (1 << i)[:, None]], values[masks | (1 << j)[:, None]]
 
 
 def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
@@ -102,27 +109,21 @@ def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
     # pairs (i < j) blamed apart whose marginals to the empty coalition
     # agree: that premise alone settles most pairs
     singles = game.values[1 << np.arange(n)]
-    screened = np.triu((np.abs(blames[:, None] - blames) > epsilon + SLACK)
-                       & ~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1)
-    for i, j in zip(*np.nonzero(screened)):
-        if _symmetric_pair(game, i, j):
-            return PropertyVerdict(
-                "R_S", epsilon,
-                witness=f"interchangeable agents {i + 1} and {j + 1} get "
-                        f"{blames[i]:.6g} vs {blames[j]:.6g}")
-    return PropertyVerdict("R_S", epsilon)
+    i, j = np.nonzero(np.triu((np.abs(blames[:, None] - blames) > epsilon + SLACK)
+                              & ~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1))
+    with_i, with_j = _pair_tables(game.values, n, (i, j))
+    symmetric = ~(np.abs(with_i - with_j) > PREMISE_TOL).any(axis=1)
+    return _first("R_S", epsilon, symmetric,
+                  lambda p: f"interchangeable agents {i[p] + 1} and {j[p] + 1} get "
+                            f"{blames[i[p]]:.6g} vs {blames[j[p]]:.6g}")
 
 
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     n = game.num_agents
     blames = as_blames(beta, n)
     marginal = (marginals(game.values, game.values, n) > PREMISE_TOL).any(axis=1)
-    for i in range(n):
-        if not marginal[i] and blames[i] > epsilon + SLACK:
-            return PropertyVerdict(
-                "R_I", epsilon,
-                witness=f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
-    return PropertyVerdict("R_I", epsilon)
+    return _first("R_I", epsilon, ~marginal & (blames > epsilon + SLACK),
+                  lambda i: f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
 
 
 def _blame_pair(game1: CharacteristicGame, beta1, game2: CharacteristicGame,
@@ -143,13 +144,9 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
     dominating = (marginals(game1.values, game1.values, n)
                   >= marginals(game2.values, game2.values, n)
                   - PREMISE_TOL).all(axis=1)
-    for i in range(n):
-        if dominating[i] and b1[i] < b2[i] - epsilon - SLACK:
-            return PropertyVerdict(
-                "R_CM", epsilon,
-                witness=f"agent {i + 1} dominates marginally but blame fell "
-                        f"{b1[i]:.6g} < {b2[i]:.6g}")
-    return PropertyVerdict("R_CM", epsilon)
+    return _first("R_CM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
+                  lambda i: f"agent {i + 1} dominates marginally but blame fell "
+                            f"{b1[i]:.6g} < {b2[i]:.6g}")
 
 
 def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
@@ -157,6 +154,7 @@ def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_pri
                                    tiebreak: int | None = None) -> PropertyVerdict:
     """Across two unilateral deviations by `agent`, the better-performing
     policy must not attract more blame."""
+    coalition_mask((agent,), m.num_agents)  # refuses a stray agent
     joint1 = behavior.replace(agent, pi_i)
     joint2 = behavior.replace(agent, pi_i_prime)
     j1 = evaluate_return(m, joint1)
@@ -178,6 +176,7 @@ def check_cperf(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
                 tiebreak: int | None = None) -> PropertyVerdict:
     """Performance monotonicity restricted to deviations that leave every
     agent's pivotality unchanged."""
+    coalition_mask((agent,), m.num_agents)  # refuses a stray agent
     joint1 = behavior.replace(agent, pi_i)
     joint2 = behavior.replace(agent, pi_i_prime)
     g1 = characteristic_game(m, joint1)
@@ -201,13 +200,9 @@ def check_cpart(game1: CharacteristicGame, beta1,
     with_ = marginal_masks(n)[1]
     dominating = (game1.values[with_]
                   >= game2.values[with_] - PREMISE_TOL).all(axis=1)
-    for j in range(n):
-        if dominating[j] and b1[j] < b2[j] - epsilon - SLACK:
-            return PropertyVerdict(
-                "R_cParM", epsilon,
-                witness=f"agent {j + 1} participates in dominating coalitions but "
-                        f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
-    return PropertyVerdict("R_cParM", epsilon)
+    return _first("R_cParM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
+                  lambda j: f"agent {j + 1} participates in dominating coalitions but "
+                            f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
 
 
 def check_rcpart(game1: CharacteristicGame, beta1,
@@ -221,21 +216,17 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     if piv1 != pivotality(game2).flags:
         return PropertyVerdict("R_RcParM", epsilon)
     n = game1.num_agents
-    gain = game1.values - game2.values
-    for j in range(n):
-        for k in range(n):
-            if j == k or piv1[j] != piv1[k]:
-                continue
-            masks = _masks_without_pair(n, j, k)
-            premise = (gain[masks | 1 << j]
-                       >= gain[masks | 1 << k] - PREMISE_TOL).all()
-            if premise and (b1[j] - b2[j]) < (b1[k] - b2[k]) - epsilon - SLACK:
-                return PropertyVerdict(
-                    "R_RcParM", epsilon,
-                    witness=f"agent {j + 1} gains inefficiency faster than agent "
-                            f"{k + 1} but blame moved {b1[j] - b2[j]:.6g} vs "
-                            f"{b1[k] - b2[k]:.6g}")
-    return PropertyVerdict("R_RcParM", epsilon)
+    # candidate pairs (j, k), j != k: same pivotality, blame increments out
+    # of order; the gain premise is tested on those alone
+    piv, moved = np.array(piv1), b1 - b2
+    j, k = np.nonzero((piv[:, None] == piv) & ~np.eye(n, dtype=bool)
+                      & (moved[:, None] < moved - epsilon - SLACK))
+    with_j, with_k = _pair_tables(game1.values - game2.values, n, (j, k))
+    premise = (with_j >= with_k - PREMISE_TOL).all(axis=1)
+    return _first("R_RcParM", epsilon, premise,
+                  lambda p: f"agent {j[p] + 1} gains inefficiency faster than agent "
+                            f"{k[p] + 1} but blame moved {moved[j[p]]:.6g} vs "
+                            f"{moved[k[p]]:.6g}")
 
 
 def impossibility_fixture():

@@ -160,6 +160,108 @@ def check_symmetry_pairwise(game, beta, epsilon=0.0):
     return properties.PropertyVerdict("R_S", epsilon)
 
 
+# The agent and pair checkers as they scanned before they flagged violators
+# in arrays: one agent, or one pair (j, k) in row order, at a time. Verdicts
+# and witnesses of `properties` must equal theirs.
+
+def masks_without_pair(n, i, j):
+    """Ascending masks that exclude both agents i and j."""
+    without = planning.marginal_masks(n)[0][i]
+    return without[(without >> j & 1) == 0]
+
+
+def symmetric_pair(game, i, j):
+    values = game.values
+    masks = masks_without_pair(game.num_agents, i, j)
+    gaps = np.abs(values[masks | 1 << i] - values[masks | 1 << j])
+    return not (gaps > properties.PREMISE_TOL).any()
+
+
+def check_symmetry_screened(game, beta, epsilon=0.0):
+    """The pairs (i < j) blamed apart whose singletons agree, tested one at
+    a time on every coalition without both."""
+    n = game.num_agents
+    blames = attribution.as_blames(beta, n)
+    singles = game.values[1 << np.arange(n)]
+    screened = np.triu((np.abs(blames[:, None] - blames) > epsilon + properties.SLACK)
+                       & ~(np.abs(singles[:, None] - singles) > properties.PREMISE_TOL), 1)
+    for i, j in zip(*np.nonzero(screened)):
+        if symmetric_pair(game, i, j):
+            return properties.PropertyVerdict(
+                "R_S", epsilon,
+                witness=f"interchangeable agents {i + 1} and {j + 1} get "
+                        f"{blames[i]:.6g} vs {blames[j]:.6g}")
+    return properties.PropertyVerdict("R_S", epsilon)
+
+
+def check_invariance_loop(game, beta, epsilon=0.0):
+    n = game.num_agents
+    blames = attribution.as_blames(beta, n)
+    marginal = (attribution.marginals(game.values, game.values, n)
+                > properties.PREMISE_TOL).any(axis=1)
+    for i in range(n):
+        if not marginal[i] and blames[i] > epsilon + properties.SLACK:
+            return properties.PropertyVerdict(
+                "R_I", epsilon,
+                witness=f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
+    return properties.PropertyVerdict("R_I", epsilon)
+
+
+def check_contribution_monotonicity_loop(game1, beta1, game2, beta2, epsilon=0.0):
+    n = game1.num_agents
+    b1, b2 = attribution.as_blames(beta1, n), attribution.as_blames(beta2, n)
+    dominating = (attribution.marginals(game1.values, game1.values, n)
+                  >= attribution.marginals(game2.values, game2.values, n)
+                  - properties.PREMISE_TOL).all(axis=1)
+    for i in range(n):
+        if dominating[i] and b1[i] < b2[i] - epsilon - properties.SLACK:
+            return properties.PropertyVerdict(
+                "R_CM", epsilon,
+                witness=f"agent {i + 1} dominates marginally but blame fell "
+                        f"{b1[i]:.6g} < {b2[i]:.6g}")
+    return properties.PropertyVerdict("R_CM", epsilon)
+
+
+def check_cpart_loop(game1, beta1, game2, beta2, epsilon=0.0):
+    n = game1.num_agents
+    b1, b2 = attribution.as_blames(beta1, n), attribution.as_blames(beta2, n)
+    if attribution.pivotality(game1).flags != attribution.pivotality(game2).flags:
+        return properties.PropertyVerdict("R_cParM", epsilon)
+    with_ = planning.marginal_masks(n)[1]
+    dominating = (game1.values[with_]
+                  >= game2.values[with_] - properties.PREMISE_TOL).all(axis=1)
+    for j in range(n):
+        if dominating[j] and b1[j] < b2[j] - epsilon - properties.SLACK:
+            return properties.PropertyVerdict(
+                "R_cParM", epsilon,
+                witness=f"agent {j + 1} participates in dominating coalitions but "
+                        f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
+    return properties.PropertyVerdict("R_cParM", epsilon)
+
+
+def check_rcpart_loop(game1, beta1, game2, beta2, epsilon=0.0):
+    n = game1.num_agents
+    b1, b2 = attribution.as_blames(beta1, n), attribution.as_blames(beta2, n)
+    piv1 = attribution.pivotality(game1).flags
+    if piv1 != attribution.pivotality(game2).flags:
+        return properties.PropertyVerdict("R_RcParM", epsilon)
+    gain = game1.values - game2.values
+    for j in range(n):
+        for k in range(n):
+            if j == k or piv1[j] != piv1[k]:
+                continue
+            masks = masks_without_pair(n, j, k)
+            premise = (gain[masks | 1 << j]
+                       >= gain[masks | 1 << k] - properties.PREMISE_TOL).all()
+            if premise and ((b1[j] - b2[j])
+                            < (b1[k] - b2[k]) - epsilon - properties.SLACK):
+                return properties.PropertyVerdict(
+                    "R_RcParM", epsilon,
+                    witness=f"agent {j + 1} gains inefficiency faster than agent "
+                            f"{k + 1} but blame moved {b1[j] - b2[j]:.6g} vs "
+                            f"{b1[k] - b2[k]:.6g}")
+    return properties.PropertyVerdict("R_RcParM", epsilon)
+
 # Plain lattice loops: the reference `properties.random_monotone_game` and
 # `uncertainty._monotone_closure` must match byte for byte.
 
@@ -399,6 +501,22 @@ def highs_ball_min(linprog, payoffs, p, eps):
         linprog, payoffs, np.block([[eye, -eye], [-eye, -eye],
                                     [np.zeros(k), np.ones(k)]]),
         np.r_[p, -p, 2.0 * eps], [(0, None)] * (2 * k))
+
+
+def two_row_min(payoffs, greedy_min):
+    """min over a set of q of max(b_0 . q, b_1 . q), exactly, for payoffs
+    (b_0, b_1): by LP duality, the max over x in [0, 1] of the set's greedy
+    min of ((1 - x) b_0 + x b_1) . q (a max greedy on the negated row).
+    That min is concave in x and linear while the entries keep their order,
+    so the max is at x = 0, x = 1 or a crossing of two entries."""
+    b0, b1 = payoffs
+    candidates = [0.0, 1.0]
+    for j in range(len(b0)):
+        for k in range(j + 1, len(b0)):
+            slope = (b1[k] - b0[k]) - (b1[j] - b0[j])
+            if slope != 0 and 0 < (b0[j] - b0[k]) / slope < 1:
+                candidates.append((b0[j] - b0[k]) / slope)
+    return max(greedy_min((1 - x) * b0 + x * b1) for x in candidates)
 
 
 # The robust recursion replayed one state at a time from the loops above,

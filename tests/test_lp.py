@@ -166,6 +166,32 @@ def test_lexicographic_tiebreak_selects_among_optima():
     assert toward_x.objective_value == pytest.approx(1.0, abs=1e-8)
 
 
+def test_the_tiebreak_states_its_optimal_face_as_one_row(monkeypatch):
+    """The tiebreak LP adds objective >= opt - 1e-9 alone, so it pairs no
+    row with its exact negation: objective <= opt + 1e-9 binds no feasible
+    point, and with it the two would be an equality's twin opposing rows."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(lp_module, "solve", recording)
+    rng = np.random.default_rng(4409)
+    for _ in range(40):
+        lp = random_bounded_lp(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7)))
+        assert solve_lexicographic(lp, rng.uniform(-1.0, 1.0, lp.objective.size)
+                                   ).status == "optimal"
+    # each call solves the primary LP, then the tiebreak LP
+    assert len(programs) == 2 * 40
+    for primary, tied in zip(programs[::2], programs[1::2]):
+        a = tied.constraint_matrix
+        assert len(a) == len(primary.constraint_matrix) + 1
+        twins = (a[:, None] == -a).all(axis=2)
+        np.fill_diagonal(twins, False)
+        assert not twins.any()
+
+
 def test_lexicographic_passes_through_nonoptimal_status():
     lp = LinearProgram([1.0], [[-1.0]], [0.0])
     assert solve_lexicographic(lp, np.array([1.0])).status == "unbounded"

@@ -60,6 +60,8 @@ def test_coalition_mask_roundtrip():
     assert mask_agents(0, 4) == ()
     for mask in range(16):
         assert coalition_mask(mask_agents(mask, 4), 4) == mask
+    # numpy integers are indices too
+    assert coalition_mask(np.array([2, 0]), 3) == coalition_mask([np.int8(2), 0], 3) == 0b101
 
 
 _GAME = CharacteristicGame(2, [0.0, 1.0, 2.0, 3.0])
@@ -82,11 +84,20 @@ _MODEL, _BEHAVIOR = mmdp_from_game(_GAME)
     pytest.param(lambda: induced_mdp(_MODEL, _BEHAVIOR, (-1,)),
                  "agent index -1 out of range", id="induced-mdp"),
     pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, (-1, 5)),
-                 "agent index 5 out of range", id="best-response-largest")])
+                 "agent index 5 out of range", id="best-response-largest"),
+    pytest.param(lambda: coalition_mask([1.9, 0.2], 3),
+                 "agent index 1.9 is not an integer", id="float"),
+    pytest.param(lambda: coalition_mask(["2"], 3),
+                 "agent index '2' is not an integer", id="string"),
+    pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, (True,)),
+                 "agent index True is not an integer", id="bool"),
+    pytest.param(lambda: _GAME.value([0, np.bool_(True)]),
+                 "agent index np.True_ is not an integer", id="numpy-bool")])
 def test_stray_agent_indices_are_refused(call, message):
     """Every coalition entry point goes through `coalition_mask`'s gate: an
-    index outside [0, n) raises, naming the largest, instead of a shift or
-    index error, and a mask outside [0, 2^n) is not read as another one."""
+    index that is not an integer (bool included), or one outside [0, n),
+    raises, naming the largest, instead of a truncation, a parse, a shift or
+    an index error, and a mask outside [0, 2^n) is not read as another one."""
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 

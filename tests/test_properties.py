@@ -1,4 +1,6 @@
 """The axiom checkers: verdicts, premises, witnesses, and slack handling."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from blamekit.attribution import apply, mer, pivotality, shapley
 from blamekit.cli import _csv
 from blamekit.planning import (CharacteristicGame, characteristic_game,
-                               coalition_sizes)
+                               coalition_sizes, membership)
 from blamekit.properties import (
     PropertyVerdict,
     check_avg_efficiency,
@@ -24,9 +26,11 @@ from blamekit.properties import (
     impossibility_fixture,
     random_monotone_game,
 )
-from helpers import (assert_same_model, check_rationality_where,
-                     check_symmetry_pairwise, impossibility_fixture_loop,
-                     random_monotone_game_loop)
+from helpers import (assert_same_model, check_contribution_monotonicity_loop,
+                     check_cpart_loop, check_invariance_loop,
+                     check_rationality_where, check_rcpart_loop,
+                     check_symmetry_pairwise, check_symmetry_screened,
+                     impossibility_fixture_loop, random_monotone_game_loop)
 
 
 def game_of(values):
@@ -155,6 +159,23 @@ def test_performance_monotonicity_is_vacuous_when_first_policy_wins():
     # swap the order: now the first deviation performs strictly better
     v = check_performance_monotonicity(model, behavior, 0, pi_1_prime, pi_1, "SV")
     assert v.holds
+
+
+@pytest.mark.parametrize("checker", [check_performance_monotonicity, check_cperf],
+                         ids=lambda checker: checker.__name__)
+@pytest.mark.parametrize("agent, message", [
+    (-1, "agent index -1 out of range"), (2, "agent index 2 out of range"),
+    (True, "agent index True is not an integer"),
+    (0.0, "agent index 0.0 is not an integer")])
+def test_deviation_checks_refuse_a_stray_agent(checker, agent, message):
+    """The deviating agent passes `coalition_mask`'s rule before any policy
+    is replaced: -1 would check the last agent under the witness "agent 0",
+    and 2 on the two-agent fixture would be a bare IndexError."""
+    model, behavior, pi_1, pi_1_prime = impossibility_fixture()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        checker(model, behavior, agent, pi_1, pi_1_prime, "SV")
+    assert (checker(model, behavior, np.int64(0), pi_1, pi_1_prime, "SV")
+            == checker(model, behavior, 0, pi_1, pi_1_prime, "SV"))
 
 
 def test_fixture_matches_the_loop_reference():
@@ -307,15 +328,7 @@ def _mirrored(values, n):
     return values
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 31 - 1),
-       kind=st.sampled_from(["random", "mirrored", "by size"]),
-       epsilon=st.sampled_from([0.0, 1e-12, 0.3]), data=st.data())
-def test_array_checkers_equal_their_loop_forms(n, seed, kind, epsilon, data):
-    """check_rationality's kernel totals and check_symmetry's screened pairs
-    give the verdicts and witnesses of the where + cumsum totals and the
-    plain pairwise loop, on games with many interchangeable pairs and
-    blames with ties, signed zeros and gaps on both sides of epsilon."""
+def _test_game(n, seed, kind):
     values = random_monotone_game(n, seed).values
     if kind == "mirrored":
         values = _mirrored(values, n)
@@ -323,11 +336,62 @@ def test_array_checkers_equal_their_loop_forms(n, seed, kind, epsilon, data):
         # every pair interchangeable: the value grows with the size alone
         steps = np.concatenate([[0.0], np.cumsum(values[1 << np.arange(n)])])
         values = steps[coalition_sizes(n)]
-    game = CharacteristicGame(n, values)
-    beta = np.array(data.draw(st.lists(
+    return CharacteristicGame(n, values)
+
+
+_GAME_KINDS = st.sampled_from(["random", "mirrored", "by size"])
+
+
+def _draw_blames(data, n):
+    """Ties, signed zeros and gaps on both sides of every epsilon drawn."""
+    return np.array(data.draw(st.lists(
         st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5 + 1e-13, 1.0, 2.5]),
         min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 31 - 1), kind=_GAME_KINDS,
+       epsilon=st.sampled_from([0.0, 1e-12, 0.3]), data=st.data())
+def test_array_checkers_equal_their_loop_forms(n, seed, kind, epsilon, data):
+    """check_rationality's kernel totals and check_symmetry's screened pairs
+    give the verdicts and witnesses of the where + cumsum totals and the
+    plain pairwise loop, on games with many interchangeable pairs and
+    blames with ties, signed zeros and gaps on both sides of epsilon."""
+    game = _test_game(n, seed, kind)
+    beta = _draw_blames(data, n)
     assert check_rationality(game, beta, epsilon) == check_rationality_where(
         game, beta, epsilon)
     assert check_symmetry(game, beta, epsilon) == check_symmetry_pairwise(
         game, beta, epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 31 - 1), kind=_GAME_KINDS,
+       other=st.sampled_from(["uplifted", "unrelated"]),
+       lift=st.sampled_from([0.0, 1e-10, 0.25]), swap=st.booleans(),
+       epsilon=st.sampled_from([0.0, 1e-12, 0.3]), data=st.data())
+def test_agent_and_pair_checkers_equal_their_loop_forms(n, seed, kind, other, lift,
+                                                        swap, epsilon, data):
+    """The five checkers that flag violators in arrays name the violator
+    that the one-agent and one-pair (row order) scans they replaced name
+    first, on single games and on game pairs: one game with an agent's
+    coalitions lifted (which makes the pair premises hold) or two unrelated
+    games, either way round."""
+    game = _test_game(n, seed, kind)
+    beta1, beta2 = _draw_blames(data, n), _draw_blames(data, n)
+    assert check_symmetry(game, beta1, epsilon) == check_symmetry_screened(
+        game, beta1, epsilon)
+    assert check_invariance(game, beta1, epsilon) == check_invariance_loop(
+        game, beta1, epsilon)
+    if other == "uplifted":
+        agent = data.draw(st.integers(0, n - 1))
+        second = CharacteristicGame(
+            n, game.values + np.where(membership(n)[:, agent], lift, 0.0))
+    else:
+        second = _test_game(n, seed + 1, kind)
+    first, second = (second, game) if swap else (game, second)
+    for checker, loop in [
+            (check_contribution_monotonicity, check_contribution_monotonicity_loop),
+            (check_cpart, check_cpart_loop), (check_rcpart, check_rcpart_loop)]:
+        assert checker(first, beta1, second, beta2, epsilon) == loop(
+            first, beta1, second, beta2, epsilon)
