@@ -14,8 +14,8 @@ import numpy as np
 
 from .lp import LinearProgram, solve, solve_lexicographic
 from .planning import (CharacteristicGame, characteristic_game,
-                       coalition_sizes, coalition_sums, marginal_masks,
-                       membership)
+                       coalition_mask, coalition_sizes, coalition_sums,
+                       marginal_masks, membership)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -108,8 +108,7 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     if tiebreak is None:
         sol = solve(lp)
     else:
-        if not 0 <= tiebreak < n:
-            raise ValueError(f"tiebreak agent {tiebreak} out of range")
+        coalition_mask((tiebreak,), n)  # refuses a non-integer or stray agent
         direction = np.zeros(n)
         direction[tiebreak] = 1.0
         sol = solve_lexicographic(lp, direction)

@@ -4,16 +4,18 @@ Problems are stated as: maximize c @ x subject to A @ x <= b, x >= 0.
 No caller states an equality: its two opposing rows trip the simplex.
 Variables are numbered structural, then one slack per row, then one
 artificial per row with a negative bound. Only the nonbasic columns and the
-right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), so MER's
-2^n - 1 rows over n agents take 2^n x (n + 1) floats. A pivot is one rank-1
-update doing a full tableau's arithmetic on those columns; Bland's rule
-guarantees termination.
+right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
+row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
+(n + 1) x 2^n floats, and a pivot is one rank-1 update along columns of
+2^n entries. Bland's rule guarantees termination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mmdp import _non_finite
 
 PIVOT_TOL = 1e-10
 
@@ -31,6 +33,9 @@ class LinearProgram:
         if a.shape != (b.size, c.size):
             raise ValueError(f"constraint matrix is {a.shape}, "
                              f"expected ({b.size}, {c.size})")
+        if not np.isfinite(np.concatenate([c, a.ravel(), b])).all():
+            raise ValueError(_non_finite(objective=c, constraint_matrix=a,
+                                         constraint_bounds=b)[0])
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "constraint_bounds", b)
@@ -47,103 +52,143 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
            row: int, pos: int, col: np.ndarray) -> None:
     """Swap basis[row] with nonbasic[pos]; `col` is a copy of column `pos`,
     which is reused for the leaving variable (its column was e_row)."""
-    tableau[:, pos] = 0.0
-    tableau[row, pos] = 1.0
-    tableau[row] /= col[row]
+    tableau[pos] = 0.0
+    tableau[pos, row] = 1.0
+    tableau[:, row] /= col[row]
     col[row] = 0.0
     # A row with a zero in the entering column subtracts 0 * p: its values
     # stay, only a -0.0 may turn +0.0, a sign no tolerance test reads.
-    tableau -= col[:, None] * tableau[row]
+    tableau -= tableau[:, row, None] * col
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
-                 limit: int) -> str:
-    """Bland's rule on the given tableau; last row is the objective. Only
-    variables numbered below `limit` may enter."""
+                 limit: int, note=None) -> str:
+    """Bland's rule on the given dictionary; its last row is the objective.
+    Only variables numbered below `limit` may enter. With `note`, the last
+    constraint row never leaves, and each pivot first calls note(col, row,
+    least ratio)."""
+    leave = tableau.shape[1] - 1 - (note is not None)
     while True:
-        entering = ((tableau[-1, :-1] < -PIVOT_TOL)
+        entering = ((tableau[:-1, -1] < -PIVOT_TOL)
                     & (nonbasic < limit)).nonzero()[0]
         if entering.size == 0:
             return "optimal"
         pos = entering[nonbasic[entering].argmin()]
-        col = tableau[:, pos].copy()
-        rows = (col[:-1] > PIVOT_TOL).nonzero()[0]
+        col = tableau[pos].copy()
+        rows = (col[:leave] > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = tableau[rows, -1] / col[rows]
-        tied = rows[ratios <= ratios.min() + PIVOT_TOL]
-        _pivot(tableau, basis, nonbasic, tied[basis[tied].argmin()], pos, col)
+        ratios = tableau[-1, rows] / col[rows]
+        least = ratios.min()
+        tied = rows[ratios <= least + PIVOT_TOL]
+        row = tied[basis[tied].argmin()]
+        if note is not None:
+            note(col, row, least)
+        _pivot(tableau, basis, nonbasic, row, pos, col)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    c = lp.objective
-    a = lp.constraint_matrix
-    b = lp.constraint_bounds
+def _dictionary(a: np.ndarray, b: np.ndarray):
+    """Dictionary of A @ x <= b: a row with a negative bound is flipped, its
+    slack (coefficient -1) nonbasic and an artificial basic, priced into
+    the phase 1 objective; other rows start on their slack."""
     num_rows, num_vars = a.shape
-    first_art = num_vars + num_rows
-
-    # Flip rows with negative bounds into >= rows: their slack (coefficient
-    # -1) starts nonbasic and an artificial basic; other rows start on their
-    # slack.
     flipped = (b < 0).nonzero()[0]
-    tableau = np.zeros((num_rows + 1, num_vars + flipped.size + 1))
-    tableau[:num_rows, :num_vars] = a
-    tableau[flipped, :num_vars] *= -1.0
-    tableau[flipped, num_vars + np.arange(flipped.size)] = -1.0
-    tableau[:num_rows, -1] = np.abs(b)
+    tableau = np.zeros((num_vars + flipped.size + 1, num_rows + 1))
+    tableau[:num_vars, :num_rows] = a.T
+    tableau[-1, :num_rows] = np.abs(b)
     nonbasic = np.concatenate([np.arange(num_vars), num_vars + flipped])
-    basis = np.arange(num_vars, first_art)
-    basis[flipped] = first_art + np.arange(flipped.size)
-
+    basis = np.arange(num_vars, num_vars + num_rows)
     if flipped.size:
-        # Phase 1: minimize artificial sum.
+        tableau[:num_vars, flipped] *= -1.0
+        tableau[num_vars + np.arange(flipped.size), flipped] = -1.0
+        basis[flipped] = num_vars + num_rows + np.arange(flipped.size)
         for r in flipped:
-            tableau[-1] -= tableau[r]
-        status = _run_simplex(tableau, basis, nonbasic, first_art + flipped.size)
+            tableau[:, -1] -= tableau[:, r]
+    return tableau, basis, nonbasic
+
+
+def _finish(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+            c: np.ndarray, note=None) -> LpSolution:
+    """Phase 1 while an artificial is basic (never with `note`), then phase
+    2 for max c @ x."""
+    num_vars = c.size
+    first_art = num_vars + basis.size
+    if nonbasic.size > num_vars and note is None:
+        status = _run_simplex(tableau, basis, nonbasic, basis.size + nonbasic.size)
         if status != "optimal" or tableau[-1, -1] < -1e-8:
             return LpSolution("infeasible", None, None)
         # Drive any artificial still basic (at zero) out of the basis.
         for r in (basis >= first_art).nonzero()[0]:
             cand = ((nonbasic < first_art)
-                    & (np.abs(tableau[r, :-1]) > PIVOT_TOL)).nonzero()[0]
+                    & (np.abs(tableau[:-1, r]) > PIVOT_TOL)).nonzero()[0]
             if cand.size:
                 pos = cand[nonbasic[cand].argmin()]
-                _pivot(tableau, basis, nonbasic, r, pos, tableau[:, pos].copy())
+                _pivot(tableau, basis, nonbasic, r, pos, tableau[pos].copy())
         # Artificials never re-enter: drop the nonbasic ones, and the limit
         # below bars one that leaves the basis in phase 2.
         keep = nonbasic < first_art
-        tableau = tableau[:, np.append(keep, True)]
+        tableau = tableau[np.append(keep, True)]
         nonbasic = nonbasic[keep]
 
     # Phase 2 objective (maximize c @ x as minimize -c @ x), priced out
     # row by row over the rows whose basic variable is structural.
-    tableau[-1] = 0.0
+    tableau[:, -1] = 0.0
     structural = nonbasic < num_vars
-    tableau[-1, :-1][structural] = -c[nonbasic[structural]]
+    tableau[:-1, -1][structural] = -c[nonbasic[structural]]
     for r in (basis < num_vars).nonzero()[0]:
         coef = -c[basis[r]]
         if coef != 0:
-            tableau[-1] -= coef * tableau[r]
-    if _run_simplex(tableau, basis, nonbasic, first_art) == "unbounded":
+            tableau[:, -1] -= coef * tableau[:, r]
+    if _run_simplex(tableau, basis, nonbasic, first_art, note) == "unbounded":
         return LpSolution("unbounded", None, None)
     x = np.zeros(num_vars)
     rows = (basis < num_vars).nonzero()[0]
-    x[basis[rows]] = tableau[rows, -1]
+    x[basis[rows]] = tableau[-1, rows]
     return LpSolution("optimal", x, float(c @ x))
+
+
+def solve(lp: LinearProgram) -> LpSolution:
+    return _finish(*_dictionary(lp.constraint_matrix, lp.constraint_bounds),
+                   lp.objective)
 
 
 def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray) -> LpSolution:
     """Optimize lp, then break ties by maximizing `tiebreak` over its optimal
     face, one added row objective >= opt - 1e-9 (no feasible point exceeds
-    opt). The returned objective_value is still the primary one."""
-    first = solve(lp)
+    opt). The returned objective_value is still the primary one.
+
+    The primary runs on the tiebreak LP's dictionary, whose phase 1 makes
+    the primary's pivots until the face row blocks. Where it first blocks alone, at the
+    last pivot with a least ratio > 0, phase 1 resumes from a copy made
+    there, the face row's bound replayed as a cold solve computes it; all
+    else, and a primary with a negative bound, gets a cold tiebreak solve."""
+    a2 = np.vstack([lp.constraint_matrix, -lp.objective])
+    b2 = np.append(lp.constraint_bounds, -1.0)
+    tiebreak = LinearProgram(tiebreak, a2, b2).objective
+    tableau, basis, nonbasic = _dictionary(a2, b2)
+    steps, saved = [], [None]
+    def note(col, row, least):
+        if least > 0:
+            saved[:] = len(steps), tableau.copy(), basis.copy(), nonbasic.copy()
+        steps.append((col[-2], tableau[-1, row] / col[row], least))
+    first = (solve(lp) if (lp.constraint_bounds < 0).any()
+             else _finish(tableau, basis, nonbasic, lp.objective, note))
     if first.status != "optimal":
         return first
-    opt = first.objective_value
-    a2 = np.vstack([lp.constraint_matrix, -lp.objective])
-    b2 = np.append(lp.constraint_bounds, -opt + 1e-9)
-    second = solve(LinearProgram(np.asarray(tiebreak, dtype=float), a2, b2))
+    b2[-1] = -first.objective_value + 1e-9
+    rhs, second = abs(b2[-1]), None
+    # An unflipped face row (opt <= 1e-9) leaves no phase 1 to resume.
+    for step, (entry, p_rhs, least) in enumerate(steps if b2[-1] < 0 else []):
+        if entry > PIVOT_TOL and rhs / entry < least:
+            if step == saved[0] and least > rhs / entry + PIVOT_TOL:
+                _, tableau, basis, nonbasic = saved
+                tableau[-1, -2], tableau[-1, -1] = rhs, -rhs
+                tableau[tiebreak.size, -1] = 1.0  # the face row's slack
+                second = _finish(tableau, basis, nonbasic, tiebreak)
+            break
+        rhs = rhs - entry * p_rhs
+    second = second or solve(LinearProgram(tiebreak, a2, b2))
     if second.status != "optimal":
         return first
     return LpSolution("optimal", second.point,

@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 
-from blamekit import attribution, envs, planning, properties, uncertainty
+from blamekit import attribution, envs, lp, planning, properties, uncertainty
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 
 
@@ -113,15 +113,107 @@ def rationality_loop(game, blames):
 # bit.
 
 def masked_pivot(tableau, basis, nonbasic, row, pos, col):
-    """`lp._pivot` leaving the rows with a zero in the entering column
-    untouched."""
+    """`lp._pivot` leaving the dictionary rows with a zero in the entering
+    column untouched (the tableau is column-major, as `lp` stores it)."""
+    tableau[pos] = 0.0
+    tableau[pos, row] = 1.0
+    tableau[:, row] /= col[row]
+    col[row] = 0.0
+    np.subtract(tableau, np.outer(tableau[:, row], col), out=tableau,
+                where=(col != 0)[None, :])
+    basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
+
+
+# The simplex as it stood before the column-major dictionary and the resumed
+# tiebreak: row-major, one cold solve for the primary and one for the
+# tiebreak. `lp.solve` and `lp.solve_lexicographic` must match it bit for bit.
+
+def pivot_row_major(tableau, basis, nonbasic, row, pos, col):
     tableau[:, pos] = 0.0
     tableau[row, pos] = 1.0
     tableau[row] /= col[row]
     col[row] = 0.0
-    np.subtract(tableau, np.outer(col, tableau[row]), out=tableau,
-                where=(col != 0)[:, None])
+    tableau -= col[:, None] * tableau[row]
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
+
+
+def _run_simplex_row_major(tableau, basis, nonbasic, limit):
+    while True:
+        entering = ((tableau[-1, :-1] < -lp.PIVOT_TOL)
+                    & (nonbasic < limit)).nonzero()[0]
+        if entering.size == 0:
+            return "optimal"
+        pos = entering[nonbasic[entering].argmin()]
+        col = tableau[:, pos].copy()
+        rows = (col[:-1] > lp.PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = tableau[rows, -1] / col[rows]
+        tied = rows[ratios <= ratios.min() + lp.PIVOT_TOL]
+        pivot_row_major(tableau, basis, nonbasic, tied[basis[tied].argmin()],
+                        pos, col)
+
+
+def solve_row_major(program):
+    c = program.objective
+    a = program.constraint_matrix
+    b = program.constraint_bounds
+    num_rows, num_vars = a.shape
+    first_art = num_vars + num_rows
+    flipped = (b < 0).nonzero()[0]
+    tableau = np.zeros((num_rows + 1, num_vars + flipped.size + 1))
+    tableau[:num_rows, :num_vars] = a
+    tableau[flipped, :num_vars] *= -1.0
+    tableau[flipped, num_vars + np.arange(flipped.size)] = -1.0
+    tableau[:num_rows, -1] = np.abs(b)
+    nonbasic = np.concatenate([np.arange(num_vars), num_vars + flipped])
+    basis = np.arange(num_vars, first_art)
+    basis[flipped] = first_art + np.arange(flipped.size)
+    if flipped.size:
+        for r in flipped:
+            tableau[-1] -= tableau[r]
+        status = _run_simplex_row_major(tableau, basis, nonbasic,
+                                        first_art + flipped.size)
+        if status != "optimal" or tableau[-1, -1] < -1e-8:
+            return lp.LpSolution("infeasible", None, None)
+        for r in (basis >= first_art).nonzero()[0]:
+            cand = ((nonbasic < first_art)
+                    & (np.abs(tableau[r, :-1]) > lp.PIVOT_TOL)).nonzero()[0]
+            if cand.size:
+                pos = cand[nonbasic[cand].argmin()]
+                pivot_row_major(tableau, basis, nonbasic, r, pos,
+                                tableau[:, pos].copy())
+        keep = nonbasic < first_art
+        tableau = tableau[:, np.append(keep, True)]
+        nonbasic = nonbasic[keep]
+    tableau[-1] = 0.0
+    structural = nonbasic < num_vars
+    tableau[-1, :-1][structural] = -c[nonbasic[structural]]
+    for r in (basis < num_vars).nonzero()[0]:
+        coef = -c[basis[r]]
+        if coef != 0:
+            tableau[-1] -= coef * tableau[r]
+    if _run_simplex_row_major(tableau, basis, nonbasic, first_art) == "unbounded":
+        return lp.LpSolution("unbounded", None, None)
+    x = np.zeros(num_vars)
+    rows = (basis < num_vars).nonzero()[0]
+    x[basis[rows]] = tableau[rows, -1]
+    return lp.LpSolution("optimal", x, float(c @ x))
+
+
+def solve_lexicographic_cold(program, tiebreak):
+    first = solve_row_major(program)
+    if first.status != "optimal":
+        return first
+    opt = first.objective_value
+    a2 = np.vstack([program.constraint_matrix, -program.objective])
+    b2 = np.append(program.constraint_bounds, -opt + 1e-9)
+    second = solve_row_major(lp.LinearProgram(
+        np.asarray(tiebreak, dtype=float), a2, b2))
+    if second.status != "optimal":
+        return first
+    return lp.LpSolution("optimal", second.point,
+                         float(program.objective @ second.point))
 
 
 def check_rationality_where(game, beta, epsilon=0.0):

@@ -243,6 +243,19 @@ def test_mer_tiebreak_selects_extreme_optima():
         mer(SYMMETRIC, tiebreak=2)
 
 
+@pytest.mark.parametrize("tiebreak", [True, 1.5, "1"])
+def test_mer_refuses_a_tiebreak_that_is_not_an_integer(tiebreak):
+    """By `coalition_mask`'s rule: a bool is not an integer, so True does
+    not quietly mean agent 1, and 1.5 and "1" are refused alike."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        mer(SYMMETRIC, tiebreak)
+
+
+def test_mer_takes_a_numpy_integer_tiebreak():
+    assert np.array_equal(mer(SYMMETRIC, np.int64(1)).blames,
+                          mer(SYMMETRIC, 1).blames)
+
+
 def test_mer_on_degenerate_games():
     zero = game_from_values([0.0, 0.0, 0.0, 0.0])
     assert mer(zero).total == 0.0

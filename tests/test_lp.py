@@ -6,7 +6,9 @@ import pytest
 
 from blamekit import lp as lp_module
 from blamekit.lp import LinearProgram, LpSolution, solve, solve_lexicographic
-from helpers import masked_pivot
+from blamekit.planning import membership
+from blamekit.properties import random_monotone_game
+from helpers import masked_pivot, solve_lexicographic_cold, solve_row_major
 
 
 def vertex_enumeration_optimum(c, a, b):
@@ -65,6 +67,37 @@ def near_tie_box_lp(rng, noisy):
     b = np.concatenate([[1.0, -1.0], np.minimum(p + 0.1, 1.0),
                         -np.maximum(p - 0.1, 0.0)])
     return LinearProgram(-payoff, a, b)
+
+
+def mer_program(values):
+    """MER's rationality LP over a game's values: max sum(beta) subject to
+    each nonempty coalition's blame at most its value."""
+    n = int(values.size).bit_length() - 1
+    return LinearProgram(np.ones(n), membership(n)[1:].astype(float), values[1:])
+
+
+def same_bits(got, want):
+    """Equal status, point bytes and objective bits."""
+    if got.status != want.status or (got.point is None) != (want.point is None):
+        return False
+    return got.point is None or (
+        got.point.tobytes() == want.point.tobytes()
+        and (np.float64(got.objective_value).tobytes()
+             == np.float64(want.objective_value).tobytes()))
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The programs handed to the module-global `solve`, which
+    `solve_lexicographic` calls only for the LPs it solves cold."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(lp_module, "solve", recording)
+    return programs
 
 
 def test_matches_vertex_enumeration_on_random_problems():
@@ -166,30 +199,97 @@ def test_lexicographic_tiebreak_selects_among_optima():
     assert toward_x.objective_value == pytest.approx(1.0, abs=1e-8)
 
 
-def test_the_tiebreak_states_its_optimal_face_as_one_row(monkeypatch):
+def test_the_tiebreak_states_its_optimal_face_as_one_row(monkeypatch,
+                                                         cold_solves):
     """The tiebreak LP adds objective >= opt - 1e-9 alone, so it pairs no
     row with its exact negation: objective <= opt + 1e-9 binds no feasible
-    point, and with it the two would be an equality's twin opposing rows."""
-    programs = []
+    point, and with it the two would be an equality's twin opposing rows.
+    That holds for the rows the primary's pivots carry (a resumed tiebreak)
+    and for those a cold tiebreak solve starts from."""
+    matrices = []
+    dictionary = lp_module._dictionary
 
-    def recording(lp):
-        programs.append(lp)
-        return solve(lp)
+    def recording_dictionary(a, b):
+        matrices.append(a)
+        return dictionary(a, b)
 
-    monkeypatch.setattr(lp_module, "solve", recording)
+    monkeypatch.setattr(lp_module, "_dictionary", recording_dictionary)
     rng = np.random.default_rng(4409)
+    paths = set()
     for _ in range(40):
         lp = random_bounded_lp(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7)))
+        matrices.clear()
+        cold_solves.clear()
         assert solve_lexicographic(lp, rng.uniform(-1.0, 1.0, lp.objective.size)
                                    ).status == "optimal"
-    # each call solves the primary LP, then the tiebreak LP
-    assert len(programs) == 2 * 40
-    for primary, tied in zip(programs[::2], programs[1::2]):
-        a = tied.constraint_matrix
-        assert len(a) == len(primary.constraint_matrix) + 1
-        twins = (a[:, None] == -a).all(axis=2)
-        np.fill_diagonal(twins, False)
-        assert not twins.any()
+        # each call carries the tiebreak LP's rows through the primary, then
+        # resumes its phase 1 or solves that LP cold
+        assert len(cold_solves) <= 1
+        assert len(matrices) == 1 + len(cold_solves)
+        paths.add(len(cold_solves))
+        for a in matrices:
+            assert len(a) == len(lp.constraint_matrix) + 1
+            assert np.array_equal(a[-1], -lp.objective)
+            twins = (a[:, None] == -a).all(axis=2)
+            np.fill_diagonal(twins, False)
+            assert not twins.any()
+    assert paths == {0, 1}
+
+
+def test_solves_match_the_row_major_cold_oracle_bit_for_bit(cold_solves):
+    """The column-major dictionary and the resumed tiebreak give the bits of
+    the row-major simplex with its cold second solve, on MER's LPs (random
+    games, games rounded to 0.1, games rescaled by 10^k) and on small
+    bounded, integer and near-tie programs. Most MER tiebreaks resume: they
+    call the module-global `solve` not at all."""
+    rng = np.random.default_rng(2113)
+    mer_tiebreaks = resumed = 0
+    statuses = set()
+    for n in range(1, 12):
+        for seed in rng.integers(0, 10**6, 3):
+            values = random_monotone_game(n, int(seed)).values
+            for game in (values, np.round(values, 1),
+                         values * 10.0 ** int(rng.integers(-6, 7))):
+                lp = mer_program(game)
+                assert same_bits(solve(lp), solve_row_major(lp))
+                for agent in sorted({0, n - 1}):
+                    direction = np.eye(n)[agent]
+                    cold_solves.clear()
+                    assert same_bits(solve_lexicographic(lp, direction),
+                                     solve_lexicographic_cold(lp, direction))
+                    if n >= 2:
+                        mer_tiebreaks += 1
+                        resumed += not cold_solves
+    assert resumed >= 0.9 * mer_tiebreaks
+    programs = ([random_bounded_lp(rng, int(rng.integers(2, 6)),
+                                   int(rng.integers(1, 7))) for _ in range(150)]
+                + [random_integer_lp(rng) for _ in range(150)]
+                + [near_tie_box_lp(rng, k % 2) for k in range(150)])
+    for lp in programs:
+        got = solve(lp)
+        statuses.add(got.status)
+        assert same_bits(got, solve_row_major(lp))
+        for direction in (np.ones(lp.objective.size),
+                          rng.uniform(-1.0, 1.0, lp.objective.size)):
+            assert same_bits(solve_lexicographic(lp, direction),
+                             solve_lexicographic_cold(lp, direction))
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize("lp, solves", [
+    # a negative bound: the primary has its own phase 1, so both are cold
+    (LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]],
+                   [2.0, -0.5, 1.0]), 2),
+    # the face row blocks alone at step 6, before the last pivot with a
+    # least ratio > 0 (a rounding remnant): only the tiebreak is cold
+    (mer_program(np.round(random_monotone_game(8, 3).values, 1)), 1),
+], ids=["negative-bound", "early-block"])
+def test_the_tiebreak_falls_back_to_cold_solves(lp, solves, cold_solves):
+    direction = np.eye(lp.objective.size)[0]
+    got = solve_lexicographic(lp, direction)
+    assert len(cold_solves) == solves
+    assert got.objective_value > 1e-9  # the face row's bound is negative
+    assert same_bits(got, solve_lexicographic_cold(lp, direction))
 
 
 def test_lexicographic_passes_through_nonoptimal_status():
@@ -202,6 +302,28 @@ def test_lp_shape_validation():
         LinearProgram([1.0, 2.0], [[1.0]], [1.0])
     sol = LpSolution("optimal", np.zeros(1), 0.0)
     assert sol.status == "optimal"
+
+
+@pytest.mark.parametrize("c, a, b, message", [
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0], r"objective\[0\] is nan"),
+    ([1.0, 1.0], [[1.0, 1.0], [np.nan, 1.0]], [1.0, 1.0],
+     r"constraint_matrix\[1, 0\] is nan"),
+    ([1.0], [[1.0], [1.0]], [1.0, -np.inf], r"constraint_bounds\[1\] is -inf"),
+    ([1.0], [[1.0]], [np.nan], r"constraint_bounds\[0\] is nan"),
+    ([1.0], [[1.0]], [np.inf], r"constraint_bounds\[0\] is inf"),
+], ids=["nan-objective", "nan-matrix", "minus-inf-bound", "nan-bound",
+        "inf-bound"])
+def test_non_finite_entries_are_refused(c, a, b, message):
+    """Without the check the simplex answers wrongly without a word (an
+    `optimal` nan, `unbounded`, `infeasible`) or crashes on an empty ratio
+    test; the error names the first bad entry."""
+    with pytest.raises(ValueError, match=message + ", not finite"):
+        LinearProgram(c, a, b)
+
+
+def test_finite_entries_whose_sum_overflows_are_accepted():
+    lp = LinearProgram([1e308, 1e308], [[1.0, 1.0]], [1.0])
+    assert solve(lp).status == "optimal"
 
 
 def test_agrees_with_highs_on_random_programs():
