@@ -103,7 +103,7 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     agent's blame over the optimal face.
     """
     n = game.num_agents
-    rows = membership(n)[1:].astype(float)
+    rows = np.asfortranarray(membership(n)[1:], dtype=float)
     lp = LinearProgram(np.ones(n), rows, game.values[1:])
     if tiebreak is None:
         sol = solve(lp)

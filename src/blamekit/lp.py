@@ -6,8 +6,8 @@ Variables are numbered structural, then one slack per row, then one
 artificial per row with a negative bound. Only the nonbasic columns and the
 right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
 row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
-(n + 1) x 2^n floats, and a pivot is one rank-1 update along columns of
-2^n entries. Bland's rule guarantees termination.
+(n + 1) x 2^n floats; a pivot updates each column with a nonzero pivot-row
+entry (one run of 2^n entries). Bland's rule guarantees termination.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 from .mmdp import _non_finite
 
 PIVOT_TOL = 1e-10
+LIVE_MIN = 512  # stored column length from which a pivot skips dead columns
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class LinearProgram:
         if a.shape != (b.size, c.size):
             raise ValueError(f"constraint matrix is {a.shape}, "
                              f"expected ({b.size}, {c.size})")
-        if not np.isfinite(np.concatenate([c, a.ravel(), b])).all():
+        if not np.isfinite(np.concatenate([c, a.ravel("K"), b])).all():
             raise ValueError(_non_finite(objective=c, constraint_matrix=a,
                                          constraint_bounds=b)[0])
         object.__setattr__(self, "objective", c)
@@ -56,9 +57,15 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     tableau[pos, row] = 1.0
     tableau[:, row] /= col[row]
     col[row] = 0.0
-    # A row with a zero in the entering column subtracts 0 * p: its values
-    # stay, only a -0.0 may turn +0.0, a sign no tolerance test reads.
-    tableau -= tableau[:, row, None] * col
+    # A column with a zero pivot-row entry subtracts 0 * p, which can only
+    # turn a -0.0 into +0.0. Long columns skip those but not the right-hand
+    # side, where a drive-out's +0 / -p = -0.0 turns back; as it then holds
+    # no -0.0, no other zero's sign reaches a tolerance test or an output.
+    if col.size < LIVE_MIN:
+        tableau -= tableau[:, row, None] * col
+    else:
+        for j in tableau[:-1, row].nonzero()[0].tolist() + [-1]:
+            tableau[j] -= tableau[j, row] * col
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
@@ -159,18 +166,26 @@ def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray) -> LpSolution:
     opt). The returned objective_value is still the primary one.
 
     The primary runs on the tiebreak LP's dictionary, whose phase 1 makes
-    the primary's pivots until the face row blocks. Where it first blocks alone, at the
-    last pivot with a least ratio > 0, phase 1 resumes from a copy made
-    there, the face row's bound replayed as a cold solve computes it; all
-    else, and a primary with a negative bound, gets a cold tiebreak solve."""
-    a2 = np.vstack([lp.constraint_matrix, -lp.objective])
+    the primary's pivots until the face row blocks. Where it first blocks
+    alone, at the last pivot with a least ratio > 0, phase 1 resumes from
+    the one buffer that pivot filled, the face row's bound replayed as a
+    cold solve computes it; all else, and a primary with a negative bound,
+    gets a cold tiebreak solve."""
+    tiebreak = np.atleast_1d(np.asarray(tiebreak, dtype=float))
+    if tiebreak.shape != lp.objective.shape:
+        raise ValueError(f"tiebreak has shape {tiebreak.shape}, expected {lp.objective.shape}")
+    if not np.isfinite(tiebreak).all():
+        raise ValueError(_non_finite(tiebreak=tiebreak)[0])
+    a2 = np.empty((lp.constraint_bounds.size + 1, tiebreak.size), order="F")
+    a2[:-1], a2[-1] = lp.constraint_matrix, -lp.objective
     b2 = np.append(lp.constraint_bounds, -1.0)
-    tiebreak = LinearProgram(tiebreak, a2, b2).objective
     tableau, basis, nonbasic = _dictionary(a2, b2)
-    steps, saved = [], [None]
+    steps, saved = [], [None, np.empty_like(tableau), basis.copy(), nonbasic.copy()]
     def note(col, row, least):
         if least > 0:
-            saved[:] = len(steps), tableau.copy(), basis.copy(), nonbasic.copy()
+            saved[0] = len(steps)
+            for buffer, now in zip(saved[1:], (tableau, basis, nonbasic)):
+                np.copyto(buffer, now)
         steps.append((col[-2], tableau[-1, row] / col[row], least))
     first = (solve(lp) if (lp.constraint_bounds < 0).any()
              else _finish(tableau, basis, nonbasic, lp.objective, note))

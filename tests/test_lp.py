@@ -276,6 +276,74 @@ def test_solves_match_the_row_major_cold_oracle_bit_for_bit(cold_solves):
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+def widened(rng, lp):
+    """The program with redundant rows added at random places, up to
+    `LIVE_MIN` rows, so that its stored columns are long: each has
+    coefficients in {-2, -1, 0} and a bound of 0 or 1, so x >= 0 meets it."""
+    extra = lp_module.LIVE_MIN - lp.constraint_bounds.size
+    a = np.vstack([lp.constraint_matrix,
+                   rng.integers(-2, 1, (extra, lp.objective.size))])
+    b = np.concatenate([lp.constraint_bounds, rng.choice([0.0, 1.0], extra)])
+    order = rng.permutation(b.size)
+    return LinearProgram(lp.objective, a[order], b[order])
+
+
+def test_wide_dictionaries_match_the_row_major_cold_oracle_bit_for_bit(
+        monkeypatch):
+    """Long columns update only the live columns and the right-hand side.
+    That gives the bits of the full update on generic programs widened past
+    the threshold (negative bounds, so phase 1 and drive-outs; objectives
+    with zero entries) and on MER's LPs at n = 8-11 with one coalition
+    value at -1e-17, which runs phase 1 untied. A drive-out on a zero
+    right-hand side makes a -0.0 there that only the update turns back."""
+    zero_drive_outs = []
+    pivot = lp_module._pivot
+
+    def recording_pivot(tableau, basis, nonbasic, row, pos, col):
+        if tableau.shape[1] >= lp_module.LIVE_MIN and col[row] < 0:
+            zero_drive_outs.append(tableau[-1, row] == 0)
+        pivot(tableau, basis, nonbasic, row, pos, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
+    rng = np.random.default_rng(2203)
+
+    def zeroed(lp):
+        c = np.where(rng.random(lp.objective.size) < 0.5, 0.0, lp.objective)
+        return LinearProgram(c, lp.constraint_matrix, lp.constraint_bounds)
+
+    programs = ([random_integer_lp(rng) for _ in range(1200)]
+                + [random_bounded_lp(rng, int(rng.integers(2, 6)),
+                                     int(rng.integers(1, 7))) for _ in range(100)])
+    programs = [widened(rng, zeroed(lp) if k % 4 == 0 else lp)
+                for k, lp in enumerate(programs)]
+    for n in range(8, 12):
+        for seed in rng.integers(0, 10**6, 3):
+            values = random_monotone_game(n, int(seed)).values.copy()
+            values[rng.integers(1, values.size)] = -1e-17
+            programs.append(mer_program(values))
+    statuses = set()
+    for lp in programs:
+        got = solve(lp)
+        statuses.add(got.status)
+        assert same_bits(got, solve_row_major(lp))
+        for direction in (np.ones(lp.objective.size),
+                          np.eye(lp.objective.size)[-1]):
+            assert same_bits(solve_lexicographic(lp, direction),
+                             solve_lexicographic_cold(lp, direction))
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert sum(zero_drive_outs) >= 10
+
+
+@pytest.mark.parametrize("tiebreak, message", [
+    ([1.0], r"tiebreak has shape \(1,\), expected \(2,\)"),
+    ([1.0, np.nan], r"tiebreak\[1\] is nan, not finite"),
+], ids=["wrong-length", "nan"])
+def test_the_tiebreak_is_validated_alone(tiebreak, message):
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match=message):
+        solve_lexicographic(lp, tiebreak)
+
+
 @pytest.mark.parametrize("lp, solves", [
     # a negative bound: the primary has its own phase 1, so both are cold
     (LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]],
@@ -348,9 +416,12 @@ def test_agrees_with_highs_on_random_programs():
 
 
 def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
-    """A row with a zero in the entering column subtracts 0 * p, which keeps
-    every value: statuses and objectives agree bit for bit, and points by
-    value (a -0.0 may come back +0.0)."""
+    """These programs' columns are all short, so each pivot takes the one
+    broadcast update, in which a dictionary row with a zero in the entering
+    column subtracts 0 * p. That keeps every value of a pivot that leaves
+    such rows alone: statuses and objectives agree bit for bit, and points
+    by value (a -0.0 may come back +0.0). Long columns skip dead columns
+    instead, bit for bit (the wide-dictionary test above)."""
     rng = np.random.default_rng(3101)
     programs = ([random_bounded_lp(rng, int(rng.integers(2, 6)),
                                    int(rng.integers(1, 7))) for _ in range(150)]
