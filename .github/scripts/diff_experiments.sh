@@ -7,7 +7,8 @@
 # The base's src/ is unpacked with `git archive` under WORK_DIR (a fresh
 # temporary directory by default); each tree runs from its own src/ through
 # PYTHONPATH:
-#   - the four experiments, the robust ones at --seeds 1 --eps 0.05;
+#   - the four experiments, the robust ones at --seeds 1 --eps 0.05, and
+#     the gridworld one again with --relaxed, into OUT_DIR/relaxed;
 #   - the one-step model of random_monotone_game(4, 0), saved by the tree's
 #     own mmdp_from_game, then `attribute --tiebreak 1` and `check` under
 #     each of the five methods on it (each output ends with its exit code);
@@ -30,6 +31,9 @@ run_experiments() {  # SRC_DIR OUT_DIR
         PYTHONPATH="$1" python -m blamekit.cli experiment $args --out "$2" \
             > /dev/null || echo "::warning::experiment $args failed on $1"
     done
+    PYTHONPATH="$1" python -m blamekit.cli experiment robustness-grid \
+        --seeds 1 --eps 0.05 --relaxed --out "$2/relaxed" > /dev/null \
+        || echo "::warning::experiment robustness-grid --relaxed failed on $1"
 }
 
 run_one_step() {  # SRC_DIR OUT_DIR

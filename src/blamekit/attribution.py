@@ -74,7 +74,7 @@ def shapley_weights(n: int) -> np.ndarray:
 
 
 def banzhaf_weights(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / (1 << (n - 1)))
+    return np.full(n, 2.0 ** (1 - n))  # exact: a power of two
 
 
 def shapley(game: CharacteristicGame) -> BlameAssignment:
@@ -129,7 +129,7 @@ def participation(values: np.ndarray, sharers: np.ndarray,
     values[S + i] / sharers[S], divided by 2^n - 1; 0 for other agents."""
     n = pivotal.size
     without, with_ = marginal_masks(n)
-    w = 1.0 / ((1 << n) - 1)
+    w = 1.0 / max((1 << n) - 1, 1)  # a 0-agent game has no terms to weigh
     terms = w * values[with_] / sharers[without]
     return np.where(pivotal, sequential_sums(terms), 0.0)
 

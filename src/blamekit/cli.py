@@ -17,7 +17,8 @@ import numpy as np
 # the per-method names stay importable here, where the bench tracer wraps them
 from .attribution import (METHODS, apply, average_participation, banzhaf,
                           marginal_contribution, mer, shapley)
-from .envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from .envs import (GRAPH_THRESHOLDS, GraphSpec, GridworldSpec, build_graph,
+                   build_gridworld)
 from .mmdp import load_model, load_policy, validate_mmdp
 from .planning import MAX_AGENTS, characteristic_game
 from .properties import (check_avg_efficiency, check_efficiency,
@@ -149,13 +150,12 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def run_perm_sweep(alpha: float = 0.4,
-                   grid: tuple[float, ...] = ALPHA_PRIME_GRID) -> list[dict]:
+def run_perm_sweep() -> list[dict]:
     """Blame per method for each overseer training level alpha_prime."""
     rows = []
-    for alpha_prime in grid:
+    for alpha_prime in ALPHA_PRIME_GRID:
         model, behavior = build_gridworld(
-            GridworldSpec(alpha=alpha, alpha_prime=alpha_prime))
+            GridworldSpec(alpha=0.4, alpha_prime=alpha_prime))
         game = characteristic_game(model, behavior)
         for name in METHODS:
             res = apply(name, game, 1)
@@ -164,10 +164,10 @@ def run_perm_sweep(alpha: float = 0.4,
     return rows
 
 
-def run_coordination(levels: tuple[int, ...] = (1, 2, 3, 4)) -> list[dict]:
+def run_coordination() -> list[dict]:
     """Totals and blames per method for each coordination threshold."""
     rows = []
-    for level in levels:
+    for level in range(1, len(GRAPH_THRESHOLDS) + 1):
         model, behavior = build_graph(
             GraphSpec("coordination", threshold_index=level))
         game = characteristic_game(model, behavior)
@@ -179,10 +179,9 @@ def run_coordination(levels: tuple[int, ...] = (1, 2, 3, 4)) -> list[dict]:
 
 
 def _robustness_setup(env: str):
-    # Gridworld bounds default to the exact single-uncertain-agent solver;
-    # the Graph instance defaults to the relaxed joint box on both sides,
-    # which is what lets the pessimistic singleton bounds collapse to zero
-    # once eps_max reaches 0.05.
+    # exact=None takes the tightest set: exact on the gridworld, whose one
+    # agent is uncertain. The graph's relaxed box on both sides (exact=False)
+    # lets its pessimistic singleton bounds collapse to zero from eps_max 0.05.
     if env == "gridworld":
         model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
         return model, behavior, frozenset({0}), GRID_EPS, 1, None
@@ -194,20 +193,19 @@ def _robustness_setup(env: str):
 
 def run_robustness(env: str, num_seeds: int = 10,
                    eps_levels: tuple[float, ...] | None = None,
-                   exact: bool | None = None) -> list[dict]:
+                   relaxed: bool = False) -> list[dict]:
     """Point-estimate and robust attributions for sampled uncertainty sets.
 
     Returns one row per (eps, seed, method) with the blame vector, the L1
     distance to the method's full-information counterpart (total-blame
     difference for MER, matching its reporting convention) and whether the
-    estimate stayed consistent (never above the counterpart).
+    estimate stayed consistent (never above the counterpart). `relaxed`
+    forces the relaxed box on an environment that would take exact bounds.
     """
-    model, behavior, uncertain, default_eps, tiebreak, default_exact = \
+    model, behavior, uncertain, default_eps, tiebreak, exact = \
         _robustness_setup(env)
-    if eps_levels is None:
-        eps_levels = default_eps
-    if exact is None:
-        exact = default_exact
+    eps_levels = default_eps if eps_levels is None else eps_levels
+    exact = False if relaxed else exact
     truth_game = characteristic_game(model, behavior)
     truth = {name: apply(name, truth_game, tiebreak) for name in METHODS}
 
@@ -261,7 +259,6 @@ def cmd_experiment(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as err:
         raise CliError(4, f"cannot create {args.out}: {err}") from err
-    exact = True if args.exact_uncertainty else (False if args.relaxed else None)
     if args.name in ("perm", "coordination"):
         key, rows = (("alpha_prime", run_perm_sweep()) if args.name == "perm"
                      else ("m", run_coordination()))
@@ -273,7 +270,7 @@ def cmd_experiment(args) -> int:
     if args.name in ("robustness-grid", "robustness-graph"):
         env = "gridworld" if args.name == "robustness-grid" else "graph"
         try:
-            rows = run_robustness(env, args.seeds, eps, exact)
+            rows = run_robustness(env, args.seeds, eps, args.relaxed)
         except (ValueError, RuntimeError) as err:
             raise CliError(3, f"experiment failed: {err}") from err
         stem = args.name.replace("-", "_")
@@ -333,11 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seeds", type=int, default=10)
     experiment.add_argument("--eps", dest="eps_raw", default=None)
     experiment.add_argument("--out", default=".")
-    group = experiment.add_mutually_exclusive_group()
-    group.add_argument("--exact-uncertainty", action="store_true",
-                       help="require exact chooser sets everywhere")
-    group.add_argument("--relaxed", action="store_true",
-                       help="force the relaxed box everywhere")
+    experiment.add_argument("--relaxed", action="store_true",
+                            help="force the relaxed box everywhere")
     experiment.set_defaults(func=cmd_experiment)
     return parser
 

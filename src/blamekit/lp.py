@@ -1,13 +1,16 @@
 """Two-phase simplex in dictionary form for the linear programs used here.
 
 Problems are stated as: maximize c @ x subject to A @ x <= b, x >= 0.
-No caller states an equality: its two opposing rows trip the simplex.
+An equality's two opposing rows trip the simplex; one such pair is left,
+MER's tiebreak face row -objective <= -opt + 1e-9 against its all-ones
+grand-coalition cap row, until the tiebreak walks the face (ROADMAP 4(a)).
 Variables are numbered structural, then one slack per row, then one
 artificial per row with a negative bound. Only the nonbasic columns and the
 right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
 row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
-(n + 1) x 2^n floats; a pivot updates each column with a nonzero pivot-row
-entry (one run of 2^n entries). Bland's rule guarantees termination.
+(n + 1) x 2^n floats. A pivot updates columns shorter than LIVE_MIN in one
+broadcast, longer ones where the pivot-row entry is nonzero. Bland's rule
+guarantees termination.
 """
 from __future__ import annotations
 

@@ -28,6 +28,7 @@ from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
                    content_digest, evaluate_return, _non_finite, _solve_linear)
 
 MAX_AGENTS = 12
+MAX_POLICY_ITERATIONS = 1000
 _MONOTONE_TOL = 1e-9
 
 
@@ -121,11 +122,15 @@ class CharacteristicGame:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.shape != (1 << self.num_agents,):
+            raise ValueError(f"values table has length {values.shape}, expected {1 << self.num_agents}")
         if problems := _non_finite(values=values):
             raise ValueError(f"invalid game: {problems[0]}")
         object.__setattr__(self, "values", values)
 
     def value(self, coalition) -> float:
+        if isinstance(coalition, (bool, np.bool_)):
+            raise ValueError(f"coalition {coalition!r} is a bool, not a mask")
         if not isinstance(coalition, (int, np.integer)):
             coalition = coalition_mask(coalition, self.num_agents)
         elif not 0 <= coalition < 1 << self.num_agents:
@@ -139,8 +144,6 @@ class CharacteristicGame:
 
     def validate(self, tol: float = _MONOTONE_TOL) -> list[str]:
         problems = []
-        if self.values.shape != (1 << self.num_agents,):
-            return [f"values table has length {self.values.shape}, expected {1 << self.num_agents}"]
         if abs(self.values[0]) > tol:
             problems.append(f"empty-coalition value is {self.values[0]:.3g}, not 0")
         n = self.num_agents
@@ -281,23 +284,22 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
             coalition_action_index(m, coalition))
 
 
-def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
-              max_iters: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration with lowest-index tie-breaking.
 
     r has shape (S, A) and p (S, A, S), or both carry one leading batch axis
     (K, ...) to solve K MDPs in lockstep. Returns (state values, deterministic
     per-state action indices), stacked like the input. Exact up to the linear
     solver; raises RuntimeError if the greedy policy of any member is still
-    improving after max_iters evaluations. A member that has converged keeps
-    its policy, so it returns what it would have returned alone.
+    improving after MAX_POLICY_ITERATIONS evaluations. A converged member
+    keeps its policy, so it returns what it would have returned alone.
     """
     # flat position of each (member and) state row's first action:
     # x.reshape(-1)[base + pol] reads the entry of each row's chosen action
     base = np.arange(0, r.size, r.shape[-1]).reshape(r.shape[:-1])
     r_flat, p_rows = r.reshape(-1), p.reshape(-1, p.shape[-1])
     pol = np.argmax(r, axis=-1)
-    for _ in range(max_iters):
+    for _ in range(MAX_POLICY_ITERATIONS):
         chosen = base + pol
         v = _solve_linear(p_rows[chosen], r_flat[chosen], gamma)
         q = r + gamma * np.einsum("...sat,...t->...sa", p, v)
@@ -307,7 +309,7 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
         if not improving.any():
             return v, pol
         pol = np.where(improving, new_pol, pol)
-    raise RuntimeError(f"policy iteration did not converge in {max_iters} iterations")
+    raise RuntimeError(f"policy iteration did not converge in {MAX_POLICY_ITERATIONS} iterations")
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:

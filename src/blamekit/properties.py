@@ -74,9 +74,9 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
 
 
 def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    """Total blame must equal the mean marginal inefficiency over coalitions."""
+    """Total blame must equal the mean inefficiency over the nonempty coalitions."""
     total = float(as_blames(beta, game.num_agents).sum())
-    target = float(game.values.sum()) / ((1 << game.num_agents) - 1)
+    target = float(game.values.sum()) / max((1 << game.num_agents) - 1, 1)
     if abs(total - target) <= epsilon + SLACK:
         return PropertyVerdict("R_AE", epsilon)
     return PropertyVerdict("R_AE", epsilon,

@@ -42,6 +42,7 @@ from .planning import (CharacteristicGame, best_response,
 
 RESIDUAL_TOL = 1e-12
 MAX_SWEEPS = 1000
+MEMBERSHIP_TOL = 1e-9
 _EDGE_TOL = 1e-15
 
 
@@ -64,10 +65,10 @@ class UncertaintySet:
             return self.radius
         return 0.0
 
-    def contains(self, policy: JointPolicy, tol: float = 1e-9) -> bool:
+    def contains(self, policy: JointPolicy) -> bool:
         for i, (ap, cp) in enumerate(zip(policy.agents, self.center.agents)):
             deviation = 0.5 * np.abs(ap.probs - cp.probs).sum(axis=1).max()
-            if deviation > self.agent_radius(i) + tol:
+            if deviation > self.agent_radius(i) + MEMBERSHIP_TOL:
                 return False
         return True
 

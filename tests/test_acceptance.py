@@ -191,7 +191,7 @@ def test_criterion_4_participation_identities_and_sweep():
         assert average_participation(game).total == pytest.approx(
             target, abs=1e-9), f"seed {k}"
 
-    rows = run_perm_sweep(alpha=0.4, grid=ALPHA_PRIME_GRID)
+    rows = run_perm_sweep()
     by = {(r["method"], r["alpha_prime"]): r["blames"][1] for r in rows}
     for name in ("AP", "MC"):
         overseer = {a: by[(name, a)] for a in ALPHA_PRIME_GRID}
@@ -208,7 +208,7 @@ def test_criterion_4_participation_identities_and_sweep():
 
 def test_criterion_5_coordination_reproduction():
     started = time.perf_counter()
-    rows = run_coordination(levels=(1, 2, 3, 4))
+    rows = run_coordination()
     by = {(r["m"], r["method"]): r for r in rows}
     delta = {m: by[(m, "SV")]["delta"] for m in (1, 2, 3, 4)}
     assert by[(1, "MC")]["total"] > delta[1] + 1e-9

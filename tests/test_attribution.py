@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blamekit import lp
 from blamekit.attribution import (
+    METHODS,
     BlameAssignment,
     apply,
     average_participation,
@@ -260,6 +261,15 @@ def test_mer_on_degenerate_games():
     zero = game_from_values([0.0, 0.0, 0.0, 0.0])
     assert mer(zero).total == 0.0
     assert mer(LOPSIDED).total == pytest.approx(1.1, abs=1e-9)
+
+
+def test_every_method_blames_no_one_in_a_zero_agent_game():
+    """At n = 0, BI's weight 2^-(n-1) must not shift by -1 nor AP's
+    1 / (2^n - 1) divide by 0: every method returns an empty vector."""
+    game = random_monotone_game(0, 0)
+    for name in METHODS:
+        got = apply(name, game)
+        assert got.blames.shape == (0,) and got.total == 0.0, name
 
 
 def test_pivotality_matches_marginal_scan():

@@ -587,16 +587,37 @@ def test_check_bad_eps_exits_2(two_agent_inputs, capsys):
 
 
 def test_exact_uncertainty_unavailable_on_the_graph(tmp_path, capsys):
-    code = main(["experiment", "robustness-graph", "--seeds", "1",
-                 "--eps", "0.05", "--exact-uncertainty", "--out", str(tmp_path)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "experiment failed" in err
-    # the graph's agents are all binary: what fails is the exact min over
-    # three uncertain complement agents
-    assert "no exact chooser for coalition (0,) in min mode" in err
-    assert "3 uncertain complement agents, and the exact min takes one" in err
-    assert "binary" not in err
+    """The experiments take no --exact-uncertainty: the gridworld's one
+    uncertain agent gets exact bounds anyway, and the graph has no exact
+    min (the library's exact=True raises that, as
+    test_exact_minimization_unavailable_with_two_uncertain_complements
+    pins)."""
+    for name in ("robustness-graph", "robustness-grid"):
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", name, "--seeds", "1", "--eps", "0.05",
+                  "--exact-uncertainty", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --exact-uncertainty" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_relaxed_gridworld_rows_are_the_relaxed_run(tmp_path):
+    """--relaxed reaches run_robustness: the CSV holds its relaxed rows, and
+    every robust row moves off the default one; the point estimate SV reads
+    no bound and stays."""
+    lines = {}
+    for flags in ([], ["--relaxed"]):
+        out = tmp_path / ("relaxed" if flags else "default")
+        assert main(["experiment", "robustness-grid", "--seeds", "1", "--eps",
+                     "0.05", "--out", str(out), *flags]) == 0
+        lines[bool(flags)] = (out / "robustness_grid.csv").read_text().splitlines()[1:]
+    assert lines[True] == [
+        _csv(r["method"], r["eps_max"], r["seed"], *r["blames"], r["total"],
+             r["l1_to_truth"], r["consistent"])
+        for r in run_robustness("gridworld", 1, (0.05,), relaxed=True)]
+    assert [a == b for a, b in zip(lines[False], lines[True])] == [
+        True, False, False, False, False, False, False]
 
 
 def test_argparse_level_failures_exit_2(tmp_path):
@@ -607,5 +628,5 @@ def test_argparse_level_failures_exit_2(tmp_path):
         main(["experiment", "unknown-name"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
-        main(["experiment", "perm", "--exact-uncertainty", "--relaxed"])
+        main(["experiment", "perm", "--exact-uncertainty"])
     assert info.value.code == 2

@@ -92,12 +92,17 @@ _MODEL, _BEHAVIOR = mmdp_from_game(_GAME)
     pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, (True,)),
                  "agent index True is not an integer", id="bool"),
     pytest.param(lambda: _GAME.value([0, np.bool_(True)]),
-                 "agent index np.True_ is not an integer", id="numpy-bool")])
+                 "agent index np.True_ is not an integer", id="numpy-bool"),
+    pytest.param(lambda: _GAME.value(True), "coalition True is a bool",
+                 id="value-bool-mask"),
+    pytest.param(lambda: _GAME.value(np.True_), "coalition np.True_ is a bool",
+                 id="value-numpy-bool-mask")])
 def test_stray_agent_indices_are_refused(call, message):
     """Every coalition entry point goes through `coalition_mask`'s gate: an
     index that is not an integer (bool included), or one outside [0, n),
     raises, naming the largest, instead of a truncation, a parse, a shift or
-    an index error, and a mask outside [0, 2^n) is not read as another one."""
+    an index error, and a mask outside [0, 2^n), or a bool, is not read as
+    another one."""
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
@@ -146,7 +151,7 @@ def test_solve_mdp_two_state_chain():
     assert v[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_solve_mdp_raises_when_not_converged():
+def test_solve_mdp_raises_when_not_converged(monkeypatch):
     """Greedy on reward leaves state 0 (1 > 0.5); staying wins only after a
     second improvement round, so one round must not return silently."""
     r = np.array([[0.5, 1.0], [0.0, 0.0]])
@@ -154,20 +159,22 @@ def test_solve_mdp_raises_when_not_converged():
     p[0, 0, 0] = 1.0
     p[0, 1, 1] = 1.0
     p[1, :, 1] = 1.0
-    with pytest.raises(RuntimeError, match="did not converge"):
-        solve_mdp(r, p, gamma=0.9, max_iters=1)
-    _, pol = solve_mdp(r, p, gamma=0.9, max_iters=2)
-    assert pol[0] == 0
-
+    monkeypatch.setattr(planning, "MAX_POLICY_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+        solve_mdp(r, p, gamma=0.9)
     # Stacked behind a member whose greedy policy is already optimal (staying
     # pays 1 > 0.5 at once), the slow member alone must still make it raise.
     stable = np.array([[1.0, 0.5], [0.0, 0.0]])
     r_stack, p_stack = np.stack([stable, r]), np.stack([p, p])
-    _, pol = solve_mdp(stable, p, gamma=0.9, max_iters=1)
+    _, pol = solve_mdp(stable, p, gamma=0.9)
     assert pol[0] == 0
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_mdp(r_stack, p_stack, gamma=0.9, max_iters=1)
-    _, pol = solve_mdp(r_stack, p_stack, gamma=0.9, max_iters=2)
+        solve_mdp(r_stack, p_stack, gamma=0.9)
+
+    monkeypatch.setattr(planning, "MAX_POLICY_ITERATIONS", 2)
+    _, pol = solve_mdp(r, p, gamma=0.9)
+    assert pol[0] == 0
+    _, pol = solve_mdp(r_stack, p_stack, gamma=0.9)
     assert pol[:, 0].tolist() == [0, 0]
 
 
@@ -600,8 +607,17 @@ def test_game_validate_reports_problems():
     assert any("not monotone" in p for p in dented.validate())
     off = CharacteristicGame(2, np.array([0.2, 0.5, 0.5, 0.9]))
     assert any("empty-coalition" in p for p in off.validate())
-    short = CharacteristicGame(2, np.array([0.0, 0.5]))
-    assert len(short.validate()) == 1
+
+
+@pytest.mark.parametrize("values, shape", [([0.0, 0.5], "(2,)"),
+                                           ([0.0, 1.0, 1.0], "(3,)"),
+                                           ([[0.0, 1.0, 1.0, 2.0]], "(1, 4)")])
+def test_a_game_refuses_a_values_table_of_the_wrong_shape(values, shape):
+    """A table that is not (2^n,) is refused when the game is built, before
+    a method reads past its end or an LP reports its matrix shape."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"values table has length {shape}, expected 4")):
+        CharacteristicGame(2, np.array(values))
 
 
 def test_game_validate_lists_drops_by_mask_then_agent():

@@ -259,6 +259,16 @@ def test_methods_satisfy_their_guaranteed_properties():
                     f"{method} broke {prop} on seed {seed}: {verdict.witness}")
 
 
+def test_every_agent_checker_holds_on_a_zero_agent_game():
+    """No agents, no blame: R_AE's mean over no nonempty coalition is 0,
+    not a division by zero, and every other property holds vacuously."""
+    game = random_monotone_game(0, 0)
+    for method in EXPECTED_HOLD:
+        beta = apply(method, game)
+        for prop, checker in CHECKERS.items():
+            assert checker(game, beta).holds, (method, prop)
+
+
 def test_known_failures_of_the_unguaranteed_cells():
     # MC over-blames when singleton inefficiencies overlap
     mc_beta = np.array([2.0, 2.0])
