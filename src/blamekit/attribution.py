@@ -12,10 +12,10 @@ from math import factorial
 
 import numpy as np
 
-from .lp import LinearProgram, solve, solve_lexicographic
+from .lp import LinearProgram, Resume, solve, solve_lexicographic
 from .planning import (CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
-                       marginal_masks, membership)
+                       derived, marginal_masks, membership)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -78,9 +78,10 @@ def banzhaf_weights(n: int) -> np.ndarray:
 
 
 def shapley(game: CharacteristicGame) -> BlameAssignment:
-    """Shapley value of the inefficiency game."""
-    return BlameAssignment("SV", weighted_marginals(
-        game.values, game.values, shapley_weights(game.num_agents)))
+    """Shapley value of the inefficiency game, once per game."""
+    if "SV" not in (held := derived(game)):
+        held["SV"] = weighted_marginals(game.values, game.values, shapley_weights(game.num_agents))
+    return BlameAssignment("SV", held["SV"])
 
 
 def banzhaf(game: CharacteristicGame) -> BlameAssignment:
@@ -100,18 +101,21 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     for every nonempty coalition S, beta >= 0. The total is the same at
     every optimum; per-agent splits are not, so callers that need a
     deterministic vector pass `tiebreak` to secondarily maximize that
-    agent's blame over the optimal face.
+    agent's blame over the optimal face, resuming the game's one primary.
     """
     n = game.num_agents
-    rows = np.asfortranarray(membership(n)[1:], dtype=float)
-    lp = LinearProgram(np.ones(n), rows, game.values[1:])
+    if "MER" not in (held := derived(game)):
+        rows = np.asfortranarray(membership(n)[1:], dtype=float)
+        lp, resume = LinearProgram(np.ones(n), rows, game.values[1:]), Resume()
+        held["MER"] = lp, (solve(lp, resume), resume)
+    lp, primary = held["MER"]
     if tiebreak is None:
-        sol = solve(lp)
+        sol = primary[0]
     else:
         coalition_mask((tiebreak,), n)  # refuses a non-integer or stray agent
         direction = np.zeros(n)
         direction[tiebreak] = 1.0
-        sol = solve_lexicographic(lp, direction)
+        sol = solve_lexicographic(lp, direction, primary)
     if sol.status != "optimal":
         raise RuntimeError(f"rationality LP came back {sol.status}")
     return BlameAssignment("MER", sol.point)
@@ -119,8 +123,10 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
 
 def pivotality(game: CharacteristicGame) -> Pivotality:
     """An agent is pivotal when it has any strictly positive marginal,
-    detected as a Shapley value above tolerance."""
-    return Pivotality(tuple((shapley(game).blames > PIVOTAL_TOL).tolist()))
+    detected as a Shapley value above tolerance; once per game."""
+    if "pivotality" not in (held := derived(game)):
+        held["pivotality"] = Pivotality(tuple((shapley(game).blames > PIVOTAL_TOL).tolist()))
+    return held["pivotality"]
 
 
 def participation(values: np.ndarray, sharers: np.ndarray,

@@ -10,7 +10,7 @@ right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
 row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
 (n + 1) x 2^n floats. A pivot updates columns shorter than LIVE_MIN in one
 broadcast, longer ones where the pivot-row entry is nonzero. Bland's rule
-guarantees termination.
+guarantees termination. A `Resume` note keeps what tiebreaks resume from.
 """
 from __future__ import annotations
 
@@ -75,10 +75,8 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
                  limit: int, note=None) -> str:
     """Bland's rule on the given dictionary; its last row is the objective.
-    Only variables numbered below `limit` may enter. With `note`, the last
-    constraint row never leaves, and each pivot first calls note(col, row,
-    least ratio)."""
-    leave = tableau.shape[1] - 1 - (note is not None)
+    Only variables numbered below `limit` may enter. With `note`, each pivot
+    first calls note(tableau, basis, nonbasic, col, row, least ratio)."""
     while True:
         entering = ((tableau[:-1, -1] < -PIVOT_TOL)
                     & (nonbasic < limit)).nonzero()[0]
@@ -86,7 +84,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
             return "optimal"
         pos = entering[nonbasic[entering].argmin()]
         col = tableau[pos].copy()
-        rows = (col[:leave] > PIVOT_TOL).nonzero()[0]
+        rows = (col[:-1] > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = tableau[-1, rows] / col[rows]
@@ -94,7 +92,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
         tied = rows[ratios <= least + PIVOT_TOL]
         row = tied[basis[tied].argmin()]
         if note is not None:
-            note(col, row, least)
+            note(tableau, basis, nonbasic, col, row, least)
         _pivot(tableau, basis, nonbasic, row, pos, col)
 
 
@@ -120,11 +118,12 @@ def _dictionary(a: np.ndarray, b: np.ndarray):
 
 def _finish(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
             c: np.ndarray, note=None) -> LpSolution:
-    """Phase 1 while an artificial is basic (never with `note`), then phase
-    2 for max c @ x."""
+    """Phase 1 while an artificial is basic, then phase 2 for max c @ x;
+    `note` sees phase 2's pivots where no phase 1 ran."""
     num_vars = c.size
     first_art = num_vars + basis.size
-    if nonbasic.size > num_vars and note is None:
+    if nonbasic.size > num_vars:
+        note = None
         status = _run_simplex(tableau, basis, nonbasic, basis.size + nonbasic.size)
         if status != "optimal" or tableau[-1, -1] < -1e-8:
             return LpSolution("infeasible", None, None)
@@ -158,55 +157,86 @@ def _finish(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     return LpSolution("optimal", x, float(c @ x))
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram, note=None) -> LpSolution:
     return _finish(*_dictionary(lp.constraint_matrix, lp.constraint_bounds),
-                   lp.objective)
+                   lp.objective, note)
 
 
-def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray) -> LpSolution:
+class Resume:
+    """A `note` keeping per pivot the entering column's face-row entry (its
+    objective entry negated), value and least ratio, and in one buffer (left
+    to the next Resume when freed, to spare page faults) the dictionary
+    before the last pivot with a least ratio > 0, step `at`."""
+    spare = None
+
+    def __init__(self):
+        self.steps, self.at, self.saved = [], None, None
+
+    def __del__(self):
+        if self.saved is not None:
+            type(self).spare = self.saved
+
+    def __call__(self, tableau, basis, nonbasic, col, row, least):
+        if least > 0:
+            if self.saved is None:
+                spare, type(self).spare = type(self).spare, None
+                fits = spare is not None and spare.shape == tableau.shape
+                self.saved = spare if fits else np.empty_like(tableau)
+            self.saved[...] = tableau
+            self.at, self.basis, self.nonbasic = len(self.steps), basis.copy(), nonbasic.copy()
+        self.steps.append((-col[-1], tableau[-1, row] / col[row], least))
+
+    def face_dictionary(self, rhs: float):
+        """The tiebreak LP's dictionary from the saved one: the face row (its
+        artificial basic, right-hand side `rhs`) is 0.0 - the objective row;
+        its slack's column is 0 but -1 there and 1 in phase 1's objective."""
+        tableau, basis, nonbasic = self.saved, self.basis, self.nonbasic
+        first_art = nonbasic.size + basis.size + 1
+        face = np.zeros((tableau.shape[0] + 1, tableau.shape[1] + 1))
+        face[:-2, :-2], face[-1, :-2] = tableau[:-1, :-1], tableau[-1, :-1]
+        face[:-2, -1] = tableau[:-1, -1]
+        face[:-2, -2] = 0.0 - face[:-2, -1]
+        face[-2:, -2:] = [[-1.0, 1.0], [rhs, -rhs]]
+        return face, np.append(basis, first_art), np.append(nonbasic, first_art - 1)
+
+
+def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
+                        primary=None) -> LpSolution:
     """Optimize lp, then break ties by maximizing `tiebreak` over its optimal
     face, one added row objective >= opt - 1e-9 (no feasible point exceeds
     opt). The returned objective_value is still the primary one.
 
-    The primary runs on the tiebreak LP's dictionary, whose phase 1 makes
-    the primary's pivots until the face row blocks. Where it first blocks
-    alone, at the last pivot with a least ratio > 0, phase 1 resumes from
-    the one buffer that pivot filled, the face row's bound replayed as a
-    cold solve computes it; all else, and a primary with a negative bound,
-    gets a cold tiebreak solve."""
+    `primary`, (solve(lp, resume), resume) for a Resume, may be shared; else
+    it is solved here. A cold tiebreak solve makes the primary's pivots until
+    the face row blocks. Where it first blocks alone, at the last pivot with
+    a least ratio > 0, phase 1 resumes from the dictionary saved before that
+    pivot, the face row inserted and its bound replayed as a cold solve has
+    it; all else, and a primary with a negative bound, is solved cold."""
     tiebreak = np.atleast_1d(np.asarray(tiebreak, dtype=float))
     if tiebreak.shape != lp.objective.shape:
         raise ValueError(f"tiebreak has shape {tiebreak.shape}, expected {lp.objective.shape}")
     if not np.isfinite(tiebreak).all():
         raise ValueError(_non_finite(tiebreak=tiebreak)[0])
-    a2 = np.empty((lp.constraint_bounds.size + 1, tiebreak.size), order="F")
-    a2[:-1], a2[-1] = lp.constraint_matrix, -lp.objective
-    b2 = np.append(lp.constraint_bounds, -1.0)
-    tableau, basis, nonbasic = _dictionary(a2, b2)
-    steps, saved = [], [None, np.empty_like(tableau), basis.copy(), nonbasic.copy()]
-    def note(col, row, least):
-        if least > 0:
-            saved[0] = len(steps)
-            for buffer, now in zip(saved[1:], (tableau, basis, nonbasic)):
-                np.copyto(buffer, now)
-        steps.append((col[-2], tableau[-1, row] / col[row], least))
-    first = (solve(lp) if (lp.constraint_bounds < 0).any()
-             else _finish(tableau, basis, nonbasic, lp.objective, note))
+    if primary is None:
+        resume = Resume()
+        primary = (solve(lp) if (lp.constraint_bounds < 0).any() else _finish(
+            *_dictionary(lp.constraint_matrix, lp.constraint_bounds),
+            lp.objective, resume)), resume
+    first, resume = primary
     if first.status != "optimal":
         return first
-    b2[-1] = -first.objective_value + 1e-9
-    rhs, second = abs(b2[-1]), None
+    bound = -first.objective_value + 1e-9
+    rhs, second = abs(bound), None
     # An unflipped face row (opt <= 1e-9) leaves no phase 1 to resume.
-    for step, (entry, p_rhs, least) in enumerate(steps if b2[-1] < 0 else []):
+    for step, (entry, p_rhs, least) in enumerate(resume.steps if bound < 0 else []):
         if entry > PIVOT_TOL and rhs / entry < least:
-            if step == saved[0] and least > rhs / entry + PIVOT_TOL:
-                _, tableau, basis, nonbasic = saved
-                tableau[-1, -2], tableau[-1, -1] = rhs, -rhs
-                tableau[tiebreak.size, -1] = 1.0  # the face row's slack
-                second = _finish(tableau, basis, nonbasic, tiebreak)
+            if step == resume.at and least > rhs / entry + PIVOT_TOL:
+                second = _finish(*resume.face_dictionary(rhs), tiebreak)
             break
         rhs = rhs - entry * p_rhs
-    second = second or solve(LinearProgram(tiebreak, a2, b2))
+    if second is None:
+        a2 = np.vstack([lp.constraint_matrix, -lp.objective])
+        second = solve(LinearProgram(tiebreak, a2, np.append(lp.constraint_bounds, bound)))
     if second.status != "optimal":
         return first
     return LpSolution("optimal", second.point,

@@ -21,6 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import weakref
 
 import numpy as np
 
@@ -121,11 +122,14 @@ class CharacteristicGame:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        if not np.issubdtype(type(self.num_agents), np.integer) or self.num_agents < 0:
+            raise ValueError(f"num_agents {self.num_agents!r} is not a nonnegative integer")
+        values = np.array(self.values, dtype=float)  # a copy, held read-only
         if values.shape != (1 << self.num_agents,):
             raise ValueError(f"values table has length {values.shape}, expected {1 << self.num_agents}")
         if problems := _non_finite(values=values):
             raise ValueError(f"invalid game: {problems[0]}")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def value(self, coalition) -> float:
@@ -333,6 +337,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
+_DERIVED: list = [lambda: None, {}]  # weakref to the latest game, its table
 
 # Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
 # (q, and the transitions gathered at the W played complement actions), may
@@ -357,6 +362,14 @@ def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarr
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
         for first in range(0, group.size, per_chunk):
             yield group[first:first + per_chunk]
+
+
+def derived(game: CharacteristicGame) -> dict:
+    """Results derived from the latest game passed here, which another game
+    replaces; keyed by weak reference, never by id, so no game is kept alive."""
+    if _DERIVED[0]() is not game:
+        _DERIVED[:] = weakref.ref(game), {}
+    return _DERIVED[1]
 
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:

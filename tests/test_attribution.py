@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit import lp
+from blamekit import lp, properties
 from blamekit.attribution import (
     METHODS,
     BlameAssignment,
@@ -26,7 +26,8 @@ from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
                                mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
-                     pivotality_loop, rationality_loop, shapley_loop)
+                     pivotality_loop, rationality_loop, shapley_loop,
+                     solve_lexicographic_cold, solve_row_major)
 
 
 def game_from_values(values):
@@ -255,6 +256,100 @@ def test_mer_refuses_a_tiebreak_that_is_not_an_integer(tiebreak):
 def test_mer_takes_a_numpy_integer_tiebreak():
     assert np.array_equal(mer(SYMMETRIC, np.int64(1)).blames,
                           mer(SYMMETRIC, 1).blames)
+
+
+CHECKERS = ("check_validity", "check_efficiency", "check_rationality",
+            "check_avg_efficiency", "check_symmetry", "check_invariance")
+
+
+def _mer_cold(values, tiebreak):
+    """MER's blames from the row-major simplex with cold solves only."""
+    n = int(values.size).bit_length() - 1
+    program = lp.LinearProgram(np.ones(n), membership(n)[1:].astype(float),
+                               values[1:])
+    sol = (solve_row_major(program) if tiebreak is None
+           else solve_lexicographic_cold(program, np.eye(n)[tiebreak]))
+    return BlameAssignment("MER", sol.point).blames
+
+
+def _slot_corpus():
+    """Raw, 0.1-rounded and x1e-6 random monotone games at n = 1-11, and
+    one game with a value at -1e-17, whose MER primary runs phase 1."""
+    rng = np.random.default_rng(2417)
+    games = []
+    for n in range(1, 12):
+        values = random_monotone_game(n, int(rng.integers(10**6))).values
+        games += [values, np.round(values, 1), values * 1e-6]
+    dented = random_monotone_game(9, 5).values.copy()
+    dented[77] = -1e-17
+    return games + [dented]
+
+
+def test_mer_held_primary_matches_the_cold_row_major_solves_bit_for_bit():
+    """One game object's MER calls share its primary solve; every call order
+    gives the blames of cold row-major solves: untied then tiebreaks 0 and
+    n - 1, tiebreaks first, and two games interleaved so that the held
+    slot turns over at every call."""
+    corpus = _slot_corpus()
+    for values, others in zip(corpus, corpus[1:] + corpus[:1]):
+        n = int(values.size).bit_length() - 1
+        m = int(others.size).bit_length() - 1
+        want = {t: _mer_cold(values, t).tobytes() for t in (None, 0, n - 1)}
+        for order in ((None, 0, n - 1), (0, n - 1, None), (n - 1, None, 0)):
+            game = CharacteristicGame(n, values)
+            for t in order:
+                assert mer(game, t).blames.tobytes() == want[t], (n, order, t)
+        game, other = CharacteristicGame(n, values), CharacteristicGame(m, others)
+        for t, u in ((None, 0), (0, m - 1), (n - 1, None)):
+            assert mer(game, t).blames.tobytes() == want[t], (n, t)
+            assert (mer(other, u).blames.tobytes()
+                    == _mer_cold(others, u).tobytes()), (m, u)
+
+
+def _outputs(game):
+    """The attribution workload's item: every method, pivotality and the six
+    checkers on each blame vector, in plain comparable form."""
+    n = game.num_agents
+    results = [mer(game), mer(game, 0), mer(game, n - 1),
+               marginal_contribution(game), shapley(game), banzhaf(game),
+               average_participation(game)]
+    verdicts = [getattr(properties, name)(game, beta)
+                for beta in results for name in CHECKERS]
+    return ([r.blames.tobytes() for r in results], pivotality(game), verdicts)
+
+
+def test_warm_and_cold_slots_give_the_same_outputs_bit_for_bit():
+    """Each output with the slot warm (the whole item on one game, in turn
+    with a second game) equals the output of a first call on a fresh game."""
+    corpus = _slot_corpus()
+    for values, others in zip(corpus, corpus[1:] + corpus[:1]):
+        n = int(values.size).bit_length() - 1
+        game = CharacteristicGame(n, values)
+        blames, pivotal, verdicts = _outputs(game)
+        _outputs(CharacteristicGame(int(others.size).bit_length() - 1, others))
+        assert _outputs(game) == (blames, pivotal, verdicts)
+
+        def cold():
+            return CharacteristicGame(n, values)
+
+        fresh = [mer(cold()), mer(cold(), 0), mer(cold(), n - 1),
+                 marginal_contribution(cold()), shapley(cold()),
+                 banzhaf(cold()), average_participation(cold())]
+        assert [r.blames.tobytes() for r in fresh] == blames
+        assert pivotality(cold()) == pivotal
+        assert [getattr(properties, name)(cold(), beta)
+                for beta in fresh for name in CHECKERS] == verdicts
+
+
+def test_a_returned_blame_vector_is_the_callers_own():
+    """Writing into one call's blames leaves the held results alone."""
+    game = random_monotone_game(4, 3)
+    for call in (lambda: mer(game), lambda: mer(game, 1), lambda: shapley(game),
+                 lambda: average_participation(game)):
+        want = call().blames.copy()
+        call().blames[:] = -7.0
+        assert np.array_equal(call().blames, want)
+    assert pivotality(game) == pivotality(CharacteristicGame(4, game.values))
 
 
 def test_mer_on_degenerate_games():

@@ -204,35 +204,55 @@ def test_the_tiebreak_states_its_optimal_face_as_one_row(monkeypatch,
     """The tiebreak LP adds objective >= opt - 1e-9 alone, so it pairs no
     row with its exact negation: objective <= opt + 1e-9 binds no feasible
     point, and with it the two would be an equality's twin opposing rows.
-    That holds for the rows the primary's pivots carry (a resumed tiebreak)
-    and for those a cold tiebreak solve starts from."""
-    matrices = []
+    The primary runs on the LP's own rows. The face row is inserted at the
+    resume as one dictionary row, the objective row negated, with its slack
+    nonbasic and its artificial basic; a cold tiebreak solve starts from the
+    LP's rows and that one row."""
+    matrices, faces = [], []
     dictionary = lp_module._dictionary
+    face_dictionary = lp_module.Resume.face_dictionary
 
     def recording_dictionary(a, b):
         matrices.append(a)
         return dictionary(a, b)
 
+    def recording_face_dictionary(resume, rhs):
+        got = face_dictionary(resume, rhs)
+        faces.append(tuple(x.copy() for x in got))
+        return got
+
     monkeypatch.setattr(lp_module, "_dictionary", recording_dictionary)
+    monkeypatch.setattr(lp_module.Resume, "face_dictionary",
+                        recording_face_dictionary)
     rng = np.random.default_rng(4409)
     paths = set()
     for _ in range(40):
         lp = random_bounded_lp(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7)))
         matrices.clear()
+        faces.clear()
         cold_solves.clear()
         assert solve_lexicographic(lp, rng.uniform(-1.0, 1.0, lp.objective.size)
                                    ).status == "optimal"
-        # each call carries the tiebreak LP's rows through the primary, then
-        # resumes its phase 1 or solves that LP cold
-        assert len(cold_solves) <= 1
+        # the primary on the LP's rows, then a resumed or a cold tiebreak
+        assert len(faces) + len(cold_solves) == 1
         assert len(matrices) == 1 + len(cold_solves)
         paths.add(len(cold_solves))
-        for a in matrices:
+        assert np.array_equal(matrices[0], lp.constraint_matrix)
+        for a in matrices[1:]:
             assert len(a) == len(lp.constraint_matrix) + 1
             assert np.array_equal(a[-1], -lp.objective)
             twins = (a[:, None] == -a).all(axis=2)
             np.fill_diagonal(twins, False)
             assert not twins.any()
+        for tableau, basis, nonbasic in faces:
+            num_vars, num_rows = lp.objective.size, lp.constraint_bounds.size
+            assert tableau.shape == (num_vars + 2, num_rows + 2)
+            assert basis[-1] == num_vars + num_rows + 1  # the artificial
+            assert nonbasic[-1] == num_vars + num_rows  # the face row's slack
+            assert (tableau[:-2, -2].tobytes()
+                    == (0.0 - tableau[:-2, -1]).tobytes())
+            assert tableau[-2, :-2].tobytes() == np.zeros(num_rows).tobytes()
+            assert tableau[-2, -2:].tolist() == [-1.0, 1.0]
     assert paths == {0, 1}
 
 

@@ -1,8 +1,10 @@
 """Coalition best responses, the inefficiency game, and its realizability."""
+import gc
 import itertools
 import math
 import re
 from unittest import mock
+import weakref
 
 import numpy as np
 import pytest
@@ -618,6 +620,62 @@ def test_a_game_refuses_a_values_table_of_the_wrong_shape(values, shape):
     with pytest.raises(ValueError, match=re.escape(
             f"values table has length {shape}, expected 4")):
         CharacteristicGame(2, np.array(values))
+
+
+@pytest.mark.parametrize("num_agents", [True, np.True_, 2.0, "2", None, -1],
+                         ids=["bool", "numpy-bool", "float", "str", "none",
+                              "negative"])
+def test_a_game_refuses_a_num_agents_that_is_not_a_nonnegative_integer(num_agents):
+    """A bool built a game, a float raised a bare TypeError on `<<`, and -1
+    raised "negative shift count"."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"num_agents {num_agents!r} is not a nonnegative integer")):
+        CharacteristicGame(num_agents, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("num_agents", [1, np.int64(1), np.uint8(1)])
+def test_a_game_takes_python_and_numpy_integer_agent_counts(num_agents):
+    assert CharacteristicGame(num_agents, [0.0, 1.0]).value(1) == 1.0
+
+
+def test_a_game_holds_a_read_only_copy_of_its_values():
+    """The derived-results slot relies on this: no held result goes stale."""
+    source = np.array([0.0, 1.0, 2.0, 3.0])
+    game = CharacteristicGame(2, source)
+    with pytest.raises(ValueError, match="read-only"):
+        game.values[1] = 5.0
+    source[1] = 5.0
+    assert game.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_the_derived_slot_holds_the_latest_game_weakly():
+    """One table per game, replaced by the next game. It keeps no game
+    alive, and a game built where a freed one was (CPython's allocator
+    reuses freed blocks) starts with an empty table."""
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    game = CharacteristicGame(2, values)
+    table = planning.derived(game)
+    table["probe"] = 1
+    assert planning.derived(game) is table
+    other = CharacteristicGame(2, values)
+    assert "probe" not in planning.derived(other)
+    assert "probe" not in planning.derived(game)
+    planning.derived(game)["probe"] = 2
+    ref = weakref.ref(game)
+    del game
+    gc.collect()
+    assert ref() is None
+    reused = 0
+    for _ in range(100):
+        game = CharacteristicGame(2, values)
+        planning.derived(game)["probe"] = 3
+        address = id(game)
+        del game
+        later = CharacteristicGame(2, values)
+        if id(later) == address:
+            reused += 1
+            assert planning.derived(later) == {}
+    assert reused
 
 
 def test_game_validate_lists_drops_by_mask_then_agent():
