@@ -57,14 +57,12 @@ def marginals(values_with: np.ndarray, values_without: np.ndarray,
     return values_with[with_] - values_without[without]
 
 
-def weighted_marginals(values_with: np.ndarray, values_without: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-    """Per agent i, the sum over coalitions S without i (mask ascending) of
-    weights[|S|] * (values_with[S + i] - values_without[S])."""
+def weighted_marginals(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per agent i, the sum over row i of a `marginals` table, coalitions S
+    without i (mask ascending), of weights[|S|] times its entry."""
     n = weights.size
     sizes = coalition_sizes(n)[marginal_masks(n)[0]]
-    return sequential_sums(weights[sizes]
-                           * marginals(values_with, values_without, n))
+    return sequential_sums(weights[sizes] * table)
 
 
 def shapley_weights(n: int) -> np.ndarray:
@@ -77,17 +75,30 @@ def banzhaf_weights(n: int) -> np.ndarray:
     return np.full(n, 2.0 ** (1 - n))  # exact: a power of two
 
 
+def _held(game: CharacteristicGame, key: str, compute):
+    """compute() once per game, held read-only under `key` in planning.derived."""
+    if key not in (table := derived(game)):
+        table[key] = compute()
+        if isinstance(table[key], np.ndarray):
+            table[key].setflags(write=False)
+    return table[key]
+
+
+def game_marginals(game: CharacteristicGame) -> np.ndarray:
+    """marginals(values, values, n), once per game: SV, BI and R_I read it."""
+    return _held(game, "marginals", lambda: marginals(game.values, game.values, game.num_agents))
+
+
 def shapley(game: CharacteristicGame) -> BlameAssignment:
     """Shapley value of the inefficiency game, once per game."""
-    if "SV" not in (held := derived(game)):
-        held["SV"] = weighted_marginals(game.values, game.values, shapley_weights(game.num_agents))
-    return BlameAssignment("SV", held["SV"])
+    return BlameAssignment("SV", _held(game, "SV", lambda: weighted_marginals(
+        game_marginals(game), shapley_weights(game.num_agents))))
 
 
 def banzhaf(game: CharacteristicGame) -> BlameAssignment:
     """Banzhaf index: uniform weight 1/2^(n-1) on every marginal."""
     return BlameAssignment("BI", weighted_marginals(
-        game.values, game.values, banzhaf_weights(game.num_agents)))
+        game_marginals(game), banzhaf_weights(game.num_agents)))
 
 
 def marginal_contribution(game: CharacteristicGame) -> BlameAssignment:
@@ -103,12 +114,13 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     deterministic vector pass `tiebreak` to secondarily maximize that
     agent's blame over the optimal face, resuming the game's one primary.
     """
-    n = game.num_agents
-    if "MER" not in (held := derived(game)):
+    n, scratch = game.num_agents, derived(game)["scratch"]
+    def primary():  # its snapshot buffer is the previous game's, handed on
         rows = np.asfortranarray(membership(n)[1:], dtype=float)
-        lp, resume = LinearProgram(np.ones(n), rows, game.values[1:]), Resume()
-        held["MER"] = lp, (solve(lp, resume), resume)
-    lp, primary = held["MER"]
+        lp = LinearProgram(np.ones(n), rows, game.values[1:])
+        resume = scratch["MER"] = Resume(scratch.get("MER"))
+        return lp, (solve(lp, resume), resume)
+    lp, primary = _held(game, "MER", primary)
     if tiebreak is None:
         sol = primary[0]
     else:
@@ -124,9 +136,8 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
 def pivotality(game: CharacteristicGame) -> Pivotality:
     """An agent is pivotal when it has any strictly positive marginal,
     detected as a Shapley value above tolerance; once per game."""
-    if "pivotality" not in (held := derived(game)):
-        held["pivotality"] = Pivotality(tuple((shapley(game).blames > PIVOTAL_TOL).tolist()))
-    return held["pivotality"]
+    return _held(game, "pivotality", lambda: Pivotality(
+        tuple((shapley(game).blames > PIVOTAL_TOL).tolist())))
 
 
 def participation(values: np.ndarray, sharers: np.ndarray,

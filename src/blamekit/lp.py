@@ -164,40 +164,33 @@ def solve(lp: LinearProgram, note=None) -> LpSolution:
 
 class Resume:
     """A `note` keeping per pivot the entering column's face-row entry (its
-    objective entry negated), value and least ratio, and in one buffer (left
-    to the next Resume when freed, to spare page faults) the dictionary
-    before the last pivot with a least ratio > 0, step `at`."""
-    spare = None
+    objective entry negated), value and least ratio, and in one buffer the
+    dictionary before the last pivot with a least ratio > 0, step `at`. A
+    `previous` Resume hands over its buffer, so its tiebreaks then go cold."""
 
-    def __init__(self):
+    def __init__(self, previous: Resume | None = None):
         self.steps, self.at, self.saved = [], None, None
-
-    def __del__(self):
-        if self.saved is not None:
-            type(self).spare = self.saved
+        if previous is not None:
+            self.saved, previous.saved, previous.at = previous.saved, None, None
 
     def __call__(self, tableau, basis, nonbasic, col, row, least):
         if least > 0:
-            if self.saved is None:
-                spare, type(self).spare = type(self).spare, None
-                fits = spare is not None and spare.shape == tableau.shape
-                self.saved = spare if fits else np.empty_like(tableau)
+            if getattr(self.saved, "shape", None) != tableau.shape:
+                self.saved = np.empty_like(tableau)
             self.saved[...] = tableau
             self.at, self.basis, self.nonbasic = len(self.steps), basis.copy(), nonbasic.copy()
         self.steps.append((-col[-1], tableau[-1, row] / col[row], least))
 
     def face_dictionary(self, rhs: float):
         """The tiebreak LP's dictionary from the saved one: the face row (its
-        artificial basic, right-hand side `rhs`) is 0.0 - the objective row;
-        its slack's column is 0 but -1 there and 1 in phase 1's objective."""
-        tableau, basis, nonbasic = self.saved, self.basis, self.nonbasic
-        first_art = nonbasic.size + basis.size + 1
-        face = np.zeros((tableau.shape[0] + 1, tableau.shape[1] + 1))
-        face[:-2, :-2], face[-1, :-2] = tableau[:-1, :-1], tableau[-1, :-1]
-        face[:-2, -1] = tableau[:-1, -1]
-        face[:-2, -2] = 0.0 - face[:-2, -1]
+        artificial basic, bound `rhs`) is 0.0 - the objective row; its
+        slack's column is 0 but -1 there and 1 in phase 1's objective."""
+        saved, slack = self.saved, self.nonbasic.size + self.basis.size
+        face = np.zeros((saved.shape[0] + 1, saved.shape[1] + 1))
+        face[:-2, :-2], face[-1, :-2] = saved[:-1, :-1], saved[-1, :-1]
+        face[:-2, -1], face[:-2, -2] = saved[:-1, -1], 0.0 - saved[:-1, -1]
         face[-2:, -2:] = [[-1.0, 1.0], [rhs, -rhs]]
-        return face, np.append(basis, first_art), np.append(nonbasic, first_art - 1)
+        return face, np.append(self.basis, slack + 1), np.append(self.nonbasic, slack)
 
 
 def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
@@ -211,18 +204,13 @@ def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
     the face row blocks. Where it first blocks alone, at the last pivot with
     a least ratio > 0, phase 1 resumes from the dictionary saved before that
     pivot, the face row inserted and its bound replayed as a cold solve has
-    it; all else, and a primary with a negative bound, is solved cold."""
+    it; all else, and a primary that ran phase 1 (no pivot noted), is cold."""
     tiebreak = np.atleast_1d(np.asarray(tiebreak, dtype=float))
     if tiebreak.shape != lp.objective.shape:
         raise ValueError(f"tiebreak has shape {tiebreak.shape}, expected {lp.objective.shape}")
     if not np.isfinite(tiebreak).all():
         raise ValueError(_non_finite(tiebreak=tiebreak)[0])
-    if primary is None:
-        resume = Resume()
-        primary = (solve(lp) if (lp.constraint_bounds < 0).any() else _finish(
-            *_dictionary(lp.constraint_matrix, lp.constraint_bounds),
-            lp.objective, resume)), resume
-    first, resume = primary
+    first, resume = primary or (solve(lp, resume := Resume()), resume)
     if first.status != "optimal":
         return first
     bound = -first.objective_value + 1e-9
@@ -234,9 +222,8 @@ def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
                 second = _finish(*resume.face_dictionary(rhs), tiebreak)
             break
         rhs = rhs - entry * p_rhs
-    if second is None:
-        a2 = np.vstack([lp.constraint_matrix, -lp.objective])
-        second = solve(LinearProgram(tiebreak, a2, np.append(lp.constraint_bounds, bound)))
+    second = second or solve(LinearProgram(tiebreak, np.vstack(
+        [lp.constraint_matrix, -lp.objective]), np.append(lp.constraint_bounds, bound)))
     if second.status != "optimal":
         return first
     return LpSolution("optimal", second.point,

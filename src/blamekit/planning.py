@@ -337,7 +337,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
-_DERIVED: list = [lambda: None, {}]  # weakref to the latest game, its table
+_DERIVED = (lambda: None, {"scratch": {}})  # a weakref to the latest game, its table
 
 # Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
 # (q, and the transitions gathered at the W played complement actions), may
@@ -366,10 +366,13 @@ def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarr
 
 def derived(game: CharacteristicGame) -> dict:
     """Results derived from the latest game passed here, which another game
-    replaces; keyed by weak reference, never by id, so no game is kept alive."""
-    if _DERIVED[0]() is not game:
-        _DERIVED[:] = weakref.ref(game), {}
-    return _DERIVED[1]
+    replaces: keyed by weak reference, never by id, so no game is kept alive,
+    and rebound whole, so every caller gets its own game's table. Its entry
+    "scratch", one dict all tables share, holds what a game hands on."""
+    global _DERIVED
+    if (slot := _DERIVED)[0]() is not game:
+        slot = _DERIVED = weakref.ref(game), {"scratch": slot[1]["scratch"]}
+    return slot[1]
 
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:

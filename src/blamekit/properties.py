@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import as_blames, blame, marginals, pivotality
+from .attribution import as_blames, blame, game_marginals, marginals, pivotality
 from .mmdp import AgentPolicy, Mmdp, evaluate_return
 from .planning import (CharacteristicGame, characteristic_game,
-                       coalition_mask, coalition_sums, derived, lattice_floors,
+                       coalition_mask, coalition_sums, lattice_floors,
                        marginal_masks, mask_agents, one_step_model)
 
 PREMISE_TOL = 1e-9
@@ -121,9 +121,8 @@ def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     n = game.num_agents
     blames = as_blames(beta, n)
-    if "never marginal" not in (held := derived(game)):
-        held["never marginal"] = ~(marginals(game.values, game.values, n) > PREMISE_TOL).any(axis=1)
-    return _first("R_I", epsilon, held["never marginal"] & (blames > epsilon + SLACK),
+    marginal = (game_marginals(game) > PREMISE_TOL).any(axis=1)
+    return _first("R_I", epsilon, ~marginal & (blames > epsilon + SLACK),
                   lambda i: f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
-                          banzhaf_weights, mer, participation, shapley,
-                          shapley_weights, weighted_marginals)
+                          banzhaf_weights, marginals, mer, participation,
+                          shapley, shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table
 from .planning import (CharacteristicGame, best_response,
@@ -487,8 +487,8 @@ def _sandwich_gaps(bounds: RobustBounds, weights: np.ndarray) -> np.ndarray:
     # bound and the grand coalition's upper bound never are (NaN here).
     lower = [np.nan] + [bounds._bound(mask, "min") for mask in range(1, full + 1)]
     upper = [bounds._bound(mask, "max") for mask in range(full)] + [np.nan]
-    return np.maximum(weighted_marginals(np.array(lower), np.array(upper),
-                                         weights), 0.0)
+    gaps = marginals(np.array(lower), np.array(upper), weights.size)
+    return np.maximum(weighted_marginals(gaps, weights), 0.0)
 
 
 def sv_blackstone(m: Mmdp, uset: UncertaintySet,

@@ -16,14 +16,15 @@ from blamekit.attribution import (
     average_participation,
     banzhaf,
     blame,
+    game_marginals,
     marginal_contribution,
     mer,
     pivotality,
     shapley,
 )
 from blamekit.cli import _csv
-from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
-                               mmdp_from_game)
+from blamekit.planning import (CharacteristicGame, coalition_mask, derived,
+                               membership, mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
                      pivotality_loop, rationality_loop, shapley_loop,
@@ -350,6 +351,46 @@ def test_a_returned_blame_vector_is_the_callers_own():
         call().blames[:] = -7.0
         assert np.array_equal(call().blames, want)
     assert pivotality(game) == pivotality(CharacteristicGame(4, game.values))
+    with pytest.raises(ValueError, match="read-only"):
+        game_marginals(game)[0, 0] = 1.0
+
+
+def test_a_switch_of_game_inside_the_slot_turnover_keeps_each_games_mer():
+    """Another game's call that runs while the slot turns over (here from a
+    finalizer of the outgoing table, as another thread could) does not hand
+    its table, and with it its LP, to the game being served."""
+    game, other = random_monotone_game(4, 3), random_monotone_game(3, 4)
+    want = mer(CharacteristicGame(4, game.values), 0).blames.tobytes()
+    held = []
+
+    class Switch:
+        def __del__(self):
+            mer(other, 0)
+            held.append(derived(other)["MER"])
+
+    derived(random_monotone_game(2, 5))["switch"] = Switch()
+    assert mer(game, 0).blames.tobytes() == want
+    assert mer(game).blames.tobytes() == _mer_cold(game.values, None).tobytes()
+    # the other game's primary handed its snapshot buffer on to this one's;
+    # a tiebreak on it, as a caller still holding it would make, goes cold
+    (program, primary), = held
+    assert primary[1].saved is None
+    sol = lp.solve_lexicographic(program, np.eye(3)[2], primary)
+    assert (BlameAssignment("MER", sol.point).blames.tobytes()
+            == _mer_cold(other.values, 2).tobytes())
+
+
+def test_a_games_mer_primary_takes_over_the_previous_games_snapshot_buffer():
+    """Successive games of one size reuse one snapshot buffer; the game that
+    hands it on keeps no reference to it."""
+    first, second = random_monotone_game(9, 1), random_monotone_game(9, 2)
+    mer(first)
+    handed = derived(first)["MER"][1][1]
+    buffer = handed.saved
+    assert buffer is not None
+    mer(second, 0)
+    assert derived(second)["MER"][1][1].saved is buffer
+    assert handed.saved is None and handed.at is None
 
 
 def test_mer_on_degenerate_games():

@@ -88,13 +88,14 @@ def same_bits(got, want):
 
 @pytest.fixture
 def cold_solves(monkeypatch):
-    """The programs handed to the module-global `solve`, which
-    `solve_lexicographic` calls only for the LPs it solves cold."""
+    """The programs handed to the module-global `solve` without a note,
+    which `solve_lexicographic` makes only for the LPs it solves cold."""
     programs = []
 
-    def recording(lp):
-        programs.append(lp)
-        return solve(lp)
+    def recording(lp, note=None):
+        if note is None:
+            programs.append(lp)
+        return solve(lp, note)
 
     monkeypatch.setattr(lp_module, "solve", recording)
     return programs
@@ -365,9 +366,10 @@ def test_the_tiebreak_is_validated_alone(tiebreak, message):
 
 
 @pytest.mark.parametrize("lp, solves", [
-    # a negative bound: the primary has its own phase 1, so both are cold
+    # a negative bound: the primary runs phase 1, which notes no pivots to
+    # resume from, so the tiebreak is cold
     (LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]],
-                   [2.0, -0.5, 1.0]), 2),
+                   [2.0, -0.5, 1.0]), 1),
     # the face row blocks alone at step 6, before the last pivot with a
     # least ratio > 0 (a rounding remnant): only the tiebreak is cold
     (mer_program(np.round(random_monotone_game(8, 3).values, 1)), 1),

@@ -651,7 +651,8 @@ def test_a_game_holds_a_read_only_copy_of_its_values():
 def test_the_derived_slot_holds_the_latest_game_weakly():
     """One table per game, replaced by the next game. It keeps no game
     alive, and a game built where a freed one was (CPython's allocator
-    reuses freed blocks) starts with an empty table."""
+    reuses freed blocks) starts with a table holding only the shared
+    scratch dict."""
     values = np.array([0.0, 1.0, 2.0, 3.0])
     game = CharacteristicGame(2, values)
     table = planning.derived(game)
@@ -659,6 +660,7 @@ def test_the_derived_slot_holds_the_latest_game_weakly():
     assert planning.derived(game) is table
     other = CharacteristicGame(2, values)
     assert "probe" not in planning.derived(other)
+    assert planning.derived(other)["scratch"] is table["scratch"]
     assert "probe" not in planning.derived(game)
     planning.derived(game)["probe"] = 2
     ref = weakref.ref(game)
@@ -674,8 +676,25 @@ def test_the_derived_slot_holds_the_latest_game_weakly():
         later = CharacteristicGame(2, values)
         if id(later) == address:
             reused += 1
-            assert planning.derived(later) == {}
+            assert planning.derived(later).keys() == {"scratch"}
     assert reused
+
+
+def test_the_derived_slot_gives_each_caller_its_own_games_table():
+    """A call for another game between the slot's rebinding and its read
+    (here from a finalizer of the outgoing table, which runs just then)
+    does not hand that game's table to the caller."""
+    first, other, game = (CharacteristicGame(1, [0.0, float(k)]) for k in range(3))
+    seen = []
+
+    class Switch:
+        def __del__(self):
+            seen.append(planning.derived(other))
+
+    planning.derived(first)["switch"] = Switch()
+    table = planning.derived(game)
+    assert len(seen) == 1 and table is not seen[0]
+    assert planning.derived(other) is seen[0]
 
 
 def test_game_validate_lists_drops_by_mask_then_agent():
