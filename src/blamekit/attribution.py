@@ -13,9 +13,9 @@ from math import factorial
 import numpy as np
 
 from .lp import LinearProgram, Resume, solve, solve_lexicographic
-from .planning import (CharacteristicGame, characteristic_game,
+from .planning import (CharacteristicGame, cap_rows, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
-                       derived, marginal_masks, membership)
+                       derived, marginal_masks)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -112,14 +112,12 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     for every nonempty coalition S, beta >= 0. The total is the same at
     every optimum; per-agent splits are not, so callers that need a
     deterministic vector pass `tiebreak` to secondarily maximize that
-    agent's blame over the optimal face, resuming the game's one primary.
-    """
-    n, scratch = game.num_agents, derived(game)["scratch"]
-    def primary():  # its snapshot buffer is the previous game's, handed on
-        rows = np.asfortranarray(membership(n)[1:], dtype=float)
-        lp = LinearProgram(np.ones(n), rows, game.values[1:])
-        resume = scratch["MER"] = Resume(scratch.get("MER"))
-        return lp, (solve(lp, resume), resume)
+    agent's blame over the optimal face, resuming the game's one primary,
+    which keeps its own snapshot buffer and reads `cap_rows(n)` uncopied."""
+    n = game.num_agents
+    def primary():
+        lp = LinearProgram(np.ones(n), cap_rows(n), game.values[1:])
+        return lp, (solve(lp, resume := Resume()), resume)
     lp, primary = _held(game, "MER", primary)
     if tiebreak is None:
         sol = primary[0]

@@ -10,8 +10,8 @@ right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
 row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
 (n + 1) x 2^n floats. A pivot updates columns shorter than LIVE_MIN in one
 broadcast, longer ones where the pivot-row entry is nonzero. Bland's rule
-guarantees termination. A `Resume` note keeps what tiebreaks resume from.
-"""
+guarantees termination. A `Resume` note holds, in a buffer it alone owns,
+what one primary's tiebreaks resume from."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ class LinearProgram:
         if a.shape != (b.size, c.size):
             raise ValueError(f"constraint matrix is {a.shape}, "
                              f"expected ({b.size}, {c.size})")
-        if not np.isfinite(np.concatenate([c, a.ravel("K"), b])).all():
+        if not all(np.isfinite(x).all() for x in (c, a, b)):
             raise ValueError(_non_finite(objective=c, constraint_matrix=a,
                                          constraint_bounds=b)[0])
         object.__setattr__(self, "objective", c)
@@ -165,17 +165,15 @@ def solve(lp: LinearProgram, note=None) -> LpSolution:
 class Resume:
     """A `note` keeping per pivot the entering column's face-row entry (its
     objective entry negated), value and least ratio, and in one buffer the
-    dictionary before the last pivot with a least ratio > 0, step `at`. A
-    `previous` Resume hands over its buffer, so its tiebreaks then go cold."""
+    dictionary before the last pivot with a least ratio > 0, step `at`; the
+    buffer is allocated at the first such pivot and kept."""
 
-    def __init__(self, previous: Resume | None = None):
+    def __init__(self):
         self.steps, self.at, self.saved = [], None, None
-        if previous is not None:
-            self.saved, previous.saved, previous.at = previous.saved, None, None
 
     def __call__(self, tableau, basis, nonbasic, col, row, least):
         if least > 0:
-            if getattr(self.saved, "shape", None) != tableau.shape:
+            if self.saved is None:
                 self.saved = np.empty_like(tableau)
             self.saved[...] = tableau
             self.at, self.basis, self.nonbasic = len(self.steps), basis.copy(), nonbasic.copy()

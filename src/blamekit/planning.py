@@ -48,12 +48,23 @@ def mask_agents(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Cached tables are shared by every caller, so none may write to one."""
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=MAX_AGENTS + 1)
 def membership(n: int) -> np.ndarray:
     """(2^n, n) read-only bool table: row `mask` flags the coalition's agents."""
-    table = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 1
-    table.setflags(write=False)
-    return table
+    return _read_only((np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 1)
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def cap_rows(n: int) -> np.ndarray:
+    """(2^n - 1, n) read-only float `membership` without the empty coalition,
+    column-major: MER's cap rows, which its LP keeps without a copy."""
+    return _read_only(np.asfortranarray(membership(n)[1:], dtype=float))
 
 
 def coalition_sums(x: np.ndarray) -> np.ndarray:
@@ -70,18 +81,14 @@ def coalition_sums(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=MAX_AGENTS + 1)
 def coalition_sizes(n: int) -> np.ndarray:
     """(2^n,) read-only table of coalition sizes, indexed by mask."""
-    sizes = coalition_sums(np.ones(n, dtype=np.int64))
-    sizes.setflags(write=False)
-    return sizes
+    return _read_only(coalition_sums(np.ones(n, dtype=np.int64)))
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
 def immediate_subsets(n: int) -> np.ndarray:
     """(2^n, n) read-only table: entry [mask, i] is `mask` with bit i
     cleared (`mask` itself where agent i is not a member)."""
-    table = np.arange(1 << n)[:, None] & ~(1 << np.arange(n))
-    table.setflags(write=False)
-    return table
+    return _read_only(np.arange(1 << n)[:, None] & ~(1 << np.arange(n)))
 
 
 def lattice_floors(values: np.ndarray,
@@ -108,10 +115,7 @@ def marginal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     sub = np.arange((1 << n) >> 1)
     low = (1 << np.arange(n))[:, None] - 1
     without = (sub & low) | (sub & ~low) << 1
-    with_ = without | low + 1
-    for table in (without, with_):
-        table.setflags(write=False)
-    return without, with_
+    return _read_only(without), _read_only(without | low + 1)
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,7 @@ def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, n
         np.multiply(weights[:low], k, weights[low:2 * low])
         weights[low:2 * low, i] = 1
         end *= k + 1
-    for table in (values, offsets, weights):
-        table.setflags(write=False)
-    return values, offsets, weights
+    return _read_only(values), _read_only(offsets), _read_only(weights)
 
 
 def _rows(grid, masks) -> np.ndarray:
@@ -337,7 +339,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
-_DERIVED = (lambda: None, {"scratch": {}})  # a weakref to the latest game, its table
+_DERIVED = (lambda: None, {})  # a weakref to the latest game, its table
 
 # Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
 # (q, and the transitions gathered at the W played complement actions), may
@@ -367,11 +369,10 @@ def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarr
 def derived(game: CharacteristicGame) -> dict:
     """Results derived from the latest game passed here, which another game
     replaces: keyed by weak reference, never by id, so no game is kept alive,
-    and rebound whole, so every caller gets its own game's table. Its entry
-    "scratch", one dict all tables share, holds what a game hands on."""
+    and rebound whole, so every caller gets its own game's table."""
     global _DERIVED
     if (slot := _DERIVED)[0]() is not game:
-        slot = _DERIVED = weakref.ref(game), {"scratch": slot[1]["scratch"]}
+        slot = _DERIVED = weakref.ref(game), {}
     return slot[1]
 
 

@@ -66,6 +66,10 @@ class UncertaintySet:
         return 0.0
 
     def contains(self, policy: JointPolicy) -> bool:
+        """Raises ValueError for a policy of another agent count or shapes."""
+        theirs, ours = ([ap.probs.shape for ap in p.agents] for p in (policy, self.center))
+        if theirs != ours:
+            raise ValueError(f"policy shapes {theirs}, the center {ours}")
         for i, (ap, cp) in enumerate(zip(policy.agents, self.center.agents)):
             deviation = 0.5 * np.abs(ap.probs - cp.probs).sum(axis=1).max()
             if deviation > self.agent_radius(i) + MEMBERSHIP_TOL:
@@ -83,13 +87,11 @@ class UncertaintySet:
         if stray := sorted(set(self.uncertain_agents or ()) - set(range(n))):
             problems.append(f"uncertain agents {stray} not among the center's {n} agents")
         if self.truth is not None:
-            truth, center = ([ap.probs.shape for ap in p.agents]
-                             for p in (self.truth, self.center))
-            if truth != center:
-                problems.append(f"declared truth has policy shapes {truth}, "
-                                f"the center {center}")
-            elif not self.contains(self.truth):
-                problems.append("declared truth lies outside the set")
+            try:
+                if not self.contains(self.truth):
+                    problems.append("declared truth lies outside the set")
+            except ValueError as err:
+                problems.append(f"declared truth has {err}")
         return problems
 
     def content_key(self) -> bytes:

@@ -23,8 +23,8 @@ from blamekit.attribution import (
     shapley,
 )
 from blamekit.cli import _csv
-from blamekit.planning import (CharacteristicGame, coalition_mask, derived,
-                               membership, mmdp_from_game)
+from blamekit.planning import (CharacteristicGame, cap_rows, coalition_mask,
+                               derived, membership, mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
                      pivotality_loop, rationality_loop, shapley_loop,
@@ -371,26 +371,43 @@ def test_a_switch_of_game_inside_the_slot_turnover_keeps_each_games_mer():
     derived(random_monotone_game(2, 5))["switch"] = Switch()
     assert mer(game, 0).blames.tobytes() == want
     assert mer(game).blames.tobytes() == _mer_cold(game.values, None).tobytes()
-    # the other game's primary handed its snapshot buffer on to this one's;
-    # a tiebreak on it, as a caller still holding it would make, goes cold
+    # the other game's held primary keeps its snapshot buffer: a tiebreak on
+    # it, as a caller still holding it would make, resumes there
     (program, primary), = held
-    assert primary[1].saved is None
+    assert primary[1].saved is not None
     sol = lp.solve_lexicographic(program, np.eye(3)[2], primary)
     assert (BlameAssignment("MER", sol.point).blames.tobytes()
             == _mer_cold(other.values, 2).tobytes())
 
 
-def test_a_games_mer_primary_takes_over_the_previous_games_snapshot_buffer():
-    """Successive games of one size reuse one snapshot buffer; the game that
-    hands it on keeps no reference to it."""
+def test_a_held_mer_primary_keeps_its_snapshot_after_another_games_mer(monkeypatch):
+    """MER on a game, then on another of the same size, leaves the first
+    game's held primary its own snapshot: its tiebreaks resume from it, with
+    no cold solve, and equal the cold solves bit for bit."""
     first, second = random_monotone_game(9, 1), random_monotone_game(9, 2)
     mer(first)
-    handed = derived(first)["MER"][1][1]
-    buffer = handed.saved
-    assert buffer is not None
-    mer(second, 0)
-    assert derived(second)["MER"][1][1].saved is buffer
-    assert handed.saved is None and handed.at is None
+    program, primary = derived(first)["MER"]
+    saved = primary[1].saved
+    mer(second)
+    assert derived(second)["MER"][1][1].saved is not saved
+    cold, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *args: cold.append(args) or solve(*args))
+    for t in (0, 8):
+        sol = lp.solve_lexicographic(program, np.eye(9)[t], primary)
+        assert primary[1].saved is saved is not None and not cold
+        assert (BlameAssignment("MER", sol.point).blames.tobytes()
+                == _mer_cold(first.values, t).tobytes()), t
+
+
+def test_games_of_one_size_share_one_read_only_cap_row_table():
+    """MER's LP keeps the per-n cap rows as they are, no copy per game."""
+    first, second = random_monotone_game(5, 1), random_monotone_game(5, 2)
+    mer(first)
+    rows = derived(first)["MER"][0].constraint_matrix
+    mer(second)
+    assert derived(second)["MER"][0].constraint_matrix is rows is cap_rows(5)
+    assert not rows.flags.writeable and rows.flags.f_contiguous
+    assert np.array_equal(rows, membership(5)[1:])
 
 
 def test_mer_on_degenerate_games():

@@ -401,8 +401,10 @@ def test_lp_shape_validation():
     ([1.0], [[1.0], [1.0]], [1.0, -np.inf], r"constraint_bounds\[1\] is -inf"),
     ([1.0], [[1.0]], [np.nan], r"constraint_bounds\[0\] is nan"),
     ([1.0], [[1.0]], [np.inf], r"constraint_bounds\[0\] is inf"),
+    ([1.0, 1.0], np.asfortranarray([[1.0, np.nan], [np.inf, 1.0]]), [1.0, 1.0],
+     r"constraint_matrix\[0, 1\] is nan"),
 ], ids=["nan-objective", "nan-matrix", "minus-inf-bound", "nan-bound",
-        "inf-bound"])
+        "inf-bound", "column-major-matrix"])
 def test_non_finite_entries_are_refused(c, a, b, message):
     """Without the check the simplex answers wrongly without a word (an
     `optimal` nan, `unbounded`, `infeasible`) or crashes on an empty ratio

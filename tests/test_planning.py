@@ -651,16 +651,14 @@ def test_a_game_holds_a_read_only_copy_of_its_values():
 def test_the_derived_slot_holds_the_latest_game_weakly():
     """One table per game, replaced by the next game. It keeps no game
     alive, and a game built where a freed one was (CPython's allocator
-    reuses freed blocks) starts with a table holding only the shared
-    scratch dict."""
+    reuses freed blocks) starts with an empty table."""
     values = np.array([0.0, 1.0, 2.0, 3.0])
     game = CharacteristicGame(2, values)
     table = planning.derived(game)
     table["probe"] = 1
     assert planning.derived(game) is table
     other = CharacteristicGame(2, values)
-    assert "probe" not in planning.derived(other)
-    assert planning.derived(other)["scratch"] is table["scratch"]
+    assert planning.derived(other) == {}
     assert "probe" not in planning.derived(game)
     planning.derived(game)["probe"] = 2
     ref = weakref.ref(game)
@@ -676,7 +674,7 @@ def test_the_derived_slot_holds_the_latest_game_weakly():
         later = CharacteristicGame(2, values)
         if id(later) == address:
             reused += 1
-            assert planning.derived(later).keys() == {"scratch"}
+            assert planning.derived(later) == {}
     assert reused
 
 

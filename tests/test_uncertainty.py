@@ -131,6 +131,12 @@ def test_uncertainty_set_validate_and_contains():
     assert UncertaintySet(pair, 0.1, truth=inside).validate() == [
         "declared truth has policy shapes [(2, 2)], "
         "the center [(2, 2), (2, 2)]"]
+    # contains refuses such a policy too, rather than zip it short
+    trio = bandit_center([(0.5, 0.5)] * 3)
+    for center, policy in ((trio, inside), (trio, bandit_center([(0.5, 0.5)] * 4)),
+                           (pair, taller)):
+        with pytest.raises(ValueError, match="policy shapes"):
+            UncertaintySet(center, 0.2).contains(policy)
 
 
 def test_content_key_separates_sets():
