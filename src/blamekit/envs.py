@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+import numbers
 
 import numpy as np
 
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
-from .planning import best_response, coalition_sizes, solve_mdp
+from .planning import DISCOUNT, best_response, coalition_sizes, solve_mdp
 
 CELL_REWARDS = {".": -0.01, "S": -0.01, "F": -0.02, "H": -0.5, "G": 1.0}
 GRID_SIZE = 8
+INTERVENTION_COST = -0.05
+PERSONAL_MIX = 0.5  # share of the pilot's off-alpha mass on the optimal plan
 # row and column offsets of the moves left, right, up and down
 _MOVES = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
 
@@ -43,19 +46,13 @@ def parse_map(text: str) -> list[str]:
 class GridworldSpec:
     alpha: float
     alpha_prime: float
-    intervention_cost: float = -0.05
-    personal_mix: float = 0.5
-    discount: float = 0.99
-    map_text: str | None = None
 
     def validate(self) -> list[str]:
         problems = []
-        for name in ("alpha", "alpha_prime", "personal_mix"):
+        for name in ("alpha", "alpha_prime"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                problems.append(f"{name} = {value} outside [0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            problems.append(f"discount {self.discount} outside [0, 1)")
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+                problems.append(f"{name} = {value!r} is not a real number in [0, 1]")
         return problems
 
 
@@ -82,29 +79,29 @@ def build_gridworld(spec: GridworldSpec) -> tuple[Mmdp, JointPolicy]:
     problems = spec.validate()
     if problems:
         raise ValueError("invalid gridworld spec: " + "; ".join(problems))
-    rows = parse_map(spec.map_text if spec.map_text is not None else default_map())
+    rows = parse_map(default_map())
     cells = np.array(list("".join(rows)))
     states = np.arange(cells.size)
     goal = cells == "G"
     blind_rewards = dict(CELL_REWARDS, F=CELL_REWARDS["."], H=CELL_REWARDS["."])
     (reward, blind_reward), transition = _single_actor(
         cells, (CELL_REWARDS, blind_rewards))
-    _, opt = solve_mdp(reward, transition, spec.discount)
-    _, blind = solve_mdp(blind_reward, transition, spec.discount)
+    _, opt = solve_mdp(reward, transition, DISCOUNT)
+    _, blind = solve_mdp(blind_reward, transition, DISCOUNT)
 
     joint_reward = np.repeat(reward, 2, axis=1)
     joint_reward[:, 1::2] = np.where(
-        goal, 0.0, reward[states, opt] + spec.intervention_cost)[:, None]
+        goal, 0.0, reward[states, opt] + INTERVENTION_COST)[:, None]
     joint_transition = np.repeat(transition, 2, axis=1)
     joint_transition[:, 1::2] = transition[states, opt][:, None]
     start = cells == "S"
     model = Mmdp(cells.size, 2, (4, 2), joint_reward, joint_transition,
-                 spec.discount, start / start.sum(),
+                 DISCOUNT, start / start.sum(),
                  frozenset(np.flatnonzero(goal).tolist()))
 
     def pilot_policy(alpha: float) -> AgentPolicy:
         table = np.zeros((cells.size, 4))
-        opt_weight = alpha + (1.0 - alpha) * spec.personal_mix
+        opt_weight = alpha + (1.0 - alpha) * PERSONAL_MIX
         table[states, opt] += opt_weight
         table[states, blind] += 1.0 - opt_weight
         return AgentPolicy(table)
@@ -126,16 +123,15 @@ GRAPH_AGENTS = 4
 class GraphSpec:
     variant: str = "coordination"
     threshold_index: int = 1
-    discount: float = 0.99
 
     def validate(self) -> list[str]:
         problems = []
         if self.variant not in ("coordination", "robustness"):
             problems.append(f"unknown variant {self.variant!r}")
-        if self.variant == "coordination" and not 1 <= self.threshold_index <= 4:
+        if not np.issubdtype(type(self.threshold_index), np.integer):
+            problems.append(f"threshold index {self.threshold_index!r} is not an integer")
+        elif self.variant == "coordination" and not 1 <= self.threshold_index <= 4:
             problems.append(f"threshold index {self.threshold_index} outside 1..4")
-        if not 0.0 <= self.discount < 1.0:
-            problems.append(f"discount {self.discount} outside [0, 1)")
         return problems
 
 
@@ -167,7 +163,7 @@ def build_graph(spec: GraphSpec) -> tuple[Mmdp, JointPolicy]:
     reward = np.where(scoring, np.where(met, 1.0, -1.0), 0.0)
     transition = np.eye(num_states)[np.where(scoring, 1 + column * 16 + levels, end)]
     model = Mmdp(num_states, GRAPH_AGENTS, (2,) * GRAPH_AGENTS, reward,
-                 transition, spec.discount, np.eye(num_states)[0],
+                 transition, DISCOUNT, np.eye(num_states)[0],
                  frozenset({end}))
     if spec.variant == "coordination":
         return model, JointPolicy(tuple(

@@ -29,6 +29,7 @@ from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
                    content_digest, evaluate_return, _non_finite, _solve_linear)
 
 MAX_AGENTS = 12
+DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
 MAX_POLICY_ITERATIONS = 1000
 _MONOTONE_TOL = 1e-9
 
@@ -406,14 +407,14 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
 def one_step_model(action_counts: tuple[int, ...],
                    reward_row) -> tuple[Mmdp, JointPolicy]:
     """The one-step layout: from the initial state every joint action earns
-    its `reward_row` entry and moves to the terminal state 1; discount 0.99,
+    its `reward_row` entry and moves to the terminal state 1; discount DISCOUNT,
     and the behavior plays action 0 everywhere."""
     num_actions = len(reward_row)
     reward = np.vstack([reward_row, np.zeros(num_actions)])
     transition = np.zeros((2, num_actions, 2))
     transition[:, :, 1] = 1.0
     model = Mmdp(2, len(action_counts), action_counts, reward, transition,
-                 0.99, np.array([1.0, 0.0]), frozenset({1}))
+                 DISCOUNT, np.array([1.0, 0.0]), frozenset({1}))
     return model, JointPolicy(tuple(AgentPolicy.deterministic(2, k, 0)
                                     for k in action_counts))
 

@@ -72,7 +72,7 @@ class UncertaintySet:
             raise ValueError(f"policy shapes {theirs}, the center {ours}")
         for i, (ap, cp) in enumerate(zip(policy.agents, self.center.agents)):
             deviation = 0.5 * np.abs(ap.probs - cp.probs).sum(axis=1).max()
-            if deviation > self.agent_radius(i) + MEMBERSHIP_TOL:
+            if not deviation <= self.agent_radius(i) + MEMBERSHIP_TOL:  # NaN too
                 return False
         return True
 
@@ -87,6 +87,7 @@ class UncertaintySet:
         if stray := sorted(set(self.uncertain_agents or ()) - set(range(n))):
             problems.append(f"uncertain agents {stray} not among the center's {n} agents")
         if self.truth is not None:
+            problems += [f"declared truth {p}" for p in self.truth.validate()]
             try:
                 if not self.contains(self.truth):
                     problems.append("declared truth lies outside the set")

@@ -757,13 +757,12 @@ def single_agent_plan_loop(rows, rewards, discount):
 def gridworld_loop(spec):
     """`build_gridworld`'s (model, behavior), filled entry by entry."""
     size = envs.GRID_SIZE
-    rows = envs.parse_map(spec.map_text if spec.map_text is not None
-                          else envs.default_map())
+    rows = envs.parse_map(envs.default_map())
     num = size * size
     blind_rewards = dict(envs.CELL_REWARDS, F=envs.CELL_REWARDS["."],
                          H=envs.CELL_REWARDS["."])
-    opt = single_agent_plan_loop(rows, envs.CELL_REWARDS, spec.discount)
-    blind = single_agent_plan_loop(rows, blind_rewards, spec.discount)
+    opt = single_agent_plan_loop(rows, envs.CELL_REWARDS, envs.DISCOUNT)
+    blind = single_agent_plan_loop(rows, blind_rewards, envs.DISCOUNT)
 
     reward = np.zeros((num, 8))
     transition = np.zeros((num, 8, num))
@@ -779,17 +778,17 @@ def gridworld_loop(spec):
                 dest = destination(s, int(executed))
                 reward[s, ja] = envs.CELL_REWARDS[rows[dest // size][dest % size]]
                 if a2 == 1:
-                    reward[s, ja] += spec.intervention_cost
+                    reward[s, ja] += envs.INTERVENTION_COST
                 transition[s, ja, dest] = 1.0
     starts = [s for s in range(num) if rows[s // size][s % size] == "S"]
     initial = np.zeros(num)
     initial[starts] = 1.0 / len(starts)
-    model = Mmdp(num, 2, (4, 2), reward, transition, spec.discount,
+    model = Mmdp(num, 2, (4, 2), reward, transition, envs.DISCOUNT,
                  initial, terminals)
 
     def pilot_policy(alpha):
         table = np.zeros((num, 4))
-        opt_weight = alpha + (1.0 - alpha) * spec.personal_mix
+        opt_weight = alpha + (1.0 - alpha) * envs.PERSONAL_MIX
         for s in range(num):
             table[s, opt[s]] += opt_weight
             table[s, blind[s]] += 1.0 - opt_weight
@@ -850,7 +849,7 @@ def graph_loop(spec):
     initial = np.zeros(num_states)
     initial[0] = 1.0
     model = Mmdp(num_states, envs.GRAPH_AGENTS, (2,) * envs.GRAPH_AGENTS,
-                 reward, transition, spec.discount, initial, frozenset({end}))
+                 reward, transition, envs.DISCOUNT, initial, frozenset({end}))
     if spec.variant == "coordination":
         behavior = JointPolicy(tuple(
             AgentPolicy.deterministic(num_states, 2, 0)

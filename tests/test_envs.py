@@ -9,11 +9,14 @@ from blamekit.attribution import (
     mer,
     shapley,
 )
+from blamekit import envs
 from blamekit.envs import (
     CELL_REWARDS,
+    DISCOUNT,
     GRAPH_THRESHOLDS,
     GRAPH_WEIGHTS,
     GRID_SIZE,
+    INTERVENTION_COST,
     GraphSpec,
     GridworldSpec,
     build_graph,
@@ -78,11 +81,14 @@ HHH.H...
 @pytest.mark.parametrize("map_text", [None, _TWO_STARTS])
 @pytest.mark.parametrize("alpha_prime", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.4, 1.0])
-def test_gridworld_matches_the_loop_reference(alpha, alpha_prime, map_text):
+def test_gridworld_matches_the_loop_reference(alpha, alpha_prime, map_text,
+                                              monkeypatch):
     """The array build equals the (state, move, override) loop bit for bit:
     reward, transition, initial distribution, terminals and both agents'
-    policy tables."""
-    spec = GridworldSpec(alpha=alpha, alpha_prime=alpha_prime, map_text=map_text)
+    policy tables, on the packaged map and on one with two starts."""
+    if map_text is not None:
+        monkeypatch.setattr(envs, "default_map", lambda: map_text)
+    spec = GridworldSpec(alpha=alpha, alpha_prime=alpha_prime)
     assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
 
 
@@ -104,7 +110,7 @@ def test_gridworld_action_semantics():
     spec = GridworldSpec(alpha=0.5, alpha_prime=0.5)
     model, _ = build_gridworld(spec)
     rows = parse_map(default_map())
-    opt = single_agent_plan_loop(rows, CELL_REWARDS, spec.discount)
+    opt = single_agent_plan_loop(rows, CELL_REWARDS, DISCOUNT)
 
     def cell(s):
         return rows[s // GRID_SIZE][s % GRID_SIZE]
@@ -123,7 +129,7 @@ def test_gridworld_action_semantics():
             forced = a1 * 2 + 1
             forced_dest = destination(s, int(opt[s]))
             assert model.reward[s, forced] == pytest.approx(
-                CELL_REWARDS[cell(forced_dest)] + spec.intervention_cost,
+                CELL_REWARDS[cell(forced_dest)] + INTERVENTION_COST,
                 abs=1e-12)
             assert model.transition[s, forced, forced_dest] == 1.0
             checked += 1
@@ -162,11 +168,15 @@ def test_overseer_is_a_deterministic_best_response():
 def test_gridworld_spec_validation():
     with pytest.raises(ValueError, match="alpha"):
         build_gridworld(GridworldSpec(alpha=1.5, alpha_prime=0.5))
-    with pytest.raises(ValueError, match="discount"):
-        build_gridworld(GridworldSpec(alpha=0.5, alpha_prime=0.5, discount=1.0))
-    with pytest.raises(ValueError, match="unknown map cells"):
-        build_gridworld(GridworldSpec(alpha=0.5, alpha_prime=0.5,
-                                      map_text=default_map().replace(".", "q", 1)))
+    # a level that is not a real number in [0, 1], NaN included, is refused
+    # by name rather than compared
+    for level in ("0.5", None, 1j, np.nan):
+        with pytest.raises(ValueError, match=r"alpha = .* is not a real number"):
+            build_gridworld(GridworldSpec(alpha=level, alpha_prime=0.5))
+        with pytest.raises(ValueError, match=r"alpha_prime = .* is not a real"):
+            build_gridworld(GridworldSpec(alpha=0.5, alpha_prime=level))
+    # numpy scalars are real numbers
+    assert GridworldSpec(np.float64(0.2), np.int64(1)).validate() == []
 
 
 def test_gridworld_frozen_inefficiency_game():
@@ -181,13 +191,17 @@ def test_gridworld_frozen_inefficiency_game():
                                [0.111610727465, 0.0662862514042], atol=1e-9)
 
 
-@pytest.mark.parametrize("spec", [
-    *(GraphSpec("coordination", threshold_index=t) for t in range(1, 5)),
-    *(GraphSpec("robustness", discount=d) for d in (0.99, 0.3, 0.0))])
-def test_graph_matches_the_loop_reference(spec):
+@pytest.mark.parametrize(("spec", "discount"), [
+    *((GraphSpec("coordination", threshold_index=t), DISCOUNT)
+      for t in range(1, 5)),
+    *((GraphSpec("robustness"), d) for d in (DISCOUNT, 0.3, 0.0))],
+    ids=[f"spec{i}" for i in range(7)])
+def test_graph_matches_the_loop_reference(spec, discount, monkeypatch):
     """The array build equals the (joint action, column, levels) loop bit
     for bit: reward, transition, initial distribution, terminals and every
-    agent's behavior table."""
+    agent's behavior table, the robustness variant also at discounts other
+    than the built-in one."""
+    monkeypatch.setattr(envs, "DISCOUNT", discount)
     assert_same_model(*build_graph(spec), *graph_loop(spec))
 
 
@@ -231,6 +245,12 @@ def test_graph_spec_validation():
         build_graph(GraphSpec("tandem"))
     with pytest.raises(ValueError, match="threshold index"):
         build_graph(GraphSpec("coordination", threshold_index=5))
+    # an index that is not an integer (a bool is not) is refused by name,
+    # neither used as a tuple index nor read as 0 or 1
+    for index in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match=r"threshold index .* is not an integer"):
+            build_graph(GraphSpec("coordination", threshold_index=index))
+    assert GraphSpec("coordination", threshold_index=np.int64(2)).validate() == []
 
 
 def test_coordination_game_is_a_scaled_voting_game():

@@ -131,6 +131,14 @@ def test_uncertainty_set_validate_and_contains():
     assert UncertaintySet(pair, 0.1, truth=inside).validate() == [
         "declared truth has policy shapes [(2, 2)], "
         "the center [(2, 2), (2, 2)]"]
+    # a truth's own policy problems are reported, and a NaN deviation is
+    # outside the set, not inside it
+    nan_truth = bandit_center([(np.nan, 0.5)])
+    assert not uset.contains(nan_truth)
+    problems = UncertaintySet(center, 0.2, truth=nan_truth).validate()
+    assert problems[0].startswith("declared truth agent 0: ")
+    assert "not finite" in problems[0]
+    assert problems[1:] == ["declared truth lies outside the set"]
     # contains refuses such a policy too, rather than zip it short
     trio = bandit_center([(0.5, 0.5)] * 3)
     for center, policy in ((trio, inside), (trio, bandit_center([(0.5, 0.5)] * 4)),
