@@ -12,6 +12,9 @@
 #   - the one-step model of random_monotone_game(4, 0), saved by the tree's
 #     own mmdp_from_game, then `attribute --tiebreak 1` and `check` under
 #     each of the five methods on it (each output ends with its exit code);
+#   - the one-step model of random_monotone_game(4, 4) x 1e9, then
+#     `attribute --methods MER --tiebreak 4` on it: MER's tiebreak at a large
+#     reward scale;
 #   - the pair and model checkers (CM, PerM, cPerM, cParM, RcParM) under each
 #     method at epsilon 0 and 0.3, on the impossibility fixture's two
 #     deviations and on fixed random_monotone_game pairs, one with an agent's
@@ -41,16 +44,24 @@ run_one_step() {  # SRC_DIR OUT_DIR
         || echo "::warning::saving the one-step model failed on $1"
 import sys
 from blamekit.mmdp import save_model, save_policy
-from blamekit.planning import mmdp_from_game
+from blamekit.planning import CharacteristicGame, mmdp_from_game
 from blamekit.properties import random_monotone_game
 model, behavior = mmdp_from_game(random_monotone_game(4, 0))
 save_model(model, f"{sys.argv[1]}/model.json")
 save_policy(behavior, f"{sys.argv[1]}/behavior.json")
+large = CharacteristicGame(4, random_monotone_game(4, 4).values * 1e9)
+model, behavior = mmdp_from_game(large)
+save_model(model, f"{sys.argv[1]}/model_1e9.json")
+save_policy(behavior, f"{sys.argv[1]}/behavior_1e9.json")
 EOF
     files=(--model "$2/model.json" --behavior "$2/behavior.json")
     PYTHONPATH="$1" python -m blamekit.cli attribute "${files[@]}" \
         --tiebreak 1 > "$2/attribute.csv" 2>&1
     echo "exit $?" >> "$2/attribute.csv"
+    PYTHONPATH="$1" python -m blamekit.cli attribute \
+        --model "$2/model_1e9.json" --behavior "$2/behavior_1e9.json" \
+        --methods MER --tiebreak 4 > "$2/attribute_mer_1e9.csv" 2>&1
+    echo "exit $?" >> "$2/attribute_mer_1e9.csv"
     for method in MER MC SV BI AP; do
         PYTHONPATH="$1" python -m blamekit.cli check "${files[@]}" \
             --methods "$method" > "$2/check_$method.csv" 2>&1

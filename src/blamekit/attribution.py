@@ -8,17 +8,20 @@ is the convenience wrapper that composes the game first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
+import weakref
 
 import numpy as np
 
 from .lp import LinearProgram, Resume, solve, solve_lexicographic
-from .planning import (CharacteristicGame, cap_rows, characteristic_game,
+from .planning import (MAX_AGENTS, CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
-                       derived, marginal_masks)
+                       marginal_masks, membership, _read_only)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
+_HELD = (lambda: None, {})  # a weakref to the latest game passed to _held, its table
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,10 @@ class Pivotality:
 
 
 def sequential_sums(terms: np.ndarray) -> np.ndarray:
-    """Row sums added left to right from 0.0, as a Python loop adds them.
-    cumsum is sequential; sum and @ reorder the additions and change last
-    bits. Adding 0.0 turns an all-(-0.0) row into 0.0, as the loop does."""
-    return np.cumsum(terms, axis=1)[:, -1:].ravel() + 0.0
+    """Last-axis sums added left to right from 0.0, as a Python loop adds
+    them. cumsum is sequential; sum and @ reorder the additions and change
+    last bits. Adding 0.0 turns an all-(-0.0) row into 0.0, as the loop does."""
+    return np.cumsum(terms, axis=-1)[..., -1:].reshape(terms.shape[:-1]) + 0.0
 
 
 def marginals(values_with: np.ndarray, values_without: np.ndarray,
@@ -76,12 +79,25 @@ def banzhaf_weights(n: int) -> np.ndarray:
 
 
 def _held(game: CharacteristicGame, key: str, compute):
-    """compute() once per game, held read-only under `key` in planning.derived."""
-    if key not in (table := derived(game)):
+    """compute() once per game, held read-only under `key` for the latest
+    game passed here, which another game replaces: the slot is keyed by weak
+    reference, never by id, so no game is kept alive, and rebound whole, so
+    every caller gets its own game's table."""
+    global _HELD
+    if (slot := _HELD)[0]() is not game:
+        slot = _HELD = weakref.ref(game), {}
+    if key not in (table := slot[1]):
         table[key] = compute()
         if isinstance(table[key], np.ndarray):
             table[key].setflags(write=False)
     return table[key]
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def cap_rows(n: int) -> np.ndarray:
+    """(2^n - 1, n) read-only float `membership` without the empty coalition,
+    column-major: MER's cap rows, which its LP keeps without a copy."""
+    return _read_only(np.asfortranarray(membership(n)[1:], dtype=float))
 
 
 def game_marginals(game: CharacteristicGame) -> np.ndarray:
@@ -113,21 +129,23 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     every optimum; per-agent splits are not, so callers that need a
     deterministic vector pass `tiebreak` to secondarily maximize that
     agent's blame over the optimal face, resuming the game's one primary,
-    which keeps its own snapshot buffer and reads `cap_rows(n)` uncopied."""
+    which keeps its own snapshot buffer and reads `cap_rows(n)` uncopied.
+    Raises RuntimeError naming the LP that is not optimal: at values of 1e8
+    and above the tiebreak's absolute face slack of 1e-9 can fail it."""
     n = game.num_agents
     def primary():
         lp = LinearProgram(np.ones(n), cap_rows(n), game.values[1:])
         return lp, (solve(lp, resume := Resume()), resume)
     lp, primary = _held(game, "MER", primary)
-    if tiebreak is None:
-        sol = primary[0]
-    else:
+    sol = primary[0]
+    if tiebreak is not None:
         coalition_mask((tiebreak,), n)  # refuses a non-integer or stray agent
         direction = np.zeros(n)
         direction[tiebreak] = 1.0
         sol = solve_lexicographic(lp, direction, primary)
     if sol.status != "optimal":
-        raise RuntimeError(f"rationality LP came back {sol.status}")
+        name = "rationality LP" if sol is primary[0] else f"tiebreak LP for agent {tiebreak + 1}"
+        raise RuntimeError(f"{name} came back {sol.status}")
     return BlameAssignment("MER", sol.point)
 
 

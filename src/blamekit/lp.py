@@ -10,8 +10,8 @@ right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
 row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
 (n + 1) x 2^n floats. A pivot updates columns shorter than LIVE_MIN in one
 broadcast, longer ones where the pivot-row entry is nonzero. Bland's rule
-guarantees termination. A `Resume` note holds, in a buffer it alone owns,
-what one primary's tiebreaks resume from."""
+guarantees termination. `solve_lexicographic` resumes a primary solved with
+a `Resume` note, which holds in a buffer it alone owns what it resumes from."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -191,24 +191,24 @@ class Resume:
         return face, np.append(self.basis, slack + 1), np.append(self.nonbasic, slack)
 
 
-def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
-                        primary=None) -> LpSolution:
-    """Optimize lp, then break ties by maximizing `tiebreak` over its optimal
-    face, one added row objective >= opt - 1e-9 (no feasible point exceeds
-    opt). The returned objective_value is still the primary one.
+def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray, primary) -> LpSolution:
+    """Break the ties of lp's optimum by maximizing `tiebreak` over its
+    optimal face, one added row objective >= opt - 1e-9 (no feasible point
+    exceeds opt). The returned objective_value is still the primary one; a
+    primary or tiebreak LP that is not optimal comes back with its status.
 
-    `primary`, (solve(lp, resume), resume) for a Resume, may be shared; else
-    it is solved here. A cold tiebreak solve makes the primary's pivots until
-    the face row blocks. Where it first blocks alone, at the last pivot with
-    a least ratio > 0, phase 1 resumes from the dictionary saved before that
-    pivot, the face row inserted and its bound replayed as a cold solve has
-    it; all else, and a primary that ran phase 1 (no pivot noted), is cold."""
+    `primary` is (solve(lp, resume), resume) for a Resume, and may be shared.
+    A cold tiebreak solve makes the primary's pivots until the face row
+    blocks. Where it first blocks alone, at the last pivot with a least
+    ratio > 0, phase 1 resumes from the dictionary saved before that pivot,
+    the face row inserted and its bound replayed as a cold solve has it;
+    all else, and a primary that ran phase 1 (no pivot noted), is cold."""
     tiebreak = np.atleast_1d(np.asarray(tiebreak, dtype=float))
     if tiebreak.shape != lp.objective.shape:
         raise ValueError(f"tiebreak has shape {tiebreak.shape}, expected {lp.objective.shape}")
     if not np.isfinite(tiebreak).all():
         raise ValueError(_non_finite(tiebreak=tiebreak)[0])
-    first, resume = primary or (solve(lp, resume := Resume()), resume)
+    first, resume = primary
     if first.status != "optimal":
         return first
     bound = -first.objective_value + 1e-9
@@ -223,6 +223,5 @@ def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray,
     second = second or solve(LinearProgram(tiebreak, np.vstack(
         [lp.constraint_matrix, -lp.objective]), np.append(lp.constraint_bounds, bound)))
     if second.status != "optimal":
-        return first
-    return LpSolution("optimal", second.point,
-                      float(lp.objective @ second.point))
+        return second
+    return LpSolution("optimal", second.point, float(lp.objective @ second.point))

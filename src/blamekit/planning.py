@@ -21,7 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 import math
-import weakref
 
 import numpy as np
 
@@ -59,13 +58,6 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 def membership(n: int) -> np.ndarray:
     """(2^n, n) read-only bool table: row `mask` flags the coalition's agents."""
     return _read_only((np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 1)
-
-
-@lru_cache(maxsize=MAX_AGENTS + 1)
-def cap_rows(n: int) -> np.ndarray:
-    """(2^n - 1, n) read-only float `membership` without the empty coalition,
-    column-major: MER's cap rows, which its LP keeps without a copy."""
-    return _read_only(np.asfortranarray(membership(n)[1:], dtype=float))
 
 
 def coalition_sums(x: np.ndarray) -> np.ndarray:
@@ -340,7 +332,6 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
-_DERIVED = (lambda: None, {})  # a weakref to the latest game, its table
 
 # Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
 # (q, and the transitions gathered at the W played complement actions), may
@@ -365,16 +356,6 @@ def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarr
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
         for first in range(0, group.size, per_chunk):
             yield group[first:first + per_chunk]
-
-
-def derived(game: CharacteristicGame) -> dict:
-    """Results derived from the latest game passed here, which another game
-    replaces: keyed by weak reference, never by id, so no game is kept alive,
-    and rebound whole, so every caller gets its own game's table."""
-    global _DERIVED
-    if (slot := _DERIVED)[0]() is not game:
-        slot = _DERIVED = weakref.ref(game), {}
-    return slot[1]
 
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:

@@ -24,10 +24,14 @@ SLACK = 1e-12
 
 @dataclass(frozen=True)
 class PropertyVerdict:
-    """A verdict holds exactly when it has no witness."""
+    """A verdict holds exactly when it has no witness; epsilon is finite, >= 0."""
     property: str
     epsilon: float
     witness: str | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"bad epsilon {self.epsilon!r}: expected a finite value >= 0")
 
     @property
     def holds(self) -> bool:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
                           banzhaf_weights, marginals, mer, participation,
-                          shapley, shapley_weights, weighted_marginals)
+                          sequential_sums, shapley, shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table
 from .planning import (CharacteristicGame, best_response,
@@ -254,9 +254,7 @@ class _CoalitionProblem:
         k = self.ball_rows.shape[1]
         weighted = b * self.certain_table[states][:, None]
         columns = weighted[..., np.argsort(self.ball_col, kind="stable")]
-        columns = columns.reshape(*b.shape[:2], k, b.shape[2] // k)
-        # + 0.0 gives a sum of zeros the sign a sum from +0.0 gives it
-        return np.cumsum(columns, axis=3)[..., -1] + 0.0
+        return sequential_sums(columns.reshape(*b.shape[:2], k, b.shape[2] // k))
 
     def _ball_max(self, b: np.ndarray, states: np.ndarray):
         """Per folded row, shift up to eps of mass onto its first maximum from

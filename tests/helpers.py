@@ -201,6 +201,12 @@ def solve_row_major(program):
     return lp.LpSolution("optimal", x, float(c @ x))
 
 
+def primary_of(program):
+    """The primary that `lp.solve_lexicographic` resumes: the solution of
+    `program` and the `lp.Resume` note that watched its pivots."""
+    return lp.solve(program, resume := lp.Resume()), resume
+
+
 def solve_lexicographic_cold(program, tiebreak):
     first = solve_row_major(program)
     if first.status != "optimal":
@@ -211,7 +217,7 @@ def solve_lexicographic_cold(program, tiebreak):
     second = solve_row_major(lp.LinearProgram(
         np.asarray(tiebreak, dtype=float), a2, b2))
     if second.status != "optimal":
-        return first
+        return second
     return lp.LpSolution("optimal", second.point,
                          float(program.objective @ second.point))
 

@@ -1,7 +1,9 @@
 """The five attribution methods against independent combinatorial oracles."""
+import gc
 import itertools
 import re
 from math import factorial
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from blamekit import lp, properties
 from blamekit.attribution import (
     METHODS,
     BlameAssignment,
+    _held,
     apply,
     average_participation,
     banzhaf,
     blame,
+    cap_rows,
     game_marginals,
     marginal_contribution,
     mer,
@@ -23,8 +27,8 @@ from blamekit.attribution import (
     shapley,
 )
 from blamekit.cli import _csv
-from blamekit.planning import (CharacteristicGame, cap_rows, coalition_mask,
-                               derived, membership, mmdp_from_game)
+from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
+                               mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
                      pivotality_loop, rationality_loop, shapley_loop,
@@ -34,6 +38,11 @@ from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
 def game_from_values(values):
     n = int(np.log2(len(values)))
     return CharacteristicGame(n, np.asarray(values, dtype=float))
+
+
+def held(game, key):
+    """What `_held` holds under `key` for `game`; fails if nothing is."""
+    return _held(game, key, lambda: pytest.fail(f"nothing held under {key!r}"))
 
 
 # Two hand fixtures reused throughout: in the first the agents are perfectly
@@ -246,6 +255,32 @@ def test_mer_tiebreak_selects_extreme_optima():
         mer(SYMMETRIC, tiebreak=2)
 
 
+def test_a_failed_mer_tiebreak_raises_instead_of_returning_the_untied_point():
+    """On random_monotone_game(4, 4) x 1e9 the tiebreak LP for agent 4 is
+    infeasible: its face row's absolute slack of 1e-9 is below the rounding
+    of a 1e9 total. The untied vertex gives agent 4 nothing, the x 1e9
+    image of the unscaled tiebreak 1.745e8; MER says it failed instead."""
+    values = random_monotone_game(4, 4).values * 1e9
+    game = CharacteristicGame(4, values)
+    with pytest.raises(RuntimeError,
+                       match="^tiebreak LP for agent 4 came back infeasible$"):
+        mer(game, 3)
+    program, primary = held(game, "MER")
+    assert primary[0].status == "optimal" and mer(game).blames[3] == 0.0
+    sol = lp.solve_lexicographic(program, np.eye(4)[3], primary)
+    assert sol.status == "infeasible" and sol.point is None
+    unscaled = mer(random_monotone_game(4, 4), 3).blames
+    assert unscaled[3] * 1e9 == pytest.approx(1.745e8, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP 4: the tiebreak's face row has an absolute slack of 1e-9")
+def test_a_mer_tiebreak_scales_with_the_game():
+    game = random_monotone_game(4, 4)
+    scaled = mer(CharacteristicGame(4, game.values * 1e9), 3).blames
+    np.testing.assert_allclose(scaled, 1e9 * mer(game, 3).blames, rtol=1e-9)
+
+
 @pytest.mark.parametrize("tiebreak", [True, 1.5, "1"])
 def test_mer_refuses_a_tiebreak_that_is_not_an_integer(tiebreak):
     """By `coalition_mask`'s rule: a bool is not an integer, so True does
@@ -355,25 +390,70 @@ def test_a_returned_blame_vector_is_the_callers_own():
         game_marginals(game)[0, 0] = 1.0
 
 
+def test_the_held_slot_holds_the_latest_game_weakly():
+    """One table per game, replaced by the next game. It keeps no game
+    alive, and a game built where a freed one was (CPython's allocator
+    reuses freed blocks) starts with an empty table."""
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    game = CharacteristicGame(2, values)
+    assert _held(game, "probe", lambda: 1) == 1
+    assert _held(game, "probe", lambda: 2) == 1
+    other = CharacteristicGame(2, values)
+    assert _held(other, "probe", lambda: 2) == 2
+    assert _held(game, "probe", lambda: 3) == 3
+    ref = weakref.ref(game)
+    del game
+    gc.collect()
+    assert ref() is None
+    reused = 0
+    for _ in range(100):
+        game = CharacteristicGame(2, values)
+        _held(game, "probe", lambda: 4)
+        address = id(game)
+        del game
+        later = CharacteristicGame(2, values)
+        if id(later) == address:
+            reused += 1
+            assert _held(later, "probe", lambda: 5) == 5
+    assert reused
+
+
+def test_the_held_slot_gives_each_caller_its_own_games_table():
+    """A call for another game between the slot's rebinding and its read
+    (here from a finalizer of the outgoing table, which runs just then)
+    does not hand that game's result to the caller."""
+    first, other, game = (CharacteristicGame(1, [0.0, float(k)]) for k in range(3))
+    seen = []
+
+    class Switch:
+        def __del__(self):
+            seen.append(_held(other, "probe", object))
+
+    _held(first, "switch", Switch)
+    mine = _held(game, "probe", object)
+    assert len(seen) == 1 and mine is not seen[0]
+    assert held(other, "probe") is seen[0]
+
+
 def test_a_switch_of_game_inside_the_slot_turnover_keeps_each_games_mer():
     """Another game's call that runs while the slot turns over (here from a
     finalizer of the outgoing table, as another thread could) does not hand
     its table, and with it its LP, to the game being served."""
     game, other = random_monotone_game(4, 3), random_monotone_game(3, 4)
     want = mer(CharacteristicGame(4, game.values), 0).blames.tobytes()
-    held = []
+    seen = []
 
     class Switch:
         def __del__(self):
             mer(other, 0)
-            held.append(derived(other)["MER"])
+            seen.append(held(other, "MER"))
 
-    derived(random_monotone_game(2, 5))["switch"] = Switch()
+    _held(random_monotone_game(2, 5), "switch", Switch)
     assert mer(game, 0).blames.tobytes() == want
     assert mer(game).blames.tobytes() == _mer_cold(game.values, None).tobytes()
     # the other game's held primary keeps its snapshot buffer: a tiebreak on
     # it, as a caller still holding it would make, resumes there
-    (program, primary), = held
+    (program, primary), = seen
     assert primary[1].saved is not None
     sol = lp.solve_lexicographic(program, np.eye(3)[2], primary)
     assert (BlameAssignment("MER", sol.point).blames.tobytes()
@@ -386,10 +466,10 @@ def test_a_held_mer_primary_keeps_its_snapshot_after_another_games_mer(monkeypat
     no cold solve, and equal the cold solves bit for bit."""
     first, second = random_monotone_game(9, 1), random_monotone_game(9, 2)
     mer(first)
-    program, primary = derived(first)["MER"]
+    program, primary = held(first, "MER")
     saved = primary[1].saved
     mer(second)
-    assert derived(second)["MER"][1][1].saved is not saved
+    assert held(second, "MER")[1][1].saved is not saved
     cold, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda *args: cold.append(args) or solve(*args))
     for t in (0, 8):
@@ -403,9 +483,9 @@ def test_games_of_one_size_share_one_read_only_cap_row_table():
     """MER's LP keeps the per-n cap rows as they are, no copy per game."""
     first, second = random_monotone_game(5, 1), random_monotone_game(5, 2)
     mer(first)
-    rows = derived(first)["MER"][0].constraint_matrix
+    rows = held(first, "MER")[0].constraint_matrix
     mer(second)
-    assert derived(second)["MER"][0].constraint_matrix is rows is cap_rows(5)
+    assert held(second, "MER")[0].constraint_matrix is rows is cap_rows(5)
     assert not rows.flags.writeable and rows.flags.f_contiguous
     assert np.array_equal(rows, membership(5)[1:])
 

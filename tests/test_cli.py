@@ -16,6 +16,7 @@ from blamekit.cli import (_csv, main, run_coordination, run_perm_sweep,
                           run_robustness)
 from blamekit.mmdp import save_model, save_policy
 from blamekit.planning import CharacteristicGame, mmdp_from_game
+from blamekit.properties import random_monotone_game
 from helpers import random_factorized, random_mmdp
 
 
@@ -45,6 +46,21 @@ def test_attribute_all_methods(two_agent_inputs, capsys):
     assert sum(line.startswith("MER,") for line in out) == 1
     mer_line = next(line for line in out if line.startswith("MER,"))
     assert mer_line.endswith(",2")  # the optimal total is unique
+
+
+def test_attribute_exits_3_when_the_mer_tiebreak_fails(tmp_path, capsys):
+    """random_monotone_game(4, 4) x 1e9, whose tiebreak LP for agent 4 is
+    infeasible: the error is reported, not the untied point."""
+    game = random_monotone_game(4, 4)
+    model, behavior = mmdp_from_game(CharacteristicGame(4, game.values * 1e9))
+    save_model(model, tmp_path / "model.json")
+    save_policy(behavior, tmp_path / "behavior.json")
+    code = main(["attribute", "--model", str(tmp_path / "model.json"),
+                 "--behavior", str(tmp_path / "behavior.json"),
+                 "--methods", "MER", "--tiebreak", "4"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "tiebreak LP for agent 4 came back infeasible" in captured.err
 
 
 def test_attribute_tiebreak_and_subset(two_agent_inputs, capsys):

@@ -8,7 +8,8 @@ from blamekit import lp as lp_module
 from blamekit.lp import LinearProgram, LpSolution, solve, solve_lexicographic
 from blamekit.planning import membership
 from blamekit.properties import random_monotone_game
-from helpers import masked_pivot, solve_lexicographic_cold, solve_row_major
+from helpers import (masked_pivot, primary_of, solve_lexicographic_cold,
+                     solve_row_major)
 
 
 def vertex_enumeration_optimum(c, a, b):
@@ -190,12 +191,12 @@ def test_lexicographic_tiebreak_selects_among_optima():
     """max x + y on x + y <= 1 with x <= 0.6 has a whole optimal edge."""
     lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.6])
 
-    toward_y = solve_lexicographic(lp, np.array([0.0, 1.0]))
+    toward_y = solve_lexicographic(lp, np.array([0.0, 1.0]), primary_of(lp))
     assert toward_y.status == "optimal"
     assert toward_y.objective_value == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(toward_y.point, [0.0, 1.0], atol=1e-7)
 
-    toward_x = solve_lexicographic(lp, np.array([1.0, 0.0]))
+    toward_x = solve_lexicographic(lp, np.array([1.0, 0.0]), primary_of(lp))
     np.testing.assert_allclose(toward_x.point, [0.6, 0.4], atol=1e-7)
     assert toward_x.objective_value == pytest.approx(1.0, abs=1e-8)
 
@@ -232,8 +233,8 @@ def test_the_tiebreak_states_its_optimal_face_as_one_row(monkeypatch,
         matrices.clear()
         faces.clear()
         cold_solves.clear()
-        assert solve_lexicographic(lp, rng.uniform(-1.0, 1.0, lp.objective.size)
-                                   ).status == "optimal"
+        assert solve_lexicographic(lp, rng.uniform(-1.0, 1.0, lp.objective.size),
+                                   primary_of(lp)).status == "optimal"
         # the primary on the LP's rows, then a resumed or a cold tiebreak
         assert len(faces) + len(cold_solves) == 1
         assert len(matrices) == 1 + len(cold_solves)
@@ -276,7 +277,7 @@ def test_solves_match_the_row_major_cold_oracle_bit_for_bit(cold_solves):
                 for agent in sorted({0, n - 1}):
                     direction = np.eye(n)[agent]
                     cold_solves.clear()
-                    assert same_bits(solve_lexicographic(lp, direction),
+                    assert same_bits(solve_lexicographic(lp, direction, primary_of(lp)),
                                      solve_lexicographic_cold(lp, direction))
                     if n >= 2:
                         mer_tiebreaks += 1
@@ -292,7 +293,7 @@ def test_solves_match_the_row_major_cold_oracle_bit_for_bit(cold_solves):
         assert same_bits(got, solve_row_major(lp))
         for direction in (np.ones(lp.objective.size),
                           rng.uniform(-1.0, 1.0, lp.objective.size)):
-            assert same_bits(solve_lexicographic(lp, direction),
+            assert same_bits(solve_lexicographic(lp, direction, primary_of(lp)),
                              solve_lexicographic_cold(lp, direction))
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
@@ -349,7 +350,7 @@ def test_wide_dictionaries_match_the_row_major_cold_oracle_bit_for_bit(
         assert same_bits(got, solve_row_major(lp))
         for direction in (np.ones(lp.objective.size),
                           np.eye(lp.objective.size)[-1]):
-            assert same_bits(solve_lexicographic(lp, direction),
+            assert same_bits(solve_lexicographic(lp, direction, primary_of(lp)),
                              solve_lexicographic_cold(lp, direction))
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert sum(zero_drive_outs) >= 10
@@ -362,7 +363,7 @@ def test_wide_dictionaries_match_the_row_major_cold_oracle_bit_for_bit(
 def test_the_tiebreak_is_validated_alone(tiebreak, message):
     lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError, match=message):
-        solve_lexicographic(lp, tiebreak)
+        solve_lexicographic(lp, tiebreak, primary_of(lp))
 
 
 @pytest.mark.parametrize("lp, solves", [
@@ -376,7 +377,7 @@ def test_the_tiebreak_is_validated_alone(tiebreak, message):
 ], ids=["negative-bound", "early-block"])
 def test_the_tiebreak_falls_back_to_cold_solves(lp, solves, cold_solves):
     direction = np.eye(lp.objective.size)[0]
-    got = solve_lexicographic(lp, direction)
+    got = solve_lexicographic(lp, direction, primary_of(lp))
     assert len(cold_solves) == solves
     assert got.objective_value > 1e-9  # the face row's bound is negative
     assert same_bits(got, solve_lexicographic_cold(lp, direction))
@@ -384,7 +385,7 @@ def test_the_tiebreak_falls_back_to_cold_solves(lp, solves, cold_solves):
 
 def test_lexicographic_passes_through_nonoptimal_status():
     lp = LinearProgram([1.0], [[-1.0]], [0.0])
-    assert solve_lexicographic(lp, np.array([1.0])).status == "unbounded"
+    assert solve_lexicographic(lp, np.array([1.0]), primary_of(lp)).status == "unbounded"
 
 
 def test_lp_shape_validation():
@@ -453,7 +454,8 @@ def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
                 + [near_tie_box_lp(rng, k % 2) for k in range(150)])
 
     def solve_both(lp):
-        return (solve(lp), solve_lexicographic(lp, np.ones(lp.objective.size)))
+        return (solve(lp), solve_lexicographic(lp, np.ones(lp.objective.size),
+                                               primary_of(lp)))
 
     got = [solve_both(lp) for lp in programs]
     monkeypatch.setattr(lp_module, "_pivot", masked_pivot)

@@ -1,10 +1,8 @@
 """Coalition best responses, the inefficiency game, and its realizability."""
-import gc
 import itertools
 import math
 import re
 from unittest import mock
-import weakref
 
 import numpy as np
 import pytest
@@ -639,60 +637,13 @@ def test_a_game_takes_python_and_numpy_integer_agent_counts(num_agents):
 
 
 def test_a_game_holds_a_read_only_copy_of_its_values():
-    """The derived-results slot relies on this: no held result goes stale."""
+    """attribution's per-game slot relies on this: no held result goes stale."""
     source = np.array([0.0, 1.0, 2.0, 3.0])
     game = CharacteristicGame(2, source)
     with pytest.raises(ValueError, match="read-only"):
         game.values[1] = 5.0
     source[1] = 5.0
     assert game.values.tolist() == [0.0, 1.0, 2.0, 3.0]
-
-
-def test_the_derived_slot_holds_the_latest_game_weakly():
-    """One table per game, replaced by the next game. It keeps no game
-    alive, and a game built where a freed one was (CPython's allocator
-    reuses freed blocks) starts with an empty table."""
-    values = np.array([0.0, 1.0, 2.0, 3.0])
-    game = CharacteristicGame(2, values)
-    table = planning.derived(game)
-    table["probe"] = 1
-    assert planning.derived(game) is table
-    other = CharacteristicGame(2, values)
-    assert planning.derived(other) == {}
-    assert "probe" not in planning.derived(game)
-    planning.derived(game)["probe"] = 2
-    ref = weakref.ref(game)
-    del game
-    gc.collect()
-    assert ref() is None
-    reused = 0
-    for _ in range(100):
-        game = CharacteristicGame(2, values)
-        planning.derived(game)["probe"] = 3
-        address = id(game)
-        del game
-        later = CharacteristicGame(2, values)
-        if id(later) == address:
-            reused += 1
-            assert planning.derived(later) == {}
-    assert reused
-
-
-def test_the_derived_slot_gives_each_caller_its_own_games_table():
-    """A call for another game between the slot's rebinding and its read
-    (here from a finalizer of the outgoing table, which runs just then)
-    does not hand that game's table to the caller."""
-    first, other, game = (CharacteristicGame(1, [0.0, float(k)]) for k in range(3))
-    seen = []
-
-    class Switch:
-        def __del__(self):
-            seen.append(planning.derived(other))
-
-    planning.derived(first)["switch"] = Switch()
-    table = planning.derived(game)
-    assert len(seen) == 1 and table is not seen[0]
-    assert planning.derived(other) is seen[0]
 
 
 def test_game_validate_lists_drops_by_mask_then_agent():

@@ -269,6 +269,40 @@ def test_every_agent_checker_holds_on_a_zero_agent_game():
             assert checker(game, beta).holds, (method, prop)
 
 
+def _epsilon_calls():
+    """Each of the eleven checkers as a call of epsilon alone: the agent
+    checkers on random_monotone_game(4, 3) with beta (5, 0, 0, 0), the pair
+    checkers against random_monotone_game(4, 7) with beta reversed, and
+    PerM and cPerM on the impossibility fixture's deviations under SV."""
+    game, other = random_monotone_game(4, 3), random_monotone_game(4, 7)
+    beta = np.array([5.0, 0.0, 0.0, 0.0])
+    model, behavior, pi_1, pi_1_prime = impossibility_fixture()
+    deviation = (model, behavior, 0, pi_1, pi_1_prime, "SV")
+    calls = {prop: lambda eps, c=checker: c(game, beta, eps)
+             for prop, checker in CHECKERS.items()}
+    for prop, checker in (("R_CM", check_contribution_monotonicity),
+                          ("R_cParM", check_cpart), ("R_RcParM", check_rcpart)):
+        calls[prop] = lambda eps, c=checker: c(game, beta, other, beta[::-1], eps)
+    calls["R_PerM"] = lambda eps: check_performance_monotonicity(*deviation, eps)
+    calls["R_cPerM"] = lambda eps: check_cperf(*deviation, eps)
+    return calls
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("prop", ["R_V", "R_E", "R_R", "R_AE", "R_S", "R_I", "R_CM",
+                                  "R_cParM", "R_RcParM", "R_PerM", "R_cPerM"])
+def test_checkers_refuse_a_malformed_epsilon(prop, epsilon):
+    """A NaN slack failed some checkers and passed others, an infinite one
+    passed all eleven, and a negative one mixed them again; every verdict
+    now refuses an epsilon that is not finite and >= 0."""
+    call = _epsilon_calls()[prop]
+    assert call(0.0).property == prop
+    with pytest.raises(ValueError, match=r"^bad epsilon .+: expected a finite value >= 0$"):
+        call(epsilon)
+    with pytest.raises(ValueError, match="bad epsilon"):
+        PropertyVerdict(prop, epsilon)
+
+
 def test_known_failures_of_the_unguaranteed_cells():
     # MC over-blames when singleton inefficiencies overlap
     mc_beta = np.array([2.0, 2.0])
