@@ -8,13 +8,14 @@ are rewarded for keeping a formation constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 import numbers
 
 import numpy as np
 
 from .mmdp import AgentPolicy, JointPolicy, Mmdp
-from .planning import DISCOUNT, best_response, coalition_sizes, solve_mdp
+from .planning import DISCOUNT, _read_only, best_response, coalition_sizes, solve_mdp
 
 CELL_REWARDS = {".": -0.01, "S": -0.01, "F": -0.02, "H": -0.5, "G": 1.0}
 GRID_SIZE = 8
@@ -71,6 +72,20 @@ def _single_actor(cells: np.ndarray, rewards) -> tuple[np.ndarray, np.ndarray]:
     return np.where(goal, 0.0, cell_rewards[:, dest]), np.eye(cells.size)[dest]
 
 
+@lru_cache(maxsize=4)
+def _lone_actor(map_text: str, discount: float, cell_rewards: tuple):
+    """Read-only cells, the lone actor's reward and transition, and its
+    optimal and hazard-blind plans: the spec-independent part of a build,
+    solved once per map, discount and (cell, reward) pairs."""
+    rewards = dict(cell_rewards)
+    cells = np.array(list("".join(parse_map(map_text))))
+    blind_rewards = dict(rewards, F=rewards["."], H=rewards["."])
+    (reward, blind_reward), transition = _single_actor(cells, (rewards, blind_rewards))
+    _, opt = solve_mdp(reward, transition, discount)
+    _, blind = solve_mdp(blind_reward, transition, discount)
+    return tuple(map(_read_only, (cells, reward, transition, opt, blind)))
+
+
 def build_gridworld(spec: GridworldSpec) -> tuple[Mmdp, JointPolicy]:
     """The joint model plus the behavior (agent 1 at alpha, agent 2 trained
     as a best response against agent 1 at alpha_prime). Joint action
@@ -79,16 +94,10 @@ def build_gridworld(spec: GridworldSpec) -> tuple[Mmdp, JointPolicy]:
     problems = spec.validate()
     if problems:
         raise ValueError("invalid gridworld spec: " + "; ".join(problems))
-    rows = parse_map(default_map())
-    cells = np.array(list("".join(rows)))
+    cells, reward, transition, opt, blind = _lone_actor(
+        default_map(), DISCOUNT, tuple(CELL_REWARDS.items()))
     states = np.arange(cells.size)
     goal = cells == "G"
-    blind_rewards = dict(CELL_REWARDS, F=CELL_REWARDS["."], H=CELL_REWARDS["."])
-    (reward, blind_reward), transition = _single_actor(
-        cells, (CELL_REWARDS, blind_rewards))
-    _, opt = solve_mdp(reward, transition, DISCOUNT)
-    _, blind = solve_mdp(blind_reward, transition, DISCOUNT)
-
     joint_reward = np.repeat(reward, 2, axis=1)
     joint_reward[:, 1::2] = np.where(
         goal, 0.0, reward[states, opt] + INTERVENTION_COST)[:, None]

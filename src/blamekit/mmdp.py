@@ -320,14 +320,21 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # the decoder recurses once per level
+            raise ValueError("JSON nested too deeply") from exc
+
+
 def load_model(path) -> Mmdp:
     """Parse the JSON model format.
 
     Omitted reward entries default to 0; a (state, joint action) pair with no
     transition entries at all is an error.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         num_states = _integer("num_states", doc["num_states"])
         num_agents = _integer("num_agents", doc["num_agents"])
@@ -343,7 +350,7 @@ def load_model(path) -> Mmdp:
         raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):
         raise ValueError(problems[0])
-    A = int(np.prod(action_counts))
+    A = math.prod(action_counts)
     (s, a), r = _entries(doc, "rewards", (num_states, A))
     reward = np.zeros((num_states, A))
     reward[s, a] = r
@@ -367,8 +374,7 @@ def save_policy(pi: JointPolicy, path) -> None:
 
 
 def load_policy(path) -> JointPolicy:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if "agents" not in doc:
         raise ValueError("policy file missing 'agents' field")
     agents = tuple(AgentPolicy(_numbers(f"agent {i}: probs", rows))

@@ -321,6 +321,40 @@ def test_non_finite_input_exits_2(two_agent_inputs, tmp_path, capsys,
     assert f"{name} is {value}, not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attribute", "check"])
+@pytest.mark.parametrize("target", ["model", "behavior"])
+def test_deeply_nested_input_exits_2(two_agent_inputs, tmp_path, capsys,
+                                     command, target):
+    """JSON nested deeper than the decoder can recurse is a parse failure,
+    not a RecursionError traceback with exit 1."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    paths[target] = str(tmp_path / "nested.json")
+    with open(paths[target], "w") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
+    code = main([command, "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    assert "cannot parse input: JSON nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action_counts", [[2**32, 2**32], [2**62 + 1, 4]])
+def test_joint_action_count_beyond_int64_exits_2(two_agent_inputs, tmp_path,
+                                                 capsys, action_counts):
+    """The joint action count is an exact product: 2^32 x 2^32 is not 0, and
+    (2^62 + 1) x 4 is not 4, so neither file loads as a small model."""
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc["action_counts"] = action_counts
+    path = tmp_path / "huge_counts.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot parse input" in err and "[0, 0)" not in err
+
+
 def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
                                                   capsys):
     model_path, _ = two_agent_inputs

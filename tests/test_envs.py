@@ -10,6 +10,7 @@ from blamekit.attribution import (
     shapley,
 )
 from blamekit import envs
+from blamekit.cli import ALPHA_PRIME_GRID
 from blamekit.envs import (
     CELL_REWARDS,
     DISCOUNT,
@@ -25,7 +26,7 @@ from blamekit.envs import (
     parse_map,
 )
 from blamekit.mmdp import evaluate_return, validate_mmdp
-from blamekit.planning import characteristic_game
+from blamekit.planning import characteristic_game, solve_mdp
 from helpers import (_graph_state, assert_same_model, destination, graph_loop,
                      gridworld_loop, single_agent_plan_loop)
 
@@ -90,6 +91,57 @@ def test_gridworld_matches_the_loop_reference(alpha, alpha_prime, map_text,
         monkeypatch.setattr(envs, "default_map", lambda: map_text)
     spec = GridworldSpec(alpha=alpha, alpha_prime=alpha_prime)
     assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
+
+
+def test_gridworld_solves_the_lone_actor_once_per_map(monkeypatch):
+    """The overseer sweep's eleven builds solve the lone actor's optimal and
+    hazard-blind plans once each, not once per spec."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_mdp(*args)
+
+    monkeypatch.setattr(envs, "solve_mdp", counted)
+    envs._lone_actor.cache_clear()
+    for alpha_prime in ALPHA_PRIME_GRID:
+        build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=alpha_prime))
+    assert len(calls) == 2
+
+
+def test_the_lone_actor_tables_are_read_only():
+    key = (default_map(), DISCOUNT, tuple(CELL_REWARDS.items()))
+    tables = envs._lone_actor(*key)
+    assert all(a is b for a, b in zip(envs._lone_actor(*key), tables))
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
+
+
+def test_a_gridworld_build_owns_its_arrays():
+    """Writing into one build's tables leaves the next build as it was."""
+    spec = GridworldSpec(alpha=0.2, alpha_prime=0.5)
+    model, behavior = build_gridworld(spec)
+    for table in (model.reward, model.transition, model.initial_dist,
+                  *(a.probs for a in behavior.agents)):
+        table[...] = np.nan
+    assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
+
+
+@pytest.mark.parametrize("patch", [
+    lambda m: m.setattr(envs, "default_map", lambda: _TWO_STARTS),
+    lambda m: m.setattr(envs, "DISCOUNT", 0.5),
+    lambda m: m.setitem(envs.CELL_REWARDS, "H", -0.011),
+], ids=["map", "discount", "cell_rewards"])
+def test_a_patched_gridworld_never_reads_a_stale_plan(patch, monkeypatch):
+    """Builds under a patched map, discount or cell reward, alternating with
+    default ones, each equal the loop reference bit for bit."""
+    spec = GridworldSpec(alpha=0.4, alpha_prime=0.5)
+    for patched in (True, False, True, False):
+        with monkeypatch.context() as m:
+            if patched:
+                patch(m)
+            assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
 
 
 def test_gridworld_model_is_valid():
