@@ -17,8 +17,7 @@ from .properties import (PropertyVerdict, check_avg_efficiency,
                          impossibility_fixture, random_monotone_game)
 from .uncertainty import (UncertaintySet, ap_blackstone, bi_blackstone,
                           l1_distance, mc_blackstone, mer_blackstone,
-                          robust_max_value, robust_min_value, sample_center,
-                          sv_blackstone, sv_valid)
+                          robust_bounds, sample_center, sv_blackstone, sv_valid)
 
 __version__ = "0.1.0"
 
@@ -35,6 +34,6 @@ __all__ = [
     "impossibility_fixture", "l1_distance", "load_model", "load_policy",
     "marginal_contribution", "mc_blackstone", "mer", "mer_blackstone",
     "mmdp_from_game", "optimal_joint", "pivotality", "random_monotone_game",
-    "robust_max_value", "robust_min_value", "sample_center", "save_model",
-    "save_policy", "shapley", "sv_blackstone", "sv_valid", "validate_mmdp",
+    "robust_bounds", "sample_center", "save_model", "save_policy", "shapley",
+    "sv_blackstone", "sv_valid", "validate_mmdp",
 ]

@@ -188,7 +188,7 @@ def _robustness_setup(env: str):
     if env == "graph":
         model, behavior = build_graph(GraphSpec("robustness"))
         return model, behavior, None, GRAPH_EPS, None, False
-    raise CliError(2, f"unknown robustness environment {env!r}")
+    raise ValueError(f"unknown robustness environment {env!r}")
 
 
 def run_robustness(env: str, num_seeds: int = 10,

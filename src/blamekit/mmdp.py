@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,7 +303,8 @@ def _entries(doc, name: str, limits: tuple[int, ...]):
 def _number(name: str, value) -> float:
     # JSON true loads as a Python bool, which is an int
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} value {value!r} is not a number")
+        # reprlib: a short value prints as repr does, a deep or long one cut short
+        raise ValueError(f"{name} value {reprlib.repr(value)} is not a number")
     return float(value)
 
 
@@ -351,6 +353,12 @@ def load_model(path) -> Mmdp:
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):
         raise ValueError(problems[0])
     A = math.prod(action_counts)
+    # numpy sizes no array past intp bytes, nor an A axis past intp when S is 0
+    if 8 * A * max(num_states, 1) ** 2 > np.iinfo(np.intp).max:
+        # str() of an int past 4300 digits raises
+        product = A if A.bit_length() <= 128 else f"at least 2**{A.bit_length() - 1}"
+        raise ValueError(f"action_counts multiply to {product} joint actions, too many "
+                         f"to index a transition table over num_states {num_states}")
     (s, a), r = _entries(doc, "rewards", (num_states, A))
     reward = np.zeros((num_states, A))
     reward[s, a] = r

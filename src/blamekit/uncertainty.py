@@ -245,6 +245,8 @@ class _CoalitionProblem:
         else:
             self.box_lower = product_table(num_states, lows)
             self.box_upper = product_table(num_states, highs)
+            # (S, 1); rounding may put the lower ends' sum a hair above 1
+            self.box_mass = np.maximum(1.0 - self.box_lower.sum(axis=1, keepdims=True), 0.0)
         # _ball_max, _ball_min, _corner_max, _box_max or _box_min
         self.choose = getattr(self, f"_{self.path}_{mode}")
 
@@ -301,7 +303,7 @@ class _CoalitionProblem:
         lo = self.box_lower[states][:, None]
         order = np.argsort(-b, axis=-1, kind="stable")
         room = np.take_along_axis(self.box_upper[states][:, None] - lo, order, -1)
-        mass = np.repeat(1.0 - lo.sum(axis=-1, keepdims=True), b.shape[1], 1)
+        mass = np.repeat(self.box_mass[states][:, None], b.shape[1], 1)
         return _best_dot(b, lo + np.take_along_axis(
             _pour(room, mass), order.argsort(axis=-1), -1))
 
@@ -309,10 +311,8 @@ class _CoalitionProblem:
         """q = lo + r with r <= hi - lo and sum r <= 1 - sum lo."""
         lo, hi = self.box_lower[states], self.box_upper[states]
         eye = np.eye(lo.shape[1])
-        # rounding may put the lower ends' sum a hair above 1
-        mass = np.maximum(1.0 - lo.sum(axis=1, keepdims=True), 0.0)
         return _shifted_min(b, lo, hi, eye, np.vstack([eye, np.ones(len(eye))]),
-                            np.hstack([hi - lo, mass]))
+                            np.hstack([hi - lo, self.box_mass[states]]))
 
 
 def _pour(room: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -351,7 +351,6 @@ class RobustBounds:
     an uncertainty set, memoized per coalition."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, exact: bool | None = None):
-        _check_set(m, uset)
         self.m = m
         self.uset = uset
         self.exact = exact
@@ -365,9 +364,13 @@ class RobustBounds:
             kept for level in levels if (kept := level[~terminal[level]]).size]
 
     def min_value(self, coalition) -> float:
+        """Lower bound on the coalition's best-response value across behaviors
+        in the set (equality when an exact chooser applies)."""
         return self._bound(coalition_mask(coalition, self.m.num_agents), "min")
 
     def max_value(self, coalition) -> float:
+        """Upper bound counterpart of min_value; with the empty coalition
+        this is the best plausible value of the behavior itself."""
         return self._bound(coalition_mask(coalition, self.m.num_agents), "max")
 
     def max_policy(self) -> np.ndarray:
@@ -435,26 +438,14 @@ _BOUNDS_CACHE: dict[bytes, RobustBounds] = {}
 
 def robust_bounds(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> RobustBounds:
+    """The memoized bounds of `m` over `uset`; the one place a set is checked
+    (ValueError if invalid or its center does not match the model)."""
     # checked before the lookup: the key holds neither truth nor policy shapes
     _check_set(m, uset)
     key = m.content_key() + uset.content_key() + str(exact).encode()
     if key not in _BOUNDS_CACHE:
         _BOUNDS_CACHE[key] = RobustBounds(m, uset, exact)
     return _BOUNDS_CACHE[key]
-
-
-def robust_min_value(m: Mmdp, uset: UncertaintySet, coalition,
-                     exact: bool | None = None) -> float:
-    """Lower bound on the coalition's best-response value across behaviors
-    in the set (equality when an exact chooser applies)."""
-    return robust_bounds(m, uset, exact).min_value(coalition)
-
-
-def robust_max_value(m: Mmdp, uset: UncertaintySet, coalition,
-                     exact: bool | None = None) -> float:
-    """Upper bound counterpart of robust_min_value; with the empty coalition
-    this is the best plausible value of the behavior itself."""
-    return robust_bounds(m, uset, exact).max_value(coalition)
 
 
 def _monotone_closure(values: np.ndarray, n: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 import threading
@@ -337,15 +338,18 @@ def test_deeply_nested_input_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "cannot parse input: JSON nested too deeply" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("action_counts", [[2**32, 2**32], [2**62 + 1, 4]])
+@pytest.mark.parametrize("action_counts", [[2**32, 2**32], [2**62 + 1, 4],
+                                           [2**62] * 250])
 def test_joint_action_count_beyond_int64_exits_2(two_agent_inputs, tmp_path,
                                                  capsys, action_counts):
     """The joint action count is an exact product: 2^32 x 2^32 is not 0, and
-    (2^62 + 1) x 4 is not 4, so neither file loads as a small model."""
+    (2^62 + 1) x 4 is not 4, so neither file loads as a small model. The
+    refusal names the product, or its power of two where it is too long to
+    print (past Python's 4300-digit int to str limit)."""
     model_path, behavior_path = two_agent_inputs
     with open(model_path) as fh:
         doc = json.load(fh)
-    doc["action_counts"] = action_counts
+    doc.update(num_agents=len(action_counts), action_counts=action_counts)
     path = tmp_path / "huge_counts.json"
     path.write_text(json.dumps(doc))
     code = main(["attribute", "--model", str(path),
@@ -353,6 +357,36 @@ def test_joint_action_count_beyond_int64_exits_2(two_agent_inputs, tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert "cannot parse input" in err and "[0, 0)" not in err
+    product = math.prod(action_counts)
+    named = product if product.bit_length() <= 128 else "at least 2**15500"
+    assert f"action_counts multiply to {named} joint actions" in err
+
+
+@pytest.mark.parametrize("target, path, name", [
+    ("model", ("rewards",), "rewards"),
+    ("behavior", ("agents", 0, 0), "agent 0: probs")])
+def test_deeply_nested_value_is_named_in_a_short_message(
+        two_agent_inputs, tmp_path, capsys, target, path, name):
+    """One number nested 500 lists deep is refused naming its field, and the
+    message cuts the value short instead of echoing all 1,000 brackets."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    value = 0.5
+    for _ in range(500):
+        value = [value]
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    paths[target] = str(tmp_path / "nested_value.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main(["attribute", "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{name} value" in err and len(err) < 200
 
 
 def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
@@ -605,6 +639,13 @@ def test_robustness_runs_in_the_calling_thread(monkeypatch):
     rows = run_robustness("graph", 1, eps_levels=(0.01,))
     assert [row["method"] for row in rows] == [
         "SV", "SV_V", "SV_BC", "BI_BC", "MC_BC", "MER_BC", "AP_BC"]
+
+
+def test_robustness_refuses_an_unknown_environment_as_a_library_call():
+    """run_robustness is called as a function, so an unknown environment
+    raises ValueError, not the command line's exit-code exception."""
+    with pytest.raises(ValueError, match="unknown robustness environment 'nowhere'"):
+        run_robustness("nowhere")
 
 
 def test_bad_eps_list_exits_2(tmp_path, capsys):

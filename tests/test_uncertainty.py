@@ -37,8 +37,6 @@ from blamekit.uncertainty import (
     mc_blackstone,
     mer_blackstone,
     robust_bounds,
-    robust_max_value,
-    robust_min_value,
     sample_center,
     sv_blackstone,
     sv_valid,
@@ -174,8 +172,8 @@ def test_ball_bounds_match_grid_search_binary_complement():
                         for a0 in range(3)))
     grid = np.array(grid)
 
-    got_min = robust_min_value(m, uset, (0,))
-    got_max = robust_max_value(m, uset, (0,))
+    got_min = robust_bounds(m, uset).min_value((0,))
+    got_max = robust_bounds(m, uset).max_value((0,))
     assert got_min <= grid.min() + 1e-9
     assert got_max >= grid.max() - 1e-9
     assert got_min == pytest.approx(grid.min(), abs=1e-3)
@@ -202,8 +200,8 @@ def test_ball_bounds_match_simplex_grid_three_actions():
                               for a0 in range(2)))
     values = np.array(values)
 
-    got_min = robust_min_value(m, uset, (0,))
-    got_max = robust_max_value(m, uset, (0,))
+    got_min = robust_bounds(m, uset).min_value((0,))
+    got_max = robust_bounds(m, uset).max_value((0,))
     assert got_min <= values.min() + 1e-9
     assert got_max >= values.max() - 1e-9
     assert got_min == pytest.approx(values.min(), abs=2e-2)
@@ -235,7 +233,7 @@ def test_corner_max_matches_exhaustive_corners():
     ends1 = (max(0.0, c1 - eps), min(1.0, c1 + eps))
     ends2 = (max(0.0, c2 - eps), min(1.0, c2 + eps))
     corner_best = max(coalition_value(e1, e2) for e1 in ends1 for e2 in ends2)
-    got = robust_max_value(m, uset, (0,), exact=True)
+    got = robust_bounds(m, uset, True).max_value((0,))
     assert got == pytest.approx(corner_best, abs=1e-9)
     for q1_0 in np.linspace(ends1[0], ends1[1], 41):
         for q2_0 in np.linspace(ends2[0], ends2[1], 41):
@@ -247,15 +245,15 @@ def test_exact_minimization_unavailable_with_two_uncertain_complements():
     center = bandit_center([(1.0, 0.0), (0.5, 0.5), (0.5, 0.5)])
     uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset({1, 2}))
     with pytest.raises(ValueError) as info:
-        robust_min_value(m, uset, (0,), exact=True)
+        robust_bounds(m, uset, True).min_value((0,))
     # every agent is binary: the min refusal names the count, not an arity
     assert str(info.value) == (
         "no exact chooser for coalition (0,) in min mode: 2 uncertain "
         "complement agents, and the exact min takes one; use the relaxed box")
     # the relaxed box happily covers the same query
-    assert np.isfinite(robust_min_value(m, uset, (0,), exact=False))
+    assert np.isfinite(robust_bounds(m, uset, False).min_value((0,)))
     # the segment corners still give the exact max
-    assert np.isfinite(robust_max_value(m, uset, (0,), exact=True))
+    assert np.isfinite(robust_bounds(m, uset, True).max_value((0,)))
 
 
 def test_exact_maximization_unavailable_with_a_non_binary_complement():
@@ -263,12 +261,12 @@ def test_exact_maximization_unavailable_with_a_non_binary_complement():
     center = bandit_center([(1.0, 0.0), (0.5, 0.5), (0.2, 0.3, 0.5)])
     uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset({1, 2}))
     with pytest.raises(ValueError) as info:
-        robust_max_value(m, uset, (0,), exact=True)
+        robust_bounds(m, uset, True).max_value((0,))
     assert str(info.value) == (
         "no exact chooser for coalition (0,) in max mode: uncertain "
         "complement agent 2 is not binary, and the exact max over several "
         "needs binary ones; use the relaxed box")
-    assert np.isfinite(robust_max_value(m, uset, (0,), exact=False))
+    assert np.isfinite(robust_bounds(m, uset, False).max_value((0,)))
 
 
 def test_relaxed_box_is_looser_than_the_ball():
@@ -277,13 +275,13 @@ def test_relaxed_box_is_looser_than_the_ball():
     m = bandit_model(reward_row, (3, 2))
     center = bandit_center([(1.0, 0.0, 0.0), (0.55, 0.45)])
     uset = UncertaintySet(center, 0.2, uncertain_agents=frozenset({1}))
-    assert (robust_min_value(m, uset, (0,), exact=False)
-            <= robust_min_value(m, uset, (0,), exact=True) + 1e-9)
-    assert (robust_max_value(m, uset, (0,), exact=False)
-            >= robust_max_value(m, uset, (0,), exact=True) - 1e-9)
+    assert (robust_bounds(m, uset, False).min_value((0,))
+            <= robust_bounds(m, uset, True).min_value((0,)) + 1e-9)
+    assert (robust_bounds(m, uset, False).max_value((0,))
+            >= robust_bounds(m, uset, True).max_value((0,)) - 1e-9)
     # auto mode picks the exact chooser when one applies
-    assert robust_min_value(m, uset, (0,)) == pytest.approx(
-        robust_min_value(m, uset, (0,), exact=True), abs=1e-12)
+    assert robust_bounds(m, uset).min_value((0,)) == pytest.approx(
+        robust_bounds(m, uset, True).min_value((0,)), abs=1e-12)
 
 
 def test_zero_radius_bounds_collapse_to_point_values():
@@ -293,9 +291,9 @@ def test_zero_radius_bounds_collapse_to_point_values():
     uset = sample_center(truth, 0.0, seed=3)
     for coalition in [(), (0,), (1,), (0, 1)]:
         reference = best_response(m, truth, coalition).value
-        assert robust_min_value(m, uset, coalition) == pytest.approx(
+        assert robust_bounds(m, uset).min_value(coalition) == pytest.approx(
             reference, abs=1e-9)
-        assert robust_max_value(m, uset, coalition) == pytest.approx(
+        assert robust_bounds(m, uset).max_value(coalition) == pytest.approx(
             reference, abs=1e-9)
 
 
@@ -344,8 +342,8 @@ def test_wider_radius_widens_bounds():
     last_min, last_max = None, None
     for radius in (0.0, 0.05, 0.1, 0.2, 0.4):
         uset = UncertaintySet(center, radius)
-        lo = robust_min_value(m, uset, (0,), exact=False)
-        hi = robust_max_value(m, uset, (0,), exact=False)
+        lo = robust_bounds(m, uset, False).min_value((0,))
+        hi = robust_bounds(m, uset, False).max_value((0,))
         if last_min is not None:
             assert lo <= last_min + 1e-12
             assert hi >= last_max - 1e-12
@@ -729,7 +727,7 @@ def test_uncertain_agents_the_center_lacks_are_reported(agents):
     assert uset.validate() == [
         f"uncertain agents {stray} not among the center's 4 agents"]
     with pytest.raises(ValueError, match="not among the center's 4 agents"):
-        RobustBounds(m, uset, False)
+        robust_bounds(m, uset, False)
 
 
 @pytest.mark.parametrize("coalition, stray", [((5,), 5), ([2], 2),
@@ -742,8 +740,8 @@ def test_bounds_refuse_agents_the_model_lacks(coalition, stray):
     uset = sample_center(b, 0.05, 0, frozenset({0}))
     bounds = RobustBounds(m, uset)
     for bound in (bounds.min_value, bounds.max_value,
-                  lambda c: robust_min_value(m, uset, c),
-                  lambda c: robust_max_value(m, uset, c)):
+                  lambda c: robust_bounds(m, uset).min_value(c),
+                  lambda c: robust_bounds(m, uset).max_value(c)):
         with pytest.raises(ValueError,
                            match=f"agent index {stray} out of range"):
             bound(coalition)
@@ -766,6 +764,31 @@ def test_robust_bounds_checks_a_set_whose_key_is_cached(monkeypatch):
                              for ap in center.agents))
     with pytest.raises(ValueError, match="invalid uncertainty set"):
         robust_bounds(m, UncertaintySet(wide, 0.1), False)
+
+
+def test_robust_bounds_checks_a_set_once_per_call(monkeypatch):
+    """`robust_bounds` is the one place a set is checked: once per call, on
+    a cache miss as on a hit; building the bounds checks nothing again."""
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    calls = []
+    check = uncertainty._check_set
+    monkeypatch.setattr(uncertainty, "_check_set",
+                        lambda *args: calls.append(args) or check(*args))
+    m = bandit_model(np.zeros(4), (2, 2))
+    uset = UncertaintySet(bandit_center([(0.5, 0.5), (0.5, 0.5)]), 0.1)
+    first = robust_bounds(m, uset, False)
+    assert len(calls) == 1
+    assert robust_bounds(m, uset, False) is first
+    assert len(calls) == 2
+
+
+def test_robust_bounds_is_the_exported_entry_point():
+    import blamekit
+    assert "robust_bounds" in blamekit.__all__
+    assert blamekit.robust_bounds is robust_bounds
+    for gone in ("robust_min_value", "robust_max_value"):
+        assert gone not in blamekit.__all__
+        assert not hasattr(blamekit, gone)
 
 
 def test_l1_distance():
