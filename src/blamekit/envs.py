@@ -25,6 +25,7 @@ PERSONAL_MIX = 0.5  # share of the pilot's off-alpha mass on the optimal plan
 _MOVES = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
 
 
+@lru_cache(maxsize=1)
 def default_map() -> str:
     return (resources.files("blamekit") / "data" / "gridworld_map.txt").read_text()
 

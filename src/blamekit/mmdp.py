@@ -348,6 +348,8 @@ def load_model(path) -> Mmdp:
         raise ValueError(f"model file missing field {exc}") from exc
     if problems := _agent_problems(num_agents, action_counts):
         raise ValueError(problems[0])
+    if num_states < 0:
+        raise ValueError(f"num_states {num_states} is negative")
     if num_states > MAX_STATES:
         raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):

@@ -9,11 +9,12 @@ the `one_step_model` layout that the impossibility fixture also uses).
 `characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
 equal joint-action count: a chunk scatters the behavior's nonzero entries
 into its complement conditionals, gathers reward and transition only where
-they play, and runs one stacked policy iteration. Chunks are sized by those
-conditionals and gathers, so a behavior that plays few joint actions per
-state gets few, wide chunks. `induced_mdp` and `best_response` run the same
-kernel on one coalition, bit for bit, and `coalition_action_index` is built
-from the same table: `_subgrids` is the package's one coalition layout.
+they play, and runs one stacked policy iteration from the greedy step on the
+behavior's own values. Chunks are sized by those conditionals and gathers,
+so a behavior that plays few joint actions per state gets few, wide chunks.
+`induced_mdp` and `best_response` run the same kernel on one coalition, bit
+for bit, and `coalition_action_index` is built from the same table:
+`_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ import math
 
 import numpy as np
 
-from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
-                   content_digest, evaluate_return, _non_finite, _solve_linear)
+# evaluate_return is unused here, but bench/tracing.py wraps it by this name
+from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table, content_digest,
+                   evaluate_return, policy_values, _non_finite, _solve_linear)
 
 MAX_AGENTS = 12
 DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
@@ -283,11 +285,14 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
             coalition_action_index(m, coalition))
 
 
-def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
+              start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration with lowest-index tie-breaking.
 
     r has shape (S, A) and p (S, A, S), or both carry one leading batch axis
-    (K, ...) to solve K MDPs in lockstep. Returns (state values, deterministic
+    (K, ...) to solve K MDPs in lockstep. The first policy is greedy against
+    state values `start` (S,), shared by a stack, or r alone if None (any
+    start converges; a good one sooner). Returns (state values, deterministic
     per-state action indices), stacked like the input. Exact up to the linear
     solver; raises RuntimeError if the greedy policy of any member is still
     improving after MAX_POLICY_ITERATIONS evaluations. A converged member
@@ -297,7 +302,8 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float) -> tuple[np.ndarray, n
     # x.reshape(-1)[base + pol] reads the entry of each row's chosen action
     base = np.arange(0, r.size, r.shape[-1]).reshape(r.shape[:-1])
     r_flat, p_rows = r.reshape(-1), p.reshape(-1, p.shape[-1])
-    pol = np.argmax(r, axis=-1)
+    pol = np.argmax(r if start is None else
+                    r + gamma * np.einsum("...sat,...t->...sa", p, start), axis=-1)
     for _ in range(MAX_POLICY_ITERATIONS):
         chosen = base + pol
         v = _solve_linear(p_rows[chosen], r_flat[chosen], gamma)
@@ -371,12 +377,15 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     hit = _GAME_CACHE.get(key)
     if hit is not None:
         return hit
-    j_b = evaluate_return(m, table)
+    v_b = policy_values(m, table)
+    j_b = float(m.initial_dist @ v_b)  # evaluate_return, bit for bit
+    # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
+    start = v_b if m.transition[..., v_b != 0].any() else None
     values = np.zeros(1 << m.num_agents)
     grid = _subgrids(m.action_counts)
     played = _played(m, table)
     for chunk in _coalition_chunks(m, grid[1], played):
-        v, _ = solve_mdp(*_induced(m, played, chunk, grid), m.discount)
+        v, _ = solve_mdp(*_induced(m, played, chunk, grid), m.discount, start)
         # a stacked (1, S) @ (S,) product per member is the same dot product
         # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
         values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b

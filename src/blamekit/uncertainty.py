@@ -420,9 +420,9 @@ class RobustBounds:
             # relative past |v| = 1, so the stop holds at every reward scale
             if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
                 return v, q
-            # the coalition's exact best response against q
+            # the coalition's exact best response against q, greedy from v
             v, _ = solve_mdp(*marginalize(q, problem.reward, problem.transition),
-                             m.discount)
+                             m.discount, v)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
 

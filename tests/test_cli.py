@@ -417,12 +417,14 @@ def test_oversized_model_exits_2(two_agent_inputs, tmp_path, capsys):
 @pytest.mark.parametrize("num_states, message", [
     (2001, "model has 2001 states, more than 2000"),
     (10**12, "model has 1000000000000 states, more than 2000"),
+    # numpy's "negative dimensions are not allowed" named no field
+    (-1, "num_states -1 is negative"),
     # at the cap the loader goes on to the (here missing) transition rows
     (2000, "transition row omitted")])
 def test_state_count_cap_exits_2(two_agent_inputs, tmp_path, capsys,
                                  num_states, message):
-    """The loader refuses a model of more than 2000 states before it
-    allocates the dense (S, A, S) transition tensor."""
+    """The loader refuses a model of more than 2000 states, or fewer than 0,
+    before it allocates the dense (S, A, S) transition tensor."""
     _, behavior_path = two_agent_inputs
     doc = {"num_states": num_states, "num_agents": 1, "action_counts": [2],
            "gamma": 0.9, "initial_dist": [1.0], "terminals": [],

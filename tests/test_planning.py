@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blamekit import planning
-from blamekit.mmdp import AgentPolicy, JointPolicy, as_joint_table, evaluate_return
+from blamekit.cli import run_coordination, run_perm_sweep
+from blamekit.envs import GridworldSpec, build_gridworld
+from blamekit.mmdp import (AgentPolicy, JointPolicy, as_joint_table, evaluate_return,
+                           policy_values)
 from blamekit.planning import (
     MAX_AGENTS,
     CharacteristicGame,
@@ -193,6 +196,124 @@ def test_solve_mdp_solves_a_stack_row_for_row():
             v_k, pol_k = solve_mdp(r[member], p[member], 0.9)
             assert v[member].tobytes() == v_k.tobytes()
             assert pol[member].tolist() == pol_k.tolist()
+
+
+def _random_chains(rng, shape):
+    """Uniform(-1, 1) rewards of `shape` (..., S, A) and dirichlet rows."""
+    return (rng.uniform(-1.0, 1.0, size=shape),
+            rng.dirichlet(np.ones(shape[-2]), size=shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_states=st.integers(1, 6),
+       num_actions=st.integers(1, 4))
+def test_a_warm_start_returns_the_cold_solve_bit_for_bit(seed, num_states,
+                                                         num_actions):
+    """Continuous rewards leave one optimal policy, and policy iteration
+    reaches it from any first policy: random values, a random policy's own
+    values and the optimum itself all return the cold solve's values and
+    policy bit for bit; from the optimum it takes one evaluation."""
+    rng = np.random.default_rng(seed)
+    r, p = _random_chains(rng, (num_states, num_actions))
+    v, pol = solve_mdp(r, p, 0.9)
+    some = rng.integers(0, num_actions, num_states)
+    states = np.arange(num_states)
+    v_some = np.linalg.solve(np.eye(num_states) - 0.9 * p[states, some],
+                             r[states, some])
+    for start in (rng.normal(scale=10.0, size=num_states), v_some, v):
+        v_w, pol_w = solve_mdp(r, p, 0.9, start)
+        assert v_w.tobytes() == v.tobytes()
+        assert pol_w.tolist() == pol.tolist()
+    with mock.patch.object(planning, "_solve_linear",
+                           wraps=planning._solve_linear) as counted:
+        solve_mdp(r, p, 0.9, v)
+    assert counted.call_count == 1
+
+
+def test_a_warm_stack_solves_row_for_row():
+    """One start shared by a stack returns, bit for bit, what each member's
+    own solve from that start returns, ties included."""
+    for seed in range(5):
+        rng = np.random.default_rng(700 + seed)
+        num_states = 1 + seed
+        r, p = _random_chains(rng, (7, num_states, 3))
+        r[0] = np.round(r[0])  # ties: lowest index wins
+        start = rng.normal(size=num_states)
+        v, pol = solve_mdp(r, p, 0.9, start)
+        for member in range(7):
+            v_k, pol_k = solve_mdp(r[member], p[member], 0.9, start)
+            assert v[member].tobytes() == v_k.tobytes()
+            assert pol[member].tolist() == pol_k.tolist()
+
+
+def test_a_zero_start_is_the_cold_start():
+    for seed in range(5):
+        rng = np.random.default_rng(800 + seed)
+        r, p = _random_chains(rng, (4, 1 + seed, 3))
+        r[0] = np.round(r[0])
+        for r_k, p_k in ((r, p), (r[0], p[0])):
+            v, pol = solve_mdp(r_k, p_k, 0.9)
+            v_0, pol_0 = solve_mdp(r_k, p_k, 0.9, np.zeros(1 + seed))
+            assert v_0.tobytes() == v.tobytes()
+            assert pol_0.tolist() == pol.tolist()
+
+
+def test_warm_and_cold_solves_agree_where_actions_tie():
+    """Quarter-step rewards on deterministic moves tie many actions, so a
+    warm start may settle on another optimal policy (it does on some seeds
+    here); the values still agree to 1e-12 relative, and each solve meets
+    the Bellman equation to 1e-12 relative."""
+    policies_differ = False
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        r = rng.integers(-2, 3, size=(6, 4)) * 0.25
+        p = np.eye(6)[rng.integers(0, 6, size=(6, 4))]
+        v, pol = solve_mdp(r, p, 0.9)
+        v_w, pol_w = solve_mdp(r, p, 0.9, rng.normal(size=6))
+        policies_differ |= pol_w.tolist() != pol.tolist()
+        scale = max(1.0, np.abs(v).max())
+        assert np.abs(v_w - v).max() <= 1e-12 * scale
+        for values in (v, v_w):
+            backup = (r + 0.9 * p @ values).max(axis=-1)
+            assert np.abs(backup - values).max() <= 1e-12 * scale
+    assert policies_differ
+
+
+def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
+    """Every chunk of the gridworld's sweep starts from the behavior's state
+    values; a one-step model, where no transition enters a state of nonzero
+    value, keeps the cold start."""
+    gridworld = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+    one_step = mmdp_from_game(random_monotone_game(4, 0))
+    starts = []
+
+    def recording(r, p, gamma, start=None):
+        starts.append(start)
+        return solve_mdp(r, p, gamma, start)
+
+    monkeypatch.setattr(planning, "solve_mdp", recording)
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    characteristic_game(*one_step)
+    assert starts and all(start is None for start in starts)
+    starts.clear()
+    characteristic_game(*gridworld)
+    v_b = policy_values(*gridworld)
+    assert starts and all(start.tobytes() == v_b.tobytes() for start in starts)
+
+
+def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
+        monkeypatch):
+    """Started from the behavior's values, the gridworld's coalitions need a
+    few evaluations each, not one per step the values spread: 140 linear
+    solves in all, against 313 from the greedy step on reward alone."""
+    # the lone actor's plans are solved once per process, outside the count
+    build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    with mock.patch.object(planning, "_solve_linear",
+                           wraps=planning._solve_linear) as counted:
+        run_perm_sweep()
+        run_coordination()
+    assert counted.call_count <= 150
 
 
 def test_coalition_action_index_layout():
