@@ -10,18 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-import weakref
 
 import numpy as np
 
 from .lp import LinearProgram, Resume, solve, solve_lexicographic
 from .planning import (MAX_AGENTS, CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
-                       marginal_masks, membership, _read_only)
+                       marginal_masks, membership, memo, _read_only)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
-_HELD = (lambda: None, {})  # a weakref to the latest game passed to _held, its table
+_HELD: dict[CharacteristicGame, dict] = {}  # per game, its results by name
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,8 @@ def banzhaf_weights(n: int) -> np.ndarray:
 
 
 def _held(game: CharacteristicGame, key: str, compute):
-    """compute() once per game, held read-only under `key` for the latest
-    game passed here, which another game replaces: the slot is keyed by weak
-    reference, never by id, so no game is kept alive, and rebound whole, so
-    every caller gets its own game's table."""
-    global _HELD
-    if (slot := _HELD)[0]() is not game:
-        slot = _HELD = weakref.ref(game), {}
-    if key not in (table := slot[1]):
+    """compute() once per game in the `memo` _HELD, under `key`; read-only if an array."""
+    if key not in (table := memo(_HELD, game, dict)):
         table[key] = compute()
         if isinstance(table[key], np.ndarray):
             table[key].setflags(write=False)
@@ -126,10 +119,11 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
 
     Solves: maximize sum(beta) subject to sum_{i in S} beta_i <= value(S)
     for every nonempty coalition S, beta >= 0. The total is the same at
-    every optimum; per-agent splits are not, so callers that need a
-    deterministic vector pass `tiebreak` to secondarily maximize that
-    agent's blame over the optimal face, resuming the game's one primary,
-    which keeps its own snapshot buffer and reads `cap_rows(n)` uncopied.
+    every optimum; per-agent splits are not. `tiebreak` secondarily
+    maximizes that agent's blame over the optimal face, which fixes that
+    blame only: the others are the vertex Bland's rule reaches. It resumes
+    the game's one primary, which keeps its own snapshot buffer and reads
+    `cap_rows(n)` uncopied.
     Raises RuntimeError naming the LP that is not optimal: at values of 1e8
     and above the tiebreak's absolute face slack of 1e-9 can fail it."""
     n = game.num_agents

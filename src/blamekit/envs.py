@@ -53,7 +53,8 @@ class GridworldSpec:
         problems = []
         for name in ("alpha", "alpha_prime"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0.0 <= value <= 1.0):
                 problems.append(f"{name} = {value!r} is not a real number in [0, 1]")
         return problems
 

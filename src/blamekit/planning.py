@@ -33,6 +33,7 @@ MAX_AGENTS = 12
 DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
 MAX_POLICY_ITERATIONS = 1000
 _MONOTONE_TOL = 1e-9
+MEMO_ENTRIES = 2  # newest keys a memo keeps: check_cperf reads its two games again
 
 
 def coalition_mask(coalition, n: int) -> int:
@@ -48,6 +49,15 @@ def coalition_mask(coalition, n: int) -> int:
 
 def mask_agents(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def memo(table: dict, key, build):
+    """table[key], or build() stored under it; a table keeps its MEMO_ENTRIES newest keys."""
+    if (value := table.get(key)) is None:
+        table[key] = value = build()
+        while len(table) > MEMO_ENTRIES:
+            del table[next(iter(table))]
+    return value
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -113,7 +123,7 @@ def marginal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(without), _read_only(without | low + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacteristicGame:
     """Marginal inefficiencies for all 2^n coalitions, indexed by bitmask."""
 
@@ -374,9 +384,8 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
     key = m.content_key() + content_digest(table)
-    hit = _GAME_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if key in _GAME_CACHE:
+        return _GAME_CACHE[key]
     v_b = policy_values(m, table)
     j_b = float(m.initial_dist @ v_b)  # evaluate_return, bit for bit
     # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
@@ -389,9 +398,7 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
         # a stacked (1, S) @ (S,) product per member is the same dot product
         # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
         values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b
-    game = CharacteristicGame(m.num_agents, values)
-    _GAME_CACHE[key] = game
-    return game
+    return memo(_GAME_CACHE, key, lambda: CharacteristicGame(m.num_agents, values))
 
 
 def one_step_model(action_counts: tuple[int, ...],

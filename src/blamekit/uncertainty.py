@@ -38,7 +38,8 @@ from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
                        coalition_mask, coalition_sizes, coalition_tables,
-                       lattice_floors, marginalize, mask_agents, solve_mdp)
+                       lattice_floors, marginalize, mask_agents, memo,
+                       solve_mdp, _read_only)
 
 RESIDUAL_TOL = 1e-12
 MAX_SWEEPS = 1000
@@ -129,6 +130,8 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                   uncertain_agents: frozenset[int] | None = None) -> UncertaintySet:
     """Draw an estimated behavior whose ball of radius eps_max contains the
     truth (guaranteed by the ball's symmetry). Deterministic per seed."""
+    if isinstance(eps_max, (bool, np.bool_)):
+        raise ValueError(f"eps_max {eps_max!r} is a bool, not a radius")
     if not np.isfinite(eps_max):
         raise ValueError("eps_max must be finite")
     if eps_max < 0:
@@ -374,10 +377,10 @@ class RobustBounds:
         return self._bound(coalition_mask(coalition, self.m.num_agents), "max")
 
     def max_policy(self) -> np.ndarray:
-        """A joint behavior table attaining max_value(()) over the chooser
-        set; its exact evaluation equals that bound."""
+        """A read-only joint behavior table attaining max_value(()) over the
+        chooser set; its exact evaluation equals that bound."""
         self._bound(0, "max")
-        return self._values[0, "max"][1]
+        return _read_only(self._values[0, "max"][1])
 
     def _bound(self, mask: int, mode: str) -> float:
         key = (mask, mode)
@@ -438,14 +441,16 @@ _BOUNDS_CACHE: dict[bytes, RobustBounds] = {}
 
 def robust_bounds(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> RobustBounds:
-    """The memoized bounds of `m` over `uset`; the one place a set is checked
-    (ValueError if invalid or its center does not match the model)."""
+    """The bounds of `m` over `uset`, memoized under `memo`; the one place a
+    set is checked (ValueError if invalid or its center does not match the
+    model) and `exact` too: None, True or False, a numpy bool as the same."""
+    if not isinstance(exact, (bool, np.bool_, type(None))):
+        raise ValueError(f"exact is {exact!r}, not None, True or False")
+    exact = None if exact is None else bool(exact)
     # checked before the lookup: the key holds neither truth nor policy shapes
     _check_set(m, uset)
     key = m.content_key() + uset.content_key() + str(exact).encode()
-    if key not in _BOUNDS_CACHE:
-        _BOUNDS_CACHE[key] = RobustBounds(m, uset, exact)
-    return _BOUNDS_CACHE[key]
+    return memo(_BOUNDS_CACHE, key, lambda: RobustBounds(m, uset, exact))
 
 
 def _monotone_closure(values: np.ndarray, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from blamekit import lp, properties
 from blamekit.attribution import (
     METHODS,
     BlameAssignment,
+    _HELD,
     _held,
     apply,
     average_participation,
@@ -27,8 +28,8 @@ from blamekit.attribution import (
     shapley,
 )
 from blamekit.cli import _csv
-from blamekit.planning import (CharacteristicGame, coalition_mask, membership,
-                               mmdp_from_game)
+from blamekit.planning import (MEMO_ENTRIES, CharacteristicGame, coalition_mask,
+                               membership, mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
                      pivotality_loop, rationality_loop, shapley_loop,
@@ -390,25 +391,36 @@ def test_a_returned_blame_vector_is_the_callers_own():
         game_marginals(game)[0, 0] = 1.0
 
 
-def test_the_held_slot_holds_the_latest_game_weakly():
-    """One table per game, replaced by the next game. It keeps no game
-    alive, and a game built where a freed one was (CPython's allocator
-    reuses freed blocks) starts with an empty table."""
+def test_held_results_keep_the_two_newest_games_and_free_an_evicted_one():
+    """Each game's results are computed once while it is among the
+    MEMO_ENTRIES newest games passed to `_held`; a third game evicts the
+    oldest, which the memo then no longer keeps alive. A game built where a
+    freed one was (CPython's allocator reuses freed blocks) starts with an
+    empty table."""
+    assert MEMO_ENTRIES == 2
     values = np.array([0.0, 1.0, 2.0, 3.0])
-    game = CharacteristicGame(2, values)
+    game, other, third = (CharacteristicGame(2, values) for _ in range(3))
     assert _held(game, "probe", lambda: 1) == 1
     assert _held(game, "probe", lambda: 2) == 1
-    other = CharacteristicGame(2, values)
     assert _held(other, "probe", lambda: 2) == 2
-    assert _held(game, "probe", lambda: 3) == 3
+    assert _held(game, "probe", lambda: 3) == 1
+    assert _held(third, "probe", lambda: 3) == 3  # evicts game, the oldest
+    assert _held(other, "probe", lambda: 4) == 2
+    assert _held(game, "probe", lambda: 5) == 5  # evicts other
+    assert list(_HELD) == [third, game]
     ref = weakref.ref(game)
     del game
+    _held(other, "probe", object)
+    _held(CharacteristicGame(2, values), "probe", object)
     gc.collect()
     assert ref() is None
+    fillers = [CharacteristicGame(2, values) for _ in range(2)]
     reused = 0
     for _ in range(100):
         game = CharacteristicGame(2, values)
         _held(game, "probe", lambda: 4)
+        for filler in fillers:  # each evicts the oldest; the second, game
+            _held(filler, "probe", object)
         address = id(game)
         del game
         later = CharacteristicGame(2, values)
@@ -418,27 +430,32 @@ def test_the_held_slot_holds_the_latest_game_weakly():
     assert reused
 
 
-def test_the_held_slot_gives_each_caller_its_own_games_table():
-    """A call for another game between the slot's rebinding and its read
-    (here from a finalizer of the outgoing table, which runs just then)
-    does not hand that game's result to the caller."""
-    first, other, game = (CharacteristicGame(1, [0.0, float(k)]) for k in range(3))
+def test_an_eviction_finalizer_leaves_each_caller_its_own_games_table():
+    """Calls for other games from a finalizer that an eviction runs (here of
+    the evicted table, which runs just then) may evict the caller's game in
+    turn; the caller still gets its own game's table, never another's."""
+    first, second, game, other, last = (CharacteristicGame(1, [0.0, float(k)])
+                                        for k in range(5))
     seen = []
 
     class Switch:
         def __del__(self):
-            seen.append(_held(other, "probe", object))
+            seen.extend(_held(g, "probe", object) for g in (other, last))
 
     _held(first, "switch", Switch)
-    mine = _held(game, "probe", object)
-    assert len(seen) == 1 and mine is not seen[0]
-    assert held(other, "probe") is seen[0]
+    _held(second, "probe", object)
+    mine = _held(game, "probe", object)  # evicts first: Switch runs
+    assert len(seen) == 2 and mine not in seen
+    assert list(_HELD) == [other, last]
+    assert held(other, "probe") is seen[0] and held(last, "probe") is seen[1]
+    assert _held(game, "probe", object) is not mine  # game was evicted
 
 
-def test_a_switch_of_game_inside_the_slot_turnover_keeps_each_games_mer():
-    """Another game's call that runs while the slot turns over (here from a
-    finalizer of the outgoing table, as another thread could) does not hand
-    its table, and with it its LP, to the game being served."""
+def test_a_switch_of_game_inside_an_eviction_keeps_each_games_mer():
+    """Another game's MER that runs while the memo evicts (here from a
+    finalizer of the evicted table, as another thread could), and evicts
+    the game being served in turn, does not hand that game its table, and
+    with it its LP."""
     game, other = random_monotone_game(4, 3), random_monotone_game(3, 4)
     want = mer(CharacteristicGame(4, game.values), 0).blames.tobytes()
     seen = []
@@ -447,9 +464,12 @@ def test_a_switch_of_game_inside_the_slot_turnover_keeps_each_games_mer():
         def __del__(self):
             mer(other, 0)
             seen.append(held(other, "MER"))
+            _held(random_monotone_game(2, 6), "probe", object)
 
     _held(random_monotone_game(2, 5), "switch", Switch)
+    _held(random_monotone_game(2, 7), "probe", object)
     assert mer(game, 0).blames.tobytes() == want
+    assert len(seen) == 1 and game not in _HELD
     assert mer(game).blames.tobytes() == _mer_cold(game.values, None).tobytes()
     # the other game's held primary keeps its snapshot buffer: a tiebreak on
     # it, as a caller still holding it would make, resumes there

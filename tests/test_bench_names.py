@@ -2,7 +2,7 @@
 attribute name: a rename must fail here, not only in a traced bench run."""
 from pathlib import Path
 
-from blamekit import planning, uncertainty
+from blamekit import attribution, planning, uncertainty
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -20,7 +20,10 @@ def test_every_traced_call_site_resolves(monkeypatch):
 
 def test_the_caches_cleared_between_passes_exist():
     # workloads.clear_caches skips a cache it cannot find, so a renamed one
-    # would carry its entries from one pass into the next without a word
+    # would carry its entries from one pass into the next without a word;
+    # attribution._HELD is not cleared yet, which a traced pass shows as
+    # MER primaries it does not solve again
     for module, name in ((planning, "_GAME_CACHE"),
-                         (uncertainty, "_BOUNDS_CACHE")):
+                         (uncertainty, "_BOUNDS_CACHE"),
+                         (attribution, "_HELD")):
         assert isinstance(getattr(module, name, None), dict), name

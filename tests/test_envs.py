@@ -239,9 +239,9 @@ def test_overseer_is_a_deterministic_best_response():
 def test_gridworld_spec_validation():
     with pytest.raises(ValueError, match="alpha"):
         build_gridworld(GridworldSpec(alpha=1.5, alpha_prime=0.5))
-    # a level that is not a real number in [0, 1], NaN included, is refused
-    # by name rather than compared
-    for level in ("0.5", None, 1j, np.nan):
+    # a level that is not a real number in [0, 1], NaN and a bool included,
+    # is refused by name rather than compared or read as 0.0 or 1.0
+    for level in ("0.5", None, 1j, np.nan, True, False, np.True_):
         with pytest.raises(ValueError, match=r"alpha = .* is not a real number"):
             build_gridworld(GridworldSpec(alpha=level, alpha_prime=0.5))
         with pytest.raises(ValueError, match=r"alpha_prime = .* is not a real"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blamekit import planning
+from blamekit import cli, planning
 from blamekit.cli import run_coordination, run_perm_sweep
 from blamekit.envs import GridworldSpec, build_gridworld
 from blamekit.mmdp import (AgentPolicy, JointPolicy, as_joint_table, evaluate_return,
@@ -314,6 +314,17 @@ def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
         run_perm_sweep()
         run_coordination()
     assert counted.call_count <= 150
+
+
+def test_the_perm_experiment_sweeps_six_games_for_its_eleven_builds(monkeypatch):
+    """Its repeated behaviors (alpha_prime 0.0-0.3, 0.4-0.5 and 0.9-1.0) come
+    one after another, so the two-entry game memo sweeps each once."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    with mock.patch.object(cli, "build_gridworld", wraps=cli.build_gridworld) as builds, \
+            mock.patch.object(planning, "_coalition_chunks",
+                              wraps=planning._coalition_chunks) as sweeps:
+        run_perm_sweep()
+    assert (builds.call_count, sweeps.call_count) == (11, 6)
 
 
 def test_coalition_action_index_layout():
@@ -758,7 +769,7 @@ def test_a_game_takes_python_and_numpy_integer_agent_counts(num_agents):
 
 
 def test_a_game_holds_a_read_only_copy_of_its_values():
-    """attribution's per-game slot relies on this: no held result goes stale."""
+    """attribution's per-game memo relies on this: no held result goes stale."""
     source = np.array([0.0, 1.0, 2.0, 3.0])
     game = CharacteristicGame(2, source)
     with pytest.raises(ValueError, match="read-only"):

@@ -1,13 +1,15 @@
 """Robust value bounds and the never-over-blaming attribution variants."""
 import dataclasses
 from functools import lru_cache
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit import cli, uncertainty
+from blamekit import attribution, cli, planning, uncertainty
 from blamekit.attribution import (
     PIVOTAL_TOL,
     average_participation,
@@ -21,8 +23,8 @@ from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.lp import LinearProgram, solve
 from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, evaluate_return,
                            product_table)
-from blamekit.planning import (best_response, characteristic_game, mask_agents,
-                               mmdp_from_game)
+from blamekit.planning import (MEMO_ENTRIES, best_response, characteristic_game,
+                               mask_agents, mmdp_from_game)
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import (
     _EDGE_TOL,
@@ -103,6 +105,10 @@ def test_sample_center_zero_radius_and_agent_filter():
     for radius in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             sample_center(truth, radius, seed=0)
+    # a bool is not a radius, neither read as 1.0 nor as 0.0
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="is a bool, not a radius"):
+            sample_center(truth, flag, seed=0)
 
 
 def test_uncertainty_set_validate_and_contains():
@@ -780,6 +786,75 @@ def test_robust_bounds_checks_a_set_once_per_call(monkeypatch):
     assert len(calls) == 1
     assert robust_bounds(m, uset, False) is first
     assert len(calls) == 2
+
+
+def test_robust_bounds_reads_a_numpy_bool_exact_as_the_python_bool(monkeypatch):
+    """np.False_ forces the relaxed box as False does, under the same key,
+    and np.True_ is True; any other value is refused, not read as None."""
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    m, b = build_graph(GraphSpec("robustness"))
+    uset = sample_center(b, 0.05, 0)
+    relaxed = robust_bounds(m, uset, np.False_)
+    assert relaxed.exact is False and robust_bounds(m, uset, False) is relaxed
+    assert relaxed.max_value((0,)) == RobustBounds(m, uset, False).max_value((0,))
+    assert robust_bounds(m, uset, np.True_).exact is True
+    for exact in (0, 1, "no", np.int64(0), 0.0):
+        with pytest.raises(ValueError, match=r"exact is .*, not None, True or False"):
+            robust_bounds(m, uset, exact)
+
+
+def test_the_max_policy_is_handed_out_read_only(monkeypatch):
+    """The memoized table that sv_valid grades against refuses a write, so
+    no caller can move a later sv_valid on the same set."""
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    model, uset = robustness_gridworld()
+    want = sv_valid(model, uset).blames
+    table = robust_bounds(model, uset).max_policy()
+    with pytest.raises(ValueError, match="read-only"):
+        table[:, 0] = 1.0
+    assert sv_valid(model, uset).blames.tobytes() == want.tobytes()
+
+
+def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
+    """100 distinct games and uncertainty sets leave no memo table above
+    MEMO_ENTRIES, and no game older than those kept alive by one."""
+    tables = [{}, {}, {}]
+    for module, name, table in zip((planning, uncertainty, attribution),
+                                   ("_GAME_CACHE", "_BOUNDS_CACHE", "_HELD"), tables):
+        monkeypatch.setattr(module, name, table)
+    m = bandit_model(np.zeros(4), (2, 2))
+    refs = []
+    for k in range(100):
+        game = characteristic_game(*mmdp_from_game(random_monotone_game(3, k)))
+        shapley(game)
+        refs.append(weakref.ref(game))
+        center = bandit_center([(0.5, 0.5), (0.5 + k / 400, 0.5 - k / 400)])
+        robust_bounds(m, UncertaintySet(center, 0.1), False)
+        assert [len(table) for table in tables] == [min(k + 1, MEMO_ENTRIES)] * 3
+    del game
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [False] * 98 + [True] * 2
+
+
+def test_a_robust_run_builds_one_bounds_per_task_for_its_seven_lookups(monkeypatch):
+    """All seven lookups of one (eps, seed) task ask for the same set, so
+    the two-entry memo builds one RobustBounds per task."""
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    built = []
+
+    class Counted(RobustBounds):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(uncertainty, "RobustBounds", Counted)
+    lookups = []
+    look_up = uncertainty.robust_bounds
+    monkeypatch.setattr(uncertainty, "robust_bounds",
+                        lambda *args: lookups.append(args) or look_up(*args))
+    rows = cli.run_robustness("gridworld", 2)
+    assert len({(row["eps_max"], row["seed"]) for row in rows}) == 10
+    assert (len(built), len(lookups)) == (10, 70)
 
 
 def test_robust_bounds_is_the_exported_entry_point():
