@@ -14,6 +14,7 @@ from math import factorial
 import numpy as np
 
 from .lp import LinearProgram, Resume, solve, solve_lexicographic
+from .mmdp import _non_finite
 from .planning import (MAX_AGENTS, CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
                        marginal_masks, membership, memo, _read_only)
@@ -29,7 +30,7 @@ class BlameAssignment:
     blames: np.ndarray
 
     def __post_init__(self):
-        blames = np.asarray(self.blames, dtype=float)
+        blames = as_blames(self.blames)
         if (blames < -_CLAMP_TOL).any():
             raise ValueError(f"{self.method}: negative blame {blames.min():.3g}")
         object.__setattr__(self, "blames", np.maximum(blames, 0.0))
@@ -195,10 +196,12 @@ def blame(m, behavior, method: str, tiebreak: int | None = None) -> BlameAssignm
 
 
 def as_blames(beta, n: int | None = None) -> np.ndarray:
-    """The blame vector of a BlameAssignment, or an array-like as floats;
-    refuses one that is not a vector of n blames when n is given."""
-    blames = (beta.blames if isinstance(beta, BlameAssignment)
+    """The blame vector of a BlameAssignment, or an array-like as floats,
+    refused if not finite, or not a vector of n blames when n is given."""
+    blames = (beta.blames if isinstance(beta, BlameAssignment)  # checked where built
               else np.asarray(beta, dtype=float))
+    if not isinstance(beta, BlameAssignment) and (problems := _non_finite(blames=blames)):
+        raise ValueError(problems[0])
     if n is not None and blames.shape != (n,):
         raise ValueError(f"blame vector has shape {blames.shape}, expected ({n},)")
     return blames

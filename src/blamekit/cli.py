@@ -19,7 +19,7 @@ from .attribution import (METHODS, apply, average_participation, banzhaf,
                           marginal_contribution, mer, shapley)
 from .envs import (GRAPH_THRESHOLDS, GraphSpec, GridworldSpec, build_graph,
                    build_gridworld)
-from .mmdp import load_model, load_policy, validate_mmdp
+from .mmdp import load_model, load_policy, validate_mmdp, _slack_problems
 from .planning import MAX_AGENTS, characteristic_game
 from .properties import (check_avg_efficiency, check_efficiency,
                          check_invariance, check_rationality, check_symmetry,
@@ -131,13 +131,12 @@ def cmd_check(args) -> int:
         raise CliError(2, "check runs one method at a time")
     name = names[0]
     tiebreak = _tiebreak_index(args.tiebreak, model.num_agents)
-    eps = args.eps_value
-    if not (np.isfinite(eps) and eps >= 0):
-        raise CliError(2, f"bad eps {eps!r}: expected a finite value >= 0")
+    if problems := _slack_problems("--eps", args.eps_value):
+        raise CliError(2, problems[0])
     try:
         game = characteristic_game(model, behavior)
         beta = apply(name, game, tiebreak)
-        verdicts = [check(game, beta, eps) for check in (
+        verdicts = [check(game, beta, args.eps_value) for check in (
             check_validity, check_efficiency, check_rationality,
             check_avg_efficiency, check_symmetry, check_invariance)]
     except (ValueError, RuntimeError) as err:

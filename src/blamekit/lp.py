@@ -37,9 +37,8 @@ class LinearProgram:
         if a.shape != (b.size, c.size):
             raise ValueError(f"constraint matrix is {a.shape}, "
                              f"expected ({b.size}, {c.size})")
-        if not all(np.isfinite(x).all() for x in (c, a, b)):
-            raise ValueError(_non_finite(objective=c, constraint_matrix=a,
-                                         constraint_bounds=b)[0])
+        if problems := _non_finite(objective=c, constraint_matrix=a, constraint_bounds=b):
+            raise ValueError(problems[0])
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "constraint_bounds", b)
@@ -206,8 +205,8 @@ def solve_lexicographic(lp: LinearProgram, tiebreak: np.ndarray, primary) -> LpS
     tiebreak = np.atleast_1d(np.asarray(tiebreak, dtype=float))
     if tiebreak.shape != lp.objective.shape:
         raise ValueError(f"tiebreak has shape {tiebreak.shape}, expected {lp.objective.shape}")
-    if not np.isfinite(tiebreak).all():
-        raise ValueError(_non_finite(tiebreak=tiebreak)[0])
+    if problems := _non_finite(tiebreak=tiebreak):
+        raise ValueError(problems[0])
     first, resume = primary
     if first.status != "optimal":
         return first

@@ -115,26 +115,21 @@ class JointPolicy:
         return JointPolicy(tuple(parts))
 
     def joint_table(self, m: Mmdp) -> np.ndarray:
-        """Dense (num_states, num_joint_actions) table of product probabilities."""
-        if len(self.agents) != m.num_agents:
-            raise ValueError("policy has wrong number of agents for this model")
-        for ap, k in zip(self.agents, m.action_counts):
-            if ap.probs.shape != (m.num_states, k):
-                raise ValueError("agent policy shape does not match model")
+        """Dense (num_states, num_joint_actions) product table; refuses `validate(m)`'s shapes."""
+        if problems := self._shape_problems(m):
+            raise ValueError(problems[0])
         return product_table(m.num_states, [ap.probs for ap in self.agents])
 
     def validate(self, m: Mmdp | None = None) -> list[str]:
-        problems = []
-        for i, ap in enumerate(self.agents):
-            problems += [f"agent {i}: {p}" for p in ap.validate()]
-        if m is not None:
-            if len(self.agents) != m.num_agents:
-                problems.append("agent count does not match model")
-            else:
-                for i, (ap, k) in enumerate(zip(self.agents, m.action_counts)):
-                    if ap.probs.shape != (m.num_states, k):
-                        problems.append(f"agent {i}: policy shape {ap.probs.shape} vs model")
-        return problems
+        problems = [f"agent {i}: {p}" for i, ap in enumerate(self.agents) for p in ap.validate()]
+        return problems + (self._shape_problems(m) if m is not None else [])
+
+    def _shape_problems(self, m: Mmdp) -> list[str]:
+        if len(self.agents) != m.num_agents:
+            return ["agent count does not match model"]
+        return [f"agent {i}: policy shape {ap.probs.shape} vs model"
+                for i, (ap, k) in enumerate(zip(self.agents, m.action_counts))
+                if ap.probs.shape != (m.num_states, k)]
 
 
 def product_table(num_states: int, rows) -> np.ndarray:
@@ -223,10 +218,17 @@ def _agent_problems(num_agents: int, action_counts) -> list[str]:
 def _non_finite(**arrays) -> list[str]:
     """One problem naming the first NaN or infinite entry, or none."""
     for name, values in arrays.items():
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):
-            return [f"{name}{bad[0].tolist() or ''} is {values[tuple(bad[0])]}, not finite"]
+        if not np.isfinite(values).all():
+            bad = np.argwhere(~np.isfinite(values))[0]
+            return [f"{name}{bad.tolist() or ''} is {values[tuple(bad)]}, not finite"]
     return []
+
+
+def _slack_problems(name: str, value) -> list[str]:
+    """One problem unless `value`, a slack or radius, is a finite number >= 0 (a bool is not)."""
+    if math.isfinite(value) and value >= 0 and not isinstance(value, (bool, np.bool_)):
+        return []
+    return [f"{name} {value!r} is not a finite number >= 0"]
 
 
 def policy_transition_reward(m: Mmdp, behavior) -> tuple[np.ndarray, np.ndarray]:
@@ -322,12 +324,16 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _read_json(path):
+def _read_json(path, kind: str) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except RecursionError as exc:  # the decoder recurses once per level
             raise ValueError("JSON nested too deeply") from exc
+    if not isinstance(doc, dict):  # each other type json.load returns, by its JSON name
+        found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise ValueError(f"{kind} file holds {found.get(type(doc), 'a number')}, not a JSON object")
+    return doc
 
 
 def load_model(path) -> Mmdp:
@@ -336,7 +342,7 @@ def load_model(path) -> Mmdp:
     Omitted reward entries default to 0; a (state, joint action) pair with no
     transition entries at all is an error.
     """
-    doc = _read_json(path)
+    doc = _read_json(path, "model")
     try:
         num_states = _integer("num_states", doc["num_states"])
         num_agents = _integer("num_agents", doc["num_agents"])
@@ -384,7 +390,7 @@ def save_policy(pi: JointPolicy, path) -> None:
 
 
 def load_policy(path) -> JointPolicy:
-    doc = _read_json(path)
+    doc = _read_json(path, "policy")
     if "agents" not in doc:
         raise ValueError("policy file missing 'agents' field")
     agents = tuple(AgentPolicy(_numbers(f"agent {i}: probs", rows))

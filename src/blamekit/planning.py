@@ -123,6 +123,11 @@ def marginal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(without), _read_only(without | low + 1)
 
 
+def _check_agent_count(n) -> None:  # a Python or numpy integer >= 0; a bool is not
+    if not np.issubdtype(type(n), np.integer) or n < 0:
+        raise ValueError(f"num_agents {n!r} is not a nonnegative integer")
+
+
 @dataclass(frozen=True, eq=False)
 class CharacteristicGame:
     """Marginal inefficiencies for all 2^n coalitions, indexed by bitmask."""
@@ -131,8 +136,7 @@ class CharacteristicGame:
     values: np.ndarray
 
     def __post_init__(self):
-        if not np.issubdtype(type(self.num_agents), np.integer) or self.num_agents < 0:
-            raise ValueError(f"num_agents {self.num_agents!r} is not a nonnegative integer")
+        _check_agent_count(self.num_agents)
         values = np.array(self.values, dtype=float)  # a copy, held read-only
         if values.shape != (1 << self.num_agents,):
             raise ValueError(f"values table has length {values.shape}, expected {1 << self.num_agents}")

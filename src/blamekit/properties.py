@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attribution import as_blames, blame, game_marginals, marginals, pivotality
-from .mmdp import AgentPolicy, Mmdp, evaluate_return
-from .planning import (CharacteristicGame, characteristic_game,
+from .mmdp import AgentPolicy, Mmdp, evaluate_return, _slack_problems
+from .planning import (CharacteristicGame, characteristic_game, _check_agent_count,
                        coalition_mask, coalition_sums, lattice_floors,
                        marginal_masks, mask_agents, one_step_model)
 
@@ -30,8 +30,8 @@ class PropertyVerdict:
     witness: str | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"bad epsilon {self.epsilon!r}: expected a finite value >= 0")
+        if problems := _slack_problems("epsilon", self.epsilon):
+            raise ValueError(problems[0])
 
     @property
     def holds(self) -> bool:
@@ -255,6 +255,7 @@ def random_monotone_game(n: int, seed: int) -> CharacteristicGame:
     nonnegative increments along the subset lattice. Roughly a third of the
     increments are exactly zero so that non-pivotal agents and equality
     premises occur often."""
+    _check_agent_count(n)
     rng = np.random.default_rng(seed)
     # In (size, mask) order, one draw decides a zero increment (below 0.3);
     # otherwise the next draw is the increment: at most two per coalition.

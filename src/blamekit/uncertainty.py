@@ -34,7 +34,7 @@ from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
                           banzhaf_weights, marginals, mer, participation,
                           sequential_sums, shapley, shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
-from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table
+from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table, _slack_problems
 from .planning import (CharacteristicGame, best_response,
                        characteristic_game, coalition_action_index,
                        coalition_mask, coalition_sizes, coalition_tables,
@@ -78,15 +78,11 @@ class UncertaintySet:
         return True
 
     def validate(self) -> list[str]:
-        problems = []
-        if not np.isfinite(self.radius):
-            problems.append(f"radius {self.radius} is not finite")
-        elif self.radius < 0:
-            problems.append(f"radius {self.radius} is negative")
-        problems.extend(self.center.validate())
-        n = self.center.num_agents
-        if stray := sorted(set(self.uncertain_agents or ()) - set(range(n))):
-            problems.append(f"uncertain agents {stray} not among the center's {n} agents")
+        problems = _slack_problems("radius", self.radius) + self.center.validate()
+        try:
+            coalition_mask(self.uncertain_agents or (), self.center.num_agents)
+        except ValueError as err:
+            problems.append(f"uncertain agents: {err}")
         if self.truth is not None:
             problems += [f"declared truth {p}" for p in self.truth.validate()]
             try:
@@ -128,25 +124,14 @@ def _sample_ball_row(rng: np.random.Generator, p: np.ndarray, eps: float) -> np.
 
 def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                   uncertain_agents: frozenset[int] | None = None) -> UncertaintySet:
-    """Draw an estimated behavior whose ball of radius eps_max contains the
-    truth (guaranteed by the ball's symmetry). Deterministic per seed."""
-    if isinstance(eps_max, (bool, np.bool_)):
-        raise ValueError(f"eps_max {eps_max!r} is a bool, not a radius")
-    if not np.isfinite(eps_max):
-        raise ValueError("eps_max must be finite")
-    if eps_max < 0:
-        raise ValueError("eps_max must be nonnegative")
+    """Draw, deterministically per seed, an estimated behavior whose ball of radius
+    eps_max holds the truth (by symmetry); refuses the set centered on the truth if invalid."""
+    around = UncertaintySet(truth, eps_max, uncertain_agents=uncertain_agents)
+    _check_set(None, around)  # no model: the set alone
     rng = np.random.default_rng(seed)
-    agents = []
-    for i, ap in enumerate(truth.agents):
-        if uncertain_agents is not None and i not in uncertain_agents:
-            agents.append(ap)
-            continue
-        rows = np.array([_sample_ball_row(rng, ap.probs[s], eps_max)
-                         for s in range(ap.probs.shape[0])])
-        agents.append(AgentPolicy(rows))
-    return UncertaintySet(JointPolicy(tuple(agents)), eps_max, truth,
-                          uncertain_agents)
+    agents = [AgentPolicy(np.array([_sample_ball_row(rng, row, eps_max) for row in ap.probs]))
+              if around.agent_radius(i) > 0 else ap for i, ap in enumerate(truth.agents)]
+    return UncertaintySet(JointPolicy(tuple(agents)), eps_max, truth, uncertain_agents)
 
 
 def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
@@ -430,7 +415,7 @@ class RobustBounds:
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
 
 
-def _check_set(m: Mmdp, uset: UncertaintySet) -> None:
+def _check_set(m: Mmdp | None, uset: UncertaintySet) -> None:
     problems = uset.validate() or uset.center.validate(m)
     if problems:
         raise ValueError("invalid uncertainty set: " + "; ".join(problems))
@@ -548,7 +533,6 @@ def ap_blackstone(m: Mmdp, uset: UncertaintySet,
 
 def l1_distance(a, b) -> float:
     """Sum of absolute per-agent blame differences."""
-    left, right = as_blames(a), as_blames(b)
-    if left.shape != right.shape:
-        raise ValueError("blame vectors differ in length")
+    left = as_blames(a)
+    right = as_blames(b, left.size)
     return float(np.abs(left - right).sum())

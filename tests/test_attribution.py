@@ -563,6 +563,11 @@ def test_blame_assignment_clamps_and_rejects():
     assert tiny.total == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(ValueError, match="negative blame"):
         BlameAssignment("SV", np.array([1.0, -0.5]))
+    # a NaN compared as neither negative nor too large, and was kept
+    for blames, message in (([1.0, np.nan], "blames[1] is nan, not finite"),
+                            ([np.inf, 1.0], "blames[0] is inf, not finite")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlameAssignment("SV", np.array(blames))
 
 
 @settings(max_examples=40, deadline=None)

@@ -153,6 +153,20 @@ def test_malformed_json_exits_2(two_agent_inputs, tmp_path, capsys):
                  "--behavior", behavior_path])
     assert code == 2
     assert "cannot parse" in capsys.readouterr().err
+    # valid JSON whose top level is not an object: each was indexed as one
+    # (a raw TypeError), and a policy string was searched for "agents"
+    model_path = two_agent_inputs[0]
+    for text, found in (("[1, 2]", "an array"), ("5", "a number"),
+                        ('"num_states"', "a string"), ('"agents"', "a string")):
+        broken.write_text(text)
+        for kind, paths in (("model", (broken, behavior_path)),
+                            ("policy", (model_path, broken))):
+            code = main(["attribute", "--model", str(paths[0]),
+                         "--behavior", str(paths[1])])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot parse input: {kind} file holds {found}, "
+                "not a JSON object\n")
 
 
 def test_invalid_model_exits_3(two_agent_inputs, tmp_path, capsys):
@@ -676,7 +690,7 @@ def test_check_bad_eps_exits_2(two_agent_inputs, capsys):
         assert code == 2, text
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "bad eps" in captured.err
+        assert captured.err == f"error: --eps {float(text)!r} is not a finite number >= 0\n"
 
 
 def test_exact_uncertainty_unavailable_on_the_graph(tmp_path, capsys):

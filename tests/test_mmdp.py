@@ -1,5 +1,6 @@
 """Model container, joint-action coding, policy evaluation, and file I/O."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -269,8 +270,12 @@ def test_joint_policy_replace_and_validate():
     assert any("agent count" in p for p in short.validate(m))
     wrong_shape = pi.replace(0, AgentPolicy.uniform(5, 2))
     assert any("shape" in p for p in wrong_shape.validate(m))
-    with pytest.raises(ValueError):
-        wrong_shape.joint_table(m)
+    # joint_table raises the first shape problem validate(m) reports
+    for policy, message in ((short, "agent count does not match model"),
+                            (wrong_shape, "agent 0: policy shape (5, 2) vs model")):
+        assert message in policy.validate(m)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            policy.joint_table(m)
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -757,10 +757,13 @@ def test_a_game_refuses_a_values_table_of_the_wrong_shape(values, shape):
                               "negative"])
 def test_a_game_refuses_a_num_agents_that_is_not_a_nonnegative_integer(num_agents):
     """A bool built a game, a float raised a bare TypeError on `<<`, and -1
-    raised "negative shift count"."""
-    with pytest.raises(ValueError, match=re.escape(
-            f"num_agents {num_agents!r} is not a nonnegative integer")):
+    raised "negative shift count"; `random_monotone_game` raised the same
+    before it drew, and now refuses by the game's rule."""
+    message = re.escape(f"num_agents {num_agents!r} is not a nonnegative integer")
+    with pytest.raises(ValueError, match=message):
         CharacteristicGame(num_agents, [0.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        random_monotone_game(num_agents, 0)
 
 
 @pytest.mark.parametrize("num_agents", [1, np.int64(1), np.uint8(1)])

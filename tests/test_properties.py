@@ -288,18 +288,21 @@ def _epsilon_calls():
     return calls
 
 
-@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0, True, np.True_],
+                         ids=["nan", "inf", "negative", "bool", "numpy-bool"])
 @pytest.mark.parametrize("prop", ["R_V", "R_E", "R_R", "R_AE", "R_S", "R_I", "R_CM",
                                   "R_cParM", "R_RcParM", "R_PerM", "R_cPerM"])
 def test_checkers_refuse_a_malformed_epsilon(prop, epsilon):
     """A NaN slack failed some checkers and passed others, an infinite one
-    passed all eleven, and a negative one mixed them again; every verdict
-    now refuses an epsilon that is not finite and >= 0."""
+    passed all eleven, a negative one mixed them again, and a bool was a
+    slack of 1.0; every verdict now refuses an epsilon that is not a finite
+    number >= 0."""
     call = _epsilon_calls()[prop]
     assert call(0.0).property == prop
-    with pytest.raises(ValueError, match=r"^bad epsilon .+: expected a finite value >= 0$"):
+    message = f"^{re.escape(f'epsilon {epsilon!r} is not a finite number >= 0')}$"
+    with pytest.raises(ValueError, match=message):
         call(epsilon)
-    with pytest.raises(ValueError, match="bad epsilon"):
+    with pytest.raises(ValueError, match=message):
         PropertyVerdict(prop, epsilon)
 
 
@@ -338,17 +341,24 @@ def test_random_monotone_game_matches_the_lattice_loop():
                     == random_monotone_game_loop(n, seed).tobytes())
 
 
-@pytest.mark.parametrize("length", [1, 3, 5])
+@pytest.mark.parametrize("wrong, message", [
+    (np.ones(1), r"blame vector has shape \(1,\), expected \(4,\)"),
+    (np.ones(3), r"blame vector has shape \(3,\), expected \(4,\)"),
+    (np.ones(5), r"blame vector has shape \(5,\), expected \(4,\)"),
+    ([1.0, np.nan, 0.0, 0.0], r"^blames\[1\] is nan, not finite$"),
+    ([0.0, 0.0, 0.0, np.inf], r"^blames\[3\] is inf, not finite$")],
+    ids=["1", "3", "5", "nan", "inf"])
 @pytest.mark.parametrize("checker", [*CHECKERS.values(), check_contribution_monotonicity,
                                      check_cpart, check_rcpart],
                          ids=lambda checker: checker.__name__)
-def test_checkers_refuse_a_blame_vector_of_the_wrong_length(checker, length):
+def test_checkers_refuse_a_blame_vector_of_the_wrong_length(checker, wrong, message):
     """Every checker refuses, by name and before any verdict, a vector that
     would otherwise broadcast, index out of range or be graded on its
-    total alone."""
+    total alone, and one with a NaN or infinite entry, which failed R_V,
+    R_E, R_R and R_AE but held the five others. (PerM and cPerM take no
+    blame vector: theirs are BlameAssignments, which refuse one too.)"""
     game = random_monotone_game(4, 0)
-    wrong, right = np.ones(length), shapley(game)
-    message = rf"blame vector has shape \({length},\), expected \(4,\)"
+    right = shapley(game)
     if checker in CHECKERS.values():
         calls = [(game, wrong)]
     else:

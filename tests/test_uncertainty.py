@@ -2,6 +2,7 @@
 import dataclasses
 from functools import lru_cache
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -100,15 +101,27 @@ def test_sample_center_zero_radius_and_agent_filter():
     assert partial.center.agents[0] is truth.agents[0]
     assert partial.agent_radius(0) == 0.0
     assert partial.agent_radius(1) == 0.2
-    with pytest.raises(ValueError):
-        sample_center(truth, -0.1, seed=0)
-    for radius in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite"):
-            sample_center(truth, radius, seed=0)
     # a bool is not a radius, neither read as 1.0 nor as 0.0
-    for flag in (True, False, np.True_):
-        with pytest.raises(ValueError, match="is a bool, not a radius"):
-            sample_center(truth, flag, seed=0)
+    for radius in (-0.1, np.inf, -np.inf, np.nan, True, False, np.True_):
+        message = f"invalid uncertainty set: radius {radius!r} is not a finite number >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_center(truth, radius, seed=0)
+    # the set is checked with the truth as its center before any draw: a
+    # NaN truth failed the sampler at 0.1 and came back as the center at 0,
+    # a row of [0.9, 0.9] was renormalized, and agent 7 was ignored
+    nan_rows, heavy_rows = truth.agents[0].probs.copy(), truth.agents[0].probs.copy()
+    nan_rows[0, 0], heavy_rows[2] = np.nan, [0.9, 0.9]
+    for policy, eps, agents, problem in (
+            (truth.replace(0, AgentPolicy(nan_rows)), 0.1, None,
+             "agent 0: probs[0, 0] is nan, not finite"),
+            (truth.replace(0, AgentPolicy(nan_rows)), 0.0, None,
+             "agent 0: probs[0, 0] is nan, not finite"),
+            (truth.replace(0, AgentPolicy(heavy_rows)), 0.1, None,
+             "agent 0: rows not summing to 1 at states [2]"),
+            (truth, 0.1, frozenset({1, 7}), "uncertain agents: agent index 7 out of range")):
+        message = f"invalid uncertainty set: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_center(policy, eps, seed=0, uncertain_agents=agents)
 
 
 def test_uncertainty_set_validate_and_contains():
@@ -119,10 +132,10 @@ def test_uncertainty_set_validate_and_contains():
     assert uset.contains(inside)      # deviation exactly at the radius
     assert not uset.contains(outside)
     assert uset.validate() == []
-    assert UncertaintySet(center, -0.5).validate() != []
-    for radius in (np.inf, -np.inf, np.nan):
-        assert any("not finite" in p
-                   for p in UncertaintySet(center, radius).validate())
+    # a bool radius was read as 1.0
+    for radius in (-0.5, np.inf, -np.inf, np.nan, True, np.True_):
+        assert UncertaintySet(center, radius).validate() == [
+            f"radius {radius!r} is not a finite number >= 0"]
     stray = UncertaintySet(center, 0.1, truth=outside)
     assert any("outside" in p for p in stray.validate())
     # a truth of another shape is reported, not broadcast or zipped short
@@ -723,16 +736,22 @@ def test_robust_bounds_rejects_bad_inputs():
         robust_bounds(m, UncertaintySet(extra_state, 0.1))
 
 
-@pytest.mark.parametrize("agents", [{7}, {-1}, {0, 4}])
-def test_uncertain_agents_the_center_lacks_are_reported(agents):
+@pytest.mark.parametrize("agents, problem", [
+    ({7}, "agent index 7 out of range"),
+    ({-1}, "agent index -1 out of range"),
+    ({0, 4}, "agent index 4 out of range"),
+    ({True}, "agent index True is not an integer"),
+    ({1.0}, "agent index 1.0 is not an integer")],
+    ids=["agents0", "agents1", "agents2", "bool", "float"])
+def test_uncertain_agents_the_center_lacks_are_reported(agents, problem):
     """An index outside the center's agents would leave every agent certain
-    and collapse the robust bounds to the point value."""
+    and collapse the robust bounds to the point value; True and 1.0 passed
+    as agent 1. `coalition_mask` is the rule."""
     m, center = build_graph(GraphSpec("robustness"))
     uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset(agents))
-    stray = sorted(i for i in agents if not 0 <= i < 4)
-    assert uset.validate() == [
-        f"uncertain agents {stray} not among the center's 4 agents"]
-    with pytest.raises(ValueError, match="not among the center's 4 agents"):
+    assert uset.validate() == [f"uncertain agents: {problem}"]
+    message = f"invalid uncertainty set: uncertain agents: {problem}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         robust_bounds(m, uset, False)
 
 
@@ -874,8 +893,13 @@ def test_l1_distance():
     wrapped = BlameAssignment("SV", a)
     assert l1_distance(wrapped, b) == pytest.approx(1.0, abs=1e-12)
     assert l1_distance(wrapped, wrapped) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^blame vector has shape \(3,\), expected \(2,\)$"):
         l1_distance(a, np.array([1.0, 2.0, 3.0]))
+    for bad, message in (([np.nan, 2.0], "blames[0] is nan, not finite"),
+                         ([1.0, -np.inf], "blames[1] is -inf, not finite")):
+        for args in ((bad, b), (wrapped, bad)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                l1_distance(*args)
 
 
 # Two adversary LPs on the robustness experiments' own uncertainty sets that
