@@ -225,8 +225,9 @@ def _non_finite(**arrays) -> list[str]:
 
 
 def _slack_problems(name: str, value) -> list[str]:
-    """One problem unless `value`, a slack or radius, is a finite number >= 0 (a bool is not)."""
-    if math.isfinite(value) and value >= 0 and not isinstance(value, (bool, np.bool_)):
+    """One problem unless `value`, a slack or radius, is a finite real >= 0 and not a bool."""
+    if (type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
+            and 0 <= value < math.inf):
         return []
     return [f"{name} {value!r} is not a finite number >= 0"]
 

@@ -213,13 +213,29 @@ def _rows(grid, masks) -> np.ndarray:
                   + np.arange(offsets[first + 1] - offsets[first])]
 
 
+def _tables(grid, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_induced`'s input for a mask or equal-A_C stack: `_rows`, complement `_rows`, weights."""
+    others = (grid[1].size - 2) ^ masks
+    return _rows(grid, masks), _rows(grid, others), grid[2][others]
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def _groups(action_counts: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Read-only (masks, *`_tables`) of every nonempty coalition mask, one
+    group per joint-action count A_C (its `_subgrids` row length), ascending."""
+    grid = _subgrids(action_counts)
+    sizes = np.diff(grid[1][1:])  # of masks 1, 2, ...
+    groups = (np.flatnonzero(sizes == k) + 1 for k in np.flatnonzero(np.bincount(sizes)))
+    return tuple(tuple(map(_read_only, (masks, *_tables(grid, masks)))) for masks in groups)
+
+
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     """Index array of shape (A_C, A_D) mapping coalition/complement action
     pairs (both in sorted-agent lexicographic order) to joint-action indices:
     a joint index is the sum of its coalition's and its complement's parts."""
-    grid = _subgrids(m.action_counts)
     mask = np.int64(coalition_mask(coalition, m.num_agents))
-    return _rows(grid, mask)[:, None] + _rows(grid, (grid[1].size - 2) ^ mask)
+    inside, outside, _ = _tables(_subgrids(m.action_counts), mask)
+    return inside[:, None] + outside
 
 
 def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,32 +274,30 @@ def _played(m: Mmdp, table: np.ndarray):
             table[states, actions])
 
 
-def _induced(m: Mmdp, played, masks, grid) -> tuple[np.ndarray, np.ndarray]:
-    """`induced_mdp` for one mask or a stack of masks with equal A_C, read
-    from the `_subgrids` table `grid`. Gathered only at the complement
-    actions q plays (q != 0, ascending, zero-padded to the widest row): the
-    tables are (..., S, A_C, W[, S]) with W <= A_D."""
+def _induced(m: Mmdp, played, inside, outside, weights) -> tuple[np.ndarray, np.ndarray]:
+    """`induced_mdp` for one mask or a stack of masks with equal A_C, from
+    their `_tables`. Gathered only at the complement actions q plays (q != 0,
+    ascending, zero-padded to the widest row): the tables are
+    (..., S, A_C, W[, S]) with W <= A_D."""
     states, digits, probs = played
-    others = (grid[1].size - 2) ^ masks
-    inside, outside = _rows(grid, masks), _rows(grid, others)
     num_d = outside.shape[-1]
-    size = outside.size // num_d
     # q (..., S, A_D), each complement action at its digits dotted with the
     # weights: bincount adds each (P, ...) bin's played terms in joint-action
     # order, as the sum over the coalition's actions, less zeros
-    member = np.arange(size).reshape(outside.shape[:-1])
+    member = np.arange(outside.size // num_d).reshape(outside.shape[:-1])
     column = states.reshape(-1, *[1] * member.ndim)
-    bins = (member * m.num_states + column) * num_d + digits.T @ grid[2][others].T
-    q = np.bincount(bins.ravel(), np.repeat(probs, size),
-                    size * m.num_states * num_d).reshape(*member.shape, -1, num_d)
+    bins = (member * m.num_states + column) * num_d + digits.T @ weights.T
+    q = np.bincount(bins.ravel(), np.repeat(probs, member.size),
+                    member.size * m.num_states * num_d).reshape(*member.shape, -1, num_d)
     totals = q.sum(axis=-1)
     # guard against all-zero rows (cannot happen for valid behaviors)
     q = q / np.where(totals > 0, totals, 1.0)[..., None]
-    keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
+    keep = np.argsort(zero := q == 0, axis=-1, kind="stable")[..., :num_d - zero.sum(-1).min()]
     # each member's kept complement actions, read from its row of `outside`
     kept = outside.reshape(-1)[(member * num_d)[..., None, None] + keep]
     flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
-    return marginalize(np.take_along_axis(q, keep, -1), *_gather(m, flat))
+    rows = np.arange(0, q.size, num_d).reshape(q.shape[:-1])  # each q row's flat start
+    return marginalize(q.reshape(-1)[rows[..., None] + keep], *_gather(m, flat))
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,7 +309,7 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     """
     mask = np.int64(coalition_mask(coalition, m.num_agents))
     played = _played(m, as_joint_table(m, behavior))
-    return (*_induced(m, played, mask, _subgrids(m.action_counts)),
+    return (*_induced(m, played, *_tables(_subgrids(m.action_counts), mask)),
             coalition_action_index(m, coalition))
 
 
@@ -359,23 +373,18 @@ _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, offsets: np.ndarray, played) -> Iterator[np.ndarray]:
-    """Every nonempty coalition mask, grouped by joint-action count A_C (its
-    `_subgrids` row length) and cut into chunks whose q and transition
-    gathers stay within _GATHER_BUDGET. A row of q plays at most
-    W = min(A_D, P) complement actions, P being the most joint actions the
-    behavior plays in one state: each is the projection of one of them."""
-    sizes = np.diff(offsets)
-    order = np.argsort(sizes[1:], kind="stable") + 1
-    starts = np.flatnonzero(np.diff(sizes[order])) + 1
+def _coalition_chunks(m: Mmdp, played) -> Iterator[tuple[np.ndarray, ...]]:
+    """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
+    entry into chunks whose q and transition gathers fit _GATHER_BUDGET. A row
+    of q plays at most W = min(A_D, P) complement actions, P being the most
+    joint actions the behavior plays in one state (each projects one of them)."""
     most = int(np.bincount(played[0], minlength=m.num_states).max())
-    for group in np.split(order, starts):
-        num_c = int(sizes[group[0]])
-        num_d = m.num_joint_actions // num_c
+    for group in _groups(m.action_counts):
+        num_c, num_d = group[1].shape[-1], group[2].shape[-1]
         per_coalition = m.num_states * (num_d + num_c * min(num_d, most) * m.num_states)
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
-        for first in range(0, group.size, per_chunk):
-            yield group[first:first + per_chunk]
+        for first in range(0, group[0].size, per_chunk):
+            yield tuple(table[first:first + per_chunk] for table in group)
 
 
 def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
@@ -395,13 +404,12 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
     # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
     start = v_b if m.transition[..., v_b != 0].any() else None
     values = np.zeros(1 << m.num_agents)
-    grid = _subgrids(m.action_counts)
     played = _played(m, table)
-    for chunk in _coalition_chunks(m, grid[1], played):
-        v, _ = solve_mdp(*_induced(m, played, chunk, grid), m.discount, start)
+    for masks, *tables in _coalition_chunks(m, played):
+        v, _ = solve_mdp(*_induced(m, played, *tables), m.discount, start)
         # a stacked (1, S) @ (S,) product per member is the same dot product
         # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
-        values[chunk] = (v.reshape(chunk.size, 1, -1) @ m.initial_dist)[:, 0] - j_b
+        values[masks] = (v.reshape(masks.size, 1, -1) @ m.initial_dist)[:, 0] - j_b
     return memo(_GAME_CACHE, key, lambda: CharacteristicGame(m.num_agents, values))
 
 

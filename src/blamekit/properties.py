@@ -30,12 +30,18 @@ class PropertyVerdict:
     witness: str | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if problems := _slack_problems("epsilon", self.epsilon):
-            raise ValueError(problems[0])
+        _slack(self.epsilon)
 
     @property
     def holds(self) -> bool:
         return self.witness is None
+
+
+def _slack(epsilon):
+    """`epsilon`, or ValueError: every checker reads its slack through here."""
+    if problems := _slack_problems("epsilon", epsilon):
+        raise ValueError(problems[0])
+    return epsilon
 
 
 def _coalition_label(mask: int, n: int) -> str:
@@ -46,7 +52,7 @@ def _coalition_label(mask: int, n: int) -> str:
 def check_validity(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must not exceed the grand-coalition inefficiency."""
     total = float(as_blames(beta, game.num_agents).sum())
-    if total <= game.total + epsilon + SLACK:
+    if total <= game.total + _slack(epsilon) + SLACK:
         return PropertyVerdict("R_V", epsilon)
     return PropertyVerdict("R_V", epsilon,
                            witness=f"total {total:.6g} exceeds {game.total:.6g}")
@@ -54,7 +60,7 @@ def check_validity(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
 
 def check_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     total = float(as_blames(beta, game.num_agents).sum())
-    if abs(total - game.total) <= epsilon + SLACK:
+    if abs(total - game.total) <= _slack(epsilon) + SLACK:
         return PropertyVerdict("R_E", epsilon)
     return PropertyVerdict("R_E", epsilon,
                            witness=f"total {total:.6g} differs from {game.total:.6g}")
@@ -69,7 +75,7 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
     gaps[0] = 0.0
     worst = int(np.argmax(gaps))
     worst_gap, worst_mask = gaps[worst], worst if worst else -1
-    if worst_gap <= epsilon + SLACK:
+    if worst_gap <= _slack(epsilon) + SLACK:
         return PropertyVerdict("R_R", epsilon)
     return PropertyVerdict(
         "R_R", epsilon,
@@ -81,7 +87,7 @@ def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -
     """Total blame must equal the mean inefficiency over the nonempty coalitions."""
     total = float(as_blames(beta, game.num_agents).sum())
     target = float(game.values.sum()) / max((1 << game.num_agents) - 1, 1)
-    if abs(total - target) <= epsilon + SLACK:
+    if abs(total - target) <= _slack(epsilon) + SLACK:
         return PropertyVerdict("R_AE", epsilon)
     return PropertyVerdict("R_AE", epsilon,
                            witness=f"total {total:.6g} differs from average {target:.6g}")
@@ -113,7 +119,7 @@ def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Prop
     # pairs (i < j) blamed apart whose marginals to the empty coalition
     # agree: that premise alone settles most pairs
     singles = game.values[1 << np.arange(n)]
-    i, j = np.nonzero(np.triu((np.abs(blames[:, None] - blames) > epsilon + SLACK)
+    i, j = np.nonzero(np.triu((np.abs(blames[:, None] - blames) > _slack(epsilon) + SLACK)
                               & ~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1))
     with_i, with_j = _pair_tables(game.values, n, (i, j))
     symmetric = ~(np.abs(with_i - with_j) > PREMISE_TOL).any(axis=1)
@@ -126,7 +132,7 @@ def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> Pr
     n = game.num_agents
     blames = as_blames(beta, n)
     marginal = (game_marginals(game) > PREMISE_TOL).any(axis=1)
-    return _first("R_I", epsilon, ~marginal & (blames > epsilon + SLACK),
+    return _first("R_I", epsilon, ~marginal & (blames > _slack(epsilon) + SLACK),
                   lambda i: f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
 
 
@@ -148,7 +154,7 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
     dominating = (marginals(game1.values, game1.values, n)
                   >= marginals(game2.values, game2.values, n)
                   - PREMISE_TOL).all(axis=1)
-    return _first("R_CM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
+    return _first("R_CM", epsilon, dominating & (b1 < b2 - _slack(epsilon) - SLACK),
                   lambda i: f"agent {i + 1} dominates marginally but blame fell "
                             f"{b1[i]:.6g} < {b2[i]:.6g}")
 
@@ -167,7 +173,7 @@ def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_pri
         return PropertyVerdict("R_PerM", epsilon)
     b1 = blame(m, joint1, method, tiebreak).blames[agent]
     b2 = blame(m, joint2, method, tiebreak).blames[agent]
-    if b1 >= b2 - epsilon - SLACK:
+    if b1 >= b2 - _slack(epsilon) - SLACK:
         return PropertyVerdict("R_PerM", epsilon)
     return PropertyVerdict(
         "R_PerM", epsilon,
@@ -204,7 +210,7 @@ def check_cpart(game1: CharacteristicGame, beta1,
     with_ = marginal_masks(n)[1]
     dominating = (game1.values[with_]
                   >= game2.values[with_] - PREMISE_TOL).all(axis=1)
-    return _first("R_cParM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
+    return _first("R_cParM", epsilon, dominating & (b1 < b2 - _slack(epsilon) - SLACK),
                   lambda j: f"agent {j + 1} participates in dominating coalitions but "
                             f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
 
@@ -224,7 +230,7 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     # of order; the gain premise is tested on those alone
     piv, moved = np.array(piv1), b1 - b2
     j, k = np.nonzero((piv[:, None] == piv) & ~np.eye(n, dtype=bool)
-                      & (moved[:, None] < moved - epsilon - SLACK))
+                      & (moved[:, None] < moved - _slack(epsilon) - SLACK))
     with_j, with_k = _pair_tables(game1.values - game2.values, n, (j, k))
     premise = (with_j >= with_k - PREMISE_TOL).all(axis=1)
     return _first("R_RcParM", epsilon, premise,

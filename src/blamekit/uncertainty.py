@@ -81,7 +81,7 @@ class UncertaintySet:
         problems = _slack_problems("radius", self.radius) + self.center.validate()
         try:
             coalition_mask(self.uncertain_agents or (), self.center.num_agents)
-        except ValueError as err:
+        except (TypeError, ValueError) as err:  # TypeError: not a collection
             problems.append(f"uncertain agents: {err}")
         if self.truth is not None:
             problems += [f"declared truth {p}" for p in self.truth.validate()]

@@ -503,13 +503,14 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
 
 def _kernel_cases(m, table):
     """(index (stack), masks, planning._induced's tables) for every sweep
-    chunk, stacked, and for each of its coalitions alone."""
-    grid = planning._subgrids(m.action_counts)
+    chunk, stacked, and for each of its coalitions alone (its entries of
+    the chunk's cached tables)."""
     played = planning._played(m, table)
-    for chunk in planning._coalition_chunks(m, grid[1], played):
+    for chunk, *tables in planning._coalition_chunks(m, played):
         stack = index_stack(m, chunk)
-        for idx, masks in [(stack, chunk)] + list(zip(stack, chunk)):
-            yield idx, masks, planning._induced(m, played, masks, grid)
+        yield stack, chunk, planning._induced(m, played, *tables)
+        for j, (idx, mask) in enumerate(zip(stack, chunk)):
+            yield idx, mask, planning._induced(m, played, *(t[j] for t in tables))
 
 
 @settings(max_examples=60, deadline=None)
@@ -598,6 +599,39 @@ def test_subgrids_are_cached_and_read_only():
             table[0] = 1
 
 
+def test_a_second_sweep_on_the_same_action_counts_builds_no_coalition_rows(
+        monkeypatch):
+    """The sweep's coalition and complement rows depend only on the action
+    counts: the first sweep gathers them once per joint-action count group,
+    and a sweep of another model with the same counts gathers none."""
+    rng = np.random.default_rng(31)
+    counts = (2, 3, 1, 2)
+    first, second = (random_mmdp(rng, num_states=3, action_counts=counts)
+                     for _ in range(2))
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    planning._groups.cache_clear()
+    calls = []
+    for m in (first, second):
+        with mock.patch.object(planning, "_rows", wraps=planning._rows) as rows:
+            characteristic_game(m, _behavior_table(rng, m, "partial"))
+        calls.append(rows.call_count)
+    assert calls == [2 * len(planning._groups(counts)), 0]
+
+
+def test_sweep_group_tables_are_cached_and_read_only():
+    """One set of group tables per action-count tuple, shared by every sweep
+    on it, so neither they nor the chunks sliced out of them may be written."""
+    groups = planning._groups((2, 3, 1))
+    assert planning._groups((2, 3, 1)) is groups
+    m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=(2, 3, 1))
+    chunks = planning._coalition_chunks(m, planning._played(m, _behavior_table(
+        np.random.default_rng(33), m, "full")))
+    for table in itertools.chain(*groups, *chunks):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 @pytest.mark.parametrize("budget", [1, 1 << 40])
 def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
                                                                  budget):
@@ -618,8 +652,8 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
 
 
 def _sweep_chunks(m, table):
-    grid = planning._subgrids(m.action_counts)
-    return list(planning._coalition_chunks(m, grid[1], planning._played(m, table)))
+    """The masks of each sweep chunk."""
+    return [chunk[0] for chunk in planning._coalition_chunks(m, planning._played(m, table))]
 
 
 @pytest.mark.parametrize("n", [8, 9, 12])

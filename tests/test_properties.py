@@ -288,15 +288,17 @@ def _epsilon_calls():
     return calls
 
 
-@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0, True, np.True_],
-                         ids=["nan", "inf", "negative", "bool", "numpy-bool"])
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0, True, np.True_, "0.1", None, [0.1]],
+                         ids=["nan", "inf", "negative", "bool", "numpy-bool", "str", "none",
+                              "list"])
 @pytest.mark.parametrize("prop", ["R_V", "R_E", "R_R", "R_AE", "R_S", "R_I", "R_CM",
                                   "R_cParM", "R_RcParM", "R_PerM", "R_cPerM"])
 def test_checkers_refuse_a_malformed_epsilon(prop, epsilon):
     """A NaN slack failed some checkers and passed others, an infinite one
     passed all eleven, a negative one mixed them again, and a bool was a
     slack of 1.0; every verdict now refuses an epsilon that is not a finite
-    number >= 0."""
+    number >= 0. A str, None or a list raised TypeError from the first sum
+    that read it."""
     call = _epsilon_calls()[prop]
     assert call(0.0).property == prop
     message = f"^{re.escape(f'epsilon {epsilon!r} is not a finite number >= 0')}$"

@@ -132,8 +132,8 @@ def test_uncertainty_set_validate_and_contains():
     assert uset.contains(inside)      # deviation exactly at the radius
     assert not uset.contains(outside)
     assert uset.validate() == []
-    # a bool radius was read as 1.0
-    for radius in (-0.5, np.inf, -np.inf, np.nan, True, np.True_):
+    # a bool radius was read as 1.0; a str, None or a list raised TypeError
+    for radius in (-0.5, np.inf, -np.inf, np.nan, True, np.True_, "0.1", None, [0.1]):
         assert UncertaintySet(center, radius).validate() == [
             f"radius {radius!r} is not a finite number >= 0"]
     stray = UncertaintySet(center, 0.1, truth=outside)
@@ -741,14 +741,15 @@ def test_robust_bounds_rejects_bad_inputs():
     ({-1}, "agent index -1 out of range"),
     ({0, 4}, "agent index 4 out of range"),
     ({True}, "agent index True is not an integer"),
-    ({1.0}, "agent index 1.0 is not an integer")],
-    ids=["agents0", "agents1", "agents2", "bool", "float"])
+    ({1.0}, "agent index 1.0 is not an integer"),
+    (5, "'int' object is not iterable")],
+    ids=["agents0", "agents1", "agents2", "bool", "float", "not-a-set"])
 def test_uncertain_agents_the_center_lacks_are_reported(agents, problem):
     """An index outside the center's agents would leave every agent certain
     and collapse the robust bounds to the point value; True and 1.0 passed
-    as agent 1. `coalition_mask` is the rule."""
+    as agent 1, and a lone 5 raised TypeError. `coalition_mask` is the rule."""
     m, center = build_graph(GraphSpec("robustness"))
-    uset = UncertaintySet(center, 0.1, uncertain_agents=frozenset(agents))
+    uset = UncertaintySet(center, 0.1, uncertain_agents=agents)
     assert uset.validate() == [f"uncertain agents: {problem}"]
     message = f"invalid uncertainty set: uncertain agents: {problem}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
