@@ -309,8 +309,9 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     """
     mask = np.int64(coalition_mask(coalition, m.num_agents))
     played = _played(m, as_joint_table(m, behavior))
-    return (*_induced(m, played, *_tables(_subgrids(m.action_counts), mask)),
-            coalition_action_index(m, coalition))
+    inside, outside, weights = _tables(_subgrids(m.action_counts), mask)
+    # coalition_action_index, from the rows already gathered
+    return (*_induced(m, played, inside, outside, weights), inside[:, None] + outside)
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,

@@ -4,7 +4,10 @@ Each check returns a PropertyVerdict with an epsilon slack (0 means the
 exact property). Premise equalities are tested with tolerance 1e-9, well
 above the 1e-12 planning noise, so premises never trigger spuriously.
 Witness strings report agents 1-indexed to match the beta_1..beta_n CSV
-columns.
+columns. The premises that read the game alone are held per game, through
+`attribution._held`: R_S's interchangeable pairs, R_I's never-marginal
+agents and R_AE's average; a call then reads only its blame vector, which,
+with its slack, it checks before it reads any held result.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import as_blames, blame, game_marginals, marginals, pivotality
+from .attribution import as_blames, blame, game_marginals, pivotality, _held
 from .mmdp import AgentPolicy, Mmdp, evaluate_return, _slack_problems
 from .planning import (CharacteristicGame, characteristic_game, _check_agent_count,
                        coalition_mask, coalition_sums, lattice_floors,
@@ -86,8 +89,10 @@ def check_rationality(game: CharacteristicGame, beta, epsilon: float = 0.0) -> P
 def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     """Total blame must equal the mean inefficiency over the nonempty coalitions."""
     total = float(as_blames(beta, game.num_agents).sum())
-    target = float(game.values.sum()) / max((1 << game.num_agents) - 1, 1)
-    if abs(total - target) <= _slack(epsilon) + SLACK:
+    slack = _slack(epsilon) + SLACK
+    target = _held(game, "R_AE", lambda: float(game.values.sum())
+                   / max((1 << game.num_agents) - 1, 1))
+    if abs(total - target) <= slack:
         return PropertyVerdict("R_AE", epsilon)
     return PropertyVerdict("R_AE", epsilon,
                            witness=f"total {total:.6g} differs from average {target:.6g}")
@@ -95,7 +100,8 @@ def check_avg_efficiency(game: CharacteristicGame, beta, epsilon: float = 0.0) -
 
 def _first(prop: str, epsilon: float, failing: np.ndarray, witness) -> PropertyVerdict:
     """The verdict naming, through `witness(index)`, the first entry flagged
-    in `failing`: agents, or pairs in (i, j) row order, as a scan meets them."""
+    in `failing` (its flat index, in C order): agents, or pairs in (i, j) row
+    order, as a scan meets them."""
     hits = np.flatnonzero(failing)
     if hits.size == 0:
         return PropertyVerdict(prop, epsilon)
@@ -113,35 +119,44 @@ def _pair_tables(values: np.ndarray, n: int,
     return values[masks | (1 << i)[:, None]], values[masks | (1 << j)[:, None]]
 
 
+def _interchangeable(game: CharacteristicGame) -> np.ndarray:
+    """(n, n) table, held per game: True at i < j when values[S | 1 << i] and
+    values[S | 1 << j] agree within PREMISE_TOL on every coalition S without
+    both. The singletons' agreement (S empty) alone settles most pairs."""
+    n = game.num_agents
+    singles = game.values[1 << np.arange(n)]
+    table = np.triu(~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1)
+    i, j = np.nonzero(table)
+    with_i, with_j = _pair_tables(game.values, n, (i, j))
+    table[i, j] = ~(np.abs(with_i - with_j) > PREMISE_TOL).any(axis=1)
+    return table
+
+
 def check_symmetry(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
     n = game.num_agents
     blames = as_blames(beta, n)
-    # pairs (i < j) blamed apart whose marginals to the empty coalition
-    # agree: that premise alone settles most pairs
-    singles = game.values[1 << np.arange(n)]
-    i, j = np.nonzero(np.triu((np.abs(blames[:, None] - blames) > _slack(epsilon) + SLACK)
-                              & ~(np.abs(singles[:, None] - singles) > PREMISE_TOL), 1))
-    with_i, with_j = _pair_tables(game.values, n, (i, j))
-    symmetric = ~(np.abs(with_i - with_j) > PREMISE_TOL).any(axis=1)
-    return _first("R_S", epsilon, symmetric,
-                  lambda p: f"interchangeable agents {i[p] + 1} and {j[p] + 1} get "
-                            f"{blames[i[p]]:.6g} vs {blames[j[p]]:.6g}")
+    apart = np.abs(blames[:, None] - blames) > _slack(epsilon) + SLACK
+    return _first("R_S", epsilon, apart & _held(game, "R_S", lambda: _interchangeable(game)),
+                  lambda p: f"interchangeable agents {p // n + 1} and {p % n + 1} get "
+                            f"{blames[p // n]:.6g} vs {blames[p % n]:.6g}")
 
 
 def check_invariance(game: CharacteristicGame, beta, epsilon: float = 0.0) -> PropertyVerdict:
-    n = game.num_agents
-    blames = as_blames(beta, n)
-    marginal = (game_marginals(game) > PREMISE_TOL).any(axis=1)
-    return _first("R_I", epsilon, ~marginal & (blames > _slack(epsilon) + SLACK),
+    blames = as_blames(beta, game.num_agents)
+    blamed = blames > _slack(epsilon) + SLACK
+    return _first("R_I", epsilon, blamed & _held(
+        game, "R_I", lambda: ~(game_marginals(game) > PREMISE_TOL).any(axis=1)),
                   lambda i: f"agent {i + 1} never marginal but blamed {blames[i]:.6g}")
 
 
 def _blame_pair(game1: CharacteristicGame, beta1, game2: CharacteristicGame,
-                beta2) -> tuple[np.ndarray, np.ndarray]:
+                beta2, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Both blame vectors, checked with the slack before any game result is read."""
     if game1.num_agents != game2.num_agents:
         raise ValueError("games must share an agent set")
-    return (as_blames(beta1, game1.num_agents),
-            as_blames(beta2, game1.num_agents))
+    blames = (as_blames(beta1, game1.num_agents), as_blames(beta2, game1.num_agents))
+    _slack(epsilon)
+    return blames
 
 
 def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
@@ -149,12 +164,9 @@ def check_contribution_monotonicity(game1: CharacteristicGame, beta1,
                                     epsilon: float = 0.0) -> PropertyVerdict:
     """Agents whose marginals dominate across every coalition must not be
     blamed less in the dominating instance."""
-    n = game1.num_agents
-    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
-    dominating = (marginals(game1.values, game1.values, n)
-                  >= marginals(game2.values, game2.values, n)
-                  - PREMISE_TOL).all(axis=1)
-    return _first("R_CM", epsilon, dominating & (b1 < b2 - _slack(epsilon) - SLACK),
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2, epsilon)
+    dominating = (game_marginals(game1) >= game_marginals(game2) - PREMISE_TOL).all(axis=1)
+    return _first("R_CM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
                   lambda i: f"agent {i + 1} dominates marginally but blame fell "
                             f"{b1[i]:.6g} < {b2[i]:.6g}")
 
@@ -165,6 +177,7 @@ def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_pri
     """Across two unilateral deviations by `agent`, the better-performing
     policy must not attract more blame."""
     coalition_mask((agent,), m.num_agents)  # refuses a stray agent
+    _slack(epsilon)  # before any game is built
     joint1 = behavior.replace(agent, pi_i)
     joint2 = behavior.replace(agent, pi_i_prime)
     j1 = evaluate_return(m, joint1)
@@ -173,7 +186,7 @@ def check_performance_monotonicity(m: Mmdp, behavior, agent: int, pi_i, pi_i_pri
         return PropertyVerdict("R_PerM", epsilon)
     b1 = blame(m, joint1, method, tiebreak).blames[agent]
     b2 = blame(m, joint2, method, tiebreak).blames[agent]
-    if b1 >= b2 - _slack(epsilon) - SLACK:
+    if b1 >= b2 - epsilon - SLACK:
         return PropertyVerdict("R_PerM", epsilon)
     return PropertyVerdict(
         "R_PerM", epsilon,
@@ -187,6 +200,7 @@ def check_cperf(m: Mmdp, behavior, agent: int, pi_i, pi_i_prime,
     """Performance monotonicity restricted to deviations that leave every
     agent's pivotality unchanged."""
     coalition_mask((agent,), m.num_agents)  # refuses a stray agent
+    _slack(epsilon)  # before any game is built
     joint1 = behavior.replace(agent, pi_i)
     joint2 = behavior.replace(agent, pi_i_prime)
     g1 = characteristic_game(m, joint1)
@@ -203,14 +217,14 @@ def check_cpart(game1: CharacteristicGame, beta1,
                 epsilon: float = 0.0) -> PropertyVerdict:
     """Across equal-pivotality instances, an agent whose coalitions are all
     at least as inefficient must not be blamed less."""
-    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2, epsilon)
     if pivotality(game1).flags != pivotality(game2).flags:
         return PropertyVerdict("R_cParM", epsilon)
     n = game1.num_agents
     with_ = marginal_masks(n)[1]
     dominating = (game1.values[with_]
                   >= game2.values[with_] - PREMISE_TOL).all(axis=1)
-    return _first("R_cParM", epsilon, dominating & (b1 < b2 - _slack(epsilon) - SLACK),
+    return _first("R_cParM", epsilon, dominating & (b1 < b2 - epsilon - SLACK),
                   lambda j: f"agent {j + 1} participates in dominating coalitions but "
                             f"blame fell {b1[j]:.6g} < {b2[j]:.6g}")
 
@@ -221,7 +235,7 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     """Across equal-pivotality instances, blame increments are ordered like
     the coalition inefficiency increments, compared between agents of the
     same pivotality."""
-    b1, b2 = _blame_pair(game1, beta1, game2, beta2)
+    b1, b2 = _blame_pair(game1, beta1, game2, beta2, epsilon)
     piv1 = pivotality(game1).flags
     if piv1 != pivotality(game2).flags:
         return PropertyVerdict("R_RcParM", epsilon)
@@ -230,7 +244,7 @@ def check_rcpart(game1: CharacteristicGame, beta1,
     # of order; the gain premise is tested on those alone
     piv, moved = np.array(piv1), b1 - b2
     j, k = np.nonzero((piv[:, None] == piv) & ~np.eye(n, dtype=bool)
-                      & (moved[:, None] < moved - _slack(epsilon) - SLACK))
+                      & (moved[:, None] < moved - epsilon - SLACK))
     with_j, with_k = _pair_tables(game1.values - game2.values, n, (j, k))
     premise = (with_j >= with_k - PREMISE_TOL).all(axis=1)
     return _first("R_RcParM", epsilon, premise,

@@ -411,6 +411,21 @@ def test_induced_mdp_marginalizes_complement():
             np.testing.assert_allclose(p_c[s, a0], expect_p, atol=1e-12)
 
 
+def test_induced_mdp_gathers_its_coalition_rows_once():
+    """induced_mdp builds its (A_C, A_D) index from the coalition and
+    complement rows it gathers for the kernel: 2 `_rows` calls, not the 4
+    of a second gather through coalition_action_index, for the same index."""
+    m, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
+    for mask in range(1, 1 << m.num_agents):
+        coalition = mask_agents(mask, m.num_agents)
+        for call in (induced_mdp, best_response):
+            with mock.patch.object(planning, "_rows", wraps=planning._rows) as rows:
+                call(m, behavior, coalition)
+            assert rows.call_count == 2, (call.__name__, coalition)
+        np.testing.assert_array_equal(induced_mdp(m, behavior, coalition)[2],
+                                      coalition_action_index(m, coalition))
+
+
 def test_characteristic_game_monotone_and_grounded():
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)

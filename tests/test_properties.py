@@ -1,11 +1,13 @@
 """The axiom checkers: verdicts, premises, witnesses, and slack handling."""
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamekit import attribution, properties
 from blamekit.attribution import apply, mer, pivotality, shapley
 from blamekit.cli import _csv
 from blamekit.planning import (CharacteristicGame, characteristic_game,
@@ -451,3 +453,79 @@ def test_agent_and_pair_checkers_equal_their_loop_forms(n, seed, kind, other, li
             (check_cpart, check_cpart_loop), (check_rcpart, check_rcpart_loop)]:
         assert checker(first, beta1, second, beta2, epsilon) == loop(
             first, beta1, second, beta2, epsilon)
+
+
+def test_an_attribution_items_premises_are_built_once():
+    """The six single-assignment checkers, run on each of an attribution
+    item's six blame vectors (MER untied and tied, MC, SV, BI, AP), gather
+    R_S's pair tables once per game; the held premises refuse a write."""
+    game = _test_game(10, 5, "mirrored")
+    betas = [mer(game), mer(game, 0), *(apply(name, game) for name in ("MC", "SV", "BI", "AP"))]
+    with mock.patch.object(properties, "_pair_tables", wraps=properties._pair_tables) as tables:
+        verdicts = [{prop: checker(game, beta) for prop, checker in CHECKERS.items()}
+                    for beta in betas]
+    assert tables.call_count == 1
+    assert [row["R_S"] for row in verdicts] == [check_symmetry_pairwise(game, beta)
+                                                for beta in betas]
+    assert [row["R_I"] for row in verdicts] == [check_invariance_loop(game, beta)
+                                                for beta in betas]
+    held = attribution._HELD[game]
+    assert held["R_S"].shape == (10, 10) and held["R_I"].shape == (10,)
+    assert held["R_S"][np.arange(5), 9 - np.arange(5)].all()  # the mirrored pairs
+    for key in ("R_S", "R_I"):
+        with pytest.raises(ValueError, match="read-only"):
+            held[key][0] = True
+    assert held["R_AE"] == float(game.values.sum()) / 1023
+    # at the agent cap, a game of every pair interchangeable: 66 pairs x 1,024
+    largest = _test_game(12, 0, "by size")
+    beta = np.arange(12.0)
+    assert check_symmetry(largest, beta) == check_symmetry_screened(largest, beta)
+    assert (attribution._HELD[largest]["R_S"] == np.triu(np.ones((12, 12), bool), 1)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 31 - 1), kind=_GAME_KINDS,
+       data=st.data())
+def test_premises_held_across_calls_leave_each_call_its_own_verdict(n, seed, kind, data):
+    """Several blame vectors checked in turn against one game, each at every
+    epsilon, get the verdicts and witnesses of the loop forms and of a fresh
+    copy of the game, which builds its premises for that call alone, while
+    the game's premises are gathered once."""
+    game = _test_game(n, seed, kind)
+    calls = [(_draw_blames(data, n), epsilon) for _ in range(data.draw(st.integers(2, 4)))
+             for epsilon in (0.0, 1e-12, 0.3)]
+    checkers = (check_symmetry, check_invariance, check_avg_efficiency)
+    cold = [[checker(CharacteristicGame(n, game.values), beta, epsilon) for checker in checkers]
+            for beta, epsilon in calls]
+    with mock.patch.object(properties, "_pair_tables", wraps=properties._pair_tables) as tables:
+        for (beta, epsilon), want in zip(calls, cold):
+            assert [checker(game, beta, epsilon) for checker in checkers] == want
+            assert want[0] == check_symmetry_pairwise(game, beta, epsilon) \
+                == check_symmetry_screened(game, beta, epsilon)
+            assert want[1] == check_invariance_loop(game, beta, epsilon)
+    assert tables.call_count == 1
+
+
+PAIR_CHECKERS = {"R_CM": check_contribution_monotonicity, "R_cParM": check_cpart,
+                 "R_RcParM": check_rcpart}
+
+
+@pytest.mark.parametrize("prop", ["R_V", "R_E", "R_R", "R_AE", "R_S", "R_I", "R_CM",
+                                  "R_cParM", "R_RcParM", "R_PerM", "R_cPerM"])
+def test_a_refused_epsilon_or_blame_vector_leaves_nothing_held(monkeypatch, prop):
+    """Every checker refuses a malformed slack, and each that takes a blame
+    vector a malformed one, before it reads or builds any per-game result."""
+    monkeypatch.setattr(attribution, "_HELD", {})
+    with pytest.raises(ValueError, match="not a finite number >= 0"):
+        _epsilon_calls()[prop](np.nan)
+    assert attribution._HELD == {}
+    if prop in ("R_PerM", "R_cPerM"):
+        return  # their blame vectors are BlameAssignments, checked where built
+    game, other, right = random_monotone_game(4, 3), random_monotone_game(4, 7), np.ones(4)
+    for wrong in (np.ones(3), [0.0, np.nan, 0.0, 0.0]):
+        args = ([(game, wrong)] if prop in CHECKERS else
+                [(game, wrong, other, right), (game, right, other, wrong)])
+        for call in args:
+            with pytest.raises(ValueError, match="blame vector has shape|not finite"):
+                {**CHECKERS, **PAIR_CHECKERS}[prop](*call)
+    assert attribution._HELD == {}
