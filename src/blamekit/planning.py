@@ -6,15 +6,15 @@ policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`, on
 the `one_step_model` layout that the impossibility fixture also uses).
 
-`characteristic_game` solves the 2^n - 1 nonempty coalitions in chunks of
-equal joint-action count: a chunk scatters the behavior's nonzero entries
-into its complement conditionals, gathers reward and transition only where
-they play, and runs one stacked policy iteration from the greedy step on the
-behavior's own values. Chunks are sized by those conditionals and gathers,
-so a behavior that plays few joint actions per state gets few, wide chunks.
-`induced_mdp` and `best_response` run the same kernel on one coalition, bit
-for bit, and `coalition_action_index` is built from the same table:
-`_subgrids` is the package's one coalition layout.
+`coalition_values` solves the 2^n - 1 nonempty coalitions in chunks of equal
+joint-action count, for `characteristic_game` to reduce: a chunk scatters the
+behavior's nonzero entries into its complement conditionals, gathers reward
+and transition only where they play, and runs one stacked policy iteration
+from the greedy step on the behavior's own values. Chunks are sized by those
+conditionals and gathers, so a behavior that plays few joint actions per state
+gets few, wide chunks. `induced_mdp` and `best_response` run the same kernel
+on one coalition, bit for bit, and `coalition_action_index` is built from the
+same table: `_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -367,6 +367,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
+_VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same keys
 
 # Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
 # (q, and the transitions gathered at the W played complement actions), may
@@ -388,30 +389,39 @@ def _coalition_chunks(m: Mmdp, played) -> Iterator[tuple[np.ndarray, ...]]:
             yield tuple(table[first:first + per_chunk] for table in group)
 
 
-def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
-    """Marginal inefficiency of every coalition against `behavior`.
+def coalition_values(m: Mmdp, behavior) -> np.ndarray:
+    """Read-only (2^n, S) table: row M holds mask M's best-response state
+    values against `behavior`, and row 0 the behavior's own `policy_values`."""
+    return _swept(m, behavior)[1]
 
-    Memoized on the (model, behavior) content hash; agent count is capped at
-    12 to keep the 2^n coalition sweep bounded.
-    """
+
+def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
+    """The (model, behavior) content hash, and `coalition_values` memoized on it."""
     if m.num_agents > MAX_AGENTS:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
     key = m.content_key() + content_digest(table)
-    if key in _GAME_CACHE:
-        return _GAME_CACHE[key]
-    v_b = policy_values(m, table)
-    j_b = float(m.initial_dist @ v_b)  # evaluate_return, bit for bit
-    # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
-    start = v_b if m.transition[..., v_b != 0].any() else None
-    values = np.zeros(1 << m.num_agents)
-    played = _played(m, table)
-    for masks, *tables in _coalition_chunks(m, played):
-        v, _ = solve_mdp(*_induced(m, played, *tables), m.discount, start)
-        # a stacked (1, S) @ (S,) product per member is the same dot product
-        # as `initial_dist @ v`; a (K, S) @ (S,) one may round differently
-        values[masks] = (v.reshape(masks.size, 1, -1) @ m.initial_dist)[:, 0] - j_b
-    return memo(_GAME_CACHE, key, lambda: CharacteristicGame(m.num_agents, values))
+
+    def sweep():
+        rows = np.empty((1 << m.num_agents, m.num_states))
+        rows[0] = v_b = policy_values(m, table)
+        # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
+        start = v_b if m.transition[..., v_b != 0].any() else None
+        played = _played(m, table)
+        for masks, *tables in _coalition_chunks(m, played):
+            rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, start)
+        return _read_only(rows)
+    return key, memo(_VALUES_CACHE, key, sweep)
+
+
+def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
+    """Marginal inefficiency of every coalition against `behavior`: the return
+    of its `coalition_values` row less row 0's, memoized on the same key."""
+    key, rows = _swept(m, behavior)
+    # a stacked (1, S) @ (S,) product per row is the same dot product as
+    # `initial_dist @ v`; a (K, S) @ (S,) one may round differently
+    returns = (rows[:, None] @ m.initial_dist)[:, 0]
+    return memo(_GAME_CACHE, key, lambda: CharacteristicGame(m.num_agents, returns - returns[0]))
 
 
 def one_step_model(action_counts: tuple[int, ...],

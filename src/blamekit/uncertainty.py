@@ -35,11 +35,11 @@ from .attribution import (PIVOTAL_TOL, BlameAssignment, as_blames,
                           sequential_sums, shapley, shapley_weights, weighted_marginals)
 from .lp import LinearProgram, solve
 from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table, _slack_problems
-from .planning import (CharacteristicGame, best_response,
-                       characteristic_game, coalition_action_index,
-                       coalition_mask, coalition_sizes, coalition_tables,
-                       lattice_floors, marginalize, mask_agents, memo,
-                       solve_mdp, _read_only)
+# best_response is unused here, but bench/tracing.py wraps it by this name
+from .planning import (CharacteristicGame, best_response, characteristic_game,
+                       coalition_action_index, coalition_mask, coalition_sizes,
+                       coalition_tables, coalition_values, lattice_floors,
+                       marginalize, mask_agents, memo, solve_mdp, _read_only)
 
 RESIDUAL_TOL = 1e-12
 MAX_SWEEPS = 1000
@@ -342,6 +342,7 @@ class RobustBounds:
         self.m = m
         self.uset = uset
         self.exact = exact
+        self._center_values = coalition_values(m, uset.center)  # a row per coalition mask
         # (value, joint behavior table attaining it; only the empty coalition's)
         self._values: dict[tuple[int, str], tuple[float, np.ndarray | None]] = {}
         terminal = np.isin(np.arange(m.num_states), list(m.terminal_states))
@@ -378,11 +379,11 @@ class RobustBounds:
         if all(mask >> j & 1 or uset.agent_radius(j) == 0
                for j in range(m.num_agents)):
             # every complement agent is certain: the center is the only behavior
-            br = best_response(m, uset.center, mask_agents(mask, m.num_agents))
-            return br.value, uset.center.joint_table(m) if mask == 0 else None
+            return (float(m.initial_dist @ self._center_values[mask]),
+                    uset.center.joint_table(m) if mask == 0 else None)
         problem = _CoalitionProblem(m, uset, mask, mode, self.exact)
         if self._levels is None:
-            v, q = self._iterate(problem)
+            v, q = self._iterate(problem, self._center_values[mask])
         else:
             v = np.zeros(m.num_states)
             q = self._backward_pass(problem, self._levels, v, v)
@@ -399,9 +400,8 @@ class RobustBounds:
             out[states], q[states] = problem.choose(b, states)
         return q
 
-    def _iterate(self, problem: _CoalitionProblem):
+    def _iterate(self, problem: _CoalitionProblem, v: np.ndarray):
         m = self.m
-        v = best_response(m, self.uset.center, problem.coalition).state_values
         for _ in range(MAX_SWEEPS):
             values = np.zeros(m.num_states)
             q = self._backward_pass(problem, [self._nonterminal], v, values)

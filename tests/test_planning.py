@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blamekit import cli, planning
+from blamekit import cli, planning, uncertainty
 from blamekit.cli import run_coordination, run_perm_sweep
 from blamekit.envs import GridworldSpec, build_gridworld
 from blamekit.mmdp import (AgentPolicy, JointPolicy, as_joint_table, evaluate_return,
@@ -293,6 +293,7 @@ def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
 
     monkeypatch.setattr(planning, "solve_mdp", recording)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     characteristic_game(*one_step)
     assert starts and all(start is None for start in starts)
     starts.clear()
@@ -309,6 +310,7 @@ def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
     # the lone actor's plans are solved once per process, outside the count
     build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     with mock.patch.object(planning, "_solve_linear",
                            wraps=planning._solve_linear) as counted:
         run_perm_sweep()
@@ -320,6 +322,7 @@ def test_the_perm_experiment_sweeps_six_games_for_its_eleven_builds(monkeypatch)
     """Its repeated behaviors (alpha_prime 0.0-0.3, 0.4-0.5 and 0.9-1.0) come
     one after another, so the two-entry game memo sweeps each once."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     with mock.patch.object(cli, "build_gridworld", wraps=cli.build_gridworld) as builds, \
             mock.patch.object(planning, "_coalition_chunks",
                               wraps=planning._coalition_chunks) as sweeps:
@@ -624,6 +627,7 @@ def test_a_second_sweep_on_the_same_action_counts_builds_no_coalition_rows(
     first, second = (random_mmdp(rng, num_states=3, action_counts=counts)
                      for _ in range(2))
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     planning._groups.cache_clear()
     calls = []
     for m in (first, second):
@@ -662,6 +666,7 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
     cases.append((m, behavior, characteristic_game(m, behavior).values))
     monkeypatch.setattr(planning, "_GATHER_BUDGET", budget)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     for m, behavior, expected in cases:
         assert characteristic_game(m, behavior).values.tobytes() == expected.tobytes()
 
@@ -738,6 +743,43 @@ def test_characteristic_game_agent_cap():
                                  for _ in range(MAX_AGENTS + 1)))
     with pytest.raises(ValueError, match="limited"):
         characteristic_game(m, behavior)
+
+
+def test_coalition_values_are_the_state_values_the_game_reduces(monkeypatch):
+    """coalition_values is read-only and memoized; row 0 is the behavior's
+    own values, and each game value is the difference of two rows' returns,
+    bit for bit. A radius-0 set's bounds read the same rows, so they give
+    the center's game back. Past MAX_AGENTS agents it is refused with
+    characteristic_game's message."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    rng = np.random.default_rng(35)
+    for counts in [(2,), (2, 3), (3, 1, 2), (2, 2, 1, 2)]:
+        m = random_mmdp(rng, num_states=3, action_counts=counts)
+        center = random_factorized(rng, m)
+        joint = rng.dirichlet(np.ones(m.num_joint_actions), size=m.num_states)
+        for behavior in (center, joint):
+            rows = planning.coalition_values(m, behavior)
+            assert rows.shape == (1 << m.num_agents, m.num_states)
+            assert not rows.flags.writeable
+            assert planning.coalition_values(m, behavior) is rows
+            assert rows[0].tobytes() == policy_values(m, behavior).tobytes()
+            returns = [m.initial_dist @ row for row in rows]
+            gains = np.array([value - returns[0] for value in returns])
+            assert gains.tobytes() == characteristic_game(m, behavior).values.tobytes()
+        bounds = uncertainty.RobustBounds(m, uncertainty.UncertaintySet(center, 0.0))
+        base = bounds.max_value(())
+        gains = np.array([bounds.min_value(mask_agents(mask, m.num_agents)) - base
+                          for mask in range(1 << m.num_agents)])
+        assert gains.tobytes() == characteristic_game(m, center).values.tobytes()
+    m = random_mmdp(rng, num_states=2, action_counts=(1,) * (MAX_AGENTS + 1))
+    behavior = JointPolicy(tuple(AgentPolicy.uniform(2, 1) for _ in m.action_counts))
+    refusals = []
+    for call in (characteristic_game, planning.coalition_values):
+        with pytest.raises(ValueError) as refused:
+            call(m, behavior)
+        refusals.append(str(refused.value))
+    assert refusals == [f"characteristic game limited to {MAX_AGENTS} agents"] * 2
 
 
 def test_mmdp_from_game_reproduces_the_set_function():

@@ -3,6 +3,7 @@ import dataclasses
 from functools import lru_cache
 import gc
 import re
+from unittest import mock
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit import attribution, cli, planning, uncertainty
+from blamekit import attribution, cli, mmdp, planning, uncertainty
 from blamekit.attribution import (
     PIVOTAL_TOL,
     average_participation,
@@ -544,12 +545,16 @@ def test_array_choosers_match_the_loops(case):
 
 
 def test_certain_complements_build_no_problem(monkeypatch):
-    """A coalition with no uncertain agent outside it takes best_response's
-    value against the center, and the empty coalition's max policy is the
-    center's joint table, without building a _CoalitionProblem."""
+    """A coalition with no uncertain agent outside it reads its value off
+    the center's coalition sweep, bit for bit in both modes, and the empty
+    coalition's max policy is the center's joint table, without building a
+    _CoalitionProblem. best_response, solved apart, agrees to 1e-12: the
+    empty coalition's row is a direct policy evaluation, its best response
+    a one-action policy iteration, and the two differ in the last bits."""
     rng = np.random.default_rng(41)
     m = random_mmdp(rng, num_states=3, action_counts=(2, 3, 2), gamma=0.8)
     center = random_factorized(rng, m)
+    rows = planning.coalition_values(m, center)
 
     def refuse(*args):
         raise AssertionError("a certain complement built a problem")
@@ -564,9 +569,11 @@ def test_certain_complements_build_no_problem(monkeypatch):
         bounds = RobustBounds(m, uset)
         for mask in masks:
             coalition = mask_agents(mask, m.num_agents)
-            expected = best_response(m, center, coalition).value
-            assert bounds.min_value(coalition) == expected
-            assert bounds.max_value(coalition) == expected
+            expected = float(m.initial_dist @ rows[mask])
+            assert bounds.min_value(coalition).hex() == expected.hex()
+            assert bounds.max_value(coalition).hex() == expected.hex()
+            oracle = best_response(m, center, coalition).value
+            assert expected == pytest.approx(oracle, rel=1e-12, abs=0.0)
         if 0 in masks:
             _same_bytes(bounds.max_policy(), center.joint_table(m))
 
@@ -837,11 +844,14 @@ def test_the_max_policy_is_handed_out_read_only(monkeypatch):
 
 def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
     """100 distinct games and uncertainty sets leave no memo table above
-    MEMO_ENTRIES, and no game older than those kept alive by one."""
+    MEMO_ENTRIES, and no game older than those kept alive by one. The
+    coalition values memo takes both the games' behaviors and the centers."""
     tables = [{}, {}, {}]
     for module, name, table in zip((planning, uncertainty, attribution),
                                    ("_GAME_CACHE", "_BOUNDS_CACHE", "_HELD"), tables):
         monkeypatch.setattr(module, name, table)
+    values = {}
+    monkeypatch.setattr(planning, "_VALUES_CACHE", values)
     m = bandit_model(np.zeros(4), (2, 2))
     refs = []
     for k in range(100):
@@ -851,6 +861,7 @@ def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
         center = bandit_center([(0.5, 0.5), (0.5 + k / 400, 0.5 - k / 400)])
         robust_bounds(m, UncertaintySet(center, 0.1), False)
         assert [len(table) for table in tables] == [min(k + 1, MEMO_ENTRIES)] * 3
+        assert len(values) == MEMO_ENTRIES
     del game
     gc.collect()
     assert [ref() is not None for ref in refs] == [False] * 98 + [True] * 2
@@ -875,6 +886,34 @@ def test_a_robust_run_builds_one_bounds_per_task_for_its_seven_lookups(monkeypat
     rows = cli.run_robustness("gridworld", 2)
     assert len({(row["eps_max"], row["seed"]) for row in rows}) == 10
     assert (len(built), len(lookups)) == (10, 70)
+
+
+@pytest.mark.parametrize("env, sweeps", [("gridworld", 21), ("graph", 13)])
+def test_a_robust_run_reads_its_best_responses_off_the_center_sweep(monkeypatch, env,
+                                                                     sweeps):
+    """Certain complements and the cyclic recursion's start read the
+    center's coalition values, so the robust layer solves no best response
+    of its own. The sweeps stay one for the true behavior and two per task
+    (the center's game and sv_valid's most favorable behavior), and the
+    linear solves stay at most 400 (the gridworld made 914 when each certain
+    complement and each cyclic start solved a best response)."""
+    def refuse(*args):
+        raise AssertionError("the robust layer solved a best response")
+
+    cli._robustness_setup(env)  # the gridworld's plans are solved once per process
+    for module, name in ((planning, "_GAME_CACHE"), (planning, "_VALUES_CACHE"),
+                         (uncertainty, "_BOUNDS_CACHE")):
+        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(uncertainty, "best_response", refuse)
+    with mock.patch.object(planning, "_coalition_chunks",
+                           wraps=planning._coalition_chunks) as swept, \
+            mock.patch.object(planning, "_solve_linear",
+                              wraps=planning._solve_linear) as stepped, \
+            mock.patch.object(mmdp, "_solve_linear", wraps=mmdp._solve_linear) as evaluated:
+        rows = cli.run_robustness(env, 2)
+    assert len(rows) == 2 * 7 * len(cli._robustness_setup(env)[3])
+    assert swept.call_count == sweeps
+    assert stepped.call_count + evaluated.call_count <= 400
 
 
 def test_robust_bounds_is_the_exported_entry_point():
