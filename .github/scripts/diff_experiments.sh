@@ -18,7 +18,11 @@
 #   - the pair and model checkers (CM, PerM, cPerM, cParM, RcParM) under each
 #     method at epsilon 0 and 0.3, on the impossibility fixture's two
 #     deviations and on fixed random_monotone_game pairs, one with an agent's
-#     coalitions lifted and one unrelated, each pair both ways round.
+#     coalitions lifted and one unrelated, each pair both ways round;
+#   - planning.coalition_values, every entry as float.hex text, on the
+#     one-step model of random_monotone_game(n, 0) for n = 1 to 12 and on
+#     the robustness graph, so that any bit-level move in the coalition
+#     sweep shows, not only one that reaches a CSV cell.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -111,6 +115,21 @@ EOF
     echo "exit $?" >> "$2/pair_checks.csv"
 }
 
+run_coalition_values() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
+from blamekit.envs import GraphSpec, build_graph
+from blamekit.planning import coalition_values, mmdp_from_game
+from blamekit.properties import random_monotone_game
+models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
+          for n in range(1, 13)]
+models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
+for label, model, behavior in models:
+    for mask, row in enumerate(coalition_values(model, behavior)):
+        print(label, mask, " ".join(float(x).hex() for x in row))
+EOF
+    echo "exit $?" >> "$2/coalition_values.txt"
+}
+
 if ! git archive "$base" src 2> /dev/null | tar -x -C "$work/base" 2> /dev/null; then
     echo "::warning::could not unpack $base; outputs not compared"
     exit 0
@@ -119,9 +138,11 @@ mkdir -p "$work/head" "$work/base-out"
 run_experiments "$PWD/src" "$work/head"
 run_one_step "$PWD/src" "$work/head"
 run_pair_checks "$PWD/src" "$work/head"
+run_coalition_values "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
 run_pair_checks "$work/base/src" "$work/base-out"
+run_coalition_values "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0
 while IFS= read -r line; do

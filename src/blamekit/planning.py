@@ -8,9 +8,11 @@ the `one_step_model` layout that the impossibility fixture also uses).
 
 `coalition_values` solves the 2^n - 1 nonempty coalitions in chunks of equal
 joint-action count, for `characteristic_game` to reduce: a chunk scatters the
-behavior's nonzero entries into its complement conditionals, gathers reward
-and transition only where they play, and runs one stacked policy iteration
-from the greedy step on the behavior's own values. Chunks are sized by those
+behavior's nonzero entries into its complement conditionals and gathers reward
+and transition only where they play. An acyclic model takes one backward pass
+over its `_topological_levels`, the first level reading the reward alone (a
+one-step model gathers no transitions); a cyclic one, one stacked policy
+iteration greedy first on the behavior's own values. Chunks are sized by those
 conditionals and gathers, so a behavior that plays few joint actions per state
 gets few, wide chunks. `induced_mdp` and `best_response` run the same kernel
 on one coalition, bit for bit, and `coalition_action_index` is built from the
@@ -33,6 +35,7 @@ MAX_AGENTS = 12
 DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
 MAX_POLICY_ITERATIONS = 1000
 _MONOTONE_TOL = 1e-9
+_EDGE_TOL = 1e-15
 MEMO_ENTRIES = 2  # newest keys a memo keeps: check_cperf reads its two games again
 
 
@@ -274,11 +277,12 @@ def _played(m: Mmdp, table: np.ndarray):
             table[states, actions])
 
 
-def _induced(m: Mmdp, played, inside, outside, weights) -> tuple[np.ndarray, np.ndarray]:
+def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
     """`induced_mdp` for one mask or a stack of masks with equal A_C, from
     their `_tables`. Gathered only at the complement actions q plays (q != 0,
     ascending, zero-padded to the widest row): the tables are
-    (..., S, A_C, W[, S]) with W <= A_D."""
+    (..., S, A_C, W[, S]) with W <= A_D. Given a list of state arrays `later`,
+    the transitions are a list too, one (..., L, A_C, S) table per array."""
     states, digits, probs = played
     num_d = outside.shape[-1]
     # q (..., S, A_D), each complement action at its digits dotted with the
@@ -297,7 +301,11 @@ def _induced(m: Mmdp, played, inside, outside, weights) -> tuple[np.ndarray, np.
     kept = outside.reshape(-1)[(member * num_d)[..., None, None] + keep]
     flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
     rows = np.arange(0, q.size, num_d).reshape(q.shape[:-1])  # each q row's flat start
-    return marginalize(q.reshape(-1)[rows[..., None] + keep], *_gather(m, flat))
+    q = q.reshape(-1)[rows[..., None] + keep]
+    if later is None:
+        return marginalize(q, *_gather(m, flat))
+    return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
+            [marginalize(q[..., s, :], *_gather(m, flat[..., s, :, :]))[1] for s in later])
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,6 +352,26 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
             return v, pol
         pol = np.where(improving, new_pol, pol)
     raise RuntimeError(f"policy iteration did not converge in {MAX_POLICY_ITERATIONS} iterations")
+
+
+def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
+    """Nonterminal states peeled into levels, sinks first, whose transitions
+    only point into earlier levels or terminal states; None if the model has
+    a cycle beyond terminal self-loops. An edge of at most _EDGE_TOL orders
+    nothing, so a backward pass reads it against v = 0 if it points ahead."""
+    reach = m.transition.max(axis=1) > _EDGE_TOL
+    loops = np.flatnonzero(np.diagonal(reach))
+    if not m.terminal_states.issuperset(loops.tolist()):
+        return None
+    np.fill_diagonal(reach, False)
+    out_degree = reach.sum(axis=1)
+    levels = [np.flatnonzero(out_degree == 0)]
+    while levels[-1].size:  # every state whose successors are all peeled
+        out_degree -= reach[:, levels[-1]].sum(axis=1)
+        out_degree[levels[-1]] = -1
+        levels.append(np.flatnonzero(out_degree == 0))
+    kept = [level[[s not in m.terminal_states for s in level.tolist()]] for level in levels]
+    return [level for level in kept if level.size] if out_degree.max() < 0 else None
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -403,13 +431,18 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
     key = m.content_key() + content_digest(table)
 
     def sweep():
-        rows = np.empty((1 << m.num_agents, m.num_states))
+        rows = np.zeros((1 << m.num_agents, m.num_states))
         rows[0] = v_b = policy_values(m, table)
-        # no transition entering a nonzero v_b (mmdp_from_game): argmax r is greedy
-        start = v_b if m.transition[..., v_b != 0].any() else None
-        played = _played(m, table)
+        played, levels = _played(m, table), _topological_levels(m)
         for masks, *tables in _coalition_chunks(m, played):
-            rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, start)
+            if levels is None:  # a cycle: policy iteration, greedy from v_b first
+                rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, v_b)
+                continue
+            # one backward pass, from rows of 0: the first level's successors are terminal
+            r, blocks = _induced(m, played, *tables, levels[1:])
+            for states, p in zip(levels, [None, *blocks]):
+                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks])
+                rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
         return _read_only(rows)
     return key, memo(_VALUES_CACHE, key, sweep)
 

@@ -39,12 +39,12 @@ from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table,
 from .planning import (CharacteristicGame, best_response, characteristic_game,
                        coalition_action_index, coalition_mask, coalition_sizes,
                        coalition_tables, coalition_values, lattice_floors,
-                       marginalize, mask_agents, memo, solve_mdp, _read_only)
+                       marginalize, mask_agents, memo, solve_mdp, _read_only,
+                       _topological_levels)
 
 RESIDUAL_TOL = 1e-12
 MAX_SWEEPS = 1000
 MEMBERSHIP_TOL = 1e-9
-_EDGE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -132,25 +132,6 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
     agents = [AgentPolicy(np.array([_sample_ball_row(rng, row, eps_max) for row in ap.probs]))
               if around.agent_radius(i) > 0 else ap for i, ap in enumerate(truth.agents)]
     return UncertaintySet(JointPolicy(tuple(agents)), eps_max, truth, uncertain_agents)
-
-
-def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
-    """States peeled into levels whose transitions only point into earlier
-    levels (sinks first), or None if the model has a cycle beyond terminal
-    self-loops. Each level is every state whose successors are all peeled;
-    its columns then drop from the remaining out-degrees."""
-    reach = m.transition.max(axis=1) > _EDGE_TOL
-    loops = np.flatnonzero(np.diagonal(reach))
-    if not m.terminal_states.issuperset(loops.tolist()):
-        return None
-    np.fill_diagonal(reach, False)
-    out_degree = reach.sum(axis=1)
-    levels = [np.flatnonzero(out_degree == 0)]
-    while levels[-1].size:
-        out_degree -= reach[:, levels[-1]].sum(axis=1)
-        out_degree[levels[-1]] = -1
-        levels.append(np.flatnonzero(out_degree == 0))
-    return levels[:-1] if sum(map(len, levels)) == m.num_states else None
 
 
 def _best_row(values: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,12 +326,8 @@ class RobustBounds:
         self._center_values = coalition_values(m, uset.center)  # a row per coalition mask
         # (value, joint behavior table attaining it; only the empty coalition's)
         self._values: dict[tuple[int, str], tuple[float, np.ndarray | None]] = {}
-        terminal = np.isin(np.arange(m.num_states), list(m.terminal_states))
-        self._nonterminal = np.flatnonzero(~terminal)
-        levels = _topological_levels(m)
-        # one chooser call per level, on its nonterminal states
-        self._levels = None if levels is None else [
-            kept for level in levels if (kept := level[~terminal[level]]).size]
+        self._nonterminal = np.setdiff1d(np.arange(m.num_states), list(m.terminal_states))
+        self._levels = _topological_levels(m)  # one chooser call per level
 
     def min_value(self, coalition) -> float:
         """Lower bound on the coalition's best-response value across behaviors

@@ -707,7 +707,7 @@ def robust_replay(m, uset, mask, mode, exact, tol=uncertainty.RESIDUAL_TOL,
     reward, transition, q, choose = robust_chooser(m, uset, mask, mode, exact)
     v = np.zeros(m.num_states)
     nonterminal = [s for s in range(m.num_states) if s not in m.terminal_states]
-    order = kahn_order(m, uncertainty._EDGE_TOL)
+    order = kahn_order(m, planning._EDGE_TOL)
     if order is not None:
         for s in reversed(order):
             if s in nonterminal:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from blamekit import cli, planning, uncertainty
 from blamekit.cli import run_coordination, run_perm_sweep
-from blamekit.envs import GridworldSpec, build_gridworld
-from blamekit.mmdp import (AgentPolicy, JointPolicy, as_joint_table, evaluate_return,
-                           policy_values)
+from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
+                           evaluate_return, policy_values)
 from blamekit.planning import (
     MAX_AGENTS,
     CharacteristicGame,
@@ -281,8 +281,8 @@ def test_warm_and_cold_solves_agree_where_actions_tie():
 
 def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
     """Every chunk of the gridworld's sweep starts from the behavior's state
-    values; a one-step model, where no transition enters a state of nonzero
-    value, keeps the cold start."""
+    values; a one-step model, which is acyclic, takes the backward pass and
+    runs no policy iteration at all."""
     gridworld = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     one_step = mmdp_from_game(random_monotone_game(4, 0))
     starts = []
@@ -295,8 +295,7 @@ def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     characteristic_game(*one_step)
-    assert starts and all(start is None for start in starts)
-    starts.clear()
+    assert starts == []
     characteristic_game(*gridworld)
     v_b = policy_values(*gridworld)
     assert starts and all(start.tobytes() == v_b.tobytes() for start in starts)
@@ -780,6 +779,83 @@ def test_coalition_values_are_the_state_values_the_game_reduces(monkeypatch):
             call(m, behavior)
         refusals.append(str(refused.value))
     assert refusals == [f"characteristic game limited to {MAX_AGENTS} agents"] * 2
+
+
+def _layered_acyclic(rng, num_agents, num_states, scale):
+    """Random layered model: the last state is terminal, every other state
+    gets a random level above 0 and moves only into lower levels (the
+    terminal one at level 0), and some of the other entries, self-loops
+    included, are at most _EDGE_TOL, so that they order nothing."""
+    counts = tuple(int(k) for k in rng.integers(1, 4, size=num_agents))
+    num_actions = math.prod(counts)
+    level = np.append(rng.integers(1, num_states, size=num_states - 1), 0)
+    transition = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+    transition *= (level[None, :] < level[:, None])[:, None, :]
+    transition[:, :, -1] += 1e-3  # so that every row keeps some mass below it
+    transition /= transition.sum(axis=-1, keepdims=True)
+    tiny = (rng.random(transition.shape) < 0.1) & (transition == 0)
+    transition[tiny] = rng.uniform(0.0, planning._EDGE_TOL, size=tiny.sum()) + 1e-300
+    transition[-1] = np.eye(num_states)[-1]
+    reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions)) * scale
+    reward[-1] = 0.0
+    return Mmdp(num_states, num_agents, counts, reward, transition, 0.95,
+                rng.dirichlet(np.ones(num_states)), frozenset({num_states - 1}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_agents=st.integers(2, 4),
+       num_states=st.integers(2, 6), power=st.integers(-20, 20))
+def test_the_backward_pass_is_policy_iteration_on_acyclic_models(
+        seed, num_agents, num_states, power):
+    """On a layered model (sub-tolerance edges included) every coalition's
+    row of coalition_values, swept without policy iteration, is the one
+    that policy iteration solves for the coalition alone, within 1e-12 of
+    the largest value, at every reward scale from 2^-20 to 2^20."""
+    rng = np.random.default_rng(seed)
+    m = _layered_acyclic(rng, num_agents, num_states, 2.0 ** power)
+    behavior = random_factorized(rng, m)
+    assert planning._topological_levels(m) is not None
+    with mock.patch.object(planning, "solve_mdp") as iterations, \
+            mock.patch.object(planning, "_VALUES_CACHE", {}):
+        rows = planning.coalition_values(m, behavior)
+    assert iterations.call_count == 0
+    solved = np.array([solve_mdp(*induced_mdp(m, behavior, mask_agents(mask, num_agents))[:2],
+                                 m.discount)[0] for mask in range(1, 1 << num_agents)])
+    assert np.abs(rows[1:] - solved).max() <= 1e-12 * np.abs(solved).max()
+
+
+def test_the_robustness_graphs_sweep_is_one_backward_pass(monkeypatch):
+    """The graph's five levels are swept with no policy iteration, and each
+    coalition's row is its best response's state values within 1e-15 of
+    the largest."""
+    m, behavior = build_graph(GraphSpec("robustness"))
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    assert len(planning._topological_levels(m)) == 5
+    with mock.patch.object(planning, "solve_mdp") as iterations:
+        rows = planning.coalition_values(m, behavior)
+    assert iterations.call_count == 0
+    solved = np.array([best_response(m, behavior, mask_agents(mask, m.num_agents)).state_values
+                       for mask in range(1, 1 << m.num_agents)])
+    assert np.abs(rows[1:] - solved).max() <= 1e-15 * np.abs(solved).max()
+
+
+def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
+    """Its one level's successors are terminal, so it reads the reward alone."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    f = random_monotone_game(6, 0)
+    with mock.patch.object(planning, "_gather", side_effect=AssertionError("gathered")):
+        back = characteristic_game(*mmdp_from_game(f))
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, MAX_AGENTS + 1))
+def test_mmdp_from_game_round_trip_is_bit_exact(n):
+    for seed in range(2):
+        f = random_monotone_game(n, seed)
+        back = characteristic_game(*mmdp_from_game(f))
+        assert back.values.tobytes() == f.values.tobytes()
 
 
 def test_mmdp_from_game_reproduces_the_set_function():

@@ -26,15 +26,13 @@ from blamekit.lp import LinearProgram, solve
 from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, evaluate_return,
                            product_table)
 from blamekit.planning import (MEMO_ENTRIES, best_response, characteristic_game,
-                               mask_agents, mmdp_from_game)
+                               mask_agents, mmdp_from_game, _EDGE_TOL, _topological_levels)
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import (
-    _EDGE_TOL,
     RobustBounds,
     UncertaintySet,
     _CoalitionProblem,
     _monotone_closure,
-    _topological_levels,
     ap_blackstone,
     bi_blackstone,
     l1_distance,
@@ -600,18 +598,23 @@ def state_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(state_graphs())
 def test_peeled_order_matches_kahn(m):
+    """The peel finds a cycle where Kahn's order does; otherwise its levels
+    hold each nonterminal state once, ascending, none empty, and every edge
+    between two of them points into an earlier level."""
     levels = _topological_levels(m)
     assert (levels is None) == (kahn_order(m, _EDGE_TOL) is None)
     if levels is None:
         return
-    order = np.concatenate(levels)
-    assert sorted(order.tolist()) == list(range(m.num_states))
-    level = np.empty(m.num_states, dtype=np.int64)
+    order = np.concatenate([np.zeros(0, dtype=np.int64), *levels])
+    assert order.tolist() == [s for states in levels for s in sorted(states.tolist())]
+    assert sorted(order.tolist()) == sorted(set(range(m.num_states)) - m.terminal_states)
+    assert all(states.size for states in levels)
+    level = np.full(m.num_states, -1)
     for depth, states in enumerate(levels):
         level[states] = depth
     reach = m.transition.max(axis=1) > _EDGE_TOL
     for s, t in zip(*np.nonzero(reach)):
-        if s != t:
+        if s != t and level[s] >= 0 and level[t] >= 0:
             assert level[t] < level[s]
 
 
