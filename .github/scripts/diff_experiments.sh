@@ -20,9 +20,10 @@
 #     deviations and on fixed random_monotone_game pairs, one with an agent's
 #     coalitions lifted and one unrelated, each pair both ways round;
 #   - planning.coalition_values, every entry as float.hex text, on the
-#     one-step model of random_monotone_game(n, 0) for n = 1 to 12 and on
-#     the robustness graph, so that any bit-level move in the coalition
-#     sweep shows, not only one that reaches a CSV cell.
+#     one-step model of random_monotone_game(n, 0) for n = 1 to 12, on the
+#     four coordination graphs and on the robustness graph, so that any
+#     bit-level move in the coalition sweep shows, not only one that
+#     reaches a CSV cell, on deterministic multi-level models too.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -122,6 +123,9 @@ from blamekit.planning import coalition_values, mmdp_from_game
 from blamekit.properties import random_monotone_game
 models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
           for n in range(1, 13)]
+models += [(f"coordination graph m={level}",
+            *build_graph(GraphSpec("coordination", threshold_index=level)))
+           for level in range(1, 5)]
 models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior)):

@@ -325,7 +325,7 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _read_json(path, kind: str) -> dict:
+def _read_json(path, kind: str, arrays: tuple[str, ...]) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -334,6 +334,8 @@ def _read_json(path, kind: str) -> dict:
     if not isinstance(doc, dict):  # each other type json.load returns, by its JSON name
         found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
         raise ValueError(f"{kind} file holds {found.get(type(doc), 'a number')}, not a JSON object")
+    if odd := [name for name in arrays if name in doc and not isinstance(doc[name], list)]:
+        raise ValueError(f"{odd[0]} value {reprlib.repr(doc[odd[0]])} is not a JSON array")
     return doc
 
 
@@ -343,7 +345,7 @@ def load_model(path) -> Mmdp:
     Omitted reward entries default to 0; a (state, joint action) pair with no
     transition entries at all is an error.
     """
-    doc = _read_json(path, "model")
+    doc = _read_json(path, "model", ("action_counts", "terminals"))
     try:
         num_states = _integer("num_states", doc["num_states"])
         num_agents = _integer("num_agents", doc["num_agents"])
@@ -391,7 +393,7 @@ def save_policy(pi: JointPolicy, path) -> None:
 
 
 def load_policy(path) -> JointPolicy:
-    doc = _read_json(path, "policy")
+    doc = _read_json(path, "policy", ("agents",))
     if "agents" not in doc:
         raise ValueError("policy file missing 'agents' field")
     agents = tuple(AgentPolicy(_numbers(f"agent {i}: probs", rows))

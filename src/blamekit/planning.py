@@ -10,13 +10,13 @@ the `one_step_model` layout that the impossibility fixture also uses).
 joint-action count, for `characteristic_game` to reduce: a chunk scatters the
 behavior's nonzero entries into its complement conditionals and gathers reward
 and transition only where they play. An acyclic model takes one backward pass
-over its `_topological_levels`, the first level reading the reward alone (a
-one-step model gathers no transitions); a cyclic one, one stacked policy
-iteration greedy first on the behavior's own values. Chunks are sized by those
-conditionals and gathers, so a behavior that plays few joint actions per state
-gets few, wide chunks. `induced_mdp` and `best_response` run the same kernel
-on one coalition, bit for bit, and `coalition_action_index` is built from the
-same table: `_subgrids` is the package's one coalition layout.
+over its `_topological_levels`, the first level reading the reward alone (so a
+one-step model gathers no transitions), each later one its transitions at the
+nonterminal states it reaches; a cyclic one, one stacked policy iteration greedy
+first on the behavior's own values. Chunks are sized by what they gather.
+`induced_mdp` and `best_response` run the same kernel on one coalition, bit for
+bit, and `coalition_action_index` is built from the same table: `_subgrids` is
+the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -281,8 +281,8 @@ def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
     """`induced_mdp` for one mask or a stack of masks with equal A_C, from
     their `_tables`. Gathered only at the complement actions q plays (q != 0,
     ascending, zero-padded to the widest row): the tables are
-    (..., S, A_C, W[, S]) with W <= A_D. Given a list of state arrays `later`,
-    the transitions are a list too, one (..., L, A_C, S) table per array."""
+    (..., S, A_C, W[, S]) with W <= A_D. Given `later` (`_swept`'s), the
+    transitions are a list of (..., L, A_C, Z) tables, one per later level."""
     states, digits, probs = played
     num_d = outside.shape[-1]
     # q (..., S, A_D), each complement action at its digits dotted with the
@@ -305,7 +305,8 @@ def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
     if later is None:
         return marginalize(q, *_gather(m, flat))
     return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
-            [marginalize(q[..., s, :], *_gather(m, flat[..., s, :, :]))[1] for s in later])
+            [np.einsum("...sd,...scdt->...sct", q[..., s, :], block.take(flat[..., s, :, :] + d, 0))
+             for s, block, d in later])
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,12 +355,12 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
     raise RuntimeError(f"policy iteration did not converge in {MAX_POLICY_ITERATIONS} iterations")
 
 
-def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
-    """Nonterminal states peeled into levels, sinks first, whose transitions
-    only point into earlier levels or terminal states; None if the model has
-    a cycle beyond terminal self-loops. An edge of at most _EDGE_TOL orders
-    nothing, so a backward pass reads it against v = 0 if it points ahead."""
-    reach = m.transition.max(axis=1) > _EDGE_TOL
+def _topological_levels(m: Mmdp) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Nonterminal states peeled into levels, sinks first, whose transitions only point into
+    earlier levels or terminal states, each with the nonterminal states its entries reach
+    (none listed for the sinks); None if the model has a cycle beyond terminal self-loops.
+    An edge of at most _EDGE_TOL orders nothing: read against v = 0 where it points ahead."""
+    reach = (peak := m.transition.max(axis=1)) > _EDGE_TOL
     loops = np.flatnonzero(np.diagonal(reach))
     if not m.terminal_states.issuperset(loops.tolist()):
         return None
@@ -370,8 +371,14 @@ def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
         out_degree -= reach[:, levels[-1]].sum(axis=1)
         out_degree[levels[-1]] = -1
         levels.append(np.flatnonzero(out_degree == 0))
+    if out_degree.max() >= 0:
+        return None
     kept = [level[[s not in m.terminal_states for s in level.tolist()]] for level in levels]
-    return [level for level in kept if level.size] if out_degree.max() < 0 else None
+    kept = [level for level in kept if level.size]
+    if kept[1:]:  # a later level reads what it reaches, terminal states aside (they hold 0)
+        peak[:, list(m.terminal_states)] = 0
+    return [(level, np.flatnonzero(peak[level].any(axis=0)) if j else level[:0])
+            for j, level in enumerate(kept)]
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -397,21 +404,24 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 _VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same keys
 
-# Most elements a sweep chunk's stacked tables, K * S * (A_D + A_C * W * S)
-# (q, and the transitions gathered at the W played complement actions), may
-# hold; a coalition that alone exceeds it goes in a chunk of its own.
+# Most elements a sweep chunk's stacked tables may hold: K * S * (A_D + A_C * W * S),
+# q and the transitions at the W played complement actions, or on an acyclic model
+# K * (S * A_D + A_C * W * (2 * S + sum of L * Z)), q, the reward gather and its index
+# and each later level's L states at its Z successors. A lone coalition past it is a chunk.
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, played) -> Iterator[tuple[np.ndarray, ...]]:
+def _coalition_chunks(m: Mmdp, played, levels) -> Iterator[tuple[np.ndarray, ...]]:
     """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
     entry into chunks whose q and transition gathers fit _GATHER_BUDGET. A row
     of q plays at most W = min(A_D, P) complement actions, P being the most
     joint actions the behavior plays in one state (each projects one of them)."""
     most = int(np.bincount(played[0], minlength=m.num_states).max())
+    S = m.num_states  # the elements per (coalition, played complement) action pair:
+    span = S * S if levels is None else 2 * S + sum(s.size * z.size for s, z in levels)
     for group in _groups(m.action_counts):
         num_c, num_d = group[1].shape[-1], group[2].shape[-1]
-        per_coalition = m.num_states * (num_d + num_c * min(num_d, most) * m.num_states)
+        per_coalition = S * num_d + num_c * min(num_d, most) * span
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
         for first in range(0, group[0].size, per_chunk):
             yield tuple(table[first:first + per_chunk] for table in group)
@@ -434,14 +444,17 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
         rows = np.zeros((1 << m.num_agents, m.num_states))
         rows[0] = v_b = policy_values(m, table)
         played, levels = _played(m, table), _topological_levels(m)
-        for masks, *tables in _coalition_chunks(m, played):
+        # each later level's states, their (L * A, Z) rows at its successors, and the shift to them
+        later = levels and [(s, m.transition[s][..., z].reshape(s.size * m.num_joint_actions, -1),
+            (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions) for s, z in levels[1:]]
+        for masks, *tables in _coalition_chunks(m, played, levels):
             if levels is None:  # a cycle: policy iteration, greedy from v_b first
                 rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, v_b)
                 continue
             # one backward pass, from rows of 0: the first level's successors are terminal
-            r, blocks = _induced(m, played, *tables, levels[1:])
-            for states, p in zip(levels, [None, *blocks]):
-                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks])
+            r, blocks = _induced(m, played, *tables, later)
+            for (states, z), p in zip(levels, [None, *blocks]):
+                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], z])
                 rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
         return _read_only(rows)
     return key, memo(_VALUES_CACHE, key, sweep)
@@ -480,7 +493,7 @@ def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:
     reachable values are f(T) for T inside the coalition, and monotonicity
     makes f(S) the maximum.
     """
-    problems = f.validate(tol=0.0)
+    problems = f.validate(tol=0.0) if f.num_agents else ["num_agents is 0, fewer than 1"]
     if problems:
         raise ValueError("set function not realizable: " + "; ".join(problems))
     n = f.num_agents

@@ -225,6 +225,28 @@ def test_model_field_of_wrong_type_exits_2(two_agent_inputs, tmp_path, capsys,
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, field, value", [
+    ("model", "action_counts", 5), ("model", "terminals", 3), ("behavior", "agents", 5),
+    ("model", "action_counts", "22"), ("behavior", "agents", {"0": [[1.0, 0.0]]})])
+def test_list_field_that_is_not_a_json_array_exits_2(two_agent_inputs, tmp_path, capsys,
+                                                     target, field, value):
+    """A model's action counts and terminals and a policy's agents are read
+    one entry at a time, so anything but a JSON array is refused naming its
+    field: a number once raised "'int' object is not iterable", and a string
+    or object would be read by its characters or keys."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    paths[target] = str(tmp_path / "not_an_array.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main(["attribute", "--model", paths["model"], "--behavior", paths["behavior"]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse input: {field} value {value!r} is not a JSON array\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("num_states", 2.9), ("num_agents", 2.5), ("action_counts", [2, 1.7]),
     ("terminals", [1.5])])

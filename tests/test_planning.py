@@ -30,7 +30,8 @@ from blamekit.planning import (
 from blamekit.properties import random_monotone_game
 from helpers import (assert_same_model, complement_columns,
                      complement_conditional, compose, index_stack,
-                     induced_full, induced_gathered, mmdp_from_game_scatter,
+                     induced_full, induced_gathered, kahn_order,
+                     mmdp_from_game_scatter, random_acyclic_mmdp,
                      random_factorized, random_mmdp)
 
 
@@ -523,7 +524,7 @@ def _kernel_cases(m, table):
     chunk, stacked, and for each of its coalitions alone (its entries of
     the chunk's cached tables)."""
     played = planning._played(m, table)
-    for chunk, *tables in planning._coalition_chunks(m, played):
+    for chunk, *tables in planning._coalition_chunks(m, played, planning._topological_levels(m)):
         stack = index_stack(m, chunk)
         yield stack, chunk, planning._induced(m, played, *tables)
         for j, (idx, mask) in enumerate(zip(stack, chunk)):
@@ -643,7 +644,7 @@ def test_sweep_group_tables_are_cached_and_read_only():
     assert planning._groups((2, 3, 1)) is groups
     m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=(2, 3, 1))
     chunks = planning._coalition_chunks(m, planning._played(m, _behavior_table(
-        np.random.default_rng(33), m, "full")))
+        np.random.default_rng(33), m, "full")), None)
     for table in itertools.chain(*groups, *chunks):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -654,15 +655,21 @@ def test_sweep_group_tables_are_cached_and_read_only():
 def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
                                                                  budget):
     """One coalition per chunk, or each joint-action count group in one
-    chunk, gives the same bits as the default chunking."""
+    chunk, gives the same bits as the default chunking, on cyclic models,
+    on acyclic ones of several levels (dense, one-hot layered and the
+    coordination graph) and on a one-step model."""
     cases = []
     for seed, counts in enumerate([(2, 1, 3, 1), (1, 2, 2, 2, 1), (3, 3, 1)]):
         rng = np.random.default_rng(700 + seed)
-        m = random_mmdp(rng, num_states=2 + seed, action_counts=counts)
-        table = rng.dirichlet(np.ones(m.num_joint_actions), size=m.num_states)
-        cases.append((m, table, characteristic_game(m, table).values))
-    m, behavior = mmdp_from_game(random_monotone_game(7, 0))
-    cases.append((m, behavior, characteristic_game(m, behavior).values))
+        for build in (random_mmdp, random_acyclic_mmdp):
+            m = build(rng, num_states=2 + seed, action_counts=counts)
+            table = rng.dirichlet(np.ones(m.num_joint_actions), size=m.num_states)
+            cases.append((m, table))
+        m = _one_hot_layered(rng, counts, 4 + seed)
+        cases.append((m, _behavior_table(rng, m, "partial")))
+    cases.append(build_graph(GraphSpec("coordination", threshold_index=2)))
+    cases.append(mmdp_from_game(random_monotone_game(7, 0)))
+    cases = [(m, behavior, characteristic_game(m, behavior).values) for m, behavior in cases]
     monkeypatch.setattr(planning, "_GATHER_BUDGET", budget)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     monkeypatch.setattr(planning, "_VALUES_CACHE", {})
@@ -671,16 +678,22 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
 
 
 def _sweep_chunks(m, table):
-    """The masks of each sweep chunk."""
-    return [chunk[0] for chunk in planning._coalition_chunks(m, planning._played(m, table))]
+    """The masks of each chunk of the sweep's `_coalition_chunks` call."""
+    with mock.patch.object(planning, "_coalition_chunks",
+                           wraps=planning._coalition_chunks) as sweep, \
+            mock.patch.object(planning, "_VALUES_CACHE", {}):
+        planning.coalition_values(m, table)
+    return [chunk[0] for chunk in planning._coalition_chunks(*sweep.call_args.args)]
 
 
-@pytest.mark.parametrize("n", [8, 9, 12])
+@pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
 def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
-    """A mmdp_from_game behavior plays one joint action per state, so each
-    coalition gathers S * A_C * S transition entries after its S * A_D
-    conditional: every joint-action count group is one chunk where the
-    budget holds it, and otherwise the fewest chunks it allows."""
+    """A mmdp_from_game behavior plays one joint action per state and its
+    model has one level, so each coalition is budgeted at its S * A_D
+    conditional and its 2 * S * A_C reward gather and index (S * A_C * S at
+    S = 2): every joint-action count group
+    is one chunk where the budget holds it, and otherwise the fewest chunks
+    it allows, 7, 8, 9, 16, 38 and 106 at n = 7 to 12."""
     m, behavior = mmdp_from_game(random_monotone_game(n, 0))
     chunks = _sweep_chunks(m, as_joint_table(m, behavior))
     S = m.num_states
@@ -695,35 +708,81 @@ def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
         assert (sizes[members] == k).all() and members.size == math.comb(n, k)
         cost = S * ((1 << n - k) + (1 << k) * S)
         assert len(group) == -(-members.size // (planning._GATHER_BUDGET // cost))
-    if n < 12:
-        assert len(chunks) == n
-    else:
-        assert len(chunks) == 106
+    assert len(chunks) == {7: 7, 8: 8, 9: 9, 10: 16, 11: 38, 12: 106}[n]
+
+
+@pytest.mark.parametrize("variant, level, count", [
+    *(("coordination", level, 4) for level in range(1, 5)), ("robustness", 1, 8)])
+def test_graph_sweeps_take_the_chunks_their_successor_gathers_allow(variant, level, count):
+    """Each later level of the graph's 66 states reaches 16 of them, so a
+    coalition's chunk budget counts 16 successor columns per level, not 66."""
+    m, behavior = build_graph(GraphSpec(variant, threshold_index=level))
+    assert len(_sweep_chunks(m, as_joint_table(m, behavior))) == count
+
+
+def _successor_span(m):
+    """Sum over an acyclic model's later levels (all but the sinks) of L * Z,
+    L being the level's size and Z the count of nonterminal states any of
+    its entries reaches; None for a model with a cycle. A model whose
+    terminal states only self-loop is peeled from the terminal states up,
+    each nonterminal state one level past the deepest it reaches."""
+    order = kahn_order(m, planning._EDGE_TOL)
+    if order is None:
+        return None
+    nonterminal = [s for s in range(m.num_states) if s not in m.terminal_states]
+    depth = {}
+    for s in reversed(order):
+        if s in nonterminal:
+            depth[s] = 1 + max([depth[t] for t in nonterminal if t != s
+                                and m.transition[s, :, t].max() > planning._EDGE_TOL], default=-1)
+    span = 0
+    for level in set(depth.values()) - {0}:
+        states = [s for s in nonterminal if depth[s] == level]
+        reached = {t for s in states for t in nonterminal if m.transition[s, :, t].max() > 0}
+        span += len(states) * len(reached)
+    return span
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-       num_states=st.integers(1, 6),
+       num_states=st.integers(2, 6),
+       model=st.sampled_from(["cyclic", "dense acyclic", "one-hot layered"]),
        kind=st.sampled_from(["deterministic", "partial", "full"]),
        budget=st.integers(1, planning._GATHER_BUDGET))
-def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts,
-                                                    num_states, kind, budget):
-    """Every nonempty coalition lands in one chunk of equal A_C, and a chunk
-    of K > 1 holds K * S * (A_D + A_C * W * S) elements at most, W being
-    the width its complement conditional is padded to."""
+def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts, num_states,
+                                                    model, kind, budget):
+    """On the arguments the sweep passes, every nonempty coalition lands in
+    one chunk of equal A_C, and a chunk of K > 1 holds at most K * S *
+    (A_D + A_C * W * S) elements on a cyclic model and K * (S * A_D + A_C *
+    W * (2 * S + sum of L * Z)) on an acyclic one, W being the width its
+    complement conditional is padded to and L * Z a level's size times its
+    successor count. Each A_C group takes the fewest chunks that allows when
+    W is the behavior's widest."""
     rng = np.random.default_rng(seed)
-    m = random_mmdp(rng, num_states, tuple(action_counts))
+    m = {"cyclic": random_mmdp, "dense acyclic": random_acyclic_mmdp,
+         "one-hot layered": lambda rng, S, counts: _one_hot_layered(rng, counts, S)}[model](
+        rng, num_states, tuple(action_counts))
     table = _behavior_table(rng, m, kind)
+    span = _successor_span(m)
+    assert (span is None) == (model == "cyclic")
+    S = num_states
     with mock.patch.object(planning, "_GATHER_BUDGET", budget):
         chunks = _sweep_chunks(m, table)
     assert sorted(np.concatenate(chunks)) == list(range(1, 1 << m.num_agents))
+    per_pair = S * S if span is None else 2 * S + span
+    most = np.count_nonzero(table, axis=1).max()
+    groups = {}
     for chunk in chunks:
         idx = index_stack(m, chunk)
         width = np.count_nonzero(complement_conditional(m, table, idx), -1).max()
         _, num_c, num_d = idx.shape
         if chunk.size > 1:
-            assert chunk.size * num_states * (num_d + num_c * width * num_states) <= budget
+            assert chunk.size * (S * num_d + num_c * width * per_pair) <= budget
+        groups.setdefault((num_c, num_d), []).append(chunk.size)
+    for (num_c, num_d), sizes in groups.items():
+        cost = S * num_d + num_c * min(num_d, most) * per_pair
+        assert len(sizes) == -(-sum(sizes) // max(1, budget // cost))
 
 
 def test_characteristic_game_is_memoized():
@@ -800,6 +859,49 @@ def _layered_acyclic(rng, num_agents, num_states, scale):
     reward[-1] = 0.0
     return Mmdp(num_states, num_agents, counts, reward, transition, 0.95,
                 rng.dirichlet(np.ones(num_states)), frozenset({num_states - 1}))
+
+
+def _one_hot_layered(rng, counts, num_states):
+    """Random layered model with one-hot transitions: the last state is
+    terminal, every other state gets a random level above 0, and each of
+    its joint actions moves it to one random state of a lower level."""
+    num_actions = math.prod(counts)
+    level = np.append(rng.integers(1, num_states, size=num_states - 1), 0)
+    transition = np.zeros((num_states, num_actions, num_states))
+    for s in range(num_states - 1):
+        below = np.flatnonzero(level < level[s])
+        transition[s, np.arange(num_actions), rng.choice(below, num_actions)] = 1.0
+    transition[-1, :, -1] = 1.0
+    reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
+    reward[-1] = 0.0
+    return Mmdp(num_states, len(counts), tuple(counts), reward, transition, 0.9,
+                rng.dirichlet(np.ones(num_states)), frozenset({num_states - 1}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       num_states=st.integers(2, 8),
+       model=st.sampled_from(["dense", "one-hot layered"]),
+       kind=st.sampled_from(["deterministic", "partial", "full"]))
+def test_successor_gathers_agree_with_each_coalitions_best_response(
+        seed, action_counts, num_states, model, kind):
+    """Gathering each later level only at its successor columns leaves every
+    row of coalition_values within 1e-12 of the largest value of the
+    coalition's own best response, solved by policy iteration over the whole
+    induced model, on dense and one-hot layered acyclic models under
+    deterministic, partial and full behaviors."""
+    rng = np.random.default_rng(seed)
+    counts = tuple(action_counts)
+    m = (random_acyclic_mmdp(rng, num_states, counts) if model == "dense"
+         else _one_hot_layered(rng, counts, num_states))
+    table = _behavior_table(rng, m, kind)
+    assert planning._topological_levels(m) is not None
+    with mock.patch.object(planning, "_VALUES_CACHE", {}):
+        rows = planning.coalition_values(m, table)
+    solved = np.array([best_response(m, table, mask_agents(mask, m.num_agents)).state_values
+                       for mask in range(1, 1 << m.num_agents)])
+    assert np.abs(rows[1:] - solved).max() <= 1e-12 * np.abs(solved).max()
 
 
 @settings(max_examples=80, deadline=None)
@@ -896,6 +998,15 @@ def test_mmdp_from_game_rejects_invalid_input():
     lifted = CharacteristicGame(2, np.array([0.3, 1.0, 1.0, 1.5]))
     with pytest.raises(ValueError, match="not realizable"):
         mmdp_from_game(lifted)
+
+
+def test_mmdp_from_game_refuses_a_game_of_no_agents():
+    """A model needs an agent, so a game of 0 agents (random_monotone_game(0, s)
+    builds one) is not realizable, rather than a model validate_mmdp refuses."""
+    for game in (CharacteristicGame(0, [0.0]), random_monotone_game(0, 3)):
+        with pytest.raises(ValueError) as refused:
+            mmdp_from_game(game)
+        assert str(refused.value) == "set function not realizable: num_agents is 0, fewer than 1"
 
 
 def test_game_validate_reports_problems():
