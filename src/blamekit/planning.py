@@ -306,7 +306,7 @@ def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
         return marginalize(q, *_gather(m, flat))
     return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
             [np.einsum("...sd,...scdt->...sct", q[..., s, :], block.take(flat[..., s, :, :] + d, 0))
-             for s, block, d in later])
+             for s, _, block, d in later])
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,12 +355,12 @@ def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
     raise RuntimeError(f"policy iteration did not converge in {MAX_POLICY_ITERATIONS} iterations")
 
 
-def _topological_levels(m: Mmdp) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Nonterminal states peeled into levels, sinks first, whose transitions only point into
-    earlier levels or terminal states, each with the nonterminal states its entries reach
-    (none listed for the sinks); None if the model has a cycle beyond terminal self-loops.
-    An edge of at most _EDGE_TOL orders nothing: read against v = 0 where it points ahead."""
-    reach = (peak := m.transition.max(axis=1)) > _EDGE_TOL
+def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
+    """Nonterminal states peeled into levels, sinks first, whose transitions
+    only point into earlier levels or terminal states; None if the model has
+    a cycle beyond terminal self-loops. An edge of at most _EDGE_TOL orders
+    nothing, so a backward pass reads it against v = 0 if it points ahead."""
+    reach = m.transition.max(axis=1) > _EDGE_TOL
     loops = np.flatnonzero(np.diagonal(reach))
     if not m.terminal_states.issuperset(loops.tolist()):
         return None
@@ -371,14 +371,8 @@ def _topological_levels(m: Mmdp) -> list[tuple[np.ndarray, np.ndarray]] | None:
         out_degree -= reach[:, levels[-1]].sum(axis=1)
         out_degree[levels[-1]] = -1
         levels.append(np.flatnonzero(out_degree == 0))
-    if out_degree.max() >= 0:
-        return None
     kept = [level[[s not in m.terminal_states for s in level.tolist()]] for level in levels]
-    kept = [level for level in kept if level.size]
-    if kept[1:]:  # a later level reads what it reaches, terminal states aside (they hold 0)
-        peak[:, list(m.terminal_states)] = 0
-    return [(level, np.flatnonzero(peak[level].any(axis=0)) if j else level[:0])
-            for j, level in enumerate(kept)]
+    return [level for level in kept if level.size] if out_degree.max() < 0 else None
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -411,14 +405,14 @@ _VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same 
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, played, levels) -> Iterator[tuple[np.ndarray, ...]]:
+def _coalition_chunks(m: Mmdp, played, later) -> Iterator[tuple[np.ndarray, ...]]:
     """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
     entry into chunks whose q and transition gathers fit _GATHER_BUDGET. A row
     of q plays at most W = min(A_D, P) complement actions, P being the most
     joint actions the behavior plays in one state (each projects one of them)."""
     most = int(np.bincount(played[0], minlength=m.num_states).max())
     S = m.num_states  # the elements per (coalition, played complement) action pair:
-    span = S * S if levels is None else 2 * S + sum(s.size * z.size for s, z in levels)
+    span = S * S if later is None else 2 * S + sum(s.size * z.size for s, z, *_ in later)
     for group in _groups(m.action_counts):
         num_c, num_d = group[1].shape[-1], group[2].shape[-1]
         per_coalition = S * num_d + num_c * min(num_d, most) * span
@@ -444,16 +438,20 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
         rows = np.zeros((1 << m.num_agents, m.num_states))
         rows[0] = v_b = policy_values(m, table)
         played, levels = _played(m, table), _topological_levels(m)
-        # each later level's states, their (L * A, Z) rows at its successors, and the shift to them
-        later = levels and [(s, m.transition[s][..., z].reshape(s.size * m.num_joint_actions, -1),
-            (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions) for s, z in levels[1:]]
-        for masks, *tables in _coalition_chunks(m, played, levels):
+        later = None if levels is None else []
+        for s in (levels or [])[1:]:  # each later level's states, the nonterminal states Z it
+            # reaches (terminal ones hold 0), its (L * A, Z) transition rows and the shift to them
+            z = np.flatnonzero((block := m.transition[s]).any(axis=(0, 1)))
+            z = z[[t not in m.terminal_states for t in z.tolist()]]
+            later.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
+                          (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
+        for masks, *tables in _coalition_chunks(m, played, later):
             if levels is None:  # a cycle: policy iteration, greedy from v_b first
                 rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, v_b)
                 continue
             # one backward pass, from rows of 0: the first level's successors are terminal
             r, blocks = _induced(m, played, *tables, later)
-            for (states, z), p in zip(levels, [None, *blocks]):
+            for states, (_, z, *_), p in zip(levels, [(None, None), *later], [None, *blocks]):
                 ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], z])
                 rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
         return _read_only(rows)

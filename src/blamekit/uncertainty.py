@@ -371,7 +371,7 @@ class RobustBounds:
         out (v itself in the acyclic pass, so a level reads the ones before
         it). Returns q, the center's where no state was backed up."""
         q = problem.center_table.copy()
-        for states, _ in levels:
+        for states in levels:
             b = problem.reward[states] + self.m.discount * (
                 problem.transition[states] @ v)
             out[states], q[states] = problem.choose(b, states)
@@ -381,7 +381,7 @@ class RobustBounds:
         m = self.m
         for _ in range(MAX_SWEEPS):
             values = np.zeros(m.num_states)
-            q = self._backward_pass(problem, [(self._nonterminal, None)], v, values)
+            q = self._backward_pass(problem, [self._nonterminal], v, values)
             # relative past |v| = 1, so the stop holds at every reward scale
             if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
                 return v, q

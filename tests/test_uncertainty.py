@@ -600,29 +600,22 @@ def state_graphs(draw):
 def test_peeled_order_matches_kahn(m):
     """The peel finds a cycle where Kahn's order does; otherwise its levels
     hold each nonterminal state once, ascending, none empty, and every edge
-    between two of them points into an earlier level. Each later level's
-    successors list, ascending, every nonterminal state that one of its
-    entries reaches, sub-tolerance edges included; the sinks list none."""
+    between two of them points into an earlier level."""
     levels = _topological_levels(m)
     assert (levels is None) == (kahn_order(m, _EDGE_TOL) is None)
     if levels is None:
         return
-    order = np.concatenate([np.zeros(0, dtype=np.int64), *(states for states, _ in levels)])
-    assert order.tolist() == [s for states, _ in levels for s in sorted(states.tolist())]
+    order = np.concatenate([np.zeros(0, dtype=np.int64), *levels])
+    assert order.tolist() == [s for states in levels for s in sorted(states.tolist())]
     assert sorted(order.tolist()) == sorted(set(range(m.num_states)) - m.terminal_states)
-    assert all(states.size for states, _ in levels)
+    assert all(states.size for states in levels)
     level = np.full(m.num_states, -1)
-    for depth, (states, _) in enumerate(levels):
+    for depth, states in enumerate(levels):
         level[states] = depth
     reach = m.transition.max(axis=1) > _EDGE_TOL
     for s, t in zip(*np.nonzero(reach)):
         if s != t and level[s] >= 0 and level[t] >= 0:
             assert level[t] < level[s]
-    assert all(successors.size == 0 for _, successors in levels[:1])
-    for states, successors in levels[1:]:
-        expected = sorted({t for s in states.tolist() for t in range(m.num_states)
-                           if t not in m.terminal_states and (m.transition[s, :, t] > 0).any()})
-        assert successors.tolist() == expected
 
 
 def test_monotone_closure():
