@@ -21,9 +21,11 @@
 #     coalitions lifted and one unrelated, each pair both ways round;
 #   - planning.coalition_values, every entry as float.hex text, on the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, on the
-#     four coordination graphs and on the robustness graph, so that any
+#     four coordination graphs, on the robustness graph and on the
+#     gridworld at the perm experiment's eleven behaviors, so that any
 #     bit-level move in the coalition sweep shows, not only one that
-#     reaches a CSV cell, on deterministic multi-level models too.
+#     reaches a CSV cell, on deterministic multi-level models and on the
+#     cyclic sweep too.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -118,7 +120,8 @@ EOF
 
 run_coalition_values() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
-from blamekit.envs import GraphSpec, build_graph
+from blamekit.cli import ALPHA_PRIME_GRID
+from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.planning import coalition_values, mmdp_from_game
 from blamekit.properties import random_monotone_game
 models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
@@ -127,6 +130,10 @@ models += [(f"coordination graph m={level}",
             *build_graph(GraphSpec("coordination", threshold_index=level)))
            for level in range(1, 5)]
 models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
+# the behaviors run_perm_sweep builds
+models += [(f"gridworld alpha_prime={a}",
+            *build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=a)))
+           for a in ALPHA_PRIME_GRID]
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior)):
         print(label, mask, " ".join(float(x).hex() for x in row))

@@ -131,12 +131,12 @@ def cmd_check(args) -> int:
         raise CliError(2, "check runs one method at a time")
     name = names[0]
     tiebreak = _tiebreak_index(args.tiebreak, model.num_agents)
-    if problems := _slack_problems("--eps", args.eps_value):
+    if problems := _slack_problems("--eps", eps := args.eps_value + 0.0):  # -0.0 reads 0.0
         raise CliError(2, problems[0])
     try:
         game = characteristic_game(model, behavior)
         beta = apply(name, game, tiebreak)
-        verdicts = [check(game, beta, args.eps_value) for check in (
+        verdicts = [check(game, beta, eps) for check in (
             check_validity, check_efficiency, check_rationality,
             check_avg_efficiency, check_symmetry, check_invariance)]
     except (ValueError, RuntimeError) as err:
@@ -289,7 +289,7 @@ def cmd_experiment(args) -> int:
 
 def _parse_eps_list(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) + 0.0 for part in text.split(",") if part.strip()]  # -0.0 reads 0.0
     except ValueError as err:
         raise CliError(2, f"bad eps list {text!r}") from err
     # a half-L1 radius of 1 already covers the whole simplex

@@ -313,8 +313,11 @@ def _number(name: str, value) -> float:
 
 def _numbers(name: str, value) -> np.ndarray:
     """Nested JSON numbers as a float array; `_number` checks each type's first entry."""
-    table = np.asarray(value, dtype=object)
-    for entry in {type(x): x for x in table.ravel()[::-1]}.values():
+    table = np.asarray(value, dtype=object)  # list entries: ragged rows, or past numpy's ndim cap
+    firsts = {type(x): x for x in table.ravel()[::-1]}
+    if list in firsts and len({len(x) if isinstance(x, list) else -1 for x in table.ravel()}) > 1:
+        raise ValueError(f"{name} values: rows differ in length")
+    for entry in firsts.values():
         _number(name, entry)
     return table.astype(float)
 

@@ -9,14 +9,14 @@ the `one_step_model` layout that the impossibility fixture also uses).
 `coalition_values` solves the 2^n - 1 nonempty coalitions in chunks of equal
 joint-action count, for `characteristic_game` to reduce: a chunk scatters the
 behavior's nonzero entries into its complement conditionals and gathers reward
-and transition only where they play. An acyclic model takes one backward pass
-over its `_topological_levels`, the first level reading the reward alone (so a
-one-step model gathers no transitions), each later one its transitions at the
-nonterminal states it reaches; a cyclic one, one stacked policy iteration greedy
-first on the behavior's own values. Chunks are sized by what they gather.
-`induced_mdp` and `best_response` run the same kernel on one coalition, bit for
-bit, and `coalition_action_index` is built from the same table: `_subgrids` is
-the package's one coalition layout.
+and transition only where they play, transitions by blocks of states and
+columns. An acyclic model takes one backward pass over `_topological_levels`,
+the first level reading the reward alone (a one-step model gathers no block),
+each later one a block at the nonterminal states it reaches; a cyclic one, one
+whole-model block and a stacked policy iteration greedy first on the behavior's
+values. Chunks are sized by what they gather. `induced_mdp` and `best_response`
+run the cyclic kernel on one coalition bit for bit, and `coalition_action_index`
+reads the same table: `_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -246,12 +246,12 @@ def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     joint actions that an index (stack) `idx` of shape (..., A_C, A_D)
     names, gathered with flat takes into fresh C-order arrays (their layout
     fixes the summation order of `marginalize`)."""
-    return _gather(m, _flat_index(m, idx))
+    flat = _flat_index(m, idx)
+    return np.take(m.reward, flat), np.take(m.transition.reshape(-1, m.num_states), flat, axis=0)
 
 
-def _gather(m: Mmdp, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (np.take(m.reward, flat),
-            np.take(m.transition.reshape(-1, m.num_states), flat, axis=0))
+def _whole(m: Mmdp) -> tuple:  # `_induced`'s block of every state and column, at shift 0
+    return slice(None), slice(None), m.transition.reshape(-1, m.num_states), 0
 
 
 def _flat_index(m: Mmdp, idx: np.ndarray) -> np.ndarray:
@@ -277,12 +277,12 @@ def _played(m: Mmdp, table: np.ndarray):
             table[states, actions])
 
 
-def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
+def _induced(m: Mmdp, played, inside, outside, weights, blocks) -> tuple:
     """`induced_mdp` for one mask or a stack of masks with equal A_C, from
-    their `_tables`. Gathered only at the complement actions q plays (q != 0,
-    ascending, zero-padded to the widest row): the tables are
-    (..., S, A_C, W[, S]) with W <= A_D. Given `later` (`_swept`'s), the
-    transitions are a list of (..., L, A_C, Z) tables, one per later level."""
+    their `_tables`: the reward (..., S, A_C), and per block (states, columns,
+    their (L * A, Z) transition rows, shift to them) the transitions (..., L,
+    A_C, Z). Gathered only at the W <= A_D complement actions q plays (q != 0,
+    ascending, zero-padded to the widest row)."""
     states, digits, probs = played
     num_d = outside.shape[-1]
     # q (..., S, A_D), each complement action at its digits dotted with the
@@ -302,11 +302,9 @@ def _induced(m: Mmdp, played, inside, outside, weights, later=None) -> tuple:
     flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
     rows = np.arange(0, q.size, num_d).reshape(q.shape[:-1])  # each q row's flat start
     q = q.reshape(-1)[rows[..., None] + keep]
-    if later is None:
-        return marginalize(q, *_gather(m, flat))
     return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
             [np.einsum("...sd,...scdt->...sct", q[..., s, :], block.take(flat[..., s, :, :] + d, 0))
-             for s, _, block, d in later])
+             for s, _, block, d in blocks])
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -319,8 +317,8 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     mask = np.int64(coalition_mask(coalition, m.num_agents))
     played = _played(m, as_joint_table(m, behavior))
     inside, outside, weights = _tables(_subgrids(m.action_counts), mask)
-    # coalition_action_index, from the rows already gathered
-    return (*_induced(m, played, inside, outside, weights), inside[:, None] + outside)
+    r, (p,) = _induced(m, played, inside, outside, weights, [_whole(m)])
+    return r, p, inside[:, None] + outside  # coalition_action_index, from the rows gathered
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
@@ -398,21 +396,20 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 _VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same keys
 
-# Most elements a sweep chunk's stacked tables may hold: K * S * (A_D + A_C * W * S),
-# q and the transitions at the W played complement actions, or on an acyclic model
-# K * (S * A_D + A_C * W * (2 * S + sum of L * Z)), q, the reward gather and its index
-# and each later level's L states at its Z successors. A lone coalition past it is a chunk.
+# Most elements a sweep chunk's stacked tables may hold: K * (S * A_D + A_C * W *
+# (2 * S + sum of L * Z)), q, the reward gather and its index at the W played complement
+# actions and each block's L states at its Z columns. A lone coalition past it is a chunk.
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, played, later) -> Iterator[tuple[np.ndarray, ...]]:
+def _coalition_chunks(m: Mmdp, played, blocks) -> Iterator[tuple[np.ndarray, ...]]:
     """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
-    entry into chunks whose q and transition gathers fit _GATHER_BUDGET. A row
+    entry into chunks whose gathers for `blocks` fit _GATHER_BUDGET. A row
     of q plays at most W = min(A_D, P) complement actions, P being the most
     joint actions the behavior plays in one state (each projects one of them)."""
     most = int(np.bincount(played[0], minlength=m.num_states).max())
     S = m.num_states  # the elements per (coalition, played complement) action pair:
-    span = S * S if later is None else 2 * S + sum(s.size * z.size for s, z, *_ in later)
+    span = 2 * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
     for group in _groups(m.action_counts):
         num_c, num_d = group[1].shape[-1], group[2].shape[-1]
         per_coalition = S * num_d + num_c * min(num_d, most) * span
@@ -438,20 +435,20 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
         rows = np.zeros((1 << m.num_agents, m.num_states))
         rows[0] = v_b = policy_values(m, table)
         played, levels = _played(m, table), _topological_levels(m)
-        later = None if levels is None else []
-        for s in (levels or [])[1:]:  # each later level's states, the nonterminal states Z it
-            # reaches (terminal ones hold 0), its (L * A, Z) transition rows and the shift to them
+        blocks = [_whole(m)] if levels is None else []
+        for s in (levels or [])[1:]:  # a block per later level: the nonterminal states Z it
+            # reaches (terminal ones hold 0), whose columns alone its transitions add to
             z = np.flatnonzero((block := m.transition[s]).any(axis=(0, 1)))
             z = z[[t not in m.terminal_states for t in z.tolist()]]
-            later.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
-                          (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
-        for masks, *tables in _coalition_chunks(m, played, later):
+            blocks.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
+                           (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
+        for masks, *tables in _coalition_chunks(m, played, blocks):
+            r, ps = _induced(m, played, *tables, blocks)
             if levels is None:  # a cycle: policy iteration, greedy from v_b first
-                rows[masks], _ = solve_mdp(*_induced(m, played, *tables), m.discount, v_b)
+                rows[masks], _ = solve_mdp(r, ps.pop(), m.discount, v_b)  # popped: freed on return
                 continue
             # one backward pass, from rows of 0: the first level's successors are terminal
-            r, blocks = _induced(m, played, *tables, later)
-            for states, (_, z, *_), p in zip(levels, [(None, None), *later], [None, *blocks]):
+            for states, (_, z, *_), p in zip(levels, [(None, None), *blocks], [None, *ps]):
                 ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], z])
                 rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
         return _read_only(rows)

@@ -326,7 +326,7 @@ class RobustBounds:
         self._center_values = coalition_values(m, uset.center)  # a row per coalition mask
         # (value, joint behavior table attaining it; only the empty coalition's)
         self._values: dict[tuple[int, str], tuple[float, np.ndarray | None]] = {}
-        self._nonterminal = np.setdiff1d(np.arange(m.num_states), list(m.terminal_states))
+        self._nonterminal = np.flatnonzero([s not in m.terminal_states for s in range(m.num_states)])
         self._levels = _topological_levels(m)  # one chooser call per level
 
     def min_value(self, coalition) -> float:

@@ -396,10 +396,16 @@ def index_stack(m, masks):
         m, planning.mask_agents(int(mask), m.num_agents)) for mask in masks])
 
 
+def flat_index(m, idx):
+    """(..., S, A_C, A_D) positions of each state's idx entries in a
+    flattened (S, A) table."""
+    return idx[..., None, :, :] + (np.arange(m.num_states) * m.num_joint_actions)[:, None, None]
+
+
 def complement_conditional(m, table, idx):
     """The behavior's normalized complement conditional q (..., S, A_D),
     gathered and summed over every coalition action of the index (stack)."""
-    q = np.take(table, planning._flat_index(m, idx)).sum(axis=-2)
+    q = np.take(table, flat_index(m, idx)).sum(axis=-2)
     totals = q.sum(axis=-1)
     return q / np.where(totals > 0, totals, 1.0)[..., None]
 
@@ -411,15 +417,23 @@ def induced_full(m, table, idx):
                                 *planning.coalition_tables(m, idx))
 
 
-def induced_gathered(m, table, idx):
+def induced_gathered(m, table, idx, blocks):
     """The gathered q compressed to each row's played complement actions
-    (ascending, zero-padded to the widest row), then marginalized."""
+    (ascending, zero-padded to the widest row), then contracted with the
+    reward (..., S, A_C) and, per block (states, columns, ...) of
+    `planning._induced`, with the transitions (..., L, A_C, Z) of its states
+    into its columns, each taken S wide and cut to the block (into C order,
+    the layout of the kernel's own gathers, which fixes einsum's sums)."""
     q = complement_conditional(m, table, idx)
     keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
+    q = np.take_along_axis(q, keep, -1)
     outside = np.take_along_axis(idx[..., None, 0, :], keep, -1)
-    flat = planning._flat_index(m, idx[..., :1]) + outside[..., None, :]
-    return planning.marginalize(np.take_along_axis(q, keep, -1),
-                                *planning._gather(m, flat))
+    flat = flat_index(m, idx[..., :1]) + outside[..., None, :]
+    transition = np.take(m.transition.reshape(-1, m.num_states), flat, axis=0)
+    return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
+            [np.einsum("...sd,...scdt->...sct", q[..., states, :],
+                       np.ascontiguousarray(transition[..., states, :, :, :][..., columns]))
+             for states, columns, *_ in blocks])
 
 
 # The per-agent product tables and the state order as `uncertainty` built

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blamekit
 from blamekit.cli import (_csv, main, run_coordination, run_perm_sweep,
                           run_robustness)
 from blamekit.mmdp import save_model, save_policy
@@ -425,6 +428,32 @@ def test_deeply_nested_value_is_named_in_a_short_message(
     assert f"{name} value" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("target, path, value, name", [
+    ("model", ("rewards",), [[0, 0, 1.0], [0, 1]], "rewards"),
+    ("model", ("transitions", 0), [0, 0], "transitions"),
+    ("behavior", ("agents", 0), [[1, 0], [0.5, 0.25, 0.25]], "agent 0: probs"),
+    ("behavior", ("agents", 1, 0), [[1], 0], "agent 1: probs")])
+def test_ragged_rows_are_named_as_such(two_agent_inputs, tmp_path, capsys,
+                                       target, path, value, name):
+    """A table whose rows differ in length is refused as that, naming its
+    field, not as one of its valid rows being no number."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    paths[target] = str(tmp_path / "ragged.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main(["attribute", "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot parse input: {name} values: rows differ in length\n"
+
+
 def test_policy_agent_that_is_not_a_table_exits_2(two_agent_inputs, tmp_path,
                                                   capsys):
     model_path, _ = two_agent_inputs
@@ -702,6 +731,35 @@ def test_bad_eps_list_exits_2(tmp_path, capsys):
         assert code == 2, text
         assert "bad eps list" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_check_writes_a_negative_zero_slack_as_0(two_agent_inputs, capsys):
+    model_path, behavior_path = two_agent_inputs
+    for text in ("-0", "-0.0", "-0e5"):
+        code = main(["check", "--model", model_path, "--behavior", behavior_path,
+                     "--methods", "MC", f"--eps={text}"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[1] for line in out[1:]] == ["0"] * 6, text
+
+
+def test_experiment_writes_a_negative_zero_eps_as_0(tmp_path):
+    assert main(["experiment", "robustness-grid", "--seeds", "1", "--eps", "-0",
+                 "--out", str(tmp_path)]) == 0
+    for name in ("robustness_grid.csv", "robustness_grid_summary.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert [line.split(",")[1] for line in lines] == ["eps_max"] + ["0"] * 7
+
+
+def test_a_robust_run_does_not_import_numpy_ma():
+    """numpy.ma costs an import the package never uses; a fresh process
+    that runs the robust graph experiment still has none."""
+    script = ("import sys; from blamekit.cli import run_robustness; "
+              "run_robustness('graph', 1); print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(blamekit.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_check_bad_eps_exits_2(two_agent_inputs, capsys):

@@ -499,19 +499,23 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
     every (member, state) plays at most two of them or all of them (the
     dropped terms are exact zeros), and otherwise moves a sum by rounding
     only (einsum may group three or more terms differently), for stacked
-    chunks and lone coalitions alike."""
+    chunks and lone coalitions alike, and for each block's transitions
+    against the full ones' rows and columns of that block."""
     rng = np.random.default_rng(seed)
     m = random_mmdp(rng, num_states, tuple(action_counts))
     table = _behavior_table(rng, m, kind)
-    for idx, masks, fast_tables in _kernel_cases(m, table):
+    for idx, masks, blocks, (reward, transitions) in _kernel_cases(m, table):
         q = complement_conditional(m, table, idx)
         played = np.count_nonzero(q, axis=-1)
         exact = ((played <= 2) | (played == q.shape[-1])).all()
         # a sum's rounding scales with the sum of its absolute terms
-        bounds = planning.marginalize(
+        bound_r, bound_p = planning.marginalize(
             np.abs(q), *map(np.abs, planning.coalition_tables(m, idx)))
-        for fast, full, bound in zip(fast_tables, induced_full(m, table, idx),
-                                     bounds):
+        full_r, full_p = induced_full(m, table, idx)
+        cases = [(reward, full_r, bound_r)] + [
+            (p, full_p[..., s, :, :][..., z], bound_p[..., s, :, :][..., z])
+            for (s, z, *_), p in zip(blocks, transitions, strict=True)]
+        for fast, full, bound in cases:
             assert fast.shape == full.shape and fast.dtype == full.dtype
             if exact:
                 assert fast.tobytes() == full.tobytes()
@@ -520,15 +524,19 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
 
 
 def _kernel_cases(m, table):
-    """(index (stack), masks, planning._induced's tables) for every sweep
-    chunk, stacked, and for each of its coalitions alone (its entries of
-    the chunk's cached tables)."""
-    played = planning._played(m, table)
-    for chunk, *tables in planning._coalition_chunks(m, played, None):
+    """(index (stack), masks, blocks, planning._induced's tables) for every
+    sweep chunk, stacked, and for each of its coalitions alone (its entries
+    of the chunk's cached tables), under the sweep's own blocks and, where
+    those are a level's, under the whole-model block as well."""
+    _, played, swept = args = _sweep_args(m, table)
+    cases = [swept] if planning._topological_levels(m) is None else [swept, [planning._whole(m)]]
+    for chunk, *tables in planning._coalition_chunks(*args):
         stack = index_stack(m, chunk)
-        yield stack, chunk, planning._induced(m, played, *tables)
-        for j, (idx, mask) in enumerate(zip(stack, chunk)):
-            yield idx, mask, planning._induced(m, played, *(t[j] for t in tables))
+        for blocks in cases:
+            yield stack, chunk, blocks, planning._induced(m, played, *tables, blocks)
+            for j, (idx, mask) in enumerate(zip(stack, chunk)):
+                yield idx, mask, blocks, planning._induced(m, played, *(t[j] for t in tables),
+                                                          blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,17 +548,42 @@ def test_scattered_conditional_is_the_gathered_kernel_bit_for_bit(
         seed, action_counts, num_states, kind):
     """Scattering q from the behavior's nonzero entries adds the same terms
     in the same order as gathering and summing it over the full index, so
-    the kernel's tables equal the gathered kernel's byte for byte, stacked
-    and alone, and so does induced_mdp's."""
+    the kernel's reward and block transitions equal the gathered kernel's
+    byte for byte, stacked and alone, and so do induced_mdp's."""
     rng = np.random.default_rng(seed)
     m = random_mmdp(rng, num_states, tuple(action_counts))
-    table = _behavior_table(rng, m, kind)
-    for idx, masks, fast_tables in _kernel_cases(m, table):
-        slow_tables = induced_gathered(m, table, idx)
-        cases = [zip(fast_tables, slow_tables)]
+    _assert_kernel_is_gathered(m, _behavior_table(rng, m, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       num_states=st.integers(2, 6),
+       model=st.sampled_from(["dense", "one-hot layered"]),
+       kind=st.sampled_from(["deterministic", "partial", "full", "explicit"]))
+def test_level_blocks_are_the_gathered_kernel_bit_for_bit(seed, action_counts, num_states,
+                                                          model, kind):
+    """On an acyclic model the sweep passes one block per later level, and
+    each block's transitions are the S-wide gathered kernel's, cut to the
+    block's states and successor columns, byte for byte."""
+    rng = np.random.default_rng(seed)
+    counts = tuple(action_counts)
+    m = (random_acyclic_mmdp(rng, num_states, counts) if model == "dense"
+         else _one_hot_layered(rng, counts, num_states))
+    _assert_kernel_is_gathered(m, _behavior_table(rng, m, kind))
+
+
+def _assert_kernel_is_gathered(m, table):
+    """Each `_kernel_cases` kernel output is `induced_gathered`'s under the
+    same blocks, and a lone coalition's induced_mdp its whole-model one."""
+    for idx, masks, blocks, (reward, transitions) in _kernel_cases(m, table):
+        slow_r, slow_p = induced_gathered(m, table, idx, blocks)
+        assert len(transitions) == len(slow_p) == len(blocks)
+        cases = [zip((reward, *transitions), (slow_r, *slow_p))]
         if masks.ndim == 0:
             coalition = mask_agents(int(masks), m.num_agents)
-            cases.append(zip(induced_mdp(m, table, coalition), (*slow_tables, idx)))
+            whole_r, (whole_p,) = induced_gathered(m, table, idx, [(slice(None), slice(None))])
+            cases.append(zip(induced_mdp(m, table, coalition), (whole_r, whole_p, idx)))
         for fast, slow in itertools.chain(*cases):
             assert fast.shape == slow.shape and fast.dtype == slow.dtype
             assert fast.tobytes() == slow.tobytes()
@@ -644,7 +677,7 @@ def test_sweep_group_tables_are_cached_and_read_only():
     assert planning._groups((2, 3, 1)) is groups
     m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=(2, 3, 1))
     chunks = planning._coalition_chunks(m, planning._played(m, _behavior_table(
-        np.random.default_rng(33), m, "full")), None)
+        np.random.default_rng(33), m, "full")), [planning._whole(m)])
     for table in itertools.chain(*groups, *chunks):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -677,13 +710,18 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
         assert characteristic_game(m, behavior).values.tobytes() == expected.tobytes()
 
 
-def _sweep_chunks(m, table):
-    """The masks of each chunk of the sweep's `_coalition_chunks` call."""
+def _sweep_args(m, table):
+    """The (model, played entries, blocks) the sweep passes `_coalition_chunks`."""
     with mock.patch.object(planning, "_coalition_chunks",
                            wraps=planning._coalition_chunks) as sweep, \
             mock.patch.object(planning, "_VALUES_CACHE", {}):
         planning.coalition_values(m, table)
-    return [chunk[0] for chunk in planning._coalition_chunks(*sweep.call_args.args)]
+    return sweep.call_args.args
+
+
+def _sweep_chunks(m, table):
+    """The masks of each chunk of the sweep's `_coalition_chunks` call."""
+    return [chunk[0] for chunk in planning._coalition_chunks(*_sweep_args(m, table))]
 
 
 @pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
@@ -753,10 +791,11 @@ def _successor_span(m):
 def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts, num_states,
                                                     model, kind, budget):
     """On the arguments the sweep passes, every nonempty coalition lands in
-    one chunk of equal A_C, and a chunk of K > 1 holds at most K * S *
-    (A_D + A_C * W * S) elements on a cyclic model and K * (S * A_D + A_C *
-    W * (2 * S + sum of L * Z)) on an acyclic one, W being the width its
-    complement conditional is padded to and L * Z a level's size times its
+    one chunk of equal A_C, and a chunk of K > 1 holds at most K * (S * A_D
+    + A_C * W * (2 * S + sum of L * Z)) elements, W being the width its
+    complement conditional is padded to and L * Z, over the blocks, a
+    block's state count times its column count: S * S for a cyclic model's
+    one block, and on an acyclic one each later level's size times its
     successor count. Each A_C group takes the fewest chunks that allows when
     W is the behavior's widest."""
     rng = np.random.default_rng(seed)
@@ -771,7 +810,7 @@ def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts, num_sta
     with mock.patch.object(planning, "_GATHER_BUDGET", budget):
         chunks = _sweep_chunks(m, table)
     assert sorted(np.concatenate(chunks)) == list(range(1, 1 << m.num_agents))
-    per_pair = S * S if span is None else 2 * S + span
+    per_pair = 2 * S + (S * S if span is None else span)
     most = np.count_nonzero(table, axis=1).max()
     groups = {}
     for chunk in chunks:
@@ -944,13 +983,16 @@ def test_the_robustness_graphs_sweep_is_one_backward_pass(monkeypatch):
 
 
 def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
-    """Its one level's successors are terminal, so it reads the reward alone."""
+    """Its one level's successors are terminal, so it reads the reward alone:
+    each of its chunks passes `_induced` no block of transitions."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     f = random_monotone_game(6, 0)
-    with mock.patch.object(planning, "_gather", side_effect=AssertionError("gathered")):
+    with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced:
         back = characteristic_game(*mmdp_from_game(f))
     assert back.values.tobytes() == f.values.tobytes()
+    assert induced.call_count == 6  # one chunk per joint-action count group
+    assert all(call.args[-1] == [] for call in induced.call_args_list)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_AGENTS + 1))
