@@ -25,7 +25,13 @@
 #     gridworld at the perm experiment's eleven behaviors, so that any
 #     bit-level move in the coalition sweep shows, not only one that
 #     reaches a CSV cell, on deterministic multi-level models and on the
-#     cyclic sweep too.
+#     cyclic sweep too;
+#   - uncertainty.RobustBounds, every coalition's min and max bound as
+#     float.hex text and a sha256 digest of max_policy(), for each set the
+#     robust experiments draw at seeds 0 and 1 and their default eps levels:
+#     on the gridworld (exact and relaxed) and on the robustness graph, so
+#     that a bit-level move in the robust recursion shows, not only one
+#     that reaches a 12-digit CSV cell.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -141,6 +147,31 @@ EOF
     echo "exit $?" >> "$2/coalition_values.txt"
 }
 
+run_robust_bounds() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/robust_bounds.txt" 2>&1 <<'EOF'
+import hashlib
+from blamekit.cli import _robustness_setup
+from blamekit.planning import mask_agents
+from blamekit.uncertainty import RobustBounds, sample_center
+for env, relaxed in (("gridworld", False), ("gridworld", True), ("graph", False)):
+    model, behavior, uncertain, eps_levels, _, exact = _robustness_setup(env)
+    exact = False if relaxed else exact
+    n = model.num_agents
+    for eps in eps_levels:
+        for seed in (0, 1):
+            bounds = RobustBounds(model, sample_center(behavior, eps, seed, uncertain), exact)
+            label = f"{env} relaxed={relaxed} eps={eps} seed={seed}"
+            for mask in range(1 << n):
+                coalition = mask_agents(mask, n)
+                print(label, mask, float(bounds.min_value(coalition)).hex(),
+                      float(bounds.max_value(coalition)).hex())
+            policy = bounds.max_policy()
+            print(label, "max_policy", policy.shape,
+                  hashlib.sha256(policy.tobytes()).hexdigest())
+EOF
+    echo "exit $?" >> "$2/robust_bounds.txt"
+}
+
 if ! git archive "$base" src 2> /dev/null | tar -x -C "$work/base" 2> /dev/null; then
     echo "::warning::could not unpack $base; outputs not compared"
     exit 0
@@ -150,10 +181,12 @@ run_experiments "$PWD/src" "$work/head"
 run_one_step "$PWD/src" "$work/head"
 run_pair_checks "$PWD/src" "$work/head"
 run_coalition_values "$PWD/src" "$work/head"
+run_robust_bounds "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
 run_pair_checks "$work/base/src" "$work/base-out"
 run_coalition_values "$work/base/src" "$work/base-out"
+run_robust_bounds "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0
 while IFS= read -r line; do

@@ -195,7 +195,7 @@ def validate_mmdp(m: Mmdp) -> list[str]:
 
     for s in m.terminal_states:
         if not (0 <= s < m.num_states):
-            problems.append(f"terminal state {s} out of range")
+            problems.append(f"terminal state {reprlib.repr(s)} out of range")
             continue
         if np.abs(m.reward[s]).max() > ROW_TOL:
             problems.append(f"terminal state {s} has nonzero reward")
@@ -208,9 +208,9 @@ def validate_mmdp(m: Mmdp) -> list[str]:
 
 def _agent_problems(num_agents: int, action_counts) -> list[str]:
     if num_agents != len(action_counts):
-        return [f"num_agents is {num_agents}, but action_counts lists "
+        return [f"num_agents is {reprlib.repr(num_agents)}, but action_counts lists "
                 f"{len(action_counts)} agents"]
-    return ([f"agent {i} has {k} actions, fewer than 1"
+    return ([f"agent {i} has {reprlib.repr(k)} actions, fewer than 1"
              for i, k in enumerate(action_counts) if k < 1]
             if action_counts else ["num_agents is 0, fewer than 1"])
 
@@ -308,7 +308,10 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         # reprlib: a short value prints as repr does, a deep or long one cut short
         raise ValueError(f"{name} value {reprlib.repr(value)} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} value {reprlib.repr(value)} is too large for a float") from None
 
 
 def _numbers(name: str, value) -> np.ndarray:
@@ -319,7 +322,10 @@ def _numbers(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} values: rows differ in length")
     for entry in firsts.values():
         _number(name, entry)
-    return table.astype(float)
+    try:
+        return table.astype(float)
+    except OverflowError:  # some int past the largest float, which `_number` names
+        return np.array([_number(name, x) for x in table.ravel()]).reshape(table.shape)
 
 
 def _integer(name: str, value) -> int:
@@ -361,9 +367,9 @@ def load_model(path) -> Mmdp:
     if problems := _agent_problems(num_agents, action_counts):
         raise ValueError(problems[0])
     if num_states < 0:
-        raise ValueError(f"num_states {num_states} is negative")
+        raise ValueError(f"num_states {reprlib.repr(num_states)} is negative")
     if num_states > MAX_STATES:
-        raise ValueError(f"model has {num_states} states, more than {MAX_STATES}")
+        raise ValueError(f"model has {reprlib.repr(num_states)} states, more than {MAX_STATES}")
     if problems := _non_finite(gamma=np.float64(gamma), initial_dist=initial):
         raise ValueError(problems[0])
     A = math.prod(action_counts)

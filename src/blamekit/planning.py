@@ -241,16 +241,15 @@ def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     return inside[:, None] + outside
 
 
-def coalition_tables(m: Mmdp, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reward (..., S, A_C, A_D) and transition (..., S, A_C, A_D, S) of the
-    joint actions that an index (stack) `idx` of shape (..., A_C, A_D)
-    names, gathered with flat takes into fresh C-order arrays (their layout
-    fixes the summation order of `marginalize`)."""
-    flat = _flat_index(m, idx)
-    return np.take(m.reward, flat), np.take(m.transition.reshape(-1, m.num_states), flat, axis=0)
+def coalition_tables(m: Mmdp, flat: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Reward (..., S, A_C, D) at `_flat_index` positions and, per block (states,
+    columns, their (L * A, Z) transition rows, shift to them), transitions (...,
+    L, A_C, D, Z), in fresh C-order arrays (which fix `marginalize`'s sums)."""
+    return (np.take(m.reward, flat),
+            [block.take(flat[..., s, :, :] + d, 0) for s, _, block, d in blocks])
 
 
-def _whole(m: Mmdp) -> tuple:  # `_induced`'s block of every state and column, at shift 0
+def _whole(m: Mmdp) -> tuple:  # the block of every state and column, at shift 0
     return slice(None), slice(None), m.transition.reshape(-1, m.num_states), 0
 
 
@@ -260,13 +259,13 @@ def _flat_index(m: Mmdp, idx: np.ndarray) -> np.ndarray:
     return idx[..., None, :, :] + offsets[:, None, None]
 
 
-def marginalize(q: np.ndarray, reward_c: np.ndarray,
-                transition_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reward (..., S, A_C) and transition (..., S, A_C, S) of the coalition
-    when the complement plays the conditional q (..., S, A_D); the tables
-    come from `coalition_tables`."""
-    return (np.einsum("...sd,...scd->...sc", q, reward_c),
-            np.einsum("...sd,...scdt->...sct", q, transition_c))
+def marginalize(q: np.ndarray, reward: np.ndarray, transitions, blocks) -> tuple:
+    """The coalition's reward (..., S, A_C) and per block its transitions (...,
+    L, A_C, Z) when the complement plays q (..., S, D) over the D actions whose
+    `coalition_tables`, gathered for the same blocks, are given."""
+    return (np.einsum("...sd,...scd->...sc", q, reward),
+            [np.einsum("...sd,...scdt->...sct", q[..., s, :], p)
+             for (s, *_), p in zip(blocks, transitions)])
 
 
 def _played(m: Mmdp, table: np.ndarray):
@@ -279,10 +278,8 @@ def _played(m: Mmdp, table: np.ndarray):
 
 def _induced(m: Mmdp, played, inside, outside, weights, blocks) -> tuple:
     """`induced_mdp` for one mask or a stack of masks with equal A_C, from
-    their `_tables`: the reward (..., S, A_C), and per block (states, columns,
-    their (L * A, Z) transition rows, shift to them) the transitions (..., L,
-    A_C, Z). Gathered only at the W <= A_D complement actions q plays (q != 0,
-    ascending, zero-padded to the widest row)."""
+    their `_tables`: `marginalize` over `coalition_tables` at the W <= A_D
+    complement actions q plays (q != 0, ascending, zero-padded to the widest row)."""
     states, digits, probs = played
     num_d = outside.shape[-1]
     # q (..., S, A_D), each complement action at its digits dotted with the
@@ -302,9 +299,7 @@ def _induced(m: Mmdp, played, inside, outside, weights, blocks) -> tuple:
     flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
     rows = np.arange(0, q.size, num_d).reshape(q.shape[:-1])  # each q row's flat start
     q = q.reshape(-1)[rows[..., None] + keep]
-    return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
-            [np.einsum("...sd,...scdt->...sct", q[..., s, :], block.take(flat[..., s, :, :] + d, 0))
-             for s, _, block, d in blocks])
+    return marginalize(q, *coalition_tables(m, flat, blocks), blocks)
 
 
 def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

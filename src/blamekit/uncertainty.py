@@ -39,8 +39,8 @@ from .mmdp import AgentPolicy, JointPolicy, Mmdp, content_digest, product_table,
 from .planning import (CharacteristicGame, best_response, characteristic_game,
                        coalition_action_index, coalition_mask, coalition_sizes,
                        coalition_tables, coalition_values, lattice_floors,
-                       marginalize, mask_agents, memo, solve_mdp, _read_only,
-                       _topological_levels)
+                       marginalize, mask_agents, memo, solve_mdp, _flat_index,
+                       _read_only, _topological_levels, _whole)
 
 RESIDUAL_TOL = 1e-12
 MAX_SWEEPS = 1000
@@ -158,11 +158,11 @@ class _CoalitionProblem:
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
                  exact: bool | None):
-        self.coalition = mask_agents(mask, m.num_agents)
+        self.coalition, self.mode = mask_agents(mask, m.num_agents), mode
         others = [j for j in range(m.num_agents) if not mask >> j & 1]
         uncertain = [j for j in others if uset.agent_radius(j) > 0]
         idx = coalition_action_index(m, self.coalition)
-        self.reward, self.transition = coalition_tables(m, idx)
+        self.reward, (self.transition,) = coalition_tables(m, _flat_index(m, idx), [_whole(m)])
         # idx[0] lists the complement's joint actions: each agent's digits
         digits = np.unravel_index(idx[0], m.action_counts)
         if exact is False:
@@ -216,8 +216,10 @@ class _CoalitionProblem:
             self.box_upper = product_table(num_states, highs)
             # (S, 1); rounding may put the lower ends' sum a hair above 1
             self.box_mass = np.maximum(1.0 - self.box_lower.sum(axis=1, keepdims=True), 0.0)
-        # _ball_max, _ball_min, _corner_max, _box_max or _box_min
-        self.choose = getattr(self, f"_{self.path}_{mode}")
+
+    @property
+    def choose(self):  # looked up per call: a bound method held by self is a cycle
+        return getattr(self, f"_{self.path}_{self.mode}")
 
     def _fold(self, b: np.ndarray, states: np.ndarray) -> np.ndarray:
         """(K, A_C, k): the certain complement agents marginalized out, each
@@ -386,8 +388,8 @@ class RobustBounds:
             if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
                 return v, q
             # the coalition's exact best response against q, greedy from v
-            v, _ = solve_mdp(*marginalize(q, problem.reward, problem.transition),
-                             m.discount, v)
+            r, (p,) = marginalize(q, problem.reward, [problem.transition], [_whole(m)])
+            v, _ = solve_mdp(r, p, m.discount, v)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
 

@@ -410,11 +410,25 @@ def complement_conditional(m, table, idx):
     return q / np.where(totals > 0, totals, 1.0)[..., None]
 
 
+def coalition_tables_full(m, idx):
+    """Reward (..., S, A_C, A_D) and transition (..., S, A_C, A_D, S) of
+    every joint action that the index (stack) idx names, by flat takes into
+    C-order arrays (the layout of the kernel's own gathers)."""
+    flat = flat_index(m, idx)
+    return np.take(m.reward, flat), np.take(m.transition.reshape(-1, m.num_states), flat, axis=0)
+
+
+def contract_full(q, reward, transition):
+    """Reward (..., S, A_C) and transition (..., S, A_C, S) of the tables
+    above contracted with the complement conditional q (..., S, A_D)."""
+    return (np.einsum("...sd,...scd->...sc", q, reward),
+            np.einsum("...sd,...scdt->...sct", q, transition))
+
+
 def induced_full(m, table, idx):
     """Reward (..., S, A_C) and transition (..., S, A_C, S) marginalized over
     all A_D complement actions, zero-probability ones included."""
-    return planning.marginalize(complement_conditional(m, table, idx),
-                                *planning.coalition_tables(m, idx))
+    return contract_full(complement_conditional(m, table, idx), *coalition_tables_full(m, idx))
 
 
 def induced_gathered(m, table, idx, blocks):

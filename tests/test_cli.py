@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 import tempfile
@@ -315,6 +316,67 @@ def test_non_number_table_entry_exits_2(two_agent_inputs, tmp_path, capsys,
     assert code == 2
     refused = value[0] if isinstance(value, list) else value
     assert f"{name} value {refused!r} is not a number" in capsys.readouterr().err
+
+
+_HUGE = 10**400  # a JSON integer past the largest float
+
+
+@pytest.mark.parametrize("target, path, name", [
+    ("model", ("num_agents",), "num_agents"),
+    ("model", ("num_states",), "num_states"),
+    ("model", ("action_counts", 1), "action_counts"),
+    ("model", ("terminals", 0), "terminals"),
+    ("model", ("gamma",), "gamma"),
+    ("model", ("initial_dist", 1), "initial_dist"),
+    # the first int of its table, and one after the state and action indices
+    ("model", ("rewards", 0, 0), "rewards"),
+    ("model", ("rewards", 0, -1), "rewards"),
+    ("behavior", ("agents", 1, 0, 1), "agent 1: probs")])
+def test_integer_past_the_largest_float_exits_2(two_agent_inputs, tmp_path, capsys,
+                                                target, path, name):
+    """A JSON integer too large for a float is refused naming its field,
+    its digits cut short, not with the bare OverflowError of float()."""
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = _HUGE
+    paths[target] = str(tmp_path / "huge.json")
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    code = main(["attribute", "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{name} value {reprlib.repr(_HUGE)} is too large for a float" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("field, value, message, exit_code", [
+    ("num_agents", 1e308, "num_agents is {}, but action_counts lists 2 agents", 2),
+    ("num_states", 1e308, "model has {} states, more than 2000", 2),
+    ("num_states", -1e308, "num_states {} is negative", 2),
+    ("action_counts", [2, -1e308], "agent 1 has {} actions, fewer than 1", 2),
+    ("terminals", [1e308], "terminal state {} out of range", 3)])
+def test_huge_integral_float_is_cut_short(two_agent_inputs, tmp_path, capsys,
+                                          field, value, message, exit_code):
+    """An integral float as large as 1e308 loads as a count or index of 309
+    digits; its message cuts them short rather than echo them all."""
+    model_path, behavior_path = two_agent_inputs
+    with open(model_path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / "huge_count.json"
+    path.write_text(json.dumps(doc))
+    code = main(["attribute", "--model", str(path),
+                 "--behavior", behavior_path])
+    assert code == exit_code
+    err = capsys.readouterr().err
+    huge = int(value[-1] if isinstance(value, list) else value)
+    assert message.format(reprlib.repr(huge)) in err
+    assert len(err) < 200
 
 
 def test_integral_floats_load_as_counts(two_agent_inputs, tmp_path, capsys):

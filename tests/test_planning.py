@@ -29,7 +29,7 @@ from blamekit.planning import (
 )
 from blamekit.properties import random_monotone_game
 from helpers import (assert_same_model, complement_columns,
-                     complement_conditional, compose, index_stack,
+                     complement_conditional, compose, flat_index, index_stack,
                      induced_full, induced_gathered, kahn_order,
                      mmdp_from_game_scatter, random_acyclic_mmdp,
                      random_factorized, random_mmdp)
@@ -509,8 +509,10 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
         played = np.count_nonzero(q, axis=-1)
         exact = ((played <= 2) | (played == q.shape[-1])).all()
         # a sum's rounding scales with the sum of its absolute terms
-        bound_r, bound_p = planning.marginalize(
-            np.abs(q), *map(np.abs, planning.coalition_tables(m, idx)))
+        whole = [planning._whole(m)]
+        gathered_r, (gathered_p,) = planning.coalition_tables(m, flat_index(m, idx), whole)
+        bound_r, (bound_p,) = planning.marginalize(
+            np.abs(q), np.abs(gathered_r), [np.abs(gathered_p)], whole)
         full_r, full_p = induced_full(m, table, idx)
         cases = [(reward, full_r, bound_r)] + [
             (p, full_p[..., s, :, :][..., z], bound_p[..., s, :, :][..., z])

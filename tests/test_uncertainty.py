@@ -44,7 +44,8 @@ from blamekit.uncertainty import (
     sv_valid,
 )
 from helpers import (ball_max_loop, ball_row_max_loop, box_max_loop,
-                     complement_columns, complement_product_loop,
+                     coalition_tables_full, complement_columns,
+                     complement_product_loop, contract_full,
                      corner_factors_loop, corner_max_loop, fold_loop,
                      highs_ball_min, highs_box_min, kahn_order,
                      monotone_closure_loop, random_acyclic_mmdp,
@@ -868,6 +869,66 @@ def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
     del game
     gc.collect()
     assert [ref() is not None for ref in refs] == [False] * 98 + [True] * 2
+
+
+def test_no_coalition_problem_outlives_its_solve(monkeypatch):
+    """Each problem's S-wide tables are freed when its solve returns, with
+    no wait for the cyclic collector: a problem holds no bound method of
+    its own (which would make it a reference cycle)."""
+    problems = []
+
+    class Recorded(_CoalitionProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append(weakref.ref(self))
+
+    monkeypatch.setattr(uncertainty, "_CoalitionProblem", Recorded)
+    m, b = build_graph(GraphSpec("robustness"))
+    bounds = RobustBounds(m, sample_center(b, 0.05, 0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bounds.min_value((0,))
+        bounds.max_value((0,))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(problems) == 2
+    assert [ref() for ref in problems] == [None, None]
+
+
+@pytest.mark.parametrize("env", ["gridworld", "graph"])
+def test_coalition_problem_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
+    """`_CoalitionProblem`'s reward and transition are the oracle's flat
+    takes over every complement action, and each contraction `_iterate`
+    makes is the oracle's einsums, byte for byte, for every coalition and
+    mode with an uncertain complement (the graph is acyclic, so its bounds
+    never iterate; `_iterate` is called on it directly)."""
+    m, b = (build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5)) if env == "gridworld"
+            else build_graph(GraphSpec("robustness")))
+    uset = sample_center(b, 0.05, 0)
+    bounds = RobustBounds(m, uset)
+    contracted = []
+
+    def recorded(q, *args):
+        contracted.append((q, out := planning.marginalize(q, *args)))
+        return out
+
+    monkeypatch.setattr(uncertainty, "marginalize", recorded)
+    for mask in range((1 << m.num_agents) - 1):
+        for mode in ("min", "max"):
+            problem = _CoalitionProblem(m, uset, mask, mode, None)
+            reward, transition = coalition_tables_full(
+                m, planning.coalition_action_index(m, problem.coalition))
+            _same_bytes(problem.reward, reward)
+            _same_bytes(problem.transition, transition)
+            contracted.clear()
+            bounds._iterate(problem, bounds._center_values[mask])
+            assert contracted, (mask, mode)
+            for q, (r, (p,)) in contracted:
+                want_r, want_p = contract_full(q, reward, transition)
+                _same_bytes(r, want_r)
+                _same_bytes(p, want_p)
 
 
 def test_a_robust_run_builds_one_bounds_per_task_for_its_seven_lookups(monkeypatch):
