@@ -75,50 +75,47 @@ def _single_actor(cells: np.ndarray, rewards) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=4)
-def _lone_actor(map_text: str, discount: float, cell_rewards: tuple):
-    """Read-only cells, the lone actor's reward and transition, and its
-    optimal and hazard-blind plans: the spec-independent part of a build,
-    solved once per map, discount and (cell, reward) pairs."""
+def _lone_actor(map_text: str, discount: float, cell_rewards: tuple, cost: float):
+    """The joint model and the lone actor's read-only optimal and hazard-blind
+    plans, made once per map, discount, cell rewards and intervention cost.
+    Joint action a1 * 2 + a2 moves by a1 when a2 = 0, and takes the optimal
+    move at the intervention cost when a2 = 1."""
     rewards = dict(cell_rewards)
     cells = np.array(list("".join(parse_map(map_text))))
     blind_rewards = dict(rewards, F=rewards["."], H=rewards["."])
     (reward, blind_reward), transition = _single_actor(cells, (rewards, blind_rewards))
     _, opt = solve_mdp(reward, transition, discount)
     _, blind = solve_mdp(blind_reward, transition, discount)
-    return tuple(map(_read_only, (cells, reward, transition, opt, blind)))
+    states, goal, start = np.arange(cells.size), cells == "G", cells == "S"
+    joint_reward = np.repeat(reward, 2, axis=1)
+    joint_reward[:, 1::2] = np.where(goal, 0.0, reward[states, opt] + cost)[:, None]
+    joint_transition = np.repeat(transition, 2, axis=1)
+    joint_transition[:, 1::2] = transition[states, opt][:, None]
+    model = Mmdp(cells.size, 2, (4, 2), joint_reward, joint_transition, discount,
+                 start / start.sum(), frozenset(np.flatnonzero(goal).tolist()))
+    return model, _read_only(opt), _read_only(blind)
 
 
 def build_gridworld(spec: GridworldSpec) -> tuple[Mmdp, JointPolicy]:
-    """The joint model plus the behavior (agent 1 at alpha, agent 2 trained
-    as a best response against agent 1 at alpha_prime). Joint action
-    a1 * 2 + a2 is the lone actor's move a1 when a2 = 0; when a2 = 1 the
-    single-actor optimal move executes instead, at the intervention cost."""
+    """The shared joint model (see `_lone_actor`) plus fresh behavior tables:
+    agent 1 at alpha, and agent 2 trained as a best response against agent 1
+    at alpha_prime."""
     problems = spec.validate()
     if problems:
         raise ValueError("invalid gridworld spec: " + "; ".join(problems))
-    cells, reward, transition, opt, blind = _lone_actor(
-        default_map(), DISCOUNT, tuple(CELL_REWARDS.items()))
-    states = np.arange(cells.size)
-    goal = cells == "G"
-    joint_reward = np.repeat(reward, 2, axis=1)
-    joint_reward[:, 1::2] = np.where(
-        goal, 0.0, reward[states, opt] + INTERVENTION_COST)[:, None]
-    joint_transition = np.repeat(transition, 2, axis=1)
-    joint_transition[:, 1::2] = transition[states, opt][:, None]
-    start = cells == "S"
-    model = Mmdp(cells.size, 2, (4, 2), joint_reward, joint_transition,
-                 DISCOUNT, start / start.sum(),
-                 frozenset(np.flatnonzero(goal).tolist()))
+    model, opt, blind = _lone_actor(default_map(), DISCOUNT, tuple(CELL_REWARDS.items()),
+                                    INTERVENTION_COST)
+    states = np.arange(model.num_states)
 
     def pilot_policy(alpha: float) -> AgentPolicy:
-        table = np.zeros((cells.size, 4))
+        table = np.zeros((model.num_states, 4))
         opt_weight = alpha + (1.0 - alpha) * PERSONAL_MIX
         table[states, opt] += opt_weight
         table[states, blind] += 1.0 - opt_weight
         return AgentPolicy(table)
 
     trainee = JointPolicy((pilot_policy(spec.alpha_prime),
-                           AgentPolicy.uniform(cells.size, 2)))
+                           AgentPolicy.uniform(model.num_states, 2)))
     overseer = best_response(model, trainee, (1,)).policy[1]
     behavior = JointPolicy((pilot_policy(spec.alpha), overseer))
     return model, behavior
@@ -173,9 +170,8 @@ def build_graph(spec: GraphSpec) -> tuple[Mmdp, JointPolicy]:
     scoring = column < GRAPH_COLUMNS
     reward = np.where(scoring, np.where(met, 1.0, -1.0), 0.0)
     transition = np.eye(num_states)[np.where(scoring, 1 + column * 16 + levels, end)]
-    model = Mmdp(num_states, GRAPH_AGENTS, (2,) * GRAPH_AGENTS, reward,
-                 transition, DISCOUNT, np.eye(num_states)[0],
-                 frozenset({end}))
+    model = Mmdp(num_states, GRAPH_AGENTS, (2,) * GRAPH_AGENTS, _read_only(reward),
+                 _read_only(transition), DISCOUNT, np.eye(num_states)[0], frozenset({end}))
     if spec.variant == "coordination":
         return model, JointPolicy(tuple(
             AgentPolicy.deterministic(num_states, 2, 0)

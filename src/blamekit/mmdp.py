@@ -10,7 +10,8 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +39,14 @@ class Mmdp:
 
     def __post_init__(self):
         object.__setattr__(self, "action_counts", tuple(int(k) for k in self.action_counts))
-        object.__setattr__(self, "reward", np.asarray(self.reward, dtype=float))
-        object.__setattr__(self, "transition", np.asarray(self.transition, dtype=float))
-        object.__setattr__(self, "initial_dist", np.asarray(self.initial_dist, dtype=float))
+        for name in ("reward", "transition", "initial_dist"):  # copied unless read-only and owned
+            table = np.asarray(getattr(self, name), float)
+            kept = table.flags.owndata and not table.flags.writeable  # no caller can write to it
+            object.__setattr__(self, name, _read_only(table if kept else table.copy()))
         object.__setattr__(self, "terminal_states", frozenset(int(s) for s in self.terminal_states))
+
+    def __reduce__(self):  # a pickle or deep copy is built anew: read-only copies, no stale key
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def num_joint_actions(self) -> int:
@@ -49,6 +54,10 @@ class Mmdp:
 
     def content_key(self) -> bytes:
         """Stable content hash, used to memoize planning results."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> bytes:  # hashed once: the model's tables are read-only arrays it owns
         return content_digest(
             np.int64([self.num_states, self.num_agents]),
             np.int64(self.action_counts), np.float64(self.discount),
@@ -56,11 +65,17 @@ class Mmdp:
             np.int64(sorted(self.terminal_states)))
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Cached tables are shared by every caller, so none may write to one."""
+    table.setflags(write=False)
+    return table
+
+
 def content_digest(*arrays) -> bytes:
     """sha256 of the arrays' raw bytes, in order: the one content key."""
     h = hashlib.sha256()
     for array in arrays:
-        h.update(array.tobytes())
+        h.update(np.ascontiguousarray(array).data)  # C-order bytes, as tobytes(), uncopied
     return h.digest()
 
 
@@ -336,10 +351,17 @@ def _integer(name: str, value) -> int:
 
 def _read_json(path, kind: str, arrays: tuple[str, ...]) -> dict:
     with open(path) as fh:
+        text = fh.read()
+    try:
         try:
-            doc = json.load(fh)
-        except RecursionError as exc:  # the decoder recurses once per level
-            raise ValueError("JSON nested too deeply") from exc
+            doc = json.loads(text)
+        except ValueError:  # maybe an integer past int()'s 4300 digits (a syntax error
+            # raises again): one of over 400 characters, past the largest float, is read as
+            # its ends, all that reprlib shows of it
+            doc = json.loads(text, parse_int=lambda s: int(
+                s if len(s) <= 400 else s[:200] + s[-200:]))
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise ValueError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):  # each other type json.load returns, by its JSON name
         found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
         raise ValueError(f"{kind} file holds {found.get(type(doc), 'a number')}, not a JSON object")
@@ -392,8 +414,8 @@ def load_model(path) -> Mmdp:
         s, a = missing[0]
         raise ValueError(f"transition row omitted for state {s}, joint action {a} "
                          f"({missing.shape[0]} rows missing in total)")
-    return Mmdp(num_states, num_agents, action_counts, reward, transition,
-                gamma, initial, terminals)
+    return Mmdp(num_states, num_agents, action_counts, _read_only(reward),
+                _read_only(transition), gamma, initial, terminals)
 
 
 def save_policy(pi: JointPolicy, path) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 # evaluate_return is unused here, but bench/tracing.py wraps it by this name
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table, content_digest,
-                   evaluate_return, policy_values, _non_finite, _solve_linear)
+                   evaluate_return, policy_values, _non_finite, _read_only, _solve_linear)
 
 MAX_AGENTS = 12
 DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
@@ -61,12 +61,6 @@ def memo(table: dict, key, build):
         while len(table) > MEMO_ENTRIES:
             del table[next(iter(table))]
     return value
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    """Cached tables are shared by every caller, so none may write to one."""
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
@@ -469,8 +463,8 @@ def one_step_model(action_counts: tuple[int, ...],
     reward = np.vstack([reward_row, np.zeros(num_actions)])
     transition = np.zeros((2, num_actions, 2))
     transition[:, :, 1] = 1.0
-    model = Mmdp(2, len(action_counts), action_counts, reward, transition,
-                 DISCOUNT, np.array([1.0, 0.0]), frozenset({1}))
+    model = Mmdp(2, len(action_counts), action_counts, _read_only(reward),
+                 _read_only(transition), DISCOUNT, np.array([1.0, 0.0]), frozenset({1}))
     return model, JointPolicy(tuple(AgentPolicy.deterministic(2, k, 0)
                                     for k in action_counts))
 

@@ -354,6 +354,37 @@ def test_integer_past_the_largest_float_exits_2(two_agent_inputs, tmp_path, caps
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("target, path, name", [
+    ("model", ("num_states",), "num_states"),
+    ("model", ("gamma",), "gamma"),
+    ("model", ("rewards", 0, -1), "rewards"),
+    ("behavior", ("agents", 1, 0, 1), "agent 1: probs")])
+def test_integer_past_the_digit_limit_exits_2(two_agent_inputs, tmp_path, capsys,
+                                              target, path, name, sign):
+    """A JSON integer of 5001 digits, past what int() parses from text, is
+    refused as too large for a float, naming its field and showing its ends
+    as reprlib would, not with advice on a Python setting."""
+    literal = sign + "1" + "0" * 5000
+    paths = dict(zip(("model", "behavior"), two_agent_inputs))
+    with open(paths[target]) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = "HUGE"
+    paths[target] = str(tmp_path / "digits.json")
+    with open(paths[target], "w") as fh:
+        fh.write(json.dumps(doc).replace('"HUGE"', literal))
+    code = main(["attribute", "--model", paths["model"],
+                 "--behavior", paths["behavior"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    shown = f"{literal[:18]}...{literal[-19:]}"
+    assert f"{name} value {shown} is too large for a float" in err
+    assert "set_int_max_str_digits" not in err and len(err) < 200
+
+
 @pytest.mark.parametrize("field, value, message, exit_code", [
     ("num_agents", 1e308, "num_agents is {}, but action_counts lists 2 agents", 2),
     ("num_states", 1e308, "model has {} states, more than 2000", 2),

@@ -129,32 +129,44 @@ def test_three_builds_read_the_packaged_map_once(monkeypatch):
 
 
 def test_the_lone_actor_tables_are_read_only():
-    key = (default_map(), DISCOUNT, tuple(CELL_REWARDS.items()))
-    tables = envs._lone_actor(*key)
-    assert all(a is b for a, b in zip(envs._lone_actor(*key), tables))
-    for table in tables:
+    """The cached model's three tables and both plans are the same objects on
+    a second call, and none of them takes a write."""
+    key = (default_map(), DISCOUNT, tuple(CELL_REWARDS.items()), INTERVENTION_COST)
+    model, *plans = envs._lone_actor(*key)
+    assert all(a is b for a, b in zip(envs._lone_actor(*key), (model, *plans)))
+    for table in (model.reward, model.transition, model.initial_dist, *plans):
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = table.flat[0]
 
 
-def test_a_gridworld_build_owns_its_arrays():
-    """Writing into one build's tables leaves the next build as it was."""
+def test_gridworld_builds_share_a_read_only_model_and_own_their_policies():
+    """Every build returns the one cached model, whose tables take no write,
+    and fresh policy tables: writing into one build's policies leaves the
+    next build as it was."""
     spec = GridworldSpec(alpha=0.2, alpha_prime=0.5)
     model, behavior = build_gridworld(spec)
-    for table in (model.reward, model.transition, model.initial_dist,
-                  *(a.probs for a in behavior.agents)):
-        table[...] = np.nan
-    assert_same_model(*build_gridworld(spec), *gridworld_loop(spec))
+    for table in (model.reward, model.transition, model.initial_dist):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = np.nan
+    for agent in behavior.agents:
+        agent.probs[...] = np.nan
+    again, fresh = build_gridworld(spec)
+    assert again is model
+    assert not any(np.shares_memory(a.probs, b.probs)
+                   for a in behavior.agents for b in fresh.agents)
+    assert_same_model(again, fresh, *gridworld_loop(spec))
 
 
 @pytest.mark.parametrize("patch", [
     lambda m: m.setattr(envs, "default_map", lambda: _TWO_STARTS),
     lambda m: m.setattr(envs, "DISCOUNT", 0.5),
     lambda m: m.setitem(envs.CELL_REWARDS, "H", -0.011),
-], ids=["map", "discount", "cell_rewards"])
+    lambda m: m.setattr(envs, "INTERVENTION_COST", -0.07),
+], ids=["map", "discount", "cell_rewards", "intervention_cost"])
 def test_a_patched_gridworld_never_reads_a_stale_plan(patch, monkeypatch):
-    """Builds under a patched map, discount or cell reward, alternating with
-    default ones, each equal the loop reference bit for bit."""
+    """Builds under a patched map, discount, cell reward or intervention
+    cost, alternating with default ones, each equal the loop reference bit
+    for bit."""
     spec = GridworldSpec(alpha=0.4, alpha_prime=0.5)
     for patched in (True, False, True, False):
         with monkeypatch.context() as m:

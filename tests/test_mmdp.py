@@ -1,15 +1,21 @@
 """Model container, joint-action coding, policy evaluation, and file I/O."""
+import copy
+import hashlib
 import itertools
+import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from blamekit import mmdp, planning, uncertainty
 from blamekit.mmdp import (
     AgentPolicy,
     JointPolicy,
     Mmdp,
     as_joint_table,
+    content_digest,
     evaluate_return,
     load_model,
     load_policy,
@@ -19,7 +25,8 @@ from blamekit.mmdp import (
     save_policy,
     validate_mmdp,
 )
-from blamekit.planning import mmdp_from_game
+from blamekit.planning import characteristic_game, coalition_values, mmdp_from_game
+from blamekit.uncertainty import UncertaintySet, robust_bounds
 from blamekit.properties import random_monotone_game
 from helpers import random_factorized, random_mmdp
 
@@ -339,3 +346,104 @@ def test_content_key_distinguishes_models():
     same = Mmdp(m.num_states, m.num_agents, m.action_counts, m.reward.copy(),
                 m.transition.copy(), m.discount, m.initial_dist.copy())
     assert m.content_key() == same.content_key()
+
+
+def test_model_tables_are_read_only_copies():
+    """Every table refuses a write, and writing into the arrays the caller
+    passed in changes neither the model nor its content key."""
+    rng = np.random.default_rng(15)
+    reward = rng.uniform(-1.0, 1.0, size=(3, 6))
+    transition = rng.dirichlet(np.ones(3), size=(3, 6))
+    initial = rng.dirichlet(np.ones(3))
+    m = Mmdp(3, 2, (2, 3), reward, transition, 0.9, initial)
+    key = m.content_key()
+    kept = [table.copy() for table in (m.reward, m.transition, m.initial_dist)]
+    for table in (m.reward, m.transition, m.initial_dist):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0.5
+    for array in (reward, transition, initial):
+        array[...] = np.nan
+    for table, want in zip((m.reward, m.transition, m.initial_dist), kept):
+        assert table.tobytes() == want.tobytes()
+    fresh = Mmdp(3, 2, (2, 3), kept[0], kept[1], 0.9, kept[2])
+    assert m.content_key() == key == fresh.content_key()
+
+
+def test_a_model_keeps_only_read_only_arrays_that_own_their_memory():
+    """A read-only array that owns its memory, which no caller can write to,
+    is kept as it is; a read-only view of a writable array is copied, so
+    writing through that array leaves the model as it was."""
+    transition = np.full((2, 1, 2), 0.5)
+    transition.setflags(write=False)
+    base = np.array([[1.0], [0.0]])
+    view = base[:, :]
+    view.setflags(write=False)
+    m = Mmdp(2, 1, (1,), view, transition, 0.9, np.array([1.0, 0.0]))
+    assert m.transition is transition and m.reward is not view
+    base[...] = 7.0
+    assert m.reward.tolist() == [[1.0], [0.0]]
+
+
+def test_a_pickled_or_copied_model_keeps_read_only_tables():
+    """A model rebuilt by pickle, deepcopy or copy holds read-only tables
+    equal to the original's, under the same content key."""
+    m = random_mmdp(np.random.default_rng(18), num_states=3)
+    key = m.content_key()
+    for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        for table, want in zip((clone.reward, clone.transition, clone.initial_dist),
+                               (m.reward, m.transition, m.initial_dist)):
+            assert not table.flags.writeable and table.tobytes() == want.tobytes()
+        assert clone.content_key() == key
+
+
+def test_content_digest_hashes_c_order_bytes():
+    """The digest is sha256 over each array's C-order bytes, whatever its
+    layout: a transposed, a sliced and a 0-d array hash as their tobytes()."""
+    table = np.arange(24.0).reshape(4, 6)
+    for array in (table, table.T, table[:, ::2], np.float64(0.5), np.int64([])):
+        want = hashlib.sha256(np.asarray(array).tobytes()).digest()
+        assert content_digest(array) == want
+
+
+def test_models_a_bit_apart_get_their_own_keys_and_sweeps(monkeypatch):
+    """Models one ulp apart in a transition entry, or apart only by the sign
+    of a zero one, hash to different keys and are swept one by one."""
+    rng = np.random.default_rng(16)
+    base = random_mmdp(rng, num_states=3)
+    behavior = random_factorized(rng, base)
+    transition = base.transition.copy()
+    transition[0, 0] = [0.5, 0.5, 0.0]
+    ulp, signed = transition.copy(), transition.copy()
+    ulp[0, 0, 0] = np.nextafter(0.5, 1.0)
+    signed[0, 0, 2] = -0.0
+    models = [Mmdp(3, 2, (2, 3), base.reward, t, 0.9, base.initial_dist)
+              for t in (transition, ulp, signed)]
+    assert len({m.content_key() for m in models}) == 3
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    with mock.patch.object(planning, "_coalition_chunks",
+                           wraps=planning._coalition_chunks) as sweeps:
+        for m in models:
+            coalition_values(m, behavior)
+    assert sweeps.call_count == 3
+
+
+def test_a_model_is_hashed_once_across_repeated_calls(monkeypatch):
+    """Repeated game and bound lookups, misses and hits alike, hash the
+    model's transition table once."""
+    rng = np.random.default_rng(17)
+    m = random_mmdp(rng, num_states=3)
+    behavior = random_factorized(rng, m)
+    hashed = []
+
+    def counted(*arrays):
+        hashed.append(any(array is m.transition for array in arrays))
+        return content_digest(*arrays)
+
+    monkeypatch.setattr(mmdp, "content_digest", counted)
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
+    for radius in (0.1, 0.1, 0.2):
+        characteristic_game(m, behavior)
+        robust_bounds(m, UncertaintySet(behavior, radius))
+    assert sum(hashed) == 1

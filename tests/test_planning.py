@@ -320,14 +320,23 @@ def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
 
 def test_the_perm_experiment_sweeps_six_games_for_its_eleven_builds(monkeypatch):
     """Its repeated behaviors (alpha_prime 0.0-0.3, 0.4-0.5 and 0.9-1.0) come
-    one after another, so the two-entry game memo sweeps each once."""
+    one after another, so the two-entry game memo sweeps each once. All
+    eleven builds return one model object."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     monkeypatch.setattr(planning, "_VALUES_CACHE", {})
-    with mock.patch.object(cli, "build_gridworld", wraps=cli.build_gridworld) as builds, \
+    models = []
+
+    def build(spec):
+        model, behavior = build_gridworld(spec)
+        models.append(model)
+        return model, behavior
+
+    with mock.patch.object(cli, "build_gridworld", wraps=build) as builds, \
             mock.patch.object(planning, "_coalition_chunks",
                               wraps=planning._coalition_chunks) as sweeps:
         run_perm_sweep()
     assert (builds.call_count, sweeps.call_count) == (11, 6)
+    assert len(models) == 11 and all(model is models[0] for model in models)
 
 
 def test_coalition_action_index_layout():
