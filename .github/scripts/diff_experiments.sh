@@ -29,9 +29,12 @@
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
 #     robust experiments draw at seeds 0 and 1 and their default eps levels:
-#     on the gridworld (exact and relaxed) and on the robustness graph, so
-#     that a bit-level move in the robust recursion shows, not only one
-#     that reaches a 12-digit CSV cell.
+#     on the gridworld (exact=None, its exact ball, and exact=False) and on
+#     the robustness graph (exact=False, as the experiment runs it, and
+#     exact=None: the ball where one agent is outside the coalition, else
+#     the segment corners for the max and the box for the min), so that a
+#     bit-level move in any chooser shows, not only one that reaches a
+#     12-digit CSV cell.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -153,14 +156,14 @@ import hashlib
 from blamekit.cli import _robustness_setup
 from blamekit.planning import mask_agents
 from blamekit.uncertainty import RobustBounds, sample_center
-for env, relaxed in (("gridworld", False), ("gridworld", True), ("graph", False)):
-    model, behavior, uncertain, eps_levels, _, exact = _robustness_setup(env)
-    exact = False if relaxed else exact
+for env, exact in (("gridworld", None), ("gridworld", False),
+                   ("graph", False), ("graph", None)):
+    model, behavior, uncertain, eps_levels, _, _ = _robustness_setup(env)
     n = model.num_agents
     for eps in eps_levels:
         for seed in (0, 1):
             bounds = RobustBounds(model, sample_center(behavior, eps, seed, uncertain), exact)
-            label = f"{env} relaxed={relaxed} eps={eps} seed={seed}"
+            label = f"{env} exact={exact} eps={eps} seed={seed}"
             for mask in range(1 << n):
                 coalition = mask_agents(mask, n)
                 print(label, mask, float(bounds.min_value(coalition)).hex(),

@@ -15,8 +15,8 @@ Chooser feasible sets, from tightest to loosest:
   - the relaxed box over joint conditionals, which drops factorization and
     bounds each joint probability by the product of per-agent interval
     endpoints. Always available; bounds stay one-sided, just looser.
-The default picks the tightest applicable set per subproblem; exact=False
-forces the relaxed box, exact=True raises where no exact path exists.
+`exact` takes two values: None, the default, picks the tightest applicable
+set per subproblem (`RobustBounds._path`), and False forces the relaxed box.
 
 Every chooser table over complement joint actions is a product of per-agent
 rows read at the complement's digits. An acyclic model takes one backward
@@ -157,30 +157,14 @@ class _CoalitionProblem:
     backups b (K, A_C, A_D) of K states to their values (K,) and q (K, A_D)."""
 
     def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
-                 exact: bool | None):
-        self.coalition, self.mode = mask_agents(mask, m.num_agents), mode
+                 path: str):
+        self.coalition, self.mode, self.path = mask_agents(mask, m.num_agents), mode, path
         others = [j for j in range(m.num_agents) if not mask >> j & 1]
         uncertain = [j for j in others if uset.agent_radius(j) > 0]
         idx = coalition_action_index(m, self.coalition)
         self.reward, (self.transition,) = coalition_tables(m, _flat_index(m, idx), [_whole(m)])
         # idx[0] lists the complement's joint actions: each agent's digits
         digits = np.unravel_index(idx[0], m.action_counts)
-        if exact is False:
-            self.path = "box"
-        elif len(uncertain) == 1:
-            self.path = "ball"
-        elif mode == "max" and all(m.action_counts[j] == 2 for j in uncertain):
-            self.path = "corner"
-        elif exact is True:
-            wide = [j for j in uncertain if m.action_counts[j] != 2]
-            reason = (f"{len(uncertain)} uncertain complement agents, and the "
-                      "exact min takes one" if mode == "min" else
-                      f"uncertain complement agent {wide[0]} is not binary, "
-                      "and the exact max over several needs binary ones")
-            raise ValueError(f"no exact chooser for coalition {self.coalition}"
-                             f" in {mode} mode: {reason}; use the relaxed box")
-        else:
-            self.path = "box"
 
         num_states = m.num_states
         probs = [uset.center.agents[j].probs for j in others]
@@ -353,14 +337,28 @@ class RobustBounds:
             self._values[key] = self._solve(mask, mode)
         return self._values[key][0]
 
+    def _path(self, mask: int, mode: str) -> str | None:
+        """The chooser set of (mask, mode) by the rule the module docstring
+        states; None where every complement agent is certain."""
+        uncertain = [j for j in range(self.m.num_agents)
+                     if not mask >> j & 1 and self.uset.agent_radius(j) > 0]
+        if not uncertain:
+            return None
+        if self.exact is False:
+            return "box"
+        if len(uncertain) == 1:
+            return "ball"
+        binary = all(self.m.action_counts[j] == 2 for j in uncertain)
+        return "corner" if mode == "max" and binary else "box"
+
     def _solve(self, mask: int, mode: str) -> tuple[float, np.ndarray | None]:
         m, uset = self.m, self.uset
-        if all(mask >> j & 1 or uset.agent_radius(j) == 0
-               for j in range(m.num_agents)):
-            # every complement agent is certain: the center is the only behavior
+        path = self._path(mask, mode)
+        if path is None:
+            # the center is the only behavior
             return (float(m.initial_dist @ self._center_values[mask]),
                     uset.center.joint_table(m) if mask == 0 else None)
-        problem = _CoalitionProblem(m, uset, mask, mode, self.exact)
+        problem = _CoalitionProblem(m, uset, mask, mode, path)
         if self._levels is None:
             v, q = self._iterate(problem, self._center_values[mask])
         else:
@@ -407,10 +405,11 @@ def robust_bounds(m: Mmdp, uset: UncertaintySet,
                   exact: bool | None = None) -> RobustBounds:
     """The bounds of `m` over `uset`, memoized under `memo`; the one place a
     set is checked (ValueError if invalid or its center does not match the
-    model) and `exact` too: None, True or False, a numpy bool as the same."""
-    if not isinstance(exact, (bool, np.bool_, type(None))):
-        raise ValueError(f"exact is {exact!r}, not None, True or False")
-    exact = None if exact is None else bool(exact)
+    model) and `exact` too: None (the tightest set per subproblem) or False
+    (the relaxed box), np.False_ as False; anything else is a ValueError."""
+    if not (exact is None or isinstance(exact, (bool, np.bool_)) and not exact):
+        raise ValueError(f"exact is {exact!r}, not None or False")
+    exact = None if exact is None else False
     # checked before the lookup: the key holds neither truth nor policy shapes
     _check_set(m, uset)
     key = m.content_key() + uset.content_key() + str(exact).encode()

@@ -661,8 +661,8 @@ def robust_chooser(m, uset, mask, mode, exact):
     """The tables and the chooser of one robust problem: the reward (S, A_C,
     A_D) and transition (S, A_C, A_D, S) per (coalition, complement) joint
     action, the center's complement conditional (S, A_D), and choose(b, s)
-    -> (value, q) for one state's backups b (A_C, A_D). Raises ValueError
-    where `exact=True` finds no exact set."""
+    -> (value, q) for one state's backups b (A_C, A_D). The chooser set
+    follows the rule `RobustBounds._path` states, restated here."""
     from scipy.optimize import linprog
 
     counts = m.action_counts
@@ -711,8 +711,6 @@ def robust_chooser(m, uset, mask, mode, exact):
         path, u = "ball", uncertain[0]
     elif mode == "max" and all(counts[j] == 2 for j in uncertain):
         path = "corner"
-    elif exact is True:
-        raise ValueError("no exact chooser")
     else:
         path = "box"
     choose = {("box", "min"): box_min,

@@ -869,9 +869,8 @@ def test_check_bad_eps_exits_2(two_agent_inputs, capsys):
 def test_exact_uncertainty_unavailable_on_the_graph(tmp_path, capsys):
     """The experiments take no --exact-uncertainty: the gridworld's one
     uncertain agent gets exact bounds anyway, and the graph has no exact
-    min (the library's exact=True raises that, as
-    test_exact_minimization_unavailable_with_two_uncertain_complements
-    pins)."""
+    min (each singleton's complement holds several uncertain agents, so
+    RobustBounds._path takes the box, as test_chooser_path_rule pins)."""
     for name in ("robustness-graph", "robustness-grid"):
         with pytest.raises(SystemExit) as info:
             main(["experiment", name, "--seeds", "1", "--eps", "0.05",
