@@ -21,11 +21,13 @@
 #     coalitions lifted and one unrelated, each pair both ways round;
 #   - planning.coalition_values, every entry as float.hex text, on the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, on the
+#     same model at n = 8 and 12 with every agent at (0.8, 0.2), on the
 #     four coordination graphs, on the robustness graph and on the
 #     gridworld at the perm experiment's eleven behaviors, so that any
 #     bit-level move in the coalition sweep shows, not only one that
 #     reaches a CSV cell, on deterministic multi-level models and on the
-#     cyclic sweep too;
+#     cyclic sweep too, and in the lattice's rounding of a mixed product
+#     behavior at the agent cap;
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
 #     robust experiments draw at seeds 0 and 1 and their default eps levels:
@@ -131,10 +133,15 @@ run_coalition_values() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
 from blamekit.cli import ALPHA_PRIME_GRID
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from blamekit.mmdp import AgentPolicy, JointPolicy
 from blamekit.planning import coalition_values, mmdp_from_game
 from blamekit.properties import random_monotone_game
 models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
           for n in range(1, 13)]
+# every agent at (0.8, 0.2) in both states of the one-step layout
+models += [(f"one-step n={n} mixed", mmdp_from_game(random_monotone_game(n, 0))[0],
+            JointPolicy((AgentPolicy([[0.8, 0.2], [0.8, 0.2]]),) * n))
+           for n in (8, 12)]
 models += [(f"coordination graph m={level}",
             *build_graph(GraphSpec("coordination", threshold_index=level)))
            for level in range(1, 5)]

@@ -7,16 +7,13 @@ such set function is realizable by a one-step model (`mmdp_from_game`, on
 the `one_step_model` layout that the impossibility fixture also uses).
 
 `coalition_values` solves the 2^n - 1 nonempty coalitions in chunks of equal
-joint-action count, for `characteristic_game` to reduce: a chunk scatters the
-behavior's nonzero entries into its complement conditionals and gathers reward
-and transition only where they play, transitions by blocks of states and
-columns. An acyclic model takes one backward pass over `_topological_levels`,
-the first level reading the reward alone (a one-step model gathers no block),
-each later one a block at the nonterminal states it reaches; a cyclic one, one
-whole-model block and a stacked policy iteration greedy first on the behavior's
-values. Chunks are sized by what they gather. `induced_mdp` and `best_response`
-run the cyclic kernel on one coalition bit for bit, and `coalition_action_index`
-reads the same table: `_subgrids` is the package's one coalition layout.
+joint-action count, for `characteristic_game` to reduce. A `JointPolicy`, a product,
+reads every coalition's tables off one `_lattice` per step; an explicit joint table,
+which may be correlated, gathers them per chunk through `_induced`. An acyclic model
+takes one backward pass over `_topological_levels`, the first level reading the reward
+alone, each later one its transitions into the nonterminal states it reaches; a cyclic
+one reads every state and runs a stacked policy iteration greedy first on the
+behavior's values. `_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -385,26 +382,43 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 _GAME_CACHE: dict[bytes, CharacteristicGame] = {}
 _VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same keys
 
-# Most elements a sweep chunk's stacked tables may hold: K * (S * A_D + A_C * W *
-# (2 * S + sum of L * Z)), q, the reward gather and its index at the W played complement
-# actions and each block's L states at its Z columns. A lone coalition past it is a chunk.
+# Most elements a sweep chunk's stacked tables may hold: K * (S * A_D + A_C * W * (2 * S +
+# sum of L * Z)), q, the reward gather and its index at the W complement actions a joint table
+# plays and each block's L states at its Z columns; a lattice's slices: no q, W = 1.
 _GATHER_BUDGET = 1 << 15
 
 
 def _coalition_chunks(m: Mmdp, played, blocks) -> Iterator[tuple[np.ndarray, ...]]:
     """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
-    entry into chunks whose gathers for `blocks` fit _GATHER_BUDGET. A row
-    of q plays at most W = min(A_D, P) complement actions, P being the most
-    joint actions the behavior plays in one state (each projects one of them)."""
-    most = int(np.bincount(played[0], minlength=m.num_states).max())
+    entry into chunks whose tables for `blocks` fit _GATHER_BUDGET: W = min(A_D,
+    P), P the most joint actions `played` in one state, or with none 1 and no q."""
     S = m.num_states  # the elements per (coalition, played complement) action pair:
     span = 2 * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
+    most = 1 if played is None else int(np.bincount(played[0], minlength=S).max())
     for group in _groups(m.action_counts):
         num_c, num_d = group[1].shape[-1], group[2].shape[-1]
-        per_coalition = S * num_d + num_c * min(num_d, most) * span
+        per_coalition = (played is not None) * S * num_d + num_c * min(num_d, most) * span
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
         for first in range(0, group[0].size, per_chunk):
             yield tuple(table[first:first + per_chunk] for table in group)
+
+
+def _lattice(rows, dead, *tables) -> np.ndarray:
+    """L states' (L, A[, Z]) tables side by side, as one (L * prod(k_i + 1), Z) in `_subgrids`
+    order: agent i off a mask plays rows[i] (L, k_i), and a `dead` state holds 0. Pass i writes
+    agent i's contraction (einsum's sum) in place, just before the entries that keep its action."""
+    L, num_a = len(rows[0]), math.prod(w.shape[1] for w in rows)
+    width = sum(t.size for t in tables) // (L * num_a)
+    lattice = np.empty((L, math.prod(w.shape[1] + 1 for w in rows) * width))
+    start = -(rest := num_a * width)  # the tables go at the end of each state's row
+    np.concatenate([t.reshape(L, num_a, -1) for t in tables], axis=-1,
+                   out=lattice[:, start:].reshape(L, num_a, width))
+    for w in rows:  # rest: width times the action counts of agents i + 1 on
+        kept = lattice[:, start:].reshape(L, -1, w.shape[1], rest := rest // w.shape[1])
+        start -= (size := kept.shape[1] * rest)
+        np.einsum("lekr,lk->ler", kept, w, out=lattice[:, start:start + size].reshape(L, -1, rest))
+    lattice[dead] = 0.0
+    return lattice.reshape(-1, width)
 
 
 def coalition_values(m: Mmdp, behavior) -> np.ndarray:
@@ -423,7 +437,7 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
     def sweep():
         rows = np.zeros((1 << m.num_agents, m.num_states))
         rows[0] = v_b = policy_values(m, table)
-        played, levels = _played(m, table), _topological_levels(m)
+        levels = _topological_levels(m)
         blocks = [_whole(m)] if levels is None else []
         for s in (levels or [])[1:]:  # a block per later level: the nonterminal states Z it
             # reaches (terminal ones hold 0), whose columns alone its transitions add to
@@ -431,15 +445,31 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
             z = z[[t not in m.terminal_states for t in z.tolist()]]
             blocks.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
                            (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
-        for masks, *tables in _coalition_chunks(m, played, blocks):
-            r, ps = _induced(m, played, *tables, blocks)
+        steps = [(np.arange(m.num_states), *blocks)] if levels is None else [*zip(levels, [None, *blocks])]
+        def settle(masks, states, block, r, p):  # r (K, L, A_C); p (K, L, A_C, Z), None: no block
             if levels is None:  # a cycle: policy iteration, greedy from v_b first
-                rows[masks], _ = solve_mdp(r, ps.pop(), m.discount, v_b)  # popped: freed on return
-                continue
-            # one backward pass, from rows of 0: the first level's successors are terminal
-            for states, (_, z, *_), p in zip(levels, [(None, None), *blocks], [None, *ps]):
-                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], z])
-                rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
+                rows[masks], _ = solve_mdp(r, p, m.discount, v_b)
+            else:  # one backward pass, from rows of 0: the first level's successors are terminal
+                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], block[1]])
+                rows[masks[:, None], states] = (r + m.discount * ahead).max(axis=-1)
+        if not isinstance(behavior, JointPolicy):  # a joint table: `_induced` per chunk
+            for masks, *tables in _coalition_chunks(m, played := _played(m, table), blocks):
+                r, ps = _induced(m, played, *tables, blocks)
+                for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
+                    settle(masks, states, block, r[:, states], p)
+            return _read_only(rows)
+        # a product: rows over their sums, as q / totals; where the table plays nothing, all 0
+        dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
+        probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
+        chunks = [(masks, offsets[masks][:, None, None] + np.arange(inside.shape[-1]))
+                  for masks, inside, *_ in _coalition_chunks(m, None, blocks)]
+        for states, block in steps:  # each step's lattice alive only while it runs
+            lattice = _lattice([p[states] for p in probs], dead[states], m.reward[states],
+                               *[] if block is None else [block[2]])  # reward, transitions
+            starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]  # of each state
+            for masks, columns in chunks:  # (K, L, A_C, 1 + Z) tables
+                tables = lattice.take(columns + starts, 0)
+                settle(masks, states, block, tables[..., 0], None if block is None else tables[..., 1:])
         return _read_only(rows)
     return key, memo(_VALUES_CACHE, key, sweep)
 

@@ -760,6 +760,24 @@ def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
     assert len(chunks) == {7: 7, 8: 8, 9: 9, 10: 16, 11: 38, 12: 106}[n]
 
 
+@pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
+def test_a_product_sweep_budgets_its_chunks_without_a_conditional(n):
+    """The same game model swept under its JointPolicy reads lattice slices:
+    no complement conditional and one complement action, so a coalition costs
+    A_C * 2 * S, and the groups past the budget take 13, 29 and 72 chunks at
+    n = 10 to 12, not the joint table's 16, 38 and 106."""
+    m, behavior = mmdp_from_game(random_monotone_game(n, 0))
+    model, played, blocks = _sweep_args(m, behavior)
+    assert played is None and blocks == []
+    chunks = [chunk[0] for chunk in planning._coalition_chunks(model, played, blocks)]
+    sizes = planning.membership(n).sum(axis=1)
+    for k in range(1, n + 1):
+        group = [chunk for chunk in chunks if sizes[chunk[0]] == k]
+        cost = (1 << k) * 2 * m.num_states
+        assert len(group) == -(-math.comb(n, k) // (planning._GATHER_BUDGET // cost))
+    assert len(chunks) == {7: 7, 8: 8, 9: 9, 10: 13, 11: 29, 12: 72}[n]
+
+
 @pytest.mark.parametrize("variant, level, count", [
     *(("coordination", level, 4) for level in range(1, 5)), ("robustness", 1, 8)])
 def test_graph_sweeps_take_the_chunks_their_successor_gathers_allow(variant, level, count):
@@ -995,15 +1013,119 @@ def test_the_robustness_graphs_sweep_is_one_backward_pass(monkeypatch):
 
 def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
     """Its one level's successors are terminal, so it reads the reward alone:
-    each of its chunks passes `_induced` no block of transitions."""
+    a product behavior's sweep builds one lattice, of the reward at the one
+    nonterminal state, and none of transitions, and calls `_induced` for no
+    chunk."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     f = random_monotone_game(6, 0)
-    with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced:
-        back = characteristic_game(*mmdp_from_game(f))
+    model, behavior = mmdp_from_game(f)
+    with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced, \
+            mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        back = characteristic_game(model, behavior)
     assert back.values.tobytes() == f.values.tobytes()
-    assert induced.call_count == 6  # one chunk per joint-action count group
+    assert (induced.call_count, lattice.call_count) == (0, 1)
+    _, _, *tables = lattice.call_args.args
+    assert len(tables) == 1 and tables[0].tobytes() == model.reward[:1].tobytes()
+
+
+def test_a_one_step_sweep_of_a_joint_table_gathers_no_transitions(monkeypatch):
+    """The same sweep of the behavior's explicit joint table builds no lattice:
+    each of its chunks, one per joint-action count group, passes `_induced` no
+    block of transitions."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    f = random_monotone_game(6, 0)
+    model, behavior = mmdp_from_game(f)
+    with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced, \
+            mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        back = characteristic_game(model, as_joint_table(model, behavior))
+    assert back.values.tobytes() == f.values.tobytes()
+    assert (induced.call_count, lattice.call_count) == (6, 0)
     assert all(call.args[-1] == [] for call in induced.call_args_list)
+
+
+def _product_behavior(rng, m, kinds, zero_row):
+    """A JointPolicy whose agent i is deterministic, partial or full as
+    kinds[i] says, each row scaled by 1 - 1e-12, 1 or 1 + 1e-12 (the CLI's
+    ROW_TOL), and, if `zero_row`, one agent's row all zero at one state."""
+    S = m.num_states
+    full = random_factorized(rng, m).agents
+    agents = []
+    for k, kind, agent in zip(m.action_counts, kinds, full):
+        if kind == "deterministic":
+            probs = np.eye(k)[rng.integers(0, k, S)]
+        elif kind == "full":
+            probs = agent.probs.copy()
+        else:
+            probs = rng.dirichlet(np.ones(k), size=S) * (rng.random((S, k)) < 0.5)
+            probs[np.arange(S), rng.integers(0, k, S)] += 0.5
+            probs /= probs.sum(axis=1, keepdims=True)
+        agents.append(probs * (1.0 + rng.choice([-1e-12, 0.0, 1e-12], size=(S, 1))))
+    if zero_row:
+        agents[rng.integers(m.num_agents)][rng.integers(S)] = 0.0
+    return JointPolicy(tuple(map(AgentPolicy, agents)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.tuples(st.integers(1, 4),
+                                st.sampled_from(["deterministic", "partial", "full"])),
+                      min_size=1, max_size=5),
+       num_states=st.integers(1, 4),
+       model=st.sampled_from(["one-step", "dense acyclic", "one-hot layered", "cyclic"]),
+       zero_row=st.booleans())
+def test_a_product_sweep_is_its_joint_tables_sweep(seed, kinds, num_states, model, zero_row):
+    """A JointPolicy's sweep reads every coalition's tables off one lattice per
+    step (a level, or the whole of a cyclic model) and calls `_induced` for no
+    chunk; its explicit joint table's sweep, which gathers each chunk, is the
+    oracle. Every value agrees within 1e-15 of the largest, divided on a cyclic
+    model by 1 - discount (its solves amplify rounding by up to that), and bit
+    for bit where every agent is deterministic. A state where an agent's row is
+    all zero plays nothing, and reads 0 for every coalition on both paths."""
+    rng = np.random.default_rng(seed)
+    counts = tuple(k for k, _ in kinds)
+    if model == "one-step":
+        m, _ = planning.one_step_model(counts, rng.uniform(-1.0, 1.0, math.prod(counts)))
+    else:
+        m = {"dense acyclic": random_acyclic_mmdp, "cyclic": random_mmdp,
+             "one-hot layered": lambda rng, S, c: _one_hot_layered(rng, c, max(2, S))}[model](
+            rng, num_states, counts)
+    behavior = _product_behavior(rng, m, [kind for _, kind in kinds], zero_row)
+    levels = planning._topological_levels(m)
+    refuse = AssertionError("a product sweep gathered a chunk")
+    with mock.patch.object(planning, "_VALUES_CACHE", {}), \
+            mock.patch.object(planning, "_induced", side_effect=refuse), \
+            mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        rows = planning.coalition_values(m, behavior)
+    assert lattice.call_count == (1 if levels is None else len(levels))
+    with mock.patch.object(planning, "_VALUES_CACHE", {}):
+        gathered = planning.coalition_values(m, behavior.joint_table(m))
+    assert rows.shape == gathered.shape and rows.dtype == gathered.dtype
+    if all(kind == "deterministic" for _, kind in kinds) and not zero_row:
+        assert rows.tobytes() == gathered.tobytes()
+    tol = 1e-15 if levels is not None else 1e-15 / (1.0 - m.discount)
+    assert np.abs(rows - gathered).max() <= tol * np.abs(gathered).max()
+
+
+def test_a_twelve_agent_mixed_product_sweep_is_the_full_contraction(monkeypatch):
+    """At the agent cap, with every agent at (0.8, 0.2), the lattice gives each
+    singleton, five random coalitions and the grand coalition the value of
+    its full contraction over all complement actions: at the initial state
+    the best induced reward, within 1e-15 of the largest value, and 0 at the
+    terminal state."""
+    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    m, _ = mmdp_from_game(random_monotone_game(MAX_AGENTS, 0))
+    behavior = JointPolicy((AgentPolicy(np.tile([0.8, 0.2], (2, 1))),) * MAX_AGENTS)
+    rows = planning.coalition_values(m, behavior)
+    table = behavior.joint_table(m)
+    everyone = (1 << MAX_AGENTS) - 1
+    rng = np.random.default_rng(12)
+    masks = [1 << i for i in range(MAX_AGENTS)] + rng.integers(1, everyone, 5).tolist()
+    for mask in masks + [everyone]:
+        reward, _ = induced_full(m, table, index_stack(m, [mask])[0])
+        assert rows[mask, 1] == 0.0
+        assert abs(rows[mask, 0] - reward[0].max()) <= 1e-15 * np.abs(rows).max()
 
 
 @pytest.mark.parametrize("n", range(1, MAX_AGENTS + 1))
