@@ -19,6 +19,9 @@
 #     method at epsilon 0 and 0.3, on the impossibility fixture's two
 #     deviations and on fixed random_monotone_game pairs, one with an agent's
 #     coalitions lifted and one unrelated, each pair both ways round;
+#   - properties.random_monotone_game(n, s).values as float.hex text for
+#     n = 0 to 12 and s = 0 to 3, so that a moved draw shows as its own
+#     file, not only through the sweeps and checks built on those games;
 #   - planning.coalition_values, every entry as float.hex text, on the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, on the
 #     same model at n = 8 and 12 with every agent at (0.8, 0.2), on the
@@ -129,6 +132,17 @@ EOF
     echo "exit $?" >> "$2/pair_checks.csv"
 }
 
+run_games() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/games.txt" 2>&1 <<'EOF'
+from blamekit.properties import random_monotone_game
+for n in range(13):
+    for seed in range(4):
+        values = random_monotone_game(n, seed).values
+        print(n, seed, " ".join(float(x).hex() for x in values))
+EOF
+    echo "exit $?" >> "$2/games.txt"
+}
+
 run_coalition_values() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
 from blamekit.cli import ALPHA_PRIME_GRID
@@ -190,11 +204,13 @@ mkdir -p "$work/head" "$work/base-out"
 run_experiments "$PWD/src" "$work/head"
 run_one_step "$PWD/src" "$work/head"
 run_pair_checks "$PWD/src" "$work/head"
+run_games "$PWD/src" "$work/head"
 run_coalition_values "$PWD/src" "$work/head"
 run_robust_bounds "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
 run_pair_checks "$work/base/src" "$work/base-out"
+run_games "$work/base/src" "$work/base-out"
 run_coalition_values "$work/base/src" "$work/base-out"
 run_robust_bounds "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only

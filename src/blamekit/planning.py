@@ -97,13 +97,19 @@ def lattice_floors(values: np.ndarray,
     `values` over each mask's immediate subsets (as a scan keeps it: equal
     floors may differ in the sign of zero), read when the layer is reached,
     so the caller may fill a layer before the next one is read."""
-    member = membership(n)
-    sizes = coalition_sizes(n)
-    subs = immediate_subsets(n)
-    for size in range(1, n + 1):
-        layer = np.flatnonzero(sizes == size)
-        below = np.where(member[layer], values[subs[layer]], -np.inf)
-        yield layer, below[np.arange(layer.size), below.argmax(axis=1)]
+    for layer, member, subs, rows in lattice_layers(n):
+        below = np.where(member, values[subs], -np.inf)
+        yield layer, below[rows, below.argmax(axis=1)]
+
+
+@lru_cache(maxsize=MAX_AGENTS + 1)
+def lattice_layers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """For each coalition size 1 to n, read-only: the layer's masks
+    (ascending), their membership and immediate-subset rows, and row numbers."""
+    layers = [np.flatnonzero(coalition_sizes(n) == size) for size in range(1, n + 1)]
+    return tuple(tuple(map(_read_only, (layer, membership(n)[layer],
+                                        immediate_subsets(n)[layer], np.arange(layer.size))))
+                 for layer in layers)
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)

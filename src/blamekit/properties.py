@@ -17,9 +17,9 @@ import numpy as np
 
 from .attribution import as_blames, blame, game_marginals, pivotality, _held
 from .mmdp import AgentPolicy, Mmdp, evaluate_return, _slack_problems
-from .planning import (CharacteristicGame, characteristic_game, _check_agent_count,
-                       coalition_mask, coalition_sums, lattice_floors,
-                       marginal_masks, mask_agents, one_step_model)
+from .planning import (MAX_AGENTS, CharacteristicGame, characteristic_game,
+                       _check_agent_count, coalition_mask, coalition_sums,
+                       lattice_floors, marginal_masks, mask_agents, one_step_model)
 
 PREMISE_TOL = 1e-9
 SLACK = 1e-12
@@ -276,12 +276,20 @@ def random_monotone_game(n: int, seed: int) -> CharacteristicGame:
     increments are exactly zero so that non-pivotal agents and equality
     premises occur often."""
     _check_agent_count(n)
-    rng = np.random.default_rng(seed)
+    if n > MAX_AGENTS:  # before 2 (2^n - 1) draws are asked for
+        raise ValueError(f"random_monotone_game limited to {MAX_AGENTS} agents, not {n}")
+    draws = np.random.default_rng(seed).random(2 * ((1 << n) - 1))
     # In (size, mask) order, one draw decides a zero increment (below 0.3);
-    # otherwise the next draw is the increment: at most two per coalition.
-    draws = iter(rng.random(2 * ((1 << n) - 1)).tolist())
-    values = np.zeros(1 << n)
+    # otherwise the next draw is the increment. So a draw opens a coalition
+    # when an even number of draws >= 0.3 run unbroken up to it (`run`
+    # counts them through each draw).
+    high = draws >= 0.3
+    run = np.arange(1, draws.size + 1)
+    run -= np.maximum.accumulate(np.where(high, 0, run))
+    opens = np.flatnonzero(np.r_[0, run[:-1]] % 2 == 0)[:draws.size // 2]
+    increments = np.where(high[opens], draws[opens + 1], 0.0)
+    values, done = np.zeros(1 << n), 0
     for layer, floor in lattice_floors(values, n):
-        values[layer] = floor + [0.0 if next(draws) < 0.3 else next(draws)
-                                 for _ in layer]
+        values[layer] = floor + increments[done:done + layer.size]
+        done += layer.size
     return CharacteristicGame(n, values)

@@ -650,6 +650,25 @@ def test_coalition_sizes_are_cached_read_only_popcounts():
         assert sizes.tolist() == [bin(mask).count("1") for mask in range(1 << n)]
 
 
+@pytest.mark.parametrize("n", range(MAX_AGENTS + 1))
+def test_lattice_layers_are_cached_read_only_tables_per_size(n):
+    """One tuple per n, shared by every lattice walk (the random games and
+    the monotone closure), so no caller may write to one of its arrays."""
+    layers = planning.lattice_layers(n)
+    assert layers is planning.lattice_layers(n)
+    assert len(layers) == n
+    for size, (layer, member, subs, rows) in enumerate(layers, 1):
+        assert layer.tolist() == [mask for mask in range(1 << n)
+                                  if bin(mask).count("1") == size]
+        assert member.tolist() == [[mask >> i & 1 == 1 for i in range(n)] for mask in layer]
+        assert subs.tolist() == [[mask & ~(1 << i) for i in range(n)] for mask in layer]
+        assert rows.tolist() == list(range(layer.size))
+        for table in (layer, member, subs, rows):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+
 def test_subgrids_are_cached_and_read_only():
     """One table per action-count tuple, shared by the sweep, induced_mdp and
     coalition_action_index, which none of them may write."""

@@ -359,9 +359,78 @@ def test_random_monotone_game_shape_and_determinism():
 def test_random_monotone_game_matches_the_lattice_loop():
     """Byte for byte, so the draws are used in the loop's order."""
     for n in range(13):
-        for seed in range(12 if n <= 10 else 2):
+        for seed in range(12 if n <= 10 else 8):
             assert (random_monotone_game(n, seed).values.tobytes()
                     == random_monotone_game_loop(n, seed).tobytes())
+
+
+class _FixedStream:
+    """Stands in for `np.random.default_rng(seed)`: serves one fixed draw
+    stream in order, to a batched `random(size)` and to single draws alike."""
+
+    def __init__(self, draws):
+        self.draws, self.used = draws, 0
+
+    def random(self, size=None):
+        taken = self.draws[self.used:self.used + (1 if size is None else size)]
+        assert taken.size == (1 if size is None else size), "stream exhausted"
+        self.used += taken.size
+        return float(taken[0]) if size is None else taken.copy()
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
+# Which draws of a stream are >= 0.3, by position k
+_STREAM_KINDS = {
+    "all below": lambda k: k < 0, "all at or above": lambda k: k >= 0,
+    "alternating": lambda k: k % 2 == 0, "alternating from below": lambda k: k % 2 == 1,
+    # every coalition opens >= 0.3, so the last takes the last two draws;
+    # a third of the increments are >= 0.3 too
+    "two draws each": lambda k: (k % 2 == 0) | (k % 6 == 1),
+    # runs of r draws >= 0.3, each followed by one below
+    **{f"runs of {r}": lambda k, r=r: k % (r + 1) != 0 for r in range(1, 7)}}
+
+
+def _crafted_stream(kind, length):
+    """`length` draws on the pattern `kind`; the values differ draw to draw,
+    and every seventh sits on its side's edge (0.3 above, 0.0 below), so a
+    draw read out of place shows."""
+    u = np.random.default_rng(length).random(length)
+    u[::7] = 0.0
+    return np.where(_STREAM_KINDS[kind](np.arange(length)), 0.3 + 0.7 * u, 0.3 * u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", _STREAM_KINDS)
+def test_random_monotone_game_parses_a_crafted_stream_as_the_loop_does(kind, n, monkeypatch):
+    """The vectorized parse of the draw stream against the loop's one draw
+    at a time, byte for byte, on streams that a seed rarely draws."""
+    draws = _crafted_stream(kind, 2 * ((1 << n) - 1))
+    loop_streams = []
+
+    def fixed(seed):
+        loop_streams.append(_FixedStream(draws))
+        return loop_streams[-1]
+    monkeypatch.setattr(np.random, "default_rng", fixed)
+    values = random_monotone_game(n, 0).values
+    assert values.tobytes() == random_monotone_game_loop(n, 0).tobytes()
+    used = loop_streams[-1].used
+    if kind in ("all at or above", "two draws each"):
+        assert used == draws.size  # the last coalition took the last two draws
+    elif kind == "all below":
+        assert used == draws.size // 2 and (values == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [13, 64])
+def test_random_monotone_game_refuses_more_agents_than_the_cap(n, monkeypatch):
+    """Refused before any draw: at n = 30 the draws alone would be
+    2 (2^30 - 1) floats, 16 GiB."""
+    def refuse(seed):
+        raise AssertionError("a generator was built")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"limited to 12 agents, not {n}$"):
+        random_monotone_game(n, 0)
 
 
 @pytest.mark.parametrize("wrong, message", [

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blamekit import attribution, cli, mmdp, planning, uncertainty
@@ -604,9 +604,12 @@ def test_monotone_closure():
     st.just(n), st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0])
                          | st.floats(-2.0, 2.0),
                          min_size=1 << n, max_size=1 << n))))
+@example((10, np.random.default_rng(10).normal(size=1 << 10).tolist()))
+@example((12, np.random.default_rng(12).normal(size=1 << 12).tolist()))
 def test_monotone_closure_matches_the_lattice_loop(case):
     """Byte for byte: equal floors that differ in the sign of zero must
-    resolve to the first one, as the loop's `max` does."""
+    resolve to the first one, as the loop's `max` does. The drawn cases stop
+    at n = 6; two fixed ones walk the layer tables at n = 10 and 12."""
     n, values = case
     values = np.array(values)
     assert (_monotone_closure(values, n).tobytes()
