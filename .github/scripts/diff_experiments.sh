@@ -31,6 +31,13 @@
 #     reaches a CSV cell, on deterministic multi-level models and on the
 #     cyclic sweep too, and in the lattice's rounding of a mixed product
 #     behavior at the agent cap;
+#   - the same dump, into its own file, for explicit joint tables: the
+#     `joint_table` of the mixed one-step behaviors at n = 8 and 12, of the
+#     robustness graph's behavior and of the perm gridworld behavior at
+#     alpha_prime 0.5, so that a bit-level move in the path that gathers
+#     each chunk's rows and marginalizes through `_induced` shows beside
+#     the robust `max_policy()` digests. A joint table shares its product's
+#     memo key, so these run in a process of their own;
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
 #     robust experiments draw at seeds 0 and 1 and their default eps levels:
@@ -169,6 +176,22 @@ for label, model, behavior in models:
         print(label, mask, " ".join(float(x).hex() for x in row))
 EOF
     echo "exit $?" >> "$2/coalition_values.txt"
+    PYTHONPATH="$1" python - > "$2/coalition_values_explicit.txt" 2>&1 <<'EOF'
+from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from blamekit.mmdp import AgentPolicy, JointPolicy
+from blamekit.planning import coalition_values, mmdp_from_game
+from blamekit.properties import random_monotone_game
+models = [(f"one-step n={n} mixed", mmdp_from_game(random_monotone_game(n, 0))[0],
+           JointPolicy((AgentPolicy([[0.8, 0.2], [0.8, 0.2]]),) * n))
+          for n in (8, 12)]
+models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
+models.append(("gridworld alpha_prime=0.5",
+               *build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=0.5))))
+for label, model, behavior in models:
+    for mask, row in enumerate(coalition_values(model, behavior.joint_table(model))):
+        print(label, "joint table", mask, " ".join(float(x).hex() for x in row))
+EOF
+    echo "exit $?" >> "$2/coalition_values_explicit.txt"
 }
 
 run_robust_bounds() {  # SRC_DIR OUT_DIR

@@ -8,14 +8,13 @@ is the convenience wrapper that composes the game first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .lp import LinearProgram, Resume, solve, solve_lexicographic
 from .mmdp import _non_finite
-from .planning import (MAX_AGENTS, CharacteristicGame, characteristic_game,
+from .planning import (CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
                        marginal_masks, membership, memo, _read_only)
 
@@ -87,10 +86,9 @@ def _held(game: CharacteristicGame, key: str, compute):
     return table[key]
 
 
-@lru_cache(maxsize=MAX_AGENTS + 1)
 def cap_rows(n: int) -> np.ndarray:
     """(2^n - 1, n) read-only float `membership` without the empty coalition,
-    column-major: MER's cap rows, which its LP keeps without a copy."""
+    column-major: MER's cap rows, which its held LP keeps without a copy."""
     return _read_only(np.asfortranarray(membership(n)[1:], dtype=float))
 
 

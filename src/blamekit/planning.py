@@ -220,13 +220,11 @@ def _tables(grid, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
-def _groups(action_counts: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Read-only (masks, *`_tables`) of every nonempty coalition mask, one
-    group per joint-action count A_C (its `_subgrids` row length), ascending."""
-    grid = _subgrids(action_counts)
-    sizes = np.diff(grid[1][1:])  # of masks 1, 2, ...
-    groups = (np.flatnonzero(sizes == k) + 1 for k in np.flatnonzero(np.bincount(sizes)))
-    return tuple(tuple(map(_read_only, (masks, *_tables(grid, masks)))) for masks in groups)
+def _groups(action_counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only masks of every nonempty coalition, one group per joint-action
+    count A_C (its `_subgrids` row length), ascending."""
+    sizes = np.diff(_subgrids(action_counts)[1][1:])  # of masks 1, 2, ...
+    return tuple(_read_only(np.flatnonzero(sizes == k) + 1) for k in np.flatnonzero(np.bincount(sizes)))
 
 
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
@@ -385,8 +383,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
     return best_response(m, uniform, range(m.num_agents))
 
 
-_GAME_CACHE: dict[bytes, CharacteristicGame] = {}
-_VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same keys
+_GAME_CACHE: dict[bytes, tuple[np.ndarray, CharacteristicGame]] = {}  # values and their game
 
 # Most elements a sweep chunk's stacked tables may hold: K * (S * A_D + A_C * W * (2 * S +
 # sum of L * Z)), q, the reward gather and its index at the W complement actions a joint table
@@ -394,19 +391,20 @@ _VALUES_CACHE: dict[bytes, np.ndarray] = {}  # coalition_values, under the same 
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, played, blocks) -> Iterator[tuple[np.ndarray, ...]]:
-    """(masks, *`_tables`) of every nonempty coalition, cut from its `_groups`
-    entry into chunks whose tables for `blocks` fit _GATHER_BUDGET: W = min(A_D,
-    P), P the most joint actions `played` in one state, or with none 1 and no q."""
+def _coalition_chunks(m: Mmdp, played, blocks) -> Iterator[np.ndarray]:
+    """The masks of every nonempty coalition, cut from its `_groups` entry into
+    chunks whose tables for `blocks` fit _GATHER_BUDGET: W = min(A_D, P), P the
+    most joint actions `played` in one state, or with none 1 and no q."""
     S = m.num_states  # the elements per (coalition, played complement) action pair:
     span = 2 * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
     most = 1 if played is None else int(np.bincount(played[0], minlength=S).max())
-    for group in _groups(m.action_counts):
-        num_c, num_d = group[1].shape[-1], group[2].shape[-1]
+    sizes = np.diff(_subgrids(m.action_counts)[1])  # A_C, by mask
+    for masks in _groups(m.action_counts):
+        num_c, num_d = int(sizes[masks[0]]), m.num_joint_actions // int(sizes[masks[0]])
         per_coalition = (played is not None) * S * num_d + num_c * min(num_d, most) * span
         per_chunk = max(1, _GATHER_BUDGET // per_coalition)
-        for first in range(0, group[0].size, per_chunk):
-            yield tuple(table[first:first + per_chunk] for table in group)
+        for first in range(0, masks.size, per_chunk):
+            yield masks[first:first + per_chunk]
 
 
 def _lattice(rows, dead, *tables) -> np.ndarray:
@@ -430,11 +428,17 @@ def _lattice(rows, dead, *tables) -> np.ndarray:
 def coalition_values(m: Mmdp, behavior) -> np.ndarray:
     """Read-only (2^n, S) table: row M holds mask M's best-response state
     values against `behavior`, and row 0 the behavior's own `policy_values`."""
+    return _swept(m, behavior)[0]
+
+
+def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
+    """Marginal inefficiency of every coalition against `behavior`: the return
+    of its `coalition_values` row less row 0's, memoized with them."""
     return _swept(m, behavior)[1]
 
 
-def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
-    """The (model, behavior) content hash, and `coalition_values` memoized on it."""
+def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
+    """`coalition_values` and `characteristic_game`: one memo entry per (model, behavior) hash."""
     if m.num_agents > MAX_AGENTS:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
@@ -459,16 +463,16 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
                 ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], block[1]])
                 rows[masks[:, None], states] = (r + m.discount * ahead).max(axis=-1)
         if not isinstance(behavior, JointPolicy):  # a joint table: `_induced` per chunk
-            for masks, *tables in _coalition_chunks(m, played := _played(m, table), blocks):
-                r, ps = _induced(m, played, *tables, blocks)
+            for masks in _coalition_chunks(m, played := _played(m, table), blocks):
+                r, ps = _induced(m, played, *_tables(_subgrids(m.action_counts), masks), blocks)
                 for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
                     settle(masks, states, block, r[:, states], p)
-            return _read_only(rows)
+            return rows
         # a product: rows over their sums, as q / totals; where the table plays nothing, all 0
         dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
         probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
-        chunks = [(masks, offsets[masks][:, None, None] + np.arange(inside.shape[-1]))
-                  for masks, inside, *_ in _coalition_chunks(m, None, blocks)]
+        chunks = [(masks, offsets[masks][:, None, None] + np.arange(offsets[masks[0] + 1] - offsets[masks[0]]))
+                  for masks in _coalition_chunks(m, None, blocks)]
         for states, block in steps:  # each step's lattice alive only while it runs
             lattice = _lattice([p[states] for p in probs], dead[states], m.reward[states],
                                *[] if block is None else [block[2]])  # reward, transitions
@@ -476,18 +480,15 @@ def _swept(m: Mmdp, behavior) -> tuple[bytes, np.ndarray]:
             for masks, columns in chunks:  # (K, L, A_C, 1 + Z) tables
                 tables = lattice.take(columns + starts, 0)
                 settle(masks, states, block, tables[..., 0], None if block is None else tables[..., 1:])
-        return _read_only(rows)
-    return key, memo(_VALUES_CACHE, key, sweep)
+        return rows
 
-
-def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
-    """Marginal inefficiency of every coalition against `behavior`: the return
-    of its `coalition_values` row less row 0's, memoized on the same key."""
-    key, rows = _swept(m, behavior)
-    # a stacked (1, S) @ (S,) product per row is the same dot product as
-    # `initial_dist @ v`; a (K, S) @ (S,) one may round differently
-    returns = (rows[:, None] @ m.initial_dist)[:, 0]
-    return memo(_GAME_CACHE, key, lambda: CharacteristicGame(m.num_agents, returns - returns[0]))
+    def entry():
+        rows = _read_only(sweep())
+        # a stacked (1, S) @ (S,) product per row is the same dot product as
+        # `initial_dist @ v`; a (K, S) @ (S,) one may round differently
+        returns = (rows[:, None] @ m.initial_dist)[:, 0]
+        return rows, CharacteristicGame(m.num_agents, returns - returns[0])
+    return memo(_GAME_CACHE, key, entry)
 
 
 def one_step_model(action_counts: tuple[int, ...],

@@ -125,7 +125,8 @@ def _sample_ball_row(rng: np.random.Generator, p: np.ndarray, eps: float) -> np.
 def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                   uncertain_agents: frozenset[int] | None = None) -> UncertaintySet:
     """Draw, deterministically per seed, an estimated behavior whose ball of radius
-    eps_max holds the truth (by symmetry); refuses the set centered on the truth if invalid."""
+    eps_max holds the truth (by symmetry); refuses the set centered on the truth if invalid.
+    Raises RuntimeError when the ball sampler accepts no draw, likely from 10 actions up."""
     around = UncertaintySet(truth, eps_max, uncertain_agents=uncertain_agents)
     _check_set(None, around)  # no model: the set alone
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamekit import lp, properties
+from blamekit import attribution, lp, properties
 from blamekit.attribution import (
     METHODS,
     BlameAssignment,
@@ -499,13 +499,21 @@ def test_a_held_mer_primary_keeps_its_snapshot_after_another_games_mer(monkeypat
                 == _mer_cold(first.values, t).tobytes()), t
 
 
-def test_games_of_one_size_share_one_read_only_cap_row_table():
-    """MER's LP keeps the per-n cap rows as they are, no copy per game."""
-    first, second = random_monotone_game(5, 1), random_monotone_game(5, 2)
-    mer(first)
-    rows = held(first, "MER")[0].constraint_matrix
-    mer(second)
-    assert held(second, "MER")[0].constraint_matrix is rows is cap_rows(5)
+def test_a_games_mer_keeps_its_read_only_cap_rows_uncopied(monkeypatch):
+    """MER's held LP keeps the cap rows as `cap_rows` builds them, once per
+    game for the primary and its tiebreaks, no copy."""
+    built = []
+
+    def recording(n):
+        built.append(cap_rows(n))
+        return built[-1]
+
+    monkeypatch.setattr(attribution, "cap_rows", recording)
+    game = random_monotone_game(5, 1)
+    mer(game)
+    mer(game, tiebreak=0)
+    rows = held(game, "MER")[0].constraint_matrix
+    assert len(built) == 1 and rows is built[0]
     assert not rows.flags.writeable and rows.flags.f_contiguous
     assert np.array_equal(rows, membership(5)[1:])
 

@@ -1,6 +1,4 @@
 """The two benchmark environments: construction, semantics, frozen values."""
-from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,22 +108,6 @@ def test_gridworld_solves_the_lone_actor_once_per_map(monkeypatch):
     for alpha_prime in ALPHA_PRIME_GRID:
         build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=alpha_prime))
     assert len(calls) == 2
-
-
-def test_three_builds_read_the_packaged_map_once(monkeypatch):
-    """`default_map` is cached: the packaged file is read on the first build
-    only, not once per spec."""
-    reads = []
-
-    def files(package):
-        reads.append(package)
-        return resources.files(package)
-
-    monkeypatch.setattr(envs, "resources", SimpleNamespace(files=files))
-    envs.default_map.cache_clear()
-    for alpha_prime in (0.0, 0.5, 1.0):
-        build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=alpha_prime))
-    assert reads == ["blamekit"]
 
 
 def test_the_lone_actor_tables_are_read_only():

@@ -419,7 +419,7 @@ def test_models_a_bit_apart_get_their_own_keys_and_sweeps(monkeypatch):
     models = [Mmdp(3, 2, (2, 3), base.reward, t, 0.9, base.initial_dist)
               for t in (transition, ulp, signed)]
     assert len({m.content_key() for m in models}) == 3
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
     with mock.patch.object(planning, "_coalition_chunks",
                            wraps=planning._coalition_chunks) as sweeps:
         for m in models:
@@ -441,7 +441,6 @@ def test_a_model_is_hashed_once_across_repeated_calls(monkeypatch):
 
     monkeypatch.setattr(mmdp, "content_digest", counted)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
     for radius in (0.1, 0.1, 0.2):
         characteristic_game(m, behavior)

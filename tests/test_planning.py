@@ -294,7 +294,6 @@ def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
 
     monkeypatch.setattr(planning, "solve_mdp", recording)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     characteristic_game(*one_step)
     assert starts == []
     characteristic_game(*gridworld)
@@ -310,7 +309,6 @@ def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
     # the lone actor's plans are solved once per process, outside the count
     build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     with mock.patch.object(planning, "_solve_linear",
                            wraps=planning._solve_linear) as counted:
         run_perm_sweep()
@@ -323,7 +321,6 @@ def test_the_perm_experiment_sweeps_six_games_for_its_eleven_builds(monkeypatch)
     one after another, so the two-entry game memo sweeps each once. All
     eleven builds return one model object."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     models = []
 
     def build(spec):
@@ -537,12 +534,13 @@ def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
 def _kernel_cases(m, table):
     """(index (stack), masks, blocks, planning._induced's tables) for every
     sweep chunk, stacked, and for each of its coalitions alone (its entries
-    of the chunk's cached tables), under the sweep's own blocks and, where
+    of the chunk's tables), under the sweep's own blocks and, where
     those are a level's, under the whole-model block as well."""
     _, played, swept = args = _sweep_args(m, table)
     cases = [swept] if planning._topological_levels(m) is None else [swept, [planning._whole(m)]]
-    for chunk, *tables in planning._coalition_chunks(*args):
+    for chunk in planning._coalition_chunks(*args):
         stack = index_stack(m, chunk)
+        tables = planning._tables(planning._subgrids(m.action_counts), chunk)
         for blocks in cases:
             yield stack, chunk, blocks, planning._induced(m, played, *tables, blocks)
             for j, (idx, mask) in enumerate(zip(stack, chunk)):
@@ -680,38 +678,73 @@ def test_subgrids_are_cached_and_read_only():
             table[0] = 1
 
 
-def test_a_second_sweep_on_the_same_action_counts_builds_no_coalition_rows(
-        monkeypatch):
-    """The sweep's coalition and complement rows depend only on the action
-    counts: the first sweep gathers them once per joint-action count group,
-    and a sweep of another model with the same counts gathers none."""
-    rng = np.random.default_rng(31)
-    counts = (2, 3, 1, 2)
-    first, second = (random_mmdp(rng, num_states=3, action_counts=counts)
-                     for _ in range(2))
-    monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
-    planning._groups.cache_clear()
-    calls = []
-    for m in (first, second):
-        with mock.patch.object(planning, "_rows", wraps=planning._rows) as rows:
-            characteristic_game(m, _behavior_table(rng, m, "partial"))
-        calls.append(rows.call_count)
-    assert calls == [2 * len(planning._groups(counts)), 0]
-
-
-def test_sweep_group_tables_are_cached_and_read_only():
-    """One set of group tables per action-count tuple, shared by every sweep
-    on it, so neither they nor the chunks sliced out of them may be written."""
-    groups = planning._groups((2, 3, 1))
-    assert planning._groups((2, 3, 1)) is groups
-    m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=(2, 3, 1))
+@pytest.mark.parametrize("counts", [(2, 3, 1), (1, 2, 2, 2, 1), (2,) * MAX_AGENTS])
+def test_sweep_groups_hold_read_only_masks_alone(counts):
+    """One cached set of groups per action-count tuple, each a read-only int64
+    array of ascending masks of one joint-action count A_C, the groups by
+    ascending A_C; together they hold masks 1 to 2^n - 1 once each, under
+    64 KB at 12 binary agents. Neither they nor the chunks sliced out of them
+    may be written."""
+    groups = planning._groups(counts)
+    assert planning._groups(counts) is groups
+    offsets = planning._subgrids(counts)[1]
+    counted = [np.unique(offsets[masks + 1] - offsets[masks]) for masks in groups]
+    assert [c.size for c in counted] == [1] * len(groups)
+    assert (np.diff(np.concatenate(counted)) > 0).all()
+    assert np.concatenate(groups).tolist() == sorted(range(1, 1 << len(counts)),
+                                                     key=lambda mask: offsets[mask + 1] - offsets[mask])
+    assert sum(masks.nbytes for masks in groups) < 1 << 16
+    m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=counts[:5])
     chunks = planning._coalition_chunks(m, planning._played(m, _behavior_table(
         np.random.default_rng(33), m, "full")), [planning._whole(m)])
-    for table in itertools.chain(*groups, *chunks):
-        assert not table.flags.writeable
+    for masks in itertools.chain(groups, chunks):
+        assert isinstance(masks, np.ndarray) and masks.dtype == np.int64
+        assert not masks.flags.writeable
         with pytest.raises(ValueError):
-            table[0] = 1
+            masks[0] = 1
+
+
+def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
+    """From a cleared `_groups` cache, a `JointPolicy` sweep reads its lattice
+    at mask offsets alone and calls neither `_rows` nor `_tables`, on a cyclic,
+    a layered and a one-step model; the same behavior's joint table builds
+    its rows per chunk, one `_tables` call each."""
+    rng = np.random.default_rng(31)
+    cases = [(m, random_factorized(rng, m)) for m in (
+        random_mmdp(rng, num_states=3, action_counts=(2, 3, 1, 2)),
+        _one_hot_layered(rng, (2, 1, 3), 5))]
+    cases += [build_graph(GraphSpec("robustness")), mmdp_from_game(random_monotone_game(5, 0))]
+    refuse = AssertionError("a product sweep built gather rows")
+    for m, behavior in cases:
+        monkeypatch.setattr(planning, "_GAME_CACHE", {})
+        planning._groups.cache_clear()
+        with mock.patch.object(planning, "_rows", side_effect=refuse), \
+                mock.patch.object(planning, "_tables", side_effect=refuse):
+            planning.coalition_values(m, behavior)
+        table = behavior.joint_table(m)
+        planning._GAME_CACHE.clear()  # the joint table has the product's key
+        with mock.patch.object(planning, "_tables", wraps=planning._tables) as tables:
+            planning.coalition_values(m, table)
+        assert tables.call_count == len(_sweep_chunks(m, table))
+
+
+def test_clearing_the_game_memo_sweeps_the_values_again(monkeypatch):
+    """A (model, behavior) pair's values and game are one memo entry: the game
+    reads the values' sweep, and the clear between bench passes empties both,
+    so the next `coalition_values` sweeps again, to the same bytes."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    m, behavior = build_graph(GraphSpec("robustness"))
+    with mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        first = planning.coalition_values(m, behavior)
+        game = characteristic_game(m, behavior)
+        swept = lattice.call_count  # one lattice per level, the game's included
+        assert swept == len(planning._topological_levels(m))
+        planning._GAME_CACHE.clear()
+        again = planning.coalition_values(m, behavior)
+        assert lattice.call_count == 2 * swept > 0
+        assert characteristic_game(m, behavior).values.tobytes() == game.values.tobytes()
+    assert lattice.call_count == 2 * swept
+    assert again is not first and again.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
@@ -735,7 +768,6 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
     cases = [(m, behavior, characteristic_game(m, behavior).values) for m, behavior in cases]
     monkeypatch.setattr(planning, "_GATHER_BUDGET", budget)
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     for m, behavior, expected in cases:
         assert characteristic_game(m, behavior).values.tobytes() == expected.tobytes()
 
@@ -744,14 +776,14 @@ def _sweep_args(m, table):
     """The (model, played entries, blocks) the sweep passes `_coalition_chunks`."""
     with mock.patch.object(planning, "_coalition_chunks",
                            wraps=planning._coalition_chunks) as sweep, \
-            mock.patch.object(planning, "_VALUES_CACHE", {}):
+            mock.patch.object(planning, "_GAME_CACHE", {}):
         planning.coalition_values(m, table)
     return sweep.call_args.args
 
 
 def _sweep_chunks(m, table):
     """The masks of each chunk of the sweep's `_coalition_chunks` call."""
-    return [chunk[0] for chunk in planning._coalition_chunks(*_sweep_args(m, table))]
+    return list(planning._coalition_chunks(*_sweep_args(m, table)))
 
 
 @pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
@@ -788,7 +820,7 @@ def test_a_product_sweep_budgets_its_chunks_without_a_conditional(n):
     m, behavior = mmdp_from_game(random_monotone_game(n, 0))
     model, played, blocks = _sweep_args(m, behavior)
     assert played is None and blocks == []
-    chunks = [chunk[0] for chunk in planning._coalition_chunks(model, played, blocks)]
+    chunks = list(planning._coalition_chunks(model, played, blocks))
     sizes = planning.membership(n).sum(axis=1)
     for k in range(1, n + 1):
         group = [chunk for chunk in chunks if sizes[chunk[0]] == k]
@@ -898,7 +930,6 @@ def test_coalition_values_are_the_state_values_the_game_reduces(monkeypatch):
     the center's game back. Past MAX_AGENTS agents it is refused with
     characteristic_game's message."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     rng = np.random.default_rng(35)
     for counts in [(2,), (2, 3), (3, 1, 2), (2, 2, 1, 2)]:
         m = random_mmdp(rng, num_states=3, action_counts=counts)
@@ -985,7 +1016,7 @@ def test_successor_gathers_agree_with_each_coalitions_best_response(
          else _one_hot_layered(rng, counts, num_states))
     table = _behavior_table(rng, m, kind)
     assert planning._topological_levels(m) is not None
-    with mock.patch.object(planning, "_VALUES_CACHE", {}):
+    with mock.patch.object(planning, "_GAME_CACHE", {}):
         rows = planning.coalition_values(m, table)
     solved = np.array([best_response(m, table, mask_agents(mask, m.num_agents)).state_values
                        for mask in range(1, 1 << m.num_agents)])
@@ -1006,7 +1037,7 @@ def test_the_backward_pass_is_policy_iteration_on_acyclic_models(
     behavior = random_factorized(rng, m)
     assert planning._topological_levels(m) is not None
     with mock.patch.object(planning, "solve_mdp") as iterations, \
-            mock.patch.object(planning, "_VALUES_CACHE", {}):
+            mock.patch.object(planning, "_GAME_CACHE", {}):
         rows = planning.coalition_values(m, behavior)
     assert iterations.call_count == 0
     solved = np.array([solve_mdp(*induced_mdp(m, behavior, mask_agents(mask, num_agents))[:2],
@@ -1020,7 +1051,6 @@ def test_the_robustness_graphs_sweep_is_one_backward_pass(monkeypatch):
     the largest."""
     m, behavior = build_graph(GraphSpec("robustness"))
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     assert len(planning._topological_levels(m)) == 5
     with mock.patch.object(planning, "solve_mdp") as iterations:
         rows = planning.coalition_values(m, behavior)
@@ -1036,7 +1066,6 @@ def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
     nonterminal state, and none of transitions, and calls `_induced` for no
     chunk."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     f = random_monotone_game(6, 0)
     model, behavior = mmdp_from_game(f)
     with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced, \
@@ -1053,7 +1082,6 @@ def test_a_one_step_sweep_of_a_joint_table_gathers_no_transitions(monkeypatch):
     each of its chunks, one per joint-action count group, passes `_induced` no
     block of transitions."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
     f = random_monotone_game(6, 0)
     model, behavior = mmdp_from_game(f)
     with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced, \
@@ -1113,12 +1141,12 @@ def test_a_product_sweep_is_its_joint_tables_sweep(seed, kinds, num_states, mode
     behavior = _product_behavior(rng, m, [kind for _, kind in kinds], zero_row)
     levels = planning._topological_levels(m)
     refuse = AssertionError("a product sweep gathered a chunk")
-    with mock.patch.object(planning, "_VALUES_CACHE", {}), \
+    with mock.patch.object(planning, "_GAME_CACHE", {}), \
             mock.patch.object(planning, "_induced", side_effect=refuse), \
             mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
         rows = planning.coalition_values(m, behavior)
     assert lattice.call_count == (1 if levels is None else len(levels))
-    with mock.patch.object(planning, "_VALUES_CACHE", {}):
+    with mock.patch.object(planning, "_GAME_CACHE", {}):
         gathered = planning.coalition_values(m, behavior.joint_table(m))
     assert rows.shape == gathered.shape and rows.dtype == gathered.dtype
     if all(kind == "deterministic" for _, kind in kinds) and not zero_row:
@@ -1133,7 +1161,7 @@ def test_a_twelve_agent_mixed_product_sweep_is_the_full_contraction(monkeypatch)
     its full contraction over all complement actions: at the initial state
     the best induced reward, within 1e-15 of the largest value, and 0 at the
     terminal state."""
-    monkeypatch.setattr(planning, "_VALUES_CACHE", {})
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
     m, _ = mmdp_from_game(random_monotone_game(MAX_AGENTS, 0))
     behavior = JointPolicy((AgentPolicy(np.tile([0.8, 0.2], (2, 1))),) * MAX_AGENTS)
     rows = planning.coalition_values(m, behavior)

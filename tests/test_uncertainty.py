@@ -95,6 +95,17 @@ def test_sample_center_is_deterministic_and_contains_truth():
                for a, b in zip(uset.center.agents, other.center.agents))
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP small item, L3 ball sampler: its box rejection "
+                          "accepts about 1/(k - 1)! of its draws")
+def test_sample_center_draws_a_ball_row_for_twelve_actions():
+    """A 12-action uniform agent at radius 0.05 gets a center whose ball
+    holds it; today the sampler gives up after 1,024,000 draws."""
+    truth = JointPolicy((AgentPolicy.uniform(1, 12),))
+    uset = sample_center(truth, 0.05, seed=0)
+    assert uset.truth is truth and uset.contains(truth)
+
+
 def test_sample_center_zero_radius_and_agent_filter():
     rng = np.random.default_rng(31)
     m = random_mmdp(rng, num_states=3, action_counts=(2, 3))
@@ -861,13 +872,11 @@ def test_the_max_policy_is_handed_out_read_only(monkeypatch):
 def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
     """100 distinct games and uncertainty sets leave no memo table above
     MEMO_ENTRIES, and no game older than those kept alive by one. The
-    coalition values memo takes both the games' behaviors and the centers."""
+    game memo takes both the games' behaviors and the centers' values."""
     tables = [{}, {}, {}]
     for module, name, table in zip((planning, uncertainty, attribution),
                                    ("_GAME_CACHE", "_BOUNDS_CACHE", "_HELD"), tables):
         monkeypatch.setattr(module, name, table)
-    values = {}
-    monkeypatch.setattr(planning, "_VALUES_CACHE", values)
     m = bandit_model(np.zeros(4), (2, 2))
     refs = []
     for k in range(100):
@@ -876,8 +885,7 @@ def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
         refs.append(weakref.ref(game))
         center = bandit_center([(0.5, 0.5), (0.5 + k / 400, 0.5 - k / 400)])
         robust_bounds(m, UncertaintySet(center, 0.1), False)
-        assert [len(table) for table in tables] == [min(k + 1, MEMO_ENTRIES)] * 3
-        assert len(values) == MEMO_ENTRIES
+        assert [len(table) for table in tables] == [MEMO_ENTRIES] + [min(k + 1, MEMO_ENTRIES)] * 2
     del game
     gc.collect()
     assert [ref() is not None for ref in refs] == [False] * 98 + [True] * 2
@@ -977,8 +985,7 @@ def test_a_robust_run_reads_its_best_responses_off_the_center_sweep(monkeypatch,
         raise AssertionError("the robust layer solved a best response")
 
     cli._robustness_setup(env)  # the gridworld's plans are solved once per process
-    for module, name in ((planning, "_GAME_CACHE"), (planning, "_VALUES_CACHE"),
-                         (uncertainty, "_BOUNDS_CACHE")):
+    for module, name in ((planning, "_GAME_CACHE"), (uncertainty, "_BOUNDS_CACHE")):
         monkeypatch.setattr(module, name, {})
     monkeypatch.setattr(uncertainty, "best_response", refuse)
     with mock.patch.object(planning, "_coalition_chunks",
