@@ -34,10 +34,14 @@
 #   - the same dump, into its own file, for explicit joint tables: the
 #     `joint_table` of the mixed one-step behaviors at n = 8 and 12, of the
 #     robustness graph's behavior and of the perm gridworld behavior at
-#     alpha_prime 0.5, so that a bit-level move in the path that gathers
-#     each chunk's rows and marginalizes through `_induced` shows beside
-#     the robust `max_policy()` digests. A joint table shares its product's
-#     memo key, so these run in a process of their own;
+#     alpha_prime 0.5, and the `max_policy()` of each set the robust
+#     experiments draw at seeds 0 and 1 and their default eps levels (the
+#     gridworld at exact=None and exact=False, the robustness graph at
+#     exact=False), the one place where a complement plays some but not all
+#     of its actions, so that a bit-level move in the path that gathers
+#     each chunk's index and marginalizes through `_induced` shows. A joint
+#     table shares its product's memo key, so these run in a process of
+#     their own;
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
 #     robust experiments draw at seeds 0 and 1 and their default eps levels:
@@ -177,10 +181,12 @@ for label, model, behavior in models:
 EOF
     echo "exit $?" >> "$2/coalition_values.txt"
     PYTHONPATH="$1" python - > "$2/coalition_values_explicit.txt" 2>&1 <<'EOF'
+from blamekit.cli import _robustness_setup
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.mmdp import AgentPolicy, JointPolicy
 from blamekit.planning import coalition_values, mmdp_from_game
 from blamekit.properties import random_monotone_game
+from blamekit.uncertainty import RobustBounds, sample_center
 models = [(f"one-step n={n} mixed", mmdp_from_game(random_monotone_game(n, 0))[0],
            JointPolicy((AgentPolicy([[0.8, 0.2], [0.8, 0.2]]),) * n))
           for n in (8, 12)]
@@ -190,6 +196,16 @@ models.append(("gridworld alpha_prime=0.5",
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior.joint_table(model))):
         print(label, "joint table", mask, " ".join(float(x).hex() for x in row))
+# the explicit tables sv_valid sweeps
+for env, exact in (("gridworld", None), ("gridworld", False), ("graph", False)):
+    model, behavior, uncertain, eps_levels, _, _ = _robustness_setup(env)
+    for eps in eps_levels:
+        for seed in (0, 1):
+            policy = RobustBounds(model, sample_center(behavior, eps, seed, uncertain),
+                                  exact).max_policy()
+            for mask, row in enumerate(coalition_values(model, policy)):
+                print(f"{env} exact={exact} eps={eps} seed={seed} max_policy", mask,
+                      " ".join(float(x).hex() for x in row))
 EOF
     echo "exit $?" >> "$2/coalition_values_explicit.txt"
 }

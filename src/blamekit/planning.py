@@ -184,39 +184,36 @@ class BestResponse:
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
-def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (values, offsets, weights): values[offsets[M]:offsets[M + 1]]
-    lists, ascending, the joint actions in which only mask M's agents move,
-    each at its digits dotted with weights[M]. Step i fills masks 2^i to
-    2^(i+1) - 1 in place, adding agent i as the least significant digit."""
+def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (values, offsets): values[offsets[M]:offsets[M + 1]] lists,
+    ascending, the joint actions in which only mask M's agents move. Step i
+    fills masks 2^i to 2^(i+1) - 1 in place, adding agent i as the least
+    significant digit."""
     n = len(action_counts)
     values = np.zeros(math.prod(k + 1 for k in action_counts), dtype=np.int64)
     offsets = np.zeros((1 << n) + 1, dtype=np.int64)
     offsets[1] = end = 1
-    weights = np.zeros((1 << n, n), dtype=np.int64)
     for i, k in enumerate(action_counts):
         low, stride = 1 << i, math.prod(action_counts[i + 1:])
         np.add(values[:end, None], np.arange(0, k * stride, stride),
                values[end:end * (k + 1)].reshape(end, k))
         offsets[low:2 * low + 1] = offsets[:low + 1] * k + end
-        np.multiply(weights[:low], k, weights[low:2 * low])
-        weights[low:2 * low, i] = 1
         end *= k + 1
-    return _read_only(values), _read_only(offsets), _read_only(weights)
+    return _read_only(values), _read_only(offsets)
 
 
 def _rows(grid, masks) -> np.ndarray:
     """`_subgrids` rows (..., A_C) of one mask or a stack with equal A_C."""
-    values, offsets, _ = grid
+    values, offsets = grid
     first = masks.flat[0]
     return values[offsets[masks][..., None]
                   + np.arange(offsets[first + 1] - offsets[first])]
 
 
-def _tables(grid, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_induced`'s input for a mask or equal-A_C stack: `_rows`, complement `_rows`, weights."""
-    others = (grid[1].size - 2) ^ masks
-    return _rows(grid, masks), _rows(grid, others), grid[2][others]
+def _index(grid, masks) -> np.ndarray:
+    """`coalition_action_index` (..., A_C, A_D) of one mask or an equal-A_C
+    stack: its `_rows` beside its complement's."""
+    return _rows(grid, masks)[..., None] + _rows(grid, (grid[1].size - 2) ^ masks)[..., None, :]
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
@@ -231,9 +228,7 @@ def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
     """Index array of shape (A_C, A_D) mapping coalition/complement action
     pairs (both in sorted-agent lexicographic order) to joint-action indices:
     a joint index is the sum of its coalition's and its complement's parts."""
-    mask = np.int64(coalition_mask(coalition, m.num_agents))
-    inside, outside, _ = _tables(_subgrids(m.action_counts), mask)
-    return inside[:, None] + outside
+    return _index(_subgrids(m.action_counts), np.int64(coalition_mask(coalition, m.num_agents)))
 
 
 def coalition_tables(m: Mmdp, flat: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -263,37 +258,15 @@ def marginalize(q: np.ndarray, reward: np.ndarray, transitions, blocks) -> tuple
              for (s, *_), p in zip(blocks, transitions)])
 
 
-def _played(m: Mmdp, table: np.ndarray):
-    """(state, per-agent digits (n, P), probability) of the P nonzero
-    entries of a behavior table, in (state, joint action) order."""
-    states, actions = np.nonzero(table)
-    return (states, np.array(np.unravel_index(actions, m.action_counts)),
-            table[states, actions])
-
-
-def _induced(m: Mmdp, played, inside, outside, weights, blocks) -> tuple:
-    """`induced_mdp` for one mask or a stack of masks with equal A_C, from
-    their `_tables`: `marginalize` over `coalition_tables` at the W <= A_D
-    complement actions q plays (q != 0, ascending, zero-padded to the widest row)."""
-    states, digits, probs = played
-    num_d = outside.shape[-1]
-    # q (..., S, A_D), each complement action at its digits dotted with the
-    # weights: bincount adds each (P, ...) bin's played terms in joint-action
-    # order, as the sum over the coalition's actions, less zeros
-    member = np.arange(outside.size // num_d).reshape(outside.shape[:-1])
-    column = states.reshape(-1, *[1] * member.ndim)
-    bins = (member * m.num_states + column) * num_d + digits.T @ weights.T
-    q = np.bincount(bins.ravel(), np.repeat(probs, member.size),
-                    member.size * m.num_states * num_d).reshape(*member.shape, -1, num_d)
+def _induced(m: Mmdp, table: np.ndarray, idx: np.ndarray, blocks) -> tuple:
+    """`induced_mdp` for one `coalition_action_index` or a stack of them:
+    `marginalize` over `coalition_tables` at every complement action, with
+    q the behavior's complement conditional (..., S, A_D)."""
+    flat = _flat_index(m, idx)
+    q = np.take(table, flat).sum(axis=-2)
     totals = q.sum(axis=-1)
     # guard against all-zero rows (cannot happen for valid behaviors)
     q = q / np.where(totals > 0, totals, 1.0)[..., None]
-    keep = np.argsort(zero := q == 0, axis=-1, kind="stable")[..., :num_d - zero.sum(-1).min()]
-    # each member's kept complement actions, read from its row of `outside`
-    kept = outside.reshape(-1)[(member * num_d)[..., None, None] + keep]
-    flat = _flat_index(m, inside[..., None]) + kept[..., None, :]
-    rows = np.arange(0, q.size, num_d).reshape(q.shape[:-1])  # each q row's flat start
-    q = q.reshape(-1)[rows[..., None] + keep]
     return marginalize(q, *coalition_tables(m, flat, blocks), blocks)
 
 
@@ -304,11 +277,9 @@ def induced_mdp(m: Mmdp, behavior, coalition) -> tuple[np.ndarray, np.ndarray, n
     conditional (for factorized behaviors this is the product of the
     complement's rows). Returns (reward (S, A_C), transition (S, A_C, S), idx).
     """
-    mask = np.int64(coalition_mask(coalition, m.num_agents))
-    played = _played(m, as_joint_table(m, behavior))
-    inside, outside, weights = _tables(_subgrids(m.action_counts), mask)
-    r, (p,) = _induced(m, played, inside, outside, weights, [_whole(m)])
-    return r, p, inside[:, None] + outside  # coalition_action_index, from the rows gathered
+    idx = coalition_action_index(m, coalition)
+    r, (p,) = _induced(m, as_joint_table(m, behavior), idx, [_whole(m)])
+    return r, p, idx
 
 
 def solve_mdp(r: np.ndarray, p: np.ndarray, gamma: float,
@@ -365,7 +336,7 @@ def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
     """Optimal deterministic deviation of `coalition` against `behavior`."""
-    agents = sorted(coalition)
+    agents = mask_agents(coalition_mask(coalition, m.num_agents), m.num_agents)
     r_c, p_c, idx = induced_mdp(m, behavior, agents)
     v, pol = solve_mdp(r_c, p_c, m.discount)
     # each state's chosen joint action with the complement's digits at 0
@@ -385,24 +356,24 @@ def optimal_joint(m: Mmdp) -> BestResponse:
 
 _GAME_CACHE: dict[bytes, tuple[np.ndarray, CharacteristicGame]] = {}  # values and their game
 
-# Most elements a sweep chunk's stacked tables may hold: K * (S * A_D + A_C * W * (2 * S +
-# sum of L * Z)), q, the reward gather and its index at the W complement actions a joint table
-# plays and each block's L states at its Z columns; a lattice's slices: no q, W = 1.
+# Most elements a sweep chunk's stacked tables may hold: K * W * (S + A_C * (3 * S + sum of
+# L * Z)) for a joint table at its W = A_D complement actions: q, the index, the table's and the
+# reward's gathers and each block's L states at its Z columns; a lattice's slices: no q and no
+# table gather, W = 1.
 _GATHER_BUDGET = 1 << 15
 
 
-def _coalition_chunks(m: Mmdp, played, blocks) -> Iterator[np.ndarray]:
+def _coalition_chunks(m: Mmdp, joint: bool, blocks) -> Iterator[np.ndarray]:
     """The masks of every nonempty coalition, cut from its `_groups` entry into
-    chunks whose tables for `blocks` fit _GATHER_BUDGET: W = min(A_D, P), P the
-    most joint actions `played` in one state, or with none 1 and no q."""
-    S = m.num_states  # the elements per (coalition, played complement) action pair:
-    span = 2 * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
-    most = 1 if played is None else int(np.bincount(played[0], minlength=S).max())
+    chunks whose tables for `blocks` fit _GATHER_BUDGET, a `joint` table's at
+    every complement action."""
+    S = m.num_states  # the elements per (coalition, complement) action pair:
+    span = (2 + joint) * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
     sizes = np.diff(_subgrids(m.action_counts)[1])  # A_C, by mask
     for masks in _groups(m.action_counts):
-        num_c, num_d = int(sizes[masks[0]]), m.num_joint_actions // int(sizes[masks[0]])
-        per_coalition = (played is not None) * S * num_d + num_c * min(num_d, most) * span
-        per_chunk = max(1, _GATHER_BUDGET // per_coalition)
+        num_c = int(sizes[masks[0]])
+        width = m.num_joint_actions // num_c if joint else 1
+        per_chunk = max(1, _GATHER_BUDGET // (width * (joint * S + num_c * span)))
         for first in range(0, masks.size, per_chunk):
             yield masks[first:first + per_chunk]
 
@@ -463,8 +434,8 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
                 ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], block[1]])
                 rows[masks[:, None], states] = (r + m.discount * ahead).max(axis=-1)
         if not isinstance(behavior, JointPolicy):  # a joint table: `_induced` per chunk
-            for masks in _coalition_chunks(m, played := _played(m, table), blocks):
-                r, ps = _induced(m, played, *_tables(_subgrids(m.action_counts), masks), blocks)
+            for masks in _coalition_chunks(m, True, blocks):
+                r, ps = _induced(m, table, _index(_subgrids(m.action_counts), masks), blocks)
                 for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
                     settle(masks, states, block, r[:, states], p)
             return rows
@@ -472,7 +443,7 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
         dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
         probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
         chunks = [(masks, offsets[masks][:, None, None] + np.arange(offsets[masks[0] + 1] - offsets[masks[0]]))
-                  for masks in _coalition_chunks(m, None, blocks)]
+                  for masks in _coalition_chunks(m, False, blocks)]
         for states, block in steps:  # each step's lattice alive only while it runs
             lattice = _lattice([p[states] for p in probs], dead[states], m.reward[states],
                                *[] if block is None else [block[2]])  # reward, transitions

@@ -386,8 +386,8 @@ def monotone_closure_loop(values, n):
     return closed
 
 
-# The full-width contraction over every complement action, and the kernel
-# as it was before q was scattered from the played entries: the references
+# The full-width contraction over every complement action, of the whole
+# model or cut to a block's states and columns: the references
 # `planning._induced` must match.
 
 def index_stack(m, masks):
@@ -432,19 +432,14 @@ def induced_full(m, table, idx):
 
 
 def induced_gathered(m, table, idx, blocks):
-    """The gathered q compressed to each row's played complement actions
-    (ascending, zero-padded to the widest row), then contracted with the
-    reward (..., S, A_C) and, per block (states, columns, ...) of
-    `planning._induced`, with the transitions (..., L, A_C, Z) of its states
-    into its columns, each taken S wide and cut to the block (into C order,
-    the layout of the kernel's own gathers, which fixes einsum's sums)."""
+    """`induced_full`'s reward (..., S, A_C) and, per block (states, columns,
+    ...) of `planning._induced`, its transitions (..., L, A_C, Z): each
+    block's gather taken S wide and cut to the block's states and columns
+    before the contraction (into C order, the layout of the kernel's own
+    gathers, which fixes einsum's sums)."""
     q = complement_conditional(m, table, idx)
-    keep = np.argsort(q == 0, axis=-1, kind="stable")[..., :np.count_nonzero(q, -1).max()]
-    q = np.take_along_axis(q, keep, -1)
-    outside = np.take_along_axis(idx[..., None, 0, :], keep, -1)
-    flat = flat_index(m, idx[..., :1]) + outside[..., None, :]
-    transition = np.take(m.transition.reshape(-1, m.num_states), flat, axis=0)
-    return (np.einsum("...sd,...scd->...sc", q, np.take(m.reward, flat)),
+    reward, transition = coalition_tables_full(m, idx)
+    return (np.einsum("...sd,...scd->...sc", q, reward),
             [np.einsum("...sd,...scdt->...sct", q[..., states, :],
                        np.ascontiguousarray(transition[..., states, :, :, :][..., columns]))
              for states, columns, *_ in blocks])

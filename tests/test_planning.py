@@ -28,8 +28,7 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
-from helpers import (assert_same_model, complement_columns,
-                     complement_conditional, compose, flat_index, index_stack,
+from helpers import (assert_same_model, complement_columns, compose, index_stack,
                      induced_full, induced_gathered, kahn_order,
                      mmdp_from_game_scatter, random_acyclic_mmdp,
                      random_factorized, random_mmdp)
@@ -95,6 +94,8 @@ _MODEL, _BEHAVIOR = mmdp_from_game(_GAME)
                  "agent index '2' is not an integer", id="string"),
     pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, (True,)),
                  "agent index True is not an integer", id="bool"),
+    pytest.param(lambda: best_response(_MODEL, _BEHAVIOR, [1, "a"]),
+                 "agent index 'a' is not an integer", id="best-response-mixed"),
     pytest.param(lambda: _GAME.value([0, np.bool_(True)]),
                  "agent index np.True_ is not an integer", id="numpy-bool"),
     pytest.param(lambda: _GAME.value(True), "coalition True is a bool",
@@ -421,9 +422,9 @@ def test_induced_mdp_marginalizes_complement():
 
 
 def test_induced_mdp_gathers_its_coalition_rows_once():
-    """induced_mdp builds its (A_C, A_D) index from the coalition and
-    complement rows it gathers for the kernel: 2 `_rows` calls, not the 4
-    of a second gather through coalition_action_index, for the same index."""
+    """induced_mdp hands the kernel coalition_action_index's (A_C, A_D) index
+    and returns it: 2 `_rows` calls (the coalition's and the complement's),
+    not the 4 of a second gather, for the same index."""
     m, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     for mask in range(1, 1 << m.num_agents):
         coalition = mask_agents(mask, m.num_agents)
@@ -499,69 +500,42 @@ def _behavior_table(rng, m, kind):
        action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
        num_states=st.integers(1, 4),
        kind=st.sampled_from(["deterministic", "partial", "full", "explicit"]))
-def test_compressed_induced_matches_the_full_contraction(seed, action_counts,
-                                                         num_states, kind):
-    """Gathering only the played complement actions changes nothing when
-    every (member, state) plays at most two of them or all of them (the
-    dropped terms are exact zeros), and otherwise moves a sum by rounding
-    only (einsum may group three or more terms differently), for stacked
-    chunks and lone coalitions alike, and for each block's transitions
-    against the full ones' rows and columns of that block."""
+def test_induced_is_the_full_contraction_bit_for_bit(seed, action_counts, num_states, kind):
+    """The kernel gathers and contracts at every complement action, played
+    or not (the explicit table's -0.0 and -1e-17 entries included), so its
+    reward and whole-model transitions are `induced_full`'s byte for byte,
+    for stacked chunks and lone coalitions alike, and so is a lone
+    coalition's induced_mdp."""
     rng = np.random.default_rng(seed)
     m = random_mmdp(rng, num_states, tuple(action_counts))
     table = _behavior_table(rng, m, kind)
     for idx, masks, blocks, (reward, transitions) in _kernel_cases(m, table):
-        q = complement_conditional(m, table, idx)
-        played = np.count_nonzero(q, axis=-1)
-        exact = ((played <= 2) | (played == q.shape[-1])).all()
-        # a sum's rounding scales with the sum of its absolute terms
-        whole = [planning._whole(m)]
-        gathered_r, (gathered_p,) = planning.coalition_tables(m, flat_index(m, idx), whole)
-        bound_r, (bound_p,) = planning.marginalize(
-            np.abs(q), np.abs(gathered_r), [np.abs(gathered_p)], whole)
         full_r, full_p = induced_full(m, table, idx)
-        cases = [(reward, full_r, bound_r)] + [
-            (p, full_p[..., s, :, :][..., z], bound_p[..., s, :, :][..., z])
-            for (s, z, *_), p in zip(blocks, transitions, strict=True)]
-        for fast, full, bound in cases:
+        cases = [(reward, full_r)] + [(p, full_p) for (s, *_), p in zip(blocks, transitions, strict=True)
+                                      if isinstance(s, slice)]
+        if masks.ndim == 0:
+            coalition = mask_agents(int(masks), m.num_agents)
+            cases += zip(induced_mdp(m, table, coalition), (full_r, full_p, idx))
+        for fast, full in cases:
             assert fast.shape == full.shape and fast.dtype == full.dtype
-            if exact:
-                assert fast.tobytes() == full.tobytes()
-            else:
-                assert (np.abs(fast - full) <= 1e-14 * bound).all()
+            assert fast.tobytes() == full.tobytes()
 
 
 def _kernel_cases(m, table):
     """(index (stack), masks, blocks, planning._induced's tables) for every
-    sweep chunk, stacked, and for each of its coalitions alone (its entries
-    of the chunk's tables), under the sweep's own blocks and, where
-    those are a level's, under the whole-model block as well."""
-    _, played, swept = args = _sweep_args(m, table)
+    sweep chunk, stacked (at the sweep's own index, which is
+    coalition_action_index's), and for each of its coalitions alone, under
+    the sweep's own blocks and, where those are a level's, under the
+    whole-model block as well."""
+    _, _, swept = args = _sweep_args(m, table)
     cases = [swept] if planning._topological_levels(m) is None else [swept, [planning._whole(m)]]
     for chunk in planning._coalition_chunks(*args):
-        stack = index_stack(m, chunk)
-        tables = planning._tables(planning._subgrids(m.action_counts), chunk)
+        stack = planning._index(planning._subgrids(m.action_counts), chunk)
+        np.testing.assert_array_equal(stack, index_stack(m, chunk))
         for blocks in cases:
-            yield stack, chunk, blocks, planning._induced(m, played, *tables, blocks)
-            for j, (idx, mask) in enumerate(zip(stack, chunk)):
-                yield idx, mask, blocks, planning._induced(m, played, *(t[j] for t in tables),
-                                                          blocks)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-       num_states=st.integers(1, 4),
-       kind=st.sampled_from(["deterministic", "partial", "full", "explicit"]))
-def test_scattered_conditional_is_the_gathered_kernel_bit_for_bit(
-        seed, action_counts, num_states, kind):
-    """Scattering q from the behavior's nonzero entries adds the same terms
-    in the same order as gathering and summing it over the full index, so
-    the kernel's reward and block transitions equal the gathered kernel's
-    byte for byte, stacked and alone, and so do induced_mdp's."""
-    rng = np.random.default_rng(seed)
-    m = random_mmdp(rng, num_states, tuple(action_counts))
-    _assert_kernel_is_gathered(m, _behavior_table(rng, m, kind))
+            yield stack, chunk, blocks, planning._induced(m, table, stack, blocks)
+            for idx, mask in zip(stack, chunk):
+                yield idx, mask, blocks, planning._induced(m, table, idx, blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,18 +547,15 @@ def test_scattered_conditional_is_the_gathered_kernel_bit_for_bit(
 def test_level_blocks_are_the_gathered_kernel_bit_for_bit(seed, action_counts, num_states,
                                                           model, kind):
     """On an acyclic model the sweep passes one block per later level, and
-    each block's transitions are the S-wide gathered kernel's, cut to the
-    block's states and successor columns, byte for byte."""
+    each block's transitions are the full contraction of the S-wide gather
+    cut to the block's states and successor columns before it is
+    contracted, byte for byte, stacked and alone; a lone coalition's
+    induced_mdp is the whole-model one."""
     rng = np.random.default_rng(seed)
     counts = tuple(action_counts)
     m = (random_acyclic_mmdp(rng, num_states, counts) if model == "dense"
          else _one_hot_layered(rng, counts, num_states))
-    _assert_kernel_is_gathered(m, _behavior_table(rng, m, kind))
-
-
-def _assert_kernel_is_gathered(m, table):
-    """Each `_kernel_cases` kernel output is `induced_gathered`'s under the
-    same blocks, and a lone coalition's induced_mdp its whole-model one."""
+    table = _behavior_table(rng, m, kind)
     for idx, masks, blocks, (reward, transitions) in _kernel_cases(m, table):
         slow_r, slow_p = induced_gathered(m, table, idx, blocks)
         assert len(transitions) == len(slow_p) == len(blocks)
@@ -604,8 +575,8 @@ def _assert_kernel_is_gathered(m, table):
 @example([1, 1])
 def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
     """Row M of the sub-grid table is every joint action whose digits off M
-    are zero, ascending, and weights[M] gives each one's place in the row."""
-    values, offsets, weights = planning._subgrids(tuple(action_counts))
+    are zero, ascending."""
+    values, offsets = planning._subgrids(tuple(action_counts))
     n = len(action_counts)
     digits = np.array(list(itertools.product(*map(range, action_counts))))
     assert values.dtype == np.int64
@@ -615,8 +586,6 @@ def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
         expected = np.flatnonzero((digits[:, off] == 0).all(axis=1))
         row = values[offsets[mask]:offsets[mask + 1]]
         np.testing.assert_array_equal(row, expected)
-        np.testing.assert_array_equal(digits[row] @ weights[mask],
-                                      np.arange(row.size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -695,8 +664,7 @@ def test_sweep_groups_hold_read_only_masks_alone(counts):
                                                      key=lambda mask: offsets[mask + 1] - offsets[mask])
     assert sum(masks.nbytes for masks in groups) < 1 << 16
     m = random_mmdp(np.random.default_rng(32), num_states=2, action_counts=counts[:5])
-    chunks = planning._coalition_chunks(m, planning._played(m, _behavior_table(
-        np.random.default_rng(33), m, "full")), [planning._whole(m)])
+    chunks = planning._coalition_chunks(m, True, [planning._whole(m)])
     for masks in itertools.chain(groups, chunks):
         assert isinstance(masks, np.ndarray) and masks.dtype == np.int64
         assert not masks.flags.writeable
@@ -706,9 +674,9 @@ def test_sweep_groups_hold_read_only_masks_alone(counts):
 
 def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
     """From a cleared `_groups` cache, a `JointPolicy` sweep reads its lattice
-    at mask offsets alone and calls neither `_rows` nor `_tables`, on a cyclic,
+    at mask offsets alone and calls neither `_rows` nor `_index`, on a cyclic,
     a layered and a one-step model; the same behavior's joint table builds
-    its rows per chunk, one `_tables` call each."""
+    its index per chunk, one `_index` call each."""
     rng = np.random.default_rng(31)
     cases = [(m, random_factorized(rng, m)) for m in (
         random_mmdp(rng, num_states=3, action_counts=(2, 3, 1, 2)),
@@ -719,13 +687,13 @@ def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
         monkeypatch.setattr(planning, "_GAME_CACHE", {})
         planning._groups.cache_clear()
         with mock.patch.object(planning, "_rows", side_effect=refuse), \
-                mock.patch.object(planning, "_tables", side_effect=refuse):
+                mock.patch.object(planning, "_index", side_effect=refuse):
             planning.coalition_values(m, behavior)
         table = behavior.joint_table(m)
         planning._GAME_CACHE.clear()  # the joint table has the product's key
-        with mock.patch.object(planning, "_tables", wraps=planning._tables) as tables:
+        with mock.patch.object(planning, "_index", wraps=planning._index) as index:
             planning.coalition_values(m, table)
-        assert tables.call_count == len(_sweep_chunks(m, table))
+        assert index.call_count == len(_sweep_chunks(m, table))
 
 
 def test_clearing_the_game_memo_sweeps_the_values_again(monkeypatch):
@@ -773,7 +741,7 @@ def test_characteristic_game_does_not_depend_on_the_chunk_budget(monkeypatch,
 
 
 def _sweep_args(m, table):
-    """The (model, played entries, blocks) the sweep passes `_coalition_chunks`."""
+    """The (model, joint-table flag, blocks) the sweep passes `_coalition_chunks`."""
     with mock.patch.object(planning, "_coalition_chunks",
                            wraps=planning._coalition_chunks) as sweep, \
             mock.patch.object(planning, "_GAME_CACHE", {}):
@@ -786,15 +754,20 @@ def _sweep_chunks(m, table):
     return list(planning._coalition_chunks(*_sweep_args(m, table)))
 
 
+@pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
-def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
-    """A mmdp_from_game behavior plays one joint action per state and its
-    model has one level, so each coalition is budgeted at its S * A_D
-    conditional and its 2 * S * A_C reward gather and index (S * A_C * S at
-    S = 2): every joint-action count group
-    is one chunk where the budget holds it, and otherwise the fewest chunks
-    it allows, 7, 8, 9, 16, 38 and 106 at n = 7 to 12."""
+def test_game_model_sweep_is_one_chunk_per_joint_action_group(n, mixed):
+    """A mmdp_from_game model has one level, so each coalition of its joint
+    table is budgeted at its S * A_D conditional and, at every one of its
+    A_C * A_D action pairs, its index and its gathers of the table and the
+    reward, 3 * S: every joint-action count group is one chunk where the
+    budget holds it, and otherwise the fewest chunks it allows, 7, 17, 55,
+    210, 1027 and 4095 at n = 7 to 12, whether the table plays one joint
+    action (the model's own behavior) or all of them (every agent at
+    (0.8, 0.2))."""
     m, behavior = mmdp_from_game(random_monotone_game(n, 0))
+    if mixed:
+        behavior = JointPolicy((AgentPolicy(np.tile([0.8, 0.2], (2, 1))),) * n)
     chunks = _sweep_chunks(m, as_joint_table(m, behavior))
     S = m.num_states
     # binary agents: a coalition of k has A_C = 2^k and A_D = 2^(n - k)
@@ -806,9 +779,9 @@ def test_game_model_sweep_is_one_chunk_per_joint_action_group(n):
     for k, group in groups.items():
         members = np.concatenate(group)
         assert (sizes[members] == k).all() and members.size == math.comb(n, k)
-        cost = S * ((1 << n - k) + (1 << k) * S)
-        assert len(group) == -(-members.size // (planning._GATHER_BUDGET // cost))
-    assert len(chunks) == {7: 7, 8: 8, 9: 9, 10: 16, 11: 38, 12: 106}[n]
+        cost = S * (1 << n - k) * (1 + 3 * (1 << k))
+        assert len(group) == -(-members.size // max(1, planning._GATHER_BUDGET // cost))
+    assert len(chunks) == {7: 7, 8: 17, 9: 55, 10: 210, 11: 1027, 12: 4095}[n]
 
 
 @pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
@@ -816,11 +789,11 @@ def test_a_product_sweep_budgets_its_chunks_without_a_conditional(n):
     """The same game model swept under its JointPolicy reads lattice slices:
     no complement conditional and one complement action, so a coalition costs
     A_C * 2 * S, and the groups past the budget take 13, 29 and 72 chunks at
-    n = 10 to 12, not the joint table's 16, 38 and 106."""
+    n = 10 to 12, not the joint table's 210, 1027 and 4095."""
     m, behavior = mmdp_from_game(random_monotone_game(n, 0))
-    model, played, blocks = _sweep_args(m, behavior)
-    assert played is None and blocks == []
-    chunks = list(planning._coalition_chunks(model, played, blocks))
+    model, joint, blocks = _sweep_args(m, behavior)
+    assert joint is False and blocks == []
+    chunks = list(planning._coalition_chunks(model, joint, blocks))
     sizes = planning.membership(n).sum(axis=1)
     for k in range(1, n + 1):
         group = [chunk for chunk in chunks if sizes[chunk[0]] == k]
@@ -830,7 +803,7 @@ def test_a_product_sweep_budgets_its_chunks_without_a_conditional(n):
 
 
 @pytest.mark.parametrize("variant, level, count", [
-    *(("coordination", level, 4) for level in range(1, 5)), ("robustness", 1, 8)])
+    *(("coordination", level, 8) for level in range(1, 5)), ("robustness", 1, 8)])
 def test_graph_sweeps_take_the_chunks_their_successor_gathers_allow(variant, level, count):
     """Each later level of the graph's 66 states reaches 16 of them, so a
     coalition's chunk budget counts 16 successor columns per level, not 66."""
@@ -871,13 +844,11 @@ def _successor_span(m):
 def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts, num_states,
                                                     model, kind, budget):
     """On the arguments the sweep passes, every nonempty coalition lands in
-    one chunk of equal A_C, and a chunk of K > 1 holds at most K * (S * A_D
-    + A_C * W * (2 * S + sum of L * Z)) elements, W being the width its
-    complement conditional is padded to and L * Z, over the blocks, a
+    one chunk of equal A_C, and a chunk of K > 1 holds at most K * A_D * (S
+    + A_C * (3 * S + sum of L * Z)) elements, L * Z being, over the blocks, a
     block's state count times its column count: S * S for a cyclic model's
     one block, and on an acyclic one each later level's size times its
-    successor count. Each A_C group takes the fewest chunks that allows when
-    W is the behavior's widest."""
+    successor count. Each A_C group takes the fewest chunks that allows."""
     rng = np.random.default_rng(seed)
     # a layered model needs a terminal state below its others, so it takes 2 states at least
     m = {"cyclic": random_mmdp, "dense acyclic": random_acyclic_mmdp,
@@ -890,18 +861,15 @@ def test_sweep_chunks_stay_within_the_gather_budget(seed, action_counts, num_sta
     with mock.patch.object(planning, "_GATHER_BUDGET", budget):
         chunks = _sweep_chunks(m, table)
     assert sorted(np.concatenate(chunks)) == list(range(1, 1 << m.num_agents))
-    per_pair = 2 * S + (S * S if span is None else span)
-    most = np.count_nonzero(table, axis=1).max()
+    per_pair = 3 * S + (S * S if span is None else span)
     groups = {}
     for chunk in chunks:
-        idx = index_stack(m, chunk)
-        width = np.count_nonzero(complement_conditional(m, table, idx), -1).max()
-        _, num_c, num_d = idx.shape
+        _, num_c, num_d = index_stack(m, chunk).shape
         if chunk.size > 1:
-            assert chunk.size * (S * num_d + num_c * width * per_pair) <= budget
+            assert chunk.size * num_d * (S + num_c * per_pair) <= budget
         groups.setdefault((num_c, num_d), []).append(chunk.size)
     for (num_c, num_d), sizes in groups.items():
-        cost = S * num_d + num_c * min(num_d, most) * per_pair
+        cost = num_d * (S + num_c * per_pair)
         assert len(sizes) == -(-sum(sizes) // max(1, budget // cost))
 
 
