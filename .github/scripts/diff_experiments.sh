@@ -35,7 +35,7 @@
 #     `joint_table` of the mixed one-step behaviors at n = 8 and 12, of the
 #     robustness graph's behavior and of the perm gridworld behavior at
 #     alpha_prime 0.5, and the `max_policy()` of each set the robust
-#     experiments draw at seeds 0 and 1 and their default eps levels (the
+#     experiments draw at seeds 0 to 9 and their default eps levels (the
 #     gridworld at exact=None and exact=False, the robustness graph at
 #     exact=False), the one place where a complement plays some but not all
 #     of its actions, so that a bit-level move in the path that gathers
@@ -44,7 +44,7 @@
 #     their own;
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
-#     robust experiments draw at seeds 0 and 1 and their default eps levels:
+#     robust experiments draw at seeds 0 to 9 and their default eps levels:
 #     on the gridworld (exact=None, its exact ball, and exact=False) and on
 #     the robustness graph (exact=False, as the experiment runs it, and
 #     exact=None: the ball where one agent is outside the coalition, else
@@ -200,7 +200,7 @@ for label, model, behavior in models:
 for env, exact in (("gridworld", None), ("gridworld", False), ("graph", False)):
     model, behavior, uncertain, eps_levels, _, _ = _robustness_setup(env)
     for eps in eps_levels:
-        for seed in (0, 1):
+        for seed in range(10):
             policy = RobustBounds(model, sample_center(behavior, eps, seed, uncertain),
                                   exact).max_policy()
             for mask, row in enumerate(coalition_values(model, policy)):
@@ -221,7 +221,7 @@ for env, exact in (("gridworld", None), ("gridworld", False),
     model, behavior, uncertain, eps_levels, _, _ = _robustness_setup(env)
     n = model.num_agents
     for eps in eps_levels:
-        for seed in (0, 1):
+        for seed in range(10):
             bounds = RobustBounds(model, sample_center(behavior, eps, seed, uncertain), exact)
             label = f"{env} exact={exact} eps={eps} seed={seed}"
             for mask in range(1 << n):

@@ -19,14 +19,18 @@ Chooser feasible sets, from tightest to loosest:
 set per subproblem (`RobustBounds._path`), and False forces the relaxed box.
 
 Every chooser table over complement joint actions is a product of per-agent
-rows read at the complement's digits. An acyclic model takes one backward
-pass, one chooser call per topological level; a cyclic one alternates sweeps,
-one chooser call over every nonterminal state, with exact evaluation of the
-chosen conditional until the values settle relative to their scale.
+rows read at the complement's digits. `_chooser` builds the tables that one
+(coalition, mode) reads; `_CHOOSERS` holds one function per (set, mode) of
+a stack of states' backups and those tables' rows. An acyclic model takes
+one backward pass, one chooser call per topological level; a cyclic one
+alternates sweeps, one chooser call over every nonterminal state, with exact
+evaluation of the chosen conditional until the values settle relative to
+their scale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,126 +153,106 @@ def _best_dot(rows: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _best_row((q[..., None, :] @ rows[..., :, None])[..., 0, 0], q)
 
 
-class _CoalitionProblem:
-    """Precomputation for one (coalition, mode) robust recursion with an
-    uncertain complement agent: the coalition's reward and transition
-    tables, gathered once, the per-state complement tables its chooser
-    reads, products of per-agent rows at the complement's digits, and
-    `choose`, the one chooser its path and mode select. A chooser maps the
-    backups b (K, A_C, A_D) of K states to their values (K,) and q (K, A_D)."""
+def _fold(b: np.ndarray, certain: np.ndarray, col: np.ndarray, k: int) -> np.ndarray:
+    """(K, A_C, k): the certain complement agents marginalized out, each
+    ball action's columns added one at a time in ascending order."""
+    columns = (b * certain[:, None])[..., np.argsort(col, kind="stable")]
+    return sequential_sums(columns.reshape(*b.shape[:2], k, b.shape[2] // k))
 
-    def __init__(self, m: Mmdp, uset: UncertaintySet, mask: int, mode: str,
-                 path: str):
-        self.coalition, self.mode, self.path = mask_agents(mask, m.num_agents), mode, path
-        others = [j for j in range(m.num_agents) if not mask >> j & 1]
-        uncertain = [j for j in others if uset.agent_radius(j) > 0]
-        idx = coalition_action_index(m, self.coalition)
-        self.reward, (self.transition,) = coalition_tables(m, _flat_index(m, idx), [_whole(m)])
-        # idx[0] lists the complement's joint actions: each agent's digits
-        digits = np.unravel_index(idx[0], m.action_counts)
 
-        num_states = m.num_states
-        probs = [uset.center.agents[j].probs for j in others]
-        radii = [uset.agent_radius(j) for j in others]
-        self.center_table = product_table(num_states, probs)
-        lows = [np.maximum(p - r, 0.0) for p, r in zip(probs, radii)]
-        highs = [np.minimum(p + r, 1.0) for p, r in zip(probs, radii)]
-        if self.path in ("ball", "corner"):
-            # multiplying by a ones row is exact: an uncertain agent drops out
-            certain_table = product_table(num_states, [
-                np.ones_like(p) if r > 0 else p for p, r in zip(probs, radii)])
-        if self.path == "ball":
-            u = others.index(uncertain[0])
-            self.certain_table = certain_table
-            self.ball_rows = probs[u]
-            self.ball_eps = radii[u]
-            self.ball_col = digits[uncertain[0]]
-        elif self.path == "corner":
-            # (S, 2^u, A_D), one table per vertex of the uncertain agents'
-            # segments: bit b of the vertex picks the low (0) or high (1)
-            # interval end, on action 0, of the b-th uncertain agent; its
-            # factor (S, 2, A_D) is that end where the agent plays 0, else 1 - end
-            ends = [np.stack([lo[:, 0], hi[:, 0]], axis=1)[..., None]
-                    for lo, hi, r in zip(lows, highs, radii) if r > 0]
-            factors = [np.where(digits[j] == 0, end, 1.0 - end)
-                       for j, end in zip(uncertain, ends)]
-            vertex = np.arange(1 << len(factors))
-            self.corner_tables = np.repeat(certain_table[:, None], vertex.size, 1)
-            for b, factor in enumerate(factors):
-                self.corner_tables *= factor[:, vertex >> b & 1]
-        else:
-            self.box_lower = product_table(num_states, lows)
-            self.box_upper = product_table(num_states, highs)
-            # (S, 1); rounding may put the lower ends' sum a hair above 1
-            self.box_mass = np.maximum(1.0 - self.box_lower.sum(axis=1, keepdims=True), 0.0)
+def _ball_max(b, p, certain, col, eps):
+    """Per folded row, shift up to eps of mass onto its first maximum from
+    the coordinates below it, lowest first; keep each state's best row."""
+    rows = _fold(b, certain, col, p.shape[1])
+    p = p[:, None]
+    order = np.argsort(rows, axis=-1, kind="stable")
+    target = rows.argmax(axis=-1)[..., None]
+    p_sorted = np.take_along_axis(p, order, -1)
+    below = np.take_along_axis(rows, order, -1) < rows.max(-1, keepdims=True)
+    budget = np.cumsum(np.concatenate([np.full(target.shape, eps),
+                                       np.where(below, -p_sorted, 0.0)],
+                                      axis=-1), axis=-1)[..., :-1]
+    taking = below & (budget > 0)
+    # -0.0 adds nothing to any sum, a signed zero included
+    take = np.where(taking, np.minimum(budget, p_sorted), -0.0)
+    q = np.take_along_axis(np.where(taking, p_sorted - take, p_sorted),
+                           order.argsort(axis=-1), -1)
+    gained = np.cumsum(np.concatenate(
+        [np.take_along_axis(p, target, -1), take], axis=-1), axis=-1)
+    np.put_along_axis(q, target, gained[..., -1:], axis=-1)
+    values, q = _best_dot(rows, q)
+    return values, certain * q[:, col]
 
-    @property
-    def choose(self):  # looked up per call: a bound method held by self is a cycle
-        return getattr(self, f"_{self.path}_{self.mode}")
 
-    def _fold(self, b: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """(K, A_C, k): the certain complement agents marginalized out, each
-        ball action's columns added one at a time in ascending order."""
-        k = self.ball_rows.shape[1]
-        weighted = b * self.certain_table[states][:, None]
-        columns = weighted[..., np.argsort(self.ball_col, kind="stable")]
-        return sequential_sums(columns.reshape(*b.shape[:2], k, b.shape[2] // k))
+def _ball_min(b, p, certain, col, eps):
+    """q = p - w + u with w <= p, sum w <= eps and sum u <= sum w."""
+    eye, ones = np.eye(p.shape[1]), np.ones(p.shape[1])
+    rows = np.block([[eye, 0.0 * eye], [ones, 0.0 * ones], [-ones, ones]])
+    room = np.c_[p, np.full(len(p), eps), np.zeros(len(p))]
+    values, q = _shifted_min(_fold(b, certain, col, p.shape[1]), p, p,
+                             np.hstack([-eye, eye]), rows, room)
+    return values, certain * q[:, col]
 
-    def _ball_max(self, b: np.ndarray, states: np.ndarray):
-        """Per folded row, shift up to eps of mass onto its first maximum from
-        the coordinates below it, lowest first; keep each state's best row."""
-        rows = self._fold(b, states)
-        p = self.ball_rows[states][:, None]
-        order = np.argsort(rows, axis=-1, kind="stable")
-        target = rows.argmax(axis=-1)[..., None]
-        p_sorted = np.take_along_axis(p, order, -1)
-        below = np.take_along_axis(rows, order, -1) < rows.max(-1, keepdims=True)
-        budget = np.cumsum(np.concatenate([np.full(target.shape, self.ball_eps),
-                                           np.where(below, -p_sorted, 0.0)],
-                                          axis=-1), axis=-1)[..., :-1]
-        taking = below & (budget > 0)
-        # -0.0 adds nothing to any sum, a signed zero included
-        take = np.where(taking, np.minimum(budget, p_sorted), -0.0)
-        q = np.take_along_axis(np.where(taking, p_sorted - take, p_sorted),
-                               order.argsort(axis=-1), -1)
-        gained = np.cumsum(np.concatenate(
-            [np.take_along_axis(p, target, -1), take], axis=-1), axis=-1)
-        np.put_along_axis(q, target, gained[..., -1:], axis=-1)
-        values, q = _best_dot(rows, q)
-        return values, self.certain_table[states] * q[:, self.ball_col]
 
-    def _ball_min(self, b: np.ndarray, states: np.ndarray):
-        """q = p - w + u with w <= p, sum w <= eps and sum u <= sum w."""
-        p = self.ball_rows[states]
-        eye, ones = np.eye(p.shape[1]), np.ones(p.shape[1])
-        rows = np.block([[eye, 0.0 * eye], [ones, 0.0 * ones], [-ones, ones]])
-        room = np.c_[p, np.full(len(p), self.ball_eps), np.zeros(len(p))]
-        values, q = _shifted_min(self._fold(b, states), p, p,
-                                 np.hstack([-eye, eye]), rows, room)
-        return values, self.certain_table[states] * q[:, self.ball_col]
+def _corner_max(b, tables):
+    """Per state, the first vertex table whose best row is greatest."""
+    return _best_row((b[:, None] @ tables[..., None])[..., 0].max(axis=-1), tables)
 
-    def _corner_max(self, b: np.ndarray, states: np.ndarray):
-        """Per state, the first vertex table whose best row is greatest."""
-        tables = self.corner_tables[states]
-        return _best_row((b[:, None] @ tables[..., None])[..., 0].max(axis=-1),
-                         tables)
 
-    def _box_max(self, b: np.ndarray, states: np.ndarray):
-        """Per row, raise lower ends to upper ones, highest payoff first,
-        until the mass runs out; keep each state's best row."""
-        lo = self.box_lower[states][:, None]
-        order = np.argsort(-b, axis=-1, kind="stable")
-        room = np.take_along_axis(self.box_upper[states][:, None] - lo, order, -1)
-        mass = np.repeat(self.box_mass[states][:, None], b.shape[1], 1)
-        return _best_dot(b, lo + np.take_along_axis(
-            _pour(room, mass), order.argsort(axis=-1), -1))
+def _box_max(b, lo, hi, mass):
+    """Per row, raise lower ends to upper ones, highest payoff first,
+    until the mass runs out; keep each state's best row."""
+    lo = lo[:, None]
+    order = np.argsort(-b, axis=-1, kind="stable")
+    room = np.take_along_axis(hi[:, None] - lo, order, -1)
+    mass = np.repeat(mass[:, None], b.shape[1], 1)
+    return _best_dot(b, lo + np.take_along_axis(
+        _pour(room, mass), order.argsort(axis=-1), -1))
 
-    def _box_min(self, b: np.ndarray, states: np.ndarray):
-        """q = lo + r with r <= hi - lo and sum r <= 1 - sum lo."""
-        lo, hi = self.box_lower[states], self.box_upper[states]
-        eye = np.eye(lo.shape[1])
-        return _shifted_min(b, lo, hi, eye, np.vstack([eye, np.ones(len(eye))]),
-                            np.hstack([hi - lo, self.box_mass[states]]))
+
+def _box_min(b, lo, hi, mass):
+    """q = lo + r with r <= hi - lo and sum r <= 1 - sum lo."""
+    eye = np.eye(lo.shape[1])
+    return _shifted_min(b, lo, hi, eye, np.vstack([eye, np.ones(len(eye))]),
+                        np.hstack([hi - lo, mass]))
+
+
+_CHOOSERS = {("ball", "max"): _ball_max, ("ball", "min"): _ball_min, ("corner", "max"): _corner_max,
+             ("box", "max"): _box_max, ("box", "min"): _box_min}
+
+
+def _chooser(m: Mmdp, uset: UncertaintySet, mask: int, mode: str, path: str,
+             idx: np.ndarray):
+    """The chooser of (mask, mode) on `path` and the (S, ...) tables it reads,
+    products of per-agent rows at the complement's digits (idx[0] lists the
+    complement's joint actions): choose(b, *rows) maps K states' backups b
+    (K, A_C, A_D) and each table's rows at them to values (K,) and q (K, A_D)."""
+    choose, num_states = _CHOOSERS[path, mode], m.num_states
+    others = [j for j in range(m.num_agents) if not mask >> j & 1]
+    probs = [uset.center.agents[j].probs for j in others]
+    radii = [uset.agent_radius(j) for j in others]
+    if path == "box":
+        lower = product_table(num_states, [np.maximum(p - r, 0.0) for p, r in zip(probs, radii)])
+        upper = product_table(num_states, [np.minimum(p + r, 1.0) for p, r in zip(probs, radii)])
+        # (S, 1); rounding may put the lower ends' sum a hair above 1
+        return choose, (lower, upper, np.maximum(1.0 - lower.sum(axis=1, keepdims=True), 0.0))
+    digits = np.unravel_index(idx[0], m.action_counts)
+    uncertain = [(j, p, r) for j, p, r in zip(others, probs, radii) if r > 0]
+    # multiplying by a ones row is exact: an uncertain agent drops out
+    certain = product_table(num_states, [
+        np.ones_like(p) if r > 0 else p for p, r in zip(probs, radii)])
+    if path == "ball":
+        j, p, r = uncertain[0]
+        return partial(choose, col=digits[j], eps=r), (p, certain)
+    # (S, 2^u, A_D), one table per vertex of the uncertain agents' segments: bit
+    # b of the vertex picks the low (0) or high (1) interval end, on action 0,
+    # of the b-th uncertain agent, a factor of that end where it plays 0, else 1 - end
+    vertex = np.arange(1 << len(uncertain))
+    tables = np.repeat(certain[:, None], vertex.size, 1)
+    for b, (j, p, r) in enumerate(uncertain):
+        end = np.stack([np.maximum(p[:, :1] - r, 0.0), np.minimum(p[:, :1] + r, 1.0)], axis=1)
+        tables *= np.where(digits[j] == 0, end, 1.0 - end)[:, vertex >> b & 1]
+    return choose, (tables,)
 
 
 def _pour(room: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -359,7 +343,11 @@ class RobustBounds:
             # the center is the only behavior
             return (float(m.initial_dist @ self._center_values[mask]),
                     uset.center.joint_table(m) if mask == 0 else None)
-        problem = _CoalitionProblem(m, uset, mask, mode, path)
+        idx = coalition_action_index(m, mask_agents(mask, m.num_agents))
+        reward, (transition,) = coalition_tables(m, _flat_index(m, idx), [_whole(m)])
+        center = product_table(m.num_states, [uset.center.agents[j].probs
+                                              for j in range(m.num_agents) if not mask >> j & 1])
+        problem = (reward, transition, center, *_chooser(m, uset, mask, mode, path, idx))
         if self._levels is None:
             v, q = self._iterate(problem, self._center_values[mask])
         else:
@@ -367,18 +355,19 @@ class RobustBounds:
             q = self._backward_pass(problem, self._levels, v, v)
         return float(m.initial_dist @ v), q if mask == 0 else None
 
-    def _backward_pass(self, problem: _CoalitionProblem, levels, v, out):
+    def _backward_pass(self, problem: tuple, levels, v, out):
         """Back up each level of states against v, one chooser call each, into
-        out (v itself in the acyclic pass, so a level reads the ones before
-        it). Returns q, the center's where no state was backed up."""
-        q = problem.center_table.copy()
+        out (v itself in the acyclic pass, so a level reads the ones before it)
+        for `problem`, `_solve`'s tables and `_chooser`'s pair. Returns q, the
+        center's where no state was backed up."""
+        reward, transition, center, choose, tables = problem
+        q = center.copy()
         for states in levels:
-            b = problem.reward[states] + self.m.discount * (
-                problem.transition[states] @ v)
-            out[states], q[states] = problem.choose(b, states)
+            b = reward[states] + self.m.discount * (transition[states] @ v)
+            out[states], q[states] = choose(b, *(t[states] for t in tables))
         return q
 
-    def _iterate(self, problem: _CoalitionProblem, v: np.ndarray):
+    def _iterate(self, problem: tuple, v: np.ndarray):
         m = self.m
         for _ in range(MAX_SWEEPS):
             values = np.zeros(m.num_states)
@@ -387,7 +376,7 @@ class RobustBounds:
             if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
                 return v, q
             # the coalition's exact best response against q, greedy from v
-            r, (p,) = marginalize(q, problem.reward, [problem.transition], [_whole(m)])
+            r, (p,) = marginalize(q, problem[0], [problem[1]], [_whole(m)])
             v, _ = solve_mdp(r, p, m.discount, v)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")

@@ -447,7 +447,8 @@ def induced_gathered(m, table, idx, blocks):
 
 # The per-agent product tables and the state order as `uncertainty` built
 # them before `mmdp.product_table` and the peeled levels: the references
-# `_CoalitionProblem` and `_topological_levels` must match.
+# `uncertainty._chooser`'s tables, `RobustBounds._solve`'s center table and
+# `_topological_levels` must match.
 
 def complement_columns(m, others):
     """Each complement agent's action in every complement joint action."""
@@ -524,7 +525,7 @@ def kahn_order(m, edge_tol):
 
 # The robust choosers as per-state, per-row loops, the way `uncertainty`
 # ran them before they took stacks of states: the references the array
-# choosers of `_CoalitionProblem` must match byte for byte.
+# choosers in `uncertainty._CHOOSERS` must match byte for byte.
 
 def fold_loop(b, certain_row, ball_col, k):
     """(A_C, k): the complement columns of one state's backup b (A_C, A_D),

@@ -31,7 +31,9 @@ from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import (
     RobustBounds,
     UncertaintySet,
-    _CoalitionProblem,
+    _CHOOSERS,
+    _chooser,
+    _fold,
     _monotone_closure,
     ap_blackstone,
     bi_blackstone,
@@ -50,7 +52,7 @@ from helpers import (ball_max_loop, ball_row_max_loop, box_max_loop,
                      highs_ball_min, highs_box_min, kahn_order,
                      monotone_closure_loop, random_acyclic_mmdp,
                      random_factorized, random_mmdp, relaxed_box_loop,
-                     robust_replay, two_row_min)
+                     robust_chooser, robust_replay, two_row_min)
 
 
 def bandit_model(reward_row, action_counts, gamma=0.99):
@@ -74,9 +76,27 @@ def bandit_center(rows_per_agent):
 
 
 def _problem(m, uset, mask, mode, exact=None):
-    """The (mask, mode) problem on the chooser set that RobustBounds picks."""
+    """The (mask, mode) chooser on the set that RobustBounds picks: its
+    path, the coalition's (A_C, A_D) action index, and `_chooser`'s
+    (choose, tables)."""
     path = RobustBounds(m, uset, exact)._path(mask, mode)
-    return _CoalitionProblem(m, uset, mask, mode, path)
+    idx = planning.coalition_action_index(m, mask_agents(mask, m.num_agents))
+    return (path, idx, *_chooser(m, uset, mask, mode, path, idx))
+
+
+def _solved_problem(m, uset, mask, mode, exact=None):
+    """The (reward, transition, center table, choose, tables) that
+    `RobustBounds._solve` hands its first backward pass for (mask, mode)."""
+    handed = []
+    backward_pass = RobustBounds._backward_pass
+
+    def recorded(self, problem, *args):
+        handed.append(problem)
+        return backward_pass(self, problem, *args)
+
+    with mock.patch.object(RobustBounds, "_backward_pass", recorded):
+        RobustBounds(m, uset, exact)._solve(mask, mode)
+    return handed[0]
 
 
 def test_sample_center_is_deterministic_and_contains_truth():
@@ -360,15 +380,15 @@ def test_relaxed_box_entries_are_clipped_products():
     center = bandit_center([(0.9, 0.1), (0.5, 0.3, 0.2)])
     uset = UncertaintySet(center, 0.2)
     # the empty coalition's box spans every agent's actions
-    box = _CoalitionProblem(m, uset, 0, "min", "box")
-    assert box.path == "box"
-    assert box.box_lower.shape == (2, 6)
+    path, _, choose, (lower, upper, _) = _problem(m, uset, 0, "min", False)
+    assert path == "box" and choose is uncertainty._box_min
+    assert lower.shape == (2, 6)
     # joint action (0, 1): agent 0 takes 0, agent 1 takes 1
-    assert box.box_lower[0, 1] == pytest.approx(0.7 * 0.1, abs=1e-12)
-    assert box.box_upper[0, 1] == pytest.approx(1.0 * 0.5, abs=1e-12)
-    assert box.box_lower[0, 2] == pytest.approx(0.7 * 0.0, abs=1e-12)
-    assert box.box_upper[0, 2] == pytest.approx(1.0 * 0.4, abs=1e-12)
-    assert (box.box_lower <= box.box_upper + 1e-12).all()
+    assert lower[0, 1] == pytest.approx(0.7 * 0.1, abs=1e-12)
+    assert upper[0, 1] == pytest.approx(1.0 * 0.5, abs=1e-12)
+    assert lower[0, 2] == pytest.approx(0.7 * 0.0, abs=1e-12)
+    assert upper[0, 2] == pytest.approx(1.0 * 0.4, abs=1e-12)
+    assert (lower <= upper + 1e-12).all()
 
 
 def _same_bytes(table, reference):
@@ -417,36 +437,40 @@ def test_product_tables_match_the_loops(case):
         others = [j for j in every if not mask >> j & 1]
         uncertain = [j for j in others if uset.agent_radius(j) > 0]
         if not uncertain:
-            continue  # a certain complement builds no problem
+            continue  # a certain complement builds no chooser
         certain = [j for j in others if j not in uncertain]
         for mode in ("min", "max"):
             for exact in (None, False):
-                problem = _problem(m, uset, mask, mode, exact)
-                assert problem.choose.__name__ == f"_{problem.path}_{mode}"
-                _same_bytes(problem.center_table,
-                            complement_product_loop(m, uset, others, others))
-                if problem.path == "ball":
-                    _same_bytes(problem.certain_table,
+                path = RobustBounds(m, uset, exact)._path(mask, mode)
+                *_, center, choose, tables = _solved_problem(m, uset, mask, mode, exact)
+                assert getattr(choose, "func", choose) is _CHOOSERS[path, mode]
+                _same_bytes(center, complement_product_loop(m, uset, others, others))
+                if path == "ball":
+                    rows, certain_table = tables
+                    assert rows is uset.center.agents[uncertain[0]].probs
+                    _same_bytes(certain_table,
                                 complement_product_loop(m, uset, others, certain))
                     _, cols = complement_columns(m, others)
-                    np.testing.assert_array_equal(problem.ball_col,
+                    np.testing.assert_array_equal(choose.keywords["col"],
                                                   cols[uncertain[0]])
-                elif problem.path == "corner":
+                    assert choose.keywords["eps"] == uset.agent_radius(uncertain[0])
+                elif path == "corner":
                     # each vertex's ends multiplied into the certain agents'
                     # product one uncertain agent at a time, bit b for the
                     # b-th uncertain agent
+                    (corner_tables,) = tables
                     base = complement_product_loop(m, uset, others, certain)
                     factors = corner_factors_loop(m, uset, others, uncertain)
-                    assert problem.corner_tables.shape[1] == 1 << len(uncertain)
+                    assert corner_tables.shape[1] == 1 << len(uncertain)
                     for vertex in range(1 << len(uncertain)):
                         expected = base.copy()
                         for b, ends in enumerate(factors):
                             expected *= ends[:, vertex >> b & 1]
-                        _same_bytes(problem.corner_tables[:, vertex], expected)
-                elif problem.path == "box":
+                        _same_bytes(corner_tables[:, vertex], expected)
+                elif path == "box":
                     lower, upper = relaxed_box_loop(m, uset, others)
-                    _same_bytes(problem.box_lower, lower)
-                    _same_bytes(problem.box_upper, upper)
+                    _same_bytes(tables[0], lower)
+                    _same_bytes(tables[1], upper)
 
 
 # (action counts, coalition mask): (A_C, A_D) = (2, 4), (4, 4) and (8, 2);
@@ -485,15 +509,16 @@ def chooser_cases(draw):
     uset = UncertaintySet(JointPolicy(tuple(agents)),
                           draw(st.sampled_from([0.05, 0.3, 1.0])),
                           uncertain_agents=frozenset(uncertain))
-    problem = _problem(m, uset, mask, "max", False if path == "box" else None)
-    assert problem.path == path
+    chosen, idx, choose, tables = _problem(m, uset, mask, "max",
+                                           False if path == "box" else None)
+    assert chosen == path
     size = draw(st.integers(1, 4))
     states = rng.integers(0, num_states, size=size)
-    num_rows = draw(st.integers(1, 4) | st.just(problem.reward.shape[1]))
-    shape = (size, num_rows, problem.center_table.shape[1])
+    num_rows = draw(st.integers(1, 4) | st.just(idx.shape[0]))
+    shape = (size, num_rows, idx.shape[1])
     b = np.round(rng.uniform(-1.0, 1.0, size=shape), 1)
     b[rng.random(shape) < 0.2] = -0.0
-    return m, others, uncertain, problem, b, states
+    return m, others, uncertain, (path, choose, tables), b, states
 
 
 @settings(max_examples=300, deadline=None)
@@ -501,34 +526,33 @@ def chooser_cases(draw):
 def test_array_choosers_match_the_loops(case):
     """Each max chooser on a stack of states returns, byte for byte, the
     values and q of the per-state, per-row loops it replaced."""
-    m, others, uncertain, problem, b, states = case
-    values, q = problem.choose(b, states)
+    m, others, uncertain, (path, choose, tables), b, states = case
+    values, q = choose(b, *(t[states] for t in tables))
     assert values.shape == states.shape
     assert q.shape == (states.size, b.shape[2])
     for i, s in enumerate(states):
-        if problem.path == "ball":
+        if path == "ball":
             _, cols = complement_columns(m, others)
             col = cols[uncertain[0]]
             k = m.action_counts[uncertain[0]]
-            _same_bytes(problem._fold(b, states)[i],
-                        fold_loop(b[i], problem.certain_table[s], col, k))
-            expected = ball_max_loop(b[i], problem.ball_rows[s],
-                                     problem.ball_eps,
-                                     problem.certain_table[s], col)
-        elif problem.path == "corner":
-            expected = corner_max_loop(b[i], problem.corner_tables[s])
+            rows, certain = tables
+            _same_bytes(_fold(b, certain[states], col, k)[i],
+                        fold_loop(b[i], certain[s], col, k))
+            expected = ball_max_loop(b[i], rows[s], choose.keywords["eps"],
+                                     certain[s], col)
+        elif path == "corner":
+            expected = corner_max_loop(b[i], tables[0][s])
         else:
-            expected = box_max_loop(b[i], problem.box_lower[s],
-                                    problem.box_upper[s])
+            expected = box_max_loop(b[i], tables[0][s], tables[1][s])
         assert values[i].tobytes() == np.float64(expected[0]).tobytes()
         _same_bytes(q[i], expected[1])
 
 
-def test_certain_complements_build_no_problem(monkeypatch):
+def test_certain_complements_build_no_chooser(monkeypatch):
     """A coalition with no uncertain agent outside it reads its value off
     the center's coalition sweep, bit for bit in both modes, and the empty
     coalition's max policy is the center's joint table, without building a
-    _CoalitionProblem. best_response, solved apart, agrees to 1e-12: the
+    chooser. best_response, solved apart, agrees to 1e-12: the
     empty coalition's row is a direct policy evaluation, its best response
     a one-action policy iteration, and the two differ in the last bits."""
     rng = np.random.default_rng(41)
@@ -537,9 +561,9 @@ def test_certain_complements_build_no_problem(monkeypatch):
     rows = planning.coalition_values(m, center)
 
     def refuse(*args):
-        raise AssertionError("a certain complement built a problem")
+        raise AssertionError("a certain complement built a chooser")
 
-    monkeypatch.setattr(uncertainty, "_CoalitionProblem", refuse)
+    monkeypatch.setattr(uncertainty, "_chooser", refuse)
     cases = [(UncertaintySet(center, 0.0), range(8)),
              (UncertaintySet(center, 0.2, uncertain_agents=frozenset()), range(8)),
              # the masks that hold agent 1, the only uncertain agent
@@ -891,20 +915,27 @@ def test_no_memo_keeps_more_than_its_newest_entries(monkeypatch):
     assert [ref() is not None for ref in refs] == [False] * 98 + [True] * 2
 
 
-def test_no_coalition_problem_outlives_its_solve(monkeypatch):
-    """Each problem's S-wide tables are freed when its solve returns, with
-    no wait for the cyclic collector: a problem holds no bound method of
-    its own (which would make it a reference cycle)."""
-    problems = []
+@pytest.mark.parametrize("uncertain, paths", [(None, ["box", "corner"]),
+                                               (frozenset({1}), ["ball", "ball"])])
+def test_no_chooser_table_outlives_its_solve(uncertain, paths, monkeypatch):
+    """Each solve's S-wide chooser tables, and the ball's bound chooser, are
+    freed when `_solve` returns, with no wait for the cyclic collector:
+    nothing a solve builds is a reference cycle. The ball also reads its
+    agent's center rows, which the set keeps."""
+    built = []
 
-    class Recorded(_CoalitionProblem):
-        def __init__(self, *args):
-            super().__init__(*args)
-            problems.append(weakref.ref(self))
+    def recorded(m, uset, mask, mode, path, idx):
+        choose, tables = chooser(m, uset, mask, mode, path, idx)
+        # the module's choosers and the center's rows outlive every solve
+        kept = [*_CHOOSERS.values(), *(ap.probs for ap in uset.center.agents)]
+        built.append((path, [weakref.ref(x) for x in (choose, *tables)
+                             if not any(x is k for k in kept)]))
+        return choose, tables
 
-    monkeypatch.setattr(uncertainty, "_CoalitionProblem", Recorded)
+    chooser = uncertainty._chooser
+    monkeypatch.setattr(uncertainty, "_chooser", recorded)
     m, b = build_graph(GraphSpec("robustness"))
-    bounds = RobustBounds(m, sample_center(b, 0.05, 0))
+    bounds = RobustBounds(m, sample_center(b, 0.05, 0, uncertain))
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -913,37 +944,47 @@ def test_no_coalition_problem_outlives_its_solve(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert len(problems) == 2
-    assert [ref() for ref in problems] == [None, None]
+    # the box's three tables, the corner's one, the ball's chooser and table
+    assert [(path, len(refs)) for path, refs in built] == [
+        (path, {"box": 3, "corner": 1, "ball": 2}[path]) for path in paths]
+    assert [ref() for _, refs in built for ref in refs] == [None] * sum(
+        len(refs) for _, refs in built)
 
 
 @pytest.mark.parametrize("env", ["gridworld", "graph"])
-def test_coalition_problem_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
-    """`_CoalitionProblem`'s reward and transition are the oracle's flat
+def test_solve_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
+    """The reward and transition `_solve` gathers are the oracle's flat
     takes over every complement action, and each contraction `_iterate`
     makes is the oracle's einsums, byte for byte, for every coalition and
     mode with an uncertain complement (the graph is acyclic, so its bounds
-    never iterate; `_iterate` is called on it directly)."""
+    never iterate; it is solved here as a cyclic model would be)."""
     m, b = (build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5)) if env == "gridworld"
             else build_graph(GraphSpec("robustness")))
     uset = sample_center(b, 0.05, 0)
     bounds = RobustBounds(m, uset)
-    contracted = []
+    bounds._levels = None
+    gathered, contracted = [], []
+
+    def gather(*args):
+        gathered.append(out := planning.coalition_tables(*args))
+        return out
 
     def recorded(q, *args):
         contracted.append((q, out := planning.marginalize(q, *args)))
         return out
 
+    monkeypatch.setattr(uncertainty, "coalition_tables", gather)
     monkeypatch.setattr(uncertainty, "marginalize", recorded)
     for mask in range((1 << m.num_agents) - 1):
         for mode in ("min", "max"):
-            problem = _CoalitionProblem(m, uset, mask, mode, bounds._path(mask, mode))
             reward, transition = coalition_tables_full(
-                m, planning.coalition_action_index(m, problem.coalition))
-            _same_bytes(problem.reward, reward)
-            _same_bytes(problem.transition, transition)
+                m, planning.coalition_action_index(m, mask_agents(mask, m.num_agents)))
+            gathered.clear()
             contracted.clear()
-            bounds._iterate(problem, bounds._center_values[mask])
+            bounds._solve(mask, mode)
+            [(got_reward, [got_transition])] = gathered
+            _same_bytes(got_reward, reward)
+            _same_bytes(got_transition, transition)
             assert contracted, (mask, mode)
             for q, (r, (p,)) in contracted:
                 want_r, want_p = contract_full(q, reward, transition)
@@ -1142,18 +1183,17 @@ _FUZZ_CASES = {
 }
 
 
-def _in_adversary_set(problem, s, q, tol=1e-9):
-    if problem.path == "ball":
-        inside = (0.5 * np.abs(q - problem.ball_rows[s]).sum()
-                  <= problem.ball_eps + tol)
+def _in_adversary_set(path, tables, eps, s, q, tol=1e-9):
+    if path == "ball":
+        inside = 0.5 * np.abs(q - tables[0][s]).sum() <= eps + tol
     else:
-        inside = ((problem.box_lower[s] - tol <= q)
-                  & (q <= problem.box_upper[s] + tol)).all()
+        inside = ((tables[0][s] - tol <= q) & (q <= tables[1][s] + tol)).all()
     return bool(inside and (q >= -tol).all() and abs(q.sum() - 1.0) <= tol)
 
 
 def _fuzz_problem(case):
-    """The min problem of a fuzz case, its (C, D) and nonterminal states."""
+    """The min chooser of a fuzz case as (path, choose, tables, radius),
+    its (C, D) and nonterminal states."""
     env, mask, exact, _, _ = _FUZZ_CASES[case]
     if env == "gridworld":
         model, behavior = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
@@ -1161,13 +1201,13 @@ def _fuzz_problem(case):
     else:
         model, behavior = build_graph(GraphSpec("robustness"))
         uset = sample_center(behavior, 0.05, 0)
-    problem = _problem(model, uset, mask, "min", exact)
-    assert problem.path == case[:case.index("-")]
-    num_c = problem.reward.shape[1]
-    k = (problem.ball_rows if problem.path == "ball" else problem.box_lower).shape[1]
+    path, idx, choose, tables = _problem(model, uset, mask, "min", exact)
+    assert path == case[:case.index("-")]
+    # the ball's rows are its agent's actions, the box's the complement's
+    num_c, k = idx.shape[0], tables[0].shape[1]
     assert f"{num_c}x{k}" == case[case.index("-") + 1:]
     states = np.setdiff1d(np.arange(model.num_states), list(model.terminal_states))
-    return problem, (num_c, k), states
+    return (path, choose, tables, uset.radius), (num_c, k), states
 
 
 @pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
@@ -1175,7 +1215,7 @@ def test_adversary_min_matches_highs_on_near_ties(case):
     """Each value must lie within 1e-9 of the oracle's, relative to the
     larger of the value and the payoff scale (a value may be 0), and q in
     the set."""
-    problem, (num_c, k), states = _fuzz_problem(case)
+    (path, choose, tables, eps), (num_c, k), states = _fuzz_problem(case)
     *_, num_lps, pinned = _FUZZ_CASES[case]
     if num_c != 2:
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -1186,24 +1226,24 @@ def test_adversary_min_matches_highs_on_near_ties(case):
         payoffs = np.round(rng.uniform(-1.0, 1.0, (num_c, k)), 1)
         if i % 2:
             payoffs = payoffs + rng.normal(0.0, 1e-9, payoffs.shape)
-        if problem.path == "ball":
-            p, eps = problem.ball_rows[s], problem.ball_eps
+        if path == "ball":
+            p = tables[0][s]
             want = (two_row_min(payoffs, lambda row: -ball_row_max_loop(-row, p, eps)[0])
                     if num_c == 2 else highs_ball_min(linprog, payoffs, p, eps)[0])
         else:
-            lo, hi = problem.box_lower[s], problem.box_upper[s]
+            lo, hi = tables[0][s], tables[1][s]
             want = (two_row_min(payoffs, lambda row: -box_max_loop(-row[None], lo, hi)[0])
                     if num_c == 2 else highs_box_min(linprog, payoffs, lo, hi)[0])
         try:
             # no certain complement agent here, so the ball's fold is the
             # identity and the chooser hands payoffs to the LP as they are
-            value, q = problem.choose(payoffs[None], np.array([s]))
+            value, q = choose(payoffs[None], *(t[[s]] for t in tables))
         except RuntimeError:
             misses[i] = "raised"
             continue
         if abs(value[0] - want) > 1e-9 * max(abs(want), np.abs(payoffs).max()):
             misses[i] = "wrong"
-        elif not _in_adversary_set(problem, s, q[0]):
+        elif not _in_adversary_set(path, tables, eps, s, q[0]):
             misses[i] = "outside"
     assert misses == pinned
 
@@ -1213,10 +1253,56 @@ def test_a_flat_payoff_table_still_gets_a_member_of_the_set(case):
     """Equal payoffs leave the LP at its start, z = 0 and s* = 0, so its q is
     the set's base, whose mass falls short of 1 in a box; the poured q of
     every nonterminal state, stacked, must be a member all the same."""
-    problem, (num_c, k), states = _fuzz_problem(case)
-    values, q = problem.choose(np.full((len(states), num_c, k), 0.3), states)
+    (path, choose, tables, eps), (num_c, k), states = _fuzz_problem(case)
+    values, q = choose(np.full((len(states), num_c, k), 0.3), *(t[states] for t in tables))
     assert (values == 0.3).all()
-    assert all(_in_adversary_set(problem, s, row) for s, row in zip(states, q))
+    assert all(_in_adversary_set(path, tables, eps, s, row) for s, row in zip(states, q))
+
+
+@pytest.mark.parametrize("case", ["ball", "box"])
+def test_eight_agent_bounds_match_a_highs_lp_per_coalition(case):
+    """On an 8-agent one-step model each bound is one LP at the decision
+    state, over the uncertain agent's folded rows for the ball (agent 3
+    alone uncertain) and over the complement's joint box for the relaxed
+    box (every agent uncertain, exact=False). A sample of coalitions' min
+    bounds match `robust_chooser`'s HiGHS adversary, and their max bounds
+    the best row's HiGHS max, to HiGHS's 1e-7 tolerances."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, u = 8, 3
+    rng = np.random.default_rng(8)
+    m, _ = mmdp_from_game(random_monotone_game(n, 5))
+    center = JointPolicy(tuple(AgentPolicy(np.array([[x, 1.0 - x]] * 2))
+                               for x in rng.uniform(0.1, 0.9, n)))
+    if case == "ball":
+        uset, exact = UncertaintySet(center, 0.1, uncertain_agents=frozenset({u})), None
+        masks = [mask for mask in range(1 << n) if not mask >> u & 1]
+    else:
+        uset, exact = UncertaintySet(center, 0.1), False
+        masks = range((1 << n) - 1)
+    bounds = RobustBounds(m, uset, exact)
+    # a small coalition's max reads few rows: one HiGHS LP each
+    for mask in rng.choice([mask for mask in masks if bin(mask).count("1") <= 3], 12,
+                           replace=False):
+        others = [j for j in range(n) if not mask >> j & 1]
+        coalition = mask_agents(mask, n)
+        assert bounds._path(mask, "min") == case
+        # one step into the terminal state: the backups are the rewards
+        reward, _, _, choose = robust_chooser(m, uset, mask, "min", exact)
+        b = reward[0]
+        if case == "ball":
+            _, cols = complement_columns(m, others)
+            certain = complement_product_loop(m, uset, others, [j for j in others if j != u])
+            rows = fold_loop(b, certain[0], cols[u], 2)
+            p = center.agents[u].probs[0]
+            highs_max = [-highs_ball_min(linprog, -row[None], p, 0.1)[0] for row in rows]
+        else:
+            lower, upper = relaxed_box_loop(m, uset, others)
+            highs_max = [-highs_box_min(linprog, -row[None], lower[0], upper[0])[0]
+                         for row in b]
+        assert bounds.min_value(coalition) == pytest.approx(
+            choose(b, 0)[0], rel=1e-7, abs=1e-7), mask
+        assert bounds.max_value(coalition) == pytest.approx(
+            max(highs_max), rel=1e-7, abs=1e-7), mask
 
 
 def robustness_gridworld(scale=1.0):
@@ -1272,16 +1358,16 @@ def test_the_sweep_cap_raises_instead_of_returning_unsettled_values(monkeypatch)
 
 def test_mc_blackstone_solves_only_the_bounds_it_reads(monkeypatch):
     """MC reads the worst-case gap of the singletons only: a fresh set
-    builds n min problems and the empty coalition's max one, not 2^n - 1."""
+    builds n min choosers and the empty coalition's max one, not 2^n - 1."""
     monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
     built = []
 
-    class Recording(_CoalitionProblem):
-        def __init__(self, m, uset, mask, mode, path):
-            built.append((mask, mode))
-            super().__init__(m, uset, mask, mode, path)
+    def recording(m, uset, mask, mode, path, idx):
+        built.append((mask, mode))
+        return chooser(m, uset, mask, mode, path, idx)
 
-    monkeypatch.setattr(uncertainty, "_CoalitionProblem", Recording)
+    chooser = uncertainty._chooser
+    monkeypatch.setattr(uncertainty, "_chooser", recording)
     f, model, behavior, uset = one_step_setup(3, seed=62, eps=0.1)
     mc_blackstone(model, uset)
     assert sorted(built) == [(0, "max"), (1, "min"), (2, "min"), (4, "min")]
