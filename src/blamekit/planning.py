@@ -184,11 +184,12 @@ class BestResponse:
 
 
 @lru_cache(maxsize=MAX_AGENTS + 1)
-def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (values, offsets): values[offsets[M]:offsets[M + 1]] lists,
-    ascending, the joint actions in which only mask M's agents move. Step i
-    fills masks 2^i to 2^(i+1) - 1 in place, adding agent i as the least
-    significant digit."""
+def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Read-only (values, offsets, groups): values[offsets[M]:offsets[M + 1]]
+    lists, ascending, the joint actions in which only mask M's agents move,
+    and groups the nonempty masks by that row length A_C, ascending in both.
+    Step i fills masks 2^i to 2^(i+1) - 1 in place, adding agent i as the
+    least significant digit."""
     n = len(action_counts)
     values = np.zeros(math.prod(k + 1 for k in action_counts), dtype=np.int64)
     offsets = np.zeros((1 << n) + 1, dtype=np.int64)
@@ -199,12 +200,14 @@ def _subgrids(action_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
                values[end:end * (k + 1)].reshape(end, k))
         offsets[low:2 * low + 1] = offsets[:low + 1] * k + end
         end *= k + 1
-    return _read_only(values), _read_only(offsets)
+    sizes = np.diff(offsets[1:])  # of masks 1, 2, ...
+    groups = tuple(_read_only(np.flatnonzero(sizes == k) + 1) for k in np.flatnonzero(np.bincount(sizes)))
+    return _read_only(values), _read_only(offsets), groups
 
 
 def _rows(grid, masks) -> np.ndarray:
     """`_subgrids` rows (..., A_C) of one mask or a stack with equal A_C."""
-    values, offsets = grid
+    values, offsets, _ = grid
     first = masks.flat[0]
     return values[offsets[masks][..., None]
                   + np.arange(offsets[first + 1] - offsets[first])]
@@ -214,14 +217,6 @@ def _index(grid, masks) -> np.ndarray:
     """`coalition_action_index` (..., A_C, A_D) of one mask or an equal-A_C
     stack: its `_rows` beside its complement's."""
     return _rows(grid, masks)[..., None] + _rows(grid, (grid[1].size - 2) ^ masks)[..., None, :]
-
-
-@lru_cache(maxsize=MAX_AGENTS + 1)
-def _groups(action_counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Read-only masks of every nonempty coalition, one group per joint-action
-    count A_C (its `_subgrids` row length), ascending."""
-    sizes = np.diff(_subgrids(action_counts)[1][1:])  # of masks 1, 2, ...
-    return tuple(_read_only(np.flatnonzero(sizes == k) + 1) for k in np.flatnonzero(np.bincount(sizes)))
 
 
 def coalition_action_index(m: Mmdp, coalition) -> np.ndarray:
@@ -364,14 +359,14 @@ _GATHER_BUDGET = 1 << 15
 
 
 def _coalition_chunks(m: Mmdp, joint: bool, blocks) -> Iterator[np.ndarray]:
-    """The masks of every nonempty coalition, cut from its `_groups` entry into
-    chunks whose tables for `blocks` fit _GATHER_BUDGET, a `joint` table's at
-    every complement action."""
+    """The masks of every nonempty coalition, cut from its `_subgrids` group
+    into chunks whose tables for `blocks` fit _GATHER_BUDGET, a `joint`
+    table's at every complement action."""
     S = m.num_states  # the elements per (coalition, complement) action pair:
     span = (2 + joint) * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
-    sizes = np.diff(_subgrids(m.action_counts)[1])  # A_C, by mask
-    for masks in _groups(m.action_counts):
-        num_c = int(sizes[masks[0]])
+    _, offsets, groups = _subgrids(m.action_counts)
+    for masks in groups:
+        num_c = int(offsets[masks[0] + 1] - offsets[masks[0]])
         width = m.num_joint_actions // num_c if joint else 1
         per_chunk = max(1, _GATHER_BUDGET // (width * (joint * S + num_c * span)))
         for first in range(0, masks.size, per_chunk):

@@ -130,7 +130,7 @@ def sample_center(truth: JointPolicy, eps_max: float, seed: int,
                   uncertain_agents: frozenset[int] | None = None) -> UncertaintySet:
     """Draw, deterministically per seed, an estimated behavior whose ball of radius
     eps_max holds the truth (by symmetry); refuses the set centered on the truth if invalid.
-    Raises RuntimeError when the ball sampler accepts no draw, likely from 10 actions up."""
+    Raises RuntimeError when the ball sampler accepts no draw, likely from 9 actions up."""
     around = UncertaintySet(truth, eps_max, uncertain_agents=uncertain_agents)
     _check_set(None, around)  # no model: the set alone
     rng = np.random.default_rng(seed)
@@ -161,24 +161,20 @@ def _fold(b: np.ndarray, certain: np.ndarray, col: np.ndarray, k: int) -> np.nda
 
 
 def _ball_max(b, p, certain, col, eps):
-    """Per folded row, shift up to eps of mass onto its first maximum from
-    the coordinates below it, lowest first; keep each state's best row."""
+    """Per folded row, `_pour` eps of mass out of the coordinates below its
+    first maximum, lowest payoff first, onto that maximum; keep each
+    state's best row."""
     rows = _fold(b, certain, col, p.shape[1])
     p = p[:, None]
     order = np.argsort(rows, axis=-1, kind="stable")
     target = rows.argmax(axis=-1)[..., None]
     p_sorted = np.take_along_axis(p, order, -1)
     below = np.take_along_axis(rows, order, -1) < rows.max(-1, keepdims=True)
-    budget = np.cumsum(np.concatenate([np.full(target.shape, eps),
-                                       np.where(below, -p_sorted, 0.0)],
-                                      axis=-1), axis=-1)[..., :-1]
-    taking = below & (budget > 0)
+    take = _pour(np.where(below, p_sorted, 0.0), np.full(target.shape, eps))
+    q = np.take_along_axis(p_sorted - take, order.argsort(axis=-1), -1)
     # -0.0 adds nothing to any sum, a signed zero included
-    take = np.where(taking, np.minimum(budget, p_sorted), -0.0)
-    q = np.take_along_axis(np.where(taking, p_sorted - take, p_sorted),
-                           order.argsort(axis=-1), -1)
-    gained = np.cumsum(np.concatenate(
-        [np.take_along_axis(p, target, -1), take], axis=-1), axis=-1)
+    gained = np.cumsum(np.concatenate([np.take_along_axis(p, target, -1),
+                                       np.where(below, take, -0.0)], axis=-1), axis=-1)
     np.put_along_axis(q, target, gained[..., -1:], axis=-1)
     values, q = _best_dot(rows, q)
     return values, certain * q[:, col]
@@ -383,7 +379,8 @@ class RobustBounds:
 
 
 def _check_set(m: Mmdp | None, uset: UncertaintySet) -> None:
-    problems = uset.validate() or uset.center.validate(m)
+    # validate() has checked the center's policies; only their shapes are left
+    problems = uset.validate() or (uset.center._shape_problems(m) if m is not None else [])
     if problems:
         raise ValueError("invalid uncertainty set: " + "; ".join(problems))
 

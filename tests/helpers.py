@@ -538,12 +538,13 @@ def fold_loop(b, certain_row, ball_col, k):
 
 def ball_row_max_loop(b, p, eps):
     """Maximize q . b over the half-L1 ball of radius eps around p on the
-    simplex: shift mass from the lowest-valued coordinates to the best one."""
+    simplex: shift mass from the lowest-valued coordinates to the best one,
+    until at most 1e-15 of the budget is left (`box_max_loop`'s stop)."""
     target = int(np.argmax(b))
     q = p.copy()
     budget = eps
     for j in np.argsort(b, kind="stable"):
-        if j == target or budget <= 0 or b[target] - b[j] <= 0:
+        if j == target or budget <= 1e-15 or b[target] - b[j] <= 0:
             continue
         take = min(budget, q[j])
         q[j] -= take

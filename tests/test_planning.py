@@ -576,7 +576,7 @@ def test_level_blocks_are_the_gathered_kernel_bit_for_bit(seed, action_counts, n
 def test_subgrid_rows_list_each_coalitions_own_joint_actions(action_counts):
     """Row M of the sub-grid table is every joint action whose digits off M
     are zero, ascending."""
-    values, offsets = planning._subgrids(tuple(action_counts))
+    values, offsets, _ = planning._subgrids(tuple(action_counts))
     n = len(action_counts)
     digits = np.array(list(itertools.product(*map(range, action_counts))))
     assert values.dtype == np.int64
@@ -637,11 +637,11 @@ def test_lattice_layers_are_cached_read_only_tables_per_size(n):
 
 
 def test_subgrids_are_cached_and_read_only():
-    """One table per action-count tuple, shared by the sweep, induced_mdp and
+    """One layout per action-count tuple, shared by the sweep, induced_mdp and
     coalition_action_index, which none of them may write."""
-    tables = planning._subgrids((2, 3, 1))
-    assert all(a is b for a, b in zip(planning._subgrids((2, 3, 1)), tables))
-    for table in tables:
+    values, offsets, groups = tables = planning._subgrids((2, 3, 1))
+    assert planning._subgrids((2, 3, 1)) is tables
+    for table in (values, offsets, *groups):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
@@ -649,14 +649,13 @@ def test_subgrids_are_cached_and_read_only():
 
 @pytest.mark.parametrize("counts", [(2, 3, 1), (1, 2, 2, 2, 1), (2,) * MAX_AGENTS])
 def test_sweep_groups_hold_read_only_masks_alone(counts):
-    """One cached set of groups per action-count tuple, each a read-only int64
-    array of ascending masks of one joint-action count A_C, the groups by
-    ascending A_C; together they hold masks 1 to 2^n - 1 once each, under
-    64 KB at 12 binary agents. Neither they nor the chunks sliced out of them
-    may be written."""
-    groups = planning._groups(counts)
-    assert planning._groups(counts) is groups
-    offsets = planning._subgrids(counts)[1]
+    """`_subgrids` holds one set of groups per action-count tuple, each a
+    read-only int64 array of ascending masks of one joint-action count A_C,
+    the groups by ascending A_C; together they hold masks 1 to 2^n - 1 once
+    each, under 64 KB at 12 binary agents. Neither they nor the chunks sliced
+    out of them may be written."""
+    _, offsets, groups = planning._subgrids(counts)
+    assert planning._subgrids(counts)[2] is groups
     counted = [np.unique(offsets[masks + 1] - offsets[masks]) for masks in groups]
     assert [c.size for c in counted] == [1] * len(groups)
     assert (np.diff(np.concatenate(counted)) > 0).all()
@@ -673,7 +672,7 @@ def test_sweep_groups_hold_read_only_masks_alone(counts):
 
 
 def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
-    """From a cleared `_groups` cache, a `JointPolicy` sweep reads its lattice
+    """From a cleared `_subgrids` cache, a `JointPolicy` sweep reads its lattice
     at mask offsets alone and calls neither `_rows` nor `_index`, on a cyclic,
     a layered and a one-step model; the same behavior's joint table builds
     its index per chunk, one `_index` call each."""
@@ -685,7 +684,7 @@ def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
     refuse = AssertionError("a product sweep built gather rows")
     for m, behavior in cases:
         monkeypatch.setattr(planning, "_GAME_CACHE", {})
-        planning._groups.cache_clear()
+        planning._subgrids.cache_clear()
         with mock.patch.object(planning, "_rows", side_effect=refuse), \
                 mock.patch.object(planning, "_index", side_effect=refuse):
             planning.coalition_values(m, behavior)

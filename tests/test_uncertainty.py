@@ -32,6 +32,8 @@ from blamekit.uncertainty import (
     RobustBounds,
     UncertaintySet,
     _CHOOSERS,
+    _ball_max,
+    _box_max,
     _chooser,
     _fold,
     _monotone_closure,
@@ -116,7 +118,7 @@ def test_sample_center_is_deterministic_and_contains_truth():
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="ROADMAP small item, L3 ball sampler: its box rejection "
+                   reason="ROADMAP 20: its box rejection "
                           "accepts about 1/(k - 1)! of its draws")
 def test_sample_center_draws_a_ball_row_for_twelve_actions():
     """A 12-action uniform agent at radius 0.05 gets a center whose ball
@@ -548,6 +550,20 @@ def test_array_choosers_match_the_loops(case):
         _same_bytes(q[i], expected[1])
 
 
+def test_max_greedies_leave_a_rounding_residue_unmoved():
+    """The ball's and the box's greedies share `_pour`'s stop: a mass of at
+    most 1e-15 left after the earlier coordinates moves nothing. Here that
+    mass is 0.5 - 1/6 - 1/3, 5.55e-17 in floating point and 0 in exact
+    arithmetic, so the third coordinate in fill order keeps its start."""
+    p = np.array([[1 / 6, 1 / 3, 1 / 6, 1 / 3]])
+    _, q = _ball_max(np.arange(4.0)[None, None], p, np.ones((1, 4)), np.arange(4), 0.5)
+    assert q.tolist() == [[0.0, 0.0, 1 / 6, 1 / 3 + 1 / 6 + 1 / 3]]
+    # the box raises lower ends highest payoff first, so payoffs descend
+    lo, hi = np.array([[0.0, 0.0, 0.0, 0.5]]), np.array([[1 / 6, 1 / 3, 1 / 6, 1.0]])
+    _, q = _box_max(np.arange(4.0)[None, None, ::-1], lo, hi, np.array([[0.5]]))
+    assert q.tolist() == [[1 / 6, 1 / 3, 0.0, 0.5]]
+
+
 def test_certain_complements_build_no_chooser(monkeypatch):
     """A coalition with no uncertain agent outside it reads its value off
     the center's coalition sweep, bit for bit in both modes, and the empty
@@ -813,18 +829,23 @@ def test_robust_bounds_checks_a_set_whose_key_is_cached(monkeypatch):
 
 def test_robust_bounds_checks_a_set_once_per_call(monkeypatch):
     """`robust_bounds` is the one place a set is checked: once per call, on
-    a cache miss as on a hit; building the bounds checks nothing again."""
+    a cache miss as on a hit; building the bounds checks nothing again. A
+    check validates each of the center's agent policies once."""
     monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
-    calls = []
-    check = uncertainty._check_set
+    calls, validated = [], []
+    check, validate = uncertainty._check_set, AgentPolicy.validate
     monkeypatch.setattr(uncertainty, "_check_set",
                         lambda *args: calls.append(args) or check(*args))
+    monkeypatch.setattr(AgentPolicy, "validate",
+                        lambda self: validated.append(self) or validate(self))
     m = bandit_model(np.zeros(4), (2, 2))
     uset = UncertaintySet(bandit_center([(0.5, 0.5), (0.5, 0.5)]), 0.1)
     first = robust_bounds(m, uset, False)
     assert len(calls) == 1
+    validated.clear()
     assert robust_bounds(m, uset, False) is first
     assert len(calls) == 2
+    assert list(map(id, validated)) == list(map(id, uset.center.agents))
 
 
 def test_robust_bounds_reads_a_numpy_bool_exact_as_the_python_bool(monkeypatch):
