@@ -25,12 +25,16 @@
 #   - planning.coalition_values, every entry as float.hex text, on the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, on the
 #     same model at n = 8 and 12 with every agent at (0.8, 0.2), on the
-#     four coordination graphs, on the robustness graph and on the
-#     gridworld at the perm experiment's eleven behaviors, so that any
-#     bit-level move in the coalition sweep shows, not only one that
-#     reaches a CSV cell, on deterministic multi-level models and on the
-#     cyclic sweep too, and in the lattice's rounding of a mixed product
-#     behavior at the agent cap;
+#     four coordination graphs, on the robustness graph, on the
+#     gridworld at the perm experiment's eleven behaviors, on a seeded
+#     5-state, 8-agent acyclic model of four levels under a mixed product
+#     behavior with one agent's row all zero at one state, and on the
+#     one-step model whose every reward is -0.0, so that any bit-level move
+#     in the coalition sweep shows, not only one that reaches a CSV cell,
+#     on deterministic multi-level models and on the cyclic sweep too, in
+#     the lattice's rounding of a mixed product behavior at the agent cap,
+#     in a level's successor contraction at lattice widths past the 4-agent
+#     graphs, and in the sign of a zero backup;
 #   - the same dump, into its own file, for explicit joint tables: the
 #     `joint_table` of the mixed one-step behaviors at n = 8 and 12, of the
 #     robustness graph's behavior and of the perm gridworld behavior at
@@ -156,10 +160,11 @@ EOF
 
 run_coalition_values() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
+import numpy as np
 from blamekit.cli import ALPHA_PRIME_GRID
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
-from blamekit.mmdp import AgentPolicy, JointPolicy
-from blamekit.planning import coalition_values, mmdp_from_game
+from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
+from blamekit.planning import coalition_values, mmdp_from_game, one_step_model
 from blamekit.properties import random_monotone_game
 models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
           for n in range(1, 13)]
@@ -175,6 +180,21 @@ models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
 models += [(f"gridworld alpha_prime={a}",
             *build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=a)))
            for a in ALPHA_PRIME_GRID]
+# state s moves only to later states, the last one terminal: four levels
+rng = np.random.default_rng(48)
+counts = (2, 3, 1, 2, 2, 1, 2, 2)
+num_actions = int(np.prod(counts))
+transition = np.zeros((5, num_actions, 5))
+for s in range(4):
+    transition[s, :, s + 1:] = rng.dirichlet(np.ones(4 - s), size=num_actions)
+transition[4, :, 4] = 1.0
+reward = rng.uniform(-1.0, 1.0, size=(5, num_actions))
+reward[4] = 0.0
+layered = Mmdp(5, 8, counts, reward, transition, 0.99, np.eye(5)[0], frozenset({4}))
+rows = [rng.dirichlet(np.ones(k), size=5) for k in counts]
+rows[3][1] = 0.0  # agent 3 plays nothing at state 1
+models.append(("layered n=8 mixed", layered, JointPolicy(tuple(map(AgentPolicy, rows)))))
+models.append(("one-step -0.0", *one_step_model((2, 2), [-0.0] * 4)))
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior)):
         print(label, mask, " ".join(float(x).hex() for x in row))

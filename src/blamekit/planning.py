@@ -6,10 +6,11 @@ policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`, on
 the `one_step_model` layout that the impossibility fixture also uses).
 
-`coalition_values` solves the 2^n - 1 nonempty coalitions in chunks of equal
-joint-action count, for `characteristic_game` to reduce. A `JointPolicy`, a product,
-reads every coalition's tables off one `_lattice` per step; an explicit joint table,
-which may be correlated, gathers them per chunk through `_induced`. An acyclic model
+`coalition_values` solves the 2^n - 1 nonempty coalitions, for `characteristic_game`
+to reduce. A `JointPolicy`, a product, reads every coalition's tables off one `_lattice`
+per step: a level backs up all its entries at once and takes each coalition's maximum
+over its segment, a cycle takes chunks of equal joint-action count. An explicit joint
+table, which may be correlated, gathers them per chunk through `_induced`. An acyclic model
 takes one backward pass over `_topological_levels`, the first level reading the reward
 alone, each later one its transitions into the nonterminal states it reaches; a cyclic
 one reads every state and runs a stacked policy iteration greedy first on the
@@ -353,15 +354,16 @@ _GAME_CACHE: dict[bytes, tuple[np.ndarray, CharacteristicGame]] = {}  # values a
 
 # Most elements a sweep chunk's stacked tables may hold: K * W * (S + A_C * (3 * S + sum of
 # L * Z)) for a joint table at its W = A_D complement actions: q, the index, the table's and the
-# reward's gathers and each block's L states at its Z columns; a lattice's slices: no q and no
-# table gather, W = 1.
+# reward's gathers and each block's L states at its Z columns; a lattice's slices, which a cyclic
+# product sweep alone reads: no q and no table gather, W = 1.
 _GATHER_BUDGET = 1 << 15
 
 
 def _coalition_chunks(m: Mmdp, joint: bool, blocks) -> Iterator[np.ndarray]:
     """The masks of every nonempty coalition, cut from its `_subgrids` group
     into chunks whose tables for `blocks` fit _GATHER_BUDGET, a `joint`
-    table's at every complement action."""
+    table's at every complement action, else a cyclic product's lattice
+    slices (an acyclic product sweep reads whole levels, unchunked)."""
     S = m.num_states  # the elements per (coalition, complement) action pair:
     span = (2 + joint) * S + sum(rows.size for _, _, rows, _ in blocks) // m.num_joint_actions
     _, offsets, groups = _subgrids(m.action_counts)
@@ -437,15 +439,21 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
         # a product: rows over their sums, as q / totals; where the table plays nothing, all 0
         dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
         probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
-        chunks = [(masks, offsets[masks][:, None, None] + np.arange(offsets[masks[0] + 1] - offsets[masks[0]]))
-                  for masks in _coalition_chunks(m, False, blocks)]
         for states, block in steps:  # each step's lattice alive only while it runs
             lattice = _lattice([p[states] for p in probs], dead[states], m.reward[states],
                                *[] if block is None else [block[2]])  # reward, transitions
-            starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]  # of each state
-            for masks, columns in chunks:  # (K, L, A_C, 1 + Z) tables
-                tables = lattice.take(columns + starts, 0)
-                settle(masks, states, block, tables[..., 0], None if block is None else tables[..., 1:])
+            if levels is None:  # a cycle, one step: each chunk's (K, S, A_C, 1 + S) tables
+                starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]  # of each state
+                for masks in _coalition_chunks(m, False, blocks):
+                    num_c = offsets[masks[0] + 1] - offsets[masks[0]]
+                    tables = lattice.take(offsets[masks][:, None, None] + np.arange(num_c) + starts, 0)
+                    settle(masks, states, block, tables[..., 0], tables[..., 1:])
+                continue  # a level: r + γ·ahead at every entry in place, then each mask's max
+            tables = lattice.reshape(states.size, offsets[-1], -1)
+            r = tables[..., 0]  # + γ·0.0 on the first level too, so a -0.0 reads +0.0
+            r += m.discount * (0.0 if block is None else np.einsum(  # successors per entry
+                "ljt,jt->lj", tables[..., 1:], np.repeat(rows[:, block[1]], np.diff(offsets), 0)))
+            rows[1:, states] = np.maximum.reduceat(r, offsets[1:-1], axis=1).T
         return rows
 
     def entry():

@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 
 from blamekit import attribution, envs, lp, planning, properties, uncertainty
-from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
+from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, as_joint_table, policy_values
 
 
 def random_mmdp(rng, num_states=4, action_counts=(2, 3), gamma=0.9):
@@ -443,6 +443,39 @@ def induced_gathered(m, table, idx, blocks):
             [np.einsum("...sd,...scdt->...sct", q[..., states, :],
                        np.ascontiguousarray(transition[..., states, :, :, :][..., columns]))
              for states, columns, *_ in blocks])
+
+
+def chunked_product_sweep(m, behavior):
+    """`planning.coalition_values` (not read-only) of an acyclic model under a
+    `JointPolicy`, swept as it was before a level backed up all its entries
+    at once: per level the same `planning._lattice`, then one take of each
+    `planning._coalition_chunks` chunk's (K, L, A_C, 1 + Z) tables, each
+    backed up as (r + γ·ahead).max(-1), with ahead 0.0 on the first level.
+    The reference the level-wide segment max must match bit for bit."""
+    table = as_joint_table(m, behavior)
+    levels = planning._topological_levels(m)
+    rows = np.zeros((1 << m.num_agents, m.num_states))
+    rows[0] = policy_values(m, table)
+    blocks = []  # per later level: its states, nonterminal successor columns, their rows, shift
+    for s in levels[1:]:
+        z = np.flatnonzero((block := m.transition[s]).any(axis=(0, 1)))
+        z = z[[t not in m.terminal_states for t in z.tolist()]]
+        blocks.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
+                       (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
+    dead, offsets = ~(table.sum(axis=1) > 0), planning._subgrids(m.action_counts)[1]
+    probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
+    chunks = list(planning._coalition_chunks(m, False, blocks))
+    for states, block in zip(levels, [None, *blocks]):
+        lattice = planning._lattice([p[states] for p in probs], dead[states], m.reward[states],
+                                    *[] if block is None else [block[2]])
+        starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]
+        for masks in chunks:
+            columns = offsets[masks][:, None, None] + np.arange(offsets[masks[0] + 1] - offsets[masks[0]])
+            tables = lattice.take(columns + starts, 0)
+            ahead = 0.0 if block is None else np.einsum(
+                "ksat,kt->ksa", tables[..., 1:], rows[masks[:, None], block[1]])
+            rows[masks[:, None], states] = (tables[..., 0] + m.discount * ahead).max(axis=-1)
+    return rows
 
 
 # The per-agent product tables and the state order as `uncertainty` built

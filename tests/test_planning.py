@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,8 +29,8 @@ from blamekit.planning import (
     solve_mdp,
 )
 from blamekit.properties import random_monotone_game
-from helpers import (assert_same_model, complement_columns, compose, index_stack,
-                     induced_full, induced_gathered, kahn_order,
+from helpers import (assert_same_model, chunked_product_sweep, complement_columns, compose,
+                     index_stack, induced_full, induced_gathered, kahn_order,
                      mmdp_from_game_scatter, random_acyclic_mmdp,
                      random_factorized, random_mmdp)
 
@@ -783,22 +784,70 @@ def test_game_model_sweep_is_one_chunk_per_joint_action_group(n, mixed):
     assert len(chunks) == {7: 7, 8: 17, 9: 55, 10: 210, 11: 1027, 12: 4095}[n]
 
 
-@pytest.mark.parametrize("n", range(7, MAX_AGENTS + 1))
-def test_a_product_sweep_budgets_its_chunks_without_a_conditional(n):
-    """The same game model swept under its JointPolicy reads lattice slices:
-    no complement conditional and one complement action, so a coalition costs
-    A_C * 2 * S, and the groups past the budget take 13, 29 and 72 chunks at
-    n = 10 to 12, not the joint table's 210, 1027 and 4095."""
-    m, behavior = mmdp_from_game(random_monotone_game(n, 0))
-    model, joint, blocks = _sweep_args(m, behavior)
-    assert joint is False and blocks == []
-    chunks = list(planning._coalition_chunks(model, joint, blocks))
-    sizes = planning.membership(n).sum(axis=1)
-    for k in range(1, n + 1):
-        group = [chunk for chunk in chunks if sizes[chunk[0]] == k]
-        cost = (1 << k) * 2 * m.num_states
-        assert len(group) == -(-math.comb(n, k) // (planning._GATHER_BUDGET // cost))
-    assert len(chunks) == {7: 7, 8: 8, 9: 9, 10: 13, 11: 29, 12: 72}[n]
+def _acyclic_product_cases():
+    """(label, model, JointPolicy) for the acyclic product sweeps the
+    structural pins run: the game model at n = 7 to 12 under its own
+    behavior, the four coordination graphs and the robustness graph."""
+    for n in range(7, MAX_AGENTS + 1):
+        yield (f"game n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
+    for level in range(1, 5):
+        yield (f"coordination m={level}", *build_graph(GraphSpec("coordination", threshold_index=level)))
+    yield ("robustness", *build_graph(GraphSpec("robustness")))
+
+
+@pytest.mark.parametrize("label, m, behavior",
+                         [pytest.param(*case, id=case[0]) for case in _acyclic_product_cases()])
+def test_an_acyclic_product_sweep_backs_up_whole_levels_unchunked(monkeypatch, label, m,
+                                                                  behavior):
+    """A JointPolicy sweep of an acyclic model builds one lattice per level and
+    backs up every coalition of the level at once: it cuts no chunks (no
+    `_coalition_chunks` call, so no per-chunk take or settle), gathers no
+    chunk through `_induced` and runs no policy iteration."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    refuse = AssertionError(f"the acyclic product sweep of {label} chunked its coalitions")
+    with mock.patch.object(planning, "_coalition_chunks", side_effect=refuse), \
+            mock.patch.object(planning, "_induced", side_effect=refuse), \
+            mock.patch.object(planning, "solve_mdp", side_effect=refuse), \
+            mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        planning.coalition_values(m, behavior)
+    assert lattice.call_count == len(planning._topological_levels(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       action_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       num_states=st.integers(1, 5),
+       kind=st.sampled_from(["deterministic", "partial", "full"]),
+       budget=st.integers(1, planning._GATHER_BUDGET))
+def test_a_cyclic_product_sweep_budgets_its_chunks_without_a_conditional(
+        seed, action_counts, num_states, kind, budget):
+    """A cyclic model's JointPolicy sweep still reads lattice slices chunk by
+    chunk: one `_coalition_chunks` call, for a product (no complement
+    conditional, one complement action) and the whole-model block, whose
+    chunks hold every nonempty coalition once; a chunk of K > 1 holds at most
+    K * A_C * (2 * S + S * S) elements, and each A_C group takes the fewest
+    chunks that allows."""
+    rng = np.random.default_rng(seed)
+    m = random_mmdp(rng, num_states, tuple(action_counts))
+    assert planning._topological_levels(m) is None
+    behavior = _product_behavior(rng, m, [kind] * m.num_agents, False)
+    S = m.num_states
+    with mock.patch.object(planning, "_GATHER_BUDGET", budget):
+        model, joint, blocks = _sweep_args(m, behavior)
+        chunks = list(planning._coalition_chunks(model, joint, blocks))
+    assert model is m and joint is False and len(blocks) == 1 and blocks[0][2].shape == (
+        S * m.num_joint_actions, S)
+    assert sorted(np.concatenate(chunks)) == list(range(1, 1 << m.num_agents))
+    _, offsets, _ = planning._subgrids(m.action_counts)
+    groups = {}
+    for chunk in chunks:
+        num_c = int(offsets[chunk[0] + 1] - offsets[chunk[0]])
+        assert (offsets[chunk + 1] - offsets[chunk] == num_c).all()
+        if chunk.size > 1:
+            assert chunk.size * num_c * (2 * S + S * S) <= budget
+        groups.setdefault(num_c, []).append(chunk.size)
+    for num_c, sizes in groups.items():
+        assert len(sizes) == -(-sum(sizes) // max(1, budget // (num_c * (2 * S + S * S))))
 
 
 @pytest.mark.parametrize("variant, level, count", [
@@ -1120,6 +1169,109 @@ def test_a_product_sweep_is_its_joint_tables_sweep(seed, kinds, num_states, mode
         assert rows.tobytes() == gathered.tobytes()
     tol = 1e-15 if levels is not None else 1e-15 / (1.0 - m.discount)
     assert np.abs(rows - gathered).max() <= tol * np.abs(gathered).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.tuples(st.integers(1, 4),
+                                st.sampled_from(["deterministic", "partial", "full"])),
+                      min_size=1, max_size=5),
+       num_states=st.integers(1, 5),
+       model=st.sampled_from(["one-step", "dense acyclic", "one-hot layered"]),
+       zero_row=st.booleans())
+@example(seed=3, kinds=[(1, "full"), (3, "partial"), (1, "deterministic"), (2, "full")],
+         num_states=4, model="one-hot layered", zero_row=True)
+@example(seed=4, kinds=[(1, "deterministic")] * 3, num_states=3, model="dense acyclic",
+         zero_row=False)
+def test_a_level_sweep_is_the_chunked_product_sweep_bit_for_bit(seed, kinds, num_states,
+                                                                model, zero_row):
+    """An acyclic JointPolicy sweep backs up each level's entries at once and
+    takes each coalition's maximum over its segment; the sweep that took
+    each chunk's tables off the same lattice and backed them up alone is
+    the oracle, byte for byte: on one-step, dense and one-hot layered
+    models, under deterministic, partial and full agents (their rows scaled
+    off 1 by up to 1e-12), with a row of zeros or without, and with agents
+    of one action, whose coalitions' segments are one entry long."""
+    rng = np.random.default_rng(seed)
+    counts = tuple(k for k, _ in kinds)
+    if model == "one-step":
+        m, _ = planning.one_step_model(counts, rng.uniform(-1.0, 1.0, math.prod(counts)))
+    elif model == "dense acyclic":
+        m = random_acyclic_mmdp(rng, max(2, num_states), counts)
+    else:
+        m = _one_hot_layered(rng, counts, max(2, num_states))
+    behavior = _product_behavior(rng, m, [kind for _, kind in kinds], zero_row)
+    with mock.patch.object(planning, "_GAME_CACHE", {}):
+        rows = planning.coalition_values(m, behavior)
+    expected = chunked_product_sweep(m, behavior)
+    assert rows.shape == expected.shape and rows.dtype == expected.dtype
+    assert rows.tobytes() == expected.tobytes()
+
+
+def _wide_level_cases():
+    """Acyclic product sweeps past the property's five agents: the graphs
+    under their own behaviors and under a random full product, and 8- to
+    11-agent multi-level models under mixed products, one with a row of
+    zeros."""
+    rng = np.random.default_rng(48)
+    for variant, level in [*(("coordination", level) for level in range(1, 5)), ("robustness", 1)]:
+        m, behavior = build_graph(GraphSpec(variant, threshold_index=level))
+        yield m, behavior
+        yield m, random_factorized(rng, m)
+    for n, num_states, zero_row in ((8, 5, True), (9, 4, False), (11, 4, False)):
+        counts = tuple(int(k) for k in rng.integers(1, 3, n))
+        m = random_acyclic_mmdp(rng, num_states, counts)
+        yield m, _product_behavior(rng, m, ["partial", "full"] * (n // 2) + ["full"] * (n % 2),
+                                   zero_row)
+
+
+def test_wide_level_sweeps_are_the_chunked_product_sweep_bit_for_bit(monkeypatch):
+    """Where a level's lattice is thousands of entries wide and its
+    successor contraction covers every coalition at once, each value is
+    still the chunked sweep's, byte for byte."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    for m, behavior in _wide_level_cases():
+        assert planning._topological_levels(m) is not None
+        rows = planning.coalition_values(m, behavior)
+        assert rows.tobytes() == chunked_product_sweep(m, behavior).tobytes()
+
+
+def test_a_level_sweep_reads_a_negative_zero_reward_as_positive_zero(monkeypatch):
+    """Every reward of the one-step model is -0.0; the backup r + γ·0.0 of its
+    one level turns each into +0.0, so every row, the grand coalition's
+    included, reads +0.0, as the chunked sweep's did."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    m, behavior = planning.one_step_model((2, 2), [-0.0] * 4)
+    rows = planning.coalition_values(m, behavior)
+    assert rows.tobytes() == np.zeros((4, 2)).tobytes()
+    assert rows.tobytes() == chunked_product_sweep(m, behavior).tobytes()
+
+
+@pytest.mark.parametrize("case, bound_mb", [("eleven-agent layered", 1.25 * 8.8),
+                                            ("twelve-agent one-step", 8.9)])
+def test_a_level_sweep_holds_little_beside_its_lattice(monkeypatch, case, bound_mb):
+    """Traced by tracemalloc from warm layout caches, an acyclic product
+    sweep's peak stays within 1.25 times the chunked sweep's on a 4-state,
+    11-binary-agent model under a mixed product (8.8 MB when each chunk
+    took its own tables), its successor gather included, and no higher than
+    the chunked sweep's 8.9 MB on the 12-agent one-step model."""
+    if case == "eleven-agent layered":
+        rng = np.random.default_rng(0)
+        m = random_acyclic_mmdp(rng, 4, (2,) * 11)
+        behavior = random_factorized(rng, m)
+    else:
+        m, _ = mmdp_from_game(random_monotone_game(MAX_AGENTS, 1))
+        behavior = JointPolicy((AgentPolicy(np.tile([0.8, 0.2], (2, 1))),) * MAX_AGENTS)
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    planning.coalition_values(m, behavior)  # fills the layout caches
+    planning._GAME_CACHE.clear()
+    tracemalloc.start()
+    try:
+        planning.coalition_values(m, behavior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def test_a_twelve_agent_mixed_product_sweep_is_the_full_contraction(monkeypatch):

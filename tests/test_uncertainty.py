@@ -1040,9 +1040,11 @@ def test_a_robust_run_reads_its_best_responses_off_the_center_sweep(monkeypatch,
     """Certain complements and the cyclic recursion's start read the
     center's coalition values, so the robust layer solves no best response
     of its own. The sweeps stay one for the true behavior and two per task
-    (the center's game and sv_valid's most favorable behavior), and the
-    linear solves stay at most 400 (the gridworld made 914 when each certain
-    complement and each cyclic start solved a best response)."""
+    (the center's game and sv_valid's most favorable behavior), counted by
+    the `_topological_levels` call each sweep makes once, chunked or by
+    whole levels, and the linear solves stay at most 400 (the gridworld made
+    914 when each certain complement and each cyclic start solved a best
+    response)."""
     def refuse(*args):
         raise AssertionError("the robust layer solved a best response")
 
@@ -1050,8 +1052,8 @@ def test_a_robust_run_reads_its_best_responses_off_the_center_sweep(monkeypatch,
     for module, name in ((planning, "_GAME_CACHE"), (uncertainty, "_BOUNDS_CACHE")):
         monkeypatch.setattr(module, name, {})
     monkeypatch.setattr(uncertainty, "best_response", refuse)
-    with mock.patch.object(planning, "_coalition_chunks",
-                           wraps=planning._coalition_chunks) as swept, \
+    with mock.patch.object(planning, "_topological_levels",
+                           wraps=planning._topological_levels) as swept, \
             mock.patch.object(planning, "_solve_linear",
                               wraps=planning._solve_linear) as stepped, \
             mock.patch.object(mmdp, "_solve_linear", wraps=mmdp._solve_linear) as evaluated:
