@@ -46,6 +46,11 @@
 #     each chunk's index and marginalizes through `_induced` shows. A joint
 #     table shares its product's memo key, so these run in a process of
 #     their own;
+#   - planning._topological_levels, each level's states or None, on the
+#     four coordination graphs, the robustness graph, the gridworld, the
+#     one-step model of random_monotone_game(n, 0) for n = 1 to 12, and
+#     seeded dense, one-hot layered and cyclic models of 2 to 60 states,
+#     so that a peel change that moves any state to another level shows;
 #   - uncertainty.RobustBounds, every coalition's min and max bound as
 #     float.hex text and a sha256 digest of max_policy(), for each set the
 #     robust experiments draw at seeds 0 to 9 and their default eps levels:
@@ -230,6 +235,44 @@ EOF
     echo "exit $?" >> "$2/coalition_values_explicit.txt"
 }
 
+run_levels() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/levels.txt" 2>&1 <<'EOF'
+import numpy as np
+from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
+from blamekit.mmdp import Mmdp
+from blamekit.planning import _topological_levels, mmdp_from_game
+from blamekit.properties import random_monotone_game
+models = [(f"coordination graph m={level}",
+           build_graph(GraphSpec("coordination", threshold_index=level))[0])
+          for level in range(1, 5)]
+models.append(("robustness graph", build_graph(GraphSpec("robustness"))[0]))
+models.append(("gridworld", build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=0.5))[0]))
+models += [(f"one-step n={n}", mmdp_from_game(random_monotone_game(n, 0))[0])
+           for n in range(1, 13)]
+rng = np.random.default_rng(49)
+for num_states in (2, 5, 17, 60):
+    # dense: state s moves to every later state; one-hot: to one state of a
+    # lower random level; cyclic: dense rows over every state
+    dense = np.zeros((num_states, 2, num_states))
+    one_hot = np.zeros((num_states, 2, num_states))
+    level = np.append(rng.integers(1, num_states, size=num_states - 1), 0)
+    for s in range(num_states - 1):
+        dense[s, :, s + 1:] = rng.dirichlet(np.ones(num_states - s - 1), size=2)
+        one_hot[s, [0, 1], rng.choice(np.flatnonzero(level < level[s]), 2)] = 1.0
+    dense[-1, :, -1] = one_hot[-1, :, -1] = 1.0
+    cyclic = rng.dirichlet(np.ones(num_states), size=(num_states, 2))
+    for label, transition in (("dense", dense), ("one-hot", one_hot), ("cyclic", cyclic)):
+        terminal = frozenset() if label == "cyclic" else frozenset({num_states - 1})
+        models.append((f"{label} S={num_states}",
+                       Mmdp(num_states, 1, (2,), np.zeros((num_states, 2)), transition,
+                            0.9, np.eye(num_states)[0], terminal)))
+for label, model in models:
+    levels = _topological_levels(model)
+    print(label, None if levels is None else [states.tolist() for states in levels])
+EOF
+    echo "exit $?" >> "$2/levels.txt"
+}
+
 run_robust_bounds() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/robust_bounds.txt" 2>&1 <<'EOF'
 import hashlib
@@ -265,12 +308,14 @@ run_one_step "$PWD/src" "$work/head"
 run_pair_checks "$PWD/src" "$work/head"
 run_games "$PWD/src" "$work/head"
 run_coalition_values "$PWD/src" "$work/head"
+run_levels "$PWD/src" "$work/head"
 run_robust_bounds "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
 run_pair_checks "$work/base/src" "$work/base-out"
 run_games "$work/base/src" "$work/base-out"
 run_coalition_values "$work/base/src" "$work/base-out"
+run_levels "$work/base/src" "$work/base-out"
 run_robust_bounds "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0

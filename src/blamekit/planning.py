@@ -7,14 +7,15 @@ such set function is realizable by a one-step model (`mmdp_from_game`, on
 the `one_step_model` layout that the impossibility fixture also uses).
 
 `coalition_values` solves the 2^n - 1 nonempty coalitions, for `characteristic_game`
-to reduce. A `JointPolicy`, a product, reads every coalition's tables off one `_lattice`
-per step: a level backs up all its entries at once and takes each coalition's maximum
-over its segment, a cycle takes chunks of equal joint-action count. An explicit joint
-table, which may be correlated, gathers them per chunk through `_induced`. An acyclic model
-takes one backward pass over `_topological_levels`, the first level reading the reward
-alone, each later one its transitions into the nonterminal states it reaches; a cyclic
-one reads every state and runs a stacked policy iteration greedy first on the
-behavior's values. `_subgrids` is the package's one coalition layout.
+to reduce. A `JointPolicy`, a product, normalizes the agents of each action count as one
+stack and reads every coalition's tables off one `_lattice` per step: a level backs up all
+its entries at once and takes each coalition's maximum over its segment, a cycle takes
+chunks of equal joint-action count. An explicit joint table, which may be correlated,
+gathers them per chunk through `_induced`. An acyclic model takes one backward pass over
+`_topological_levels` (Kahn's peel, a level at a time), the first level reading the reward
+alone, each later one its transitions into the nonterminal states it reaches; a cyclic one
+reads every state and runs a stacked policy iteration greedy first on the behavior's values.
+`_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
 
@@ -315,19 +316,20 @@ def _topological_levels(m: Mmdp) -> list[np.ndarray] | None:
     only point into earlier levels or terminal states; None if the model has
     a cycle beyond terminal self-loops. An edge of at most _EDGE_TOL orders
     nothing, so a backward pass reads it against v = 0 if it points ahead."""
-    reach = m.transition.max(axis=1) > _EDGE_TOL
-    loops = np.flatnonzero(np.diagonal(reach))
-    if not m.terminal_states.issuperset(loops.tolist()):
+    reach = np.einsum("sat->st", m.transition > _EDGE_TOL)  # a bool sum: any over actions
+    nonterminal = np.array([s not in m.terminal_states for s in range(m.num_states)], dtype=bool)
+    if (np.diagonal(reach) & nonterminal).any():
         return None
     np.fill_diagonal(reach, False)
     out_degree = reach.sum(axis=1)
-    levels = [np.flatnonzero(out_degree == 0)]
-    while levels[-1].size:  # every state whose successors are all peeled
-        out_degree -= reach[:, levels[-1]].sum(axis=1)
-        out_degree[levels[-1]] = -1
-        levels.append(np.flatnonzero(out_degree == 0))
-    kept = [level[[s not in m.terminal_states for s in level.tolist()]] for level in levels]
-    return [level for level in kept if level.size] if out_degree.max() < 0 else None
+    levels, left = [(out_degree == 0).nonzero()[0]], m.num_states
+    # peel until every state is peeled, or a level comes up empty: what is left reaches a cycle
+    while (left := left - levels[-1].size) and levels[-1].size:
+        out_degree -= reach[:, levels[-1]].sum(axis=1)  # next: every state whose successors
+        out_degree[levels[-1]] = -1  # are all peeled
+        levels.append((out_degree == 0).nonzero()[0])
+    kept = [level[nonterminal[level]] for level in levels]
+    return None if left else [level for level in kept if level.size]
 
 
 def best_response(m: Mmdp, behavior, coalition) -> BestResponse:
@@ -436,11 +438,16 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
                 for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
                     settle(masks, states, block, r[:, states], p)
             return rows
-        # a product: rows over their sums, as q / totals; where the table plays nothing, all 0
+        # a product: rows over their sums, as q / totals, the agents of each action count k as
+        # one (g, S, k) stack; where the table plays nothing, all 0
         dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
-        probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
+        stacks = {k: np.concatenate([a.probs[None] for a, c in zip(behavior.agents, m.action_counts)
+                                     if c == k]) for k in set(m.action_counts)}
+        for stack in stacks.values():
+            stack /= np.where(dead, 1.0, stack.sum(axis=2))[..., None]
         for states, block in steps:  # each step's lattice alive only while it runs
-            lattice = _lattice([p[states] for p in probs], dead[states], m.reward[states],
+            rows_of = {k: iter(stack[:, states]) for k, stack in stacks.items()}
+            lattice = _lattice([next(rows_of[k]) for k in m.action_counts], dead[states], m.reward[states],
                                *[] if block is None else [block[2]])  # reward, transitions
             if levels is None:  # a cycle, one step: each chunk's (K, S, A_C, 1 + S) tables
                 starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]  # of each state
@@ -476,8 +483,8 @@ def one_step_model(action_counts: tuple[int, ...],
     transition[:, :, 1] = 1.0
     model = Mmdp(2, len(action_counts), action_counts, _read_only(reward),
                  _read_only(transition), DISCOUNT, np.array([1.0, 0.0]), frozenset({1}))
-    return model, JointPolicy(tuple(AgentPolicy.deterministic(2, k, 0)
-                                    for k in action_counts))
+    one_hot = {k: AgentPolicy(_read_only(np.eye(k)[[0, 0]])) for k in set(action_counts)}
+    return model, JointPolicy(tuple(one_hot[k] for k in action_counts))  # shared, read-only
 
 
 def mmdp_from_game(f: CharacteristicGame) -> tuple[Mmdp, JointPolicy]:

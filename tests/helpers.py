@@ -478,6 +478,43 @@ def chunked_product_sweep(m, behavior):
     return rows
 
 
+def per_agent_rows(m, behavior):
+    """Each agent's (S, k) rows over their sums, agent by agent, as the product
+    sweep normalized them before it stacked the agents of each action count;
+    all 0 where the joint table plays nothing. The reference every
+    `planning._lattice` call's rows must match byte for byte."""
+    dead = ~(as_joint_table(m, behavior).sum(axis=1) > 0)
+    return [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
+
+
+def peel_levels(m):
+    """`planning._topological_levels` as it peeled before its reach was one
+    bool contraction and its terminal states one mask: the reference the
+    peel must match byte for byte, levels and None alike."""
+    reach = m.transition.max(axis=1) > planning._EDGE_TOL
+    loops = np.flatnonzero(np.diagonal(reach))
+    if not m.terminal_states.issuperset(loops.tolist()):
+        return None
+    np.fill_diagonal(reach, False)
+    out_degree = reach.sum(axis=1)
+    levels = [np.flatnonzero(out_degree == 0)]
+    while levels[-1].size:  # every state whose successors are all peeled
+        out_degree -= reach[:, levels[-1]].sum(axis=1)
+        out_degree[levels[-1]] = -1
+        levels.append(np.flatnonzero(out_degree == 0))
+    kept = [level[[s not in m.terminal_states for s in level.tolist()]] for level in levels]
+    return [level for level in kept if level.size] if out_degree.max() < 0 else None
+
+
+def same_levels(levels, expected):
+    """Both None, or the same levels with equal dtypes, shapes and bytes."""
+    if levels is None or expected is None:
+        return levels is expected
+    return len(levels) == len(expected) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(levels, expected))
+
+
 # The per-agent product tables and the state order as `uncertainty` built
 # them before `mmdp.product_table` and the peeled levels: the references
 # `uncertainty._chooser`'s tables, `RobustBounds._solve`'s center table and

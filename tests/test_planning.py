@@ -28,11 +28,11 @@ from blamekit.planning import (
     optimal_joint,
     solve_mdp,
 )
-from blamekit.properties import random_monotone_game
+from blamekit.properties import impossibility_fixture, random_monotone_game
 from helpers import (assert_same_model, chunked_product_sweep, complement_columns, compose,
                      index_stack, induced_full, induced_gathered, kahn_order,
-                     mmdp_from_game_scatter, random_acyclic_mmdp,
-                     random_factorized, random_mmdp)
+                     mmdp_from_game_scatter, peel_levels, per_agent_rows, random_acyclic_mmdp,
+                     random_factorized, random_mmdp, same_levels)
 
 
 def brute_force_best_value(m, behavior, coalition):
@@ -1076,6 +1076,35 @@ def test_the_robustness_graphs_sweep_is_one_backward_pass(monkeypatch):
     assert np.abs(rows[1:] - solved).max() <= 1e-15 * np.abs(solved).max()
 
 
+def _peel_cases():
+    """The six environment models, the one-step layout at 1 to 12 agents,
+    seeded dense, sub-tolerance and one-hot layered models of up to 60
+    states, cyclic ones, and a dense 1,000-state layered model (999 levels)."""
+    for level in range(1, 5):
+        yield f"coordination {level}", build_graph(GraphSpec("coordination", threshold_index=level))[0]
+    yield "robustness", build_graph(GraphSpec("robustness"))[0]
+    yield "gridworld", build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=0.5))[0]
+    for n in range(1, MAX_AGENTS + 1):
+        yield f"one-step {n}", mmdp_from_game(random_monotone_game(n, 0))[0]
+    rng = np.random.default_rng(49)
+    for num_states in (2, 3, 5, 9, 17, 33, 60):
+        yield f"dense {num_states}", random_acyclic_mmdp(rng, num_states, (2, 1))
+        yield f"sub-tolerance {num_states}", _layered_acyclic(rng, 2, num_states, 1.0)
+        yield f"one-hot {num_states}", _one_hot_layered(rng, (3, 2), num_states)
+        yield f"cyclic {num_states}", random_mmdp(rng, num_states, (2,))
+    yield "dense 1000", random_acyclic_mmdp(rng, 1000, (2,))
+
+
+def test_peeled_levels_are_the_reference_peel_byte_for_byte():
+    """On the environment models, the one-step layout and seeded layered and
+    cyclic models from 2 to 1,000 states, the peel returns the reference
+    peel's levels, dtype and bytes alike, or None where it does."""
+    for label, m in _peel_cases():
+        levels = planning._topological_levels(m)
+        assert same_levels(levels, peel_levels(m)), label
+        assert (levels is None) == label.startswith(("cyclic", "gridworld")), label
+
+
 def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
     """Its one level's successors are terminal, so it reads the reward alone:
     a product behavior's sweep builds one lattice, of the reward at the one
@@ -1171,27 +1200,54 @@ def test_a_product_sweep_is_its_joint_tables_sweep(seed, kinds, num_states, mode
     assert np.abs(rows - gathered).max() <= tol * np.abs(gathered).max()
 
 
+def _relaid(rng, behavior, layout, unnormalized):
+    """`behavior` with every agent's rows scaled by factors in [0.25, 4] if
+    `unnormalized`, held C-ordered, transposed (column-major) or as a view
+    of every other column of a wider array, as `layout` says."""
+    agents = []
+    for agent in behavior.agents:
+        probs = agent.probs
+        if unnormalized:
+            probs = probs * rng.uniform(0.25, 4.0, size=(len(probs), 1))
+        if layout == "transposed":
+            probs = np.ascontiguousarray(probs.T).T
+        elif layout == "strided":
+            probs = np.repeat(probs, 2, axis=1)[:, ::2]
+        agents.append(AgentPolicy(probs))
+    return JointPolicy(tuple(agents))
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.tuples(st.integers(1, 4),
+       kinds=st.lists(st.tuples(st.integers(1, 12),
                                 st.sampled_from(["deterministic", "partial", "full"])),
                       min_size=1, max_size=5),
        num_states=st.integers(1, 5),
        model=st.sampled_from(["one-step", "dense acyclic", "one-hot layered"]),
-       zero_row=st.booleans())
+       zero_row=st.booleans(), layout=st.sampled_from(["C", "transposed", "strided"]),
+       unnormalized=st.booleans())
 @example(seed=3, kinds=[(1, "full"), (3, "partial"), (1, "deterministic"), (2, "full")],
-         num_states=4, model="one-hot layered", zero_row=True)
+         num_states=4, model="one-hot layered", zero_row=True, layout="C", unnormalized=False)
 @example(seed=4, kinds=[(1, "deterministic")] * 3, num_states=3, model="dense acyclic",
-         zero_row=False)
+         zero_row=False, layout="C", unnormalized=False)
+@example(seed=5, kinds=[(12, "full"), (9, "partial"), (8, "full")], num_states=3,
+         model="dense acyclic", zero_row=True, layout="transposed", unnormalized=True)
 def test_a_level_sweep_is_the_chunked_product_sweep_bit_for_bit(seed, kinds, num_states,
-                                                                model, zero_row):
+                                                                model, zero_row, layout,
+                                                                unnormalized):
     """An acyclic JointPolicy sweep backs up each level's entries at once and
-    takes each coalition's maximum over its segment; the sweep that took
-    each chunk's tables off the same lattice and backed them up alone is
-    the oracle, byte for byte: on one-step, dense and one-hot layered
-    models, under deterministic, partial and full agents (their rows scaled
-    off 1 by up to 1e-12), with a row of zeros or without, and with agents
-    of one action, whose coalitions' segments are one entry long."""
+    takes each coalition's maximum over its segment, after normalizing the
+    agents of each action count as one stack; the sweep that normalized
+    agent by agent, took each chunk's tables off the same lattice and backed
+    them up alone is the oracle, byte for byte: on one-step, dense and
+    one-hot layered models, under deterministic, partial and full agents of
+    1 to 12 actions (up to 1,024 joint actions: agents past that are
+    dropped), their rows scaled off 1 by up to 1e-12 or by factors of 0.25
+    to 4, with a row of zeros or without, held C-ordered, transposed or
+    strided, and with agents of one action, whose coalitions' segments are
+    one entry long."""
+    while math.prod(k for k, _ in kinds) > 1024:
+        kinds = kinds[:-1]
     rng = np.random.default_rng(seed)
     counts = tuple(k for k, _ in kinds)
     if model == "one-step":
@@ -1200,12 +1256,44 @@ def test_a_level_sweep_is_the_chunked_product_sweep_bit_for_bit(seed, kinds, num
         m = random_acyclic_mmdp(rng, max(2, num_states), counts)
     else:
         m = _one_hot_layered(rng, counts, max(2, num_states))
-    behavior = _product_behavior(rng, m, [kind for _, kind in kinds], zero_row)
+    behavior = _relaid(rng, _product_behavior(rng, m, [kind for _, kind in kinds], zero_row),
+                       layout, unnormalized)
     with mock.patch.object(planning, "_GAME_CACHE", {}):
         rows = planning.coalition_values(m, behavior)
     expected = chunked_product_sweep(m, behavior)
     assert rows.shape == expected.shape and rows.dtype == expected.dtype
     assert rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model, layout, unnormalized, zero_row", [
+    ("cyclic", "C", False, False), ("cyclic", "transposed", True, True),
+    ("cyclic", "strided", True, False), ("dense acyclic", "transposed", False, True)])
+def test_every_lattice_reads_the_rows_each_agent_normalizes_alone(monkeypatch, model, layout,
+                                                                  unnormalized, zero_row):
+    """A product sweep normalizes the agents of each action count as one
+    (g, S, k) stack; the rows each `_lattice` call reads, the cyclic
+    model's one step or each level of an acyclic one, are those that
+    normalizing agent by agent gives, byte for byte, for agents of 12, 3,
+    12, 1 and 3 actions, held C-ordered, transposed or strided, with rows
+    that sum to 1 or not and with a dead state or without."""
+    rng = np.random.default_rng(49)
+    counts = (12, 3, 12, 1, 3)
+    m = (random_mmdp if model == "cyclic" else random_acyclic_mmdp)(rng, 3, counts)
+    behavior = _relaid(rng, _product_behavior(rng, m, ["full", "partial", "deterministic",
+                                                       "full", "full"], zero_row),
+                       layout, unnormalized)
+    reference = per_agent_rows(m, behavior)
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    with mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+        planning.coalition_values(m, behavior)
+    levels = planning._topological_levels(m)
+    assert (levels is None) == (model == "cyclic")
+    steps = [np.arange(m.num_states)] if levels is None else levels
+    assert lattice.call_count == len(steps)
+    for states, call in zip(steps, lattice.call_args_list):
+        rows = call.args[0]
+        assert [(r.shape, r.tobytes()) for r in rows] == [
+            (p[states].shape, p[states].tobytes()) for p in reference]
 
 
 def _wide_level_cases():
@@ -1317,6 +1405,52 @@ def test_mmdp_from_game_matches_the_scatter_reference(n):
     scattered by mask bit for bit, and so does every other table."""
     f = random_monotone_game(n, n)
     assert_same_model(*mmdp_from_game(f), *mmdp_from_game_scatter(f))
+
+
+def _one_step_layouts(case):
+    """(model, behavior) of one one-step layout: a game's realization, the
+    impossibility fixture, or mixed action counts."""
+    if case == "fixture":
+        return impossibility_fixture()[:2]
+    if case == "mixed counts":
+        counts = (3, 2, 3, 1, 2, 3)
+        return planning.one_step_model(counts, np.linspace(-1.0, 1.0, math.prod(counts)))
+    return mmdp_from_game(random_monotone_game(int(case), 7))
+
+
+@pytest.mark.parametrize("case", ["1", "2", "8", "12", "fixture", "mixed counts"])
+def test_one_step_behaviors_share_one_read_only_one_hot_row_per_action_count(
+        monkeypatch, case):
+    """Every agent of a one-step layout plays action 0 in both states. The
+    agents of one action count share one read-only array, so a write into it
+    raises, and the game is the one that fresh per-agent one-hot rows give,
+    byte for byte."""
+    model, behavior = _one_step_layouts(case)
+    shared = {}
+    for k, agent in zip(model.action_counts, behavior.agents):
+        assert agent.probs.tobytes() == AgentPolicy.deterministic(2, k, 0).probs.tobytes()
+        assert agent.probs.shape == (2, k) and agent.probs is shared.setdefault(k, agent.probs)
+        with pytest.raises(ValueError, match="read-only"):
+            agent.probs[0, 0] = 0.5
+    fresh = JointPolicy(tuple(AgentPolicy.deterministic(2, k, 0) for k in model.action_counts))
+    swept = []
+    for policy in (behavior, fresh):
+        monkeypatch.setattr(planning, "_GAME_CACHE", {})
+        swept.append((planning.coalition_values(model, policy).tobytes(),
+                      characteristic_game(model, policy).values.tobytes()))
+    assert swept[0] == swept[1]
+
+
+def test_a_deviation_from_the_fixture_leaves_the_other_agents_row_intact():
+    """`replace` swaps agent 0's policy for a deviation; agent 1 keeps the
+    shared one-hot row, unwritten, and so does the fixture's own behavior."""
+    _, behavior, pi_1, pi_1_prime = impossibility_fixture()
+    one_hot = AgentPolicy.deterministic(2, 3, 0).probs.tobytes()
+    for pi in (pi_1, pi_1_prime):
+        deviated = behavior.replace(0, pi)
+        assert deviated.agents[0] is pi and deviated.agents[1] is behavior.agents[1]
+        assert not np.shares_memory(pi.probs, behavior.agents[1].probs)
+    assert [a.probs.tobytes() for a in behavior.agents] == [one_hot, one_hot]
 
 
 def test_mmdp_from_game_round_trip_is_exact_at_ten_agents():

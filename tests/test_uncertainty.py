@@ -52,9 +52,9 @@ from helpers import (ball_max_loop, ball_row_max_loop, box_max_loop,
                      complement_product_loop, contract_full,
                      corner_factors_loop, corner_max_loop, fold_loop,
                      highs_ball_min, highs_box_min, kahn_order,
-                     monotone_closure_loop, random_acyclic_mmdp,
+                     monotone_closure_loop, peel_levels, random_acyclic_mmdp,
                      random_factorized, random_mmdp, relaxed_box_loop,
-                     robust_chooser, robust_replay, two_row_min)
+                     robust_chooser, robust_replay, same_levels, two_row_min)
 
 
 def bandit_model(reward_row, action_counts, gamma=0.99):
@@ -622,8 +622,10 @@ def state_graphs(draw):
 def test_peeled_order_matches_kahn(m):
     """The peel finds a cycle where Kahn's order does; otherwise its levels
     hold each nonterminal state once, ascending, none empty, and every edge
-    between two of them points into an earlier level."""
+    between two of them points into an earlier level. Either way it returns
+    the reference peel's levels, dtype and bytes alike, or its None."""
     levels = _topological_levels(m)
+    assert same_levels(levels, peel_levels(m))
     assert (levels is None) == (kahn_order(m, _EDGE_TOL) is None)
     if levels is None:
         return
