@@ -43,9 +43,10 @@
 #     gridworld at exact=None and exact=False, the robustness graph at
 #     exact=False), the one place where a complement plays some but not all
 #     of its actions, so that a bit-level move in the path that gathers
-#     each chunk's index and marginalizes through `_induced` shows. A joint
-#     table shares its product's memo key, so these run in a process of
-#     their own;
+#     each chunk's index and marginalizes through `_induced` shows. The
+#     memo keys a joint table apart from its product, whose lattice rounds
+#     otherwise; these run in a process of their own all the same, so that
+#     no product sweep runs before them;
 #   - planning._topological_levels, each level's states or None, on the
 #     four coordination graphs, the robustness graph, the gridworld, the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, and
@@ -59,7 +60,12 @@
 #     exact=None: the ball where one agent is outside the coalition, else
 #     the segment corners for the max and the box for the min), so that a
 #     bit-level move in any chooser shows, not only one that reaches a
-#     12-digit CSV cell.
+#     12-digit CSV cell;
+#   - attribution.mer's untied, tiebreak-0 and tiebreak-(n - 1) points as
+#     float.hex text on random_monotone_game(n, s) for n = 2 to 11 and
+#     s = 0 to 3, and on the same games with the cap of mask
+#     1 + 3s mod (2^n - 1) set to -1e-17, whose primary runs phase 1, so
+#     that a simplex change that moves any MER point shows.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -298,6 +304,28 @@ EOF
     echo "exit $?" >> "$2/robust_bounds.txt"
 }
 
+run_lp() {  # SRC_DIR OUT_DIR
+    PYTHONPATH="$1" python - > "$2/lp.txt" 2>&1 <<'EOF'
+from blamekit.attribution import mer
+from blamekit.planning import CharacteristicGame
+from blamekit.properties import random_monotone_game
+for n in range(2, 12):
+    for seed in range(4):
+        values = random_monotone_game(n, seed).values.copy()
+        capped = values.copy()
+        capped[1 + 3 * seed % (values.size - 1)] = -1e-17
+        for label, game in (("drawn", values), ("capped", capped)):
+            game = CharacteristicGame(n, game)
+            for tiebreak in (None, 0, n - 1):
+                try:
+                    point = " ".join(float(x).hex() for x in mer(game, tiebreak).blames)
+                except RuntimeError as error:
+                    point = f"raised {error}"
+                print(n, seed, label, tiebreak, point)
+EOF
+    echo "exit $?" >> "$2/lp.txt"
+}
+
 if ! git archive "$base" src 2> /dev/null | tar -x -C "$work/base" 2> /dev/null; then
     echo "::warning::could not unpack $base; outputs not compared"
     exit 0
@@ -310,6 +338,7 @@ run_games "$PWD/src" "$work/head"
 run_coalition_values "$PWD/src" "$work/head"
 run_levels "$PWD/src" "$work/head"
 run_robust_bounds "$PWD/src" "$work/head"
+run_lp "$PWD/src" "$work/head"
 run_experiments "$work/base/src" "$work/base-out"
 run_one_step "$work/base/src" "$work/base-out"
 run_pair_checks "$work/base/src" "$work/base-out"
@@ -317,6 +346,7 @@ run_games "$work/base/src" "$work/base-out"
 run_coalition_values "$work/base/src" "$work/base-out"
 run_levels "$work/base/src" "$work/base-out"
 run_robust_bounds "$work/base/src" "$work/base-out"
+run_lp "$work/base/src" "$work/base-out"
 # `diff -rq` names each file that differs or exists on one side only
 moved=0
 while IFS= read -r line; do

@@ -5,13 +5,15 @@ An equality's two opposing rows trip the simplex; one such pair is left,
 MER's tiebreak face row -objective <= -opt + 1e-9 against its all-ones
 grand-coalition cap row, until the tiebreak walks the face (ROADMAP 4(a)).
 Variables are numbered structural, then one slack per row, then one
-artificial per row with a negative bound. Only the nonbasic columns and the
-right-hand side are stored (Chvatal, Linear Programming, ch. 2-3), array
-row j holding dictionary column j: MER's 2^n - 1 rows over n agents take
-(n + 1) x 2^n floats. A pivot updates columns shorter than LIVE_MIN in one
-broadcast, longer ones where the pivot-row entry is nonzero. Bland's rule
-guarantees termination. `solve_lexicographic` resumes a primary solved with
-a `Resume` note, which holds in a buffer it alone owns what it resumes from."""
+artificial per row with a negative bound; phase 2 runs on the dictionary
+phase 1 leaves, its entering `limit` barring every artificial. Only the
+nonbasic columns and the right-hand side are stored (Chvatal, Linear
+Programming, ch. 2-3), array row j holding dictionary column j: MER's
+2^n - 1 rows over n agents take (n + 1) x 2^n floats. A pivot updates
+columns shorter than LIVE_MIN in one broadcast, longer ones where the
+pivot-row entry is nonzero. Bland's rule guarantees termination.
+`solve_lexicographic` resumes a primary solved with a `Resume` note, which
+holds in a buffer it alone owns what it resumes from."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -133,14 +135,10 @@ def _finish(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
             if cand.size:
                 pos = cand[nonbasic[cand].argmin()]
                 _pivot(tableau, basis, nonbasic, r, pos, tableau[pos].copy())
-        # Artificials never re-enter: drop the nonbasic ones, and the limit
-        # below bars one that leaves the basis in phase 2.
-        keep = nonbasic < first_art
-        tableau = tableau[np.append(keep, True)]
-        nonbasic = nonbasic[keep]
 
-    # Phase 2 objective (maximize c @ x as minimize -c @ x), priced out
-    # row by row over the rows whose basic variable is structural.
+    # Phase 2 on phase 1's dictionary, `first_art` barring every artificial;
+    # its objective (maximize c @ x as minimize -c @ x) is priced out over
+    # the rows whose basic variable is structural.
     tableau[:, -1] = 0.0
     structural = nonbasic < num_vars
     tableau[:-1, -1][structural] = -c[nonbasic[structural]]

@@ -352,7 +352,7 @@ def optimal_joint(m: Mmdp) -> BestResponse:
     return best_response(m, uniform, range(m.num_agents))
 
 
-_GAME_CACHE: dict[bytes, tuple[np.ndarray, CharacteristicGame]] = {}  # values and their game
+_GAME_CACHE: dict[tuple[bytes, bool], tuple[np.ndarray, CharacteristicGame]] = {}  # values, game
 
 # Most elements a sweep chunk's stacked tables may hold: K * W * (S + A_C * (3 * S + sum of
 # L * Z)) for a joint table at its W = A_D complement actions: q, the index, the table's and the
@@ -408,11 +408,12 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
 
 
 def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
-    """`coalition_values` and `characteristic_game`: one memo entry per (model, behavior) hash."""
+    """`coalition_values` and `characteristic_game`: one memo entry per (model, behavior) hash
+    and kind, as a product's lattice and its joint table's `_induced` round apart."""
     if m.num_agents > MAX_AGENTS:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
     table = as_joint_table(m, behavior)
-    key = m.content_key() + content_digest(table)
+    key = (m.content_key() + content_digest(table), isinstance(behavior, JointPolicy))
 
     def sweep():
         rows = np.zeros((1 << m.num_agents, m.num_states))

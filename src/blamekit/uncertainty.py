@@ -170,11 +170,11 @@ def _ball_max(b, p, certain, col, eps):
     target = rows.argmax(axis=-1)[..., None]
     p_sorted = np.take_along_axis(p, order, -1)
     below = np.take_along_axis(rows, order, -1) < rows.max(-1, keepdims=True)
-    take = _pour(np.where(below, p_sorted, 0.0), np.full(target.shape, eps))
+    take, reached = _pour(np.where(below, p_sorted, 0.0), np.full(target.shape, eps))
     q = np.take_along_axis(p_sorted - take, order.argsort(axis=-1), -1)
     # -0.0 adds nothing to any sum, a signed zero included
     gained = np.cumsum(np.concatenate([np.take_along_axis(p, target, -1),
-                                       np.where(below, take, -0.0)], axis=-1), axis=-1)
+                                       np.where(below & reached, take, -0.0)], axis=-1), axis=-1)
     np.put_along_axis(q, target, gained[..., -1:], axis=-1)
     values, q = _best_dot(rows, q)
     return values, certain * q[:, col]
@@ -203,7 +203,7 @@ def _box_max(b, lo, hi, mass):
     room = np.take_along_axis(hi[:, None] - lo, order, -1)
     mass = np.repeat(mass[:, None], b.shape[1], 1)
     return _best_dot(b, lo + np.take_along_axis(
-        _pour(room, mass), order.argsort(axis=-1), -1))
+        _pour(room, mass)[0], order.argsort(axis=-1), -1))
 
 
 def _box_min(b, lo, hi, mass):
@@ -251,11 +251,12 @@ def _chooser(m: Mmdp, uset: UncertaintySet, mask: int, mode: str, path: str,
     return choose, (tables,)
 
 
-def _pour(room: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _pour(room: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, `mass` (..., 1) poured into `room` along the last axis, each
-    entry filled before the next takes any: what each entry takes."""
+    entry filled before the next takes any: what each entry takes, and where
+    the fill reaches (more than 1e-15 left; elsewhere an entry takes 0.0)."""
     left = np.cumsum(np.concatenate([mass, -room], axis=-1), axis=-1)[..., :-1]
-    return np.where(left > 1e-15, np.minimum(left, room), 0.0)
+    return np.where(reached := left > 1e-15, np.minimum(left, room), 0.0), reached
 
 
 def _shifted_min(payoffs: np.ndarray, base: np.ndarray, cap: np.ndarray,
@@ -279,7 +280,7 @@ def _shifted_min(payoffs: np.ndarray, base: np.ndarray, cap: np.ndarray,
         values[i], z[i] = values[i] - sol.objective_value, sol.point[:width]
     q = base + z @ moves.T
     return values, q + _pour(np.maximum(cap - q, 0.0),
-                              1.0 - q.sum(axis=1, keepdims=True))
+                              1.0 - q.sum(axis=1, keepdims=True))[0]
 
 
 class RobustBounds:

@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 
 from blamekit import attribution, envs, lp, planning, properties, uncertainty
+from blamekit.lp import PIVOT_TOL, LpSolution, _pivot, _run_simplex
 from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, as_joint_table, policy_values
 
 
@@ -220,6 +221,52 @@ def solve_lexicographic_cold(program, tiebreak):
         return second
     return lp.LpSolution("optimal", second.point,
                          float(program.objective @ second.point))
+
+
+# `lp._finish` as it stood when phase 2 ran on a copy of phase 1's dictionary
+# without the nonbasic artificials' rows, kept verbatim: `lp._finish`, which
+# keeps those rows and bars them by its entering limit alone, must match it
+# bit for bit. It calls `_run_simplex` and `_pivot` as bound at import.
+
+def finish_dropping_artificials(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                                c: np.ndarray, note=None) -> LpSolution:
+    """Phase 1 while an artificial is basic, then phase 2 for max c @ x;
+    `note` sees phase 2's pivots where no phase 1 ran."""
+    num_vars = c.size
+    first_art = num_vars + basis.size
+    if nonbasic.size > num_vars:
+        note = None
+        status = _run_simplex(tableau, basis, nonbasic, basis.size + nonbasic.size)
+        if status != "optimal" or tableau[-1, -1] < -1e-8:
+            return LpSolution("infeasible", None, None)
+        # Drive any artificial still basic (at zero) out of the basis.
+        for r in (basis >= first_art).nonzero()[0]:
+            cand = ((nonbasic < first_art)
+                    & (np.abs(tableau[:-1, r]) > PIVOT_TOL)).nonzero()[0]
+            if cand.size:
+                pos = cand[nonbasic[cand].argmin()]
+                _pivot(tableau, basis, nonbasic, r, pos, tableau[pos].copy())
+        # Artificials never re-enter: drop the nonbasic ones, and the limit
+        # below bars one that leaves the basis in phase 2.
+        keep = nonbasic < first_art
+        tableau = tableau[np.append(keep, True)]
+        nonbasic = nonbasic[keep]
+
+    # Phase 2 objective (maximize c @ x as minimize -c @ x), priced out
+    # row by row over the rows whose basic variable is structural.
+    tableau[:, -1] = 0.0
+    structural = nonbasic < num_vars
+    tableau[:-1, -1][structural] = -c[nonbasic[structural]]
+    for r in (basis < num_vars).nonzero()[0]:
+        coef = -c[basis[r]]
+        if coef != 0:
+            tableau[:, -1] -= coef * tableau[:, r]
+    if _run_simplex(tableau, basis, nonbasic, first_art, note) == "unbounded":
+        return LpSolution("unbounded", None, None)
+    x = np.zeros(num_vars)
+    rows = (basis < num_vars).nonzero()[0]
+    x[basis[rows]] = tableau[-1, rows]
+    return LpSolution("optimal", x, float(c @ x))
 
 
 def check_rationality_where(game, beta, epsilon=0.0):

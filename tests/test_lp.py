@@ -1,15 +1,20 @@
 """Simplex solver checked against brute-force vertex enumeration."""
+from contextlib import contextmanager
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blamekit import lp as lp_module
 from blamekit.lp import LinearProgram, LpSolution, solve, solve_lexicographic
 from blamekit.planning import membership
 from blamekit.properties import random_monotone_game
-from helpers import (masked_pivot, primary_of, solve_lexicographic_cold,
-                     solve_row_major)
+from helpers import (finish_dropping_artificials, masked_pivot, primary_of,
+                     solve_lexicographic_cold, solve_row_major)
 
 
 def vertex_enumeration_optimum(c, a, b):
@@ -470,3 +475,142 @@ def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
                         == np.float64(y.objective_value).tobytes())
                 assert np.array_equal(x.point, y.point)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_a_resumed_tiebreak_copies_the_held_dictionary_once(cold_solves, n):
+    """A resumed MER tiebreak copies the held primary's dictionary once, into
+    the face dictionary, and runs both phases on that array: its tracemalloc
+    peak stays under 1.5 face dictionaries (a second copy for phase 2 took
+    it past 2)."""
+    lp = mer_program(random_monotone_game(n, 0).values)
+    primary = primary_of(lp)
+    tracemalloc.start()
+    try:
+        solve_lexicographic(lp, np.eye(n)[n - 1], primary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not cold_solves
+    assert peak < 1.5 * (n + 2) * ((1 << n) + 1) * 8
+
+
+@contextmanager
+def phase_log():
+    """Logs each `_finish` call as it starts: its artificials' count and
+    first number and, per `_run_simplex` call, the artificials nonbasic at
+    its start and every variable that entered. The dropping oracle runs
+    `_run_simplex` unpatched and logs nothing."""
+    log, call, entered = [], None, None  # entered: None outside a run
+    finish, run, pivot = lp_module._finish, lp_module._run_simplex, lp_module._pivot
+
+    def finishing(tableau, basis, nonbasic, c, note=None):
+        nonlocal call
+        log.append(call := {"first_art": c.size + basis.size,
+                            "artificials": nonbasic.size - c.size, "runs": []})
+        try:
+            return finish(tableau, basis, nonbasic, c, note)
+        finally:
+            call = None
+
+    def running(tableau, basis, nonbasic, limit, note=None):
+        nonlocal entered
+        call["runs"].append((int((nonbasic >= call["first_art"]).sum()), entered := []))
+        try:
+            return run(tableau, basis, nonbasic, limit, note)
+        finally:
+            entered = None
+
+    def pivoting(tableau, basis, nonbasic, row, pos, col):
+        if entered is not None:
+            entered.append(int(nonbasic[pos]))
+        pivot(tableau, basis, nonbasic, row, pos, col)
+
+    with mock.patch.multiple(lp_module, _finish=finishing, _run_simplex=running,
+                             _pivot=pivoting):
+        yield log
+
+
+def phase_two(call):
+    """(artificials nonbasic at its start, entering variables) of a logged
+    `_finish` call's phase 2: the run after phase 1, or its only run."""
+    return call["runs"][1:] if call["artificials"] else call["runs"]
+
+
+def same_as_dropping_oracle(solve_it):
+    """solve_it() with `lp._finish`, bit for bit as with the oracle that drops
+    the nonbasic artificials' rows before phase 2."""
+    with mock.patch.object(lp_module, "_finish", finish_dropping_artificials):
+        want = solve_it()
+    assert same_bits(solve_it(), want)
+
+
+def assert_no_artificial_enters_in_phase_two(log):
+    for call in log:
+        for _, entered in phase_two(call):
+            assert all(v < call["first_art"] for v in entered), call
+
+
+@st.composite
+def phase_one_programs(draw):
+    """Small integer programs with two or more negative bounds, so phase 1
+    runs with several artificials; degenerate often enough that some are
+    basic at zero after it and are driven out."""
+    num_vars, num_rows = draw(st.integers(1, 5)), draw(st.integers(2, 7))
+    def entries(lo, hi, size):
+        return draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+    a = np.reshape(entries(-3, 3, num_rows * num_vars), (num_rows, num_vars))
+    b = np.array(entries(-3, 5, num_rows), dtype=float)
+    negative = draw(st.integers(2, num_rows))
+    b[:negative] = -np.array(entries(1, 3, negative))
+    return LinearProgram(entries(-2, 2, num_vars), a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_one_programs())
+@example(LinearProgram([0.0, 2.0], [[2.0, -2.0], [2.0, -1.0], [-2.0, -2.0], [1.0, 2.0]],
+                       [-1.0, -1.0, -2.0, 2.0]))
+@example(LinearProgram([1.0], [[-1.0], [1.0]], [-2.0, 1.0]))
+def test_phase_two_on_phase_one_dictionary_matches_the_dropping_oracle(lp):
+    """Phase 2 on the dictionary phase 1 leaves, its nonbasic artificials'
+    rows kept, gives the oracle's status, point bytes and objective bits,
+    plain and as a tiebreak (cold: the primary ran phase 1), and no
+    artificial enters in phase 2. In the first example phase 1 leaves two of
+    three artificials nonbasic and drives the third out, and phase 2 then
+    pivots; the second is infeasible."""
+    with phase_log() as log:
+        same_as_dropping_oracle(lambda: solve(lp))
+        same_as_dropping_oracle(lambda: solve_lexicographic(
+            lp, np.ones(lp.objective.size), primary_of(lp)))
+    assert_no_artificial_enters_in_phase_two(log)
+
+
+def test_mer_solves_match_the_dropping_oracle(cold_solves):
+    """MER's primaries, on games as drawn and with one cap at -1e-17 (phase 1
+    on one artificial) or -0.0 (no phase 1), and its tiebreaks for agents 0
+    and n - 1, resumed from a held primary and cold, at n = 2-11: the
+    dropping oracle's bits, and no artificial enters in phase 2. Each phase 1
+    here (on the face row's artificial in a tiebreak) leaves an artificial
+    nonbasic for phase 2."""
+    rng = np.random.default_rng(5011)
+    resumed = 0
+    with phase_log() as log:
+        for n in range(2, 12):
+            for seed in rng.integers(0, 10**6, 2):
+                values = random_monotone_game(n, int(seed)).values
+                for cap in (None, -1e-17, -0.0):
+                    game = values.copy()
+                    if cap is not None:
+                        game[rng.integers(1, game.size)] = cap
+                    lp = mer_program(game)
+                    same_as_dropping_oracle(lambda: solve(lp))
+                    for agent, held in itertools.product(sorted({0, n - 1}), (True, False)):
+                        direction = np.eye(n)[agent]
+                        cold_solves.clear()
+                        same_as_dropping_oracle(lambda: solve_lexicographic(
+                            lp, direction,
+                            primary_of(lp) if held else (solve(lp), lp_module.Resume())))
+                        resumed += held and not cold_solves
+    assert_no_artificial_enters_in_phase_two(log)
+    kept = [left for call in log for left, _ in phase_two(call) if call["artificials"]]
+    assert resumed >= 60 and sum(left > 0 for left in kept) >= 300

@@ -690,10 +690,34 @@ def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
                 mock.patch.object(planning, "_index", side_effect=refuse):
             planning.coalition_values(m, behavior)
         table = behavior.joint_table(m)
-        planning._GAME_CACHE.clear()  # the joint table has the product's key
         with mock.patch.object(planning, "_index", wraps=planning._index) as index:
             planning.coalition_values(m, table)
         assert index.call_count == len(_sweep_chunks(m, table))
+
+
+def test_the_memo_keeps_a_product_apart_from_its_joint_table(monkeypatch):
+    """A product sweeps through the lattice and its joint table through
+    `_induced`, which round apart, so the memo keys each by its kind too:
+    after either is swept, the other call returns its own path's bytes, in
+    either order. Most of these mixed behaviors sweep differently."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    rng = np.random.default_rng(50)
+    differ = 0
+    for _ in range(40):
+        counts = tuple(rng.integers(2, 4, size=rng.integers(2, 4)).tolist())
+        m = random_mmdp(rng, num_states=3, action_counts=counts)
+        behavior = random_factorized(rng, m)
+        table = behavior.joint_table(m)
+        own = {}
+        for b in (behavior, table):
+            planning._GAME_CACHE.clear()
+            own[id(b)] = planning.coalition_values(m, b).tobytes()
+        for order in ((behavior, table), (table, behavior)):
+            planning._GAME_CACHE.clear()
+            for b in order:
+                assert planning.coalition_values(m, b).tobytes() == own[id(b)]
+        differ += own[id(behavior)] != own[id(table)]
+    assert differ >= 30
 
 
 def test_clearing_the_game_memo_sweeps_the_values_again(monkeypatch):

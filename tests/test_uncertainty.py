@@ -564,6 +564,31 @@ def test_max_greedies_leave_a_rounding_residue_unmoved():
     assert q.tolist() == [[1 / 6, 1 / 3, 0.0, 0.5]]
 
 
+@pytest.mark.parametrize("eps", [1e-15, np.nextafter(1e-15, 1.0), 3e-15, 1e-9, 0.05, 1.0])
+def test_the_ball_max_adds_nothing_where_its_fill_stops(eps):
+    """Where `_pour`'s fill does not reach a coordinate below the maximum,
+    that coordinate adds -0.0 to the target, as the loop adds nothing, so a
+    target whose center probability is -0.0 keeps its sign: q's bytes are
+    the loop's at a radius of 1e-15, where the fill moves nothing, and above
+    it, with signed zeros and zero-mass coordinates in p and the payoffs."""
+    rng = np.random.default_rng(107)
+    cases = [(np.array([[0.0, 0.1, 0.2]]), np.array([0.5, 0.5, -0.0]))]
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        p = rng.dirichlet(np.ones(k))
+        p[rng.random(k) < 0.4] = 0.0
+        p[rng.random(k) < 0.4] = -0.0
+        cases.append((np.round(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), k)), 1), p))
+    negative_zeros = 0
+    for b, p in cases:
+        k = p.size
+        _, q = _ball_max(b[None], p[None], np.ones((1, k)), np.arange(k), eps)
+        _, expected = ball_max_loop(b, p, eps, np.ones(k), np.arange(k))
+        _same_bytes(q[0], expected)
+        negative_zeros += np.signbit(q[0][q[0] == 0.0]).any()
+    assert negative_zeros >= 10
+
+
 def test_certain_complements_build_no_chooser(monkeypatch):
     """A coalition with no uncertain agent outside it reads its value off
     the center's coalition sweep, bit for bit in both modes, and the empty
