@@ -27,26 +27,30 @@
 #     same model at n = 8 and 12 with every agent at (0.8, 0.2), on the
 #     four coordination graphs, on the robustness graph, on the
 #     gridworld at the perm experiment's eleven behaviors, on a seeded
-#     5-state, 8-agent acyclic model of four levels under a mixed product
-#     behavior with one agent's row all zero at one state, and on the
+#     5-state, 8-agent acyclic model of four levels, two of its agents with
+#     one action, under a mixed product behavior with one agent's row all
+#     zero at one state and under one whose agents' rows are scaled by
+#     1 + 0.9e-12 or 1 - 0.9e-12, as `validate` accepts, and on the
 #     one-step model whose every reward is -0.0, so that any bit-level move
 #     in the coalition sweep shows, not only one that reaches a CSV cell,
 #     on deterministic multi-level models and on the cyclic sweep too, in
 #     the lattice's rounding of a mixed product behavior at the agent cap,
 #     in a level's successor contraction at lattice widths past the 4-agent
-#     graphs, and in the sign of a zero backup;
+#     graphs, in the sign of a zero backup, and in how row 0, the empty
+#     coalition's, normalizes rows that sum to 1 only within tolerance;
 #   - the same dump, into its own file, for explicit joint tables: the
 #     `joint_table` of the mixed one-step behaviors at n = 8 and 12, of the
-#     robustness graph's behavior and of the perm gridworld behavior at
-#     alpha_prime 0.5, and the `max_policy()` of each set the robust
-#     experiments draw at seeds 0 to 9 and their default eps levels (the
-#     gridworld at exact=None and exact=False, the robustness graph at
-#     exact=False), the one place where a complement plays some but not all
-#     of its actions, so that a bit-level move in the path that gathers
-#     each chunk's index and marginalizes through `_induced` shows. The
-#     memo keys a joint table apart from its product, whose lattice rounds
-#     otherwise; these run in a process of their own all the same, so that
-#     no product sweep runs before them;
+#     robustness graph's behavior, of the perm gridworld behavior at
+#     alpha_prime 0.5 and of the layered model's scaled behavior, and the
+#     `max_policy()` of each set the robust experiments draw at seeds 0 to
+#     9 and their default eps levels (the gridworld at exact=None and
+#     exact=False, the robustness graph at exact=False), the one place where
+#     a complement plays some but not all of its actions, so that a
+#     bit-level move in the path that gathers each chunk's index and
+#     marginalizes through `_induced` shows. The memo keys a joint table
+#     apart from its product, whose lattice rounds otherwise; these run in a
+#     process of their own all the same, so that no product sweep runs
+#     before them;
 #   - planning._topological_levels, each level's states or None, on the
 #     four coordination graphs, the robustness graph, the gridworld, the
 #     one-step model of random_monotone_game(n, 0) for n = 1 to 12, and
@@ -169,12 +173,35 @@ EOF
     echo "exit $?" >> "$2/games.txt"
 }
 
-run_coalition_values() {  # SRC_DIR OUT_DIR
-    PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1 <<'EOF'
+# The prelude of both coalition_values dumps: a seeded 5-state, 8-agent model
+# whose state s moves only to later states, the last one terminal (four
+# levels), with two one-action agents, and two product behaviors on it: mixed
+# rows with agent 3 playing nothing at state 1, and rows scaled agent by agent
+# by 1 + 0.9e-12 or 1 - 0.9e-12.
+layered_prelude='
 import numpy as np
+from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
+rng = np.random.default_rng(48)
+counts = (2, 3, 1, 2, 2, 1, 2, 2)
+num_actions = int(np.prod(counts))
+transition = np.zeros((5, num_actions, 5))
+for s in range(4):
+    transition[s, :, s + 1:] = rng.dirichlet(np.ones(4 - s), size=num_actions)
+transition[4, :, 4] = 1.0
+reward = rng.uniform(-1.0, 1.0, size=(5, num_actions))
+reward[4] = 0.0
+layered = Mmdp(5, 8, counts, reward, transition, 0.99, np.eye(5)[0], frozenset({4}))
+rows = [rng.dirichlet(np.ones(k), size=5) for k in counts]
+rows[3][1] = 0.0
+mixed = JointPolicy(tuple(map(AgentPolicy, rows)))
+scaled = JointPolicy(tuple(AgentPolicy(rng.dirichlet(np.ones(k), size=5) * (1.0 + sign * 0.9e-12))
+                           for k, sign in zip(counts, (1, -1) * 4)))
+'
+
+run_coalition_values() {  # SRC_DIR OUT_DIR
+    { printf '%s\n' "$layered_prelude"; cat <<'EOF'; } | PYTHONPATH="$1" python - > "$2/coalition_values.txt" 2>&1
 from blamekit.cli import ALPHA_PRIME_GRID
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
-from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp
 from blamekit.planning import coalition_values, mmdp_from_game, one_step_model
 from blamekit.properties import random_monotone_game
 models = [(f"one-step n={n}", *mmdp_from_game(random_monotone_game(n, 0)))
@@ -191,30 +218,16 @@ models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
 models += [(f"gridworld alpha_prime={a}",
             *build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=a)))
            for a in ALPHA_PRIME_GRID]
-# state s moves only to later states, the last one terminal: four levels
-rng = np.random.default_rng(48)
-counts = (2, 3, 1, 2, 2, 1, 2, 2)
-num_actions = int(np.prod(counts))
-transition = np.zeros((5, num_actions, 5))
-for s in range(4):
-    transition[s, :, s + 1:] = rng.dirichlet(np.ones(4 - s), size=num_actions)
-transition[4, :, 4] = 1.0
-reward = rng.uniform(-1.0, 1.0, size=(5, num_actions))
-reward[4] = 0.0
-layered = Mmdp(5, 8, counts, reward, transition, 0.99, np.eye(5)[0], frozenset({4}))
-rows = [rng.dirichlet(np.ones(k), size=5) for k in counts]
-rows[3][1] = 0.0  # agent 3 plays nothing at state 1
-models.append(("layered n=8 mixed", layered, JointPolicy(tuple(map(AgentPolicy, rows)))))
+models += [("layered n=8 mixed", layered, mixed), ("layered n=8 scaled", layered, scaled)]
 models.append(("one-step -0.0", *one_step_model((2, 2), [-0.0] * 4)))
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior)):
         print(label, mask, " ".join(float(x).hex() for x in row))
 EOF
     echo "exit $?" >> "$2/coalition_values.txt"
-    PYTHONPATH="$1" python - > "$2/coalition_values_explicit.txt" 2>&1 <<'EOF'
+    { printf '%s\n' "$layered_prelude"; cat <<'EOF'; } | PYTHONPATH="$1" python - > "$2/coalition_values_explicit.txt" 2>&1
 from blamekit.cli import _robustness_setup
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
-from blamekit.mmdp import AgentPolicy, JointPolicy
 from blamekit.planning import coalition_values, mmdp_from_game
 from blamekit.properties import random_monotone_game
 from blamekit.uncertainty import RobustBounds, sample_center
@@ -224,6 +237,7 @@ models = [(f"one-step n={n} mixed", mmdp_from_game(random_monotone_game(n, 0))[0
 models.append(("robustness graph", *build_graph(GraphSpec("robustness"))))
 models.append(("gridworld alpha_prime=0.5",
                *build_gridworld(GridworldSpec(alpha=0.4, alpha_prime=0.5))))
+models.append(("layered n=8 scaled", layered, scaled))
 for label, model, behavior in models:
     for mask, row in enumerate(coalition_values(model, behavior.joint_table(model))):
         print(label, "joint table", mask, " ".join(float(x).hex() for x in row))

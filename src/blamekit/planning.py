@@ -6,15 +6,17 @@ policy. It is always monotone with value 0 at the empty coalition, and any
 such set function is realizable by a one-step model (`mmdp_from_game`, on
 the `one_step_model` layout that the impossibility fixture also uses).
 
-`coalition_values` solves the 2^n - 1 nonempty coalitions, for `characteristic_game`
-to reduce. A `JointPolicy`, a product, normalizes the agents of each action count as one
-stack and reads every coalition's tables off one `_lattice` per step: a level backs up all
-its entries at once and takes each coalition's maximum over its segment, a cycle takes
-chunks of equal joint-action count. An explicit joint table, which may be correlated,
-gathers them per chunk through `_induced`. An acyclic model takes one backward pass over
-`_topological_levels` (Kahn's peel, a level at a time), the first level reading the reward
-alone, each later one its transitions into the nonterminal states it reaches; a cyclic one
-reads every state and runs a stacked policy iteration greedy first on the behavior's values.
+`coalition_values` solves all 2^n coalitions, for `characteristic_game` to reduce; the
+empty one, the behavior's own values, is swept with the rest. A `JointPolicy`, a product,
+builds no joint table: it normalizes the agents of each action count as one stack and reads
+every coalition's tables off one `_lattice` per step: a level backs up all its entries at once
+and takes each coalition's maximum over its segment (mask 0's: the fully contracted entry), a
+cycle takes chunks of equal joint-action count, mask 0 alone first. An explicit joint table,
+which may be correlated, gathers them per chunk through `_induced`, mask 0's first. An acyclic
+model takes one backward pass over `_topological_levels` (Kahn's peel, a level at a time), the
+first level reading the reward alone, each later one its transitions into the nonterminal
+states it reaches; a cyclic one reads every state and runs a stacked policy iteration, greedy
+first on the behavior's values.
 `_subgrids` is the package's one coalition layout.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 # evaluate_return is unused here, but bench/tracing.py wraps it by this name
 from .mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table, content_digest,
-                   evaluate_return, policy_values, _non_finite, _read_only, _solve_linear)
+                   evaluate_return, _non_finite, _read_only, _solve_linear)
 
 MAX_AGENTS = 12
 DISCOUNT = 0.99  # of every built-in model: the one-step layout, both environments
@@ -396,8 +398,8 @@ def _lattice(rows, dead, *tables) -> np.ndarray:
 
 
 def coalition_values(m: Mmdp, behavior) -> np.ndarray:
-    """Read-only (2^n, S) table: row M holds mask M's best-response state
-    values against `behavior`, and row 0 the behavior's own `policy_values`."""
+    """Read-only (2^n, S) table: row M holds mask M's best-response state values
+    against `behavior`, row 0 the behavior's own, off the same normalized rows."""
     return _swept(m, behavior)[0]
 
 
@@ -409,15 +411,17 @@ def characteristic_game(m: Mmdp, behavior) -> CharacteristicGame:
 
 def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
     """`coalition_values` and `characteristic_game`: one memo entry per (model, behavior) hash
-    and kind, as a product's lattice and its joint table's `_induced` round apart."""
+    and kind, as a product's lattice and its joint table's `_induced` round apart. A product's
+    hash is its agents' rows, as `UncertaintySet.content_key`'s; it builds no joint table."""
     if m.num_agents > MAX_AGENTS:
         raise ValueError(f"characteristic game limited to {MAX_AGENTS} agents")
-    table = as_joint_table(m, behavior)
-    key = (m.content_key() + content_digest(table), isinstance(behavior, JointPolicy))
+    if (product := isinstance(behavior, JointPolicy)) and (problems := behavior._shape_problems(m)):
+        raise ValueError(problems[0])  # as `joint_table` refuses it
+    arrays = [a.probs for a in behavior.agents] if product else [table := as_joint_table(m, behavior)]
+    key = (m.content_key() + content_digest(*arrays), product)
 
     def sweep():
-        rows = np.zeros((1 << m.num_agents, m.num_states))
-        rows[0] = v_b = policy_values(m, table)
+        rows, offsets = np.zeros((1 << m.num_agents, m.num_states)), _subgrids(m.action_counts)[1]
         levels = _topological_levels(m)
         blocks = [_whole(m)] if levels is None else []
         for s in (levels or [])[1:]:  # a block per later level: the nonterminal states Z it
@@ -428,22 +432,22 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
                            (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
         steps = [(np.arange(m.num_states), *blocks)] if levels is None else [*zip(levels, [None, *blocks])]
         def settle(masks, states, block, r, p):  # r (K, L, A_C); p (K, L, A_C, Z), None: no block
-            if levels is None:  # a cycle: policy iteration, greedy from v_b first
-                rows[masks], _ = solve_mdp(r, p, m.discount, v_b)
+            if levels is None:  # a cycle: policy iteration, greedy from the behavior's row 0 first
+                rows[masks], _ = solve_mdp(r, p, m.discount, rows[0])
             else:  # one backward pass, from rows of 0: the first level's successors are terminal
                 ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], block[1]])
                 rows[masks[:, None], states] = (r + m.discount * ahead).max(axis=-1)
-        if not isinstance(behavior, JointPolicy):  # a joint table: `_induced` per chunk
-            for masks in _coalition_chunks(m, True, blocks):
+        if not product:  # a joint table: `_induced` per chunk, mask 0's first
+            for masks in [np.zeros(1, np.int64), *_coalition_chunks(m, True, blocks)]:
                 r, ps = _induced(m, table, _index(_subgrids(m.action_counts), masks), blocks)
                 for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
                     settle(masks, states, block, r[:, states], p)
             return rows
-        # a product: rows over their sums, as q / totals, the agents of each action count k as
-        # one (g, S, k) stack; where the table plays nothing, all 0
-        dead, offsets = ~(table.sum(axis=1) > 0), _subgrids(m.action_counts)[1]
+        # a product: rows over their sums, the agents of each action count k as one (g, S, k)
+        # stack; where some agent's row sums to at most 0 the behavior plays nothing, all 0
         stacks = {k: np.concatenate([a.probs[None] for a, c in zip(behavior.agents, m.action_counts)
                                      if c == k]) for k in set(m.action_counts)}
+        dead = ~np.all([(stack.sum(axis=2) > 0).all(axis=0) for stack in stacks.values()], axis=0)
         for stack in stacks.values():
             stack /= np.where(dead, 1.0, stack.sum(axis=2))[..., None]
         for states, block in steps:  # each step's lattice alive only while it runs
@@ -452,7 +456,7 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
                                *[] if block is None else [block[2]])  # reward, transitions
             if levels is None:  # a cycle, one step: each chunk's (K, S, A_C, 1 + S) tables
                 starts = np.arange(0, lattice.shape[0], offsets[-1])[:, None]  # of each state
-                for masks in _coalition_chunks(m, False, blocks):
+                for masks in [np.zeros(1, np.int64), *_coalition_chunks(m, False, blocks)]:
                     num_c = offsets[masks[0] + 1] - offsets[masks[0]]
                     tables = lattice.take(offsets[masks][:, None, None] + np.arange(num_c) + starts, 0)
                     settle(masks, states, block, tables[..., 0], tables[..., 1:])
@@ -461,7 +465,7 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
             r = tables[..., 0]  # + γ·0.0 on the first level too, so a -0.0 reads +0.0
             r += m.discount * (0.0 if block is None else np.einsum(  # successors per entry
                 "ljt,jt->lj", tables[..., 1:], np.repeat(rows[:, block[1]], np.diff(offsets), 0)))
-            rows[1:, states] = np.maximum.reduceat(r, offsets[1:-1], axis=1).T
+            rows[:, states] = np.maximum.reduceat(r, offsets[:-1], axis=1).T
         return rows
 
     def entry():

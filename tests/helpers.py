@@ -6,7 +6,7 @@ import numpy as np
 
 from blamekit import attribution, envs, lp, planning, properties, uncertainty
 from blamekit.lp import PIVOT_TOL, LpSolution, _pivot, _run_simplex
-from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, as_joint_table, policy_values
+from blamekit.mmdp import AgentPolicy, JointPolicy, Mmdp, as_joint_table
 
 
 def random_mmdp(rng, num_states=4, action_counts=(2, 3), gamma=0.9):
@@ -496,13 +496,13 @@ def chunked_product_sweep(m, behavior):
     """`planning.coalition_values` (not read-only) of an acyclic model under a
     `JointPolicy`, swept as it was before a level backed up all its entries
     at once: per level the same `planning._lattice`, then one take of each
-    `planning._coalition_chunks` chunk's (K, L, A_C, 1 + Z) tables, each
-    backed up as (r + γ·ahead).max(-1), with ahead 0.0 on the first level.
-    The reference the level-wide segment max must match bit for bit."""
+    chunk's (K, L, A_C, 1 + Z) tables, the empty coalition's one-entry chunk
+    first and then each `planning._coalition_chunks` chunk, each backed up
+    as (r + γ·ahead).max(-1), with ahead 0.0 on the first level. The
+    reference the level-wide segment max must match bit for bit."""
     table = as_joint_table(m, behavior)
     levels = planning._topological_levels(m)
     rows = np.zeros((1 << m.num_agents, m.num_states))
-    rows[0] = policy_values(m, table)
     blocks = []  # per later level: its states, nonterminal successor columns, their rows, shift
     for s in levels[1:]:
         z = np.flatnonzero((block := m.transition[s]).any(axis=(0, 1)))
@@ -511,7 +511,7 @@ def chunked_product_sweep(m, behavior):
                        (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
     dead, offsets = ~(table.sum(axis=1) > 0), planning._subgrids(m.action_counts)[1]
     probs = [a.probs / np.where(dead, 1.0, a.probs.sum(axis=1))[:, None] for a in behavior.agents]
-    chunks = list(planning._coalition_chunks(m, False, blocks))
+    chunks = [np.zeros(1, np.int64), *planning._coalition_chunks(m, False, blocks)]
     for states, block in zip(levels, [None, *blocks]):
         lattice = planning._lattice([p[states] for p in probs], dead[states], m.reward[states],
                                     *[] if block is None else [block[2]])

@@ -1,4 +1,5 @@
 """Coalition best responses, the inefficiency game, and its realizability."""
+import dataclasses
 import itertools
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blamekit import cli, planning, uncertainty
+from blamekit import attribution, cli, mmdp, planning, uncertainty
 from blamekit.cli import run_coordination, run_perm_sweep
 from blamekit.envs import GraphSpec, GridworldSpec, build_graph, build_gridworld
 from blamekit.mmdp import (AgentPolicy, JointPolicy, Mmdp, as_joint_table,
@@ -283,15 +284,17 @@ def test_warm_and_cold_solves_agree_where_actions_tie():
 
 
 def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
-    """Every chunk of the gridworld's sweep starts from the behavior's state
-    values; a one-step model, which is acyclic, takes the backward pass and
+    """The gridworld's sweep settles the empty coalition first, one action
+    per state, from rows of 0, and starts every later chunk from the row that
+    gives, the behavior's state values, bit for bit as `policy_values` has
+    them; a one-step model, which is acyclic, takes the backward pass and
     runs no policy iteration at all."""
     gridworld = build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     one_step = mmdp_from_game(random_monotone_game(4, 0))
     starts = []
 
     def recording(r, p, gamma, start=None):
-        starts.append(start)
+        starts.append((r.shape, start.copy()))  # the start is a view of row 0
         return solve_mdp(r, p, gamma, start)
 
     monkeypatch.setattr(planning, "solve_mdp", recording)
@@ -300,14 +303,17 @@ def test_characteristic_game_starts_from_the_behaviors_values(monkeypatch):
     assert starts == []
     characteristic_game(*gridworld)
     v_b = policy_values(*gridworld)
-    assert starts and all(start.tobytes() == v_b.tobytes() for start in starts)
+    (shape, zeros), *rest = starts
+    assert shape == (1, gridworld[0].num_states, 1) and zeros.tobytes() == bytes(zeros.nbytes)
+    assert rest and all(start.tobytes() == v_b.tobytes() for _, start in rest)
 
 
 def test_the_perm_and_coordination_experiments_make_at_most_150_linear_solves(
         monkeypatch):
     """Started from the behavior's values, the gridworld's coalitions need a
-    few evaluations each, not one per step the values spread: 140 linear
-    solves in all, against 313 from the greedy step on reward alone."""
+    few evaluations each, not one per step the values spread: 94 linear
+    solves in all, the behavior's own values among them, one per gridworld
+    sweep, against 267 from the greedy step on reward alone."""
     # the lone actor's plans are solved once per process, outside the count
     build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5))
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
@@ -459,7 +465,8 @@ def test_characteristic_game_monotone_and_grounded():
        num_states=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_characteristic_game_is_every_best_response_gain(action_counts,
                                                          num_states, seed):
-    """Exact equality with one best response per coalition. One-action
+    """Exact equality with one best response per coalition, less the empty
+    coalition's, which the sweep solves as its first chunk. One-action
     agents put coalitions of different sizes into the same joint-action
     count group of the batched sweep; the behavior is a non-factorized
     joint table."""
@@ -467,7 +474,7 @@ def test_characteristic_game_is_every_best_response_gain(action_counts,
     m = random_mmdp(rng, num_states, tuple(action_counts), gamma=0.9)
     table = rng.dirichlet(np.ones(m.num_joint_actions), size=num_states)
     values = characteristic_game(m, table).values
-    j_b = evaluate_return(m, table)
+    j_b = best_response(m, table, ()).value
     for mask in range(1, 1 << m.num_agents):
         br = best_response(m, table, mask_agents(mask, m.num_agents))
         assert values[mask] == br.value - j_b
@@ -692,7 +699,7 @@ def test_a_product_sweep_builds_no_gather_rows(monkeypatch):
         table = behavior.joint_table(m)
         with mock.patch.object(planning, "_index", wraps=planning._index) as index:
             planning.coalition_values(m, table)
-        assert index.call_count == len(_sweep_chunks(m, table))
+        assert index.call_count == 1 + len(_sweep_chunks(m, table))  # the empty coalition's first
 
 
 def test_the_memo_keeps_a_product_apart_from_its_joint_table(monkeypatch):
@@ -718,6 +725,80 @@ def test_the_memo_keeps_a_product_apart_from_its_joint_table(monkeypatch):
                 assert planning.coalition_values(m, b).tobytes() == own[id(b)]
         differ += own[id(behavior)] != own[id(table)]
     assert differ >= 30
+
+
+@pytest.mark.parametrize("model", ["one-step", "acyclic", "cyclic"])
+def test_a_coalition_of_one_action_agents_reads_exactly_zero(monkeypatch, model):
+    """Agents of 1, 2, 1 and 3 actions under 40 random products, each with
+    every row scaled by one factor 1 ± 0.9e-12, as `validate` accepts: a
+    coalition of the one-action agents 0 and 2 has no choice to make, and
+    its row reads the same entries as row 0, so its value is 0.0 exactly,
+    for the product and its joint table alike. At rewards x100 pivotality
+    raises nothing and flags neither agent. When row 0 was solved apart from
+    the other rows, on the rows as given, these values read up to 1.7e-10
+    on cyclic models (3.6e-12 acyclic, 2.7e-12 one-step), and at x100
+    pivotality raised "SV: negative blame" on 12 of the 40 cyclic games and
+    flagged a one-action agent on 13 others, for the product and its joint
+    table alike."""
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    rng = np.random.default_rng(51)
+    counts = (1, 2, 1, 3)
+    for _ in range(40):
+        if model == "one-step":
+            reward = rng.uniform(-1.0, 1.0, math.prod(counts))
+            m, scaled = (planning.one_step_model(counts, x * reward)[0] for x in (1.0, 100.0))
+        else:
+            m = (random_acyclic_mmdp if model == "acyclic" else random_mmdp)(rng, 3, counts)
+            scaled = dataclasses.replace(m, reward=100.0 * m.reward)
+        factor = 1.0 + rng.choice([-0.9e-12, 0.9e-12])
+        behavior = JointPolicy(tuple(AgentPolicy(a.probs * factor)
+                                     for a in random_factorized(rng, m).agents))
+        assert behavior.validate(m) == []
+        for b in (behavior, behavior.joint_table(m)):
+            # masks 1, 4 and 5: agent 0, agent 2 and the two together
+            assert characteristic_game(m, b).values[[1, 4, 5]].tolist() == [0.0] * 3
+            flags = attribution.pivotality(characteristic_game(scaled, b)).flags
+            assert not flags[0] and not flags[2]
+
+
+def test_a_product_sweep_builds_no_joint_table(monkeypatch):
+    """A JointPolicy's sweep hashes and normalizes its agents' rows, so it
+    builds no dense product table, on a one-step, an acyclic and a cyclic
+    model; a shape mismatch is refused with `joint_table`'s message. Equal
+    rows held C-ordered, transposed or strided share one memo entry, and a
+    one-agent product stays keyed apart from its joint table, whose bytes
+    are its rows'."""
+    rng = np.random.default_rng(51)
+    counts = (2, 1, 3)
+    models = [planning.one_step_model(counts, rng.uniform(-1.0, 1.0, 6))[0],
+              random_acyclic_mmdp(rng, 4, counts), random_mmdp(rng, 3, counts)]
+    refuse = AssertionError("a product sweep built its joint table")
+    for m in models:
+        behavior = random_factorized(rng, m)
+        monkeypatch.setattr(planning, "_GAME_CACHE", {})
+        with mock.patch.object(mmdp, "product_table", side_effect=refuse), \
+                mock.patch.object(JointPolicy, "joint_table", side_effect=refuse), \
+                mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
+            rows = planning.coalition_values(m, behavior)
+            swept = lattice.call_count
+            for layout in ("transposed", "strided"):
+                assert planning.coalition_values(m, _relaid(rng, behavior, layout, False)) is rows
+            assert lattice.call_count == swept
+        for odd in (JointPolicy(behavior.agents[:2]),
+                    behavior.replace(2, AgentPolicy(behavior.agents[2].probs[:, :2]))):
+            with pytest.raises(ValueError) as table_refused:
+                odd.joint_table(m)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(table_refused.value))}$"):
+                planning.coalition_values(m, odd)
+    m = random_mmdp(rng, 3, (3,))
+    behavior = random_factorized(rng, m)
+    table = behavior.joint_table(m)
+    assert table.tobytes() == behavior.agents[0].probs.tobytes()
+    monkeypatch.setattr(planning, "_GAME_CACHE", {})
+    rows = planning.coalition_values(m, behavior)
+    with mock.patch.object(planning, "_induced", wraps=planning._induced) as induced:
+        assert planning.coalition_values(m, table) is not rows
+    assert induced.call_count > 0
 
 
 def test_clearing_the_game_memo_sweeps_the_values_again(monkeypatch):
@@ -966,9 +1047,12 @@ def test_characteristic_game_agent_cap():
 def test_coalition_values_are_the_state_values_the_game_reduces(monkeypatch):
     """coalition_values is read-only and memoized; row 0 is the behavior's
     own values, and each game value is the difference of two rows' returns,
-    bit for bit. A radius-0 set's bounds read the same rows, so they give
-    the center's game back. Past MAX_AGENTS agents it is refused with
-    characteristic_game's message."""
+    bit for bit. A joint table's row 0 is the empty coalition's best
+    response, bit for bit; a product's, swept off its lattice, is within
+    1e-15 / (1 - discount) of the largest value of the `policy_values` of
+    its row-normalized agents. A radius-0 set's bounds read the same rows,
+    so they give the center's game back. Past MAX_AGENTS agents it is
+    refused with characteristic_game's message."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     rng = np.random.default_rng(35)
     for counts in [(2,), (2, 3), (3, 1, 2), (2, 2, 1, 2)]:
@@ -980,7 +1064,12 @@ def test_coalition_values_are_the_state_values_the_game_reduces(monkeypatch):
             assert rows.shape == (1 << m.num_agents, m.num_states)
             assert not rows.flags.writeable
             assert planning.coalition_values(m, behavior) is rows
-            assert rows[0].tobytes() == policy_values(m, behavior).tobytes()
+            if behavior is joint:
+                assert rows[0].tobytes() == best_response(m, joint, ()).state_values.tobytes()
+            else:
+                v_b = policy_values(m, JointPolicy(tuple(AgentPolicy(a.probs / a.probs.sum(
+                    axis=1, keepdims=True)) for a in center.agents)))
+                assert np.abs(rows[0] - v_b).max() <= 1e-15 / (1.0 - m.discount) * np.abs(v_b).max()
             returns = [m.initial_dist @ row for row in rows]
             gains = np.array([value - returns[0] for value in returns])
             assert gains.tobytes() == characteristic_game(m, behavior).values.tobytes()
@@ -1148,8 +1237,8 @@ def test_a_one_step_sweep_gathers_no_transitions(monkeypatch):
 
 def test_a_one_step_sweep_of_a_joint_table_gathers_no_transitions(monkeypatch):
     """The same sweep of the behavior's explicit joint table builds no lattice:
-    each of its chunks, one per joint-action count group, passes `_induced` no
-    block of transitions."""
+    each of its chunks, the empty coalition's and one per joint-action count
+    group, passes `_induced` no block of transitions."""
     monkeypatch.setattr(planning, "_GAME_CACHE", {})
     f = random_monotone_game(6, 0)
     model, behavior = mmdp_from_game(f)
@@ -1157,7 +1246,7 @@ def test_a_one_step_sweep_of_a_joint_table_gathers_no_transitions(monkeypatch):
             mock.patch.object(planning, "_lattice", wraps=planning._lattice) as lattice:
         back = characteristic_game(model, as_joint_table(model, behavior))
     assert back.values.tobytes() == f.values.tobytes()
-    assert (induced.call_count, lattice.call_count) == (6, 0)
+    assert (induced.call_count, lattice.call_count) == (7, 0)
     assert all(call.args[-1] == [] for call in induced.call_args_list)
 
 
