@@ -247,14 +247,6 @@ def _slack_problems(name: str, value) -> list[str]:
     return [f"{name} {value!r} is not a finite number >= 0"]
 
 
-def policy_transition_reward(m: Mmdp, behavior) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state Markov chain (P_pi, R_pi) induced by a behavior."""
-    table = as_joint_table(m, behavior)
-    r_pi = (table * m.reward).sum(axis=1)
-    p_pi = np.einsum("sa,sat->st", table, m.transition)
-    return p_pi, r_pi
-
-
 def _solve_linear(p_pi: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarray:
     """V = (I - gamma P)^-1 r for one chain (P (S, S), r (S,)) or a stack
     of them (P (K, S, S), r (K, S))."""
@@ -263,9 +255,11 @@ def _solve_linear(p_pi: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarra
 
 
 def policy_values(m: Mmdp, behavior) -> np.ndarray:
-    """State values V_pi, from a direct dense linear solve."""
-    p_pi, r_pi = policy_transition_reward(m, behavior)
-    return _solve_linear(p_pi, r_pi, m.discount)
+    """State values V_pi, from a direct dense linear solve on the per-state
+    Markov chain (P_pi, R_pi) that the behavior induces."""
+    table = as_joint_table(m, behavior)
+    return _solve_linear(np.einsum("sa,sat->st", table, m.transition),
+                         (table * m.reward).sum(axis=1), m.discount)
 
 
 def evaluate_return(m: Mmdp, behavior) -> float:

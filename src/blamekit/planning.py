@@ -431,17 +431,16 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
             blocks.append((s, z, block[..., z].reshape(s.size * m.num_joint_actions, -1),
                            (np.arange(s.size) - s)[:, None, None] * m.num_joint_actions))
         steps = [(np.arange(m.num_states), *blocks)] if levels is None else [*zip(levels, [None, *blocks])]
-        def settle(masks, states, block, r, p):  # r (K, L, A_C); p (K, L, A_C, Z), None: no block
-            if levels is None:  # a cycle: policy iteration, greedy from the behavior's row 0 first
-                rows[masks], _ = solve_mdp(r, p, m.discount, rows[0])
-            else:  # one backward pass, from rows of 0: the first level's successors are terminal
-                ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p, rows[masks[:, None], block[1]])
-                rows[masks[:, None], states] = (r + m.discount * ahead).max(axis=-1)
         if not product:  # a joint table: `_induced` per chunk, mask 0's first
             for masks in [np.zeros(1, np.int64), *_coalition_chunks(m, True, blocks)]:
                 r, ps = _induced(m, table, _index(_subgrids(m.action_counts), masks), blocks)
-                for (states, block), p in zip(steps, ps if levels is None else [None, *ps]):
-                    settle(masks, states, block, r[:, states], p)
+                if levels is None:  # a cycle: policy iteration, greedy from the behavior's row 0 first
+                    rows[masks], _ = solve_mdp(r, ps[0], m.discount, rows[0])
+                    continue  # else one backward pass, from rows of 0, p (K, L, A_C, Z)
+                for (states, block), p in zip(steps, [None, *ps]):  # None: successors all terminal
+                    ahead = 0.0 if p is None else np.einsum("ksat,kt->ksa", p,
+                                                            rows[masks[:, None], block[1]])
+                    rows[masks[:, None], states] = (r[:, states] + m.discount * ahead).max(axis=-1)
             return rows
         # a product: rows over their sums, the agents of each action count k as one (g, S, k)
         # stack; where some agent's row sums to at most 0 the behavior plays nothing, all 0
@@ -459,7 +458,7 @@ def _swept(m: Mmdp, behavior) -> tuple[np.ndarray, CharacteristicGame]:
                 for masks in [np.zeros(1, np.int64), *_coalition_chunks(m, False, blocks)]:
                     num_c = offsets[masks[0] + 1] - offsets[masks[0]]
                     tables = lattice.take(offsets[masks][:, None, None] + np.arange(num_c) + starts, 0)
-                    settle(masks, states, block, tables[..., 0], tables[..., 1:])
+                    rows[masks], _ = solve_mdp(tables[..., 0], tables[..., 1:], m.discount, rows[0])
                 continue  # a level: r + γ·ahead at every entry in place, then each mask's max
             tables = lattice.reshape(states.size, offsets[-1], -1)
             r = tables[..., 0]  # + γ·0.0 on the first level too, so a -0.0 reads +0.0

@@ -342,38 +342,30 @@ class RobustBounds:
                     uset.center.joint_table(m) if mask == 0 else None)
         idx = coalition_action_index(m, mask_agents(mask, m.num_agents))
         reward, (transition,) = coalition_tables(m, _flat_index(m, idx), [_whole(m)])
-        center = product_table(m.num_states, [uset.center.agents[j].probs
-                                              for j in range(m.num_agents) if not mask >> j & 1])
-        problem = (reward, transition, center, *_chooser(m, uset, mask, mode, path, idx))
-        if self._levels is None:
-            v, q = self._iterate(problem, self._center_values[mask])
-        else:
+        choose, tables = _chooser(m, uset, mask, mode, path, idx)
+        # the complement's conditional, the center's where no state is backed up
+        q = product_table(m.num_states, [uset.center.agents[j].probs
+                                         for j in range(m.num_agents) if not mask >> j & 1])
+
+        def backup(states, v):  # one chooser call: the states' values, their q in place
+            b = reward[states] + m.discount * (transition[states] @ v)
+            values, q[states] = choose(b, *(t[states] for t in tables))
+            return values
+
+        if self._levels is not None:  # one backward pass: a level reads the ones before it
             v = np.zeros(m.num_states)
-            q = self._backward_pass(problem, self._levels, v, v)
-        return float(m.initial_dist @ v), q if mask == 0 else None
-
-    def _backward_pass(self, problem: tuple, levels, v, out):
-        """Back up each level of states against v, one chooser call each, into
-        out (v itself in the acyclic pass, so a level reads the ones before it)
-        for `problem`, `_solve`'s tables and `_chooser`'s pair. Returns q, the
-        center's where no state was backed up."""
-        reward, transition, center, choose, tables = problem
-        q = center.copy()
-        for states in levels:
-            b = reward[states] + self.m.discount * (transition[states] @ v)
-            out[states], q[states] = choose(b, *(t[states] for t in tables))
-        return q
-
-    def _iterate(self, problem: tuple, v: np.ndarray):
-        m = self.m
+            for states in self._levels:
+                v[states] = backup(states, v)
+            return float(m.initial_dist @ v), q if mask == 0 else None
+        v = self._center_values[mask]
         for _ in range(MAX_SWEEPS):
             values = np.zeros(m.num_states)
-            q = self._backward_pass(problem, [self._nonterminal], v, values)
+            values[self._nonterminal] = backup(self._nonterminal, v)
             # relative past |v| = 1, so the stop holds at every reward scale
             if np.abs(values - v).max() <= RESIDUAL_TOL * max(1.0, np.abs(v).max()):
-                return v, q
+                return float(m.initial_dist @ v), q if mask == 0 else None
             # the coalition's exact best response against q, greedy from v
-            r, (p,) = marginalize(q, problem[0], [problem[1]], [_whole(m)])
+            r, (p,) = marginalize(q, reward, [transition], [_whole(m)])
             v, _ = solve_mdp(r, p, m.discount, v)
         raise RuntimeError(
             f"robust recursion did not converge within {MAX_SWEEPS} sweeps")
@@ -490,9 +482,10 @@ def ap_blackstone(m: Mmdp, uset: UncertaintySet,
     subset size plus one rather than the pivotal count; the certain-case
     formula weighs pivotal members only, and the two agree whenever every
     agent is pivotal."""
-    pivotal = sv_blackstone(m, uset, exact).blames > PIVOTAL_TOL
-    # sv_blackstone has solved every lower bound the gaps read
-    gaps = _pessimistic_game(robust_bounds(m, uset, exact)).values
+    bounds = robust_bounds(m, uset, exact)
+    # SV_BC's blames (clamped at 0 already), which solve every lower bound the gaps read
+    pivotal = _sandwich_gaps(bounds, shapley_weights(m.num_agents)) > PIVOTAL_TOL
+    gaps = _pessimistic_game(bounds).values
     sizes = coalition_sizes(m.num_agents)
     return BlameAssignment("AP_BC", participation(gaps, sizes + 1, pivotal))
 

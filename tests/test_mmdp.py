@@ -19,7 +19,6 @@ from blamekit.mmdp import (
     evaluate_return,
     load_model,
     load_policy,
-    policy_transition_reward,
     policy_values,
     save_model,
     save_policy,
@@ -233,15 +232,22 @@ def test_as_joint_table_accepts_explicit_tables():
         as_joint_table(m, explicit[:, :3])
 
 
-def test_policy_transition_reward_shapes_and_consistency():
+def test_policy_values_solve_the_chain_the_behavior_induces():
+    """policy_values is, bit for bit, the linear solve of the per-state
+    chain (P_pi, R_pi) built by hand from the behavior's joint table, whose
+    rows are distributions and whose values are a Bellman fixed point."""
     rng = np.random.default_rng(9)
     m = random_mmdp(rng, num_states=4, action_counts=(2, 2))
     pi = random_factorized(rng, m)
-    p, r = policy_transition_reward(m, pi)
+    table = pi.joint_table(m)
+    p = np.einsum("sa,sat->st", table, m.transition)
+    r = (table * m.reward).sum(axis=1)
     assert p.shape == (4, 4) and r.shape == (4,)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    table = pi.joint_table(m)
-    np.testing.assert_allclose(r, (table * m.reward).sum(axis=1), atol=1e-12)
+    want = np.linalg.solve(np.eye(4) - m.discount * p, r[:, None])[:, 0]
+    v = policy_values(m, pi)
+    np.testing.assert_array_equal(v, want)
+    np.testing.assert_allclose(v, r + m.discount * p @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_agent_policy_constructors_validate():

@@ -88,17 +88,32 @@ def _problem(m, uset, mask, mode, exact=None):
 
 def _solved_problem(m, uset, mask, mode, exact=None):
     """The (reward, transition, center table, choose, tables) that
-    `RobustBounds._solve` hands its first backward pass for (mask, mode)."""
-    handed = []
-    backward_pass = RobustBounds._backward_pass
+    `RobustBounds._solve` builds for (mask, mode): its `coalition_tables`
+    gather, the product of the complement's center rows (q's start, copied
+    before the solve writes q in place) and `_chooser`'s pair."""
+    others = [uset.center.agents[j].probs for j in range(m.num_agents) if not mask >> j & 1]
+    built = {}
 
-    def recorded(self, problem, *args):
-        handed.append(problem)
-        return backward_pass(self, problem, *args)
+    def record(name, fn):
+        def recorded(*args):
+            built[name] = out = fn(*args)
+            return out
+        return recorded
 
-    with mock.patch.object(RobustBounds, "_backward_pass", recorded):
+    def center(num_states, rows):
+        table = product_table(num_states, rows)
+        # _chooser's products never read the set's own rows alone
+        if all(a is b for a, b in zip(rows, others, strict=True)):
+            built["center"] = table.copy()
+        return table
+
+    with mock.patch.object(uncertainty, "coalition_tables",
+                           record("tables", uncertainty.coalition_tables)), \
+            mock.patch.object(uncertainty, "_chooser", record("chooser", uncertainty._chooser)), \
+            mock.patch.object(uncertainty, "product_table", center):
         RobustBounds(m, uset, exact)._solve(mask, mode)
-    return handed[0]
+    (reward, (transition,)), choose_tables = built["tables"], built["chooser"]
+    return reward, transition, built["center"], *choose_tables
 
 
 def test_sample_center_is_deterministic_and_contains_truth():
@@ -623,6 +638,25 @@ def test_certain_complements_build_no_chooser(monkeypatch):
             _same_bytes(bounds.max_policy(), center.joint_table(m))
 
 
+@pytest.mark.parametrize("env, uncertain, exact, path", [
+    ("gridworld", frozenset({0}), None, "ball"), ("gridworld", None, None, "box"),
+    ("graph", frozenset({0}), None, "ball"), ("graph", None, None, "corner"),
+    ("graph", None, False, "box")])
+def test_max_policy_keeps_the_center_where_no_chooser_backs_up(env, uncertain, exact, path):
+    """On every chooser path that reaches the empty coalition's max, the
+    terminal rows of max_policy(), which no chooser backs up, are the
+    center's joint table bit for bit: the gridworld's goal (a cyclic model,
+    swept) and the graph's end state (acyclic, one backward pass). The
+    gridworld has one binary agent, so no corner path reaches it."""
+    m, b = (build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5)) if env == "gridworld"
+            else build_graph(GraphSpec("robustness")))
+    uset = sample_center(b, 0.05, 0, uncertain)
+    bounds = RobustBounds(m, uset, exact)
+    assert bounds._path(0, "max") == path
+    terminal = sorted(m.terminal_states)
+    _same_bytes(bounds.max_policy()[terminal], uset.center.joint_table(m)[terminal])
+
+
 @st.composite
 def state_graphs(draw):
     """Transition supports over up to 7 states: random digraphs, or DAGs
@@ -1002,10 +1036,11 @@ def test_no_chooser_table_outlives_its_solve(uncertain, paths, monkeypatch):
 @pytest.mark.parametrize("env", ["gridworld", "graph"])
 def test_solve_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
     """The reward and transition `_solve` gathers are the oracle's flat
-    takes over every complement action, and each contraction `_iterate`
-    makes is the oracle's einsums, byte for byte, for every coalition and
-    mode with an uncertain complement (the graph is acyclic, so its bounds
-    never iterate; it is solved here as a cyclic model would be)."""
+    takes over every complement action, and each contraction `_solve`'s
+    sweep loop makes is the oracle's einsums, byte for byte, for every
+    coalition and mode with an uncertain complement (the graph is acyclic,
+    so its bounds never iterate; it is solved here as a cyclic model would
+    be). The loop writes q in place, so each contraction's q is copied."""
     m, b = (build_gridworld(GridworldSpec(alpha=0.2, alpha_prime=0.5)) if env == "gridworld"
             else build_graph(GraphSpec("robustness")))
     uset = sample_center(b, 0.05, 0)
@@ -1018,7 +1053,7 @@ def test_solve_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
         return out
 
     def recorded(q, *args):
-        contracted.append((q, out := planning.marginalize(q, *args)))
+        contracted.append((q.copy(), out := planning.marginalize(q, *args)))
         return out
 
     monkeypatch.setattr(uncertainty, "coalition_tables", gather)
@@ -1040,8 +1075,8 @@ def test_solve_tables_and_contraction_are_the_full_oracle(env, monkeypatch):
                 _same_bytes(p, want_p)
 
 
-def test_a_robust_run_builds_one_bounds_per_task_for_its_seven_lookups(monkeypatch):
-    """All seven lookups of one (eps, seed) task ask for the same set, so
+def test_a_robust_run_builds_one_bounds_per_task_for_its_six_lookups(monkeypatch):
+    """All six lookups of one (eps, seed) task ask for the same set, so
     the two-entry memo builds one RobustBounds per task."""
     monkeypatch.setattr(uncertainty, "_BOUNDS_CACHE", {})
     built = []
@@ -1058,7 +1093,7 @@ def test_a_robust_run_builds_one_bounds_per_task_for_its_seven_lookups(monkeypat
                         lambda *args: lookups.append(args) or look_up(*args))
     rows = cli.run_robustness("gridworld", 2)
     assert len({(row["eps_max"], row["seed"]) for row in rows}) == 10
-    assert (len(built), len(lookups)) == (10, 70)
+    assert (len(built), len(lookups)) == (10, 60)
 
 
 @pytest.mark.parametrize("env, sweeps", [("gridworld", 21), ("graph", 13)])
