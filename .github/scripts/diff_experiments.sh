@@ -66,10 +66,13 @@
 #     bit-level move in any chooser shows, not only one that reaches a
 #     12-digit CSV cell;
 #   - attribution.mer's untied, tiebreak-0 and tiebreak-(n - 1) points as
-#     float.hex text on random_monotone_game(n, s) for n = 2 to 11 and
-#     s = 0 to 3, and on the same games with the cap of mask
-#     1 + 3s mod (2^n - 1) set to -1e-17, whose primary runs phase 1, so
-#     that a simplex change that moves any MER point shows.
+#     float.hex text (or the error a tiebreak raises) on
+#     random_monotone_game(n, s) for n = 2 to 12 and s = 0 to 3; on the
+#     same games with the cap of mask 1 + 3s mod (2^n - 1) set to -1e-17,
+#     whose primary runs phase 1; on them rounded to 0.1 (exact ties),
+#     scaled by 1e9 and by 2^-30; and on additive games of n seeded
+#     uniform singletons, where no cap row is implied; so that a simplex
+#     change or a dropped cap row that moves any MER point shows.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -320,15 +323,19 @@ EOF
 
 run_lp() {  # SRC_DIR OUT_DIR
     PYTHONPATH="$1" python - > "$2/lp.txt" 2>&1 <<'EOF'
+import numpy as np
 from blamekit.attribution import mer
-from blamekit.planning import CharacteristicGame
+from blamekit.planning import CharacteristicGame, coalition_sums
 from blamekit.properties import random_monotone_game
-for n in range(2, 12):
+for n in range(2, 13):
     for seed in range(4):
         values = random_monotone_game(n, seed).values.copy()
         capped = values.copy()
         capped[1 + 3 * seed % (values.size - 1)] = -1e-17
-        for label, game in (("drawn", values), ("capped", capped)):
+        additive = coalition_sums(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+        for label, game in (("drawn", values), ("capped", capped),
+                            ("rounded", np.round(values, 1)), ("x1e9", values * 1e9),
+                            ("x2^-30", values * 2.0 ** -30), ("additive", additive)):
             game = CharacteristicGame(n, game)
             for tiebreak in (None, 0, n - 1):
                 try:

@@ -12,11 +12,11 @@ from math import factorial
 
 import numpy as np
 
-from .lp import LinearProgram, Resume, solve, solve_lexicographic
+from .lp import PIVOT_TOL, LinearProgram, Resume, solve, solve_lexicographic
 from .mmdp import _non_finite
 from .planning import (CharacteristicGame, characteristic_game,
                        coalition_mask, coalition_sizes, coalition_sums,
-                       marginal_masks, membership, memo, _read_only)
+                       marginal_masks, membership, memo)
 
 PIVOTAL_TOL = 1e-9
 _CLAMP_TOL = 1e-9
@@ -86,12 +86,6 @@ def _held(game: CharacteristicGame, key: str, compute):
     return table[key]
 
 
-def cap_rows(n: int) -> np.ndarray:
-    """(2^n - 1, n) read-only float `membership` without the empty coalition,
-    column-major: MER's cap rows, which its held LP keeps without a copy."""
-    return _read_only(np.asfortranarray(membership(n)[1:], dtype=float))
-
-
 def game_marginals(game: CharacteristicGame) -> np.ndarray:
     """marginals(values, values, n), once per game: SV, BI and R_I read it."""
     return _held(game, "marginals", lambda: marginals(game.values, game.values, game.num_agents))
@@ -121,13 +115,23 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     every optimum; per-agent splits are not. `tiebreak` secondarily
     maximizes that agent's blame over the optimal face, which fixes that
     blame only: the others are the vertex Bland's rule reaches. It resumes
-    the game's one primary, which keeps its own snapshot buffer and reads
-    `cap_rows(n)` uncopied.
+    the game's one primary, which keeps its own snapshot buffer.
+    The held LP has the live cap rows only. Where no value is negative, row
+    S + i (S nonempty) goes when v(S + i) - v(S) > v({i}) + margin: rows S
+    and {i} keep its slack at least margin. Dictionary entries are ratios
+    of 0/1 determinants, at most 3645 in size up to 12 agents, so its ratio
+    stays above the least by more than PIVOT_TOL and every pivot is the
+    full LP's, bit for bit.
     Raises RuntimeError naming the LP that is not optimal: at values of 1e8
     and above the tiebreak's absolute face slack of 1e-9 can fail it."""
     n = game.num_agents
     def primary():
-        lp = LinearProgram(np.ones(n), cap_rows(n), game.values[1:])
+        values = game.values
+        margin = 1e4 * PIVOT_TOL * max(1.0, values.max())
+        implied = marginals(values, values, n) > values[1 << np.arange(n), None] + margin
+        splits = np.bincount(marginal_masks(n)[1].ravel(), implied.ravel(), 1 << n)
+        live = (splits == 0) | (values < 0).any()
+        lp = LinearProgram(np.ones(n), membership(n)[live][1:], values[live][1:])
         return lp, (solve(lp, resume := Resume()), resume)
     lp, primary = _held(game, "MER", primary)
     sol = primary[0]

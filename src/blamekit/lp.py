@@ -3,15 +3,17 @@
 Problems are stated as: maximize c @ x subject to A @ x <= b, x >= 0.
 An equality's two opposing rows trip the simplex; one such pair is left,
 MER's tiebreak face row -objective <= -opt + 1e-9 against its all-ones
-grand-coalition cap row, until the tiebreak walks the face (ROADMAP 4(a)).
+grand-coalition cap row wherever that cap can bind and MER keeps the row,
+until the tiebreak walks the face (ROADMAP 4(a)).
 Variables are numbered structural, then one slack per row, then one
 artificial per row with a negative bound; phase 2 runs on the dictionary
 phase 1 leaves, its entering `limit` barring every artificial. Only the
 nonbasic columns and the right-hand side are stored (Chvatal, Linear
-Programming, ch. 2-3), array row j holding dictionary column j: MER's
-2^n - 1 rows over n agents take (n + 1) x 2^n floats. A pivot updates
-columns shorter than LIVE_MIN in one broadcast, longer ones where the
-pivot-row entry is nonzero. Bland's rule guarantees termination.
+Programming, ch. 2-3), array row j holding dictionary column j: MER's r
+live cap rows over n agents (60 of 2^n - 1 = 2047 on average at n = 11)
+take (n + 1) x (r + 1) floats. A pivot updates columns shorter than
+LIVE_MIN in one broadcast, longer ones where the pivot-row entry is
+nonzero. Bland's rule guarantees termination.
 `solve_lexicographic` resumes a primary solved with a `Resume` note, which
 holds in a buffer it alone owns what it resumes from."""
 from __future__ import annotations

@@ -20,7 +20,6 @@ from blamekit.attribution import (
     average_participation,
     banzhaf,
     blame,
-    cap_rows,
     game_marginals,
     marginal_contribution,
     mer,
@@ -29,7 +28,7 @@ from blamekit.attribution import (
 )
 from blamekit.cli import _csv
 from blamekit.planning import (MEMO_ENTRIES, CharacteristicGame, coalition_mask,
-                               membership, mmdp_from_game)
+                               coalition_sums, membership, mmdp_from_game)
 from blamekit.properties import check_rationality, random_monotone_game
 from helpers import (average_participation_loop, banzhaf_loop, masked_pivot,
                      pivotality_loop, rationality_loop, shapley_loop,
@@ -309,6 +308,139 @@ def _mer_cold(values, tiebreak):
     return BlameAssignment("MER", sol.point).blames
 
 
+def _mer_cold_outcome(values, tiebreak):
+    """`_mer_cold`'s blames as bytes, or the message MER raises where a cold
+    solve is not optimal."""
+    n = int(values.size).bit_length() - 1
+    program = lp.LinearProgram(np.ones(n), membership(n)[1:].astype(float),
+                               values[1:])
+    sol = solve_row_major(program)
+    name = "rationality LP"
+    if tiebreak is not None and sol.status == "optimal":
+        sol = solve_lexicographic_cold(program, np.eye(n)[tiebreak])
+        name = f"tiebreak LP for agent {tiebreak + 1}"
+    if sol.status != "optimal":
+        return f"{name} came back {sol.status}"
+    return BlameAssignment("MER", sol.point).blames.tobytes()
+
+
+def _mer_outcome(game, tiebreak):
+    try:
+        return mer(game, tiebreak).blames.tobytes()
+    except RuntimeError as error:
+        return str(error)
+
+
+def _live_caps(values):
+    """Per nonempty coalition T, ascending, whether MER's held LP keeps its
+    cap row, one (T, i) at a time: with no value negative, T goes when
+    T - {i} is nonempty and v(T) - v(T - {i}) > v({i}) + margin."""
+    n = int(values.size).bit_length() - 1
+    margin = 1e4 * lp.PIVOT_TOL * max(1.0, float(values.max()))
+    keep = [True] * (values.size - 1)
+    if (values < 0).any():
+        return np.array(keep)
+    for mask in range(1, values.size):
+        for i in range(n):
+            rest = mask & ~(1 << i)
+            if mask >> i & 1 and rest and values[mask] - values[rest] > values[1 << i] + margin:
+                keep[mask - 1] = False
+    return np.array(keep)
+
+
+def _held_caps(game):
+    mer(game)
+    return held(game, "MER")[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 11), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from(["drawn", "rounded", "additive", "lifted", "dented"]),
+       st.one_of(st.sampled_from([1.0, 1e9, 1e-9]),
+                 st.integers(-40, 30).map(lambda j: 2.0 ** j)))
+def test_mer_on_the_live_cap_rows_matches_the_cold_full_row_solves(n, seed, kind, scale):
+    """MER's primary and tiebreaks, held on the live cap rows only, give the
+    bytes of cold solves over every cap row, or raise the message of the
+    cold solve that is not optimal: on drawn games, on 0.1-rounded ones
+    (exact ties), additive ones (no row implied), ones with an agent's
+    coalitions lifted and ones with a value at -1e-17 (every row kept),
+    scaled by powers of two and by 1e9 and 1e-9."""
+    rng = np.random.default_rng(seed)
+    values = random_monotone_game(n, seed).values
+    if kind == "rounded":
+        values = np.round(values, 1)
+    elif kind == "additive":
+        values = coalition_sums(rng.uniform(0.0, 1.0, n))
+    elif kind == "lifted":
+        values = values + np.where(np.arange(1 << n) >> rng.integers(n) & 1, 0.25, 0.0)
+    values = values * scale
+    if kind == "dented":
+        values[rng.integers(1, 1 << n)] = -1e-17
+    game = CharacteristicGame(n, values)
+    live = _live_caps(values)
+    assert np.array_equal(_held_caps(game).constraint_bounds, values[1:][live])
+    if kind in ("additive", "dented"):
+        assert live.all()
+    for t in (None, 0, n - 1):
+        assert _mer_outcome(game, t) == _mer_cold_outcome(values, t), t
+
+
+def test_mer_on_twelve_agents_matches_the_cold_full_row_solves():
+    base = random_monotone_game(12, 0).values
+    for values in (base, np.round(base, 1), base * 1e9):
+        game = CharacteristicGame(12, values)
+        assert _held_caps(game).constraint_bounds.size < 4095
+        for t in (None, 0, 11):
+            assert _mer_outcome(game, t) == _mer_cold_outcome(values, t), t
+
+
+def test_a_cap_row_a_singleton_split_implies_goes_only_past_the_margin():
+    """At values up to 1 the margin is 1e4 * PIVOT_TOL: row {1, 2} stays at
+    an exact tie v({1, 2}) = v({1}) + v({2}) and at an excess of exactly
+    the margin, and goes one ulp past it."""
+    margin = 1e4 * lp.PIVOT_TOL
+    tie = game_from_values([0.0, 0.25, 0.5, 0.75])
+    assert _held_caps(tie).constraint_bounds.tolist() == [0.25, 0.5, 0.75]
+    at = game_from_values([0.0, 0.0, 0.0, margin])
+    assert _held_caps(at).constraint_bounds.tolist() == [0.0, 0.0, margin]
+    past = game_from_values([0.0, 0.0, 0.0, np.nextafter(margin, 1.0)])
+    program = _held_caps(past)
+    assert program.constraint_bounds.tolist() == [0.0, 0.0]
+    assert program.constraint_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # at values above 1 the margin scales with the largest: about 1 here
+    kept = game_from_values([0.0, 1e6, 0.0, 1e6 + 0.5])
+    assert _held_caps(kept).constraint_bounds.tolist() == [1e6, 0.0, 1e6 + 0.5]
+    dropped = game_from_values([0.0, 1e6, 0.0, 1e6 + 2.0])
+    assert _held_caps(dropped).constraint_bounds.tolist() == [1e6, 0.0]
+    for game in (tie, at, past, kept, dropped):
+        for t in (None, 0, 1):
+            assert _mer_outcome(game, t) == _mer_cold_outcome(game.values, t)
+
+
+def test_a_negative_value_keeps_every_cap_row():
+    values = random_monotone_game(6, 2).values.copy()
+    assert not _live_caps(values).all()
+    values[5] = -1e-17
+    assert _held_caps(CharacteristicGame(6, values)).constraint_bounds.size == 63
+
+
+def test_mer_holds_the_live_caps_of_zero_and_one_agent_games():
+    assert _held_caps(random_monotone_game(0, 0)).constraint_matrix.shape == (0, 0)
+    assert mer(random_monotone_game(0, 0)).blames.shape == (0,)
+    one = game_from_values([0.0, 0.5])
+    assert _held_caps(one).constraint_bounds.tolist() == [0.5]
+    assert mer(one, 0).blames.tolist() == [0.5]
+
+
+def test_an_eleven_agent_game_keeps_under_five_percent_of_its_cap_rows():
+    """random_monotone_game(11, 0) keeps 35 of its 2,047 cap rows; a change
+    that quietly kept every row would fail here."""
+    game = random_monotone_game(11, 0)
+    kept = _held_caps(game).constraint_bounds.size
+    assert kept < 0.05 * 2047
+    assert kept == _live_caps(game.values).sum()
+
+
 def _slot_corpus():
     """Raw, 0.1-rounded and x1e-6 random monotone games at n = 1-11, and
     one game with a value at -1e-17, whose MER primary runs phase 1."""
@@ -499,23 +631,22 @@ def test_a_held_mer_primary_keeps_its_snapshot_after_another_games_mer(monkeypat
                 == _mer_cold(first.values, t).tobytes()), t
 
 
-def test_a_games_mer_keeps_its_read_only_cap_rows_uncopied(monkeypatch):
-    """MER's held LP keeps the cap rows as `cap_rows` builds them, once per
-    game for the primary and its tiebreaks, no copy."""
-    built = []
-
-    def recording(n):
-        built.append(cap_rows(n))
-        return built[-1]
-
-    monkeypatch.setattr(attribution, "cap_rows", recording)
+def test_a_games_mer_keeps_its_live_cap_rows_once(monkeypatch):
+    """MER's held LP is built once per game for the primary and its
+    tiebreaks, from the live cap rows alone: the `membership(n)` rows, as
+    floats, and the values of the nonempty coalitions `_live_caps` keeps."""
+    built, build = [], lp.LinearProgram
+    monkeypatch.setattr(attribution, "LinearProgram",
+                        lambda *args: built.append(build(*args)) or built[-1])
     game = random_monotone_game(5, 1)
     mer(game)
     mer(game, tiebreak=0)
-    rows = held(game, "MER")[0].constraint_matrix
-    assert len(built) == 1 and rows is built[0]
-    assert not rows.flags.writeable and rows.flags.f_contiguous
-    assert np.array_equal(rows, membership(5)[1:])
+    program = held(game, "MER")[0]
+    live = _live_caps(game.values)
+    assert len(built) == 1 and program is built[0] and not live.all()
+    assert program.constraint_matrix.dtype == float
+    assert np.array_equal(program.constraint_matrix, membership(5)[1:][live])
+    assert np.array_equal(program.constraint_bounds, game.values[1:][live])
 
 
 def test_mer_on_degenerate_games():
