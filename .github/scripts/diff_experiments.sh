@@ -70,9 +70,11 @@
 #     random_monotone_game(n, s) for n = 2 to 12 and s = 0 to 3; on the
 #     same games with the cap of mask 1 + 3s mod (2^n - 1) set to -1e-17,
 #     whose primary runs phase 1; on them rounded to 0.1 (exact ties),
-#     scaled by 1e9 and by 2^-30; and on additive games of n seeded
-#     uniform singletons, where no cap row is implied; so that a simplex
-#     change or a dropped cap row that moves any MER point shows.
+#     scaled by 1e9 and by 2^-30; on additive games of n seeded uniform
+#     singletons, where no cap row is implied; and on those rounded to
+#     0.1, all-row LPs with exact ties for Bland's rule on the longest
+#     dictionaries; so that a simplex change or a dropped cap row that
+#     moves any MER point shows.
 # Prints one GitHub `::warning::` line per differing or one-sided file. It
 # only reports: it exits 0 whatever it finds or fails to run.
 set -uo pipefail
@@ -335,7 +337,8 @@ for n in range(2, 13):
         additive = coalition_sums(np.random.default_rng(seed).uniform(0.0, 1.0, n))
         for label, game in (("drawn", values), ("capped", capped),
                             ("rounded", np.round(values, 1)), ("x1e9", values * 1e9),
-                            ("x2^-30", values * 2.0 ** -30), ("additive", additive)):
+                            ("x2^-30", values * 2.0 ** -30), ("additive", additive),
+                            ("tied", np.round(additive, 1))):
             game = CharacteristicGame(n, game)
             for tiebreak in (None, 0, n - 1):
                 try:

@@ -115,7 +115,7 @@ def mer(game: CharacteristicGame, tiebreak: int | None = None) -> BlameAssignmen
     every optimum; per-agent splits are not. `tiebreak` secondarily
     maximizes that agent's blame over the optimal face, which fixes that
     blame only: the others are the vertex Bland's rule reaches. It resumes
-    the game's one primary, which keeps its own snapshot buffer.
+    the game's one primary, which keeps its own snapshot.
     The held LP has the live cap rows only. Where no value is negative, row
     S + i (S nonempty) goes when v(S + i) - v(S) > v({i}) + margin: rows S
     and {i} keep its slack at least margin. Dictionary entries are ratios

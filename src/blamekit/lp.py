@@ -11,11 +11,10 @@ phase 1 leaves, its entering `limit` barring every artificial. Only the
 nonbasic columns and the right-hand side are stored (Chvatal, Linear
 Programming, ch. 2-3), array row j holding dictionary column j: MER's r
 live cap rows over n agents (60 of 2^n - 1 = 2047 on average at n = 11)
-take (n + 1) x (r + 1) floats. A pivot updates columns shorter than
-LIVE_MIN in one broadcast, longer ones where the pivot-row entry is
-nonzero. Bland's rule guarantees termination.
+take (n + 1) x (r + 1) floats. A pivot updates every column in one
+broadcast. Bland's rule guarantees termination.
 `solve_lexicographic` resumes a primary solved with a `Resume` note, which
-holds in a buffer it alone owns what it resumes from."""
+holds its own copy of what it resumes from."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ import numpy as np
 from .mmdp import _non_finite
 
 PIVOT_TOL = 1e-10
-LIVE_MIN = 512  # stored column length from which a pivot skips dead columns
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
     tableau[pos, row] = 1.0
     tableau[:, row] /= col[row]
     col[row] = 0.0
-    # A column with a zero pivot-row entry subtracts 0 * p, which can only
-    # turn a -0.0 into +0.0. Long columns skip those but not the right-hand
-    # side, where a drive-out's +0 / -p = -0.0 turns back; as it then holds
-    # no -0.0, no other zero's sign reaches a tolerance test or an output.
-    if col.size < LIVE_MIN:
-        tableau -= tableau[:, row, None] * col
-    else:
-        for j in tableau[:-1, row].nonzero()[0].tolist() + [-1]:
-            tableau[j] -= tableau[j, row] * col
+    tableau -= tableau[:, row, None] * col
     basis[row], nonbasic[pos] = nonbasic[pos], basis[row]
 
 
@@ -163,19 +153,16 @@ def solve(lp: LinearProgram, note=None) -> LpSolution:
 
 class Resume:
     """A `note` keeping per pivot the entering column's face-row entry (its
-    objective entry negated), value and least ratio, and in one buffer the
-    dictionary before the last pivot with a least ratio > 0, step `at`; the
-    buffer is allocated at the first such pivot and kept."""
+    objective entry negated), value and least ratio, and a copy of the
+    dictionary before the last pivot with a least ratio > 0, step `at`."""
 
     def __init__(self):
         self.steps, self.at, self.saved = [], None, None
 
     def __call__(self, tableau, basis, nonbasic, col, row, least):
         if least > 0:
-            if self.saved is None:
-                self.saved = np.empty_like(tableau)
-            self.saved[...] = tableau
-            self.at, self.basis, self.nonbasic = len(self.steps), basis.copy(), nonbasic.copy()
+            self.at, self.saved = len(self.steps), tableau.copy()
+            self.basis, self.nonbasic = basis.copy(), nonbasic.copy()
         self.steps.append((-col[-1], tableau[-1, row] / col[row], least))
 
     def face_dictionary(self, rhs: float):

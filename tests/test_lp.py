@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from blamekit import lp as lp_module
 from blamekit.lp import LinearProgram, LpSolution, solve, solve_lexicographic
-from blamekit.planning import membership
+from blamekit.planning import coalition_sums, membership
 from blamekit.properties import random_monotone_game
 from helpers import (finish_dropping_artificials, masked_pivot, primary_of,
                      solve_lexicographic_cold, solve_row_major)
@@ -304,10 +304,10 @@ def test_solves_match_the_row_major_cold_oracle_bit_for_bit(cold_solves):
 
 
 def widened(rng, lp):
-    """The program with redundant rows added at random places, up to
-    `LIVE_MIN` rows, so that its stored columns are long: each has
-    coefficients in {-2, -1, 0} and a bound of 0 or 1, so x >= 0 meets it."""
-    extra = lp_module.LIVE_MIN - lp.constraint_bounds.size
+    """The program with redundant rows added at random places, up to 512
+    rows, so that its stored columns are long: each has coefficients in
+    {-2, -1, 0} and a bound of 0 or 1, so x >= 0 meets it."""
+    extra = 512 - lp.constraint_bounds.size
     a = np.vstack([lp.constraint_matrix,
                    rng.integers(-2, 1, (extra, lp.objective.size))])
     b = np.concatenate([lp.constraint_bounds, rng.choice([0.0, 1.0], extra)])
@@ -317,17 +317,17 @@ def widened(rng, lp):
 
 def test_wide_dictionaries_match_the_row_major_cold_oracle_bit_for_bit(
         monkeypatch):
-    """Long columns update only the live columns and the right-hand side.
-    That gives the bits of the full update on generic programs widened past
-    the threshold (negative bounds, so phase 1 and drive-outs; objectives
-    with zero entries) and on MER's LPs at n = 8-11 with one coalition
-    value at -1e-17, which runs phase 1 untied. A drive-out on a zero
-    right-hand side makes a -0.0 there that only the update turns back."""
+    """The one broadcast update gives the row-major oracle's bits on long
+    columns: on generic programs widened to 512 rows (negative bounds, so
+    phase 1 and drive-outs; objectives with zero entries) and on MER's
+    all-row LPs at n = 8-12, with one coalition value at -1e-17 (phase 1
+    untied) and additive (no row implied). A drive-out on a zero
+    right-hand side makes a -0.0 there that the update turns back."""
     zero_drive_outs = []
     pivot = lp_module._pivot
 
     def recording_pivot(tableau, basis, nonbasic, row, pos, col):
-        if tableau.shape[1] >= lp_module.LIVE_MIN and col[row] < 0:
+        if tableau.shape[1] >= 512 and col[row] < 0:
             zero_drive_outs.append(tableau[-1, row] == 0)
         pivot(tableau, basis, nonbasic, row, pos, col)
 
@@ -343,11 +343,12 @@ def test_wide_dictionaries_match_the_row_major_cold_oracle_bit_for_bit(
                                      int(rng.integers(1, 7))) for _ in range(100)])
     programs = [widened(rng, zeroed(lp) if k % 4 == 0 else lp)
                 for k, lp in enumerate(programs)]
-    for n in range(8, 12):
+    for n in range(8, 13):
         for seed in rng.integers(0, 10**6, 3):
             values = random_monotone_game(n, int(seed)).values.copy()
             values[rng.integers(1, values.size)] = -1e-17
             programs.append(mer_program(values))
+        programs.append(mer_program(coalition_sums(rng.uniform(0.0, 1.0, n))))
     statuses = set()
     for lp in programs:
         got = solve(lp)
@@ -446,12 +447,12 @@ def test_agrees_with_highs_on_random_programs():
 
 
 def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
-    """These programs' columns are all short, so each pivot takes the one
-    broadcast update, in which a dictionary row with a zero in the entering
-    column subtracts 0 * p. That keeps every value of a pivot that leaves
-    such rows alone: statuses and objectives agree bit for bit, and points
-    by value (a -0.0 may come back +0.0). Long columns skip dead columns
-    instead, bit for bit (the wide-dictionary test above)."""
+    """Every pivot takes the one broadcast update, in which a dictionary row
+    with a zero in the entering column subtracts 0 * p. That keeps every
+    value of a pivot that leaves such rows alone: statuses and objectives
+    agree bit for bit, and points by value (a -0.0 may come back +0.0).
+    The wide-dictionary test above holds long columns to the row-major
+    oracle bit for bit."""
     rng = np.random.default_rng(3101)
     programs = ([random_bounded_lp(rng, int(rng.integers(2, 6)),
                                    int(rng.integers(1, 7))) for _ in range(150)]
@@ -478,21 +479,42 @@ def test_unmasked_pivot_matches_the_masked_one(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
-def test_a_resumed_tiebreak_copies_the_held_dictionary_once(cold_solves, n):
+def test_a_resumed_tiebreak_copies_the_held_dictionary_once(cold_solves, monkeypatch, n):
     """A resumed MER tiebreak copies the held primary's dictionary once, into
-    the face dictionary, and runs both phases on that array: its tracemalloc
-    peak stays under 1.5 face dictionaries (a second copy for phase 2 took
-    it past 2)."""
+    the face dictionary, and runs both phases on that array: each array
+    `_run_simplex` receives is the one `face_dictionary` returned, and the
+    tracemalloc peak stays within half a face dictionary of a cold solve's
+    on the same program (each holds one dictionary, the pivot's
+    dictionary-sized temporary and numpy's ufunc buffer; a second copy
+    for phase 2 adds a whole dictionary)."""
     lp = mer_program(random_monotone_game(n, 0).values)
     primary = primary_of(lp)
+    faces, runs = [], []
+    face_dictionary, run = lp_module.Resume.face_dictionary, lp_module._run_simplex
+
+    def recording_face(self, rhs):
+        faces.append(face := face_dictionary(self, rhs))
+        return face
+
+    def recording_run(tableau, *args):
+        runs.append(tableau)
+        return run(tableau, *args)
+
     tracemalloc.start()
     try:
+        solve(lp)
+        _, cold_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(lp_module.Resume, "face_dictionary", recording_face)
+        monkeypatch.setattr(lp_module, "_run_simplex", recording_run)
+        baseline, _ = tracemalloc.get_traced_memory()
         solve_lexicographic(lp, np.eye(n)[n - 1], primary)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not cold_solves
-    assert peak < 1.5 * (n + 2) * ((1 << n) + 1) * 8
+    assert not cold_solves and len(faces) == 1 and runs
+    assert all(tableau is faces[0][0] for tableau in runs)
+    assert peak - baseline < cold_peak + 0.5 * faces[0][0].nbytes
 
 
 @contextmanager
